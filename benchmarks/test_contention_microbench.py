@@ -67,7 +67,7 @@ SKEW_SWEEP = (0.0, 0.6, 1.2)
 @pytest.fixture
 def rearm(monkeypatch):
     """Identical randomness and tid sequence for every leg (see the
-    pipeline differential suite for the pattern)."""
+    commit-backend differential suite for the pattern)."""
 
     def arm():
         rng = random.Random(0x1EDE9)

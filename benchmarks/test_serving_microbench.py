@@ -11,17 +11,11 @@ rather than collapsing.
 
 Cross-cutting legs ride along:
 
-- the **parallel pipeline backend** must reproduce the reference
-  backend's simulated-time rows bit-for-bit (host-side concurrency
-  must never change a simulated result);
 - the **occ commit backend** under hot-key contention turns the
   reference backend's MVCC aborts into rebased commits — higher goodput
   on the same offered load;
 - **1 vs 4 shards** through the key-routed sharded target scales the
-  saturated goodput out;
-- the **process-pool endorse path** (``REPRO_ENDORSE_POOL=process``)
-  must leave committed state byte-identical to the thread path — same
-  tip hash, same state root, same validation codes.
+  saturated goodput out.
 
 Results are written to ``BENCH_serving.json`` at the repo root.
 
@@ -41,7 +35,6 @@ from pathlib import Path
 import pytest
 
 from repro import build_network
-from repro.fabric import parallel
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.ledger import transaction as transaction_module
 from repro.serving import (
@@ -86,7 +79,7 @@ SEED = 11
 @pytest.fixture
 def rearm(monkeypatch):
     """Identical randomness and tid sequence for every leg (see the
-    pipeline differential suite for the pattern)."""
+    commit-backend differential suite for the pattern)."""
 
     def arm():
         rng = random.Random(0x1EDE9)
@@ -190,28 +183,6 @@ def test_knee_curve_reference_backend(rearm):
     }
 
 
-def test_parallel_backend_reproduces_simulated_rows(rearm):
-    """Host-side pipeline concurrency must not change one simulated
-    number: the parallel backend's sweep equals the reference's."""
-    legs = (100.0, 1600.0)
-    reference_rows, parallel_rows = [], []
-    for offered in legs:
-        rearm()
-        row, _ = _run_leg(offered, config=_config(pipeline_backend="reference"))
-        reference_rows.append(row)
-    for offered in legs:
-        rearm()
-        with parallel.use_workers(4):
-            row, _ = _run_leg(offered, config=_config(pipeline_backend="parallel"))
-        parallel_rows.append(row)
-    assert parallel_rows == reference_rows
-    _RESULTS["pipeline_backend_differential"] = {
-        "legs": list(legs),
-        "rows_identical": True,
-        "rows": reference_rows,
-    }
-
-
 def test_occ_backend_lifts_goodput_under_contention(rearm):
     """Hot-key contention through the gateway: the occ commit backend
     rebases the reference backend's MVCC losers into commits."""
@@ -281,57 +252,6 @@ def test_sharding_scales_saturated_goodput(rearm):
     }
 
 
-def _run_signed_leg(offered=200.0, requests=48):
-    """A short open-loop run with real RSA endorsement signatures;
-    returns the row plus the committed-state fingerprint."""
-    network = build_network(
-        _config(real_signatures=True, key_bits=512)
-    )
-    network.install_chaincode(CounterContract())
-    target = NetworkTarget(network, network.register_user("bencher"))
-    metrics, _ = run_open_loop(
-        target,
-        OpenLoopConfig(
-            offered_tps=offered, requests=requests, sessions=4, seed=SEED
-        ),
-        counter_builder(),
-        admission=ADMISSION,
-    )
-    peer = network.reference_peer
-    return {
-        "row": metrics.as_row(),
-        "tip": peer.chain.tip_hash.hex(),
-        "state_root": peer.current_state_root().hex(),
-        "codes": {
-            tid: code.value
-            for tid, code in sorted(peer.validation_codes.items())
-        },
-    }
-
-
-def test_process_pool_endorse_is_byte_identical(rearm):
-    """The REPRO_ENDORSE_POOL=process escape hatch must not change a
-    single committed byte versus the default thread path."""
-    rearm()
-    with parallel.use_endorse_pool("thread"):
-        thread_leg = _run_signed_leg()
-    rearm()
-    with parallel.use_endorse_pool("process"):
-        process_leg = _run_signed_leg()
-    parallel.shutdown_endorse_pool()
-
-    for key in ("tip", "state_root", "codes", "row"):
-        assert process_leg[key] == thread_leg[key], f"{key} diverged"
-    _RESULTS["endorse_pool_differential"] = {
-        "requests": 48,
-        "real_signatures": True,
-        "tips_identical": True,
-        "state_roots_identical": True,
-        "codes_identical": True,
-        "row": thread_leg["row"],
-    }
-
-
 def test_write_bench_json():
     """Persist the numbers gathered above (runs last in file order)."""
     assert _RESULTS, "no benchmark results collected"
@@ -345,9 +265,7 @@ def test_write_bench_json():
             "all latency/goodput numbers are simulated-time, so they are "
             "machine-independent; the knee is the acceptance shape — p99 "
             "past saturation is bounded by the shed watermark while "
-            "goodput stays at saturated-pipeline capacity.  The pipeline "
-            "and endorse-pool differential legs assert host-side "
-            "concurrency choices never change a simulated result."
+            "goodput stays at saturated-pipeline capacity."
         ),
         "results": _RESULTS,
     }

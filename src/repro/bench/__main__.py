@@ -9,8 +9,6 @@ Usage::
     python -m repro.bench all             # everything (Figs 4-13 + faults)
     python -m repro.bench --smoke         # fast CI pass (tiny scale)
     python -m repro.bench --smoke fig10   # fast pass of one figure
-    python -m repro.bench --workers 8 fig4       # wider pipeline pool
-    python -m repro.bench --pipeline reference fig4  # serial execution
     python -m repro.bench --commit occ fig4      # rebase MVCC conflicts
     REPRO_BENCH_SCALE=0.25 python -m repro.bench all   # quick pass
 
@@ -20,12 +18,8 @@ recycling RSA keypair pool, so a full figure runs in seconds.  Smoke
 numbers are for wiring checks only — simulated-time *shapes* survive
 scaling, absolute values do not.
 
-``--workers N`` sizes the parallel pipeline's worker pool and
-``--pipeline {parallel,reference}`` selects the host-side execution
-backend (see :mod:`repro.fabric.parallel`) — both change wall-clock
-only, never a simulated-time result.  ``--commit {occ,reference}``
-selects the commit-time conflict policy (see :mod:`repro.fabric.occ`);
-unlike the other switches it changes simulated results under
+``--commit {occ,reference}`` selects the commit-time conflict policy
+(see :mod:`repro.fabric.occ`); it changes simulated results under
 contention: occ rebases MVCC-conflicted transactions instead of
 aborting them.
 """
@@ -39,7 +33,7 @@ from contextlib import nullcontext
 from repro.bench import harness, runners
 from repro.bench.report import print_series
 from repro.crypto.rsa import keypair_pool
-from repro.fabric import occ, parallel
+from repro.fabric import occ
 
 #: Scale applied by --smoke when REPRO_BENCH_SCALE is not already set.
 SMOKE_SCALE = "0.05"
@@ -75,11 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     smoke = "--smoke" in args
     args = [a for a in args if a != "--smoke"]
     try:
-        workers, args = _pop_option(args, "--workers", int)
-        pipeline_name, args = _pop_option(args, "--pipeline", str)
-        if pipeline_name is not None:
-            parallel.resolve_backend(pipeline_name)  # validate early
-        commit_name, args = _pop_option(args, "--commit", str)
+        commit_name, args = _pop_option(args, "--commit")
         if commit_name is not None:
             occ.resolve_backend(commit_name)  # validate early
     except ValueError as exc:
@@ -92,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args:
         args = list(SMOKE_DEFAULT_FIGURES)
     selected = list(FIGURES) if "all" in args else args
-    unknown = [a for a in selected if a not in FIGURES]
+    unknown = [a for a in args if a != "all" and a not in FIGURES]
     if unknown:
         print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
         print("expected:", ", ".join(FIGURES), file=sys.stderr)
@@ -100,20 +90,12 @@ def main(argv: list[str] | None = None) -> int:
     scale_override = smoke and "REPRO_BENCH_SCALE" not in os.environ
     if scale_override:
         os.environ["REPRO_BENCH_SCALE"] = SMOKE_SCALE
-    pipeline_ctx = (
-        parallel.use_backend(pipeline_name)
-        if pipeline_name is not None
-        else nullcontext()
-    )
-    workers_ctx = (
-        parallel.use_workers(workers) if workers is not None else nullcontext()
-    )
     commit_ctx = (
         occ.use_backend(commit_name) if commit_name is not None else nullcontext()
     )
     try:
         with keypair_pool(size=8) if smoke else nullcontext():
-            with pipeline_ctx, workers_ctx, commit_ctx:
+            with commit_ctx:
                 for name in selected:
                     FIGURES[name]()
     finally:
@@ -123,23 +105,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _pop_option(args: list[str], flag: str, parse):
+def _pop_option(args: list[str], flag: str):
     """Extract ``flag VALUE`` from ``args``; returns (value, rest).
 
     Raises ``ValueError`` (with a printable message) when the flag is
-    present without a value or the value does not parse.
+    present without a value.
     """
     if flag not in args:
         return None, args
     index = args.index(flag)
     if index + 1 >= len(args):
         raise ValueError(f"{flag} requires a value")
-    raw = args[index + 1]
-    try:
-        value = parse(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid {flag} value {raw!r}: {exc}") from exc
-    return value, args[:index] + args[index + 2 :]
+    return args[index + 1], args[:index] + args[index + 2 :]
 
 
 def _print_phase_breakdown() -> None:

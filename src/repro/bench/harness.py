@@ -24,7 +24,6 @@ from repro import build_network
 from repro.crypto import rsa as _rsa
 from repro.crypto.backend import use_backend
 from repro.fabric import occ as _occ
-from repro.fabric import parallel as _pipeline
 from repro.ledger import backend as _ledger
 from repro.baseline.multichain import CrossChainDeployment
 from repro.errors import LedgerViewError
@@ -67,8 +66,8 @@ class RunResult:
     timed_out: bool = False
     #: Host wall-clock spent driving the run's client traffic (seconds)
     #: and the resulting committed-requests-per-host-second rate.  These
-    #: are the quantities the pipeline backend moves; ``tps`` above is
-    #: simulated-time throughput, identical under every backend.
+    #: are the quantities the crypto and ledger backends move; ``tps``
+    #: above is simulated-time throughput, identical under both.
     host_wall_s: float = 0.0
     host_tps: float = 0.0
     extra: dict[str, Any] = field(default_factory=dict)
@@ -102,9 +101,6 @@ PHASE_TOTALS: dict[str, float] = {}
 def _record_phases(network: FabricNetwork, result: RunResult) -> None:
     """Attach a network's per-phase wall-clock to ``result`` and the totals."""
     result.extra["phase_wall_s"] = network.phase_wall.summary()
-    parallelism = network.phase_wall.parallelism()
-    if any(peak > 1 for peak in parallelism.values()):
-        result.extra["phase_parallelism"] = parallelism
     outcomes = network.phase_wall.commit_outcomes()
     if outcomes["totals"]["committed"] or outcomes["totals"]["aborted"]:
         result.extra["commit_outcomes"] = outcomes
@@ -126,8 +122,6 @@ def _backend_context(
     crypto_backend: str | None,
     rsa_key_pool: int | None,
     ledger_backend: str | None = None,
-    pipeline_backend: str | None = None,
-    pipeline_workers: int | None = None,
     commit_backend: str | None = None,
 ):
     """Context manager applying the harness's backend knobs for one run.
@@ -138,12 +132,9 @@ def _backend_context(
     :class:`repro.crypto.rsa.KeyPairPool` for the caveats);
     ``ledger_backend`` scopes the ledger hot-path selection
     ("fast"/"reference" — incremental state digest and indexed scans)
-    so every peer built inside the run captures it;
-    ``pipeline_backend``/``pipeline_workers`` scope the host-side
-    execution strategy ("parallel"/"reference") and worker-pool width
-    (see :mod:`repro.fabric.parallel`).  None leaves the process
-    default untouched.  None of these change simulated-time results,
-    only wall-clock.  ``commit_backend`` scopes the commit-time
+    so every peer built inside the run captures it.  None leaves the
+    process default untouched.  None of these change simulated-time
+    results, only wall-clock.  ``commit_backend`` scopes the commit-time
     conflict policy ("occ"/"reference" — see :mod:`repro.fabric.occ`);
     unlike the others it *does* change simulated results under
     contention (rebased transactions commit instead of aborting).
@@ -155,10 +146,6 @@ def _backend_context(
         stack.enter_context(_rsa.keypair_pool(rsa_key_pool))
     if ledger_backend is not None:
         stack.enter_context(_ledger.use_backend(ledger_backend))
-    if pipeline_backend is not None:
-        stack.enter_context(_pipeline.use_backend(pipeline_backend))
-    if pipeline_workers is not None:
-        stack.enter_context(_pipeline.use_workers(pipeline_workers))
     if commit_backend is not None:
         stack.enter_context(_occ.use_backend(commit_backend))
     return stack
@@ -278,8 +265,6 @@ def run_view_workload(
     secret_size: int = 0,
     ledger_backend: str | None = None,
     track_state_roots: bool = False,
-    pipeline_backend: str | None = None,
-    pipeline_workers: int | None = None,
     commit_backend: str | None = None,
     fault_plan=None,
 ) -> RunResult:
@@ -288,11 +273,10 @@ def run_view_workload(
     ``max_requests_per_client`` truncates each client's trace — the
     measured rates stabilise after a few batches, so shorter runs keep
     benchmark wall-clock time in check without changing the shapes.
-    ``crypto_backend``/``rsa_key_pool``/``ledger_backend`` and
-    ``pipeline_backend``/``pipeline_workers`` scope the fast-path knobs
-    around the whole run (see :func:`_backend_context`); none changes
-    any measured simulated-time quantity, only wall-clock (reported as
-    ``host_wall_s``/``host_tps``).
+    ``crypto_backend``/``rsa_key_pool``/``ledger_backend`` scope the
+    fast-path knobs around the whole run (see :func:`_backend_context`);
+    none changes any measured simulated-time quantity, only wall-clock
+    (reported as ``host_wall_s``/``host_tps``).
     ``secret_size`` pads each transfer's secret part to roughly that
     many bytes (0 = natural size), for sweeps over payload size.
     ``track_state_roots`` makes every committed block record a state
@@ -307,8 +291,6 @@ def run_view_workload(
         crypto_backend,
         rsa_key_pool,
         ledger_backend,
-        pipeline_backend,
-        pipeline_workers,
         commit_backend,
     ):
         return _run_view_workload(
@@ -457,8 +439,6 @@ def run_baseline_workload(
     crypto_backend: str | None = None,
     rsa_key_pool: int | None = None,
     ledger_backend: str | None = None,
-    pipeline_backend: str | None = None,
-    pipeline_workers: int | None = None,
     commit_backend: str | None = None,
 ) -> RunResult:
     """Run the same workload against the cross-chain 2PC baseline.
@@ -470,8 +450,6 @@ def run_baseline_workload(
         crypto_backend,
         rsa_key_pool,
         ledger_backend,
-        pipeline_backend,
-        pipeline_workers,
         commit_backend,
     ):
         return _run_baseline_workload(
@@ -585,8 +563,6 @@ def run_view_scaling(
     rsa_key_pool: int | None = None,
     ledger_backend: str | None = None,
     track_state_roots: bool = False,
-    pipeline_backend: str | None = None,
-    pipeline_workers: int | None = None,
     commit_backend: str | None = None,
 ) -> RunResult:
     """The Fig 10/11 sweep: vary view count and per-transaction membership.
@@ -601,8 +577,6 @@ def run_view_scaling(
         crypto_backend,
         rsa_key_pool,
         ledger_backend,
-        pipeline_backend,
-        pipeline_workers,
         commit_backend,
     ):
         return _run_view_scaling(

@@ -104,7 +104,7 @@ class NetworkConfig:
 
     # -- ordering backend ------------------------------------------------------
     #: Consensus backend for this network's ordering service
-    #: ("raft"/"pbft"; fifth pluggable dimension).  ``None`` uses the
+    #: ("raft"/"pbft"; fourth pluggable dimension).  ``None`` uses the
     #: process-wide default (``REPRO_ORDERER_BACKEND``, or "raft").
     #:
     #: - "raft": the crash-fault-tolerant path the paper's deployment
@@ -143,20 +143,11 @@ class NetworkConfig:
     #: only changes wall-clock, like the crypto backend switch.
     ledger_backend: str | None = None
 
-    # -- pipeline ------------------------------------------------------------
-    #: Host-side execution backend for this network's transaction
-    #: pipeline ("parallel"/"reference"; see
-    #: :mod:`repro.fabric.parallel`).  ``None`` uses the process-wide
-    #: default (``REPRO_PIPELINE_BACKEND``, or "parallel").  Simulated
-    #: results are identical either way — the knob only changes
-    #: wall-clock, like the crypto and ledger backend switches.
-    pipeline_backend: str | None = None
-
     # -- commit policy -------------------------------------------------------
     #: Commit-time conflict policy for this network's peers
     #: ("occ"/"reference"; see :mod:`repro.fabric.occ`).  ``None`` uses
     #: the process-wide default (``REPRO_COMMIT_BACKEND``, or
-    #: "reference").  Unlike the crypto/ledger/pipeline switches this
+    #: "reference").  Unlike the crypto and ledger switches this
     #: one changes *observable semantics under contention*: the occ
     #: backend rebases MVCC-conflicted transactions instead of aborting
     #: them.  Conflict-free workloads stay byte-identical either way.

@@ -15,25 +15,26 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any
 
 from repro.errors import (
+    ChaincodeError,
     FaultInjectionError,
     LedgerError,
     SimulatedCrashError,
     SimulationError,
 )
-from repro.fabric import occ, parallel
+from repro.fabric import occ
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry, TxContext
 from repro.fabric.config import NetworkConfig
 from repro.fabric.endorser import Proposal, assemble_transaction
 from repro.fabric.identity import MembershipServiceProvider, User
 from repro.fabric.orderer import BlockCutter, OrderingService
 from repro.fabric.peer import Peer, ValidationCode
+from repro.fabric.validation import BlockValidationMemo
 from repro.ledger.transaction import Transaction, fresh_tid
 from repro.sim import Counter, Environment, Event, Resource, Store, TimeSeries
 from repro.storage import StorageRuntime
@@ -56,23 +57,13 @@ class PhaseWallClock:
     the reproduction itself burns host CPU (endorse / order / commit /
     state-root / query), so a perf PR can see which layer its change
     moved.  Tracking costs two ``perf_counter`` calls per operation —
-    noise next to the work being timed.
-
-    Safe under concurrent use: the parallel pipeline backend runs many
-    ``track`` blocks at once from worker threads, so each thread
-    accumulates into its own bucket and :attr:`seconds` merges the
-    buckets on read — no phase total is lost or double-counted to a
-    racing read-modify-write.  ``track`` also maintains a per-phase
-    concurrency high-water mark (:meth:`parallelism`) so benchmark
-    output can show how much of each phase actually overlapped.
+    noise next to the work being timed.  Only the simulation's own
+    thread ever enters :meth:`track`.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._buckets: list[dict[str, float]] = []
-        self._active: dict[str, int] = {}
-        self._peak: dict[str, int] = {}
+        #: Per-phase totals in seconds.
+        self.seconds: dict[str, float] = {}
         #: Per-block commit outcome counters (committed / aborted /
         #: rebased transactions), recorded once per block at the
         #: reference peer — the contention view the per-phase times
@@ -80,52 +71,14 @@ class PhaseWallClock:
         #: wall-clock as a commit but moves no business state.
         self._block_outcomes: dict[int, dict[str, int]] = {}
 
-    def _bucket(self) -> dict[str, float]:
-        bucket = getattr(self._local, "bucket", None)
-        if bucket is None:
-            bucket = {}
-            self._local.bucket = bucket
-            with self._lock:
-                self._buckets.append(bucket)
-        return bucket
-
     @contextmanager
     def track(self, phase: str):
-        bucket = self._bucket()
-        with self._lock:
-            active = self._active.get(phase, 0) + 1
-            self._active[phase] = active
-            if active > self._peak.get(phase, 0):
-                self._peak[phase] = active
         started = perf_counter()
         try:
             yield
         finally:
             elapsed = perf_counter() - started
-            if phase in bucket:
-                # Existing-key update: no dict resize, so the merged
-                # read below can iterate this bucket without the lock.
-                bucket[phase] += elapsed
-            else:
-                with self._lock:
-                    bucket[phase] = elapsed
-            with self._lock:
-                self._active[phase] -= 1
-
-    @property
-    def seconds(self) -> dict[str, float]:
-        """Per-phase totals (seconds), merged across all threads."""
-        merged: dict[str, float] = {}
-        with self._lock:
-            for bucket in self._buckets:
-                for phase, total in bucket.items():
-                    merged[phase] = merged.get(phase, 0.0) + total
-        return merged
-
-    def parallelism(self) -> dict[str, int]:
-        """Peak number of threads concurrently inside each phase."""
-        with self._lock:
-            return dict(sorted(self._peak.items()))
+            self.seconds[phase] = self.seconds.get(phase, 0.0) + elapsed
 
     def summary(self) -> dict[str, float]:
         """Per-phase totals in seconds, rounded, sorted by phase name."""
@@ -138,12 +91,11 @@ class PhaseWallClock:
         self, block_number: int, committed: int, aborted: int, rebased: int
     ) -> None:
         """Record one block's commit/abort/rebase counts (reference peer)."""
-        with self._lock:
-            self._block_outcomes[block_number] = {
-                "committed": committed,
-                "aborted": aborted,
-                "rebased": rebased,
-            }
+        self._block_outcomes[block_number] = {
+            "committed": committed,
+            "aborted": aborted,
+            "rebased": rebased,
+        }
 
     def commit_outcomes(self) -> dict[str, Any]:
         """Totals and per-block commit/abort/rebase counters.
@@ -153,11 +105,10 @@ class PhaseWallClock:
         ``committed``.  ``abort_rate`` is aborted over all transactions
         (0.0 on an empty run).
         """
-        with self._lock:
-            per_block = {
-                number: dict(counts)
-                for number, counts in sorted(self._block_outcomes.items())
-            }
+        per_block = {
+            number: dict(counts)
+            for number, counts in sorted(self._block_outcomes.items())
+        }
         totals = {"committed": 0, "aborted": 0, "rebased": 0}
         for counts in per_block.values():
             for key in totals:
@@ -212,8 +163,6 @@ class FabricNetwork:
         self.registry = ChaincodeRegistry()
         self.metrics = NetworkMetrics.fresh()
         self.phase_wall = PhaseWallClock()
-        #: Host-side execution strategy (see repro.fabric.parallel).
-        self.pipeline = parallel.resolve_backend(self.config.pipeline_backend)
         #: Commit-time conflict policy (see repro.fabric.occ): abort on
         #: MVCC conflict (reference) or rebase at validation time (occ).
         self.commit_backend = occ.resolve_backend(self.config.commit_backend)
@@ -222,13 +171,6 @@ class FabricNetwork:
         #: replicas).  Populated at submission; only filled when the
         #: occ backend is on.
         self.resim: dict[str, occ.ResimRecord] = {}
-        #: In-flight endorsement jobs plus the commit barrier that keeps
-        #: them serial-equivalent (parallel backend only).
-        self._fanout = (
-            parallel.EndorsementFanout()
-            if self.pipeline.concurrent_endorsement
-            else None
-        )
 
         self.peers: list[Peer] = []
         self._peer_cpus: list[Resource] = []
@@ -568,40 +510,28 @@ class FabricNetwork:
         yield env.timeout(latency.client_to_peer)
         endorsing = self.peers[: self.config.endorsement_policy]
         payload_size = len(proposal.concealed) + 256  # args + headers estimate
-        if self._fanout is not None:
-            # Parallel backend: queue each endorsement on the worker
-            # pool at the exact simulated instant the serial path would
-            # have executed it (peer state only changes at commits, and
-            # commits drain the fanout first, so the job reads the same
-            # committed state).  Joining in endorsing-peer order keeps
-            # the assembled transaction byte-identical.
-            endorse_futures = []
-            for peer, cpu in zip(endorsing, self._endorse_cpus):
-                request = cpu.request()
-                yield request
+        # Every endorser is asked and the replies travel back before the
+        # client learns anything, so a failing endorsement still pays
+        # every CPU slot and the reply hop; the first failure in
+        # endorsing-peer order is then raised.
+        responses = []
+        failure = None
+        for peer, cpu in zip(endorsing, self._endorse_cpus):
+            request = cpu.request()
+            yield request
+            try:
+                yield env.timeout(self._endorse_service_ms(payload_size))
                 try:
-                    yield env.timeout(self._endorse_service_ms(payload_size))
-                    endorse_futures.append(
-                        self._fanout.submit(
-                            peer.peer_id, self._endorse_job(peer, proposal)
-                        )
-                    )
-                finally:
-                    cpu.release(request)
-            yield env.timeout(latency.client_to_peer)
-            responses = self._fanout.collect(endorse_futures)
-        else:
-            responses = []
-            for peer, cpu in zip(endorsing, self._endorse_cpus):
-                request = cpu.request()
-                yield request
-                try:
-                    yield env.timeout(self._endorse_service_ms(payload_size))
                     with self.phase_wall.track("endorse"):
                         responses.append(peer.endorse(proposal))
-                finally:
-                    cpu.release(request)
-            yield env.timeout(latency.client_to_peer)
+                except ChaincodeError as exc:
+                    if failure is None:
+                        failure = exc
+            finally:
+                cpu.release(request)
+        yield env.timeout(latency.client_to_peer)
+        if failure is not None:
+            raise failure
 
         tx = assemble_transaction(proposal, responses)
         self._responses[tx.tid] = responses[0].response
@@ -663,15 +593,6 @@ class FabricNetwork:
         self.metrics.committed_requests.increment()
         self.metrics.latencies_ms.record(env.now, env.now - started)
         return notice
-
-    def _endorse_job(self, peer: Peer, proposal: Proposal):
-        """Endorsement closure for the worker pool (read-only on peer)."""
-
-        def job():
-            with self.phase_wall.track("endorse"):
-                return peer.endorse(proposal)
-
-        return job
 
     def submit_sync(self, proposal: Proposal) -> CommitNotice:
         """Submit and drive the simulation until the commit completes.
@@ -824,11 +745,7 @@ class FabricNetwork:
                 # the pure per-transaction checks (endorsement policy,
                 # rwset parse) are peer-independent, so the first peer
                 # to validate fills it and the rest reuse it.
-                memo = (
-                    parallel.BlockValidationMemo()
-                    if self.pipeline.dependency_aware_validation
-                    else None
-                )
+                memo = BlockValidationMemo()
                 for index, peer in enumerate(self.peers):
                     env.process(self._deliver(index, peer, block, memo))
                 if self._cutter.should_cut() is None:
@@ -906,11 +823,6 @@ class FabricNetwork:
                 # multiple of the healthy service time.
                 service *= self.faults.node_factor(f"peer:{index}")
             yield env.timeout(service)
-            if self._fanout is not None:
-                # Commit barrier: in-flight endorsements against this
-                # peer finish reading the pre-block state before the
-                # commit mutates it.
-                self._fanout.drain(peer.peer_id)
             with self.phase_wall.track("commit"):
                 try:
                     result = peer.validate_and_commit(

@@ -1,10 +1,9 @@
 """Pluggable commit backend: abort-on-conflict vs. OCC rebase.
 
-The fourth backend dimension, after crypto (:mod:`repro.crypto.backend`),
-ledger (:mod:`repro.ledger.backend`) and pipeline
-(:mod:`repro.fabric.parallel`).  It selects what a peer does when
-commit-time MVCC validation finds that a transaction's read set no
-longer matches current state:
+The third backend dimension, after crypto (:mod:`repro.crypto.backend`)
+and ledger (:mod:`repro.ledger.backend`).  It selects what a peer does
+when commit-time MVCC validation finds that a transaction's read set
+no longer matches current state:
 
 ``reference`` (default)
     Fabric's first-committer-wins rule, preserved verbatim from the

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.crypto.hashing import hmac_sha256
 from repro.errors import ChaincodeError
-from repro.fabric import occ, parallel
+from repro.fabric import occ
 from repro.fabric.chaincode import ChaincodeRegistry, TxContext
 from repro.fabric.endorser import (
     Proposal,
@@ -22,6 +22,7 @@ from repro.fabric.endorser import (
     simulated_signature,
 )
 from repro.fabric.identity import User
+from repro.fabric.validation import BlockValidationMemo, conflict_schedule
 from repro.ledger import backend as ledger_backend
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
@@ -136,7 +137,10 @@ class Peer:
         )
         response = chaincode.invoke(ctx, proposal.fn, proposal.args)
         payload = proposal.signing_payload(ctx.read_set, ctx.write_set)
-        signature = parallel.endorsement_signature(self, payload)
+        if self.real_signatures:
+            signature = self.identity.sign(payload)
+        else:
+            signature = simulated_signature(self.mac_secret, payload)
         return ProposalResponse(
             peer_id=self.peer_id,
             read_set=dict(ctx.read_set),
@@ -158,7 +162,7 @@ class Peer:
         """Check the endorsement policy: ``policy`` valid peer signatures.
 
         ``rwset`` is an already-parsed ``(read_set, write_set)`` pair;
-        the parallel validation path parses once per block and passes
+        the memoised validation path parses once per block and passes
         it in so the payload is not re-derived per peer.
         """
         endorsements = tx.nonsecret.get("endorsements", [])
@@ -195,24 +199,24 @@ class Peer:
         peer_keys: dict[str, object],
         peer_secrets: dict[str, bytes],
         policy: int = 1,
-        memo=None,
+        memo: BlockValidationMemo | None = None,
     ) -> CommitResult:
         """Validate every transaction in ``block`` and commit the block.
 
         Follows Fabric semantics: invalid transactions stay in the block
         (and in storage) but their write sets are not applied.
 
-        With ``memo`` (a :class:`repro.fabric.parallel
-        .BlockValidationMemo`), the dependency-aware parallel path runs
-        instead of the serial loop: pure per-transaction checks are
-        fanned out to the shared worker pool and shared across peers,
-        and MVCC verdicts for transactions without intra-block read/
-        write conflicts are computed concurrently.  Verdicts, writes,
-        and versions are serial-equivalent by construction (see
-        ``_validate_parallel``); the differential suite pins this.
+        ``memo`` is the block's shared :class:`~repro.fabric.validation
+        .BlockValidationMemo` when sibling replicas are validating the
+        same delivery: pure per-transaction checks and same-tip MVCC
+        verdicts are then computed once and reused.  A lone validation
+        (catch-up replay, genesis replay) passes ``None`` and runs the
+        serial loop.  Verdicts, writes, and versions are equal either
+        way (see ``_validate_memoised``); the differential suite pins
+        this by replaying every block through the serial loop.
         """
         if memo is not None:
-            codes, rebased = self._validate_parallel(
+            codes, rebased = self._validate_memoised(
                 block, peer_keys, peer_secrets, policy, memo
             )
             # Structure check and size are pure in the (shared) block
@@ -326,31 +330,29 @@ class Peer:
                 return dict(ctx.write_set)
         return None
 
-    def _validate_parallel(
+    def _validate_memoised(
         self,
         block: Block,
         peer_keys: dict[str, object],
         peer_secrets: dict[str, bytes],
         policy: int,
-        memo,
+        memo: BlockValidationMemo,
     ) -> tuple[dict[str, ValidationCode], dict[str, dict]]:
-        """Dependency-aware validation; serial-equivalent to the loop above.
+        """Validation sharing work through ``memo``; equal to the loop above.
 
         Serial equivalence, stage by stage:
 
         1. Endorsement verification and rwset parsing depend only on
-           the transaction bytes and key material, so computing them on
-           worker threads — and reusing another peer's results via the
-           shared ``memo`` — returns exactly what the serial loop's
-           per-transaction calls return.
+           the transaction bytes and key material, so reusing another
+           peer's results via the shared ``memo`` returns exactly what
+           the serial loop's per-transaction calls return.
         2. A transaction whose read keys are disjoint from every
            earlier in-block write set sees the same state versions
            whether checked against the pre-block state or mid-loop, so
-           its MVCC verdict can be precomputed concurrently.  The
-           schedule is conservative (it counts the writes of
-           transactions that later turn out invalid), which can only
-           move a transaction to the serial pass — never change a
-           verdict.
+           its MVCC verdict can be precomputed.  The schedule is
+           conservative (it counts the writes of transactions that
+           later turn out invalid), which can only move a transaction
+           to the serial pass — never change a verdict.
         3. The final pass walks the block in order: dependent verdicts
            are evaluated against the evolving state exactly as the
            serial loop would, and valid writes are applied with the
@@ -362,8 +364,6 @@ class Peer:
         the same codes — it reuses them and only applies the writes.
         A peer whose tip differs computes everything itself.
         """
-        from repro.fabric import parallel
-
         txs = block.transactions
         shared = memo.verdicts_for(self.chain.tip_hash)
         if shared is not None:
@@ -379,20 +379,12 @@ class Peer:
                 for key, value in write_set.items():
                     self.statedb.put(key, value, version)
             return dict(shared), dict(memo.rebased)
-        missing = [tx for tx in txs if tx.tid not in memo.endorsement_ok]
-        if missing:
-
-            def check(tx):
+        for tx in txs:
+            if tx.tid not in memo.endorsement_ok:
                 rwset = parse_rwset(tx)
-                ok = self._verify_endorsements(
+                memo.endorsement_ok[tx.tid] = self._verify_endorsements(
                     tx, peer_keys, peer_secrets, policy, rwset=rwset
                 )
-                return ok, rwset
-
-            for tx, (ok, rwset) in zip(
-                missing, parallel.map_in_order(check, missing)
-            ):
-                memo.endorsement_ok[tx.tid] = ok
                 memo.rwsets[tx.tid] = rwset
 
         rwsets = [memo.rwsets[tx.tid] for tx in txs]
@@ -403,10 +395,8 @@ class Peer:
                 for key, version in rwsets[position][0].items()
             )
 
-        independent, _dependent = parallel.conflict_schedule(rwsets)
-        verdicts = dict(
-            zip(independent, parallel.map_in_order(mvcc_clean, independent))
-        )
+        independent, _dependent = conflict_schedule(rwsets)
+        verdicts = {position: mvcc_clean(position) for position in independent}
 
         codes: dict[str, ValidationCode] = {}
         rebased: dict[str, dict] = {}

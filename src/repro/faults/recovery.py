@@ -35,8 +35,6 @@ def catch_up(network, peer) -> int:
     applied = 0
     while peer.chain.height < len(network.block_log):
         block = network.block_log[peer.chain.height]
-        if network._fanout is not None:
-            network._fanout.drain(peer.peer_id)
         peer.validate_and_commit(
             block,
             network._peer_keys,

@@ -55,8 +55,8 @@ class Blockchain:
         """Validate and append ``block``.
 
         ``prevalidated`` asserts that :meth:`Block.validate_structure`
-        has already been run on this exact block object (the parallel
-        pipeline checks each block once and shares the result across
+        has already been run on this exact block object (the block's
+        validation memo checks it once and shares the result across
         replicas); ``size_bytes`` likewise passes in a precomputed
         ``block.size_bytes``.  Both are pure functions of the block, so
         skipping the recomputation cannot change what is accepted.

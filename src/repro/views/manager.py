@@ -87,7 +87,7 @@ class ViewInvocation:
     secret: bytes
     extra_views: dict[str, list[str]] = field(default_factory=dict)
     #: Explicit transaction id; ``None`` draws a fresh one.  Benchmarks
-    #: pin tids so runs under different pipeline backends stay
+    #: and differential tests pin tids so separate runs stay
     #: key-for-key comparable.
     tid: str | None = None
 
@@ -343,25 +343,21 @@ class ViewManager(ABC):
             tid=tid, notice=notice, views=view_names, processed=processed
         )
 
-    # -- batched request path (parallel pipeline backend) -------------------------
+    # -- batched request path ------------------------------------------------------
 
     def invoke_many(self, invocations: list[ViewInvocation]) -> list[InvokeOutcome]:
         """Handle a batch of client requests, coalescing view maintenance.
 
-        Under the parallel pipeline backend all secrets are processed
-        up front, every business transaction is submitted concurrently,
-        and the per-request view maintenance is coalesced: **one**
-        ViewStorage ``merge_many`` transaction (or one TLC flush when
-        it falls due) carries the whole batch's irrevocable entries,
-        instead of one merge transaction per request.  That amortises
-        the gateway round-trips and the per-transaction ordering and
-        validation overhead the reference path pays for each request.
+        All secrets are processed up front, every business transaction
+        is submitted concurrently, and the per-request view maintenance
+        is coalesced: **one** ViewStorage ``merge_many`` transaction (or
+        one TLC flush when it falls due) carries the whole batch's
+        irrevocable entries, instead of the one merge transaction per
+        request that :meth:`invoke_with_secret` (the paper's per-request
+        path) puts on chain.  That amortises the gateway round-trips and
+        the per-transaction ordering and validation overhead.
 
-        Under the reference backend this degrades to the per-request
-        path (every request runs :meth:`_invoke_process` concurrently),
-        so differential tests can compare like for like.
-
-        Outcomes are returned in request order either way.
+        Outcomes are returned in request order.
         """
         event = self.invoke_many_async(invocations)
         return self.gateway.network.env.run(until=event)
@@ -379,25 +375,8 @@ class ViewManager(ABC):
         if not invocations:
             return []
         yield from self._await_owner()
-        if not network.pipeline.batched_view_maintenance:
-            events = [
-                env.process(
-                    self._invoke_process(
-                        inv.fn,
-                        inv.args,
-                        inv.public,
-                        inv.secret,
-                        dict(inv.extra_views),
-                        tid=inv.tid,
-                    )
-                )
-                for inv in invocations
-            ]
-            outcomes = yield env.all_of(events)
-            return outcomes
 
-        # Process every secret up front (main thread: the concealment
-        # crypto shares per-key caches), then put all business
+        # Process every secret up front, then put all business
         # transactions in flight at once.
         processed_list = self.process_secrets([inv.secret for inv in invocations])
         staged = []

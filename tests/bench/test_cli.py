@@ -74,3 +74,11 @@ def test_smoke_respects_existing_scale(monkeypatch):
 def test_smoke_end_to_end_runs_real_figure():
     """The smoke pass actually executes a figure at tiny scale."""
     assert cli.main(["--smoke"]) == 0
+
+
+def test_removed_pipeline_flags_exit_two(capsys):
+    """The pool/backend flags are gone: they fail like any unknown
+    argument instead of being silently ignored (also next to 'all')."""
+    assert cli.main(["--pipeline", "reference", "fig4"]) == 2
+    assert cli.main(["--workers", "8", "all"]) == 2
+    assert "--workers" in capsys.readouterr().err

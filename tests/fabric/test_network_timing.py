@@ -1,8 +1,12 @@
 """Timing-model tests: block cutting, queueing, and kind threading."""
 
+import itertools
+
 import pytest
 
 from repro import build_network
+from repro.errors import ChaincodeError
+from repro.fabric.chaincode import Chaincode
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.endorser import Proposal
 
@@ -137,3 +141,31 @@ def test_two_networks_share_one_clock(fast_config):
     # Ledgers are independent.
     assert a.reference_peer.chain.transaction_count == 1
     assert b.reference_peer.chain.transaction_count == 1
+
+
+def test_failed_endorsement_surfaces_after_every_endorser_and_the_reply_hop():
+    """The client cannot learn of an endorsement failure before the
+    responses travel back: every endorser's CPU slot and service time
+    is paid, then the reply hop, and only then does ``submit`` fail —
+    with the *first* endorser's error."""
+    network = _network(endorsement_policy=2)
+    calls = itertools.count()
+
+    class Refusing(Chaincode):
+        name = "refusing"
+
+        def fn_refuse(self, ctx):
+            raise ChaincodeError(f"refused by endorser {next(calls)}")
+
+    network.install_chaincode(Refusing())
+    event = network.submit(Proposal(chaincode="refusing", fn="refuse", creator="u"))
+    with pytest.raises(ChaincodeError, match="refused by endorser 0"):
+        network.env.run(until=event)
+    cfg = network.config
+    endorse_service_ms = cfg.endorse_base_ms + cfg.payload_delay_ms(
+        256, cfg.endorse_per_kib_ms
+    )
+    assert next(calls) == 2  # both endorsers simulated the proposal
+    assert network.env.now == pytest.approx(
+        2 * cfg.latency.client_to_peer + 2 * endorse_service_ms, abs=1e-9
+    )

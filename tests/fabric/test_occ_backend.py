@@ -350,32 +350,6 @@ def test_retry_budget_exhaustion_surfaces_the_conflict(rearm):
     assert codes.count("mvcc_conflict") == 2
 
 
-def test_rebased_writes_are_shared_across_pipeline_backends(rearm):
-    """The parallel pipeline's cross-peer memo must hand replicas the
-    *rebased* write sets, or peers diverge — pinned by comparing the
-    serial and memoised executions bit for bit."""
-    rearm()
-    serial = _run_pipeline_leg("reference")
-    rearm()
-    memoised = _run_pipeline_leg("parallel")
-    assert memoised == serial
-
-
-def _run_pipeline_leg(pipeline_backend):
-    network, gateway = _build(
-        "occ",
-        with_counter=True,
-        pipeline_backend=pipeline_backend,
-        peer_count=4,
-    )
-    _bump_wave(network, gateway)
-    _bump_wave(network, gateway)
-    network.verify_convergence()
-    observables = _observables(network)
-    observables["finals"] = _final_counters(gateway)
-    return observables
-
-
 # -- durability: rebased rwsets are logged and replayed ------------------------
 
 

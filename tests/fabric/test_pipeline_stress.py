@@ -1,10 +1,9 @@
-"""Stress tests for the parallel pipeline under many concurrent clients.
+"""Stress tests for the transaction pipeline under many concurrent clients.
 
-These pin the delivery guarantees the fan-out must not break: every
-submitted transaction gets exactly one CommitNotice, nothing is lost or
-duplicated across blocks, block numbers stay strictly monotone, and all
-peers converge — with ≥8 submitter processes in flight at once and the
-endorsement thread pool doing real work.
+These pin the delivery guarantees: every submitted transaction gets
+exactly one CommitNotice, nothing is lost or duplicated across blocks,
+block numbers stay strictly monotone, and all peers converge — with ≥8
+submitter processes in flight at once.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import build_network
-from repro.fabric import parallel
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.endorser import Proposal
 from repro.fabric.peer import ValidationCode
@@ -27,7 +25,6 @@ def _network(real_signatures=False):
             latency=SINGLE_REGION,
             real_signatures=real_signatures,
             batch_timeout_ms=50.0,
-            pipeline_backend="parallel",
         )
     )
 
@@ -65,21 +62,20 @@ def _submitter(network, user_id, index, count, notices, stagger_ms=7.0):
 
 
 def test_many_concurrent_submitters_lose_nothing():
-    with parallel.use_workers(4):
-        network = _network()
-        env = network.env
-        user = network.register_user("client")
-        seen_blocks = _watch_blocks(network)
-        notices: list = []
-        processes = [
-            _submitter(
-                network, user.user_id, index, PER_SUBMITTER, notices,
-                stagger_ms=3.0 + index,  # desynchronise the submitters
-            )
-            for index in range(SUBMITTERS)
-        ]
-        env.run(until=env.all_of(processes))
-        network.verify_convergence()
+    network = _network()
+    env = network.env
+    user = network.register_user("client")
+    seen_blocks = _watch_blocks(network)
+    notices: list = []
+    processes = [
+        _submitter(
+            network, user.user_id, index, PER_SUBMITTER, notices,
+            stagger_ms=3.0 + index,  # desynchronise the submitters
+        )
+        for index in range(SUBMITTERS)
+    ]
+    env.run(until=env.all_of(processes))
+    network.verify_convergence()
 
     expected_tids = {
         f"tx-stress-{index:02d}-{n:03d}"
@@ -109,24 +105,23 @@ def test_many_concurrent_submitters_lose_nothing():
 def test_conflicting_submitters_get_exactly_one_notice_each():
     """Heavy same-key contention: every submission still gets exactly
     one notice, and exactly one contender per block-round wins."""
-    with parallel.use_workers(4):
-        network = _network()
-        env = network.env
-        user = network.register_user("client")
-        manager_proposals = [
-            Proposal(
-                chaincode="supply",
-                fn="create_item",
-                args={"item": "contested", "owner": "W1"},
-                public={"item": "contested", "to": "W1"},
-                creator=user.user_id,
-                tid=f"tx-contest-{n:02d}",
-            )
-            for n in range(8)
-        ]
-        events = [network.submit(p) for p in manager_proposals]
-        env.run(until=env.all_of(events))
-        network.verify_convergence()
+    network = _network()
+    env = network.env
+    user = network.register_user("client")
+    manager_proposals = [
+        Proposal(
+            chaincode="supply",
+            fn="create_item",
+            args={"item": "contested", "owner": "W1"},
+            public={"item": "contested", "to": "W1"},
+            creator=user.user_id,
+            tid=f"tx-contest-{n:02d}",
+        )
+        for n in range(8)
+    ]
+    events = [network.submit(p) for p in manager_proposals]
+    env.run(until=env.all_of(events))
+    network.verify_convergence()
 
     notices = [event.value for event in events]
     assert len({notice.tid for notice in notices}) == 8
@@ -137,41 +132,38 @@ def test_conflicting_submitters_get_exactly_one_notice_each():
     assert set(codes) <= {ValidationCode.VALID, ValidationCode.MVCC_CONFLICT}
 
 
-def test_stress_with_real_signatures_on_worker_threads():
-    """Worker threads running real RSA endorsement signing must not
-    corrupt anything (smaller scale: pure-Python RSA is slow)."""
-    with parallel.use_workers(4):
-        network = _network(real_signatures=True)
-        env = network.env
-        user = network.register_user("client")
-        notices: list = []
-        processes = [
-            _submitter(network, user.user_id, index, 3, notices)
-            for index in range(8)
-        ]
-        env.run(until=env.all_of(processes))
-        network.verify_convergence()
+def test_stress_with_real_signatures():
+    """Real RSA endorsement signing under concurrent submitters
+    (smaller scale: pure-Python RSA is slow)."""
+    network = _network(real_signatures=True)
+    env = network.env
+    user = network.register_user("client")
+    notices: list = []
+    processes = [
+        _submitter(network, user.user_id, index, 3, notices)
+        for index in range(8)
+    ]
+    env.run(until=env.all_of(processes))
+    network.verify_convergence()
     assert len(notices) == 24
     assert {notice.code for notice in notices} == {ValidationCode.VALID}
     assert len({notice.tid for notice in notices}) == 24
 
 
-def test_parallelism_counters_observe_overlap():
-    """The per-phase concurrency high-water mark actually sees the
-    fan-out: with many in-flight proposals the endorse phase overlaps."""
-    with parallel.use_workers(4):
-        network = _network()
-        env = network.env
-        user = network.register_user("client")
-        notices: list = []
-        processes = [
-            _submitter(network, user.user_id, index, 6, notices, stagger_ms=1.0)
-            for index in range(8)
-        ]
-        env.run(until=env.all_of(processes))
-    peaks = network.phase_wall.parallelism()
-    assert peaks.get("endorse", 0) >= 1
-    assert sum(network.phase_wall.seconds.values()) > 0.0
+def test_phase_clock_accounts_a_live_run():
+    """Every pipeline phase of a live run lands in the wall clock."""
+    network = _network()
+    env = network.env
+    user = network.register_user("client")
+    notices: list = []
+    processes = [
+        _submitter(network, user.user_id, index, 6, notices, stagger_ms=1.0)
+        for index in range(8)
+    ]
+    env.run(until=env.all_of(processes))
+    seconds = network.phase_wall.seconds
+    assert {"endorse", "order", "commit"} <= set(seconds)
+    assert all(total > 0.0 for total in seconds.values())
 
 
 def test_gateway_batches_preserve_session_order_across_cuts():
@@ -183,63 +175,62 @@ def test_gateway_batches_preserve_session_order_across_cuts():
     from repro.serving.bridge import SimBridge
     from repro.serving.gateway import ServingRequest
 
-    with parallel.use_workers(4):
-        network = _network()
-        env = network.env
-        user = network.register_user("client")
-        seen_blocks = _watch_blocks(network)
-        target = NetworkTarget(network, user)
-        gateway = AsyncGateway(
-            target,
-            AdmissionConfig(
-                max_inflight=32,
-                shed_high=10_000,  # nothing sheds: full delivery audit
-                shed_low=5_000,
-                max_batch=5,  # small batches force many cut boundaries
-                linger_ms=3.0,
-            ),
+    network = _network()
+    env = network.env
+    user = network.register_user("client")
+    seen_blocks = _watch_blocks(network)
+    target = NetworkTarget(network, user)
+    gateway = AsyncGateway(
+        target,
+        AdmissionConfig(
+            max_inflight=32,
+            shed_high=10_000,  # nothing sheds: full delivery audit
+            shed_low=5_000,
+            max_batch=5,  # small batches force many cut boundaries
+            linger_ms=3.0,
+        ),
+    )
+    sessions = 6
+    per_session = 20
+    schedule: list[ServingRequest] = []
+    for index in range(sessions * per_session):
+        session = index % sessions
+        schedule.append(
+            ServingRequest(
+                index=index,
+                session=session,
+                payload={
+                    "chaincode": "supply",
+                    "fn": "create_item",
+                    "args": {"item": f"gw-{index}", "owner": "W1"},
+                    "public": {"item": f"gw-{index}", "to": "W1"},
+                    "tid": f"tx-gw-{session:02d}-{index // sessions:03d}",
+                },
+                # Sessions interleave: consecutive arrivals belong to
+                # different sessions, so every batch mixes sessions.
+                arrival_ms=index * 1.7,
+            )
         )
-        sessions = 6
-        per_session = 20
-        schedule: list[ServingRequest] = []
-        for index in range(sessions * per_session):
-            session = index % sessions
-            schedule.append(
-                ServingRequest(
-                    index=index,
-                    session=session,
-                    payload={
-                        "chaincode": "supply",
-                        "fn": "create_item",
-                        "args": {"item": f"gw-{index}", "owner": "W1"},
-                        "public": {"item": f"gw-{index}", "to": "W1"},
-                        "tid": f"tx-gw-{session:02d}-{index // sessions:03d}",
-                    },
-                    # Sessions interleave: consecutive arrivals belong to
-                    # different sessions, so every batch mixes sessions.
-                    arrival_ms=index * 1.7,
-                )
-            )
-        bridge = SimBridge(env)
+    bridge = SimBridge(env)
 
-        async def session_coroutine(requests):
-            for request in requests:
-                delay = request.arrival_ms - env.now
-                if delay > 0:
-                    await bridge.sleep(delay)
-                gateway.submit(request)
+    async def session_coroutine(requests):
+        for request in requests:
+            delay = request.arrival_ms - env.now
+            if delay > 0:
+                await bridge.sleep(delay)
+            gateway.submit(request)
 
-        by_session = [
-            [r for r in schedule if r.session == s] for s in range(sessions)
-        ]
-        try:
-            bridge.run(
-                *[session_coroutine(rs) for rs in by_session],
-                gateway.run(bridge, expected=len(schedule)),
-            )
-        finally:
-            bridge.close()
-        network.verify_convergence()
+    by_session = [
+        [r for r in schedule if r.session == s] for s in range(sessions)
+    ]
+    try:
+        bridge.run(
+            *[session_coroutine(rs) for rs in by_session],
+            gateway.run(bridge, expected=len(schedule)),
+        )
+    finally:
+        bridge.close()
+    network.verify_convergence()
 
     # Exactly one terminal outcome per request, everything committed.
     assert all(r.outcome == "committed" for r in schedule)

@@ -10,7 +10,7 @@ Within the faulted leg the invariant monitor enforces exactly-once
 commitment and replica convergence to one tip hash, and a repeat of the
 faulted leg under the same seeds must reproduce it byte for byte.
 
-The DRBG-rearming fixture mirrors the pipeline-backend differential
+The DRBG-rearming fixture mirrors the commit-backend differential
 suite so both legs draw identical randomness and transaction ids.
 """
 

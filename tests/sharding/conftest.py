@@ -14,7 +14,7 @@ def rearm(monkeypatch):
     """Pin all randomness and the tid sequence, re-armable per leg.
 
     The differential tests run the same workload against different
-    deployments (unsharded vs sharded, pipeline/commit backends) and
+    deployments (unsharded vs sharded, commit backends) and
     assert byte-identity; each leg re-arms so every leg draws the
     identical key material, salts, and transaction ids.
     """

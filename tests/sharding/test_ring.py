@@ -111,18 +111,16 @@ class TestValidation:
 
 class TestRoutingAcrossBackends:
     def test_routing_identical_on_every_backend_combination(self):
-        """Placement is a pure hash — pipeline and commit backends must
-        not influence which shard a key routes to."""
+        """Placement is a pure hash — the commit backend must not
+        influence which shard a key routes to."""
         routes = []
-        for pipeline in ("parallel", "reference"):
-            for commit in ("occ", "reference"):
-                sharded = ShardedNetwork(
-                    config=NetworkConfig(
-                        real_signatures=False,
-                        pipeline_backend=pipeline,
-                        commit_backend=commit,
-                    ),
-                    shard_count=4,
-                )
-                routes.append([sharded.shard_index(k) for k in KEYS[:500]])
+        for commit in ("occ", "reference"):
+            sharded = ShardedNetwork(
+                config=NetworkConfig(
+                    real_signatures=False,
+                    commit_backend=commit,
+                ),
+                shard_count=4,
+            )
+            routes.append([sharded.shard_index(k) for k in KEYS[:500]])
         assert all(route == routes[0] for route in routes[1:])

@@ -1,5 +1,8 @@
 """Tests for the top-level package surface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -74,3 +77,27 @@ def test_catching_the_root_catches_everything(network):
     user = network.register_user("alice")
     with pytest.raises(LedgerViewError):
         network.invoke_sync(user, "no-such-chaincode", "fn")
+
+
+def test_knob_surface_is_pinned():
+    """Every ``REPRO_*`` environment variable the source reads, and no
+    executor pools: a new knob needs a deliberate edit here."""
+    sources = {
+        path: path.read_text() for path in Path(repro.__file__).parent.rglob("*.py")
+    }
+    env_vars = {
+        name for text in sources.values() for name in re.findall(r"REPRO_[A-Z_]+", text)
+    }
+    assert env_vars == {
+        "REPRO_CRYPTO_BACKEND",
+        "REPRO_LEDGER_BACKEND",
+        "REPRO_COMMIT_BACKEND",
+        "REPRO_ORDERER_BACKEND",
+        "REPRO_STORAGE_BACKEND",
+        "REPRO_FAULT_PLAN",
+        "REPRO_BENCH_SCALE",
+    }
+    pooled = [
+        str(path) for path, text in sources.items() if "concurrent.futures" in text
+    ]
+    assert pooled == []
