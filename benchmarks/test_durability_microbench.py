@@ -112,7 +112,7 @@ def _build_peer(n_blocks: int, with_store: bool):
 #: milliseconds, and a shared machine (or an unlucky GC pass over a
 #: multi-thousand-block object graph) can inflate a single run several
 #: fold.  The minimum is the honest estimate of the work's cost.
-REPETITIONS = 3
+REPETITIONS = 5
 
 
 def _timed(fn) -> float:

@@ -31,11 +31,15 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 from repro.crypto.hashing import salted_hash
+from repro.fabric.peer import Peer
 from repro.ledger import backend as ledger_backend
+from repro.ledger import merkle_state
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.merkle_state import IncrementalStateDigest, state_root
@@ -300,6 +304,35 @@ def test_audit_cursor_speedup():
     )
 
 
+@contextmanager
+def _count_leaf_encodes():
+    """Count state-leaf encodes by where they happen: inside
+    ``Peer.validate_and_commit`` (the ``commit`` phase) or outside it
+    (root requests — the ``state_root`` phase)."""
+    counts = {"commit": 0, "state_root": 0}
+    committing = False
+    real_encode = merkle_state._encode_entry
+    real_commit = Peer.validate_and_commit
+
+    def counting_encode(key, value):
+        counts["commit" if committing else "state_root"] += 1
+        return real_encode(key, value)
+
+    def flagged_commit(self, *args, **kwargs):
+        nonlocal committing
+        committing = True
+        try:
+            return real_commit(self, *args, **kwargs)
+        finally:
+            committing = False
+
+    with (
+        mock.patch.object(merkle_state, "_encode_entry", counting_encode),
+        mock.patch.object(Peer, "validate_and_commit", flagged_commit),
+    ):
+        yield counts
+
+
 def test_end_to_end_tracked_workload():
     """Full HI workload with state-root tracking under each backend.
 
@@ -307,7 +340,11 @@ def test_end_to_end_tracked_workload():
     and the wall-clock breakdown is recorded.  No speedup floor here —
     at smoke scale the pipeline is dominated by backend-independent
     simulation machinery; the commit-path bench above carries the
-    acceptance criterion.
+    acceptance criterion.  What does hold at any scale is a count: both
+    backends hash state leaves when a root is asked for (the
+    ``state_root`` phase) and none while a block commits, so the
+    ``commit`` phases do the same work.  Their wall-clock ratio is
+    recorded only — a ~20 ms phase cannot carry a wall-clock floor.
     """
     from repro.bench.harness import run_view_workload
     from repro.workload.presets import wl2_topology
@@ -328,8 +365,19 @@ def test_end_to_end_tracked_workload():
         )
         return time.perf_counter() - t0, result
 
-    t_ref, ref = timed("reference")
-    t_fast, fast = timed("fast")
+    # Noise only adds time: alternate the backends and keep each one's
+    # run with the shortest commit phase.
+    def commit_s(run):
+        return run[1].extra["phase_wall_s"]["commit"]
+
+    pairs = [(timed("reference"), timed("fast")) for _ in range(5)]
+    best_ref = min((pair[0] for pair in pairs), key=commit_s)
+    best_fast = min((pair[1] for pair in pairs), key=commit_s)
+    (t_ref, ref), (t_fast, fast) = best_ref, best_fast
+    with _count_leaf_encodes() as ref_encodes:
+        timed("reference")
+    with _count_leaf_encodes() as fast_encodes:
+        timed("fast")
 
     assert (ref.committed, ref.attempted, ref.onchain_txs) == (
         fast.committed,
@@ -339,6 +387,8 @@ def test_end_to_end_tracked_workload():
     assert ref.tps == fast.tps
     assert ref.latency_mean_ms == fast.latency_mean_ms
     assert "state_root" in fast.extra["phase_wall_s"]
+    assert ref_encodes["commit"] == fast_encodes["commit"] == 0
+    assert 0 < fast_encodes["state_root"] < ref_encodes["state_root"]
 
     _RESULTS["end_to_end_hi_tracked"] = {
         "clients": kwargs["clients"],
@@ -348,6 +398,11 @@ def test_end_to_end_tracked_workload():
         "fast_wall_s": round(t_fast, 3),
         "reference_phase_wall_s": ref.extra["phase_wall_s"],
         "fast_phase_wall_s": fast.extra["phase_wall_s"],
+        "commit_phase_fast_over_reference": round(
+            commit_s(best_fast) / commit_s(best_ref), 2
+        ),
+        "reference_state_leaf_encodes": ref_encodes,
+        "fast_state_leaf_encodes": fast_encodes,
     }
 
 

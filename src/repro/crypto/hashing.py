@@ -21,6 +21,11 @@ SHA256_BLOCK_SIZE = 64
 
 DEFAULT_SALT_SIZE = 16
 
+#: Byte-wise ``xor 0x36`` / ``xor 0x5C`` as translation tables: the HMAC
+#: pads of a key are one ``bytes.translate`` each.
+_IPAD_TABLE = bytes(b ^ 0x36 for b in range(256))
+_OPAD_TABLE = bytes(b ^ 0x5C for b in range(256))
+
 
 def sha256(data: bytes) -> bytes:
     """Return the 32-byte SHA-256 digest of ``data``.
@@ -79,11 +84,9 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     if len(key) > SHA256_BLOCK_SIZE:
         key = sha256(key)
     key = key.ljust(SHA256_BLOCK_SIZE, b"\x00")
-    inner = bytes(b ^ 0x36 for b in key)
-    outer = bytes(b ^ 0x5C for b in key)
-    inner_hash = hashlib.sha256(inner)
+    inner_hash = hashlib.sha256(key.translate(_IPAD_TABLE))
     inner_hash.update(message)
-    return sha256(outer + inner_hash.digest())
+    return sha256(key.translate(_OPAD_TABLE) + inner_hash.digest())
 
 
 def hash_chain(items: list[bytes]) -> bytes:

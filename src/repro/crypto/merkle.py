@@ -76,24 +76,33 @@ class MerkleTree:
     """A Merkle tree over an ordered list of byte-string leaves."""
 
     def __init__(self, leaves: list[bytes] | None = None):
-        self._leaves: list[bytes] = [bytes(v) for v in (leaves or [])]
+        self._leaf_hashes: list[bytes] = [leaf_hash(v) for v in (leaves or [])]
         self._levels: list[list[bytes]] | None = None
 
+    @classmethod
+    def from_leaf_hashes(cls, leaf_hashes: list[bytes]) -> "MerkleTree":
+        """The tree over leaves whose :func:`leaf_hash` digests the
+        caller already holds; same roots and proofs as hashing the leaf
+        values here."""
+        tree = cls()
+        tree._leaf_hashes = list(leaf_hashes)
+        return tree
+
     def __len__(self) -> int:
-        return len(self._leaves)
+        return len(self._leaf_hashes)
 
     def append(self, value: bytes) -> None:
         """Add a leaf; invalidates any cached structure."""
-        self._leaves.append(bytes(value))
+        self._leaf_hashes.append(leaf_hash(value))
         self._levels = None
 
     def _build(self) -> list[list[bytes]]:
         if self._levels is not None:
             return self._levels
-        if not self._leaves:
+        if not self._leaf_hashes:
             self._levels = [[EMPTY_ROOT]]
             return self._levels
-        level = [leaf_hash(v) for v in self._leaves]
+        level = self._leaf_hashes
         levels = [level]
         while len(level) > 1:
             parents = []
@@ -118,9 +127,10 @@ class MerkleTree:
         MerkleProofError
             If ``index`` is out of range.
         """
-        if not 0 <= index < len(self._leaves):
+        if not 0 <= index < len(self._leaf_hashes):
             raise MerkleProofError(
-                f"leaf index {index} out of range for {len(self._leaves)} leaves"
+                f"leaf index {index} out of range for "
+                f"{len(self._leaf_hashes)} leaves"
             )
         levels = self._build()
         siblings: list[tuple[bytes, bool]] = []

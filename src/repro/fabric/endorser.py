@@ -15,6 +15,7 @@ faithful.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,8 +81,6 @@ class Proposal:
 
     def signing_payload(self, read_set: dict, write_set: dict) -> bytes:
         """The bytes an endorser signs: tid + rwset digest."""
-        import json
-
         body = json.dumps(
             [self.tid, sorted(read_set.items()), sorted(write_set.items())],
             sort_keys=True,

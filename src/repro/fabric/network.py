@@ -738,14 +738,19 @@ class FabricNetwork:
                 with self.phase_wall.track("order"):
                     block = self.ordering.build_block(decision, timestamp=env.now)
                 self.block_log.append(block)
-                if self.storage is not None:
-                    self.storage.log_ordered_block(block)
-                self.metrics.onchain_txs.increment(len(block.transactions))
                 # One memo per block, shared by every peer's delivery:
                 # the pure per-transaction checks (endorsement policy,
                 # rwset parse) are peer-independent, so the first peer
                 # to validate fills it and the rest reuse it.
                 memo = BlockValidationMemo()
+                if self.storage is not None:
+                    # The cutter's encodings become the WAL form of the
+                    # block once, for the orderer and every replica.
+                    memo.wal_txs = [
+                        raw.decode("utf-8") for raw in decision.encoded
+                    ]
+                    self.storage.log_ordered_block(block, memo.wal_txs)
+                self.metrics.onchain_txs.increment(len(block.transactions))
                 for index, peer in enumerate(self.peers):
                     env.process(self._deliver(index, peer, block, memo))
                 if self._cutter.should_cut() is None:

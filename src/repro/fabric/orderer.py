@@ -33,6 +33,10 @@ class BatchCutDecision:
 
     reason: str  # "count" | "bytes" | "timeout"
     transactions: list[Transaction]
+    #: Canonical encoding of each transaction, in batch order: the bytes
+    #: the cutter measured, handed on so the block's WAL records need
+    #: not encode the transactions again.
+    encoded: list[bytes]
 
 
 class BlockCutter:
@@ -40,7 +44,8 @@ class BlockCutter:
 
     def __init__(self, config: NetworkConfig):
         self.config = config
-        self._pending: list[Transaction] = []
+        #: ``(transaction, canonical encoding)`` in arrival order.
+        self._pending: list[tuple[Transaction, bytes]] = []
         self._pending_bytes = 0
 
     def __len__(self) -> int:
@@ -55,8 +60,12 @@ class BlockCutter:
         return bool(self._pending)
 
     def add(self, tx: Transaction) -> None:
-        self._pending.append(tx)
-        self._pending_bytes += tx.size_bytes
+        # The one place the pipeline encodes a transaction: the encoding
+        # also leaves the size and Merkle leaf digest on ``tx``, which is
+        # all the block builder and the validators read afterwards.
+        raw = tx.serialize()
+        self._pending.append((tx, raw))
+        self._pending_bytes += len(raw)
 
     def should_cut(self) -> str | None:
         """Return the cut reason if a threshold is met, else None."""
@@ -72,19 +81,25 @@ class BlockCutter:
         At least one transaction is always taken (a single oversized
         transaction still forms a block of its own).
         """
-        batch: list[Transaction] = []
+        max_count = self.config.block_max_transactions
+        max_bytes = self.config.block_max_bytes
+        taken = 0
         batch_bytes = 0
-        while self._pending:
-            tx = self._pending[0]
-            if batch and (
-                len(batch) >= self.config.block_max_transactions
-                or batch_bytes + tx.size_bytes > self.config.block_max_bytes
+        for _tx, raw in self._pending:
+            if taken and (
+                taken >= max_count or batch_bytes + len(raw) > max_bytes
             ):
                 break
-            batch.append(self._pending.pop(0))
-            batch_bytes += tx.size_bytes
+            taken += 1
+            batch_bytes += len(raw)
+        batch = self._pending[:taken]
+        del self._pending[:taken]
         self._pending_bytes -= batch_bytes
-        return BatchCutDecision(reason=reason, transactions=batch)
+        return BatchCutDecision(
+            reason=reason,
+            transactions=[tx for tx, _raw in batch],
+            encoded=[raw for _tx, raw in batch],
+        )
 
 
 @dataclass

@@ -240,7 +240,12 @@ class Peer:
             # sets are logged alongside the codes: recovery applies the
             # writes that actually committed, not the endorsement-time
             # ones embedded in the block.
-            self.store.log_block(block, codes, rebased=rebased)
+            self.store.log_block(
+                block,
+                codes,
+                rebased=rebased,
+                txs=None if memo is None else memo.wal_txs,
+            )
             if self.store.snapshot_due(self.chain.height):
                 self.store.write_snapshot_for(self)
         return CommitResult(block_number=block.number, codes=codes, rebased=rebased)
@@ -492,7 +497,9 @@ class Peer:
         chain is *not* trusted — it died with the process.  Without a
         store, the legacy model applies: the chain object itself is
         durable, and every block is replayed through the normal
-        validation path from genesis.  Both paths leave
+        validation path from genesis, its Merkle root rebuilt from the
+        transactions' bytes — what a transaction retained before the
+        crash is not durable either.  Both paths leave
         :attr:`last_recovery` describing what was done, and both
         reproduce byte-identical state, digest root, and validation
         codes (state is a deterministic fold of the chain).
@@ -506,6 +513,7 @@ class Peer:
         blocks = list(self.chain)
         self.reset_world_state()
         for block in blocks:
+            block.audit_structure()
             self.validate_and_commit(block, peer_keys, peer_secrets, policy=policy)
         self.last_recovery = RecoveryReport(
             node_id=self.peer_id,

@@ -68,18 +68,24 @@ class BlockValidationMemo:
     #: Whether the block's internal structure (tx count, Merkle root)
     #: has been verified; pure in the block bytes, so once per block.
     structure_checked: bool = False
-    #: Cached ``block.size_bytes`` (re-serialises every transaction).
+    #: Cached ``block.size_bytes``.
     block_size: int | None = None
+    #: The block's transactions in canonical encoding, as a WAL block
+    #: record stores them; set by the network when nodes log to durable
+    #: stores, so the orderer's record and every replica's share one
+    #: encoding.  The memo dies with the block's deliveries, so the
+    #: bytes are not retained.
+    wal_txs: list[str] | None = None
 
     def admit(self, block) -> int:
         """Structure-check ``block`` once for all replicas; return its size.
 
-        ``Block.validate_structure`` (a Merkle rebuild over every
-        transaction's serialisation) and ``Block.size_bytes`` (another
-        full serialisation pass) depend only on the block object, which
-        all of a block's deliveries share — so the first replica pays
-        for them and the rest reuse the results.  A malformed block
-        still raises, on the first replica to see it.
+        ``Block.validate_structure`` (a Merkle rebuild over the
+        transactions' leaf digests) and ``Block.size_bytes`` depend
+        only on the block object, which all of a block's deliveries
+        share — so the first replica pays for them and the rest reuse
+        the results.  A malformed block still raises, on the first
+        replica to see it.
         """
         if not self.structure_checked:
             block.validate_structure()

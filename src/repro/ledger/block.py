@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import sha256
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import MerkleTree, leaf_hash
 from repro.errors import BlockValidationError
 from repro.ledger.transaction import Transaction
 
@@ -43,8 +43,17 @@ class BlockHeader:
         return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
 
     def hash(self) -> bytes:
-        """The block hash — SHA-256 over the serialized header."""
-        return sha256(self.serialize())
+        """The block hash — SHA-256 over the serialized header.
+
+        Computed once per header (frozen, so it cannot change): every
+        chain append and every validation memo lookup asks for the
+        tip's hash again.
+        """
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", sha256(self.serialize()))
+            return self._hash
 
 
 @dataclass(frozen=True)
@@ -64,11 +73,10 @@ class Block:
         timestamp: float,
     ) -> "Block":
         """Assemble a block, computing the transaction Merkle root."""
-        tx_tree = MerkleTree([tx.serialize() for tx in transactions])
         header = BlockHeader(
             number=number,
             previous_hash=bytes(previous_hash),
-            tx_root=tx_tree.root(),
+            tx_root=_tx_root(transactions),
             state_root=bytes(state_root),
             timestamp=timestamp,
             tx_count=len(transactions),
@@ -97,13 +105,27 @@ class Block:
         BlockValidationError
             If the header does not match the transaction list.
         """
+        self._check_structure([tx.leaf_digest for tx in self.transactions])
+
+    def audit_structure(self) -> None:
+        """:meth:`validate_structure` from fresh encodings.
+
+        Trusts nothing the transactions retain, so it is also where a
+        transaction mutated in place after it was encoded (a breach of
+        its immutability contract) comes to light.  For audits and
+        crash recovery, not the commit path.
+        """
+        self._check_structure(
+            [leaf_hash(tx.serialize()) for tx in self.transactions]
+        )
+
+    def _check_structure(self, leaf_hashes: list[bytes]) -> None:
         if self.header.tx_count != len(self.transactions):
             raise BlockValidationError(
                 f"block {self.number}: header claims {self.header.tx_count} "
                 f"transactions, body has {len(self.transactions)}"
             )
-        tx_tree = MerkleTree([tx.serialize() for tx in self.transactions])
-        if tx_tree.root() != self.header.tx_root:
+        if MerkleTree.from_leaf_hashes(leaf_hashes).root() != self.header.tx_root:
             raise BlockValidationError(
                 f"block {self.number}: transaction Merkle root mismatch"
             )
@@ -114,3 +136,11 @@ class Block:
             if tx.tid == tid:
                 return tx
         return None
+
+
+def _tx_root(transactions) -> bytes:
+    """Merkle root over the transactions' canonical encodings, built
+    from the leaf digests the transactions already hold."""
+    return MerkleTree.from_leaf_hashes(
+        [tx.leaf_digest for tx in transactions]
+    ).root()

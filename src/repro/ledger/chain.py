@@ -148,6 +148,11 @@ class Blockchain:
     def verify_integrity(self) -> None:
         """Re-check every hash link and Merkle root on the chain.
 
+        This is the audit, so it trusts nothing a transaction retains:
+        each Merkle root is rebuilt from fresh encodings, which is also
+        where a transaction mutated in place after it was encoded (a
+        breach of its immutability contract) comes to light.
+
         Raises
         ------
         ChainIntegrityError
@@ -157,7 +162,7 @@ class Blockchain:
         previous = GENESIS_PREVIOUS_HASH
         for expected_number, block in enumerate(self._blocks):
             try:
-                block.validate_structure()
+                block.audit_structure()
             except BlockValidationError as exc:
                 raise ChainIntegrityError(str(exc)) from exc
             if block.number != expected_number:

@@ -14,11 +14,13 @@ Two implementations produce byte-identical digests:
   sorted state (O(n log n) encodes + hashes per digest).  Kept as the
   ground truth the differential tests compare against.
 - :class:`IncrementalStateDigest` — the fast path: subscribes to a
-  :class:`StateDatabase` and folds every write into a persistent
-  :class:`~repro.crypto.merkle.IncrementalMerkleTree`, so a block that
-  touches *d* of *n* keys costs O(d·log n) (value updates) or
-  O(d·log n + shifted-suffix node hashes) (inserts/deletes) — never a
-  re-encode or re-hash of an untouched entry.
+  :class:`StateDatabase`, notes which keys were written, and folds them
+  into a persistent :class:`~repro.crypto.merkle.IncrementalMerkleTree`
+  when a root or proof is asked for.  A block that touches *d* of *n*
+  keys then costs O(d·log n) (value updates) or O(d·log n +
+  shifted-suffix node hashes) (inserts/deletes) — never a re-encode or
+  re-hash of an untouched entry — and a run that never asks for a root
+  encodes and hashes nothing.
 
 Which one a peer uses is decided by :mod:`repro.ledger.backend`.
 """
@@ -78,12 +80,14 @@ class IncrementalStateDigest:
     """Persistent state digest maintained alongside a live database.
 
     Construct it over a :class:`StateDatabase` (usually empty, at peer
-    start) and it subscribes to the database's write stream: every
-    ``put`` encodes and hashes exactly one leaf, every ``delete`` drops
-    one, and :meth:`root`/:meth:`prove` flush the accumulated changes
-    into the tree in one batch.  Batching matters — all writes of a
-    block coalesce, so a block inserting k keys pays one suffix
-    recompute instead of k.
+    start) and it subscribes to the database's write stream.  A ``put``
+    or ``delete`` only marks the key as pending; :meth:`root`/
+    :meth:`prove` read each pending key's current value back from the
+    database, encode and hash it once, and fold the changes into the
+    tree in one batch.  So overwrites between two roots hash once, a
+    put-then-delete hashes nothing, all writes of a block coalesce (a
+    block inserting k keys pays one suffix recompute instead of k) —
+    and while nobody asks for a root, a write costs a set insert.
 
     Roots and proofs are byte-identical to :class:`StateDigest` built
     over the same database (pinned by
@@ -99,69 +103,75 @@ class IncrementalStateDigest:
         self._tree = IncrementalMerkleTree(
             [self._leaf_hashes[key] for key in self._keys]
         )
-        #: Keys whose value changed in place since the last flush.
-        self._dirty: set[str] = set()
-        #: Smallest key inserted or deleted since the last flush; every
-        #: leaf from its (current) sort position onward may have shifted.
-        self._structural_min: str | None = None
+        #: Keys written or deleted since the last flush.  The database
+        #: holds each one's latest value (or no longer holds the key),
+        #: and values are immutable once written (the
+        #: :class:`StateDatabase` contract), so encoding at flush time
+        #: gives the bytes the last ``put`` saw.
+        self._statedb = statedb
+        self._pending: set[str] = set()
         if subscribe:
             statedb.subscribe(self)
 
     # -- write-stream observer ------------------------------------------------
 
     def on_put(self, key: str, value: Any) -> None:
-        new_hash = leaf_hash(_encode_entry(key, value))
-        old_hash = self._leaf_hashes.get(key)
-        if old_hash is not None:
-            if old_hash != new_hash:
-                self._leaf_hashes[key] = new_hash
-                self._dirty.add(key)
-        else:
-            insort(self._keys, key)
-            self._leaf_hashes[key] = new_hash
-            if self._structural_min is None or key < self._structural_min:
-                self._structural_min = key
+        self._pending.add(key)
 
     def on_delete(self, key: str) -> None:
-        if key not in self._leaf_hashes:
-            return
-        index = bisect_left(self._keys, key)
-        del self._keys[index]
-        del self._leaf_hashes[key]
-        self._dirty.discard(key)
-        if self._structural_min is None or key < self._structural_min:
-            self._structural_min = key
+        self._pending.add(key)
 
     # -- digest interface -----------------------------------------------------
 
     def _flush(self) -> None:
-        """Fold accumulated writes into the tree in one batch."""
-        if self._structural_min is None and not self._dirty:
+        """Hash the pending writes and fold them into the tree in one batch."""
+        if not self._pending:
             return
-        if self._structural_min is not None:
-            suffix_start = bisect_left(self._keys, self._structural_min)
-            updates = {
-                bisect_left(self._keys, key): self._leaf_hashes[key]
-                for key in self._dirty
-                if key < self._structural_min
-            }
+        # Keys whose value changed in place.
+        dirty: list[str] = []
+        # Smallest key inserted or deleted; every leaf from its (final)
+        # sort position onward may have shifted.
+        structural_min: str | None = None
+        for key in self._pending:
+            old_hash = self._leaf_hashes.get(key)
+            entry = self._statedb.get_with_version(key)
+            if entry is None:
+                if old_hash is None:
+                    continue
+                del self._keys[bisect_left(self._keys, key)]
+                del self._leaf_hashes[key]
+            else:
+                new_hash = leaf_hash(_encode_entry(key, entry.value))
+                self._leaf_hashes[key] = new_hash
+                if old_hash is not None:
+                    if old_hash != new_hash:
+                        dirty.append(key)
+                    continue
+                insort(self._keys, key)
+            if structural_min is None or key < structural_min:
+                structural_min = key
+        self._pending.clear()
+        if structural_min is not None:
+            suffix_start = bisect_left(self._keys, structural_min)
             self._tree.apply(
-                point_updates=updates,
+                point_updates={
+                    bisect_left(self._keys, key): self._leaf_hashes[key]
+                    for key in dirty
+                    if key < structural_min
+                },
                 suffix_start=suffix_start,
                 suffix_hashes=[
                     self._leaf_hashes[key]
                     for key in self._keys[suffix_start:]
                 ],
             )
-        else:
+        elif dirty:
             self._tree.apply(
                 {
                     bisect_left(self._keys, key): self._leaf_hashes[key]
-                    for key in self._dirty
+                    for key in dirty
                 }
             )
-        self._dirty.clear()
-        self._structural_min = None
 
     def root(self) -> bytes:
         """The 32-byte state root for a block header."""

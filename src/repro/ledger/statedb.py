@@ -78,8 +78,9 @@ class StateDatabase:
         """Register a write observer; it sees every subsequent mutation.
 
         Values must be treated as immutable once written — an observer
-        (like the incremental state digest) encodes them at ``put``
-        time, so mutating a stored object in place afterwards without
+        (like the incremental state digest) encodes a written value
+        once, the next time a root is asked for, and never again until
+        the key is re-put, so mutating a stored object in place without
         re-putting it is unsupported (it was already undefined under
         the reference digest, which encodes at root time).
         """

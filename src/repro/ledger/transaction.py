@@ -9,7 +9,11 @@ produced for the secret part, plus an optional ``salt`` for the
 hash-based methods.
 
 Serialization is canonical (sorted-key JSON with hex-encoded byte
-fields) so digests and byte-size accounting are deterministic.
+fields) so digests and byte-size accounting are deterministic.  A
+transaction is immutable, so the first encoding also settles its size
+and its Merkle leaf digest: both are kept on the object, and the block
+cutter, the block builder and every validating peer read them instead
+of encoding the same fields again.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.hashing import sha256, sha256_hex
+from repro.crypto.merkle import leaf_hash
 
 _tid_counter = itertools.count(1)
 _tid_lock = threading.Lock()
@@ -60,6 +65,16 @@ class Transaction:
         otherwise).
     creator:
         Identifier of the submitting user (public information).
+
+    Immutability contract: the dataclass is frozen, and ``nonsecret``
+    (a plain ``dict``, nested values included) must not be mutated in
+    place once the transaction is constructed — :attr:`size_bytes` and
+    :attr:`leaf_digest` are computed from the first encoding and never
+    again.  Derive a changed transaction with :meth:`with_nonsecret` or
+    :func:`dataclasses.replace`; both build a new object that encodes
+    itself afresh.  (``nonsecret`` stays a ``dict`` on purpose: the
+    canonical encoder would stringify a read-only mapping proxy and
+    change every byte.)
     """
 
     tid: str
@@ -79,7 +94,17 @@ class Transaction:
             "salt": self.salt.hex(),
             "creator": self.creator,
         }
-        return _canonical_json(body).encode("utf-8")
+        raw = _canonical_json(body).encode("utf-8")
+        if not hasattr(self, "_encoded"):
+            # Frozen dataclass: derived values go in past ``__setattr__``
+            # (as ``RSAPrivateKey._crt_cache`` does).  The bytes
+            # themselves are not kept — a chain holds every transaction
+            # for the whole run, and a size plus a 32-byte digest cost
+            # far less memory.  One attribute, not two: CPython keeps
+            # one extra attribute in the instance's inline slots, a
+            # second would give every transaction a ``__dict__``.
+            object.__setattr__(self, "_encoded", (len(raw), leaf_hash(raw)))
+        return raw
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "Transaction":
@@ -106,7 +131,21 @@ class Transaction:
     def size_bytes(self) -> int:
         """Serialized size — the unit of storage accounting and of the
         orderer's byte-based block cutting."""
-        return len(self.serialize())
+        return self._encoding()[0]
+
+    @property
+    def leaf_digest(self) -> bytes:
+        """``leaf_hash`` of the canonical encoding — this transaction's
+        leaf in its block's Merkle tree."""
+        return self._encoding()[1]
+
+    def _encoding(self) -> tuple[int, bytes]:
+        """``(size, leaf digest)``, encoding first if nothing has yet."""
+        try:
+            return self._encoded
+        except AttributeError:
+            self.serialize()
+            return self._encoded
 
     def with_nonsecret(self, **updates: Any) -> "Transaction":
         """Copy with some non-secret attributes replaced (txs are frozen)."""

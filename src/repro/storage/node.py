@@ -121,8 +121,13 @@ class NodeStore:
         block: Block,
         codes: dict | None = None,
         rebased: dict[str, dict] | None = None,
+        txs: list[str] | None = None,
     ) -> None:
         """Append one committed (or ordered) block to the WAL.
+
+        ``txs`` is the block's transactions in canonical encoding when
+        the caller already holds them (one block is logged by the
+        orderer and by every replica); otherwise they are encoded here.
 
         ``rebased`` maps tids the occ commit backend rebased to the
         write sets that actually committed; they must be replayed in
@@ -132,10 +137,17 @@ class NodeStore:
         """
         if self._suspended:
             return
+        if txs is None:
+            txs = [tx.serialize().decode("utf-8") for tx in block.transactions]
+        elif len(txs) != len(block.transactions):
+            raise StorageError(
+                f"block {block.number}: {len(txs)} encoded transactions "
+                f"supplied for {len(block.transactions)}"
+            )
         payload: dict[str, Any] = {
             "kind": "block",
             "header": header_to_dict(block.header),
-            "txs": [tx.serialize().decode("utf-8") for tx in block.transactions],
+            "txs": txs,
             "size": block.size_bytes,
         }
         if codes is not None:
@@ -384,8 +396,8 @@ class StorageRuntime:
         """The ordering service's WAL (blocks only, no validation codes)."""
         return self.node_store(f"{self.chain_name}-orderer")
 
-    def log_ordered_block(self, block: Block) -> None:
-        self.orderer_store.log_block(block)
+    def log_ordered_block(self, block: Block, txs: list[str] | None = None) -> None:
+        self.orderer_store.log_block(block, txs=txs)
 
     @property
     def pbft_store(self) -> NodeStore:

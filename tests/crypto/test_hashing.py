@@ -68,10 +68,13 @@ def test_verify_salted_hash():
     "key,message",
     [
         (b"", b""),
+        (b"k", b"m"),
         (b"key", b"message"),
         (b"k" * 63, b"m"),
         (b"k" * 64, b"m"),  # exactly the block size
-        (b"k" * 100, b"m" * 500),  # key longer than block: hashed first
+        (b"k" * 65, b"m"),  # one past it: hashed first
+        (b"k" * 100, b"m" * 500),
+        (bytes(range(200)), bytes(range(256))),  # every pad-table entry
     ],
 )
 def test_hmac_matches_stdlib(key, message):

@@ -119,6 +119,17 @@ def test_verify_integrity_detects_tampered_history():
         chain.verify_integrity()
 
 
+def test_verify_integrity_detects_a_transaction_mutated_in_place():
+    """The audit re-encodes: a retained size or leaf digest cannot hide
+    a write through ``tx.nonsecret`` after the block was built."""
+    chain = Blockchain()
+    _grow(chain, 3)
+    chain.block(1).transactions[0].nonsecret["evil"] = True
+    chain.block(1).validate_structure()  # the hot path trusts what it holds
+    with pytest.raises(ChainIntegrityError, match="block 1"):
+        chain.verify_integrity()
+
+
 def test_verify_integrity_detects_replaced_block():
     chain = Blockchain()
     _grow(chain, 3)

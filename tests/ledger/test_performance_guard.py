@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import build_network
 from repro.crypto import merkle
+from repro.fabric.config import SINGLE_REGION, NetworkConfig
+from repro.fabric.network import Gateway
+from repro.ledger import merkle_state, transaction
 from repro.ledger.merkle_state import IncrementalStateDigest
 from repro.ledger.statedb import StateDatabase, Version
 
@@ -106,4 +110,89 @@ def test_tail_insert_cost_is_local(count_node_hashes):
     calls = count_node_hashes()
     assert calls < n // 4, (
         f"{calls} node hashes for an 8-key tail insert into {n} keys"
+    )
+
+
+# -- encode once, hash on demand ------------------------------------------------
+#
+# Same idea one level up: count runs of the two canonical encoders on a
+# live network.  A transaction is encoded once on its way from
+# endorsement to commit no matter how many stages and peers read its
+# size or Merkle leaf, and state leaves are encoded only when somebody
+# asks for a root.
+
+
+@pytest.fixture
+def count_encodes(monkeypatch):
+    """Count runs of the transaction encoder and the state-leaf encoder.
+
+    Both are module globals resolved at call time, like ``node_hash``.
+    """
+    counts = {"tx": 0, "leaf": 0}
+    real_tx, real_leaf = transaction._canonical_json, merkle_state._encode_entry
+
+    def counting_tx(value):
+        counts["tx"] += 1
+        return real_tx(value)
+
+    def counting_leaf(key, value):
+        counts["leaf"] += 1
+        return real_leaf(key, value)
+
+    monkeypatch.setattr(transaction, "_canonical_json", counting_tx)
+    monkeypatch.setattr(merkle_state, "_encode_entry", counting_leaf)
+    return counts
+
+
+def _commit_plain_invokes(storage_backend: str, requests: int = 200):
+    """2 peers, endorsement policy 1: commit ``requests`` plain invokes."""
+    network = build_network(
+        NetworkConfig(
+            peer_count=2,
+            endorsement_policy=1,
+            latency=SINGLE_REGION,
+            real_signatures=False,
+            batch_timeout_ms=50.0,
+            block_max_transactions=40,
+            ledger_backend="fast",
+            storage_backend=storage_backend,
+        )
+    )
+    gateway = Gateway(network, network.register_user("client"))
+    events = [
+        gateway.submit_async(
+            "supply", "create_item", {"item": f"item-{i}", "owner": "n0"}
+        )
+        for i in range(requests)
+    ]
+    network.env.run(until=network.env.all_of(events))
+    network.env.run()  # let the second peer finish its last block
+    assert all(event.value.code.value == "valid" for event in events)
+    assert [peer.chain.transaction_count for peer in network.peers] == [requests] * 2
+    assert len(network.block_log) == requests // 40
+    return network
+
+
+def test_transaction_encoded_once_and_no_state_leaf_without_a_root(count_encodes):
+    network = _commit_plain_invokes(storage_backend="none")
+    assert count_encodes["tx"] == 200
+    assert count_encodes["leaf"] == 0
+    # One root request hashes each dirty key once (every invoke wrote a
+    # distinct key); asking again hashes nothing.
+    peer = network.reference_peer
+    root = peer.current_state_root()
+    assert count_encodes["leaf"] == len(peer.statedb) == 200
+    assert peer.current_state_root() == root
+    assert count_encodes["leaf"] == 200
+    assert count_encodes["tx"] == 200
+
+
+def test_transaction_encoded_once_with_durable_peers(count_encodes):
+    """The orderer's WAL record and both replicas' share the cutter's bytes."""
+    network = _commit_plain_invokes(storage_backend="memory")
+    assert count_encodes["tx"] == 200
+    nodes = network.storage.summary()["nodes"]
+    assert len(nodes) == 3  # orderer + 2 peers
+    assert all(
+        node["records_logged"] == len(network.block_log) for node in nodes.values()
     )

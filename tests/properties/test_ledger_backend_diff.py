@@ -10,9 +10,11 @@ verdicts.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import salted_hash
+from repro.errors import MerkleProofError
 from repro.ledger import backend as ledger_backend
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
@@ -84,6 +86,55 @@ def test_digest_subscribing_midlife_matches(batches):
     digest = IncrementalStateDigest(db)  # misses the first batch's writes
     for batch in batches[1:]:
         counter = _apply(db, batch, counter)
+    assert digest.root() == state_root(db)
+
+
+# Finer-grained than blocks: roots and proofs are asked for at arbitrary
+# points of the write stream, which is where a digest that folds writes
+# lazily could go stale.
+stream_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), keys, values),
+        st.tuples(st.just("overwrite"), keys, st.lists(values, min_size=2, max_size=4)),
+        st.tuples(st.just("delete"), keys),
+        st.tuples(st.just("put-then-delete"), keys, values),
+        st.tuples(st.just("root")),
+        st.tuples(st.just("prove"), keys),
+    ),
+    max_size=60,
+)
+
+
+@given(stream=stream_ops)
+@settings(max_examples=120, deadline=None)
+def test_lazy_digest_matches_reference_at_any_point_of_the_write_stream(stream):
+    db = StateDatabase()
+    digest = IncrementalStateDigest(db)
+    for position, op in enumerate(stream):
+        version = Version(block=1, position=position)
+        if op[0] == "put":
+            db.put(op[1], op[2], version)
+        elif op[0] == "overwrite":
+            for value in op[2]:
+                db.put(op[1], value, version)
+        elif op[0] == "delete":
+            db.delete(op[1])
+        elif op[0] == "put-then-delete":
+            db.put(op[1], op[2], version)
+            db.delete(op[1])
+        elif op[0] == "root":
+            assert digest.root() == StateDigest(db).root()
+        else:
+            # No root() first: the proof itself must fold what was
+            # written since the last flush, this key included.
+            reference = StateDigest(db)
+            if op[1] in db:
+                proof = digest.prove(op[1])
+                assert proof == reference.prove(op[1])
+                assert digest.verify(op[1], db.get(op[1]), proof, reference.root())
+            else:
+                with pytest.raises(MerkleProofError):
+                    digest.prove(op[1])
     assert digest.root() == state_root(db)
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import BlockValidationError, StorageError
 from repro.fabric.chaincode import Chaincode
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Peer
 from repro.faults import CrashPointSpec, FaultPlan, InvariantMonitor, recovery
 from repro.sim import Environment
-from repro.storage import verify_restart
+from repro.storage import MemoryFilesystem, NodeStore, verify_restart
 
 
 class KV(Chaincode):
@@ -229,3 +229,35 @@ def test_storeless_network_keeps_legacy_genesis_replay():
     assert peer.last_recovery.mode == "genesis-replay"
     assert peer.last_recovery.revalidated_blocks == 6
     assert peer.current_state_root() == root_before
+
+
+def test_genesis_replay_revalidates_from_bytes():
+    """A restart trusts no size or digest a transaction retained: one
+    written through after it was encoded fails the replay."""
+    network = _network(backend="none")
+    _workload(network, 3)
+    peer = network.peers[1]
+    peer.chain.block(1).transactions[0].nonsecret["evil"] = True
+    peer.chain.block(1).validate_structure()  # the commit path would pass it
+    with pytest.raises(BlockValidationError, match="block 1"):
+        peer.recover_from_chain(
+            network._peer_keys,
+            network._peer_secrets,
+            policy=network.config.endorsement_policy,
+        )
+
+
+def test_log_block_with_a_supplied_encoding_writes_the_same_record():
+    network = _network(backend="none")
+    _workload(network, 2)
+    block = network.block_log[1]
+    txs = [tx.serialize().decode("utf-8") for tx in block.transactions]
+
+    def logged(**supplied):
+        store = NodeStore(MemoryFilesystem(), "main", "node")
+        store.log_block(block, **supplied)
+        return store.wal.size(), store.replay_kind("block")
+
+    assert logged(txs=txs) == logged()
+    with pytest.raises(StorageError, match="encoded transactions"):
+        logged(txs=txs + txs)
