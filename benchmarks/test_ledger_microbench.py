@@ -1,11 +1,11 @@
-"""Ledger fast-path microbenchmarks: reference vs. fast backend.
+"""Ledger fast-path microbenchmarks: the library vs. its reference oracles.
 
 Like the crypto microbenchmarks, this module measures real wall-clock:
-the ledger backends differ only in how the same roots, scan results,
-and audit verdicts are computed — every simulated-time quantity and
-every byte on the wire is identical by construction (the property
-tests in ``tests/properties`` prove it exhaustively; here we assert it
-on the concrete benchmark workloads).
+the fast paths and their oracles differ only in how the same roots,
+scan results, and audit verdicts are computed (the property tests in
+``tests/properties`` prove it exhaustively; here we assert it on the
+concrete benchmark workloads).  Whole-workload host numbers belong to
+``benchmarks/e2e``; the legs here are primitives.
 
 Layers measured:
 
@@ -15,9 +15,7 @@ Layers measured:
 - ``StateDatabase.scan_prefix`` — full sort per scan vs. the
   maintained sorted-key index,
 - repeated view audits — fresh completeness scans vs. the incremental
-  verifier's per-definition cursors and soundness cache,
-- an end-to-end ``run_view_workload`` with state-root tracking under
-  each ledger backend.
+  verifier's per-definition cursors and soundness cache.
 
 Results are written to ``BENCH_ledger.json`` at the repo root so the
 before/after numbers are checked in alongside the code.
@@ -31,15 +29,10 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 from repro.crypto.hashing import salted_hash
-from repro.fabric.peer import Peer
-from repro.ledger import backend as ledger_backend
-from repro.ledger import merkle_state
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.merkle_state import IncrementalStateDigest, state_root
@@ -148,8 +141,8 @@ def test_scan_prefix_indexed_speedup():
     """Selective range reads on a 6k-key state: bisect vs. full sort.
 
     A ``seg~000`` scan hits 100 of 6000 keys — the shape of the
-    TxListContract's per-view segment reads, where the reference path's
-    per-scan full sort-and-filter is pure overhead.  (Both paths pay
+    TxListContract's per-view segment reads, where the seed's per-scan
+    full sort-and-filter is pure overhead.  (Both paths pay
     O(hits) to yield results, so unselective scans gain little; the
     differential tests cover those for correctness.)
     """
@@ -163,17 +156,20 @@ def test_scan_prefix_indexed_speedup():
     def scan():
         return [list(db.scan_prefix("seg~000")) for _ in range(100)]
 
-    for name in ("reference", "fast"):  # warm both paths once
-        with ledger_backend.use_backend(name):
-            list(db.scan_prefix("seg~000"))
-    with ledger_backend.use_backend("reference"):
-        t0 = time.perf_counter()
-        ref_result = scan()
-        t_ref = time.perf_counter() - t0
-    with ledger_backend.use_backend("fast"):
-        t0 = time.perf_counter()
-        fast_result = scan()
-        t_fast = time.perf_counter() - t0
+    def sorted_scan():
+        """The seed's scan: sort the whole key space, filter."""
+        return [
+            [(k, db.get(k)) for k in sorted(db.keys()) if k.startswith("seg~000")]
+            for _ in range(100)
+        ]
+
+    list(db.scan_prefix("seg~000"))  # warm once
+    t0 = time.perf_counter()
+    ref_result = sorted_scan()
+    t_ref = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    fast_result = scan()
+    t_fast = time.perf_counter() - t0
 
     assert ref_result == fast_result
     assert len(ref_result[0]) == 100
@@ -304,114 +300,12 @@ def test_audit_cursor_speedup():
     )
 
 
-@contextmanager
-def _count_leaf_encodes():
-    """Count state-leaf encodes by where they happen: inside
-    ``Peer.validate_and_commit`` (the ``commit`` phase) or outside it
-    (root requests — the ``state_root`` phase)."""
-    counts = {"commit": 0, "state_root": 0}
-    committing = False
-    real_encode = merkle_state._encode_entry
-    real_commit = Peer.validate_and_commit
-
-    def counting_encode(key, value):
-        counts["commit" if committing else "state_root"] += 1
-        return real_encode(key, value)
-
-    def flagged_commit(self, *args, **kwargs):
-        nonlocal committing
-        committing = True
-        try:
-            return real_commit(self, *args, **kwargs)
-        finally:
-            committing = False
-
-    with (
-        mock.patch.object(merkle_state, "_encode_entry", counting_encode),
-        mock.patch.object(Peer, "validate_and_commit", flagged_commit),
-    ):
-        yield counts
-
-
-def test_end_to_end_tracked_workload():
-    """Full HI workload with state-root tracking under each backend.
-
-    Asserts what matters: the simulated results are backend-independent
-    and the wall-clock breakdown is recorded.  No speedup floor here —
-    at smoke scale the pipeline is dominated by backend-independent
-    simulation machinery; the commit-path bench above carries the
-    acceptance criterion.  What does hold at any scale is a count: both
-    backends hash state leaves when a root is asked for (the
-    ``state_root`` phase) and none while a block commits, so the
-    ``commit`` phases do the same work.  Their wall-clock ratio is
-    recorded only — a ~20 ms phase cannot carry a wall-clock floor.
-    """
-    from repro.bench.harness import run_view_workload
-    from repro.workload.presets import wl2_topology
-
-    topo = wl2_topology()
-    kwargs = dict(
-        clients=8,
-        items_per_client=20,
-        max_requests_per_client=30,
-        rsa_key_pool=8,
-        track_state_roots=True,
-    )
-
-    def timed(backend_name):
-        t0 = time.perf_counter()
-        result = run_view_workload(
-            "HI", topo, ledger_backend=backend_name, **kwargs
-        )
-        return time.perf_counter() - t0, result
-
-    # Noise only adds time: alternate the backends and keep each one's
-    # run with the shortest commit phase.
-    def commit_s(run):
-        return run[1].extra["phase_wall_s"]["commit"]
-
-    pairs = [(timed("reference"), timed("fast")) for _ in range(5)]
-    best_ref = min((pair[0] for pair in pairs), key=commit_s)
-    best_fast = min((pair[1] for pair in pairs), key=commit_s)
-    (t_ref, ref), (t_fast, fast) = best_ref, best_fast
-    with _count_leaf_encodes() as ref_encodes:
-        timed("reference")
-    with _count_leaf_encodes() as fast_encodes:
-        timed("fast")
-
-    assert (ref.committed, ref.attempted, ref.onchain_txs) == (
-        fast.committed,
-        fast.attempted,
-        fast.onchain_txs,
-    )
-    assert ref.tps == fast.tps
-    assert ref.latency_mean_ms == fast.latency_mean_ms
-    assert "state_root" in fast.extra["phase_wall_s"]
-    assert ref_encodes["commit"] == fast_encodes["commit"] == 0
-    assert 0 < fast_encodes["state_root"] < ref_encodes["state_root"]
-
-    _RESULTS["end_to_end_hi_tracked"] = {
-        "clients": kwargs["clients"],
-        "committed": ref.committed,
-        "simulated_tps": round(ref.tps, 3),
-        "reference_wall_s": round(t_ref, 3),
-        "fast_wall_s": round(t_fast, 3),
-        "reference_phase_wall_s": ref.extra["phase_wall_s"],
-        "fast_phase_wall_s": fast.extra["phase_wall_s"],
-        "commit_phase_fast_over_reference": round(
-            commit_s(best_fast) / commit_s(best_ref), 2
-        ),
-        "reference_state_leaf_encodes": ref_encodes,
-        "fast_state_leaf_encodes": fast_encodes,
-    }
-
-
 def test_write_bench_json():
     """Persist the numbers gathered above (runs last in file order)."""
     assert _RESULTS, "no benchmark results collected"
     payload = {
         "description": (
-            "ledger fast path: wall-clock, reference vs fast backend"
+            "ledger fast path: wall-clock, reference oracles vs library"
         ),
         "machine_note": "absolute numbers are machine-dependent; ratios matter",
         "results": _RESULTS,

@@ -43,7 +43,7 @@ from repro.crypto.rsa import keypair_pool
 from repro.crypto.symmetric import SymmetricKey
 from repro.fabric.config import benchmark_config
 from repro.fabric.network import Gateway
-from repro.fabric.peer import Peer, ValidationCode
+from repro.fabric.peer import ValidationCode
 from repro.fabric.validation import BlockValidationMemo
 from repro.views.encryption_based import EncryptionBasedManager
 from repro.views.manager import ViewInvocation, ViewReader
@@ -291,16 +291,7 @@ def test_batched_view_maintenance_speedup():
 def _replay_leg(network, shared_memo):
     """Commit the ordered log on PEERS fresh replicas; time it."""
     live = network.reference_peer
-    replicas = [
-        Peer(
-            peer_id=f"replica{i}",
-            identity=live.identity,
-            registry=live.registry,
-            chain_name=live.chain.name,
-            real_signatures=live.real_signatures,
-        )
-        for i in range(PEERS)
-    ]
+    replicas = [live.empty_replica() for _ in range(PEERS)]
     started = time.perf_counter()
     for block in network.block_log:
         memo = BlockValidationMemo() if shared_memo else None

@@ -7,10 +7,15 @@ chain.  A request whose transaction belongs to ``|V|`` views costs
 ``2·|V|`` view-chain transactions (Prepare + Commit on each), which is
 what makes the baseline lose to LedgerView on throughput, latency, and
 storage across the paper's experiments.
+
+The 2PC chaincodes (:class:`CoordinatorContract` on the main chain,
+:class:`ShardContract` on every view chain) are the ones
+:mod:`repro.sharding.crossshard` hardened, so the baseline and the
+sharded deployment run byte-for-byte identical 2PC logic.
 """
 
 from repro.baseline.multichain import CrossChainDeployment, CrossChainResult
-from repro.baseline.twopc import CoordinatorContract, ShardContract
+from repro.sharding.crossshard import CoordinatorContract, ShardContract
 
 __all__ = [
     "CrossChainDeployment",

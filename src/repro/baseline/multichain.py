@@ -31,7 +31,7 @@ from repro.fabric.endorser import Proposal
 from repro.fabric.identity import User
 from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import ValidationCode
-from repro.baseline.twopc import (
+from repro.sharding.crossshard import (
     COORDINATOR_CHAINCODE,
     SHARD_CHAINCODE,
     CoordinatorContract,

@@ -19,9 +19,9 @@ numbers are for wiring checks only — simulated-time *shapes* survive
 scaling, absolute values do not.
 
 ``--commit {occ,reference}`` selects the commit-time conflict policy
-(see :mod:`repro.fabric.occ`); it changes simulated results under
-contention: occ rebases MVCC-conflicted transactions instead of
-aborting them.
+(see :mod:`repro.fabric.occ`) by exporting ``REPRO_COMMIT_BACKEND`` for
+the run; it changes simulated results under contention: occ rebases
+MVCC-conflicted transactions instead of aborting them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from contextlib import nullcontext
 from repro.bench import harness, runners
 from repro.bench.report import print_series
 from repro.crypto.rsa import keypair_pool
-from repro.fabric import occ
+from repro.fabric.occ import COMMIT_BACKENDS
 
 #: Scale applied by --smoke when REPRO_BENCH_SCALE is not already set.
 SMOKE_SCALE = "0.05"
@@ -70,8 +70,11 @@ def main(argv: list[str] | None = None) -> int:
     args = [a for a in args if a != "--smoke"]
     try:
         commit_name, args = _pop_option(args, "--commit")
-        if commit_name is not None:
-            occ.resolve_backend(commit_name)  # validate early
+        if commit_name is not None and commit_name not in COMMIT_BACKENDS:
+            raise ValueError(
+                f"--commit expects one of {sorted(COMMIT_BACKENDS)}, "
+                f"not {commit_name!r}"
+            )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -87,20 +90,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
         print("expected:", ", ".join(FIGURES), file=sys.stderr)
         return 2
-    scale_override = smoke and "REPRO_BENCH_SCALE" not in os.environ
-    if scale_override:
-        os.environ["REPRO_BENCH_SCALE"] = SMOKE_SCALE
-    commit_ctx = (
-        occ.use_backend(commit_name) if commit_name is not None else nullcontext()
-    )
+    # Both knobs reach the figures the way a user's shell would set
+    # them, and are put back afterwards.
+    overrides = {}
+    if smoke and "REPRO_BENCH_SCALE" not in os.environ:
+        overrides["REPRO_BENCH_SCALE"] = SMOKE_SCALE
+    if commit_name is not None:
+        overrides["REPRO_COMMIT_BACKEND"] = commit_name
+    previous = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
     try:
         with keypair_pool(size=8) if smoke else nullcontext():
-            with commit_ctx:
-                for name in selected:
-                    FIGURES[name]()
+            for name in selected:
+                FIGURES[name]()
     finally:
-        if scale_override:
-            del os.environ["REPRO_BENCH_SCALE"]
+        for name, value in previous.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
     _print_phase_breakdown()
     return 0
 
@@ -124,8 +132,7 @@ def _print_phase_breakdown() -> None:
 
     This is host CPU spent inside endorse/order/commit/state-root/query
     code across every network the selected figures built — the
-    breakdown a perf change is judged against (simulated-time results
-    are backend-independent).
+    breakdown a perf change is judged against.
     """
     if not harness.PHASE_TOTALS:
         return
@@ -143,8 +150,7 @@ def _print_phase_breakdown() -> None:
     print_series(
         "Pipeline phase wall-clock (all runs)",
         rows,
-        note="host seconds inside each Fabric pipeline phase; "
-        "simulated-time metrics are unaffected by backend choice",
+        note="host seconds inside each Fabric pipeline phase",
     )
 
 

@@ -15,16 +15,11 @@ membership) is varied synthetically.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
 from repro import build_network
-from repro.crypto import rsa as _rsa
-from repro.crypto.backend import use_backend
-from repro.fabric import occ as _occ
-from repro.ledger import backend as _ledger
 from repro.baseline.multichain import CrossChainDeployment
 from repro.errors import LedgerViewError
 from repro.fabric.config import NetworkConfig, benchmark_config
@@ -65,9 +60,8 @@ class RunResult:
     storage_bytes: int
     timed_out: bool = False
     #: Host wall-clock spent driving the run's client traffic (seconds)
-    #: and the resulting committed-requests-per-host-second rate.  These
-    #: are the quantities the crypto and ledger backends move; ``tps``
-    #: above is simulated-time throughput, identical under both.
+    #: and the resulting committed-requests-per-host-second rate;
+    #: ``tps`` above is simulated-time throughput.
     host_wall_s: float = 0.0
     host_tps: float = 0.0
     extra: dict[str, Any] = field(default_factory=dict)
@@ -118,39 +112,6 @@ def _record_phases(network: FabricNetwork, result: RunResult) -> None:
     network.phase_wall.merge_into(PHASE_TOTALS)
 
 
-def _backend_context(
-    crypto_backend: str | None,
-    rsa_key_pool: int | None,
-    ledger_backend: str | None = None,
-    commit_backend: str | None = None,
-):
-    """Context manager applying the harness's backend knobs for one run.
-
-    ``crypto_backend`` scopes an AES backend switch ("fast" or
-    "reference") around the run; ``rsa_key_pool`` opts the run into a
-    recycling RSA keypair pool of that size (benchmark-only — see
-    :class:`repro.crypto.rsa.KeyPairPool` for the caveats);
-    ``ledger_backend`` scopes the ledger hot-path selection
-    ("fast"/"reference" — incremental state digest and indexed scans)
-    so every peer built inside the run captures it.  None leaves the
-    process default untouched.  None of these change simulated-time
-    results, only wall-clock.  ``commit_backend`` scopes the commit-time
-    conflict policy ("occ"/"reference" — see :mod:`repro.fabric.occ`);
-    unlike the others it *does* change simulated results under
-    contention (rebased transactions commit instead of aborting).
-    """
-    stack = ExitStack()
-    if crypto_backend is not None:
-        stack.enter_context(use_backend(crypto_backend))
-    if rsa_key_pool is not None:
-        stack.enter_context(_rsa.keypair_pool(rsa_key_pool))
-    if ledger_backend is not None:
-        stack.enter_context(_ledger.use_backend(ledger_backend))
-    if commit_backend is not None:
-        stack.enter_context(_occ.use_backend(commit_backend))
-    return stack
-
-
 def build_view_setup(
     method: str,
     topology: SupplyChainTopology,
@@ -159,7 +120,6 @@ def build_view_setup(
     txlist_flush_interval_ms: float = 5_000.0,
     views: int | None = None,
     pdc_collection: str | None = None,
-    crypto_backend: str | None = None,
 ) -> tuple[Environment, FabricNetwork, ViewManager]:
     """Build a network plus a view manager with one view per node.
 
@@ -167,8 +127,6 @@ def build_view_setup(
     the storage sweep, which varies view count under a fixed workload).
     ``pdc_collection`` switches the manager to the PDC-backed variant
     (Fig 13's "revocable view over private data collection").
-    ``crypto_backend`` pins the AES implementation used for concealment
-    ("fast"/"reference"; default: leave the process setting alone).
     """
     if method not in METHODS:
         raise LedgerViewError(
@@ -190,14 +148,12 @@ def build_view_setup(
             collection=pdc_collection,
             use_txlist=use_txlist,
             txlist_flush_interval_ms=txlist_flush_interval_ms,
-            crypto_backend=crypto_backend,
         )
     else:
         manager = manager_cls(
             Gateway(network, owner),
             use_txlist=use_txlist,
             txlist_flush_interval_ms=txlist_flush_interval_ms,
-            crypto_backend=crypto_backend,
         )
     nodes = topology.nodes if views is None else topology.nodes[:views]
     for node in nodes:
@@ -260,12 +216,8 @@ def run_view_workload(
     grant_history: bool = True,
     max_requests_per_client: int | None = None,
     pdc_collection: str | None = None,
-    crypto_backend: str | None = None,
-    rsa_key_pool: int | None = None,
     secret_size: int = 0,
-    ledger_backend: str | None = None,
     track_state_roots: bool = False,
-    commit_backend: str | None = None,
     fault_plan=None,
 ) -> RunResult:
     """Run the supply-chain workload against one LedgerView method.
@@ -273,66 +225,15 @@ def run_view_workload(
     ``max_requests_per_client`` truncates each client's trace — the
     measured rates stabilise after a few batches, so shorter runs keep
     benchmark wall-clock time in check without changing the shapes.
-    ``crypto_backend``/``rsa_key_pool``/``ledger_backend`` scope the
-    fast-path knobs around the whole run (see :func:`_backend_context`);
-    none changes any measured simulated-time quantity, only wall-clock
-    (reported as ``host_wall_s``/``host_tps``).
     ``secret_size`` pads each transfer's secret part to roughly that
     many bytes (0 = natural size), for sweeps over payload size.
-    ``track_state_roots`` makes every committed block record a state
-    root — the commit-path cost the ledger backend sweep measures.
+    ``track_state_roots`` makes every committed block record a state root.
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) runs the whole
     workload under fault injection: the plan's message faults, crashes,
     and retry policy apply for the duration, the network is healed
     afterwards, the safety invariants are asserted, and the injector's
     counters land in ``result.extra["faults"]``.
     """
-    with _backend_context(
-        crypto_backend,
-        rsa_key_pool,
-        ledger_backend,
-        commit_backend,
-    ):
-        return _run_view_workload(
-            method,
-            topology,
-            clients,
-            items_per_client,
-            batch_size,
-            config,
-            use_txlist,
-            txlist_flush_interval_ms,
-            seed,
-            horizon_ms,
-            grant_history,
-            max_requests_per_client,
-            pdc_collection,
-            crypto_backend,
-            secret_size,
-            track_state_roots,
-            fault_plan,
-        )
-
-
-def _run_view_workload(
-    method: str,
-    topology: SupplyChainTopology,
-    clients: int,
-    items_per_client: int,
-    batch_size: int,
-    config: NetworkConfig | None,
-    use_txlist: bool,
-    txlist_flush_interval_ms: float,
-    seed: int,
-    horizon_ms: float | None,
-    grant_history: bool,
-    max_requests_per_client: int | None,
-    pdc_collection: str | None,
-    crypto_backend: str | None,
-    secret_size: int = 0,
-    track_state_roots: bool = False,
-    fault_plan=None,
-) -> RunResult:
     env, network, manager = build_view_setup(
         method,
         topology,
@@ -340,7 +241,6 @@ def _run_view_workload(
         use_txlist=use_txlist,
         txlist_flush_interval_ms=txlist_flush_interval_ms,
         pdc_collection=pdc_collection,
-        crypto_backend=crypto_backend,
     )
     network.track_state_roots = track_state_roots
     injector = monitor = None
@@ -436,44 +336,13 @@ def run_baseline_workload(
     seed: int = 7,
     horizon_ms: float | None = None,
     max_requests_per_client: int | None = None,
-    crypto_backend: str | None = None,
-    rsa_key_pool: int | None = None,
-    ledger_backend: str | None = None,
-    commit_backend: str | None = None,
 ) -> RunResult:
     """Run the same workload against the cross-chain 2PC baseline.
 
-    The baseline registers one identity per client per chain, so the
-    opt-in ``rsa_key_pool`` saves the most wall-clock here.
+    The baseline registers one identity per client per chain, so a
+    surrounding :func:`repro.crypto.rsa.keypair_pool` saves the most
+    wall-clock here.
     """
-    with _backend_context(
-        crypto_backend,
-        rsa_key_pool,
-        ledger_backend,
-        commit_backend,
-    ):
-        return _run_baseline_workload(
-            topology,
-            clients,
-            items_per_client,
-            batch_size,
-            config,
-            seed,
-            horizon_ms,
-            max_requests_per_client,
-        )
-
-
-def _run_baseline_workload(
-    topology: SupplyChainTopology,
-    clients: int,
-    items_per_client: int,
-    batch_size: int,
-    config: NetworkConfig | None,
-    seed: int,
-    horizon_ms: float | None,
-    max_requests_per_client: int | None,
-) -> RunResult:
     env = Environment()
     deployment = CrossChainDeployment(
         env, topology.nodes, config=config or benchmark_config()
@@ -559,11 +428,7 @@ def run_view_scaling(
     config: NetworkConfig | None = None,
     use_txlist: bool = False,
     txlist_flush_interval_ms: float = 5_000.0,
-    crypto_backend: str | None = None,
-    rsa_key_pool: int | None = None,
-    ledger_backend: str | None = None,
     track_state_roots: bool = False,
-    commit_backend: str | None = None,
 ) -> RunResult:
     """The Fig 10/11 sweep: vary view count and per-transaction membership.
 
@@ -573,40 +438,6 @@ def run_view_scaling(
     """
     if inclusion not in ("all", "single"):
         raise LedgerViewError("inclusion must be 'all' or 'single'")
-    with _backend_context(
-        crypto_backend,
-        rsa_key_pool,
-        ledger_backend,
-        commit_backend,
-    ):
-        return _run_view_scaling(
-            n_views,
-            inclusion,
-            method,
-            clients,
-            requests_per_client,
-            batch_size,
-            config,
-            use_txlist,
-            txlist_flush_interval_ms,
-            crypto_backend,
-            track_state_roots,
-        )
-
-
-def _run_view_scaling(
-    n_views: int,
-    inclusion: str,
-    method: str,
-    clients: int,
-    requests_per_client: int,
-    batch_size: int,
-    config: NetworkConfig | None,
-    use_txlist: bool,
-    txlist_flush_interval_ms: float,
-    crypto_backend: str | None,
-    track_state_roots: bool = False,
-) -> RunResult:
     manager_cls, mode = METHODS[method]
     env = Environment()
     network = build_network(config or benchmark_config(), env=env)
@@ -616,7 +447,6 @@ def _run_view_scaling(
         Gateway(network, owner),
         use_txlist=use_txlist,
         txlist_flush_interval_ms=txlist_flush_interval_ms,
-        crypto_backend=crypto_backend,
     )
     for v in range(n_views):
         predicate = (

@@ -15,22 +15,15 @@ Public surface
   public-key envelopes
 - :class:`MerkleTree`, :class:`MerkleProof`
 
-Backend selection
------------------
-Two interchangeable AES implementations exist: the auditable reference
-and a T-table fast path (see :mod:`repro.crypto.backend` and
-``docs/PERFORMANCE.md``).  :func:`set_backend` / :func:`use_backend`
-switch between them; the ``REPRO_CRYPTO_BACKEND`` environment variable
-sets the process default (``fast``).  :func:`keypair_pool` is the
-benchmark-only RSA keypair pool.
+Fast path and oracle
+--------------------
+Sealing runs on the T-table :class:`~repro.crypto.aes.AESFast` behind a
+key-schedule cache (:mod:`repro.crypto.backend`); the auditable
+:class:`~repro.crypto.aes.AES` is the oracle the differential tests
+compare it against (``docs/PERFORMANCE.md``).  :func:`keypair_pool` is
+the benchmark-only RSA keypair pool.
 """
 
-from repro.crypto.backend import (
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.crypto.hashing import (
     hmac_sha256,
     random_salt,
@@ -70,8 +63,4 @@ __all__ = [
     "seal_many",
     "MerkleTree",
     "MerkleProof",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]

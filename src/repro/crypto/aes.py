@@ -14,9 +14,9 @@ same key schedule and test vectors:
   the FIPS-197 Appendix C vectors and by differential property tests
   (``tests/crypto/test_backend.py``, ``tests/properties``).
 
-Backend selection between the two lives in
-:mod:`repro.crypto.backend`; modes of operation are in
-:mod:`repro.crypto.modes`.
+The library runs :class:`AESFast` (behind the key-schedule cache in
+:mod:`repro.crypto.backend`); :class:`AES` is the oracle.  Modes of
+operation are in :mod:`repro.crypto.modes`.
 """
 
 from __future__ import annotations

@@ -1,143 +1,38 @@
-"""Pluggable crypto backend selection: reference vs. fast path.
+"""The AES key-schedule cache in front of :class:`~repro.crypto.aes.AESFast`.
 
-The reproduction ships two interchangeable AES implementations
-(:class:`repro.crypto.aes.AES` — the auditable reference — and
-:class:`repro.crypto.aes.AESFast` — the T-table fast path).  This
-module is the single switch point between them, so every consumer
-(:mod:`repro.crypto.modes`, the view managers, the bench harness) asks
-*here* for a cipher instead of constructing one directly.
+The paper's protocols reuse a few master keys across thousands of
+operations: ER/HR re-seal every served record under the same view key
+``K_V``, and the envelope derives its subkeys from the same master key
+on every call.  :func:`aes_for_key` therefore keeps expanded key
+schedules in an LRU, so :mod:`repro.crypto.modes` asks *here* for a
+cipher instead of constructing one per message.
 
-Backends
---------
-``fast`` (default)
-    T-table AES with int-word state, plus an LRU cache of expanded key
-    schedules.  The cache matters because the paper's protocols reuse a
-    few master keys across thousands of operations: ER/HR re-seal every
-    served record under the same view key ``K_V``, and the envelope
-    derives its subkeys from the same master key on every call.
-``reference``
-    The byte-at-a-time derivation-first implementation, with **no**
-    caching — it deliberately preserves the behaviour of the original
-    seed code so benchmarks can measure the fast path against it.
-
-Selection
----------
-The process-wide default comes from the ``REPRO_CRYPTO_BACKEND``
-environment variable (``fast`` if unset).  Programmatic control:
-
-- :func:`set_backend` — switch the process-wide backend.
-- :func:`use_backend` — context manager for a scoped switch.
-- :func:`aes_for_key` — backend-appropriate cipher for a key (cached
-  for backends that cache).
-
-Both backends produce byte-identical ciphertexts; differential tests in
-``tests/crypto/test_backend.py`` and ``tests/properties`` pin this.
+:class:`~repro.crypto.aes.AES` — the byte-at-a-time, derivation-first
+implementation — is not reachable from here: it is the oracle that
+``tests/crypto/test_backend.py`` and ``tests/properties`` compare the
+T-table fast path against, block by block and stream by stream.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
 
-from repro.crypto.aes import AES, AESFast
+from repro.crypto.aes import AESFast
 
-#: Environment variable naming the default backend.
-BACKEND_ENV_VAR = "REPRO_CRYPTO_BACKEND"
-
-#: Expanded key schedules kept per backend (keys are 16-48 bytes each,
-#: so even a full cache is a few hundred KiB).
+#: Expanded key schedules kept (keys are 16-48 bytes each, so even a
+#: full cache is a few hundred KiB).
 KEY_SCHEDULE_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class CryptoBackend:
-    """One selectable implementation of the crypto hot paths."""
-
-    name: str
-    aes_factory: Callable[[bytes], object]
-    #: Whether :func:`aes_for_key` may reuse expanded key schedules.
-    cache_key_schedules: bool
-    #: Whether RSA private ops may reuse precomputed CRT parameters
-    #: (dp, dq, q^-1); the reference backend re-derives them per call,
-    #: as the seed implementation did.
-    cache_rsa_crt: bool
-
-
-_BACKENDS: dict[str, CryptoBackend] = {
-    "fast": CryptoBackend(
-        "fast", AESFast, cache_key_schedules=True, cache_rsa_crt=True
-    ),
-    "reference": CryptoBackend(
-        "reference", AES, cache_key_schedules=False, cache_rsa_crt=False
-    ),
-}
-
-_lock = threading.Lock()
-
-
-def available_backends() -> list[str]:
-    """Names accepted by :func:`set_backend`, sorted."""
-    return sorted(_BACKENDS)
-
-
-def _resolve(name: str) -> CryptoBackend:
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown crypto backend {name!r}; expected one of {available_backends()}"
-        )
-    return backend
-
-
-_active: CryptoBackend = _resolve(os.environ.get(BACKEND_ENV_VAR, "fast"))
-
-
-def get_backend() -> CryptoBackend:
-    """The currently active backend."""
-    return _active
-
-
-def set_backend(name: str) -> CryptoBackend:
-    """Switch the process-wide backend; returns the new backend."""
-    global _active
-    backend = _resolve(name)
-    with _lock:
-        _active = backend
-    return backend
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[CryptoBackend]:
-    """Temporarily switch backends within a ``with`` block."""
-    previous = _active.name
-    backend = set_backend(name)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
-
-
 @lru_cache(maxsize=KEY_SCHEDULE_CACHE_SIZE)
-def _cached_cipher(backend_name: str, key: bytes):
-    return _BACKENDS[backend_name].aes_factory(key)
+def _cached_cipher(key: bytes) -> AESFast:
+    return AESFast(key)
 
 
-def aes_for_key(key: bytes):
-    """Return an AES cipher for ``key`` under the active backend.
-
-    For caching backends the expanded key schedule is reused across
-    calls (an LRU keyed by backend and key material); the reference
-    backend re-expands every time, preserving seed behaviour.
-    """
-    backend = _active
-    key = bytes(key)
-    if backend.cache_key_schedules:
-        return _cached_cipher(backend.name, key)
-    return backend.aes_factory(key)
+def aes_for_key(key: bytes) -> AESFast:
+    """The cipher for ``key``, its key schedule expanded at most once
+    while it stays in the LRU."""
+    return _cached_cipher(bytes(key))
 
 
 def clear_caches() -> None:

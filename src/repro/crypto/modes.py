@@ -20,8 +20,10 @@ two caches sit in front of the per-call work: subkey derivation is
 LRU-cached per master key (:func:`_derive_subkeys`), and the expanded
 AES key schedule is reused via :func:`repro.crypto.backend.aes_for_key`.
 Keystream generation is batched — all counter blocks are produced in
-one call when the backend supports it — and the plaintext/keystream XOR
-runs as a single big-int operation instead of a per-byte loop.
+one call — and the plaintext/keystream XOR runs as a single big-int
+operation instead of a per-byte loop.  :func:`ctr_xor_reference` is the
+block-at-a-time loop over :class:`~repro.crypto.aes.AES` that the
+differential tests and the crypto microbench compare against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import secrets
 from functools import lru_cache
 
 from repro.crypto import backend as _backend
-from repro.crypto.aes import BLOCK_SIZE
+from repro.crypto.aes import AES, BLOCK_SIZE, AESFast
 from repro.crypto.hashing import hmac_sha256, sha256
 from repro.errors import DecryptionError
 
@@ -58,26 +60,31 @@ def _derive_subkeys(key: bytes) -> tuple[bytes, bytes]:
     return enc_key, mac_key
 
 
-def _ctr_keystream_xor(cipher, nonce: bytes, data: bytes) -> bytes:
+def _ctr_keystream_xor(cipher: AESFast, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the AES-CTR keystream for ``nonce``.
 
     The 16-byte nonce is treated as a big-endian counter block and
-    incremented per block, as in NIST SP 800-38A.  Backends exposing a
-    batched ``ctr_keystream`` generate all blocks in one call; the
-    final XOR is one big-int operation over the whole message.
+    incremented per block, as in NIST SP 800-38A.  All keystream blocks
+    are generated in one call; the final XOR is one big-int operation
+    over the whole message.
     """
     length = len(data)
     if length == 0:
         return b""
     counter = int.from_bytes(nonce, "big")
-    if hasattr(cipher, "ctr_keystream"):
-        nblocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-        keystream = cipher.ctr_keystream(counter, nblocks)
-        mask = int.from_bytes(keystream[:length], "big")
-        return (int.from_bytes(data, "big") ^ mask).to_bytes(length, "big")
-    # Reference path: block-at-a-time with a per-byte XOR, preserved
-    # verbatim from the seed implementation so benchmarks measure the
-    # fast path against the original code.
+    nblocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
+    keystream = cipher.ctr_keystream(counter, nblocks)
+    mask = int.from_bytes(keystream[:length], "big")
+    return (int.from_bytes(data, "big") ^ mask).to_bytes(length, "big")
+
+
+def ctr_xor_reference(enc_key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """The oracle for :func:`_ctr_keystream_xor`: a fresh reference
+    :class:`AES`, one block at a time with a per-byte XOR, preserved
+    verbatim from the seed implementation.  Nothing in the library
+    calls it."""
+    cipher = AES(enc_key)
+    counter = int.from_bytes(nonce, "big")
     out = bytearray(len(data))
     for offset in range(0, len(data), BLOCK_SIZE):
         block = cipher.encrypt_block(counter.to_bytes(BLOCK_SIZE, "big"))

@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.crypto import backend as _backend
 from repro.crypto.hashing import sha256
 from repro.errors import DecryptionError, InvalidKeyError, SignatureError
 
@@ -227,9 +226,7 @@ class RSAPrivateKey:
     def _crt_params(self) -> tuple[int, int, int]:
         """CRT exponents and coefficient, computed once per key.
 
-        Memoised only under backends with ``cache_rsa_crt`` (the
-        reference backend re-derives per call, as the seed did).  The
-        dataclass is frozen, so the memo is attached via
+        The dataclass is frozen, so the memo is attached via
         ``object.__setattr__``; it is not a dataclass field and does not
         affect equality or hashing.
         """
@@ -240,8 +237,7 @@ class RSAPrivateKey:
                 self.d % (self.q - 1),
                 pow(self.q, -1, self.p),
             )
-            if _backend.get_backend().cache_rsa_crt:
-                object.__setattr__(self, "_crt_cache", cached)
+            object.__setattr__(self, "_crt_cache", cached)
         return cached
 
     def _private_op(self, value: int) -> int:
@@ -373,25 +369,25 @@ class KeyPairPool:
             return pool[cursor]
 
 
-_active_pool: KeyPairPool | None = None
+_pool: KeyPairPool | None = None
 
 
 def install_keypair_pool(size: int = 32) -> KeyPairPool:
     """Make :func:`generate_keypair` serve from a recycling pool."""
-    global _active_pool
-    _active_pool = KeyPairPool(size)
-    return _active_pool
+    global _pool
+    _pool = KeyPairPool(size)
+    return _pool
 
 
 def uninstall_keypair_pool() -> None:
     """Restore fresh per-call key generation."""
-    global _active_pool
-    _active_pool = None
+    global _pool
+    _pool = None
 
 
 def active_keypair_pool() -> KeyPairPool | None:
     """The installed pool, if any."""
-    return _active_pool
+    return _pool
 
 
 @contextmanager
@@ -400,14 +396,14 @@ def keypair_pool(size: int = 32) -> Iterator[KeyPairPool]:
 
     Nested uses stack: the previous pool (or none) is restored on exit.
     """
-    global _active_pool
-    previous = _active_pool
+    global _pool
+    previous = _pool
     pool = KeyPairPool(size)
-    _active_pool = pool
+    _pool = pool
     try:
         yield pool
     finally:
-        _active_pool = previous
+        _pool = previous
 
 
 def generate_keypair(bits: int = DEFAULT_BITS) -> RSAKeyPair:
@@ -419,7 +415,7 @@ def generate_keypair(bits: int = DEFAULT_BITS) -> RSAKeyPair:
     pool instead — an explicit, benchmark-only trade of key uniqueness
     for setup speed.
     """
-    pool = _active_pool
+    pool = _pool
     if pool is not None:
         return pool.get(bits)
     return _generate_fresh_keypair(bits)

@@ -93,6 +93,12 @@ class SimulationError(LedgerViewError):
     """Misuse of the discrete-event simulation kernel."""
 
 
+class ConfigError(LedgerViewError):
+    """A backend selector (``NetworkConfig`` field or ``REPRO_*``
+    environment variable) names a value that does not exist, or two
+    selectors contradict each other."""
+
+
 class TwoPhaseCommitError(LedgerError):
     """A cross-chain 2PC transaction could not reach a decision."""
 

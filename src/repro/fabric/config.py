@@ -14,7 +14,11 @@ Latency presets model the paper's deployment: two peers in
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+from repro.errors import ConfigError
+from repro.fabric.occ import COMMIT_BACKENDS
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,9 @@ class NetworkConfig:
 
     # -- ordering backend ------------------------------------------------------
     #: Consensus backend for this network's ordering service
-    #: ("raft"/"pbft"; fourth pluggable dimension).  ``None`` uses the
-    #: process-wide default (``REPRO_ORDERER_BACKEND``, or "raft").
+    #: ("raft"/"pbft").  ``None`` uses the process-wide default
+    #: (``REPRO_ORDERER_BACKEND``, or "raft"); see
+    #: :func:`resolve_backends`.
     #:
     #: - "raft": the crash-fault-tolerant path the paper's deployment
     #:   uses — the fixed ``ordering_consensus_ms`` charge by default,
@@ -135,22 +140,14 @@ class NetworkConfig:
     #: Payload size baseline for a transaction with no extra view data.
     baseline_tx_bytes: int = 600
 
-    # -- ledger -------------------------------------------------------------
-    #: Ledger hot-path implementation for this network's peers
-    #: ("fast"/"reference"; see :mod:`repro.ledger.backend`).  ``None``
-    #: uses the process-wide default (``REPRO_LEDGER_BACKEND``, or
-    #: "fast").  Simulated results are identical either way — the knob
-    #: only changes wall-clock, like the crypto backend switch.
-    ledger_backend: str | None = None
-
     # -- commit policy -------------------------------------------------------
     #: Commit-time conflict policy for this network's peers
     #: ("occ"/"reference"; see :mod:`repro.fabric.occ`).  ``None`` uses
     #: the process-wide default (``REPRO_COMMIT_BACKEND``, or
-    #: "reference").  Unlike the crypto and ledger switches this
-    #: one changes *observable semantics under contention*: the occ
-    #: backend rebases MVCC-conflicted transactions instead of aborting
-    #: them.  Conflict-free workloads stay byte-identical either way.
+    #: "reference").  This one changes *observable semantics under
+    #: contention*: the occ backend rebases MVCC-conflicted
+    #: transactions instead of aborting them.  Conflict-free workloads
+    #: stay byte-identical either way.
     commit_backend: str | None = None
 
     #: Client-side MVCC retry: when > 0, a transaction that commits
@@ -213,6 +210,92 @@ class NetworkConfig:
 
 #: Default configuration used throughout tests and examples.
 DEFAULT_CONFIG = NetworkConfig()
+
+
+#: ``NetworkConfig`` field -> (environment variable, default, allowed).
+_SELECTORS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "commit_backend": (
+        "REPRO_COMMIT_BACKEND",
+        "reference",
+        tuple(sorted(COMMIT_BACKENDS)),
+    ),
+    "orderer_backend": ("REPRO_ORDERER_BACKEND", "raft", ("pbft", "raft")),
+    "storage_backend": (
+        "REPRO_STORAGE_BACKEND",
+        "none",
+        ("disk", "memory", "none", "off"),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ResolvedBackends:
+    """What one network runs with, after config and environment."""
+
+    #: "occ" or "reference" (a key of ``repro.fabric.occ.COMMIT_BACKENDS``).
+    commit: str
+    #: "raft" or "pbft".
+    orderer: str
+    #: "memory", "disk", or ``None`` for no durable stores.
+    storage: str | None
+    #: Fault plan source (inline JSON or a file path), or ``None`` for a
+    #: fault-free network.
+    fault_plan: str | None
+
+
+def resolve_backends(config: NetworkConfig) -> ResolvedBackends:
+    """Every selector a network reads, resolved in one place.
+
+    For each of ``commit_backend``, ``orderer_backend`` and
+    ``storage_backend`` an explicit config field wins, then the
+    selector's ``REPRO_*`` variable, then its default; names compare
+    lower-cased.  ``fault_plan`` follows the same order with
+    ``REPRO_FAULT_PLAN`` and is handed on unparsed; ``"off"`` pins a
+    network fault-free even when the variable is exported, which the
+    differential suites need for a guaranteed-clean leg.
+
+    ``use_raft=True`` pins the raft orderer: it overrides an ambient
+    ``REPRO_ORDERER_BACKEND=pbft`` (the real-protocol raft tests must
+    keep passing under it), but contradicts an explicit
+    ``orderer_backend="pbft"``.
+
+    Raises
+    ------
+    ConfigError
+        On a value outside a selector's allowed set, naming the field,
+        the variable and the allowed values, or on the
+        ``use_raft``/pbft contradiction.
+    """
+    commit = _select(config, "commit_backend")
+    orderer = _select(config, "orderer_backend", consult_env=not config.use_raft)
+    if orderer == "pbft" and config.use_raft:
+        raise ConfigError(
+            "orderer_backend='pbft' and use_raft=True are mutually "
+            "exclusive: use_raft selects the real raft protocol"
+        )
+    storage = _select(config, "storage_backend")
+    plan = config.fault_plan or os.environ.get("REPRO_FAULT_PLAN")
+    return ResolvedBackends(
+        commit=commit,
+        orderer=orderer,
+        storage=None if storage in ("none", "off") else storage,
+        fault_plan=plan if plan and plan.strip().lower() != "off" else None,
+    )
+
+
+def _select(config: NetworkConfig, field_name: str, consult_env: bool = True) -> str:
+    """One selector: the config field, else its variable, else its default."""
+    env_var, default, allowed = _SELECTORS[field_name]
+    value = getattr(config, field_name)
+    if value is None and consult_env:
+        value = os.environ.get(env_var)
+    value = (value or default).lower()
+    if value not in allowed:
+        raise ConfigError(
+            f"unknown {field_name} {value!r} (NetworkConfig.{field_name} "
+            f"or {env_var}); expected one of {list(allowed)}"
+        )
+    return value
 
 
 def benchmark_config(

@@ -13,7 +13,6 @@ for real; only *durations* are simulated.
 
 from __future__ import annotations
 
-import os
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -25,11 +24,10 @@ from repro.errors import (
     FaultInjectionError,
     LedgerError,
     SimulatedCrashError,
-    SimulationError,
 )
 from repro.fabric import occ
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry, TxContext
-from repro.fabric.config import NetworkConfig
+from repro.fabric.config import NetworkConfig, resolve_backends
 from repro.fabric.endorser import Proposal, assemble_transaction
 from repro.fabric.identity import MembershipServiceProvider, User
 from repro.fabric.orderer import BlockCutter, OrderingService
@@ -163,9 +161,12 @@ class FabricNetwork:
         self.registry = ChaincodeRegistry()
         self.metrics = NetworkMetrics.fresh()
         self.phase_wall = PhaseWallClock()
+        # Every backend selector (config field, else ``REPRO_*``
+        # variable, else default), resolved here and nowhere else.
+        backends = resolve_backends(self.config)
         #: Commit-time conflict policy (see repro.fabric.occ): abort on
         #: MVCC conflict (reference) or rebase at validation time (occ).
-        self.commit_backend = occ.resolve_backend(self.config.commit_backend)
+        self.commit_backend = occ.COMMIT_BACKENDS[backends.commit]
         #: tid -> proposal context for validation-time re-execution,
         #: shared by reference across every peer (and recovery shadow
         #: replicas).  Populated at submission; only filled when the
@@ -184,8 +185,7 @@ class FabricNetwork:
                 registry=self.registry,
                 chain_name=chain_name,
                 real_signatures=self.config.real_signatures,
-                ledger_backend_name=self.config.ledger_backend,
-                commit_backend_name=self.config.commit_backend,
+                commit_backend=self.commit_backend,
             )
             peer.resim = self.resim
             self.peers.append(peer)
@@ -197,27 +197,8 @@ class FabricNetwork:
 
         self.ordering = OrderingService(self.config)
         self._cutter = BlockCutter(self.config)
-        #: Ordering consensus backend ("raft" or "pbft"): config wins,
-        #: then REPRO_ORDERER_BACKEND, then "raft".  ``use_raft=True``
-        #: pins raft — the real-protocol raft tests must keep passing
-        #: even when the ambient env var selects pbft — but combining it
-        #: with an *explicit* pbft request is a contradiction.
-        backend = self.config.orderer_backend
-        if backend is None:
-            backend = os.environ.get("REPRO_ORDERER_BACKEND")
-            if self.config.use_raft:
-                backend = "raft"
-        backend = (backend or "raft").lower()
-        if backend not in ("raft", "pbft"):
-            raise SimulationError(
-                f"unknown orderer backend {backend!r}; expected 'raft' or 'pbft'"
-            )
-        if backend == "pbft" and self.config.use_raft:
-            raise SimulationError(
-                "orderer_backend='pbft' and use_raft=True are mutually "
-                "exclusive: use_raft selects the real raft protocol"
-            )
-        self.orderer_backend = backend
+        #: Ordering consensus backend ("raft" or "pbft").
+        self.orderer_backend = backends.orderer
         #: Real Raft among the orderers (optional; see config.use_raft).
         self.raft = None
         #: PBFT among the orderers (orderer_backend="pbft"): 3f+1
@@ -231,7 +212,7 @@ class FabricNetwork:
                 node_count=self.config.orderer_count,
                 rtt_ms=self.config.latency.orderer_to_orderer,
             )
-        elif backend == "pbft":
+        elif backends.orderer == "pbft":
             from repro.fabric.pbft import PBFTCluster
 
             self.pbft = PBFTCluster(
@@ -288,8 +269,11 @@ class FabricNetwork:
         #: purely in-memory, exactly the pre-durability behaviour.
         #: Built before the fault injector so crash-point plans can
         #: validate against (and arm) the per-peer stores.
-        self.storage = StorageRuntime.from_config(self.config, chain_name)
-        if self.storage is not None:
+        self.storage = None
+        if backends.storage is not None:
+            self.storage = StorageRuntime.from_config(
+                self.config, chain_name, backends.storage
+            )
             for peer in self.peers:
                 self.storage.attach_peer(peer)
             if self.pbft is not None:
@@ -320,16 +304,10 @@ class FabricNetwork:
         env.process(self._pump())
         env.process(self._cut_loop())
 
-        plan_source = self.config.fault_plan or os.environ.get(
-            "REPRO_FAULT_PLAN"
-        )
-        # ``fault_plan="off"`` pins a network fault-free even when an
-        # ambient REPRO_FAULT_PLAN is exported — differential suites
-        # need a guaranteed-clean leg to compare against.
-        if plan_source and plan_source.strip().lower() != "off":
+        if backends.fault_plan is not None:
             from repro.faults import FaultInjector, FaultPlan
 
-            FaultInjector(self, FaultPlan.from_source(plan_source))
+            FaultInjector(self, FaultPlan.from_source(backends.fault_plan))
 
     # -- administration ------------------------------------------------------
 

@@ -1,9 +1,7 @@
-"""Pluggable commit backend: abort-on-conflict vs. OCC rebase.
+"""Commit policy: abort-on-conflict vs. OCC rebase.
 
-The third backend dimension, after crypto (:mod:`repro.crypto.backend`)
-and ledger (:mod:`repro.ledger.backend`).  It selects what a peer does
-when commit-time MVCC validation finds that a transaction's read set
-no longer matches current state:
+What a peer does when commit-time MVCC validation finds that a
+transaction's read set no longer matches current state:
 
 ``reference`` (default)
     Fabric's first-committer-wins rule, preserved verbatim from the
@@ -42,13 +40,11 @@ the rebase itself is the deterministic re-execution every endorser
 would perform.  ``DESIGN.md`` §Backend matrix documents the rule and
 its limits.
 
-Selection mirrors the other layers: process-wide default from the
-``REPRO_COMMIT_BACKEND`` environment variable (``reference`` if unset
-— rebasing changes *observable semantics* under contention, so unlike
-the wall-clock-only backends it is opt-in), :func:`set_backend` /
-:func:`use_backend` for programmatic switches, and
-``NetworkConfig.commit_backend`` plus the bench harness's
-``commit_backend=...`` / ``--commit`` knobs for per-network pinning.
+Selection: ``NetworkConfig.commit_backend``, else the
+``REPRO_COMMIT_BACKEND`` environment variable, else ``reference`` —
+rebasing changes *observable semantics* under contention, so it is
+opt-in.  :func:`repro.fabric.config.resolve_backends` reads the choice
+once per network; the network hands the policy to its peers.
 
 On conflict-free workloads the two backends are byte-identical — same
 blocks, tips, state roots, validation codes, and audit verdicts
@@ -58,14 +54,8 @@ occ backend turns aborts into commits, which is exactly the point.
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
-
-#: Environment variable naming the default backend.
-BACKEND_ENV_VAR = "REPRO_COMMIT_BACKEND"
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -84,64 +74,12 @@ class CommitBackend:
     max_rebase_attempts: int = 1
 
 
-_BACKENDS: dict[str, CommitBackend] = {
+#: name -> policy; the names are what ``commit_backend`` /
+#: ``REPRO_COMMIT_BACKEND`` accept.
+COMMIT_BACKENDS: dict[str, CommitBackend] = {
     "occ": CommitBackend("occ", rebase_conflicts=True, max_rebase_attempts=2),
     "reference": CommitBackend("reference", rebase_conflicts=False),
 }
-
-_lock = threading.Lock()
-
-
-def available_backends() -> list[str]:
-    """Names accepted by :func:`set_backend`, sorted."""
-    return sorted(_BACKENDS)
-
-
-def _resolve(name: str) -> CommitBackend:
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown commit backend {name!r}; "
-            f"expected one of {available_backends()}"
-        )
-    return backend
-
-
-_active: CommitBackend = _resolve(
-    os.environ.get(BACKEND_ENV_VAR, "reference")
-)
-
-
-def get_backend() -> CommitBackend:
-    """The currently active backend."""
-    return _active
-
-
-def resolve_backend(name: str | None) -> CommitBackend:
-    """``name`` resolved to a backend; ``None`` means the active one."""
-    if name is None:
-        return _active
-    return _resolve(name)
-
-
-def set_backend(name: str) -> CommitBackend:
-    """Switch the process-wide backend; returns the new backend."""
-    global _active
-    backend = _resolve(name)
-    with _lock:
-        _active = backend
-    return backend
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[CommitBackend]:
-    """Temporarily switch backends within a ``with`` block."""
-    previous = _active.name
-    backend = set_backend(name)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
 
 
 # -- re-simulation records -----------------------------------------------------

@@ -22,11 +22,10 @@ from repro.fabric.endorser import (
     simulated_signature,
 )
 from repro.fabric.identity import User
-from repro.fabric.validation import BlockValidationMemo, conflict_schedule
-from repro.ledger import backend as ledger_backend
+from repro.fabric.validation import BlockValidationMemo
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
-from repro.ledger.merkle_state import IncrementalStateDigest, StateDigest
+from repro.ledger.merkle_state import IncrementalStateDigest
 from repro.ledger.statedb import StateDatabase, Version
 from repro.ledger.transaction import Transaction
 
@@ -75,8 +74,7 @@ class Peer:
         registry: ChaincodeRegistry,
         chain_name: str = "main",
         real_signatures: bool = True,
-        ledger_backend_name: str | None = None,
-        commit_backend_name: str | None = None,
+        commit_backend: occ.CommitBackend = occ.COMMIT_BACKENDS["reference"],
     ):
         self.peer_id = peer_id
         self.identity = identity
@@ -84,24 +82,20 @@ class Peer:
         self.chain = Blockchain(chain_name)
         self.statedb = StateDatabase()
         self.real_signatures = real_signatures
-        #: Which ledger hot-path implementation this peer runs.  Captured
-        #: at construction (not per call): an incremental digest must
-        #: observe every write from genesis to stay coherent.
-        self.ledger_backend = ledger_backend.resolve_backend(ledger_backend_name)
         #: Commit-time conflict policy (abort vs. occ rebase; see
-        #: :mod:`repro.fabric.occ`).  Captured at construction like the
-        #: ledger backend: recovery replays must rebase exactly the way
-        #: the original commits did.
-        self.commit_backend = occ.resolve_backend(commit_backend_name)
+        #: :mod:`repro.fabric.occ`), handed down by the network.  Fixed
+        #: for the peer's life: recovery replays must rebase exactly the
+        #: way the original commits did.
+        self.commit_backend = commit_backend
         #: tid -> :class:`repro.fabric.occ.ResimRecord` — the proposal
         #: context needed to re-execute a conflicted transaction.  The
         #: network shares one index across all its peers; without an
         #: entry a conflicted transaction aborts as under the reference
         #: backend.
         self.resim: dict[str, occ.ResimRecord] = {}
-        self._digest: IncrementalStateDigest | None = None
-        if self.ledger_backend.incremental_state_digest:
-            self._digest = IncrementalStateDigest(self.statedb)
+        #: Subscribed from genesis: an incremental digest must observe
+        #: every write to stay coherent.
+        self._digest = IncrementalStateDigest(self.statedb)
         #: MAC secret for simulated signatures; shared via the network's
         #: trust map so other peers can verify.
         self.mac_secret = hmac_sha256(b"peer-secret", peer_id.encode())
@@ -117,6 +111,26 @@ class Peer:
     def attach_store(self, store) -> None:
         """Attach a durable store; subsequent commits are WAL-logged."""
         self.store = store
+
+    def empty_replica(self) -> "Peer":
+        """A replica of this peer that has committed nothing yet.
+
+        Same identity, chaincode registry, chain name, signature mode
+        and commit policy, and the *same* re-simulation index — a
+        replica that replays this peer's blocks must rebase exactly as
+        this peer did.  No store is attached, so what it commits is not
+        logged to this peer's WAL.
+        """
+        replica = Peer(
+            peer_id=self.peer_id,
+            identity=self.identity,
+            registry=self.registry,
+            chain_name=self.chain.name,
+            real_signatures=self.real_signatures,
+            commit_backend=self.commit_backend,
+        )
+        replica.resim = self.resim
+        return replica
 
     # -- endorsement -------------------------------------------------------
 
@@ -351,17 +365,10 @@ class Peer:
            the transaction bytes and key material, so reusing another
            peer's results via the shared ``memo`` returns exactly what
            the serial loop's per-transaction calls return.
-        2. A transaction whose read keys are disjoint from every
-           earlier in-block write set sees the same state versions
-           whether checked against the pre-block state or mid-loop, so
-           its MVCC verdict can be precomputed.  The schedule is
-           conservative (it counts the writes of transactions that
-           later turn out invalid), which can only move a transaction
-           to the serial pass — never change a verdict.
-        3. The final pass walks the block in order: dependent verdicts
-           are evaluated against the evolving state exactly as the
-           serial loop would, and valid writes are applied with the
-           same ``Version(block, position)``.
+        2. The pass walks the block in order: MVCC verdicts are
+           evaluated against the evolving state exactly as the serial
+           loop would, and valid writes are applied with the same
+           ``Version(block, position)``.
 
         Additionally, verdicts are shared across replicas: state is a
         deterministic fold of the chain, so a peer whose tip hash
@@ -392,32 +399,21 @@ class Peer:
                 )
                 memo.rwsets[tx.tid] = rwset
 
-        rwsets = [memo.rwsets[tx.tid] for tx in txs]
-
-        def mvcc_clean(position: int) -> bool:
-            return all(
-                self.statedb.version_of(key) == version
-                for key, version in rwsets[position][0].items()
-            )
-
-        independent, _dependent = conflict_schedule(rwsets)
-        verdicts = {position: mvcc_clean(position) for position in independent}
-
         codes: dict[str, ValidationCode] = {}
         rebased: dict[str, dict] = {}
         for position, tx in enumerate(txs):
             if not memo.endorsement_ok[tx.tid]:
                 codes[tx.tid] = ValidationCode.ENDORSEMENT_POLICY_FAILURE
                 continue
-            clean = verdicts.get(position)
-            if clean is None:
-                clean = mvcc_clean(position)
-            write_set = rwsets[position][1]
+            read_set, write_set = memo.rwsets[tx.tid]
+            clean = all(
+                self.statedb.version_of(key) == version
+                for key, version in read_set.items()
+            )
             if not clean:
-                # conflict_schedule's dependent list is the rebase
-                # worklist: a conflicted transaction re-executes here,
-                # in block order, against the evolving state — exactly
-                # where the serial loop would rebase it.
+                # A conflicted transaction re-executes here, in block
+                # order, against the evolving state — exactly where the
+                # serial loop would rebase it.
                 new_writes = self._try_rebase(tx, write_set)
                 if new_writes is None:
                     codes[tx.tid] = ValidationCode.MVCC_CONFLICT
@@ -438,11 +434,7 @@ class Peer:
         "everything in memory is gone" starting point for recovery."""
         self.chain = Blockchain(self.chain.name)
         self.statedb = StateDatabase()
-        self._digest = (
-            IncrementalStateDigest(self.statedb)
-            if self.ledger_backend.incremental_state_digest
-            else None
-        )
+        self._digest = IncrementalStateDigest(self.statedb)
         self.validation_codes = {}
 
     def apply_recovered_block(
@@ -527,18 +519,15 @@ class Peer:
         )
         return len(blocks)
 
-    def state_digest(self):
-        """A digest of current world state with ``root``/``prove``/``verify``.
+    def state_digest(self) -> IncrementalStateDigest:
+        """The digest of current world state (``root``/``prove``/``verify``).
 
-        Under the fast ledger backend this is the peer's persistent
-        incremental digest (amortised O(dirty·log n) per block); under
-        the reference backend a fresh full-rebuild
-        :class:`~repro.ledger.merkle_state.StateDigest`, as the seed
-        code computed.  Both produce byte-identical roots and proofs.
+        Maintained incrementally (amortised O(dirty·log n) per block);
+        byte-identical to a full rebuild by
+        :class:`~repro.ledger.merkle_state.StateDigest`, which the
+        differential tests compare it against.
         """
-        if self._digest is not None:
-            return self._digest
-        return StateDigest(self.statedb)
+        return self._digest
 
     def current_state_root(self) -> bytes:
         """Merkle root of this peer's world state."""

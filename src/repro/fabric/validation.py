@@ -1,15 +1,12 @@
 """Block-validation work shared across a block's replicas.
 
-Two helpers for :meth:`repro.fabric.peer.Peer.validate_and_commit`:
-:class:`BlockValidationMemo` lets the peers validating one block compute
-its pure checks and same-tip MVCC verdicts once, and
-:func:`conflict_schedule` splits a block into transactions whose MVCC
-verdict can be read off the pre-block state and those that must be
-checked in block order (also the occ commit backend's rebase worklist).
+:class:`BlockValidationMemo` lets the peers validating one block
+(:meth:`repro.fabric.peer.Peer.validate_and_commit`) compute its pure
+checks and same-tip MVCC verdicts once.
 
-Both are pure memoisation: validation codes, applied writes, state
-roots and every simulated-time metric equal the transaction-by-
-transaction loop (``Peer._validate_serial``), which
+It is pure memoisation: validation codes, applied writes, state roots
+and every simulated-time metric equal the transaction-by-transaction
+loop (``Peer._validate_serial``), which
 ``tests/fabric/test_validation_differential.py`` replays every block
 through as the oracle.
 """
@@ -17,7 +14,7 @@ through as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 
 @dataclass
@@ -111,32 +108,3 @@ class BlockValidationMemo:
             self.rebased = dict(rebased or {})
             self.codes_tip = tip_hash
 
-
-def conflict_schedule(
-    rwsets: Sequence[tuple[dict, dict]],
-) -> tuple[list[int], list[int]]:
-    """Split a block's transactions by intra-block read/write conflicts.
-
-    Returns ``(independent, dependent)`` index lists.  A transaction is
-    *independent* when none of its read keys is written by any earlier
-    transaction in the block: its MVCC verdict against the pre-block
-    state equals its verdict in the serial execution, so it can be
-    computed up front.  Every other transaction is *dependent* and
-    must be checked serially, in block order, against the evolving
-    state.
-
-    The earlier writer's own validity is ignored — treating an invalid
-    writer's keys as conflicts is conservative (it only forces a serial
-    check that returns the same verdict), which keeps the schedule a
-    pure function of the read/write sets.
-    """
-    written: set[str] = set()
-    independent: list[int] = []
-    dependent: list[int] = []
-    for index, (read_set, write_set) in enumerate(rwsets):
-        if written and any(key in written for key in read_set):
-            dependent.append(index)
-        else:
-            independent.append(index)
-        written.update(write_set)
-    return independent, dependent

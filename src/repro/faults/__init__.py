@@ -30,7 +30,6 @@ from repro.faults.health import HeartbeatMonitor, PhiAccrualDetector
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import (
-    ENV_VAR,
     CrashPointSpec,
     FaultEvent,
     FaultPlan,
@@ -52,7 +51,6 @@ from repro.sim.faults import (
 )
 
 __all__ = [
-    "ENV_VAR",
     "CrashPointSpec",
     "DegradationSpec",
     "FaultDecision",

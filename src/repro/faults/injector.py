@@ -256,7 +256,7 @@ class FaultInjector:
         ]
         return min(active, default=None)
 
-    def view_corruption_active(self) -> bool:
+    def corrupts_views(self) -> bool:
         """Whether the owner currently serves tampered view payloads."""
         now = self.env.now
         return any(

@@ -64,8 +64,6 @@ from dataclasses import dataclass, field
 from repro.errors import FaultInjectionError
 from repro.sim.faults import DegradationSpec, MessageFaultRule, PartitionSpec
 
-ENV_VAR = "REPRO_FAULT_PLAN"
-
 EVENT_KINDS = (
     "crash_peer",
     "crash_orderer",
@@ -330,11 +328,3 @@ class FaultPlan:
             with open(source, encoding="utf-8") as handle:
                 text = handle.read()
         return cls.from_json(text)
-
-    @classmethod
-    def from_env(cls, env_var: str = ENV_VAR) -> "FaultPlan | None":
-        """The process-wide plan from ``REPRO_FAULT_PLAN``, if set."""
-        source = os.environ.get(env_var)
-        if not source:
-            return None
-        return cls.from_source(source)

@@ -17,8 +17,8 @@ Two complementary mechanisms bring a replica back after a fault:
   re-commits go through the normal commit path, so a stored peer
   WAL-logs the re-fetched blocks — the repaired log is durable too.
 
-Both reuse the ledger backend layer: a peer on the fast backend comes
-back with a fresh incremental state digest rebuilt from the replay.
+Either way the peer comes back with a fresh incremental state digest
+rebuilt from the replay.
 """
 
 from __future__ import annotations

@@ -7,13 +7,6 @@ state embedded in block headers so integrity proofs can be checked
 without trusting any single peer.
 """
 
-from repro.ledger.backend import (
-    LedgerBackend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.chain import Blockchain
 from repro.ledger.statedb import StateDatabase, Version
@@ -26,9 +19,4 @@ __all__ = [
     "Blockchain",
     "StateDatabase",
     "Version",
-    "LedgerBackend",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
 ]

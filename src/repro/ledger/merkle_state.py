@@ -22,7 +22,9 @@ Two implementations produce byte-identical digests:
   re-hash of an untouched entry — and a run that never asks for a root
   encodes and hashes nothing.
 
-Which one a peer uses is decided by :mod:`repro.ledger.backend`.
+Peers run the incremental digest; :class:`StateDigest` (and its
+one-shot :func:`state_root`) is the oracle the differential tests and
+the ledger microbench rebuild next to it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ class StateDigest:
     """Merkle tree over the sorted entries of a state database."""
 
     def __init__(self, statedb: StateDatabase):
-        self._keys = statedb.keys()  # sorted
-        self._leaves = [_encode_entry(k, statedb.get(k)) for k in self._keys]
+        # Sorted here, not read from the database's key index: the
+        # oracle must not inherit a fault in what it is compared with.
+        state = statedb.snapshot()
+        self._keys = sorted(state)
+        self._leaves = [_encode_entry(k, state[k]) for k in self._keys]
         self._tree = MerkleTree(self._leaves)
 
     def root(self) -> bytes:

@@ -9,13 +9,10 @@ changed (paper §5.1's validation phase).
 Keys are namespaced ``"<chaincode>~<key>"`` by the chaincode layer;
 this module treats keys as opaque strings.
 
-Two scan implementations coexist behind
-:mod:`repro.ledger.backend`: the seed's full-sort linear scan
-(``reference``) and a bisect range over a maintained sorted-key index
-(``fast``).  The index is maintained unconditionally — its upkeep is a
-single ``insort`` per *new* key — so the process-wide backend can be
-switched at any point without invalidating existing databases; only
-the *read* paths consult the switch.
+Scans are a bisect range over a maintained sorted-key index (one
+``insort`` per *new* key); ``tests/ledger/test_statedb.py`` and
+``tests/properties`` compare them with a ``sorted()`` pass over the
+whole key space, which is what the seed did per scan.
 
 Writes are observable: a listener registered via :meth:`subscribe`
 (e.g. an incremental Merkle digest) is told about every ``put`` and
@@ -28,8 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any, Iterator, Protocol
-
-from repro.ledger import backend as ledger_backend
 
 
 @dataclass(frozen=True, order=True)
@@ -120,29 +115,21 @@ class StateDatabase:
         """Yield ``(key, value)`` for keys starting with ``prefix``.
 
         Iteration order is sorted by key, mirroring LevelDB's ordered
-        iteration, so results are deterministic.  Under the ``fast``
-        ledger backend the matching range is located by bisect on the
-        maintained index — O(log n + matches) instead of the reference
-        path's full O(n log n) re-sort.
+        iteration, so results are deterministic.  The matching range is
+        located by bisect on the maintained index — O(log n + matches)
+        instead of a full O(n log n) re-sort.
         """
-        if ledger_backend.get_backend().indexed_scans:
-            keys = self._sorted_keys
-            start = bisect_left(keys, prefix)
-            end = start
-            while end < len(keys) and keys[end].startswith(prefix):
-                end += 1
-            for key in keys[start:end]:
-                yield key, self._data[key].value
-        else:
-            for key in sorted(self._data):
-                if key.startswith(prefix):
-                    yield key, self._data[key].value
+        keys = self._sorted_keys
+        start = bisect_left(keys, prefix)
+        end = start
+        while end < len(keys) and keys[end].startswith(prefix):
+            end += 1
+        for key in keys[start:end]:
+            yield key, self._data[key].value
 
     def keys(self) -> list[str]:
         """All keys, sorted."""
-        if ledger_backend.get_backend().indexed_scans:
-            return list(self._sorted_keys)
-        return sorted(self._data)
+        return list(self._sorted_keys)
 
     def size_bytes(self) -> int:
         """Approximate storage footprint of the current state.

@@ -16,8 +16,8 @@ Public surface:
 - :class:`ConsistentHashRing` — deterministic view → shard placement
   with bounded key movement on resharding.
 - :class:`CoordinatorContract` / :class:`ShardContract` — the shared
-  cross-shard 2PC chaincodes (``repro.baseline.twopc`` re-exports
-  them, so the baseline and the scale-out path run identical logic).
+  cross-shard 2PC chaincodes (``repro.baseline`` runs the same ones,
+  so the baseline and the scale-out path run identical logic).
 - :class:`TwoPhaseCoordinator` — the crash-safe client-side driver
   with a write-ahead decision log.
 - :class:`ShardedNetwork` — N channels + router + cross-shard layer.

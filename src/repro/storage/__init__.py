@@ -3,8 +3,9 @@
 See ``docs/PERSISTENCE.md`` for the on-disk formats and the recovery
 protocol.  Public surface:
 
-- :class:`StorageRuntime` — one network's durability (built from
-  ``NetworkConfig.storage_backend`` / ``REPRO_STORAGE_BACKEND``).
+- :class:`StorageRuntime` — one network's durability (built when
+  ``NetworkConfig.storage_backend`` / ``REPRO_STORAGE_BACKEND``
+  resolves to a medium).
 - :class:`NodeStore` / :class:`OwnerStore` — per-node WAL + snapshots,
   per-owner TLC journal.
 - :class:`WriteAheadLog`, snapshot read/write helpers, the injectable
@@ -17,7 +18,6 @@ protocol.  Public surface:
 from repro.storage.crashpoints import CrashPointGuard
 from repro.storage.fs import DiskFilesystem, Filesystem, MemoryFilesystem
 from repro.storage.node import (
-    STORAGE_ENV_VAR,
     NodeStore,
     RecoveryReport,
     StorageRuntime,
@@ -50,7 +50,6 @@ __all__ = [
     "NodeStore",
     "OwnerStore",
     "RecoveryReport",
-    "STORAGE_ENV_VAR",
     "Snapshot",
     "StorageRuntime",
     "WalReplay",

@@ -31,7 +31,6 @@ falls back to the legacy genesis re-validation.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -46,11 +45,6 @@ from repro.storage.crashpoints import CrashPointGuard
 from repro.storage.fs import DiskFilesystem, Filesystem, MemoryFilesystem
 from repro.storage.owner import OwnerStore
 from repro.storage.wal import WriteAheadLog
-
-#: Environment variable naming the process-wide storage backend
-#: ("memory", "disk", or "none"); ``NetworkConfig.storage_backend``
-#: overrides it per network.
-STORAGE_ENV_VAR = "REPRO_STORAGE_BACKEND"
 
 
 @dataclass
@@ -338,29 +332,21 @@ class StorageRuntime:
         self._owner_stores: dict[str, OwnerStore] = {}
 
     @classmethod
-    def from_config(cls, config, chain_name: str = "main") -> "StorageRuntime | None":
-        """Build a runtime from ``NetworkConfig``; None when disabled.
+    def from_config(
+        cls, config, chain_name: str, backend: str
+    ) -> "StorageRuntime":
+        """Build a runtime on the "memory" or "disk" medium.
 
-        ``config.storage_backend`` wins; ``None`` falls back to the
-        ``REPRO_STORAGE_BACKEND`` environment variable; unset means
-        "none" — durability off, zero behaviour change for existing
-        runs.
+        ``backend`` is what
+        :func:`repro.fabric.config.resolve_backends` made of
+        ``config.storage_backend`` / ``REPRO_STORAGE_BACKEND``; a
+        network whose resolved medium is ``None`` builds no runtime.
         """
-        backend = config.storage_backend
-        if backend is None:
-            backend = os.environ.get(STORAGE_ENV_VAR)
-        backend = (backend or "none").lower()
-        if backend in ("none", "off"):
-            return None
-        if backend == "memory":
-            fs: Filesystem = MemoryFilesystem()
-        elif backend == "disk":
-            fs = DiskFilesystem(config.storage_dir)
-        else:
-            raise StorageError(
-                f"unknown storage backend {backend!r}; "
-                "expected 'memory', 'disk', or 'none'"
-            )
+        fs: Filesystem = (
+            DiskFilesystem(config.storage_dir)
+            if backend == "disk"
+            else MemoryFilesystem()
+        )
         return cls(
             fs,
             chain_name=chain_name,
@@ -438,25 +424,15 @@ def verify_restart(network, peer) -> RecoveryReport:
     :class:`~repro.faults.InvariantMonitor` wraps that into an
     invariant violation.
     """
-    from repro.fabric.peer import Peer
     from repro.faults.recovery import catch_up
 
     store = peer.store
     if store is None:
         raise StorageError(f"peer {peer.peer_id} has no store attached")
-    shadow = Peer(
-        peer_id=peer.peer_id,
-        identity=peer.identity,
-        registry=peer.registry,
-        chain_name=peer.chain.name,
-        real_signatures=peer.real_signatures,
-        ledger_backend_name=peer.ledger_backend.name,
-        commit_backend_name=peer.commit_backend.name,
-    )
     # Catch-up re-validates missing blocks from scratch, so the shadow
-    # needs the same re-simulation records the live peer used — rebases
-    # must replay identically or the byte-identity checks below fail.
-    shadow.resim = peer.resim
+    # shares the live peer's re-simulation records — rebases must
+    # replay identically or the byte-identity checks below fail.
+    shadow = peer.empty_replica()
     report = store.recover_peer(shadow)
     # The shadow has no store of its own, so catch-up commits do not
     # append duplicate records to the live peer's WAL.

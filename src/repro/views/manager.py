@@ -120,18 +120,7 @@ class ViewManager(ABC):
         use_txlist: bool = False,
         txlist_flush_interval_ms: float = 30_000.0,
         txlist_max_pending: int | None = None,
-        crypto_backend: str | None = None,
     ):
-        # ``crypto_backend`` selects the AES implementation used for all
-        # concealment/sealing this manager performs ("fast" or
-        # "reference"; see repro.crypto.backend).  The switch is
-        # process-wide — both backends produce identical bytes, so the
-        # knob only trades speed for auditability.
-        if crypto_backend is not None:
-            from repro.crypto.backend import set_backend
-
-            set_backend(crypto_backend)
-        self.crypto_backend = crypto_backend
         self.gateway = gateway
         self.owner = gateway.user
         self.msp = gateway.network.msp
@@ -781,7 +770,7 @@ class ViewManager(ABC):
         # perfectly well-formed.
         faults = self.gateway.network.faults
         stale_cutoff = faults.stale_view_cutoff() if faults is not None else None
-        corrupting = faults is not None and faults.view_corruption_active()
+        corrupting = faults is not None and faults.corrupts_views()
         entries: dict[str, str] = {}
         for tid in requested:
             if tid not in record.data:

@@ -72,8 +72,7 @@ class StateProofService:
             raise MerkleProofError(
                 f"view {view!r} has no on-chain entry for {tid!r}"
             )
-        # The peer's digest: incremental (amortised O(log n) per proof)
-        # under the fast ledger backend, a full rebuild under reference.
+        # The peer's incremental digest: amortised O(log n) per proof.
         digest = peer.state_digest()
         block_number = self.latest_anchored_block()
         root = self.network.state_roots[block_number]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ChaincodeError
-from repro.baseline.twopc import CoordinatorContract, ShardContract
+from repro.sharding.crossshard import CoordinatorContract, ShardContract
 from repro.fabric.chaincode import TxContext
 from repro.ledger.statedb import StateDatabase, Version
 

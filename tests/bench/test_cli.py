@@ -2,8 +2,10 @@
 
 import os
 
+from repro import build_network
 from repro.bench import __main__ as cli
 from repro.crypto import rsa
+from repro.fabric.config import NetworkConfig
 
 
 def test_help_exits_zero(capsys):
@@ -82,3 +84,27 @@ def test_removed_pipeline_flags_exit_two(capsys):
     assert cli.main(["--pipeline", "reference", "fig4"]) == 2
     assert cli.main(["--workers", "8", "all"]) == 2
     assert "--workers" in capsys.readouterr().err
+    assert cli.main(["--crypto", "reference", "fig4"]) == 2
+    assert cli.main(["--ledger", "reference", "fig4"]) == 2
+    assert "--ledger" in capsys.readouterr().err
+
+
+def test_commit_flag_reaches_the_networks_the_figures_build(monkeypatch, capsys):
+    """``--commit occ`` is what a figure's networks resolve, and only
+    for the duration of the run."""
+    seen = {}
+
+    def fake_figure():
+        network = build_network(NetworkConfig(real_signatures=False))
+        seen["commit"] = network.commit_backend.name
+
+    monkeypatch.delenv("REPRO_COMMIT_BACKEND", raising=False)
+    monkeypatch.setitem(cli.FIGURES, "fig4", fake_figure)
+    assert cli.main(["--commit", "occ", "fig4"]) == 0
+    assert seen["commit"] == "occ"
+    assert "REPRO_COMMIT_BACKEND" not in os.environ
+    assert cli.main(["fig4"]) == 0
+    assert seen["commit"] == "reference"
+    assert cli.main(["--commit", "speculative", "fig4"]) == 2
+    assert "speculative" in capsys.readouterr().err
+    assert cli.main(["fig4", "--commit"]) == 2

@@ -1,10 +1,11 @@
-"""The crypto backend layer: selection, caching, and FIPS-197 on both.
+"""The crypto fast path against its oracle: FIPS-197, CTR, envelope.
 
-The fast path (:class:`AESFast`) must be byte-identical to the
-reference implementation everywhere — these tests pin the published
-vectors on *both* backends, exercise the selection API, and check the
-caching contracts (key-schedule reuse under ``fast``, fresh expansion
-under ``reference``, CRT-parameter memoisation gated on the backend).
+:class:`AESFast` and the batched CTR path in :mod:`repro.crypto.modes`
+must be byte-identical to the reference :class:`AES` everywhere — these
+tests pin the published vectors on the fast path, compare keystreams
+and whole sealed messages with ones built from :class:`AES` alone, and
+check the caching contracts (key-schedule reuse, CRT-parameter
+memoisation).
 """
 
 import secrets
@@ -13,41 +14,35 @@ import pytest
 
 from repro.crypto import backend, modes, rsa
 from repro.crypto.aes import AES, AESFast
+from repro.crypto.hashing import hmac_sha256, sha256
+from repro.errors import DecryptionError
 from tests.crypto.test_aes import FIPS_VECTORS, PLAINTEXT
 
 
-# -- selection API ----------------------------------------------------------
+# -- the oracle: the envelope built from the reference AES alone -------------
 
 
-def test_available_backends():
-    assert backend.available_backends() == ["fast", "reference"]
+def _subkeys(key: bytes) -> tuple[bytes, bytes]:
+    """The wire format's subkey derivation, restated (not imported)."""
+    return sha256(b"ledgerview/enc" + key)[: len(key)], sha256(b"ledgerview/mac" + key)
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown crypto backend"):
-        backend.set_backend("openssl")
+def aes_built_envelope(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """``nonce || ciphertext || tag`` from :class:`AES`, block by block."""
+    enc_key, mac_key = _subkeys(key)
+    ciphertext = modes.ctr_xor_reference(enc_key, nonce, plaintext)
+    return nonce + ciphertext + hmac_sha256(mac_key, nonce + ciphertext)
 
 
-def test_use_backend_restores_previous():
-    before = backend.get_backend().name
-    with backend.use_backend("reference") as active:
-        assert active.name == "reference"
-        assert backend.get_backend().name == "reference"
-        with backend.use_backend("fast"):
-            assert backend.get_backend().name == "fast"
-        assert backend.get_backend().name == "reference"
-    assert backend.get_backend().name == before
+def open_aes_built_envelope(key: bytes, sealed: bytes) -> bytes:
+    enc_key, mac_key = _subkeys(key)
+    nonce, ciphertext, tag = sealed[:16], sealed[16:-32], sealed[-32:]
+    if hmac_sha256(mac_key, nonce + ciphertext) != tag:
+        raise DecryptionError("oracle: tag mismatch")
+    return modes.ctr_xor_reference(enc_key, nonce, ciphertext)
 
 
-def test_use_backend_restores_on_exception():
-    before = backend.get_backend().name
-    with pytest.raises(RuntimeError):
-        with backend.use_backend("reference"):
-            raise RuntimeError("boom")
-    assert backend.get_backend().name == before
-
-
-# -- FIPS-197 on both implementations ---------------------------------------
+# -- FIPS-197 on the fast path (the reference: tests/crypto/test_aes.py) ------ ---------------------------------------
 
 
 @pytest.mark.parametrize("key_hex,expected_hex", FIPS_VECTORS)
@@ -108,75 +103,68 @@ def test_ctr_keystream_scalar_and_vector_paths_agree():
     assert batched == scalar
 
 
-# -- cross-backend interoperability -----------------------------------------
+# -- sealed messages against the AES-built envelope ---------------------------
 
 
-def test_sealed_messages_interoperate_across_backends():
-    """A message sealed under one backend opens under the other."""
+@pytest.mark.parametrize("key_size", [16, 24, 32])
+@pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 777])
+def test_same_nonce_same_bytes_as_the_aes_built_envelope(key_size, length):
+    key = secrets.token_bytes(key_size)
+    nonce = secrets.token_bytes(16)
+    payload = secrets.token_bytes(length)
+    assert modes.encrypt(key, payload, nonce=nonce) == aes_built_envelope(
+        key, payload, nonce
+    )
+
+
+def test_sealed_messages_interoperate_with_the_aes_built_envelope():
+    """What the library seals the oracle opens, and the other way round."""
     key = secrets.token_bytes(32)
     payload = secrets.token_bytes(777)
-    with backend.use_backend("fast"):
-        sealed_fast = modes.encrypt(key, payload)
-    with backend.use_backend("reference"):
-        sealed_ref = modes.encrypt(key, payload)
-        assert modes.decrypt(key, sealed_fast) == payload
-    with backend.use_backend("fast"):
-        assert modes.decrypt(key, sealed_ref) == payload
+    assert open_aes_built_envelope(key, modes.encrypt(key, payload)) == payload
+    oracle_sealed = aes_built_envelope(key, payload, secrets.token_bytes(16))
+    assert modes.decrypt(key, oracle_sealed) == payload
 
 
-def test_same_nonce_same_ciphertext_across_backends():
+def test_ctr_nonce_wraparound_matches_the_reference_loop():
     key = secrets.token_bytes(16)
-    nonce = secrets.token_bytes(16)
+    nonce = ((1 << 128) - 2).to_bytes(16, "big")
     payload = secrets.token_bytes(100)
-    with backend.use_backend("fast"):
-        fast = modes.encrypt(key, payload, nonce=nonce)
-    with backend.use_backend("reference"):
-        ref = modes.encrypt(key, payload, nonce=nonce)
-    assert fast == ref
+    assert modes.encrypt(key, payload, nonce=nonce) == aes_built_envelope(
+        key, payload, nonce
+    )
 
 
 # -- caching contracts ------------------------------------------------------
 
 
-def test_fast_backend_reuses_cipher_instances():
+def test_aes_for_key_reuses_cipher_instances():
     key = secrets.token_bytes(16)
-    with backend.use_backend("fast"):
-        backend.clear_caches()
-        a = backend.aes_for_key(key)
-        b = backend.aes_for_key(key)
+    backend.clear_caches()
+    a = backend.aes_for_key(key)
+    b = backend.aes_for_key(bytearray(key))
     assert a is b
     assert isinstance(a, AESFast)
 
 
-def test_reference_backend_never_caches():
-    key = secrets.token_bytes(16)
-    with backend.use_backend("reference"):
-        a = backend.aes_for_key(key)
-        b = backend.aes_for_key(key)
-    assert a is not b
-    assert isinstance(a, AES)
-
-
 def test_clear_caches_drops_instances():
     key = secrets.token_bytes(16)
-    with backend.use_backend("fast"):
-        a = backend.aes_for_key(key)
-        backend.clear_caches()
-        b = backend.aes_for_key(key)
+    a = backend.aes_for_key(key)
+    backend.clear_caches()
+    b = backend.aes_for_key(key)
     assert a is not b
 
 
-def test_crt_memo_gated_on_backend():
+def test_crt_params_memoised_per_key_and_outside_equality():
     pair = rsa.generate_keypair(512)
-    with backend.use_backend("reference"):
-        fresh = rsa.RSAPrivateKey(
-            n=pair.private.n, d=pair.private.d, p=pair.private.p, q=pair.private.q
-        )
-        fresh._crt_params()
-        assert getattr(fresh, "_crt_cache", None) is None
-    with backend.use_backend("fast"):
-        params = fresh._crt_params()
-        assert getattr(fresh, "_crt_cache", None) == params
+    fresh = rsa.RSAPrivateKey(
+        n=pair.private.n, d=pair.private.d, p=pair.private.p, q=pair.private.q
+    )
+    assert getattr(fresh, "_crt_cache", None) is None
+    params = fresh._crt_params()
+    assert fresh._crt_cache == params
+    assert fresh._crt_params() is params
+    assert fresh == pair.private  # the memo is not a dataclass field
 
 
 # -- RSA differential: CRT vs plain modular exponentiation ------------------

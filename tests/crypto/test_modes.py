@@ -5,7 +5,7 @@ import secrets
 import pytest
 
 from repro.crypto import modes
-from repro.crypto.aes import AES
+from repro.crypto.aes import AESFast
 from repro.errors import DecryptionError
 
 KEY = b"\x11" * 16
@@ -95,8 +95,11 @@ def test_subkey_derivation_separates_enc_and_mac():
 
 
 def test_ctr_xor_is_involution():
-    cipher = AES(KEY)
+    """On the batched path and on the reference loop, which agree."""
+    cipher = AESFast(KEY)
     nonce = b"\x05" * 16
     data = secrets.token_bytes(100)
     once = modes._ctr_keystream_xor(cipher, nonce, data)
     assert modes._ctr_keystream_xor(cipher, nonce, once) == data
+    assert modes.ctr_xor_reference(KEY, nonce, data) == once
+    assert modes.ctr_xor_reference(KEY, nonce, once) == data

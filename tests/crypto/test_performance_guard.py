@@ -11,7 +11,7 @@ envelope path.
 import secrets
 import time
 
-from repro.crypto import backend, modes
+from repro.crypto import modes
 
 
 def _seal_open_seconds(key: bytes, size: int) -> float:
@@ -29,8 +29,7 @@ def test_large_envelope_wall_clock_bound():
     (8192 blocks -> minutes); the fast path does it in milliseconds.
     A 10 s bound leaves two orders of magnitude of slack.
     """
-    with backend.use_backend("fast"):
-        elapsed = _seal_open_seconds(secrets.token_bytes(32), 128 * 1024)
+    elapsed = _seal_open_seconds(secrets.token_bytes(32), 128 * 1024)
     assert elapsed < 10.0, f"128KiB seal+open took {elapsed:.1f}s"
 
 
@@ -42,10 +41,9 @@ def test_envelope_scales_roughly_linearly():
     effects while still rejecting quadratic scaling.
     """
     key = secrets.token_bytes(32)
-    with backend.use_backend("fast"):
-        _seal_open_seconds(key, 16 * 1024)  # warm caches + numpy
-        small = min(_seal_open_seconds(key, 16 * 1024) for _ in range(3))
-        large = min(_seal_open_seconds(key, 128 * 1024) for _ in range(3))
+    _seal_open_seconds(key, 16 * 1024)  # warm caches + numpy
+    small = min(_seal_open_seconds(key, 16 * 1024) for _ in range(3))
+    large = min(_seal_open_seconds(key, 128 * 1024) for _ in range(3))
     assert large < small * 24 + 0.05, (
         f"16KiB: {small * 1e3:.2f}ms, 128KiB: {large * 1e3:.2f}ms"
     )

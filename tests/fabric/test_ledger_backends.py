@@ -1,30 +1,28 @@
-"""Ledger backend selection on the network, and digest coherence.
+"""The peers' incremental state digest against the full-rebuild oracle.
 
-The backend knob rides on :class:`NetworkConfig` (per network) on top
-of the process-wide ``REPRO_LEDGER_BACKEND`` default, mirroring the
-crypto backend layer.  Whatever the choice, every peer must report the
-same state root, and it must equal the reference full rebuild.
+Every peer keeps an :class:`IncrementalStateDigest` from genesis; after
+a multi-block run each one's root and every membership proof must equal
+what :class:`StateDigest` rebuilds from that peer's state database.
 """
-
-import pytest
 
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
-from repro.ledger import backend as ledger_backend
-from repro.ledger.merkle_state import state_root
+from repro.ledger.merkle_state import StateDigest, state_root
 from repro.views.hash_based import HashBasedManager
 from repro.views.predicates import AttributeEquals
 from repro.views.state_proofs import StateProofService
 from repro.views.types import ViewMode
 
 
-def _config(backend_name):
-    return NetworkConfig(
-        latency=SINGLE_REGION,
-        real_signatures=False,
-        batch_timeout_ms=50.0,
-        ledger_backend=backend_name,
+def _network(**overrides):
+    return build_network(
+        NetworkConfig(
+            latency=SINGLE_REGION,
+            real_signatures=False,
+            batch_timeout_ms=50.0,
+            **overrides,
+        )
     )
 
 
@@ -44,43 +42,27 @@ def _commit_some(network, n=3):
     return manager, outcomes
 
 
-def test_config_selects_backend_per_network():
-    fast = build_network(_config("fast"))
-    reference = build_network(_config("reference"))
-    assert all(p.ledger_backend.name == "fast" for p in fast.peers)
-    assert all(p._digest is not None for p in fast.peers)
-    assert all(p.ledger_backend.name == "reference" for p in reference.peers)
-    assert all(p._digest is None for p in reference.peers)
-
-
-def test_config_none_uses_process_default():
-    with ledger_backend.use_backend("reference"):
-        network = build_network(_config(None))
-    assert all(p.ledger_backend.name == "reference" for p in network.peers)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(Exception, match="unknown ledger backend"):
-        build_network(_config("turbo"))
-
-
-@pytest.mark.parametrize("backend_name", ["fast", "reference"])
-def test_all_peers_agree_and_match_reference_rebuild(backend_name):
-    network = build_network(_config(backend_name))
+def test_every_peer_matches_the_full_rebuild_after_a_multi_block_run():
+    network = _network(peer_count=3)
     network.track_state_roots = True
-    _commit_some(network)
+    _commit_some(network, n=5)
+    assert network.reference_peer.chain.height > 3
+    for peer in network.peers:
+        oracle = StateDigest(peer.statedb)
+        assert peer.current_state_root() == oracle.root()
+        digest = peer.state_digest()
+        for key in sorted(peer.statedb.snapshot()):
+            proof = digest.prove(key)
+            assert proof == oracle.prove(key)
+            assert oracle.verify(key, peer.statedb.get(key), proof, oracle.root())
+    # All peers agree, and the root recorded for the newest block is
+    # the current state's root.
     roots = {peer.current_state_root() for peer in network.peers}
-    assert len(roots) == 1
-    # The recorded root for the newest block is the current state's
-    # root, and both equal the one-shot reference computation.
-    reference = state_root(network.reference_peer.statedb)
-    assert roots == {reference}
-    assert network.state_roots[max(network.state_roots)] == reference
+    assert roots == {network.state_roots[max(network.state_roots)]}
 
 
-@pytest.mark.parametrize("backend_name", ["fast", "reference"])
-def test_state_proofs_work_under_either_backend(backend_name):
-    network = build_network(_config(backend_name))
+def test_state_proofs_verify_against_the_anchored_root():
+    network = _network()
     network.track_state_roots = True
     manager, outcomes = _commit_some(network)
     service = StateProofService(network)
@@ -91,7 +73,7 @@ def test_state_proofs_work_under_either_backend(backend_name):
 def test_incremental_digest_tracks_every_committed_block():
     """After each commit the persistent digest equals a fresh rebuild —
     i.e. it really is maintained by observation, not recomputed."""
-    network = build_network(_config("fast"))
+    network = _network()
     peer = network.reference_peer
 
     checked = {"blocks": 0}
@@ -103,3 +85,4 @@ def test_incremental_digest_tracks_every_committed_block():
     network.on_block(on_block)
     _commit_some(network)
     assert checked["blocks"] > 0
+

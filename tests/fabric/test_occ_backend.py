@@ -113,35 +113,15 @@ def _observables(network):
     }
 
 
-# -- registry ------------------------------------------------------------------
+# -- the two policies (selection: tests/fabric/test_backend_selectors.py) -------
 
 
-def test_available_backends():
-    assert occ.available_backends() == ["occ", "reference"]
-
-
-def test_reference_is_the_default():
-    # Rebasing changes observable semantics under contention, so unlike
-    # the wall-clock-only backend layers the default stays "reference".
-    assert occ.resolve_backend(None).name == occ.get_backend().name
-
-
-def test_resolve_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown commit backend"):
-        occ.resolve_backend("speculative")
-
-
-def test_use_backend_scopes_and_restores():
-    before = occ.get_backend().name
-    with occ.use_backend("occ") as backend:
-        assert backend.rebase_conflicts
-        assert occ.get_backend().name == "occ"
-    assert occ.get_backend().name == before
-
-
-def test_backend_flags():
-    assert not occ.resolve_backend("reference").rebase_conflicts
-    assert occ.resolve_backend("occ").max_rebase_attempts >= 1
+def test_the_two_policies():
+    assert sorted(occ.COMMIT_BACKENDS) == ["occ", "reference"]
+    assert all(name == policy.name for name, policy in occ.COMMIT_BACKENDS.items())
+    assert not occ.COMMIT_BACKENDS["reference"].rebase_conflicts
+    assert occ.COMMIT_BACKENDS["occ"].rebase_conflicts
+    assert occ.COMMIT_BACKENDS["occ"].max_rebase_attempts >= 1
 
 
 def test_network_pins_backend_per_config():

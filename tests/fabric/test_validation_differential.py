@@ -29,7 +29,6 @@ import pytest
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
-from repro.fabric.peer import Peer
 from repro.ledger import transaction as transaction_module
 from repro.views.encryption_based import EncryptionBasedManager
 from repro.views.hash_based import HashBasedManager
@@ -89,16 +88,7 @@ def _assert_serial_replay_matches(network, live_results):
     """
     network.verify_convergence()
     live = network.reference_peer
-    shadow = Peer(
-        peer_id="shadow",
-        identity=live.identity,
-        registry=live.registry,
-        chain_name=live.chain.name,
-        real_signatures=live.real_signatures,
-        ledger_backend_name=live.ledger_backend.name,
-        commit_backend_name=live.commit_backend.name,
-    )
-    shadow.resim = network.resim
+    shadow = live.empty_replica()
     replayed = [
         shadow.validate_and_commit(
             block,

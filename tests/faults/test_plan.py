@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import FaultInjectionError
 from repro.faults import (
-    ENV_VAR,
     CrashPointSpec,
     FaultEvent,
     FaultPlan,
@@ -62,13 +61,6 @@ def test_from_source_accepts_inline_json_and_file(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text(plan.to_json())
     assert FaultPlan.from_source(str(path)) == plan
-
-
-def test_from_env(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert FaultPlan.from_env() is None
-    monkeypatch.setenv(ENV_VAR, _full_plan().to_json())
-    assert FaultPlan.from_env() == _full_plan()
 
 
 def test_unknown_plan_keys_rejected():

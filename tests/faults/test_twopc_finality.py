@@ -15,7 +15,7 @@ Two bugs in the cross-chain baseline's chaincodes:
 
 import pytest
 
-from repro.baseline.twopc import CoordinatorContract, ShardContract
+from repro.sharding.crossshard import CoordinatorContract, ShardContract
 from repro.errors import ChaincodeError
 from repro.fabric.chaincode import TxContext
 from repro.ledger.statedb import StateDatabase, Version

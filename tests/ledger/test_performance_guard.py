@@ -15,6 +15,7 @@ from repro import build_network
 from repro.crypto import merkle
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
+from repro.fabric.peer import Peer
 from repro.ledger import merkle_state, transaction
 from repro.ledger.merkle_state import IncrementalStateDigest
 from repro.ledger.statedb import StateDatabase, Version
@@ -144,7 +145,9 @@ def count_encodes(monkeypatch):
     return counts
 
 
-def _commit_plain_invokes(storage_backend: str, requests: int = 200):
+def _commit_plain_invokes(
+    storage_backend: str, requests: int = 200, track_state_roots: bool = False
+):
     """2 peers, endorsement policy 1: commit ``requests`` plain invokes."""
     network = build_network(
         NetworkConfig(
@@ -154,10 +157,13 @@ def _commit_plain_invokes(storage_backend: str, requests: int = 200):
             real_signatures=False,
             batch_timeout_ms=50.0,
             block_max_transactions=40,
-            ledger_backend="fast",
             storage_backend=storage_backend,
+            # Counted below: the stores of one orderer and two peers
+            # (an ambient pbft would add its own consensus log).
+            orderer_backend="raft",
         )
     )
+    network.track_state_roots = track_state_roots
     gateway = Gateway(network, network.register_user("client"))
     events = [
         gateway.submit_async(
@@ -196,3 +202,26 @@ def test_transaction_encoded_once_with_durable_peers(count_encodes):
     assert all(
         node["records_logged"] == len(network.block_log) for node in nodes.values()
     )
+
+
+def test_tracked_roots_encode_leaves_only_outside_the_commit_call(
+    count_encodes, monkeypatch
+):
+    """With a root recorded per block, each write is encoded once, when
+    the root is asked for — never inside ``Peer.validate_and_commit``."""
+    inside_commit = []
+    real_commit = Peer.validate_and_commit
+
+    def watched_commit(self, *args, **kwargs):
+        before = count_encodes["leaf"]
+        try:
+            return real_commit(self, *args, **kwargs)
+        finally:
+            inside_commit.append(count_encodes["leaf"] - before)
+
+    monkeypatch.setattr(Peer, "validate_and_commit", watched_commit)
+    network = _commit_plain_invokes(storage_backend="none", track_state_roots=True)
+    assert len(inside_commit) == 2 * len(network.block_log)
+    assert set(inside_commit) == {0}
+    assert len(network.state_roots) == len(network.block_log)
+    assert count_encodes["leaf"] == len(network.reference_peer.statedb) == 200

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.ledger import backend as ledger_backend
 from repro.ledger.statedb import StateDatabase, Version
 
 
@@ -89,60 +88,65 @@ def test_size_bytes_handles_json_values():
     assert db.size_bytes() > 0
 
 
-# -- scan_prefix edge cases, identical on both backends -------------------
+# -- scan_prefix edge cases, each also checked against a full sort --------
 
 
-@pytest.fixture(params=["fast", "reference"])
-def scan_backend(request):
-    """Run the decorated test under each ledger backend."""
-    with ledger_backend.use_backend(request.param):
-        yield request.param
+def _scan(db, prefix):
+    """``scan_prefix`` as a list, asserted equal to the ``sorted()`` pass
+    over the whole key space that the index replaced."""
+    scanned = list(db.scan_prefix(prefix))
+    state = db.snapshot()
+    assert scanned == [
+        (key, state[key]) for key in sorted(state) if key.startswith(prefix)
+    ]
+    assert db.keys() == sorted(state)
+    return scanned
 
 
-def test_scan_empty_prefix_returns_everything_sorted(scan_backend):
+def test_scan_empty_prefix_returns_everything_sorted():
     db = StateDatabase()
     for i, key in enumerate(["m", "a", "z", "b"]):
         db.put(key, i, Version(1, i))
-    assert [k for k, _ in db.scan_prefix("")] == ["a", "b", "m", "z"]
+    assert [k for k, _ in _scan(db, "")] == ["a", "b", "m", "z"]
 
 
-def test_scan_prefix_past_all_keys(scan_backend):
+def test_scan_prefix_past_all_keys():
     db = StateDatabase()
     for i, key in enumerate(["a~1", "b~1"]):
         db.put(key, i, Version(1, i))
-    assert list(db.scan_prefix("c")) == []
-    assert list(db.scan_prefix("b~2")) == []
+    assert _scan(db, "c") == []
+    assert _scan(db, "b~2") == []
     # A prefix sorting before every key but matching none.
-    assert list(db.scan_prefix("A")) == []
+    assert _scan(db, "A") == []
 
 
-def test_scan_prefix_that_is_itself_a_key(scan_backend):
+def test_scan_prefix_that_is_itself_a_key():
     db = StateDatabase()
     for i, key in enumerate(["seg", "seg~1", "seg~2", "sega", "sef"]):
         db.put(key, key, Version(1, i))
     # Lexicographic: "a" (0x61) sorts before "~" (0x7e).
-    assert [k for k, _ in db.scan_prefix("seg")] == [
+    assert [k for k, _ in _scan(db, "seg")] == [
         "seg",
         "sega",
         "seg~1",
         "seg~2",
     ]
-    assert [k for k, _ in db.scan_prefix("seg~")] == ["seg~1", "seg~2"]
+    assert [k for k, _ in _scan(db, "seg~")] == ["seg~1", "seg~2"]
 
 
-def test_scan_sees_writes_interleaved_between_scans(scan_backend):
+def test_scan_sees_writes_interleaved_between_scans():
     db = StateDatabase()
     db.put("p~1", 1, Version(1, 0))
-    assert [k for k, _ in db.scan_prefix("p~")] == ["p~1"]
+    assert [k for k, _ in _scan(db, "p~")] == ["p~1"]
     db.put("p~0", 0, Version(1, 1))  # insert before the existing range
     db.put("p~2", 2, Version(1, 2))  # ... and after it
     db.put("p~1", 11, Version(1, 3))  # update in place
-    assert list(db.scan_prefix("p~")) == [("p~0", 0), ("p~1", 11), ("p~2", 2)]
+    assert _scan(db, "p~") == [("p~0", 0), ("p~1", 11), ("p~2", 2)]
     db.delete("p~0")
-    assert [k for k, _ in db.scan_prefix("p~")] == ["p~1", "p~2"]
+    assert [k for k, _ in _scan(db, "p~")] == ["p~1", "p~2"]
 
 
-def test_scan_during_iteration_sees_consistent_snapshot(scan_backend):
+def test_scan_during_iteration_sees_consistent_snapshot():
     """Writes made while consuming a scan do not corrupt the iteration."""
     db = StateDatabase()
     for i in range(4):

@@ -14,7 +14,6 @@ from repro.errors import BlockValidationError, StorageError
 from repro.fabric.chaincode import Chaincode
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import FabricNetwork
-from repro.fabric.peer import Peer
 from repro.faults import CrashPointSpec, FaultPlan, InvariantMonitor, recovery
 from repro.sim import Environment
 from repro.storage import MemoryFilesystem, NodeStore, verify_restart
@@ -59,17 +58,6 @@ def _workload(network, n, user=None):
         )
         assert notice.code.value == "valid"
     return user
-
-
-def _shadow_of(peer):
-    return Peer(
-        peer_id=peer.peer_id,
-        identity=peer.identity,
-        registry=peer.registry,
-        chain_name=peer.chain.name,
-        real_signatures=peer.real_signatures,
-        ledger_backend_name=peer.ledger_backend.name,
-    )
 
 
 def test_restart_uses_snapshot_plus_wal_suffix():
@@ -175,7 +163,7 @@ def test_tampered_snapshot_state_falls_back_to_wal_replay():
     network = _network(interval=3)
     _workload(network, 10)
     peer = network.peers[1]
-    shadow = _shadow_of(peer)
+    shadow = peer.empty_replica()
     # Corrupt the newest snapshot's body but keep its checksum valid by
     # rewriting the whole envelope.
     import json

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.fabric.chaincode import Chaincode
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import FabricNetwork
-from repro.fabric.peer import Peer
 from repro.sim import Environment
 
 INTERVAL = 10
@@ -52,14 +51,7 @@ def _run(n_blocks: int, backend: str):
 
 def _restart_report(network):
     peer = network.peers[1]
-    shadow = Peer(
-        peer_id=peer.peer_id,
-        identity=peer.identity,
-        registry=peer.registry,
-        chain_name=peer.chain.name,
-        real_signatures=peer.real_signatures,
-        ledger_backend_name=peer.ledger_backend.name,
-    )
+    shadow = peer.empty_replica()
     report = peer.store.recover_peer(shadow)
     assert shadow.chain.tip_hash == peer.chain.tip_hash
     assert shadow.current_state_root() == peer.current_state_root()

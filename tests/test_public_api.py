@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.crypto
+import repro.ledger
 from repro import build_network
 from repro.errors import (
     AccessControlError,
@@ -89,8 +91,6 @@ def test_knob_surface_is_pinned():
         name for text in sources.values() for name in re.findall(r"REPRO_[A-Z_]+", text)
     }
     assert env_vars == {
-        "REPRO_CRYPTO_BACKEND",
-        "REPRO_LEDGER_BACKEND",
         "REPRO_COMMIT_BACKEND",
         "REPRO_ORDERER_BACKEND",
         "REPRO_STORAGE_BACKEND",
@@ -101,3 +101,9 @@ def test_knob_surface_is_pinned():
         str(path) for path, text in sources.items() if "concurrent.futures" in text
     ]
     assert pooled == []
+    # No process-global backend switch: the selectors above are resolved
+    # per network by ``repro.fabric.config.resolve_backends``.
+    switches = {"available_backends", "get_backend", "set_backend", "use_backend"}
+    for package in (repro.crypto, repro.ledger):
+        assert not switches & set(package.__all__), package.__name__
+        assert not any(hasattr(package, name) for name in switches), package.__name__
