@@ -72,22 +72,6 @@ def latency_cells(
     return cells
 
 
-def shed_cells(source: Any) -> dict[str, Any]:
-    """Canonical shed-rate columns (``shed_pct``, ``shed``) if present."""
-    cells: dict[str, Any] = {}
-    rate = _lookup(source, "shed_rate")
-    if rate is not None:
-        cells["shed_pct"] = round(float(rate) * 100.0, 1)
-    else:
-        pct = _lookup(source, "shed_pct")
-        if pct is not None:
-            cells["shed_pct"] = round(float(pct), 1)
-    count = _lookup(source, "shed")
-    if count is not None:
-        cells["shed"] = int(count)
-    return cells
-
-
 def format_table(rows: Sequence[Mapping[str, Any]], columns: Sequence[str] | None = None) -> str:
     """Render dict rows as an aligned text table."""
     if not rows:

@@ -129,16 +129,6 @@ class StorageError(LedgerViewError):
     """Base class for durability-layer failures (WAL, snapshots)."""
 
 
-class WalCorruptionError(StorageError):
-    """A write-ahead-log record failed its length/CRC framing check
-    somewhere other than the truncatable tail."""
-
-
-class SnapshotIntegrityError(StorageError):
-    """A snapshot file failed its checksum or its recorded tip/state
-    anchors do not match the chain it claims to checkpoint."""
-
-
 class SimulatedCrashError(StorageError):
     """An injected crash point fired mid-durability-operation: the node
     process is considered dead at this instant (see

@@ -28,7 +28,6 @@ from repro.fabric.channels import Channel, ChannelService
 from repro.fabric.identity import MembershipServiceProvider, User
 from repro.fabric.network import FabricNetwork, Gateway
 from repro.fabric.private_data import PrivateDataManager
-from repro.fabric.raft import RaftCluster
 
 __all__ = [
     "Chaincode",
@@ -44,5 +43,4 @@ __all__ = [
     "Channel",
     "ChannelService",
     "PrivateDataManager",
-    "RaftCluster",
 ]

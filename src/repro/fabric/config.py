@@ -125,9 +125,6 @@ class NetworkConfig:
     #: ``REPRO_ORDERER_BACKEND=pbft``, and combining it with an explicit
     #: ``orderer_backend="pbft"`` is an error.
     orderer_backend: str | None = None
-    #: pbft progress timer: how long replicas wait for a primary's
-    #: pre-prepare before starting a view change.
-    pbft_view_timeout_ms: float = 150.0
 
     # -- cryptography -------------------------------------------------------
     #: RSA modulus size for registered identities.
@@ -136,9 +133,6 @@ class NetworkConfig:
     #: instead of RSA — identical message flow, ~100x faster wall-clock.
     #: Benchmarks disable real signing; functional tests keep it on.
     real_signatures: bool = True
-
-    #: Payload size baseline for a transaction with no extra view data.
-    baseline_tx_bytes: int = 600
 
     # -- commit policy -------------------------------------------------------
     #: Commit-time conflict policy for this network's peers
@@ -159,12 +153,6 @@ class NetworkConfig:
     #: caller.  Mainly useful on the reference commit backend — under
     #: occ most conflicts rebase at the peer instead.
     mvcc_retry_attempts: int = 0
-    #: Base backoff before the first MVCC retry (doubles per attempt,
-    #: capped at 8x, plus seeded jitter — see
-    #: :class:`repro.faults.plan.RetryPolicy`).
-    mvcc_retry_backoff_ms: float = 25.0
-    #: Seed for the retry backoff jitter (deterministic runs).
-    mvcc_retry_seed: int = 7
 
     # -- sharding ------------------------------------------------------------
     #: Number of independent channels a
@@ -173,9 +161,6 @@ class NetworkConfig:
     #: named ``"main"``, byte-identical to a plain
     #: :class:`~repro.fabric.network.FabricNetwork`.
     shard_count: int = 1
-    #: Virtual nodes per shard on the consistent-hash ring (balance vs.
-    #: ring size; see :mod:`repro.sharding.ring`).
-    ring_vnodes: int = 64
 
     # -- faults --------------------------------------------------------------
     #: Fault-injection plan for this network: inline JSON or a path to

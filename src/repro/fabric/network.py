@@ -13,6 +13,7 @@ for real; only *durations* are simulated.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -30,12 +31,18 @@ from repro.fabric.chaincode import Chaincode, ChaincodeRegistry, TxContext
 from repro.fabric.config import NetworkConfig, resolve_backends
 from repro.fabric.endorser import Proposal, assemble_transaction
 from repro.fabric.identity import MembershipServiceProvider, User
-from repro.fabric.orderer import BlockCutter, OrderingService
+from repro.fabric.orderer import BlockCutter, OrderingService, build_consensus
 from repro.fabric.peer import Peer, ValidationCode
 from repro.fabric.validation import BlockValidationMemo
 from repro.ledger.transaction import Transaction, fresh_tid
-from repro.sim import Counter, Environment, Event, Resource, Store, TimeSeries
+from repro.sim import Counter, Environment, Event, Link, Resource, Store, TimeSeries
 from repro.storage import StorageRuntime
+
+#: Base backoff before the first client-side MVCC retry (doubles per
+#: attempt, capped at 8x, plus seeded jitter of half the base), and the
+#: seed of that jitter.
+MVCC_RETRY_BACKOFF_MS = 25.0
+MVCC_RETRY_SEED = 7
 
 
 @dataclass
@@ -195,37 +202,32 @@ class FabricNetwork:
         self._peer_keys = {p.peer_id: p.identity.public_key for p in self.peers}
         self._peer_secrets = {p.peer_id: p.mac_secret for p in self.peers}
 
+        #: Durability runtime (:class:`repro.storage.StorageRuntime`),
+        #: or ``None`` when the storage backend is off — peers are then
+        #: purely in-memory, exactly the pre-durability behaviour.
+        #: Built before the fault injector so crash-point plans can
+        #: validate against (and arm) the per-peer stores.
+        self.storage = None
+        if backends.storage is not None:
+            self.storage = StorageRuntime.from_config(
+                self.config, chain_name, backends.storage
+            )
+            for peer in self.peers:
+                self.storage.attach_peer(peer)
+
         self.ordering = OrderingService(self.config)
         self._cutter = BlockCutter(self.config)
-        #: Ordering consensus backend ("raft" or "pbft").
-        self.orderer_backend = backends.orderer
-        #: Real Raft among the orderers (optional; see config.use_raft).
-        self.raft = None
-        #: PBFT among the orderers (orderer_backend="pbft"): 3f+1
-        #: replicas, signed quorum certificates per block.
-        self.pbft = None
-        if self.config.use_raft:
-            from repro.fabric.raft import RaftCluster
-
-            self.raft = RaftCluster(
-                env,
-                node_count=self.config.orderer_count,
-                rtt_ms=self.config.latency.orderer_to_orderer,
-            )
-        elif backends.orderer == "pbft":
-            from repro.fabric.pbft import PBFTCluster
-
-            self.pbft = PBFTCluster(
-                env,
-                node_count=max(4, self.config.orderer_count),
-                consensus_ms=self.config.ordering_consensus_ms,
-                view_timeout_ms=self.config.pbft_view_timeout_ms,
-                chain_name=chain_name,
-            )
-        #: Quorum certificates per block (pbft backend only; index =
-        #: block number) — the forensic trail auditors verify replica
-        #: signatures against.
-        self.block_certs: list = []
+        #: The orderers' consensus group, always present: cut batches
+        #: are final once ``consensus.replicate(tids)`` fires.  Fixed
+        #: delay, real Raft or PBFT (see :func:`build_consensus`);
+        #: :attr:`raft`, :attr:`pbft` and :attr:`block_certs` are
+        #: read-only views of it.
+        self.consensus = build_consensus(
+            env, self.config, backends.orderer, chain_name, self.storage
+        )
+        #: The hop every message between sites takes.  Reliable unless a
+        #: :class:`repro.faults.FaultInjector` installs itself here.
+        self.link = Link(env)
         self._order_inbox: Store = Store(env)
         self._arrival: Event = env.event()
         self._commit_events: dict[str, Event] = {}
@@ -239,17 +241,22 @@ class FabricNetwork:
         #: service).  Listener errors propagate — a broken listener is a
         #: programming error, not something to swallow.
         self._block_listeners: list = []
-        #: Fault hooks (attached by :class:`repro.faults.FaultInjector`);
-        #: ``None`` keeps every fault branch below dead, so fault-free
-        #: runs follow exactly the original flow.
+        #: The attached :class:`repro.faults.FaultInjector`, or ``None``.
+        #: Only the client retry loop reads it; message faults reach
+        #: the pipeline through :attr:`link`.
         self.faults = None
         #: The ordered block log (index = block number): the recovery
         #: source for peers that missed deliveries while crashed.
         self.block_log: list = []
-        #: Transaction ids already accepted for ordering — resubmitted
-        #: or duplicated copies are dropped here (only consulted when a
-        #: fault injector is attached).
-        self._ordered_tids: set[str] = set()
+        #: Transaction ids accepted for ordering and not yet committed
+        #: at the reference peer.  With that peer's validation codes it
+        #: answers "was this tid accepted before?", so a resubmitted or
+        #: duplicated copy is dropped at the pump without a second
+        #: run-long tid container.  (Tids of a block the recovery path
+        #: commits there stay behind; they are "already accepted" too.)
+        self._inflight_tids: set[str] = set()
+        #: Copies dropped at the pump as already accepted.
+        self.deduped_txs = 0
         #: Transactions accepted for ordering (post-dedup).  Together
         #: with the reference peer's committed-tx count this yields the
         #: live outstanding-work gauge :meth:`queue_depth` — counting
@@ -264,23 +271,6 @@ class FabricNetwork:
         #: deployment's per-channel queues grow with load/N.
         self.orderer_queue_peak = 0
 
-        #: Durability runtime (:class:`repro.storage.StorageRuntime`),
-        #: or ``None`` when the storage backend is off — peers are then
-        #: purely in-memory, exactly the pre-durability behaviour.
-        #: Built before the fault injector so crash-point plans can
-        #: validate against (and arm) the per-peer stores.
-        self.storage = None
-        if backends.storage is not None:
-            self.storage = StorageRuntime.from_config(
-                self.config, chain_name, backends.storage
-            )
-            for peer in self.peers:
-                self.storage.attach_peer(peer)
-            if self.pbft is not None:
-                # WAL the pbft per-view log and commit certificates so
-                # the consensus audit trail survives restarts too.
-                self.pbft.attach_store(self.storage.pbft_store)
-
         #: Client-side MVCC retry (opt-in; config.mvcc_retry_attempts).
         #: Reuses the fault layer's RetryPolicy backoff curve so the
         #: two retry paths share one bounded, seeded shape.
@@ -290,7 +280,7 @@ class FabricNetwork:
         if self.config.mvcc_retry_attempts > 0:
             from repro.faults.plan import RetryPolicy
 
-            backoff = self.config.mvcc_retry_backoff_ms
+            backoff = MVCC_RETRY_BACKOFF_MS
             self._mvcc_retry = RetryPolicy(
                 max_attempts=self.config.mvcc_retry_attempts + 1,
                 timeout_ms=self.config.batch_timeout_ms + 1.0,
@@ -299,7 +289,7 @@ class FabricNetwork:
                 max_backoff_ms=backoff * 8,
                 jitter_ms=backoff * 0.5,
             )
-            self._mvcc_rng = random.Random(self.config.mvcc_retry_seed)
+            self._mvcc_rng = random.Random(MVCC_RETRY_SEED)
 
         env.process(self._pump())
         env.process(self._cut_loop())
@@ -325,10 +315,25 @@ class FabricNetwork:
         return self.peers[0]
 
     @property
-    def consensus_cluster(self):
-        """The live consensus group among the orderers (RaftCluster,
-        PBFTCluster, or None on the fixed-delay model path)."""
-        return self.raft if self.raft is not None else self.pbft
+    def raft(self):
+        """The real Raft group among the orderers, or ``None``."""
+        return self.consensus if self.consensus.kind == "raft" else None
+
+    @property
+    def pbft(self):
+        """The PBFT group among the orderers, or ``None``."""
+        return self.consensus if self.consensus.kind == "pbft" else None
+
+    @property
+    def block_certs(self) -> list:
+        """Quorum certificates per block (index = block number): the
+        certificates of the PBFT group's certified log — the forensic
+        trail auditors verify replica signatures against.  Empty on the
+        other orderers, whose entries carry none."""
+        consensus = self.consensus
+        if consensus.kind != "pbft":
+            return []
+        return [entry.cert for entry in consensus.committed]
 
     # -- timing helpers ------------------------------------------------------
 
@@ -436,19 +441,16 @@ class FabricNetwork:
         tid = proposal.tid
         started = env.now
         deadline = (
-            None if policy.deadline_ms is None else started + policy.deadline_ms
+            math.inf if policy.deadline_ms is None else started + policy.deadline_ms
         )
-        out_of_budget = False
         for attempt in range(1, policy.max_attempts + 1):
-            timeout_ms = policy.timeout_ms
-            if deadline is not None:
-                remaining = deadline - env.now
-                if remaining <= 0:
-                    out_of_budget = True
-                    break
-                timeout_ms = min(timeout_ms, remaining)
+            remaining = deadline - env.now
+            if remaining <= 0:
+                break
             inner = env.process(self._submit_process(proposal, started=started))
-            yield env.any_of([inner, env.timeout(timeout_ms)])
+            yield env.any_of(
+                [inner, env.timeout(min(policy.timeout_ms, remaining))]
+            )
             if inner.triggered:
                 return inner.value
             notice = self._committed_notice(tid)
@@ -456,26 +458,29 @@ class FabricNetwork:
                 # Committed, but the notice went to an abandoned
                 # attempt: rebuild it from the ledger.
                 self._commit_events.pop(tid, None)
-                notice.response = self._responses.pop(tid, None)
                 faults.stats["rescued_notices"] += 1
-                self.metrics.committed_requests.increment()
-                self.metrics.latencies_ms.record(env.now, env.now - started)
-                return notice
+                return self._hand_over(notice, started)
             faults.stats["retries"] += 1
             backoff = policy.backoff_for(attempt, faults.rng)
-            if deadline is not None and env.now + backoff >= deadline:
-                out_of_budget = True
+            if env.now + backoff >= deadline:
                 break
             yield env.timeout(backoff)
-        if out_of_budget:
+        else:
             raise FaultInjectionError(
-                f"transaction {tid!r} produced no commit notice within its "
-                f"{policy.deadline_ms}ms deadline budget"
+                f"transaction {tid!r} produced no commit notice after "
+                f"{policy.max_attempts} attempts"
             )
         raise FaultInjectionError(
-            f"transaction {tid!r} produced no commit notice after "
-            f"{policy.max_attempts} attempts"
+            f"transaction {tid!r} produced no commit notice within its "
+            f"{policy.deadline_ms}ms deadline budget"
         )
+
+    def _hand_over(self, notice: CommitNotice, started: float) -> CommitNotice:
+        """Complete a notice for its submitter and record the request."""
+        notice.response = self._responses.pop(notice.tid, None)
+        self.metrics.committed_requests.increment()
+        self.metrics.latencies_ms.record(self.env.now, self.env.now - started)
+        return notice
 
     def _submit_process(self, proposal: Proposal, started: float | None = None):
         env = self.env
@@ -528,49 +533,20 @@ class FabricNetwork:
         # --- ordering phase ---
         commit_event = env.event()
         self._commit_events[tx.tid] = commit_event
-        transit = latency.client_to_orderer
-        if self.faults is not None:
-            transit *= self.faults.link_factor("client", "orderer")
-        yield env.timeout(transit)
-        if self.faults is not None:
-            decision = self.faults.message_decision(
-                "client_to_orderer", kind=proposal.kind
-            )
-            if decision.delay_ms:
-                # Race the delay against heal(): a heal flushes the
-                # message instead of leaving it parked past the heal.
-                yield env.any_of(
-                    [
-                        env.timeout(decision.delay_ms),
-                        self.faults.heal_event(),
-                    ]
-                )
-            lost = (
-                decision.drop
-                or not self.faults.reachable("client", "orderer")
-                or self.faults.link_lost("client", "orderer")
-            )
-            if lost:
-                # The broadcast is lost in flight (dropped, partitioned
-                # away, or eaten by a lossy link): the orderer never
-                # sees it, and this attempt blocks until a commit
-                # notice arrives another way (retry, or a duplicate).
-                notice = yield commit_event
-                notice.response = self._responses.pop(tx.tid, None)
-                self.metrics.committed_requests.increment()
-                self.metrics.latencies_ms.record(env.now, env.now - started)
-                return notice
-            if decision.duplicate:
-                # Network-level duplicate of the broadcast; the orderer
-                # pump deduplicates by tid.
-                yield self._order_inbox.put(tx)
-        yield self._order_inbox.put(tx)
+        # A lost broadcast (0 copies) never reaches the orderer: this
+        # attempt then waits for a notice that arrives another way (a
+        # retry, or a duplicate).  An extra copy is dropped at the pump.
+        copies = yield from self.link.send(
+            "client",
+            "orderer",
+            latency.client_to_orderer,
+            "client_to_orderer",
+            proposal.kind,
+        )
+        for _ in range(copies):
+            yield self._order_inbox.put(tx)
 
-        notice: CommitNotice = yield commit_event
-        notice.response = self._responses.pop(tx.tid, None)
-        self.metrics.committed_requests.increment()
-        self.metrics.latencies_ms.record(env.now, env.now - started)
-        return notice
+        return self._hand_over((yield commit_event), started)
 
     def submit_sync(self, proposal: Proposal) -> CommitNotice:
         """Submit and drive the simulation until the commit completes.
@@ -661,14 +637,16 @@ class FabricNetwork:
         """Move submitted transactions into the block cutter."""
         while True:
             tx = yield self._order_inbox.get()
-            if self.faults is not None:
-                # Deduplicate resubmissions and duplicated broadcasts:
-                # a retried proposal keeps its tid, so ordering the
-                # same tid twice would double-commit it.
-                if tx.tid in self._ordered_tids:
-                    self.faults.stats["deduped_txs"] += 1
-                    continue
-                self._ordered_tids.add(tx.tid)
+            # A retried proposal keeps its tid and a broadcast can be
+            # duplicated in flight: ordering the same tid twice would
+            # commit it twice, so every copy after the first is dropped.
+            if (
+                tx.tid in self._inflight_tids
+                or tx.tid in self.reference_peer.validation_codes
+            ):
+                self.deduped_txs += 1
+                continue
+            self._inflight_tids.add(tx.tid)
             self._accepted_txs += 1
             self._cutter.add(tx)
             depth = self.queue_depth()
@@ -699,20 +677,11 @@ class FabricNetwork:
             while self._cutter.has_pending:
                 with self.phase_wall.track("order"):
                     decision = self._cutter.cut(reason)
-                if self.raft is not None:
-                    # Replicate the batch through the ordering service's
-                    # Raft group before the block becomes final.
-                    digest = [tx.tid for tx in decision.transactions]
-                    yield self.raft.replicate(digest)
-                elif self.pbft is not None:
-                    # Order the batch through the pbft group; the
-                    # committed entry carries the 2f+1-signed quorum
-                    # certificate retained per block for forensics.
-                    digest = [tx.tid for tx in decision.transactions]
-                    entry = yield self.pbft.replicate(digest)
-                    self.block_certs.append(entry.cert)
-                else:
-                    yield env.timeout(self.config.ordering_consensus_ms)
+                # The batch is final once the orderers' consensus group
+                # has replicated its digest.
+                yield self.consensus.replicate(
+                    [tx.tid for tx in decision.transactions]
+                )
                 with self.phase_wall.track("order"):
                     block = self.ordering.build_block(decision, timestamp=env.now)
                 self.block_log.append(block)
@@ -738,46 +707,21 @@ class FabricNetwork:
     def _deliver(self, index: int, peer: Peer, block, memo=None):
         """Ship one block to one peer; validate, commit, notify clients.
 
-        With a fault injector attached, a dropped delivery (or a
-        delivery to a crashed peer) is retried after
-        ``redeliver_after_ms`` until it lands — Fabric's deliver
-        service re-sends blocks a peer has not acknowledged.  A peer
-        that missed earlier blocks replays them from the orderer's
-        block log before committing this one, preserving chain order.
+        The delivery is acknowledged — Fabric's deliver service re-sends
+        a block a peer has not confirmed — so it always lands, though on
+        a link that re-sends not necessarily in order: a peer that
+        missed earlier blocks replays them from the orderer's block log
+        before committing this one, preserving chain order.
         """
-        env = self.env
-        transit = self.config.latency.orderer_to_peer
-        if self.faults is not None:
-            transit *= self.faults.link_factor("orderer", f"peer:{index}")
-        yield env.timeout(transit)
-        if self.faults is not None:
-            peer_name = f"peer:{index}"
-            heal = self.faults.heal_event()
-            while True:
-                decision = self.faults.message_decision(
-                    "orderer_to_peer", kind="block"
-                )
-                if decision.delay_ms:
-                    # Race the delay against heal() so a heal flushes
-                    # in-flight messages instead of leaving them parked
-                    # on timers past the heal boundary.
-                    yield env.any_of([env.timeout(decision.delay_ms), heal])
-                lost = (
-                    decision.drop
-                    or self.faults.peer_down(peer)
-                    or not self.faults.reachable("orderer", peer_name)
-                    or self.faults.link_lost("orderer", peer_name)
-                )
-                if lost:
-                    self.faults.stats["redeliveries"] += 1
-                    yield env.any_of(
-                        [
-                            env.timeout(self.faults.plan.redeliver_after_ms),
-                            heal,
-                        ]
-                    )
-                    continue
-                break
+        yield from self.link.send(
+            "orderer",
+            f"peer:{index}",
+            self.config.latency.orderer_to_peer,
+            "orderer_to_peer",
+            "block",
+            acked=True,
+        )
+        if not self.link.fifo:
             while peer.chain.height < block.number:
                 yield from self._commit_and_notify(
                     index, peer, self.block_log[peer.chain.height], None
@@ -796,15 +740,14 @@ class FabricNetwork:
         request = cpu.request()
         yield request
         try:
-            if self.faults is not None and peer.chain.height != block.number:
+            if peer.chain.height != block.number:
                 return None
-            service = self.config.commit_block_overhead_ms + sum(
-                self._validate_service_ms(tx) for tx in block.transactions
-            )
-            if self.faults is not None:
-                # A gray-slow peer grinds through validation at a
-                # multiple of the healthy service time.
-                service *= self.faults.node_factor(f"peer:{index}")
+            # A gray-slow peer grinds through validation at a multiple
+            # of the healthy service time.
+            service = (
+                self.config.commit_block_overhead_ms
+                + sum(self._validate_service_ms(tx) for tx in block.transactions)
+            ) * self.link.service_factor(f"peer:{index}")
             yield env.timeout(service)
             with self.phase_wall.track("commit"):
                 try:
@@ -815,16 +758,15 @@ class FabricNetwork:
                         policy=self.config.endorsement_policy,
                         memo=memo,
                     )
-                except SimulatedCrashError:
+                except SimulatedCrashError as crash:
                     # An armed crash point fired inside this peer's
                     # durable commit path: the peer is dead mid-write.
                     # Its in-memory containers are now untrusted (the
                     # recovery path rebuilds them from the durable
-                    # store); the injector marks it down so deliveries
-                    # queue for redelivery until it recovers.
-                    if self.faults is None:
-                        raise
-                    self.faults.on_storage_crash(index)
+                    # store); a link that re-sends marks it down so
+                    # deliveries queue until it recovers, the reliable
+                    # link re-raises.
+                    self.link.node_died(f"peer:{index}", crash)
                     return None
         finally:
             cpu.release(request)
@@ -837,6 +779,7 @@ class FabricNetwork:
         if result is None:
             return
         if peer is self.reference_peer:
+            self._inflight_tids.difference_update(result.codes)
             self.phase_wall.record_block_outcome(
                 block.number,
                 committed=result.valid_count,

@@ -9,7 +9,8 @@ transactions carrying data for many views reduce the number of
 transactions per block (the paper's explanation of Fig 10).
 
 This module holds the *functional* cutter; the timed loop that feeds it
-lives in :mod:`repro.fabric.network`.
+lives in :mod:`repro.fabric.network`.  It also builds the consensus
+group a cut batch is replicated through.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.fabric.config import NetworkConfig
 from repro.ledger.block import GENESIS_PREVIOUS_HASH, Block
 from repro.ledger.transaction import Transaction
+from repro.sim import Environment, Event
 
 #: Placeholder state root: Fabric headers do not carry a world-state
 #: digest; peers agree on state roots out of band (see
@@ -130,3 +132,59 @@ class OrderingService:
             self.cut_reasons.get(decision.reason, 0) + 1
         )
         return block
+
+
+class FixedDelayConsensus:
+    """The modelled ordering service: agreeing on a batch takes
+    ``delay_ms`` and cannot fail.  It answers what the real groups
+    (:class:`~repro.fabric.raft.RaftCluster`,
+    :class:`~repro.fabric.pbft.PBFTCluster`) answer, with no replica
+    behind it to crash, partition or corrupt."""
+
+    kind = "fixed"
+    nodes = ()
+
+    def __init__(self, env: Environment, delay_ms: float):
+        self.env = env
+        self.delay_ms = delay_ms
+
+    def replicate(self, payload) -> Event:
+        return self.env.timeout(self.delay_ms)
+
+    def heal(self) -> None:
+        """Nothing to repair."""
+
+
+def build_consensus(
+    env: Environment,
+    config: NetworkConfig,
+    backend: str,
+    chain_name: str,
+    storage=None,
+):
+    """The consensus group of one channel's orderers.  ``backend`` is
+    :func:`~repro.fabric.config.resolve_backends`' choice; "raft" is the
+    real protocol under ``config.use_raft`` and its fixed-delay model
+    otherwise.  A protocol module is imported only when chosen.  With a
+    :class:`~repro.storage.StorageRuntime`, pbft write-ahead-logs its
+    per-view log and commit certificates, so the consensus audit trail
+    survives restarts too."""
+    if backend == "pbft":
+        from repro.fabric.pbft import PBFTCluster
+
+        return PBFTCluster(
+            env,
+            node_count=max(4, config.orderer_count),
+            consensus_ms=config.ordering_consensus_ms,
+            chain_name=chain_name,
+            store=None if storage is None else storage.pbft_store,
+        )
+    if config.use_raft:
+        from repro.fabric.raft import RaftCluster
+
+        return RaftCluster(
+            env,
+            node_count=config.orderer_count,
+            rtt_ms=config.latency.orderer_to_orderer,
+        )
+    return FixedDelayConsensus(env, config.ordering_consensus_ms)

@@ -284,6 +284,8 @@ class PBFTCluster:
         commit certificates are write-ahead-logged through.
     """
 
+    kind = "pbft"
+
     def __init__(
         self,
         env: Environment,
@@ -344,6 +346,10 @@ class PBFTCluster:
         """The current view's primary replica id."""
         return self.views[self.view].primary
 
+    #: The name the orderer implementations share for "whom a leader
+    #: crash hits".
+    leader_id = primary
+
     def replicate(self, payload: Any) -> Event:
         """Order one payload; the event fires with its
         :class:`CommittedEntry` (payload + quorum certificate) once the
@@ -355,10 +361,6 @@ class PBFTCluster:
         self._arrival = self.env.event()
         arrival.succeed()
         return event
-
-    def attach_store(self, store) -> None:
-        """WAL the per-view log and commit certificates through ``store``."""
-        self._store = store
 
     def crash(self, node_id: int) -> None:
         """Take a replica down (it stops signing and storing)."""

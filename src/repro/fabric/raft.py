@@ -82,6 +82,8 @@ class RaftCluster:
         seeded RNG, so runs are deterministic.
     """
 
+    kind = "raft"
+
     def __init__(
         self,
         env: Environment,
@@ -140,6 +142,12 @@ class RaftCluster:
             return None
         return max(leaders, key=lambda node: node.current_term)
 
+    @property
+    def leader_id(self) -> int | None:
+        """Node id of the current leader (``None`` between leaders)."""
+        leader = self.leader
+        return None if leader is None else leader.node_id
+
     def replicate(self, payload: Any) -> Event:
         """Append a payload through the leader; fires when committed.
 
@@ -162,6 +170,12 @@ class RaftCluster:
         node.crashed = False
         node.role = FOLLOWER
         self._reset_election_deadline(node)
+
+    def heal(self) -> None:
+        """End the experiment: bring every crashed node back."""
+        for node in self.nodes:
+            if node.crashed:
+                self.recover(node.node_id)
 
     def committed_payloads(self, node_id: int | None = None) -> list[Any]:
         """Committed log as seen by one node (default: the leader).

@@ -133,7 +133,7 @@ class HeartbeatMonitor:
     """Heartbeat emitters plus a detector sampler, as sim processes.
 
     Each monitored node emits a heartbeat every ``interval_ms``
-    multiplied by its current :meth:`~repro.faults.FaultInjector.node_factor`
+    multiplied by its current :meth:`~repro.faults.FaultInjector.service_factor`
     (a gray-slow node visibly slows its cadence).  The beat transits
     the ``node -> "client"`` link: an asymmetric (mute) partition or a
     lossy link loses it even while the node keeps receiving and
@@ -167,10 +167,8 @@ class HeartbeatMonitor:
 
     def _default_nodes(self) -> list[str]:
         names = [f"peer:{i}" for i in range(len(self.network.peers))]
-        cluster = self.network.consensus_cluster
-        if cluster is not None:
-            names += [f"orderer:{i}" for i in range(len(cluster.nodes))]
-        return names
+        replicas = self.network.consensus.nodes
+        return names + [f"orderer:{i}" for i in range(len(replicas))]
 
     def stop(self) -> None:
         """Let the emitter/sampler processes wind down."""
@@ -178,32 +176,23 @@ class HeartbeatMonitor:
 
     def _node_up(self, name: str) -> bool:
         kind, _, index = name.partition(":")
-        if kind == "peer":
-            peer = self.network.peers[int(index)]
-            faults = self.network.faults
-            return faults is None or not faults.peer_down(peer)
         if kind == "orderer":
-            cluster = self.network.consensus_cluster
-            return cluster is None or not cluster.nodes[int(index)].crashed
-        return True
+            return not self.network.consensus.nodes[int(index)].crashed
+        return self.network.link.up(name)
 
     def _emit(self, name: str):
         env = self.env
         while not self._stopped:
-            faults = self.network.faults
-            factor = 1.0 if faults is None else faults.node_factor(name)
-            yield env.timeout(self.interval_ms * factor)
+            link = self.network.link
+            yield env.timeout(self.interval_ms * link.service_factor(name))
             if self._stopped or not self._node_up(name):
                 continue
-            if faults is not None and (
-                not faults.reachable(name, "client")
-                or faults.link_lost(name, "client")
-            ):
+            transit = link.one_way(
+                name, "client", self.network.config.latency.client_to_peer
+            )
+            if transit is None:
                 self.heartbeats_lost += 1
                 continue
-            transit = self.network.config.latency.client_to_peer
-            if faults is not None:
-                transit *= faults.link_factor(name, "client")
             self.heartbeats_sent += 1
             env.process(self._land(name, transit))
 

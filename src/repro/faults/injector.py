@@ -1,10 +1,13 @@
 """The fault injector: attaches a :class:`FaultPlan` to a live network.
 
-Construction wires the injector into ``network.faults`` (the network's
-fault hooks are no-ops while that attribute is ``None``) and schedules
-one simulation process per timed event.  All randomness — message
-fates, retry jitter — comes from RNGs seeded by the plan, so a chaos
-run is as deterministic as a fault-free one.
+Construction installs the injector as ``network.link`` — the hop every
+message between sites takes, in place of the reliable
+:class:`repro.sim.Link` — and as ``network.faults``, and schedules one
+simulation process per timed event.  Message faults interpose at the
+link and storage faults at the ``Filesystem`` crash guard; the pipeline
+itself contains no fault code.  All randomness — message fates, retry
+jitter — comes from RNGs seeded by the plan, so a chaos run is as
+deterministic as a fault-free one.
 
 ``heal()`` ends the experiment: it cancels future scheduled faults,
 recovers every crashed node, closes owner-outage windows, and replays
@@ -30,6 +33,10 @@ from repro.sim.faults import (
 
 class FaultInjector:
     """Runs one fault plan against one :class:`FabricNetwork`."""
+
+    #: Re-sent and delayed messages overtake each other (see
+    #: :attr:`repro.sim.Link.fifo`).
+    fifo = False
 
     def __init__(self, network, plan: FaultPlan):
         self.network = network
@@ -67,7 +74,7 @@ class FaultInjector:
         #: leaving messages parked on timers beyond the heal.
         self._heal_event = self.env.event()
         self._healed = False
-        self.stats: dict[str, int] = {
+        self._stats: dict[str, int] = {
             "retries": 0,
             "rescued_notices": 0,
             "deduped_txs": 0,
@@ -85,7 +92,7 @@ class FaultInjector:
             "degradations": 0,
         }
         self._validate(plan)
-        network.faults = self
+        network.faults = network.link = self
         for event in plan.events:
             self.env.process(self._event_process(event))
         for spec in plan.partitions:
@@ -97,9 +104,7 @@ class FaultInjector:
             # model under the names "orderer:<id>".  The hook stays
             # None (zero overhead, bit-identical paths) for plans
             # without topology faults.
-            cluster = network.consensus_cluster
-            if cluster is not None:
-                cluster.connectivity = self._orderer_connectivity
+            network.consensus.connectivity = self._orderer_connectivity
         #: recover_after_ms per armed crash point, keyed by peer index;
         #: consulted when the point fires (op order, not sim time).
         self._crash_point_recovery: dict[int, float | None] = {}
@@ -114,20 +119,10 @@ class FaultInjector:
         network = self.network
         for event in plan.events:
             if event.kind == "crash_peer":
-                if not 0 <= (event.target or 0) < len(network.peers):
-                    raise FaultInjectionError(
-                        f"crash_peer target {event.target} out of range "
-                        f"for {len(network.peers)} peers"
-                    )
-                if event.target < network.config.endorsement_policy:
-                    raise FaultInjectionError(
-                        f"peer {event.target} endorses proposals (and peer 0 "
-                        "serves clients); endorser/reference-peer outages are "
-                        "not modelled — crash a validating peer instead"
-                    )
+                self._check_crashable_peer("crash_peer", event.target)
             elif event.kind in ("crash_orderer", "crash_leader"):
-                cluster = network.consensus_cluster
-                if cluster is None:
+                cluster = network.consensus
+                if not cluster.nodes:
                     raise FaultInjectionError(
                         f"{event.kind} events need a real consensus group "
                         "(NetworkConfig.use_raft or orderer_backend='pbft')"
@@ -169,19 +164,31 @@ class FaultInjector:
                     "REPRO_STORAGE_BACKEND); without durable stores "
                     "there is no WAL to crash mid-write"
                 )
-            if not 0 <= point.target < len(network.peers):
-                raise FaultInjectionError(
-                    f"crash point target {point.target} out of range "
-                    f"for {len(network.peers)} peers"
-                )
-            if point.target < network.config.endorsement_policy:
-                raise FaultInjectionError(
-                    f"peer {point.target} endorses proposals (and peer 0 "
-                    "serves clients); endorser/reference-peer outages are "
-                    "not modelled — crash a validating peer instead"
-                )
+            self._check_crashable_peer("crash point", point.target)
 
-    # -- hooks the network consults ------------------------------------------
+    def _check_crashable_peer(self, what: str, target: int | None) -> None:
+        network = self.network
+        if not 0 <= (target or 0) < len(network.peers):
+            raise FaultInjectionError(
+                f"{what} target {target} out of range "
+                f"for {len(network.peers)} peers"
+            )
+        if target < network.config.endorsement_policy:
+            raise FaultInjectionError(
+                f"peer {target} endorses proposals (and peer 0 "
+                "serves clients); endorser/reference-peer outages are "
+                "not modelled — crash a validating peer instead"
+            )
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Counters of injected faults and their handling.  Dropped
+        duplicates are counted by the network (its pump dedupes with or
+        without an injector); the entry here mirrors that count."""
+        self._stats["deduped_txs"] = self.network.deduped_txs
+        return self._stats
+
+    # -- the link the network sends through ----------------------------------
 
     def message_decision(
         self, channel: str, kind: str | None = None
@@ -193,36 +200,73 @@ class FaultInjector:
             channel, self.env.now - self.attached_at, kind=kind
         )
 
-    def peer_down(self, peer) -> bool:
-        return peer.peer_id in self._down_peers
-
     def reachable(self, src: str, dst: str) -> bool:
         """Whether the active partitions let ``src`` talk to ``dst``."""
         if self._healed:
             return True
         return self.topology.reachable(src, dst)
 
-    def node_factor(self, node: str) -> float:
+    def _lost(self, src: str, dst: str) -> bool:
+        """Partitioned away, else a seeded one-way loss draw."""
+        return not self.reachable(src, dst) or self.topology.link_lost(src, dst)
+
+    def send(
+        self,
+        src: str,
+        dst: str,
+        base_ms: float,
+        channel: str | None = None,
+        kind: str | None = None,
+        acked: bool = False,
+    ):
+        """One hop under the plan (the :meth:`repro.sim.Link.send`
+        contract): slowed link, then the message rules of ``channel``,
+        then partitions and lossy links.
+
+        An ``acked`` delivery that is lost — or lands on a crashed node
+        — is re-sent every ``redeliver_after_ms`` until it arrives.
+        Rule delays and redelivery waits race against :meth:`heal`, so
+        a heal flushes in-flight messages instead of leaving them
+        parked on timers past it.
+        """
+        env = self.env
+        yield env.timeout(base_ms * self.topology.link_factor(src, dst))
+        while True:
+            decision = (
+                self.message_decision(channel, kind=kind) if channel else NO_FAULT
+            )
+            if decision.delay_ms:
+                yield env.any_of([env.timeout(decision.delay_ms), self._heal_event])
+            if not (
+                decision.drop
+                or (acked and not self.up(dst))
+                or self._lost(src, dst)
+            ):
+                return 2 if decision.duplicate else 1
+            if not acked:
+                return 0
+            self.stats["redeliveries"] += 1
+            yield env.any_of(
+                [env.timeout(self.plan.redeliver_after_ms), self._heal_event]
+            )
+
+    def one_way(self, src: str, dst: str, base_ms: float) -> float | None:
+        """Fate of a fire-and-forget message, decided as it leaves."""
+        if self._lost(src, dst):
+            return None
+        return base_ms * self.topology.link_factor(src, dst)
+
+    def service_factor(self, node: str) -> float:
         """Service-time multiplier for a gray-slow node (1.0 = healthy)."""
-        if self._healed:
-            return 1.0
         return self.topology.node_factor(node)
 
-    def link_factor(self, src: str, dst: str) -> float:
-        """Latency multiplier for the directed link ``src``→``dst``."""
-        if self._healed:
-            return 1.0
-        return self.topology.link_factor(src, dst)
-
-    def link_lost(self, src: str, dst: str) -> bool:
-        """Seeded one-way loss draw for a message on ``src``→``dst``."""
-        if self._healed:
-            return False
-        return self.topology.link_lost(src, dst)
-
-    def heal_event(self):
-        """Event that fires at ``heal()`` — raced by in-flight fault waits."""
-        return self._heal_event
+    def up(self, node: str) -> bool:
+        """Whether ``node`` (a ``"peer:<index>"``) is running."""
+        kind, _, index = node.partition(":")
+        return (
+            kind != "peer"
+            or self.network.peers[int(index)].peer_id not in self._down_peers
+        )
 
     def _orderer_connectivity(self, a: int, b: int) -> bool:
         """Pair hook for consensus clusters (node ids → topology names)."""
@@ -305,13 +349,9 @@ class FaultInjector:
             if not self._healed:
                 self.recover_peer(event.target)
             return
-        cluster = self.network.consensus_cluster
+        cluster = self.network.consensus
         if event.kind == "crash_leader":
-            if self.network.pbft is not None:
-                node_id = self.network.pbft.primary
-            else:
-                leader = cluster.leader
-                node_id = leader.node_id if leader is not None else 0
+            node_id = cluster.leader_id or 0  # between leaders: node 0
         else:
             node_id = event.target
         cluster.crash(node_id)
@@ -365,8 +405,8 @@ class FaultInjector:
 
     # -- storage crash points ---------------------------------------------------
 
-    def on_storage_crash(self, index: int) -> None:
-        """A crash point fired inside peer ``index``'s durable commit.
+    def node_died(self, node: str, crash: BaseException) -> None:
+        """A crash point fired inside peer ``node``'s durable commit.
 
         Called by the network's commit path when a
         :class:`~repro.errors.SimulatedCrashError` propagates out of
@@ -376,8 +416,8 @@ class FaultInjector:
         a restart — snapshot + WAL-suffix recovery plus catch-up — is
         scheduled that far in the simulated future.
         """
-        peer = self.network.peers[index]
-        self._down_peers.add(peer.peer_id)
+        index = int(node.partition(":")[2])
+        self._down_peers.add(self.network.peers[index].peer_id)
         self.stats["storage_crashes"] += 1
         recover_after = self._crash_point_recovery.get(index)
         if recover_after is not None:
@@ -435,14 +475,10 @@ class FaultInjector:
         for index, peer in enumerate(self.network.peers):
             if peer.peer_id in self._down_peers:
                 self.recover_peer(index)
-        if self.network.raft is not None:
-            for node in self.network.raft.nodes:
-                if node.crashed:
-                    self.network.raft.recover(node.node_id)
-        if self.network.pbft is not None:
-            # Disarm byzantine modes, recover crashed replicas, repair
-            # tampered copies; evidence and convictions are kept.
-            self.network.pbft.heal()
+        # Recover crashed consensus replicas; pbft also disarms
+        # byzantine modes and repairs tampered copies (evidence and
+        # convictions are kept).
+        self.network.consensus.heal()
         for peer in self.network.peers:
             recovery.catch_up(self.network, peer)
         # The catch-up above commits blocks through the recovery path,

@@ -106,8 +106,9 @@ class InvariantMonitor:
             )
         from repro.fabric.pbft import payload_digest
 
+        certs = network.block_certs
         for number, block in enumerate(network.block_log):
-            cert = network.block_certs[number]
+            cert = certs[number]
             tids = [tx.tid for tx in block.transactions]
             if payload_digest(tids) != cert.digest:
                 raise InvariantViolationError(

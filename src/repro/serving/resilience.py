@@ -356,25 +356,14 @@ class HedgedQueryClient:
         env = self.env
         network = self.network
         name = f"peer:{peer_index}"
-        faults = network.faults
-        transit = network.config.latency.client_to_peer
-        if faults is not None:
-            transit *= faults.link_factor("client", name)
-        yield env.timeout(transit)
-        if faults is not None and (
-            not faults.reachable("client", name)
-            or faults.link_lost("client", name)
-        ):
+        link = network.link
+        hop_ms = network.config.latency.client_to_peer
+        arrived = yield from link.send("client", name, hop_ms)
+        if not arrived or not link.up(name):
             self.stats["lost"] += 1
             return
         peer = network.peers[peer_index]
-        if faults is not None and faults.peer_down(peer):
-            self.stats["lost"] += 1
-            return
-        service = self.query_service_ms
-        if faults is not None:
-            service *= faults.node_factor(name)
-        yield env.timeout(service)
+        yield env.timeout(self.query_service_ms * link.service_factor(name))
         contract = network.registry.get(chaincode)
         ctx = TxContext(
             chaincode=chaincode,
@@ -384,14 +373,8 @@ class HedgedQueryClient:
         )
         with network.phase_wall.track("query"):
             result = contract.invoke(ctx, fn, dict(args))
-        transit = network.config.latency.client_to_peer
-        if faults is not None:
-            transit *= faults.link_factor(name, "client")
-        yield env.timeout(transit)
-        if faults is not None and (
-            not faults.reachable(name, "client")
-            or faults.link_lost(name, "client")
-        ):
+        arrived = yield from link.send(name, "client", hop_ms)
+        if not arrived:
             self.stats["lost"] += 1
             return
         if done.triggered:

@@ -44,7 +44,7 @@ from repro.sharding.crossshard import (
     CoordinatorLog,
     ShardContract,
 )
-from repro.sharding.ring import DEFAULT_VNODES, ConsistentHashRing
+from repro.sharding.ring import ConsistentHashRing
 
 
 def shard_names(count: int) -> list[str]:
@@ -69,7 +69,6 @@ class ShardedNetwork:
         env: Environment | None = None,
         config: NetworkConfig | None = None,
         shard_count: int | None = None,
-        vnodes: int | None = None,
         install_standard_contracts: bool = True,
     ):
         from repro import build_network
@@ -78,12 +77,7 @@ class ShardedNetwork:
         self.config = config or NetworkConfig()
         count = shard_count if shard_count is not None else self.config.shard_count
         names = shard_names(count)
-        self.ring = ConsistentHashRing(
-            names,
-            vnodes=(
-                vnodes if vnodes is not None else self.config.ring_vnodes
-            ),
-        )
+        self.ring = ConsistentHashRing(names)
         self.shards: list[FabricNetwork] = [
             build_network(
                 self.config,
@@ -215,6 +209,7 @@ class ShardedNetwork:
         network.block_log.clear()
         network._cutter._pending.clear()
         network._cutter._pending_bytes = 0
+        network._inflight_tids.clear()
         network.ordering._next_number = 0
         network.ordering._tip_hash = GENESIS_PREVIOUS_HASH
         network._commit_events.clear()

@@ -9,7 +9,7 @@ throughput and latency figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Counter:
@@ -120,14 +120,3 @@ class TimeSeries:
             return 0.0
         in_window = sum(1 for t in self._times if lo <= t <= hi)
         return in_window / span
-
-
-@dataclass
-class RunMetrics:
-    """Bundle of the metrics one benchmark run produces."""
-
-    committed: Counter = field(default_factory=lambda: Counter("committed"))
-    latencies: TimeSeries = field(default_factory=lambda: TimeSeries("latency"))
-    onchain_txs: Counter = field(default_factory=lambda: Counter("onchain_txs"))
-    crosschain_txs: Counter = field(default_factory=lambda: Counter("crosschain_txs"))
-    aborted: Counter = field(default_factory=lambda: Counter("aborted"))

@@ -6,6 +6,8 @@
   message queues between network components).
 - :class:`Container` — a continuous-level reservoir (not used by the
   Fabric model directly but part of the standard kernel surface).
+- :class:`Link` — the reliable message hop between named nodes; the
+  seam a fault injector substitutes itself at.
 """
 
 from __future__ import annotations
@@ -184,3 +186,59 @@ class Container:
                     self._getters.popleft()
                     event.succeed()
                     progressed = True
+
+
+class Link:
+    """The reliable message hop between named nodes.
+
+    Every message the Fabric model sends between sites — a broadcast to
+    the orderer, a block to a peer, a heartbeat, a query leg — takes
+    one link object.  This one never loses, delays, duplicates or
+    reorders anything.  :class:`repro.faults.FaultInjector` answers the
+    same methods and installs itself in this object's place; senders
+    cannot tell which of the two they are talking to.
+    """
+
+    #: Messages arrive in the order sent.  A receiver behind a link
+    #: without that guarantee must re-sequence what lands.
+    fifo = True
+
+    def __init__(self, env: Environment):
+        self.env = env
+
+    def send(
+        self,
+        src: str,
+        dst: str,
+        base_ms: float,
+        channel: str | None = None,
+        kind: str | None = None,
+        acked: bool = False,
+    ):
+        """One hop ``src`` → ``dst``, as a generator to ``yield from``.
+
+        Returns how many copies arrived: 1 here; on a faulty link 0 is
+        a lost message and 2 a duplicated one.  ``channel`` and
+        ``kind`` name the message for fault rules; an ``acked``
+        delivery is repeated until the receiver has it (never 0).
+        """
+        yield self.env.timeout(base_ms)
+        return 1
+
+    def one_way(self, src: str, dst: str, base_ms: float) -> float | None:
+        """Fate of a fire-and-forget message, decided as it leaves: its
+        transit time, or ``None`` when it will never arrive."""
+        return base_ms
+
+    def service_factor(self, node: str) -> float:
+        """Multiplier on ``node``'s service times (1.0 = healthy)."""
+        return 1.0
+
+    def up(self, node: str) -> bool:
+        """Whether ``node`` is running."""
+        return True
+
+    def node_died(self, node: str, crash: BaseException) -> None:
+        """``node`` crashed mid-operation.  Nothing here re-sends what a
+        dead node missed, so the crash is not survivable."""
+        raise crash

@@ -266,71 +266,108 @@ class ViewManager(ABC):
         extra_views: dict[str, list[str]],
         tid: str | None = None,
     ):
-        network = self.gateway.network
         yield from self._await_owner()
-        processed = self.process_secret(secret)
-        matching = self.buffer.matching(public)
-
-        tid = tid or fresh_tid()
-        annotation = self._annotate(matching, tid, processed)
-        annotated_public = dict(public)
-        annotated_public["views"] = annotation
-
-        proposal = Proposal(
-            chaincode=self.business_chaincode,
-            fn=fn,
-            args=args,
-            public=annotated_public,
-            concealed=processed.concealed,
-            salt=processed.salt,
-            creator=self.owner.user_id,
-            tid=tid,
+        staged = self._stage(
+            [ViewInvocation(fn, args, public, secret, extra_views, tid)]
         )
-        notice = yield network.submit(proposal)
-        # A client-side MVCC retry (config.mvcc_retry_attempts)
-        # re-endorses under a fresh transaction id; all view
-        # bookkeeping must follow the id that actually committed.
-        tid = notice.tid
-        self._retained[tid] = processed
-        self._after_commit(tid, processed)
+        notice = yield self.gateway.network.submit(staged[0][-1])
+        outcomes = yield from self._settle(staged, [notice])
+        return outcomes[0]
 
-        view_names = [record.name for record in matching]
-        for record in matching:
-            self.insert_into_view(record, tid, processed)
-        historical, assignments = self._apply_extra_views(extra_views)
+    # -- staging and settling, shared by both request paths ------------------------
 
-        irrevocable = [r for r in matching if r.mode is ViewMode.IRREVOCABLE]
-        merges: dict[str, dict[str, bytes]] = {
-            record.name: {tid: self.view_entry(record, tid, processed)}
-            for record in irrevocable
-        }
-        for view_name, entries in historical.items():
-            merges.setdefault(view_name, {}).update(entries)
-
-        if self.txlist is not None:
-            self.txlist.record(
-                tid,
-                annotated_public,
-                view_data=merges,
-                extra_assignments=assignments,
+    def _stage(self, invocations: list[ViewInvocation]) -> list[tuple]:
+        """Conceal every secret, then build each request's business
+        proposal, its payload annotated with the views it joins.
+        Returns ``(invocation, processed, matching records, proposal)``
+        per request."""
+        processed_list = [self.process_secret(inv.secret) for inv in invocations]
+        staged = []
+        for inv, processed in zip(invocations, processed_list):
+            matching = self.buffer.matching(inv.public)
+            tid = inv.tid or fresh_tid()
+            annotated_public = dict(inv.public)
+            annotated_public["views"] = self._annotate(matching, tid, processed)
+            proposal = Proposal(
+                chaincode=self.business_chaincode,
+                fn=inv.fn,
+                args=inv.args,
+                public=annotated_public,
+                concealed=processed.concealed,
+                salt=processed.salt,
+                creator=self.owner.user_id,
+                tid=tid,
             )
+            staged.append((inv, processed, matching, proposal))
+        return staged
+
+    def _settle(self, staged: list[tuple], notices: list[CommitNotice]):
+        """View bookkeeping for committed requests, then **one**
+        maintenance transaction for all of them: the TLC flush when it
+        has fallen due, else one ViewStorage ``merge_many`` carrying
+        their irrevocable entries.  Returns the outcomes in order.
+
+        A client-side MVCC retry (config.mvcc_retry_attempts)
+        re-endorses under a fresh transaction id, so everything follows
+        ``notice.tid`` — the id that actually committed.
+        """
+        # Retain all processed secrets before applying extra views, so a
+        # request can grant historical access to an earlier transaction
+        # of the same batch.
+        for notice, (_inv, processed, _matching, _proposal) in zip(notices, staged):
+            self._retained[notice.tid] = processed
+            self._after_commit(notice.tid, processed)
+
+        pending: dict[str, dict[str, bytes]] = {}
+        outcomes = []
+        for notice, (inv, processed, matching, proposal) in zip(notices, staged):
+            tid = notice.tid
+            for record in matching:
+                self.insert_into_view(record, tid, processed)
+            historical, assignments = self._apply_extra_views(inv.extra_views)
+            merges: dict[str, dict[str, bytes]] = {
+                record.name: {tid: self.view_entry(record, tid, processed)}
+                for record in matching
+                if record.mode is ViewMode.IRREVOCABLE
+            }
+            for view_name, entries in historical.items():
+                merges.setdefault(view_name, {}).update(entries)
+            if self.txlist is not None:
+                self.txlist.record(
+                    tid,
+                    proposal.public,
+                    view_data=merges,
+                    extra_assignments=assignments,
+                )
+            for view_name, entries in merges.items():
+                pending.setdefault(view_name, {}).update(entries)
+            outcomes.append(
+                InvokeOutcome(
+                    tid=tid,
+                    notice=notice,
+                    views=[record.name for record in matching],
+                    processed=processed,
+                )
+            )
+
+        network = self.gateway.network
+        if self.txlist is not None:
             if self.txlist.due():
                 flush = self.txlist.build_flush_proposal()
                 yield network.submit(flush)
                 self.txlist.note_flush_committed(flush)
-        elif merges:
-            merge_proposal = Proposal(
-                chaincode=storage_contract.CHAINCODE_NAME,
-                fn="merge_many",
-                args={"merges": merges},
-                creator=self.owner.user_id,
-                contract_write=True,
-                kind="view-merge",
+        elif pending:
+            yield network.submit(
+                Proposal(
+                    chaincode=storage_contract.CHAINCODE_NAME,
+                    fn="merge_many",
+                    args={"merges": pending},
+                    creator=self.owner.user_id,
+                    contract_write=True,
+                    kind="view-merge",
+                )
             )
-            yield network.submit(merge_proposal)
-        return InvokeOutcome(
-            tid=tid, notice=notice, views=view_names, processed=processed
-        )
+        return outcomes
 
     # -- batched request path ------------------------------------------------------
 
@@ -360,116 +397,16 @@ class ViewManager(ABC):
 
     def _invoke_many_process(self, invocations: list[ViewInvocation]):
         network = self.gateway.network
-        env = network.env
         if not invocations:
             return []
         yield from self._await_owner()
-
-        # Process every secret up front, then put all business
-        # transactions in flight at once.
-        processed_list = self.process_secrets([inv.secret for inv in invocations])
-        staged = []
-        events = []
-        for inv, processed in zip(invocations, processed_list):
-            matching = self.buffer.matching(inv.public)
-            tid = inv.tid or fresh_tid()
-            annotated_public = dict(inv.public)
-            annotated_public["views"] = self._annotate(matching, tid, processed)
-            proposal = Proposal(
-                chaincode=self.business_chaincode,
-                fn=inv.fn,
-                args=inv.args,
-                public=annotated_public,
-                concealed=processed.concealed,
-                salt=processed.salt,
-                creator=self.owner.user_id,
-                tid=tid,
-            )
-            staged.append((inv, processed, matching, tid, annotated_public))
-            events.append(network.submit(proposal))
-        notices = yield env.all_of(events)
-        # MVCC client retries re-endorse under fresh tids; rebind each
-        # staged entry to the id its notice reports as committed.
-        staged = [
-            (inv, processed, matching, notice.tid, annotated_public)
-            for notice, (inv, processed, matching, _tid, annotated_public) in zip(
-                notices, staged
-            )
-        ]
-
-        # Retain all processed secrets before applying extra views, so a
-        # request in this batch can grant historical access to an
-        # earlier transaction of the same batch.
-        for _inv, processed, _matching, tid, _public in staged:
-            self._retained[tid] = processed
-        self._after_commit_many(
-            [(tid, processed) for _i, processed, _m, tid, _p in staged]
+        # Every secret is processed up front and all business
+        # transactions are in flight at once.
+        staged = self._stage(invocations)
+        notices = yield network.env.all_of(
+            [network.submit(proposal) for *_, proposal in staged]
         )
-
-        batch_merges: dict[str, dict[str, bytes]] = {}
-        outcomes = []
-        for notice, (inv, processed, matching, tid, annotated_public) in zip(
-            notices, staged
-        ):
-            for record in matching:
-                self.insert_into_view(record, tid, processed)
-            historical, assignments = self._apply_extra_views(dict(inv.extra_views))
-
-            merges: dict[str, dict[str, bytes]] = {
-                record.name: {tid: self.view_entry(record, tid, processed)}
-                for record in matching
-                if record.mode is ViewMode.IRREVOCABLE
-            }
-            for view_name, entries in historical.items():
-                merges.setdefault(view_name, {}).update(entries)
-            for view_name, entries in merges.items():
-                batch_merges.setdefault(view_name, {}).update(entries)
-
-            if self.txlist is not None:
-                self.txlist.record(
-                    tid,
-                    annotated_public,
-                    view_data=merges,
-                    extra_assignments=assignments,
-                )
-            outcomes.append(
-                InvokeOutcome(
-                    tid=tid,
-                    notice=notice,
-                    views=[record.name for record in matching],
-                    processed=processed,
-                )
-            )
-
-        # One maintenance transaction for the whole batch.
-        if self.txlist is not None:
-            if self.txlist.due():
-                flush = self.txlist.build_flush_proposal()
-                if flush is not None:
-                    yield network.submit(flush)
-                    self.txlist.note_flush_committed(flush)
-        elif batch_merges:
-            merge_proposal = Proposal(
-                chaincode=storage_contract.CHAINCODE_NAME,
-                fn="merge_many",
-                args={"merges": batch_merges},
-                creator=self.owner.user_id,
-                contract_write=True,
-                kind="view-merge",
-            )
-            yield network.submit(merge_proposal)
-        return outcomes
-
-    def process_secrets(self, secrets: list[bytes]) -> list[ProcessedSecret]:
-        """Vectorised ``ProcessSecret`` over a batch (order preserved)."""
-        return [self.process_secret(secret) for secret in secrets]
-
-    def _after_commit_many(
-        self, committed: list[tuple[str, ProcessedSecret]]
-    ) -> None:
-        """Vectorised :meth:`_after_commit` hook for batched commits."""
-        for tid, processed in committed:
-            self._after_commit(tid, processed)
+        return (yield from self._settle(staged, notices))
 
     def _apply_extra_views(
         self, extra_views: dict[str, list[str]]

@@ -47,15 +47,6 @@ class PDCBackedHashManager(HashBasedManager):
         for store in self.pdc.collection(self.collection).side_stores.values():
             store[tid] = processed.plaintext
 
-    def _after_commit_many(
-        self, committed: list[tuple[str, ProcessedSecret]]
-    ) -> None:
-        """Batch dissemination: resolve each side store once per batch
-        instead of once per transaction."""
-        for store in self.pdc.collection(self.collection).side_stores.values():
-            for tid, processed in committed:
-                store[tid] = processed.plaintext
-
     def read_via_pdc(self, requester, tid: str) -> bytes:
         """Member-org read path: straight from a side store, validated
         against the on-chain hash — no view owner involved."""

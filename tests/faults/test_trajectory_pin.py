@@ -1,0 +1,402 @@
+"""Chaos trajectories pinned across refactors of the fault/orderer seams.
+
+Four seeded chaos runs, each reduced to tid-free observables (the
+clock, sorted latencies, injector counters, block cutting, consensus
+churn, per-peer heights, detector and hedging statistics, and the
+number of events the kernel scheduled) and compared with digests
+recorded at the commit *before* the seams were introduced.  A refactor
+of how the network talks to its fault layer or its ordering service
+must leave every one of them untouched: same RNG draw order, same
+events, same clock.
+
+The heal instants and loads are the ones at which the recorded commit
+runs at all: healing while a commit is in service, and a storage crash
+with blocks queued at the dying peer, are defects there (ROADMAP item
+3) that kill the simulation.
+
+Every backend selector is pinned in the config, so the digests hold
+under any ambient ``REPRO_*`` variable.  Transaction ids are explicit
+and every encoded size is independent of the random key material, so
+no DRBG needs arming.
+
+``PYTHONPATH=src python tests/faults/test_trajectory_pin.py --regen``
+prints freshly computed digests (and the observables behind them); the
+values below were generated at e3ace4e05f07e4c2561ad5b470384debabb24f07.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+import pytest
+
+from repro import build_network
+from repro.fabric.config import SINGLE_REGION, NetworkConfig
+from repro.fabric.endorser import Proposal
+from repro.faults import (
+    CrashPointSpec,
+    DegradationSpec,
+    FaultEvent,
+    FaultInjector,
+    FaultPlan,
+    HeartbeatMonitor,
+    InvariantMonitor,
+    MessageFaultRule,
+    PartitionSpec,
+    RetryPolicy,
+)
+from repro.serving import HedgedQueryClient
+from repro.workload.zipf import COUNTER_CHAINCODE, CounterContract
+
+PINNED = {
+    "messages": "9bd59be026537ae1bfe9f5dd0414c2084c4fbf79ffb996e348ac15e914b37526",
+    "topology": "33911d53458eb85d6d057632bd28d66085269d9e6de9f21217ae71fa5707d92f",
+    "storage_crash": "86469c6879d8927a522d23b954d050a8988bb5b00528b32a6cf0e15afd9ae50f",
+    "pbft": "79780156750b41cce9f7d2bc57c1135675f41b21c6a1a14312faaaf3c18018b2",
+}
+
+RETRY = RetryPolicy(
+    max_attempts=10,
+    timeout_ms=400.0,
+    backoff_ms=40.0,
+    max_backoff_ms=300.0,
+    jitter_ms=15.0,
+)
+
+
+def _network(plan: FaultPlan | None, **overrides) -> object:
+    settings = dict(
+        latency=SINGLE_REGION,
+        real_signatures=False,
+        key_bits=512,
+        batch_timeout_ms=20.0,
+        block_max_transactions=4,
+        peer_count=3,
+        commit_backend="reference",
+        orderer_backend="raft",
+        storage_backend="none",
+        fault_plan=plan.to_json() if plan is not None else "off",
+    )
+    settings.update(overrides)
+    network = build_network(NetworkConfig(**settings))
+    network.install_chaincode(CounterContract())
+    return network
+
+
+def _drive(network, prefix: str, count: int, every_ms: float):
+    """Open-loop counter bumps over seven keys, with explicit tids.
+
+    Returns ``(latencies, failures)``, filled in as submissions settle:
+    milliseconds from issue to commit notice, or to the error.  A bump
+    re-endorses cleanly whatever already committed, so retries never
+    die in the chaincode; the shared keys add MVCC losers to the mix.
+    """
+    env = network.env
+    user = network.register_user(f"client-{prefix}")
+    latencies: list[float] = []
+    failures: list[float] = []
+
+    def settle(issued: float):
+        def on_fire(fired) -> None:
+            (latencies if fired.ok else failures).append(env.now - issued)
+
+        return on_fire
+
+    def issue():
+        for i in range(count):
+            proposal = Proposal(
+                chaincode=COUNTER_CHAINCODE,
+                fn="bump",
+                args={"key": f"k{i % 7}", "amount": 1},
+                creator=user.user_id,
+                tid=f"{prefix}-{i:04d}",
+            )
+            network.submit(proposal).callbacks.append(settle(env.now))
+            yield env.timeout(every_ms)
+
+    env.process(issue())
+    return latencies, failures
+
+
+def _common(network, latencies, failures) -> dict:
+    ordering = network.ordering
+    return {
+        "now": network.env.now,
+        "events_scheduled": network.env._sequence,
+        "latencies": sorted(latencies),
+        "failures": sorted(failures),
+        "faults": network.faults.summary(),
+        "blocks_cut": ordering.blocks_cut,
+        "cut_reasons": dict(sorted(ordering.cut_reasons.items())),
+        "heights": [peer.chain.height for peer in network.peers],
+        "committed": len(network.reference_peer.validation_codes),
+        "invalid": network.metrics.invalid_txs.value,
+        "queue_depth": network.queue_depth(),
+        "queue_peak": network.orderer_queue_peak,
+    }
+
+
+def _messages() -> dict:
+    """Drop / duplicate / delay on both channels under a retry policy,
+    healed while messages are still parked on delay timers."""
+    plan = FaultPlan(
+        seed=21,
+        retry=RETRY,
+        messages=(
+            MessageFaultRule(
+                channel="client_to_orderer",
+                drop=0.15,
+                duplicate=0.2,
+                delay=0.3,
+                delay_range_ms=(5.0, 2_500.0),
+            ),
+            MessageFaultRule(
+                channel="orderer_to_peer",
+                drop=0.2,
+                delay=0.3,
+                delay_range_ms=(5.0, 2_500.0),
+            ),
+        ),
+        redeliver_after_ms=60.0,
+    )
+    network = _network(plan)
+    env = network.env
+    latencies, failures = _drive(network, "msg", count=60, every_ms=7.0)
+    env.run(until=2_200.0)
+    network.faults.heal()
+    env.run()  # the fixed-delay orderer has no timers: the queue drains
+    InvariantMonitor(network).check()
+    return _common(network, latencies, failures)
+
+
+def _topology() -> dict:
+    """Partitions plus slow and lossy degradations over real raft, with
+    the heartbeat detector and hedged reads running through them."""
+    plan = FaultPlan(
+        seed=33,
+        retry=RETRY,
+        events=(FaultEvent(kind="crash_peer", at_ms=500.0, for_ms=400.0, target=2),),
+        partitions=(
+            PartitionSpec(at_ms=300.0, for_ms=700.0, groups=(("orderer:2", "peer:3"),)),
+            PartitionSpec(
+                at_ms=1_200.0, for_ms=400.0, groups=(("peer:1",),), symmetric=False
+            ),
+        ),
+        degradations=(
+            DegradationSpec(
+                kind="slow_node", at_ms=150.0, for_ms=1_200.0, node="peer:1", factor=8.0
+            ),
+            DegradationSpec(
+                kind="slow_link",
+                at_ms=100.0,
+                for_ms=1_500.0,
+                src="orderer",
+                dst="peer:2",
+                factor=6.0,
+            ),
+            DegradationSpec(
+                kind="slow_link",
+                at_ms=100.0,
+                for_ms=1_500.0,
+                src="client",
+                dst="peer:1",
+                factor=4.0,
+            ),
+            DegradationSpec(
+                kind="slow_link",
+                at_ms=100.0,
+                for_ms=1_500.0,
+                src="client",
+                dst="orderer",
+                factor=3.0,
+            ),
+            DegradationSpec(
+                kind="link_loss",
+                at_ms=200.0,
+                for_ms=1_400.0,
+                src="client",
+                dst="orderer",
+                drop=0.3,
+            ),
+            DegradationSpec(
+                kind="link_loss",
+                at_ms=200.0,
+                for_ms=1_400.0,
+                src="orderer",
+                dst="peer:1",
+                drop=0.35,
+            ),
+            DegradationSpec(
+                kind="link_loss",
+                at_ms=200.0,
+                for_ms=1_400.0,
+                src="peer:2",
+                dst="client",
+                drop=0.4,
+            ),
+            DegradationSpec(
+                kind="link_loss",
+                at_ms=200.0,
+                for_ms=1_400.0,
+                src="client",
+                dst="peer:2",
+                drop=0.25,
+            ),
+            DegradationSpec(
+                kind="link_loss",
+                at_ms=200.0,
+                for_ms=1_400.0,
+                src="client",
+                dst="peer:0",
+                drop=0.2,
+            ),
+        ),
+        redeliver_after_ms=70.0,
+    )
+    network = _network(None, use_raft=True, peer_count=4)
+    env = network.env
+    env.run(until=50.0)  # attached late: plan times are relative to this
+    FaultInjector(network, plan)
+    started = env.now
+    heartbeats = HeartbeatMonitor(network, interval_ms=40.0)
+    hedged = HedgedQueryClient(network, deadline_budget_ms=120.0)
+    reads: list[list] = []
+
+    def read_loop():
+        for _ in range(70):
+            outcome = hedged.query_async(COUNTER_CHAINCODE, "get", {"key": "k0"})
+
+            def on_fire(fired) -> None:
+                if fired.ok:
+                    value = fired.value
+                    reads.append(
+                        [value.latency_ms, value.peer, value.hedged, value.result]
+                    )
+                else:
+                    reads.append([None, None, None, None])
+
+            outcome.callbacks.append(on_fire)
+            yield env.timeout(23.0)
+
+    env.process(read_loop())
+    latencies, failures = _drive(network, "top", count=50, every_ms=25.0)
+    env.run(until=started + 2_300.0)
+    network.faults.heal()
+    env.run(until=started + 2_600.0)
+    heartbeats.stop()
+    env.run(until=started + 2_700.0)
+    InvariantMonitor(network).check()
+    observed = _common(network, latencies, failures)
+    observed.update(
+        {
+            "elections": network.raft.elections_held,
+            "heartbeats_sent": heartbeats.heartbeats_sent,
+            "heartbeats_lost": heartbeats.heartbeats_lost,
+            "suspicions": [list(t) for t in heartbeats.detector.transitions],
+            "hedge_stats": dict(sorted(hedged.stats.items())),
+            "reads": reads,
+        }
+    )
+    return observed
+
+
+def _storage_crash() -> dict:
+    """Crash points inside the durable commit path (one torn record with
+    a timed restart, one held down until heal) under real raft with a
+    leader crash, on memory stores."""
+    plan = FaultPlan(
+        seed=5,
+        retry=RETRY,
+        events=(FaultEvent(kind="crash_leader", at_ms=1_000.0, for_ms=400.0),),
+        crash_points=(
+            CrashPointSpec(
+                target=1, at_op=9, partial_fraction=0.5, recover_after_ms=300.0
+            ),
+            CrashPointSpec(target=2, at_op=23),
+        ),
+        redeliver_after_ms=60.0,
+    )
+    network = _network(
+        plan, use_raft=True, storage_backend="memory", snapshot_interval_blocks=3
+    )
+    env = network.env
+    latencies, failures = _drive(network, "sto", count=40, every_ms=45.0)
+    env.run(until=2_000.0)
+    network.faults.heal()
+    env.run(until=2_600.0)
+    InvariantMonitor(network).check()
+    observed = _common(network, latencies, failures)
+    observed["elections"] = network.raft.elections_held
+    observed["storage"] = network.storage.summary()["nodes"]
+    return observed
+
+
+def _pbft() -> dict:
+    """pbft with an equivocating primary (convicted, view change) and a
+    later leader crash, under delivery loss."""
+    plan = FaultPlan(
+        seed=9,
+        retry=RETRY,
+        messages=(
+            MessageFaultRule(channel="orderer_to_peer", drop=0.15),
+            MessageFaultRule(channel="client_to_orderer", drop=0.1),
+        ),
+        events=(
+            FaultEvent(kind="byzantine_equivocate", at_ms=120.0, target=0),
+            FaultEvent(kind="crash_leader", at_ms=700.0, for_ms=500.0),
+        ),
+        redeliver_after_ms=60.0,
+    )
+    network = _network(plan, orderer_backend="pbft")
+    env = network.env
+    latencies, failures = _drive(network, "bft", count=60, every_ms=20.0)
+    env.run(until=1_900.0)
+    network.faults.heal()
+    env.run()
+    InvariantMonitor(network).check()
+    pbft = network.pbft
+    observed = _common(network, latencies, failures)
+    observed.update(
+        {
+            "view": pbft.view,
+            "pbft_stats": dict(sorted(pbft.stats.items())),
+            "convicted": sorted(pbft.convicted),
+            "block_certs": len(network.block_certs),
+            "cert_views": [cert.view for cert in network.block_certs],
+        }
+    )
+    return observed
+
+
+SCENARIOS = {
+    "messages": _messages,
+    "topology": _topology,
+    "storage_crash": _storage_crash,
+    "pbft": _pbft,
+}
+
+
+def _digest(observed: dict) -> str:
+    canonical = json.dumps(observed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_chaos_trajectory_matches_the_pinned_digest(name):
+    observed = SCENARIOS[name]()
+    # The scenario went through the fire, not around it.
+    faults = observed["faults"]
+    assert observed["latencies"] and faults["redeliveries"] > 0
+    assert observed["heights"] == [observed["blocks_cut"]] * len(observed["heights"])
+    assert _digest(observed) == PINNED[name], json.dumps(observed, sort_keys=True)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: test_trajectory_pin.py --regen")
+    for scenario, run in SCENARIOS.items():
+        result = run()
+        print(f'    "{scenario}": "{_digest(result)}",')
+        print(json.dumps(result, sort_keys=True), file=sys.stderr)
