@@ -1,6 +1,6 @@
 """Serving-tier microbenchmarks: the open-loop knee curve.
 
-A seeded Poisson stream of counter bumps flows through the asyncio
+A seeded Poisson stream of counter bumps flows through the serving
 gateway (micro-batches + admission control) into the simulated network;
 latency is measured from *arrival*, so queueing is part of every
 percentile.  The acceptance shape is the knee: low offered loads commit
@@ -258,7 +258,7 @@ def test_write_bench_json():
     payload = {
         "description": (
             "serving-tier open-loop bench: Poisson arrivals through the "
-            "asyncio gateway (micro-batches + admission control), latency "
+            "serving gateway (micro-batches + admission control), latency "
             "measured from arrival"
         ),
         "machine_note": (

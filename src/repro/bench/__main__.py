@@ -55,7 +55,7 @@ FIGURES = {
     # loss with retry; every run asserts the safety invariants).
     "faults": runners.faults,
     # Not a paper figure: the serving tier's open-loop knee curve
-    # (latency vs offered load through the asyncio gateway).
+    # (latency vs offered load through the serving gateway).
     "serving": runners.serving,
 }
 

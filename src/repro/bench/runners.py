@@ -679,8 +679,8 @@ SERVING_LOAD_SWEEP = (25.0, 100.0, 400.0, 1600.0, 6400.0)
 def serving() -> list[dict[str, Any]]:
     """Serving tier: open-loop latency vs offered load (the knee curve).
 
-    A seeded Poisson stream of counter bumps flows through the asyncio
-    gateway into one channel; latency is measured from arrival, so
+    A seeded Poisson stream of counter bumps flows through the
+    serving gateway into one channel; latency is measured from arrival, so
     queueing under admission control is part of every percentile.  The
     expected shape: low loads commit with double-digit p50, loads just
     past the commit pipeline's capacity queue up to the shed watermark

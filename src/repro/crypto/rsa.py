@@ -372,19 +372,6 @@ class KeyPairPool:
 _pool: KeyPairPool | None = None
 
 
-def install_keypair_pool(size: int = 32) -> KeyPairPool:
-    """Make :func:`generate_keypair` serve from a recycling pool."""
-    global _pool
-    _pool = KeyPairPool(size)
-    return _pool
-
-
-def uninstall_keypair_pool() -> None:
-    """Restore fresh per-call key generation."""
-    global _pool
-    _pool = None
-
-
 def active_keypair_pool() -> KeyPairPool | None:
     """The installed pool, if any."""
     return _pool

@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.fabric import occ
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry, TxContext
-from repro.fabric.config import NetworkConfig, resolve_backends
+from repro.fabric.config import NetworkConfig, RetryPolicy, resolve_backends
 from repro.fabric.endorser import Proposal, assemble_transaction
 from repro.fabric.identity import MembershipServiceProvider, User
 from repro.fabric.orderer import BlockCutter, OrderingService, build_consensus
@@ -272,14 +272,12 @@ class FabricNetwork:
         self.orderer_queue_peak = 0
 
         #: Client-side MVCC retry (opt-in; config.mvcc_retry_attempts).
-        #: Reuses the fault layer's RetryPolicy backoff curve so the
+        #: Reuses the timeout retry's RetryPolicy backoff curve so the
         #: two retry paths share one bounded, seeded shape.
         self._mvcc_retry = None
         self._mvcc_rng = None
         self.mvcc_retries = 0
         if self.config.mvcc_retry_attempts > 0:
-            from repro.faults.plan import RetryPolicy
-
             backoff = MVCC_RETRY_BACKOFF_MS
             self._mvcc_retry = RetryPolicy(
                 max_attempts=self.config.mvcc_retry_attempts + 1,
@@ -630,6 +628,26 @@ class FabricNetwork:
         return max(
             0, self._accepted_txs - len(self.reference_peer.validation_codes)
         )
+
+    def lose_orderer_memory(self) -> None:
+        """Power-cut the ordering service: the pending batch, the ordered
+        block log, the chain-continuation counters and every client
+        waiting on a commit notice are gone, and with them whatever was
+        accepted but not yet committed."""
+        self._cutter.clear()
+        self._inflight_tids.clear()
+        self._commit_events.clear()
+        self._responses.clear()
+        self.restore_orderer_memory([])
+
+    def restore_orderer_memory(self, blocks: list) -> None:
+        """Restart the ordering service from a recovered block log: the
+        next block continues ``blocks``, and exactly their transactions
+        count as accepted — so :meth:`queue_depth` reads 0 once the
+        reference peer has caught up with the log."""
+        self.block_log[:] = blocks
+        self.ordering.resume_after(blocks)
+        self._accepted_txs = sum(len(block.transactions) for block in blocks)
 
     # -- ordering service processes ---------------------------------------------
 

@@ -69,6 +69,11 @@ class BlockCutter:
         self._pending.append((tx, raw))
         self._pending_bytes += len(raw)
 
+    def clear(self) -> None:
+        """Drop the pending batch (the orderer lost its memory)."""
+        self._pending.clear()
+        self._pending_bytes = 0
+
     def should_cut(self) -> str | None:
         """Return the cut reason if a threshold is met, else None."""
         if len(self._pending) >= self.config.block_max_transactions:
@@ -115,6 +120,11 @@ class OrderingService:
     cut_reasons: dict[str, int] = field(
         default_factory=lambda: {"count": 0, "bytes": 0, "timeout": 0}
     )
+
+    def resume_after(self, blocks: list[Block]) -> None:
+        """Continue the chain after ``blocks`` (empty: from genesis)."""
+        self._next_number = len(blocks)
+        self._tip_hash = blocks[-1].hash() if blocks else GENESIS_PREVIOUS_HASH
 
     def build_block(self, decision: BatchCutDecision, timestamp: float) -> Block:
         """Turn one cut batch into the next block of the chain."""

@@ -62,6 +62,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import FaultInjectionError
+from repro.fabric.config import RetryPolicy
 from repro.sim.faults import DegradationSpec, MessageFaultRule, PartitionSpec
 
 EVENT_KINDS = (
@@ -74,53 +75,6 @@ EVENT_KINDS = (
     "byzantine_stale_view",
     "byzantine_corrupt_view",
 )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client gateway retry: timeout + capped exponential backoff.
-
-    A submission that produces no commit notice within ``timeout_ms``
-    is resubmitted (same transaction id, so a duplicate that was merely
-    slow is deduplicated at the orderer) after an exponential backoff —
-    ``backoff_ms · backoff_factor^(attempt-1)``, capped at
-    ``max_backoff_ms``, plus uniform jitter from the plan's seeded RNG.
-
-    ``deadline_ms`` is the *total* budget across all attempts: each
-    attempt's timeout is clipped to the remaining budget and no retry
-    is started whose backoff would carry it past the deadline, so the
-    client-visible worst case is the deadline rather than
-    ``max_attempts × (timeout + backoff)``.  ``None`` (the default)
-    keeps the historical per-attempt-only behaviour.
-    """
-
-    max_attempts: int = 8
-    timeout_ms: float = 4_000.0
-    backoff_ms: float = 200.0
-    backoff_factor: float = 2.0
-    max_backoff_ms: float = 5_000.0
-    jitter_ms: float = 50.0
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise FaultInjectionError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.timeout_ms <= 0:
-            raise FaultInjectionError("timeout_ms must be positive")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise FaultInjectionError("deadline_ms must be positive when set")
-
-    def backoff_for(self, attempt: int, rng) -> float:
-        """Backoff before retry number ``attempt`` (1-based)."""
-        base = min(
-            self.backoff_ms * self.backoff_factor ** max(attempt - 1, 0),
-            self.max_backoff_ms,
-        )
-        if self.jitter_ms:
-            base += rng.uniform(0.0, self.jitter_ms)
-        return base
 
 
 @dataclass(frozen=True)

@@ -1,160 +1,80 @@
-"""Couple asyncio coroutines to the discrete-event simulation kernel.
+"""Run ``async def`` serving code on the discrete-event simulation kernel.
 
-The serving tier wants its client sessions and gateway drain loop to be
-ordinary ``async def`` code — that is the production shape the ROADMAP
-asks for — while *time* must stay simulated: a thousand concurrent
-sessions sleeping 10 ms each cost zero host wall-clock and replay
-deterministically under a fixed seed.
-
-:class:`SimBridge` makes that work with one rule: **the only await
-primitive serving code may use is** :meth:`SimBridge.wait` **on a
-simulation event** (or :meth:`sleep`, which wraps ``env.timeout``).  No
-``asyncio.sleep``, no asyncio locks/queues/semaphores — every suspension
-point maps onto the simulation's event queue, so the interleaving of
-coroutines is fully determined by the kernel's deterministic scheduling
-(FIFO ``call_soon`` on the asyncio side, seeded heap order on the sim
-side) and two runs with the same inputs produce the same trace.
-
-The drive loop alternates two phases until every task finishes:
-
-1. *settle* — run the asyncio event loop until no coroutine can make
-   further progress (each pass drains the ready queue once; passes
-   repeat while the progress counter moves);
-2. *step* — advance the simulation by one event.  Events awaited via
-   :meth:`wait` resolve asyncio futures from their sim callbacks, which
-   makes the owning coroutines runnable again and triggers a settle.
-
-If all remaining tasks are suspended while the simulation queue is
-empty, nothing can ever wake them — that is a deadlock in the serving
-code and the bridge raises instead of spinning.
+Client sessions and the gateway drain loop are ordinary coroutines while
+*time* stays simulated: a thousand sessions sleeping 10 ms each cost no
+host wall-clock and replay deterministically.  The kernel is the only
+scheduler.  **All serving code may await is** :meth:`SimBridge.wait` **on
+a simulation event** (or :meth:`sleep`): the coroutine suspends by yielding
+the event, and the event's own callback resumes it — inside the
+``env.step()`` that fired it, in callback registration order.
 """
 
 from __future__ import annotations
 
-import asyncio
+import types
 from typing import Any, Coroutine
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment, Event
 
-#: Upper bound on cleanup settle passes after cancelling failed runs.
-_MAX_CANCEL_PASSES = 50
+
+@types.coroutine
+def _suspend(event: Event):
+    return (yield event)
 
 
 class SimBridge:
-    """Drives asyncio coroutines whose every await is a simulation event."""
+    """Drives coroutines whose every await is a simulation event."""
 
     def __init__(self, env: Environment):
         self.env = env
-        self.loop = asyncio.new_event_loop()
-        #: Moves whenever a coroutine reaches an await or a task ends;
-        #: the settle/step phases use it to detect quiescence.
-        self._progress = 0
-
-    # -- awaiting the simulation -----------------------------------------
 
     async def wait(self, event: Event) -> Any:
-        """Suspend the calling coroutine until ``event`` fires.
-
-        Returns the event's value (or raises its exception).  An event
-        that already ran its callbacks resolves immediately without
-        suspending, so racing waiters never miss a completed event.
-        """
-        self._progress += 1
-        if event.processed:
+        """The event's value (or its exception) once it has fired — at once
+        for a processed event, so racing waiters never miss a completed one."""
+        if isinstance(event, Event) and event.processed:
             if not event.ok:
                 raise event.value
             return event.value
-        future = self.loop.create_future()
-
-        def _resolve(fired: Event) -> None:
-            self._progress += 1
-            if future.done():  # cancelled by an aborted run
-                return
-            if fired.ok:
-                future.set_result(fired.value)
-            else:
-                future.set_exception(fired.value)
-
-        event.callbacks.append(_resolve)
-        return await future
+        return await _suspend(event)
 
     async def sleep(self, delay_ms: float, value: Any = None) -> Any:
         """Suspend for ``delay_ms`` of *simulated* time."""
         return await self.wait(self.env.timeout(delay_ms, value))
 
-    # -- driving ----------------------------------------------------------
-
     def run(self, *coroutines: Coroutine[Any, Any, Any]) -> list[Any]:
-        """Run coroutines against the simulation; results in input order.
+        """Start each coroutine, in argument order, then step the kernel
+        until all have returned; results in input order.  A coroutine's
+        exception aborts the run from the step that resumed it; the
+        other coroutines are closed."""
+        results: dict[Coroutine, Any] = {}
 
-        The simulation only advances while at least one coroutine is
-        suspended on it, and coroutines only resume when their awaited
-        events fire — the bridge interleaves the two until every task
-        completes.  A task raising aborts the run (remaining tasks are
-        cancelled) and re-raises here.
-        """
-        loop = self.loop
-        tasks = [loop.create_task(coroutine) for coroutine in coroutines]
-        for task in tasks:
-            task.add_done_callback(self._on_task_done)
+        def resume(coroutine: Coroutine, ok: bool = True, value: Any = None) -> None:
+            try:
+                target = coroutine.send(value) if ok else coroutine.throw(value)
+            except StopIteration as stop:
+                results[coroutine] = stop.value
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"serving coroutine awaited {target!r}, not a simulation Event"
+                )
+            target.callbacks.append(lambda ev: resume(coroutine, ev.ok, ev.value))
+
         try:
-            self._settle()
-            self._raise_failed(tasks)
-            while not all(task.done() for task in tasks):
+            for coroutine in coroutines:
+                resume(coroutine)
+            while len(results) < len(coroutines):
                 if not self.env.pending_events:
-                    waiting = sum(1 for task in tasks if not task.done())
                     raise SimulationError(
-                        f"serving deadlock: {waiting} coroutine(s) suspended "
-                        "but the simulation queue is empty"
+                        f"serving deadlock: {len(coroutines) - len(results)} "
+                        "coroutine(s) suspended but the simulation queue is empty"
                     )
-                before = self._progress
                 self.env.step()
-                if self._progress != before:
-                    self._settle()
-                    self._raise_failed(tasks)
-            return [task.result() for task in tasks]
-        except BaseException:
-            self._cancel_all(tasks)
-            raise
+            return [results[coroutine] for coroutine in coroutines]
+        finally:
+            for coroutine in coroutines:
+                coroutine.close()
 
     def close(self) -> None:
-        self.loop.close()
-
-    # -- internals ---------------------------------------------------------
-
-    def _on_task_done(self, _task: "asyncio.Task") -> None:
-        self._progress += 1
-
-    def _settle_pass(self) -> None:
-        """Drain the callbacks currently ready on the asyncio loop."""
-        loop = self.loop
-        flag = loop.create_future()
-        loop.call_soon(flag.set_result, None)
-        loop.run_until_complete(flag)
-
-    def _settle(self) -> None:
-        """Run the loop until no coroutine makes further progress."""
-        while True:
-            before = self._progress
-            self._settle_pass()
-            if self._progress == before:
-                return
-
-    def _raise_failed(self, tasks: list["asyncio.Task"]) -> None:
-        """Fail fast: a crashed task would otherwise surface as a
-        deadlock once its peers starve waiting for it."""
-        for task in tasks:
-            if task.done() and not task.cancelled():
-                exc = task.exception()
-                if exc is not None:
-                    raise exc
-
-    def _cancel_all(self, tasks: list["asyncio.Task"]) -> None:
-        for task in tasks:
-            if not task.done():
-                task.cancel()
-        for _ in range(_MAX_CANCEL_PASSES):
-            if all(task.done() for task in tasks):
-                break
-            self._settle_pass()
+        """Nothing to release: the bridge owns no loop and no tasks."""

@@ -1,4 +1,4 @@
-"""Asyncio ingress: pipelined sessions, micro-batches, admission control.
+"""Coroutine ingress: pipelined sessions, micro-batches, admission control.
 
 The :class:`AsyncGateway` sits between open-loop client sessions and a
 *dispatch target* (a plain channel, a sharded deployment, or a view

@@ -134,17 +134,6 @@ class PoissonLoadGenerator:
                 return kind
         return cumulative[-1][0]
 
-    def per_session(
-        self, requests: list[ServingRequest]
-    ) -> list[list[ServingRequest]]:
-        """Split a schedule by session (arrival order preserved)."""
-        buckets: list[list[ServingRequest]] = [
-            [] for _ in range(self.config.sessions)
-        ]
-        for request in requests:
-            buckets[request.session].append(request)
-        return buckets
-
 
 # -- payload builders ----------------------------------------------------------
 
@@ -227,17 +216,32 @@ def view_mix_builder(
 
 async def _session(
     bridge: SimBridge, gateway: AsyncGateway, requests: list[ServingRequest]
-) -> int:
+) -> None:
     """One client session: sleep to each arrival, submit, never block."""
     env = gateway.env
-    submitted = 0
     for request in requests:
         delay = request.arrival_ms - env.now
         if delay > 0:
             await bridge.sleep(delay)
         gateway.submit(request)
-        submitted += 1
-    return submitted
+
+
+def drive(gateway: AsyncGateway, requests: list[ServingRequest]) -> None:
+    """Feed ``requests`` to ``gateway`` open-loop and drain it.
+
+    One session coroutine per distinct ``request.session`` (sessions
+    start in order of first appearance, each submitting its requests in
+    list order at their ``arrival_ms``) plus the gateway's drain loop,
+    run on the simulation until every request has a terminal outcome.
+    """
+    bridge = SimBridge(gateway.env)
+    sessions: dict[int, list[ServingRequest]] = {}
+    for request in requests:
+        sessions.setdefault(request.session, []).append(request)
+    bridge.run(
+        *[_session(bridge, gateway, batch) for batch in sessions.values()],
+        gateway.run(bridge, expected=len(requests)),
+    )
 
 
 def run_open_loop(
@@ -252,18 +256,7 @@ def run_open_loop(
     (each carrying its arrival/dispatch/completion stamps and outcome)
     for assertions beyond the aggregates.
     """
-    generator = PoissonLoadGenerator(config, builder)
-    requests = generator.schedule()
-    bridge = SimBridge(target.env)
+    requests = PoissonLoadGenerator(config, builder).schedule()
     gateway = AsyncGateway(target, admission=admission)
-    coroutines = [
-        _session(bridge, gateway, session_requests)
-        for session_requests in generator.per_session(requests)
-        if session_requests
-    ]
-    coroutines.append(gateway.run(bridge, expected=len(requests)))
-    try:
-        bridge.run(*coroutines)
-    finally:
-        bridge.close()
+    drive(gateway, requests)
     return gateway.metrics.finalize(offered_tps=config.offered_tps), requests

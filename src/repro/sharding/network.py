@@ -37,7 +37,6 @@ from repro.fabric.config import NetworkConfig
 from repro.fabric.endorser import Proposal
 from repro.fabric.network import CommitNotice, FabricNetwork, Gateway
 from repro.fabric.identity import User
-from repro.ledger.block import GENESIS_PREVIOUS_HASH
 from repro.sim import Environment, Event
 from repro.sharding.crossshard import (
     CoordinatorContract,
@@ -203,17 +202,9 @@ class ShardedNetwork:
         self.down.add(index)
         for peer in network.peers:
             peer.reset_world_state()
-        # The orderer's memory dies too: pending batch, ordered block
-        # log, and chain-continuation counters.  Recovery rebuilds them
-        # from the orderer WAL.
-        network.block_log.clear()
-        network._cutter._pending.clear()
-        network._cutter._pending_bytes = 0
-        network._inflight_tids.clear()
-        network.ordering._next_number = 0
-        network.ordering._tip_hash = GENESIS_PREVIOUS_HASH
-        network._commit_events.clear()
-        network._responses.clear()
+        # The orderer's memory dies too; recovery rebuilds it from the
+        # orderer WAL.
+        network.lose_orderer_memory()
 
     def recover_shard(self, index: int) -> list[Any]:
         """Restart a crashed shard from its durable stores.
@@ -232,13 +223,7 @@ class ShardedNetwork:
             raise StorageError(
                 f"cannot recover shard {network.chain_name!r}: no durable store"
             )
-        restored = network.storage.restore_block_log()
-        network.block_log.clear()
-        network.block_log.extend(restored)
-        network.ordering._next_number = len(restored)
-        network.ordering._tip_hash = (
-            restored[-1].hash() if restored else GENESIS_PREVIOUS_HASH
-        )
+        network.restore_orderer_memory(network.storage.restore_block_log())
         reports = []
         for peer in network.peers:
             recover_peer(network, peer)

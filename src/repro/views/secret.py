@@ -1,15 +1,15 @@
-"""The WithSecret interface: partitioning transactions into public and
-secret parts, and processing the secret for on-chain concealment.
+"""The outcome of the paper's ``ProcessSecret`` (the WithSecret interface):
+a transaction's secret part, concealed for on-chain storage.
 
-Each view-manager subclass implements :meth:`SecretProcessor.process`
-(the paper's ``ProcessSecret``): encryption-based managers generate a
-fresh per-transaction key ``K_ij`` and store ciphertext on chain;
-hash-based managers draw a salt and store ``h(t[S] || s)``.
+Each view-manager subclass implements
+:meth:`~repro.views.manager.ViewManager.process_secret`:
+encryption-based managers generate a fresh per-transaction key ``K_ij``
+and store ciphertext on chain; hash-based managers draw a salt and store
+``h(t[S] || s)``.  Either way the result is a :class:`ProcessedSecret`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.crypto.symmetric import SymmetricKey
@@ -36,15 +36,3 @@ class ProcessedSecret:
     salt: bytes = b""
     tx_key: SymmetricKey | None = field(default=None, repr=False)
     plaintext: bytes = field(default=b"", repr=False)
-
-
-class SecretProcessor(ABC):
-    """Strategy interface for concealing secret parts (``WithSecret``)."""
-
-    @abstractmethod
-    def process(self, secret: bytes) -> ProcessedSecret:
-        """Conceal ``secret`` for on-chain storage."""
-
-    @abstractmethod
-    def verify_concealment(self, processed: ProcessedSecret, onchain: bytes) -> bool:
-        """Check that an on-chain value matches the processed secret."""

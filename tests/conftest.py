@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
@@ -50,3 +56,25 @@ def owner_gateway(network):
 def reader_gateway(network):
     """Gateway for a registered reader identity."""
     return Gateway(network, network.register_user("reader"))
+
+
+@pytest.fixture
+def fresh_interpreter():
+    """``run(script) -> stdout`` in a new interpreter with no ``REPRO_*``
+    variable set — for asserting what a code path leaves in
+    ``sys.modules``, which this process has long since polluted."""
+
+    def run(script: str) -> str:
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    return run

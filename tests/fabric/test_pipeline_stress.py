@@ -171,12 +171,15 @@ def test_gateway_batches_preserve_session_order_across_cuts():
     drained through the async gateway's micro-batches must keep each
     session's submissions in chain order across batch boundaries, with
     exactly one terminal outcome per request."""
-    from repro.serving import AdmissionConfig, AsyncGateway, NetworkTarget
-    from repro.serving.bridge import SimBridge
-    from repro.serving.gateway import ServingRequest
+    from repro.serving import (
+        AdmissionConfig,
+        AsyncGateway,
+        NetworkTarget,
+        ServingRequest,
+        drive,
+    )
 
     network = _network()
-    env = network.env
     user = network.register_user("client")
     seen_blocks = _watch_blocks(network)
     target = NetworkTarget(network, user)
@@ -211,25 +214,10 @@ def test_gateway_batches_preserve_session_order_across_cuts():
                 arrival_ms=index * 1.7,
             )
         )
-    bridge = SimBridge(env)
-
-    async def session_coroutine(requests):
-        for request in requests:
-            delay = request.arrival_ms - env.now
-            if delay > 0:
-                await bridge.sleep(delay)
-            gateway.submit(request)
-
     by_session = [
         [r for r in schedule if r.session == s] for s in range(sessions)
     ]
-    try:
-        bridge.run(
-            *[session_coroutine(rs) for rs in by_session],
-            gateway.run(bridge, expected=len(schedule)),
-        )
-    finally:
-        bridge.close()
+    drive(gateway, schedule)
     network.verify_convergence()
 
     # Exactly one terminal outcome per request, everything committed.

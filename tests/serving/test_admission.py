@@ -8,12 +8,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.fabric.endorser import Proposal
 from repro.fabric.network import PhaseWallClock
-from repro.serving.bridge import SimBridge
-from repro.serving.gateway import (
-    AdmissionConfig,
-    AsyncGateway,
-    ServingRequest,
-)
+from repro.serving import AdmissionConfig, AsyncGateway, ServingRequest, drive
 from repro.sharding.network import ShardedNetwork
 from repro.sim.core import Environment
 
@@ -54,20 +49,9 @@ def _requests(count, arrival_ms=0.0):
 
 def _drive(gateway, schedule):
     """Feed (time, request) pairs through one session and drain."""
-    env = gateway.env
-    bridge = SimBridge(env)
-
-    async def feeder():
-        for when, request in schedule:
-            delay = when - env.now
-            if delay > 0:
-                await bridge.sleep(delay)
-            gateway.submit(request)
-
-    try:
-        bridge.run(feeder(), gateway.run(bridge, expected=len(schedule)))
-    finally:
-        bridge.close()
+    for when, request in schedule:
+        request.arrival_ms = when
+    drive(gateway, [request for _when, request in schedule])
 
 
 def test_burst_beyond_watermark_is_shed():

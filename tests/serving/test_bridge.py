@@ -1,6 +1,9 @@
-"""The asyncio/simulation bridge: determinism, failure, deadlock."""
+"""The coroutine/simulation bridge: determinism, failure, deadlock."""
 
 from __future__ import annotations
+
+import gc
+import types
 
 import pytest
 
@@ -118,3 +121,103 @@ def test_two_runs_produce_identical_traces():
         return trace
 
     assert one_run() == one_run()
+
+
+def test_waiters_on_one_event_resume_in_registration_order(env, bridge):
+    gate = env.event()
+    order = []
+
+    async def waiter(name):
+        order.append((name, "waits"))
+        value = await bridge.wait(gate)
+        order.append((name, value, env.now))
+
+    async def opener():
+        await bridge.sleep(4.0)
+        gate.succeed("open")
+
+    bridge.run(waiter("first"), waiter("second"), opener())
+    assert order == [
+        ("first", "waits"),
+        ("second", "waits"),
+        ("first", "open", 4.0),
+        ("second", "open", 4.0),
+    ]
+
+
+def test_aborted_run_leaves_no_unawaited_coroutine(env, bridge, recwarn):
+    cleaned_up = []
+
+    async def crasher():
+        raise ValueError("crashed at start")
+
+    async def suspended():
+        try:
+            await bridge.sleep(100.0)
+        finally:
+            cleaned_up.append("suspended")
+
+    async def never_started():
+        await bridge.sleep(1.0)
+
+    # The first coroutine dies before the third was ever started, and
+    # the second is closed mid-sleep: neither may be left to the
+    # garbage collector to complain about.
+    with pytest.raises(ValueError, match="crashed at start"):
+        bridge.run(suspended(), crasher(), never_started())
+    gc.collect()
+    assert cleaned_up == ["suspended"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_awaiting_a_non_event_raises(env, bridge):
+    @types.coroutine
+    def foreign_awaitable():
+        yield "not an event"
+
+    async def confused():
+        await foreign_awaitable()
+
+    with pytest.raises(SimulationError, match="'not an event'"):
+        bridge.run(confused())
+
+    async def passes_a_number():
+        await bridge.wait(12.5)
+
+    with pytest.raises(SimulationError, match="12.5"):
+        bridge.run(passes_a_number())
+
+
+NO_ASYNCIO_SCRIPT = """
+import sys
+
+from repro import build_network
+from repro.fabric.config import SINGLE_REGION, NetworkConfig
+from repro.serving import (
+    AdmissionConfig,
+    NetworkTarget,
+    OpenLoopConfig,
+    counter_builder,
+    run_open_loop,
+)
+from repro.workload.zipf import CounterContract
+
+network = build_network(
+    NetworkConfig(latency=SINGLE_REGION, real_signatures=False, batch_timeout_ms=15.0)
+)
+network.install_chaincode(CounterContract())
+metrics, requests = run_open_loop(
+    NetworkTarget(network, network.register_user("client")),
+    OpenLoopConfig(offered_tps=200.0, requests=40, sessions=4, seed=3),
+    counter_builder(),
+    admission=AdmissionConfig(),
+)
+assert metrics.committed == 40 and network.queue_depth() == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "asyncio"))
+"""
+
+
+def test_a_serving_run_never_imports_asyncio(fresh_interpreter):
+    """The kernel is the only scheduler: no second event loop is even
+    loaded (it was ~3.8 MiB of every worker's resident set)."""
+    assert fresh_interpreter(NO_ASYNCIO_SCRIPT) == "[]"

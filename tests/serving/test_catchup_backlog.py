@@ -22,12 +22,12 @@ from __future__ import annotations
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.faults import FaultPlan, MessageFaultRule
-from repro.serving.bridge import SimBridge
-from repro.serving.gateway import (
+from repro.serving import (
     AdmissionConfig,
     AsyncGateway,
     NetworkTarget,
     ServingRequest,
+    drive,
 )
 
 #: Deliveries from orderer to peers are lost for the first 600 ms —
@@ -83,29 +83,22 @@ def test_catchup_burst_is_absorbed_without_spurious_sheds():
 
     burst = [_request(i) for i in range(BURST)]
     probe = _request(900)
+    # Deep inside the stall window: the burst is dispatched, its
+    # blocks are cut and their deliveries dropped, so the live
+    # orderer depth and the gateway inflight now overlap ~fully.
+    probe.arrival_ms = env.now + 400.0
     signal_at_probe = {}
-
-    bridge = SimBridge(env)
-
-    async def feeder():
-        for request in burst:
-            gateway.submit(request)
-        # Deep inside the stall window: the burst is dispatched, its
-        # blocks are cut and their deliveries dropped, so the live
-        # orderer depth and the gateway inflight now overlap ~fully.
-        await bridge.sleep(400.0)
-        signal_at_probe.update(
+    # Scheduled before the session's own sleep to the same instant, so
+    # it reads the gauges just before the probe is submitted.
+    env.timeout(400.0).callbacks.append(
+        lambda _fired: signal_at_probe.update(
             queue=gateway.queue_depth(),
             inflight=gateway.inflight,
             depth=target.queue_depth(),
             backlog=gateway.backlog(),
         )
-        gateway.submit(probe)
-
-    try:
-        bridge.run(feeder(), gateway.run(bridge, expected=BURST + 1))
-    finally:
-        bridge.close()
+    )
+    drive(gateway, burst + [probe])
 
     # The stall really produced the overlap that used to double-count:
     # the OLD formula (queue + inflight + depth) would have shed the

@@ -52,14 +52,11 @@ def test_arrivals_strictly_increase():
 
 def test_round_robin_sessions_preserve_order():
     config = OpenLoopConfig(offered_tps=100.0, requests=40, sessions=4, seed=3)
-    generator = PoissonLoadGenerator(config, counter_builder())
-    requests = generator.schedule()
-    buckets = generator.per_session(requests)
-    assert len(buckets) == 4
-    assert sum(len(b) for b in buckets) == 40
-    for session, bucket in enumerate(buckets):
-        assert all(r.session == session for r in bucket)
-        indexes = [r.index for r in bucket]
+    requests = PoissonLoadGenerator(config, counter_builder()).schedule()
+    assert [r.session for r in requests] == [i % 4 for i in range(40)]
+    for session in range(4):
+        indexes = [r.index for r in requests if r.session == session]
+        assert len(indexes) == 10
         assert indexes == sorted(indexes)
 
 

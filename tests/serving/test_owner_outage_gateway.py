@@ -15,8 +15,7 @@ from repro.errors import OwnerUnavailableError
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
 from repro.faults import FaultEvent, FaultPlan
-from repro.serving import AdmissionConfig, AsyncGateway, ViewManagerTarget
-from repro.serving.bridge import SimBridge
+from repro.serving import AdmissionConfig, AsyncGateway, ViewManagerTarget, drive
 from repro.serving.gateway import ServingRequest
 from repro.views.hash_based import HashBasedManager
 from repro.views.predicates import AttributeEquals
@@ -54,22 +53,10 @@ def _manager():
 
 
 def _run_schedule(manager, schedule):
-    target = ViewManagerTarget(manager)
-    env = target.env
-    bridge = SimBridge(env)
-    gateway = AsyncGateway(target, WIDE_OPEN)
-
-    async def feeder():
-        for when, request in schedule:
-            delay = when - env.now
-            if delay > 0:
-                await bridge.sleep(delay)
-            gateway.submit(request)
-
-    try:
-        bridge.run(feeder(), gateway.run(bridge, expected=len(schedule)))
-    finally:
-        bridge.close()
+    for when, request in schedule:
+        request.arrival_ms = when
+    gateway = AsyncGateway(ViewManagerTarget(manager), WIDE_OPEN)
+    drive(gateway, [request for _when, request in schedule])
     return gateway
 
 

@@ -14,9 +14,9 @@ from repro.serving import (
     OpenLoopConfig,
     ServingMix,
     ViewManagerTarget,
+    drive,
     view_mix_builder,
 )
-from repro.serving.bridge import SimBridge
 from repro.serving.gateway import ServingRequest
 from repro.serving.loadgen import run_open_loop
 from repro.views.hash_based import HashBasedManager
@@ -42,22 +42,10 @@ def manager(network):
 
 def _run_schedule(manager, schedule):
     """Drive hand-crafted (time, request) pairs through the gateway."""
-    target = ViewManagerTarget(manager)
-    env = target.env
-    bridge = SimBridge(env)
-    gateway = AsyncGateway(target, WIDE_OPEN)
-
-    async def feeder():
-        for when, request in schedule:
-            delay = when - env.now
-            if delay > 0:
-                await bridge.sleep(delay)
-            gateway.submit(request)
-
-    try:
-        bridge.run(feeder(), gateway.run(bridge, expected=len(schedule)))
-    finally:
-        bridge.close()
+    for when, request in schedule:
+        request.arrival_ms = when
+    gateway = AsyncGateway(ViewManagerTarget(manager), WIDE_OPEN)
+    drive(gateway, [request for _when, request in schedule])
 
 
 def _request(index, kind, payload, arrival_ms):

@@ -251,7 +251,8 @@ class TestCoordinatorCrashRecovery:
 
 class TestWithoutDurability:
     def test_inert_log_still_commits(self):
-        sharded, _gw, co = _deployment(storage=None)
+        # "none", not None: an ambient REPRO_STORAGE_BACKEND must not arm it.
+        sharded, _gw, co = _deployment(storage="none")
         assert co.log.store is None
         result = co.execute_sync(_writes((0, 1)))
         assert result.committed

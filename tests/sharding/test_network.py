@@ -128,8 +128,9 @@ class TestRoutingLocality:
 
 class TestWholeShardCrash:
     def test_crash_requires_durability(self):
+        # Pinned off: an ambient REPRO_STORAGE_BACKEND must not arm it.
         sharded = ShardedNetwork(
-            config=NetworkConfig(**FAST), shard_count=2
+            config=NetworkConfig(storage_backend="none", **FAST), shard_count=2
         )
         with pytest.raises(StorageError, match="durability"):
             sharded.crash_shard(0)
@@ -180,6 +181,28 @@ class TestWholeShardCrash:
         notice = gateway.on(1).invoke("counter", "bump", {"key": "x", "amount": 3})
         assert notice.code is ValidationCode.VALID
         assert sharded.shards[1].query("counter", "get", {"key": "x"}) == 5
+
+    def test_queue_gauge_forgets_transactions_lost_to_the_crash(self):
+        """Submissions in flight when the shard dies never commit; the
+        back-pressure gauge (accepted - committed) must not carry them
+        as load into the gateway's shed watermark ever after."""
+        sharded, gateway = _durable_deployment(shards=2)
+        on_shard = gateway.on(0)
+        for i in range(5):
+            on_shard.invoke("counter", "bump", {"key": f"pre-{i}", "amount": 1})
+        for i in range(7):
+            on_shard.submit_async("counter", "bump", {"key": f"lost-{i}", "amount": 1})
+        # Past endorsement and into the orderer, not yet committed.
+        sharded.run(until=sharded.env.now + 8.0)
+        assert sharded.shards[0].queue_depth() > 0
+        sharded.crash_shard(0)
+        sharded.recover_shard(0)
+        sharded.run(until=sharded.env.now + 2_000.0)  # drain
+        assert sharded.shards[0].queue_depth() == 0
+        assert sharded.queue_depth() == 0
+        notice = on_shard.invoke("counter", "bump", {"key": "post", "amount": 1})
+        assert notice.code is ValidationCode.VALID
+        assert sharded.queue_depth() == 0
 
     def test_routed_invoke_raises_while_home_shard_down(self):
         sharded, gateway = _durable_deployment(shards=3)
