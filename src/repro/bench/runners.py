@@ -680,13 +680,14 @@ def serving() -> list[dict[str, Any]]:
     """Serving tier: open-loop latency vs offered load (the knee curve).
 
     A seeded Poisson stream of counter bumps flows through the
-    serving gateway into one channel; latency is measured from arrival, so
+    serving gateway into one channel, which cuts blocks by group commit
+    once the target is bound; latency is measured from arrival, so
     queueing under admission control is part of every percentile.  The
-    expected shape: low loads commit with double-digit p50, loads just
-    past the commit pipeline's capacity queue up to the shed watermark
-    (the latency hump), and deep overload sheds the excess — p99 stays
-    bounded by the watermark while goodput keeps climbing toward
-    saturated-pipeline capacity as denser arrivals fill bigger blocks.
+    expected shape: up to 400 tps everything commits with p99 within a
+    few times the 25 tps floor (a block holds one commit cycle's
+    arrivals, so nothing queues), and deep overload sheds the excess —
+    p99 stays bounded by the watermark while goodput holds at the
+    saturated pipeline's capacity.
     """
     from repro import build_network
     from repro.bench.harness import PHASE_TOTALS

@@ -230,6 +230,15 @@ class FabricNetwork:
         self.link = Link(env)
         self._order_inbox: Store = Store(env)
         self._arrival: Event = env.event()
+        #: When a partial block is cut: "timer" (Fabric's BatchTimeout,
+        #: every paper figure) until :meth:`bind_serving_target` moves
+        #: it to "group".  Not a config field: who feeds the channel
+        #: decides it.
+        self.cut_policy = "timer"
+        #: What the group cutter waits on while a block is outstanding;
+        #: fired by the next delivery to finish at any peer.  ``None``
+        #: whenever nobody waits — always, under "timer".
+        self._commit_progress: Event | None = None
         self._commit_events: dict[str, Event] = {}
         self._responses: dict[str, Any] = {}
         #: Post-commit canonical state roots per block (all peers agree);
@@ -629,6 +638,23 @@ class FabricNetwork:
             0, self._accepted_txs - len(self.reference_peer.validation_codes)
         )
 
+    def blocks_outstanding(self) -> int:
+        """Blocks ordered but not yet committed by *any* peer — what the
+        group cutter keeps at one.  Counted against the furthest peer,
+        not the reference peer, so a crashed peer 0 cannot stall
+        ordering; like :meth:`queue_depth` it reads 0 once the peers
+        have caught up with a lost or restored block log."""
+        return max(
+            0, len(self.block_log) - max(p.chain.height for p in self.peers)
+        )
+
+    def bind_serving_target(self) -> None:
+        """An open-loop serving target now feeds this channel: cut by
+        group commit from the next batch on.  Bind the target before
+        the channel sees traffic — blocks cut earlier (a view's set-up
+        grants, say) were cut on the timer."""
+        self.cut_policy = "group"
+
     def lose_orderer_memory(self) -> None:
         """Power-cut the ordering service: the pending batch, the ordered
         block log, the chain-continuation counters and every client
@@ -674,24 +700,45 @@ class FabricNetwork:
             self._arrival = self.env.event()
             arrival.succeed()
 
+    def _await_timer_cut(self):
+        """Why to cut the pending batch under "timer": a count/bytes cap,
+        or the batch timeout after its first transaction."""
+        env = self.env
+        deadline = env.now + self.config.batch_timeout_ms
+        while True:
+            reason = self._cutter.should_cut()
+            if reason:
+                return reason
+            if env.now >= deadline:
+                return "timeout"
+            yield env.any_of([self._arrival, env.timeout(deadline - env.now)])
+
+    def _await_group_cut(self):
+        """Why to cut the pending batch under "group": a count/bytes cap,
+        or no block outstanding — never a timer, so a block holds what
+        arrived during one commit cycle and the committer is never
+        handed blocks faster than it drains them."""
+        while True:
+            reason = self._cutter.should_cut()
+            if reason:
+                return reason
+            if self.blocks_outstanding() == 0:
+                return "idle"
+            if self._commit_progress is None:
+                self._commit_progress = self.env.event()
+            yield self.env.any_of([self._arrival, self._commit_progress])
+
     def _cut_loop(self):
-        """Cut blocks on count/bytes thresholds or the batch timeout."""
+        """Cut blocks on the count/bytes thresholds, and partial ones by
+        :attr:`cut_policy`."""
         env = self.env
         while True:
             while not self._cutter.has_pending:
                 yield self._arrival
-            deadline = env.now + self.config.batch_timeout_ms
-            reason = None
-            while reason is None:
-                reason = self._cutter.should_cut()
-                if reason:
-                    break
-                if env.now >= deadline:
-                    reason = "timeout"
-                    break
-                yield env.any_of(
-                    [self._arrival, env.timeout(deadline - env.now)]
-                )
+            if self.cut_policy == "group":
+                reason = yield from self._await_group_cut()
+            else:
+                reason = yield from self._await_timer_cut()
             while self._cutter.has_pending:
                 with self.phase_wall.track("order"):
                     decision = self._cutter.cut(reason)
@@ -794,6 +841,11 @@ class FabricNetwork:
         """Commit one block; on the reference peer, notify the clients."""
         env = self.env
         result = yield from self._commit_one(index, peer, block, memo)
+        if self._commit_progress is not None:
+            # A waiting group cutter re-reads the heights (also when this
+            # copy found its block already committed by a catch-up).
+            progress, self._commit_progress = self._commit_progress, None
+            progress.succeed()
         if result is None:
             return
         if peer is self.reference_peer:

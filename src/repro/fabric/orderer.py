@@ -33,7 +33,7 @@ NO_STATE_ROOT = b"\x00" * 32
 class BatchCutDecision:
     """Why a batch was cut (used in tests and diagnostics)."""
 
-    reason: str  # "count" | "bytes" | "timeout"
+    reason: str  # "count" | "bytes" | "timeout" | "idle"
     transactions: list[Transaction]
     #: Canonical encoding of each transaction, in batch order: the bytes
     #: the cutter measured, handed on so the block's WAL records need
@@ -118,7 +118,7 @@ class OrderingService:
     _tip_hash: bytes = GENESIS_PREVIOUS_HASH
     blocks_cut: int = 0
     cut_reasons: dict[str, int] = field(
-        default_factory=lambda: {"count": 0, "bytes": 0, "timeout": 0}
+        default_factory=lambda: {"count": 0, "bytes": 0, "timeout": 0, "idle": 0}
     )
 
     def resume_after(self, blocks: list[Block]) -> None:

@@ -29,9 +29,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import FaultInjectionError, LedgerViewError, WorkloadError
+from repro.errors import (
+    AccessControlError,
+    FaultInjectionError,
+    LedgerError,
+    LedgerViewError,
+    WorkloadError,
+)
 from repro.fabric.endorser import Proposal
 from repro.fabric.identity import User
 from repro.fabric.network import FabricNetwork
@@ -94,8 +100,79 @@ class AdmissionConfig:
 
 # -- dispatch targets ----------------------------------------------------------
 
+#: ``complete(request, outcome, detail)`` — the gateway's completion
+#: callback.  A target calls it exactly once per dispatched request, at
+#: the simulated instant that request's own terminal event fires.
+Complete = Callable[["ServingRequest", str, Any], None]
 
-class NetworkTarget:
+
+class _ChannelTarget:
+    """What the dispatch targets share: the channels they feed.
+
+    Binding a target is what moves those channels to group-commit block
+    cutting (:meth:`FabricNetwork.bind_serving_target`) — open-loop
+    traffic arrives whether or not the committer has drained.  Ingress
+    cost is host-side and deployment-wide; it is attributed to the
+    first channel's clock.
+    """
+
+    def __init__(self, networks: list[FabricNetwork]):
+        self.networks = networks
+        self.env = networks[0].env
+        self.phase_wall = networks[0].phase_wall
+        for network in networks:
+            network.bind_serving_target()
+
+    def queue_depth(self) -> int:
+        return sum(network.queue_depth() for network in self.networks)
+
+
+def _verdict(notice: Any) -> str:
+    """The outcome a commit notice stands for."""
+    return "committed" if notice.code is ValidationCode.VALID else "aborted"
+
+
+def _request_error(fired: Event) -> Exception:
+    """The exception of a failed submission event, if it is one a
+    request can die of alone: a chaincode or endorsement error, a policy
+    refusal, retries the injected faults exhausted.  Anything else is a
+    defect in the simulation, not an outcome, and stops the run."""
+    error = fired.value
+    if not isinstance(error, (LedgerError, AccessControlError, FaultInjectionError)):
+        raise error
+    return error
+
+
+def _complete_when_fired(
+    event: Event, request: ServingRequest, complete: Complete
+) -> None:
+    """Complete ``request`` from its own submission event: the commit
+    notice's validation code, or ``aborted`` with the error of a
+    submission that failed (see :func:`_request_error`)."""
+
+    def on_fire(fired: Event) -> None:
+        if fired.ok:
+            complete(request, _verdict(fired.value), fired.value)
+        else:
+            complete(request, "aborted", _request_error(fired))
+
+    event.callbacks.append(on_fire)
+
+
+def _chaincode_fields(request: ServingRequest) -> dict[str, Any]:
+    """The proposal fields a chaincode payload carries besides its
+    ``chaincode``, ``fn`` and ``args``."""
+    payload = request.payload
+    fields: dict[str, Any] = {
+        "public": payload.get("public", {}),
+        "contract_write": payload.get("contract_write", False),
+    }
+    if payload.get("tid") is not None:
+        fields["tid"] = payload["tid"]
+    return fields
+
+
+class NetworkTarget(_ChannelTarget):
     """Raw chaincode submissions against one :class:`FabricNetwork`.
 
     Payload keys: ``chaincode``, ``fn``, ``args`` (plus optional
@@ -103,44 +180,24 @@ class NetworkTarget:
     """
 
     def __init__(self, network: FabricNetwork, user: User):
+        super().__init__([network])
         self.network = network
         self.user = user
-        self.env = network.env
-        self.phase_wall = network.phase_wall
 
-    def queue_depth(self) -> int:
-        return self.network.queue_depth()
-
-    def _proposal(self, request: ServingRequest) -> Proposal:
-        payload = request.payload
-        fields: dict[str, Any] = {}
-        if payload.get("tid") is not None:
-            fields["tid"] = payload["tid"]
-        return Proposal(
-            chaincode=payload["chaincode"],
-            fn=payload["fn"],
-            args=payload.get("args", {}),
-            public=payload.get("public", {}),
-            contract_write=payload.get("contract_write", False),
-            creator=self.user.user_id,
-            **fields,
-        )
-
-    def dispatch(self, batch: list[ServingRequest]) -> Event:
-        env = self.env
-
-        def run():
-            events = [
-                self.network.submit(self._proposal(request))
-                for request in batch
-            ]
-            notices = yield env.all_of(events)
-            return [_notice_outcome(notice) for notice in notices]
-
-        return env.process(run())
+    def dispatch(self, batch: list[ServingRequest], complete: Complete) -> None:
+        for request in batch:
+            payload = request.payload
+            proposal = Proposal(
+                chaincode=payload["chaincode"],
+                fn=payload["fn"],
+                args=payload.get("args", {}),
+                creator=self.user.user_id,
+                **_chaincode_fields(request),
+            )
+            _complete_when_fired(self.network.submit(proposal), request, complete)
 
 
-class ShardedTarget:
+class ShardedTarget(_ChannelTarget):
     """Key-routed submissions against a :class:`ShardedNetwork`.
 
     Payload keys as :class:`NetworkTarget` plus ``key``: the routing key
@@ -152,167 +209,115 @@ class ShardedTarget:
         # ``gateway`` is a repro.sharding.network.ShardedGateway.
         self.gateway = gateway
         self.sharded = gateway.sharded
-        self.env = self.sharded.env
-        # Ingress cost is host-side and deployment-wide; attribute it to
-        # the first shard's clock (merge_phase_wall sums all shards).
-        self.phase_wall = self.sharded.shards[0].phase_wall
+        super().__init__(self.sharded.shards)
 
     def queue_depth(self) -> int:
         return self.sharded.queue_depth()
 
-    def _submit_one(self, request: ServingRequest) -> Event:
-        payload = request.payload
-        fields: dict[str, Any] = {}
-        if payload.get("tid") is not None:
-            fields["tid"] = payload["tid"]
-        return self.gateway.submit_async(
-            payload["key"],
-            payload["chaincode"],
-            payload["fn"],
-            payload.get("args", {}),
-            public=payload.get("public", {}),
-            contract_write=payload.get("contract_write", False),
-            **fields,
-        )
+    def dispatch(self, batch: list[ServingRequest], complete: Complete) -> None:
+        """Submit a micro-batch; every request stands alone.
 
-    def dispatch(self, batch: list[ServingRequest]) -> Event:
-        """Submit a micro-batch, isolating per-request shard failures.
-
-        A request routed to a down or partitioned shard fails *alone*
-        (its slot carries the routing error) rather than poisoning the
-        whole micro-batch — other sessions' requests in the same batch
-        proceed normally.  Likewise a submission that later dies to
-        fault injection (e.g. a retry deadline on a dark shard) aborts
-        only its own slot.
+        A request routed to a down or partitioned shard is aborted at
+        dispatch with the routing error, and a submission that later
+        dies to fault injection (e.g. a retry deadline on a dark shard)
+        aborts on its own event — other sessions' requests in the same
+        batch proceed normally.
         """
-        env = self.env
-
-        def settle(event: Event, slots: list[Any], slot: int):
+        for request in batch:
+            payload = request.payload
             try:
-                notice = yield event
+                event = self.gateway.submit_async(
+                    payload["key"],
+                    payload["chaincode"],
+                    payload["fn"],
+                    payload.get("args", {}),
+                    **_chaincode_fields(request),
+                )
             except FaultInjectionError as exc:
-                slots[slot] = ("aborted", exc)
-                return
-            slots[slot] = _notice_outcome(notice)
-
-        def run():
-            slots: list[Any] = [None] * len(batch)
-            waiters: list[Event] = []
-            for i, request in enumerate(batch):
-                try:
-                    event = self._submit_one(request)
-                except FaultInjectionError as exc:
-                    slots[i] = ("aborted", exc)
-                    continue
-                waiters.append(env.process(settle(event, slots, i)))
-            if waiters:
-                yield env.all_of(waiters)
-            return slots
-
-        return env.process(run())
+                complete(request, "aborted", exc)
+                continue
+            _complete_when_fired(event, request, complete)
 
 
-class ViewManagerTarget:
+class ViewManagerTarget(_ChannelTarget):
     """View-tier operations drained through ``ViewManager.invoke_many``.
 
     Request kinds and payload keys:
 
     - ``invoke``: ``fn``, ``args``, ``public``, ``secret`` (optional
-      ``extra_views``, ``tid``) — batched through
-      :meth:`ViewManager.invoke_many_async`, the PR 3 sweet spot;
+      ``extra_views``, ``tid``) — the invokes of a micro-batch go
+      through one :meth:`ViewManager.invoke_many_async` and complete
+      together, because their view maintenance is one coalesced
+      transaction;
     - ``grant`` / ``revoke``: ``view``, ``principal`` — the async RBAC
-      path (policy errors come back as ``aborted``, not a crash);
+      path, each completing on its own commit notice (policy errors
+      come back as ``aborted``, not a crash);
     - ``audit``: ``view``, ``principal`` (optional ``tids``) — an
-      owner-side ``QueryView``, served synchronously at dispatch.
+      owner-side ``QueryView``, served and completed at dispatch.
     """
 
     def __init__(self, manager: Any):
+        super().__init__([manager.gateway.network])
         self.manager = manager
-        self.env = manager.gateway.network.env
-        self.phase_wall = manager.gateway.network.phase_wall
 
-    def queue_depth(self) -> int:
-        return self.manager.gateway.network.queue_depth()
-
-    def dispatch(self, batch: list[ServingRequest]) -> Event:
+    def dispatch(self, batch: list[ServingRequest], complete: Complete) -> None:
         from repro.views.manager import ViewInvocation
 
-        env = self.env
         manager = self.manager
-
-        def run():
-            slots: list[Any] = [None] * len(batch)
-            invocations: list[ViewInvocation] = []
-            invocation_slots: list[int] = []
-            rbac_events: list[Event] = []
-            rbac_slots: list[int] = []
-            for i, request in enumerate(batch):
-                payload = request.payload
-                if request.kind == "invoke":
-                    invocations.append(
-                        ViewInvocation(
-                            fn=payload["fn"],
-                            args=payload["args"],
-                            public=payload["public"],
-                            secret=payload["secret"],
-                            extra_views=dict(payload.get("extra_views", {})),
-                            tid=payload.get("tid"),
-                        )
+        rbac = {
+            "grant": manager.grant_access_async,
+            "revoke": manager.revoke_access_async,
+        }
+        invokes: list[ServingRequest] = []
+        for request in batch:
+            kind, payload = request.kind, request.payload
+            if kind == "invoke":
+                invokes.append(request)
+                continue
+            if kind != "audit" and kind not in rbac:
+                raise WorkloadError(f"unknown serving request kind {kind!r}")
+            try:
+                if kind == "audit":
+                    sealed = manager.query_view(
+                        payload["view"],
+                        payload["principal"],
+                        tids=payload.get("tids"),
                     )
-                    invocation_slots.append(i)
-                elif request.kind in ("grant", "revoke"):
-                    op = (
-                        manager.grant_access_async
-                        if request.kind == "grant"
-                        else manager.revoke_access_async
-                    )
-                    try:
-                        rbac_events.append(
-                            op(payload["view"], payload["principal"])
-                        )
-                        rbac_slots.append(i)
-                    except LedgerViewError as exc:
-                        slots[i] = ("aborted", exc)
-                elif request.kind == "audit":
-                    try:
-                        sealed = manager.query_view(
-                            payload["view"],
-                            payload["principal"],
-                            tids=payload.get("tids"),
-                        )
-                        slots[i] = ("committed", len(sealed))
-                    except LedgerViewError as exc:
-                        slots[i] = ("aborted", exc)
                 else:
-                    raise WorkloadError(
-                        f"unknown serving request kind {request.kind!r}"
-                    )
-            events: list[Event] = []
-            if invocations:
-                events.append(manager.invoke_many_async(invocations))
-            events.extend(rbac_events)
-            if events:
-                values = yield env.all_of(events)
+                    event = rbac[kind](payload["view"], payload["principal"])
+            except LedgerViewError as exc:
+                complete(request, "aborted", exc)
+                continue
+            if kind == "audit":
+                complete(request, "committed", len(sealed))
             else:
-                values = []
-            if invocations:
-                outcomes, values = values[0], values[1:]
-                for slot, outcome in zip(invocation_slots, outcomes):
-                    code = outcome.notice.code
-                    slots[slot] = (
-                        "committed" if code is ValidationCode.VALID else "aborted",
-                        outcome,
-                    )
-            for slot, notice in zip(rbac_slots, values):
-                slots[slot] = _notice_outcome(notice)
-            return slots
+                _complete_when_fired(event, request, complete)
+        if not invokes:
+            return
+        event = manager.invoke_many_async(
+            [
+                ViewInvocation(
+                    fn=request.payload["fn"],
+                    args=request.payload["args"],
+                    public=request.payload["public"],
+                    secret=request.payload["secret"],
+                    extra_views=dict(request.payload.get("extra_views", {})),
+                    tid=request.payload.get("tid"),
+                )
+                for request in invokes
+            ]
+        )
 
-        return env.process(run())
+        def on_fire(fired: Event) -> None:
+            if not fired.ok:
+                error = _request_error(fired)
+                for request in invokes:
+                    complete(request, "aborted", error)
+                return
+            for request, outcome in zip(invokes, fired.value):
+                complete(request, _verdict(outcome.notice), outcome)
 
-
-def _notice_outcome(notice: Any) -> tuple[str, Any]:
-    committed = notice.code is ValidationCode.VALID
-    return ("committed" if committed else "aborted", notice)
+        event.callbacks.append(on_fire)
 
 
 # -- the gateway ---------------------------------------------------------------
@@ -444,10 +449,7 @@ class AsyncGateway:
                 self.metrics.sample_queue(
                     env.now, len(self._queue), self.target.queue_depth()
                 )
-                event = self.target.dispatch(batch)
-            event.callbacks.append(
-                lambda fired, batch=batch: self._on_complete(batch, fired)
-            )
+                self.target.dispatch(batch, self._on_complete)
         return self.metrics
 
     # -- internals ---------------------------------------------------------
@@ -473,25 +475,19 @@ class AsyncGateway:
         await bridge.wait(event)
         self._progress_ev = self.env.event()
 
-    def _on_complete(self, batch: list[ServingRequest], event: Event) -> None:
-        """Sim-event callback: a dispatched batch reached its outcome."""
+    def _on_complete(self, request: ServingRequest, outcome: str, detail: Any) -> None:
+        """One dispatched request reached its outcome (the targets'
+        completion callback, called inside that request's own terminal
+        sim event — or inside ``dispatch`` for an outcome known there)."""
         now = self.env.now
-        if event.ok:
-            outcomes = event.value
-        else:
-            # A failed dispatch (chaincode/policy error escaping the
-            # target) terminates the whole batch as aborted; the
-            # exception rides along in each request's detail.
-            outcomes = [("aborted", event.value)] * len(batch)
-        for request, (outcome, detail) in zip(batch, outcomes):
-            request.outcome = outcome
-            request.detail = detail
-            request.completed_ms = now
-            self.metrics.record_completion(
-                request.arrived_ms, now, outcome == "committed"
-            )
-        self._inflight -= len(batch)
-        self._finished += len(batch)
+        request.outcome = outcome
+        request.detail = detail
+        request.completed_ms = now
+        self.metrics.record_completion(
+            request.arrived_ms, now, outcome == "committed"
+        )
+        self._inflight -= 1
+        self._finished += 1
         self.metrics.sample_queue(
             now, len(self._queue), self.target.queue_depth()
         )

@@ -39,7 +39,7 @@ from typing import Any
 from repro.errors import CircuitOpenError, FaultInjectionError, WorkloadError
 from repro.fabric.chaincode import TxContext
 from repro.fabric.network import FabricNetwork
-from repro.serving.gateway import ShardedTarget, _notice_outcome
+from repro.serving.gateway import Complete, ShardedTarget
 from repro.serving.metrics import percentile
 from repro.sim.core import Environment, Event
 
@@ -409,43 +409,28 @@ class ResilientShardedTarget(ShardedTarget):
     def breaker_for(self, key: str) -> CircuitBreaker:
         return self.breakers[self.sharded.shard_index(key)]
 
-    def dispatch(self, batch: list[Any]) -> Event:
-        env = self.env
+    def dispatch(self, batch: list[Any], complete: Complete) -> None:
+        for request in batch:
+            key = request.payload["key"]
+            breaker = self.breaker_for(key)
+            if not breaker.allow():
+                complete(
+                    request,
+                    "shed",
+                    CircuitOpenError(
+                        f"breaker for shard {breaker.name!r} is open; "
+                        f"request for key {key!r} shed at the gateway"
+                    ),
+                )
+                continue
 
-        def settle(event: Event, slots: list[Any], slot: int, breaker):
-            try:
-                notice = yield event
-            except FaultInjectionError as exc:
-                breaker.record_failure()
-                slots[slot] = ("aborted", exc)
-                return
-            breaker.record_success()
-            slots[slot] = _notice_outcome(notice)
-
-        def run():
-            slots: list[Any] = [None] * len(batch)
-            waiters: list[Event] = []
-            for i, request in enumerate(batch):
-                key = request.payload["key"]
-                breaker = self.breaker_for(key)
-                if not breaker.allow():
-                    slots[i] = (
-                        "shed",
-                        CircuitOpenError(
-                            f"breaker for shard {breaker.name!r} is open; "
-                            f"request for key {key!r} shed at the gateway"
-                        ),
-                    )
-                    continue
-                try:
-                    event = self._submit_one(request)
-                except FaultInjectionError as exc:
+            def settled(request, outcome, detail, breaker=breaker) -> None:
+                if isinstance(detail, FaultInjectionError):
                     breaker.record_failure()
-                    slots[i] = ("aborted", exc)
-                    continue
-                waiters.append(env.process(settle(event, slots, i, breaker)))
-            if waiters:
-                yield env.all_of(waiters)
-            return slots
+                else:
+                    breaker.record_success()
+                complete(request, outcome, detail)
 
-        return env.process(run())
+            # One at a time: a routing failure recorded here may open
+            # the breaker for the rest of the batch.
+            super().dispatch([request], settled)

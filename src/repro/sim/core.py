@@ -156,8 +156,10 @@ class Process(Event):
                 self._value = stop.value
                 self.env._schedule(self, NORMAL)
             return
-        except Interrupt as exc:
-            # An unhandled interrupt terminates the process with failure.
+        except Exception as exc:
+            # An exception the generator did not handle (an unhandled
+            # interrupt included) fails the process event: whoever waits
+            # on it sees the error, and ``step`` raises it if nobody does.
             if not self.triggered:
                 self._ok = False
                 self._value = exc

@@ -28,16 +28,16 @@ class StubTarget:
     def queue_depth(self) -> int:
         return 0
 
-    def dispatch(self, batch):
+    def dispatch(self, batch, complete):
         self.batch_sizes.append(len(batch))
         if self.gateway is not None:
             self.inflight_at_dispatch.append(self.gateway.inflight)
 
-        def run():
-            yield self.env.timeout(self.service_ms)
-            return [("committed", None)] * len(batch)
+        def served(_fired):
+            for request in batch:
+                complete(request, "committed", None)
 
-        return self.env.process(run())
+        self.env.timeout(self.service_ms).callbacks.append(served)
 
 
 def _requests(count, arrival_ms=0.0):

@@ -72,17 +72,14 @@ def test_batch_outcomes_map_back_positionally():
     env = Environment()
 
     class AlternatingTarget(StubTarget):
-        def dispatch(self, batch):
+        def dispatch(self, batch, complete):
             self.batch_sizes.append(len(batch))
 
-            def run():
-                yield self.env.timeout(self.service_ms)
-                return [
-                    ("committed", i) if i % 2 == 0 else ("aborted", i)
-                    for i in range(len(batch))
-                ]
+            def served(_fired):
+                for i, request in enumerate(batch):
+                    complete(request, "committed" if i % 2 == 0 else "aborted", i)
 
-            return self.env.process(run())
+            self.env.timeout(self.service_ms).callbacks.append(served)
 
     target = AlternatingTarget(env)
     gateway = _gateway(env, target, max_batch=4, linger_ms=0.0)

@@ -1,13 +1,14 @@
-"""Open-loop serving trajectories pinned across changes to the bridge.
+"""Open-loop serving trajectories pinned across changes to the tier.
 
 Three seeded :func:`run_open_loop` runs — a plain channel driven past
 the knee with a watermark tight enough to shed, a view-manager mix with
 grants, revokes and audits, and a sharded deployment with one shard
-dark for part of the run — each reduced to the clock, the number of
-events the kernel scheduled, the size of every micro-batch the gateway
-dispatched (what ``gateway.batch_sizes`` holds; recorded at the target
-because ``run_open_loop`` keeps its gateway), the queue-depth series,
-and every request's outcome and arrived/dispatched/completed stamps.
+dark for part of the run — each under both block-cutting policies and
+reduced to the clock, the number of events the kernel scheduled, the
+size of every micro-batch the gateway dispatched (what
+``gateway.batch_sizes`` holds; recorded at the target because
+``run_open_loop`` keeps its gateway), the queue-depth series, and every
+request's outcome and arrived/dispatched/completed stamps.
 
 How the session and drain coroutines are scheduled against the kernel
 must not show in any of them: same events, same order, same clock.
@@ -17,9 +18,21 @@ under any ambient ``REPRO_*`` variable; transaction ids are fixed-width
 and no encoded size depends on random key material.
 
 ``PYTHONPATH=src python tests/serving/test_trajectory_pin.py --regen``
-prints freshly computed digests (and the observables behind them); the
-values below were generated at fcf10750d465e22c2109d2cde18cd42847ab235f,
-where the coroutines still ran on an asyncio event loop.
+prints freshly computed digests (and the observables behind them).
+
+History of the values below.  The "timer" digests were first generated
+at fcf10750d465e22c2109d2cde18cd42847ab235f, where the coroutines still
+ran on an asyncio event loop and a micro-batch had one terminal event.
+They held unchanged with the timer put back behind the bound target
+once the group cutter existed (checked on a build with the cutter and without per-request
+completion), and were regenerated once, for per-request completion:
+``knee`` moved only in ``events_scheduled`` (4197 -> 4122) and the
+queue-depth series (a sample per completed request, not per batch) —
+no request stamp, batch size or the clock; ``view_mix`` (audits are
+terminal at dispatch, grants on their own notice) and ``dark_shard``
+(a request routed at the dark shard aborts at dispatch and frees its
+inflight slot at once) moved in batch sizes, stamps and the clock too.
+The "group" digests were generated with them.
 """
 
 from __future__ import annotations
@@ -51,14 +64,21 @@ from repro.views.types import ViewMode
 from repro.workload.zipf import CounterContract
 
 PINNED = {
-    "knee": "343309e3e31f81c3848be7726a269345987dffbd642bf52f5ceb7ec7ecf21f72",
-    "view_mix": "aa7d3a11d69e6168799ee1af7f3864a6e9eac03369288b47a9e3eb85d913c68d",
-    "dark_shard": "bca61c5362a1c0caaa6701dcb409d528213008985f7541d796b549efce4260b3",
+    "timer": {
+        "knee": "db885dd6b95b16334108f6c9a679efa21b447dd038a22d299538187619e74cfc",
+        "view_mix": "548d1e34c497cd9d2be03251b6cf0286979efc869a63d5141bf189e36c34ecc2",
+        "dark_shard": "9a398474bb518d17a2468d7503f2d74f8c2d3586c38ab31e38561e096ac33dd7",
+    },
+    "group": {
+        "knee": "93f2df32db20f565f01c3825d840e0abf651383daaec597112a23ac642db0049",
+        "view_mix": "1be291a18dd49e6496671ff56c93db581572011535234478d6964e94687a7ebc",
+        "dark_shard": "c13eb69814704bd198ed22bc3c5f8d5b2528da6f7a7189b2199c04da4a4eba68",
+    },
 }
 
 
-def _config(**overrides) -> NetworkConfig:
-    settings = dict(
+def _config() -> NetworkConfig:
+    return NetworkConfig(
         latency=SINGLE_REGION,
         real_signatures=False,
         key_bits=512,
@@ -68,8 +88,14 @@ def _config(**overrides) -> NetworkConfig:
         storage_backend="none",
         fault_plan="off",
     )
-    settings.update(overrides)
-    return NetworkConfig(**settings)
+
+
+def _cut_by(cut_policy: str, *networks) -> None:
+    """Binding the target moved ``networks`` to group commit; "timer"
+    puts the paper's cutter back so both stay pinned."""
+    for network in networks:
+        assert network.cut_policy == "group"
+        network.cut_policy = cut_policy
 
 
 def _observe(target, config, builder, admission) -> dict:
@@ -77,9 +103,9 @@ def _observe(target, config, builder, admission) -> dict:
     batch_sizes: list[int] = []
     dispatch = target.dispatch
 
-    def recording_dispatch(batch):
+    def recording_dispatch(batch, complete):
         batch_sizes.append(len(batch))
-        return dispatch(batch)
+        dispatch(batch, complete)
 
     target.dispatch = recording_dispatch
     metrics, requests = run_open_loop(target, config, builder, admission=admission)
@@ -96,12 +122,13 @@ def _observe(target, config, builder, admission) -> dict:
     }
 
 
-def _knee() -> dict:
+def _knee(cut_policy: str) -> dict:
     """600 counter bumps at 1600 tps over 8 sessions into one channel
     that commits a few hundred a second: the watermark sheds."""
     network = build_network(_config())
     network.install_chaincode(CounterContract())
     target = NetworkTarget(network, network.register_user("client"))
+    _cut_by(cut_policy, network)
     return _observe(
         target,
         OpenLoopConfig(offered_tps=1600.0, requests=600, sessions=8, seed=11),
@@ -112,7 +139,7 @@ def _knee() -> dict:
     )
 
 
-def _view_mix() -> dict:
+def _view_mix(cut_policy: str) -> dict:
     """Writes, grants, revokes and audits on a hash-revocable view."""
     network = build_network(_config())
     owner = network.register_user("owner")
@@ -120,9 +147,12 @@ def _view_mix() -> dict:
     for principal in principals:
         network.register_user(principal)
     manager = HashBasedManager(Gateway(network, owner))
+    # Bound before the view's set-up transaction: one policy per run.
+    target = ViewManagerTarget(manager)
+    _cut_by(cut_policy, network)
     manager.create_view("w1", AttributeEquals("to", "M"), ViewMode.REVOCABLE)
     return _observe(
-        ViewManagerTarget(manager),
+        target,
         OpenLoopConfig(
             offered_tps=300.0,
             requests=240,
@@ -137,17 +167,19 @@ def _view_mix() -> dict:
     )
 
 
-def _dark_shard() -> dict:
+def _dark_shard(cut_policy: str) -> dict:
     """Three shards, the middle one partitioned from 60 ms to 220 ms:
     requests routed to it abort alone, the rest of each batch commits."""
     sharded = ShardedNetwork(config=_config(), shard_count=3)
     for network in sharded.shards:
         network.install_chaincode(CounterContract())
+    target = ShardedTarget(ShardedGateway(sharded, "client"))
+    _cut_by(cut_policy, *sharded.shards)
     env = sharded.env
     env.timeout(60.0).callbacks.append(lambda _: sharded.partition_shard(1))
     env.timeout(220.0).callbacks.append(lambda _: sharded.heal_shard_partition(1))
     observed = _observe(
-        ShardedTarget(ShardedGateway(sharded, "client")),
+        target,
         OpenLoopConfig(offered_tps=900.0, requests=360, sessions=8, seed=5),
         counter_builder(),
         AdmissionConfig(
@@ -179,9 +211,8 @@ def _outcomes(observed: dict) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_serving_trajectory_matches_the_pinned_digest(name):
-    observed = SCENARIOS[name]()
+def _check_pinned(name: str, cut_policy: str) -> None:
+    observed = SCENARIOS[name](cut_policy)
     outcomes = _outcomes(observed)
     # The scenario went through what it names, not around it.
     assert outcomes.get("committed", 0) > 0
@@ -194,7 +225,20 @@ def test_serving_trajectory_matches_the_pinned_digest(name):
         if dispatched is not None
     )
     assert sum(observed["batch_sizes"]) == dispatched
-    assert _digest(observed) == PINNED[name], json.dumps(_summary(observed))
+    assert _digest(observed) == PINNED[cut_policy][name], json.dumps(
+        _summary(observed)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_serving_trajectory_matches_the_pinned_digest(name):
+    """The paper's timer cutter, put back behind the bound target."""
+    _check_pinned(name, "timer")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_serving_trajectory_under_group_commit_matches_the_pinned_digest(name):
+    _check_pinned(name, "group")
 
 
 def _summary(observed: dict) -> dict:
@@ -210,7 +254,8 @@ def _summary(observed: dict) -> dict:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: test_trajectory_pin.py --regen")
-    for scenario, run in SCENARIOS.items():
-        result = run()
-        print(f'    "{scenario}": "{_digest(result)}",')
-        print(json.dumps(_summary(result), sort_keys=True), file=sys.stderr)
+    for policy in PINNED:
+        for scenario, run in SCENARIOS.items():
+            result = run(policy)
+            print(f'{policy}: "{scenario}": "{_digest(result)}",')
+            print(json.dumps(_summary(result), sort_keys=True), file=sys.stderr)

@@ -185,8 +185,17 @@ class TestResilientShardedTarget:
         )
 
     def _dispatch(self, sharded, target, requests):
-        event = target.dispatch(requests)
-        return sharded.env.run(until=event)
+        """Dispatch and run until every request completed; the
+        ``(outcome, detail)`` pairs in request order."""
+        slots = {}
+
+        def complete(request, outcome, detail):
+            slots[request.index] = (outcome, detail)
+
+        target.dispatch(requests, complete)
+        while len(slots) < len(requests):
+            sharded.env.step()
+        return [slots[request.index] for request in requests]
 
     def test_breaker_sheds_dark_shard_traffic_then_probes_closed(self):
         sharded, gateway = _deployment()

@@ -117,6 +117,42 @@ def test_failed_process_raises_at_run_until():
         env.run(until=env.process(proc(env)))
 
 
+def test_a_raising_process_fails_its_event_for_whoever_waits():
+    env = Environment()
+    seen = []
+
+    def child(env):
+        yield env.timeout(1)
+        raise ValueError("inside child")
+
+    def parent(env):
+        try:
+            yield env.process(child(env))
+        except ValueError as exc:
+            seen.append((env.now, str(exc)))
+        yield env.timeout(1)
+        return "parent finished"
+
+    done = env.process(parent(env))
+    watched = env.process(child(env))
+    watched.callbacks.append(lambda fired: seen.append((fired.ok, type(fired.value))))
+    assert env.run(until=done) == "parent finished"
+    assert sorted(seen, key=str) == [(1.0, "inside child"), (False, ValueError)]
+
+
+def test_a_raising_process_nobody_waits_on_still_stops_the_run():
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(1)
+        raise ValueError("unwatched")
+
+    env.process(proc(env))
+    with pytest.raises(ValueError, match="unwatched"):
+        env.run()
+    assert env.now == 1.0
+
+
 def test_all_of_collects_values_in_order():
     env = Environment()
 
