@@ -74,8 +74,11 @@ def test_leader_crash_stalls_then_recovers(run_once):
     def run():
         network = build_network(replace(BASE, use_raft=True))
         network.register_user("client")
+        # The cluster's first traffic pays for its first election, so
+        # the healthy baseline is a burst sent once a leader exists.
+        _run_burst(network, 20, "elect")
         _run_burst(network, 20, "warm")
-        healthy_latency = network.metrics.latencies_ms.summary().mean
+        healthy_latency = sum(network.metrics.latencies_ms.values[-20:]) / 20
 
         network.raft.crash(network.raft.leader.node_id)
         before = network.env.now

@@ -23,9 +23,9 @@ before its row is recorded, so a row existing is also a passed chaos
 experiment.  All headline numbers are simulated-time: deterministic in
 the seed, machine-independent.
 
-Results are written to ``BENCH_bft.json`` at the repo root.
-``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI smoke legs (the
-assertions still run; the JSON is only written by the full run).
+Results are recorded under ``bft`` in ``BENCH_micro.json`` at the repo
+root.  Setting ``REPRO_BENCH_SCALE`` shrinks the workload for smoke runs
+(the assertions still run; only a full run records).
 
 Run with::
 
@@ -34,9 +34,7 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 from repro.bench.harness import run_view_workload
 from repro.crypto.rsa import keypair_pool
@@ -44,10 +42,13 @@ from repro.fabric.config import benchmark_config
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.workload.presets import wl1_topology
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_bft.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "honest pbft asserted equal to the raft-modelled path field by field, "
+    "and the view-change tax of an equivocating primary at f=1; simulated time"
+)
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+SMOKE = "REPRO_BENCH_SCALE" in os.environ
 CLIENTS = 4 if SMOKE else 8
 REQUESTS_PER_CLIENT = 4 if SMOKE else 12
 SEED = 31
@@ -110,7 +111,7 @@ def _row(result) -> dict:
     return row
 
 
-def test_pbft_vs_raft_and_byzantine_tax():
+def test_pbft_vs_raft_and_byzantine_tax(record):
     rows = {}
     with keypair_pool(size=8):
         raft = _run("raft")
@@ -138,33 +139,9 @@ def test_pbft_vs_raft_and_byzantine_tax():
     rows["raft"] = _row(raft)
     rows["pbft_f0_honest"] = _row(honest)
     rows["pbft_f1_equivocating_primary"] = _row(faulted)
-    _RESULTS["wl1_hr_ordering_backends"] = {
+    record("bft", _DESCRIPTION, {"wl1_hr_ordering_backends": {
         "clients": CLIENTS,
         "requests_per_client": REQUESTS_PER_CLIENT,
         "seed": SEED,
         "rows": rows,
-    }
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    if SMOKE:
-        return  # smoke legs assert the shapes but keep the JSON stable
-    payload = {
-        "description": (
-            "BFT ordering backend: pbft (3f+1 replicas, signed quorum "
-            "certificates) vs the raft-modelled path at f=0, and the "
-            "view-change tax of surviving an equivocating primary at f=1"
-        ),
-        "machine_note": (
-            "simulated-time numbers: deterministic in the seed, "
-            "machine-independent.  The honest pbft row is asserted "
-            "equal to the raft row field by field; the f=1 row healed "
-            "and passed the full invariant check (exactly-once, "
-            "certificate integrity, convergence) before being recorded."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    }})

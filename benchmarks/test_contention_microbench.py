@@ -23,7 +23,7 @@ Correctness ride-alongs: occ and reference+retry must converge to the
 once), and on a conflict-free trace the two backends must be
 byte-identical — same tip hash, same state root, same codes.
 
-Results are written to ``BENCH_contention.json`` at the repo root.
+Results are recorded under ``contention`` in ``BENCH_micro.json``.
 
 Run with::
 
@@ -32,23 +32,17 @@ Run with::
 
 from __future__ import annotations
 
-import itertools
-import json
-import random
-import secrets as secrets_module
-from pathlib import Path
-
-import pytest
-
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
-from repro.ledger import transaction as transaction_module
 from repro.workload.zipf import ContentionWorkload, CounterContract
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_contention.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "occ rebase vs reference first-committer-wins on one zipf-skewed "
+    "counter trace and block schedule; goodput per simulated second"
+)
 
 #: Acceptance floor: occ goodput at zipf s=1.2 must be at least this
 #: multiple of the reference backend on the identical trace.
@@ -62,25 +56,6 @@ SKEW = 1.2
 #: by every request in a wave needs WAVE-1 rounds in the worst case.
 RETRY_ATTEMPTS = WAVE
 SKEW_SWEEP = (0.0, 0.6, 1.2)
-
-
-@pytest.fixture
-def rearm(monkeypatch):
-    """Identical randomness and tid sequence for every leg (see the
-    commit-backend differential suite for the pattern)."""
-
-    def arm():
-        rng = random.Random(0x1EDE9)
-        monkeypatch.setattr(
-            secrets_module, "token_bytes", lambda n=32: rng.randbytes(n)
-        )
-        monkeypatch.setattr(secrets_module, "randbits", rng.getrandbits)
-        monkeypatch.setattr(secrets_module, "randbelow", lambda n: rng.randrange(n))
-        monkeypatch.setattr(
-            transaction_module, "_tid_counter", itertools.count(7_000_000)
-        )
-
-    return arm
 
 
 def _config(commit_backend, retry_attempts=0):
@@ -160,7 +135,7 @@ def _public(leg):
     }
 
 
-def test_occ_goodput_speedup_under_skew(rearm):
+def test_occ_goodput_speedup_under_skew(rearm, record):
     """The acceptance bench: occ goodput >= 2x reference at s=1.2, with
     abort/rebase rates reported and business outcomes preserved."""
     rearm()
@@ -186,7 +161,7 @@ def test_occ_goodput_speedup_under_skew(rearm):
     assert retry["final_counters"] == occ_leg["final_counters"]
 
     speedup = occ_leg["goodput_tps"] / reference["goodput_tps"]
-    _RESULTS["skewed_counter_bumps"] = {
+    record("contention", _DESCRIPTION, {"skewed_counter_bumps": {
         "requests": REQUESTS,
         "wave": WAVE,
         "hot_keys": HOT_KEYS,
@@ -197,14 +172,14 @@ def test_occ_goodput_speedup_under_skew(rearm):
         "occ_goodput_speedup": round(speedup, 2),
         "min_required": OCC_MIN_SPEEDUP,
         "per_block_occ": occ_leg["per_block"],
-    }
+    }})
     assert speedup >= OCC_MIN_SPEEDUP, (
         f"occ goodput speedup {speedup:.2f}x below {OCC_MIN_SPEEDUP}x "
         f"at zipf s={SKEW}"
     )
 
 
-def test_goodput_across_skews(rearm):
+def test_goodput_across_skews(rearm, record):
     """Sweep the skew: the occ advantage grows with contention and
     vanishes (to byte-identity) without it."""
     sweep = {}
@@ -230,10 +205,10 @@ def test_goodput_across_skews(rearm):
         sweep[f"s_{SKEW_SWEEP[-1]}"]["reference_abort_rate"]
         >= sweep[f"s_{SKEW_SWEEP[0]}"]["reference_abort_rate"] * 0.8
     )
-    _RESULTS["skew_sweep"] = sweep
+    record("contention", _DESCRIPTION, {"skew_sweep": sweep})
 
 
-def test_conflict_free_byte_identity(rearm):
+def test_conflict_free_byte_identity(rearm, record):
     """Without contention the backends must not differ in a single bit."""
     rearm()
     reference = _run_leg("reference", conflict_rate=0.0)
@@ -244,31 +219,9 @@ def test_conflict_free_byte_identity(rearm):
     assert occ_leg["outcome_totals"]["rebased"] == 0
     for key in ("tip", "state_root", "codes", "committed", "final_counters"):
         assert occ_leg[key] == reference[key], f"{key} diverged"
-    _RESULTS["conflict_free_identity"] = {
+    record("contention", _DESCRIPTION, {"conflict_free_identity": {
         "requests": REQUESTS,
         "tips_identical": True,
         "state_roots_identical": True,
         "codes_identical": True,
-    }
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "commit-backend contention bench: occ validation-time rebase "
-            "vs reference first-committer-wins, zipf-skewed counter bumps"
-        ),
-        "machine_note": (
-            "goodput is committed bumps per simulated second, so the "
-            "numbers are machine-independent; both legs replay the same "
-            "trace on the same block schedule and differ only in commit "
-            "policy.  abort_rate counts MVCC_CONFLICT stamps over all "
-            "block slots; rebase_rate counts occ re-executions (rebased "
-            "transactions are included in committed)."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    }})

@@ -14,8 +14,8 @@ Layers measured:
   reference :class:`AES` one block at a time,
 - RSA keypair generation (incremental sieve) and the opt-in pool.
 
-Results are written to ``BENCH_crypto.json`` at the repo root so the
-before/after numbers are checked in alongside the code.
+Results are recorded under ``crypto`` in ``BENCH_micro.json`` at the repo
+root so the before/after numbers are checked in alongside the code.
 
 Run with::
 
@@ -24,18 +24,16 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import secrets
 import time
-from pathlib import Path
 
 from repro.crypto import backend as crypto_backend
 from repro.crypto import modes, rsa
 from repro.crypto.aes import AES, AESFast
 from repro.crypto.hashing import hmac_sha256, sha256
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_crypto.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = "crypto fast path vs its reference oracle; wall-clock, ratios matter"
 
 #: Floors from the acceptance criteria, asserted with no extra margin so
 #: slow CI machines do not flake (measured headroom is large; see JSON).
@@ -57,7 +55,7 @@ def _fresh_caches() -> None:
     modes._derive_subkeys.cache_clear()
 
 
-def test_aes_block_transform():
+def test_aes_block_transform(record):
     """Raw single-block encryption: T-tables vs. byte-slice reference."""
     key = secrets.token_bytes(16)
     block = secrets.token_bytes(16)
@@ -67,11 +65,11 @@ def test_aes_block_transform():
     n = 50
     t_ref = _best_of(lambda: [reference.encrypt_block(block) for _ in range(n)], 3)
     t_fast = _best_of(lambda: [fast.encrypt_block(block) for _ in range(n)], 3)
-    _RESULTS["aes_block"] = {
+    record("crypto", _DESCRIPTION, {"aes_block": {
         "reference_us_per_block": round(t_ref / n * 1e6, 2),
         "fast_us_per_block": round(t_fast / n * 1e6, 2),
         "speedup": round(t_ref / t_fast, 1),
-    }
+    }})
     assert t_fast < t_ref
 
 
@@ -92,7 +90,7 @@ def _oracle_open(key: bytes, sealed: bytes) -> bytes:
     return modes.ctr_xor_reference(enc_key, nonce, ciphertext)
 
 
-def test_envelope_seal_open_speedup():
+def test_envelope_seal_open_speedup(record):
     """AES-CTR+HMAC envelope on a 4 KiB record: must clear 5x."""
     key = secrets.token_bytes(32)
     plaintext = secrets.token_bytes(4096)
@@ -115,18 +113,18 @@ def test_envelope_seal_open_speedup():
     t_fast = _best_of(seal_open, 5)
 
     speedup = t_ref / t_fast
-    _RESULTS["envelope_4k"] = {
+    record("crypto", _DESCRIPTION, {"envelope_4k": {
         "reference_ms": round(t_ref * 1e3, 3),
         "fast_ms": round(t_fast * 1e3, 3),
         "speedup": round(speedup, 1),
         "min_required": ENVELOPE_MIN_SPEEDUP,
-    }
+    }})
     assert speedup >= ENVELOPE_MIN_SPEEDUP, (
         f"envelope speedup {speedup:.1f}x below {ENVELOPE_MIN_SPEEDUP}x"
     )
 
 
-def test_rsa_keygen_and_pool():
+def test_rsa_keygen_and_pool(record):
     """Fresh keygen cost, and the pool serving recycled pairs in O(1)."""
     t_fresh = _best_of(lambda: rsa._generate_fresh_keypair(1024), 3)
 
@@ -139,20 +137,8 @@ def test_rsa_keygen_and_pool():
         t_pooled = (time.perf_counter() - t0) / 50
         assert pool.hits == 2 + 50 and pool.misses == 2
 
-    _RESULTS["rsa_keygen_1024"] = {
+    record("crypto", _DESCRIPTION, {"rsa_keygen_1024": {
         "fresh_ms": round(t_fresh * 1e3, 1),
         "pooled_us": round(t_pooled * 1e6, 1),
-    }
+    }})
     assert t_pooled < t_fresh
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": "crypto fast path: wall-clock, reference oracle vs library",
-        "machine_note": "absolute numbers are machine-dependent; ratios matter",
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")

@@ -18,7 +18,7 @@ checkpoint interval of state regardless of chain length, while genesis
 replay re-validates all ``n``.  Both paths must land on byte-identical
 tip hash and state root.
 
-Results are written to ``BENCH_durability.json`` at the repo root.
+Results are recorded under ``durability`` in ``BENCH_micro.json``.
 
 Run with::
 
@@ -28,9 +28,7 @@ Run with::
 from __future__ import annotations
 
 import gc
-import json
 import time
-from pathlib import Path
 
 from repro.crypto.rsa import generate_keypair
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry
@@ -40,8 +38,11 @@ from repro.fabric.peer import Peer
 from repro.ledger.block import Block
 from repro.storage import MemoryFilesystem, NodeStore
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_durability.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "restart: genesis replay vs snapshot + WAL suffix at 1k and 5k blocks; "
+    "wall-clock is machine-dependent, the work counters are exact"
+)
 
 SCALES = (1_000, 5_000)
 TXS_PER_BLOCK = 2
@@ -129,7 +130,7 @@ def _timed(fn) -> float:
     return best
 
 
-def test_restart_genesis_replay_vs_snapshot_wal():
+def test_restart_genesis_replay_vs_snapshot_wal(record):
     rows = {}
     for n_blocks in SCALES:
         # Leg 1: legacy model — the chain object survives, every block
@@ -195,30 +196,9 @@ def test_restart_genesis_replay_vs_snapshot_wal():
     # Wall-clock: re-validating everything must not beat the snapshot
     # path at either scale (generous floor; ratios in the JSON).
     assert large["speedup"] > 1.0, rows
-    _RESULTS["restart_cost"] = {
+    record("durability", _DESCRIPTION, {"restart_cost": {
         "txs_per_block": TXS_PER_BLOCK,
         "snapshot_interval_blocks": SNAPSHOT_INTERVAL,
         "state_keys": STATE_KEYS,
         "rows": rows,
-    }
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "restart cost: genesis replay (re-validate every block) vs "
-            "snapshot + WAL-suffix recovery, 1k and 5k block chains"
-        ),
-        "machine_note": (
-            "wall-clock numbers are machine-dependent; the work "
-            "counters (revalidated blocks, state blocks replayed) are "
-            "exact and machine-independent.  Both paths assert "
-            "byte-identical tip hash and state root before a row is "
-            "recorded."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    }})

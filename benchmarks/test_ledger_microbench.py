@@ -17,8 +17,8 @@ Layers measured:
 - repeated view audits — fresh completeness scans vs. the incremental
   verifier's per-definition cursors and soundness cache.
 
-Results are written to ``BENCH_ledger.json`` at the repo root so the
-before/after numbers are checked in alongside the code.
+Results are recorded under ``ledger`` in ``BENCH_micro.json`` at the repo
+root so the before/after numbers are checked in alongside the code.
 
 Run with::
 
@@ -27,9 +27,7 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 from repro.crypto.hashing import salted_hash
@@ -43,8 +41,8 @@ from repro.views.predicates import AttributeEquals
 from repro.views.types import Concealment
 from repro.views.verification import ViewVerifier
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_ledger.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = "ledger fast paths vs their reference oracles; wall-clock, ratios matter"
 
 #: Acceptance floor for the tracked-state-root commit path at >=5k
 #: committed transactions.  Measured headroom is large (see JSON);
@@ -79,7 +77,7 @@ def _commit_workload(blocks: int, writes_per_block: int, prepopulate: int):
     return existing, batches
 
 
-def test_state_root_commit_path_speedup():
+def test_state_root_commit_path_speedup(record):
     """Per-block state roots over 5k committed writes: must clear 5x.
 
     The reference leg recomputes the full tree after every block (what
@@ -122,7 +120,7 @@ def test_state_root_commit_path_speedup():
     committed = blocks * per_block
     assert committed >= 5000
     speedup = t_ref / t_fast
-    _RESULTS["state_root_commit_path"] = {
+    record("ledger", _DESCRIPTION, {"state_root_commit_path": {
         "committed_txs": committed,
         "blocks": blocks,
         "writes_per_block": per_block,
@@ -131,13 +129,13 @@ def test_state_root_commit_path_speedup():
         "incremental_s": round(t_fast, 3),
         "speedup": round(speedup, 1),
         "min_required": STATE_ROOT_MIN_SPEEDUP,
-    }
+    }})
     assert speedup >= STATE_ROOT_MIN_SPEEDUP, (
         f"state-root speedup {speedup:.1f}x below {STATE_ROOT_MIN_SPEEDUP}x"
     )
 
 
-def test_scan_prefix_indexed_speedup():
+def test_scan_prefix_indexed_speedup(record):
     """Selective range reads on a 6k-key state: bisect vs. full sort.
 
     A ``seg~000`` scan hits 100 of 6000 keys — the shape of the
@@ -174,7 +172,7 @@ def test_scan_prefix_indexed_speedup():
     assert ref_result == fast_result
     assert len(ref_result[0]) == 100
     speedup = t_ref / t_fast
-    _RESULTS["scan_prefix_6k_keys"] = {
+    record("ledger", _DESCRIPTION, {"scan_prefix_6k_keys": {
         "keys": 6000,
         "hits_per_scan": 100,
         "scans": 100,
@@ -182,7 +180,7 @@ def test_scan_prefix_indexed_speedup():
         "indexed_ms": round(t_fast * 1e3, 2),
         "speedup": round(speedup, 1),
         "min_required": SCAN_MIN_SPEEDUP,
-    }
+    }})
     assert speedup >= SCAN_MIN_SPEEDUP, (
         f"scan_prefix speedup {speedup:.1f}x below {SCAN_MIN_SPEEDUP}x"
     )
@@ -219,7 +217,7 @@ def _verifier_over(chain: Blockchain, incremental: bool) -> ViewVerifier:
     return ViewVerifier(gateway, incremental=incremental)
 
 
-def test_audit_cursor_speedup():
+def test_audit_cursor_speedup(record):
     """Periodic re-audits of a growing chain: cursors vs. full rescans.
 
     A view owner is audited after every 15 new blocks.  The reference
@@ -286,7 +284,7 @@ def test_audit_cursor_speedup():
         assert inc_s.ledger_accesses <= ref_s.ledger_accesses
 
     speedup = t_ref / t_inc
-    _RESULTS["audit_cursors"] = {
+    record("ledger", _DESCRIPTION, {"audit_cursors": {
         "chain_blocks": blocks,
         "txs_per_block": per_block,
         "audits": audits,
@@ -294,21 +292,7 @@ def test_audit_cursor_speedup():
         "incremental_s": round(t_inc, 3),
         "speedup": round(speedup, 1),
         "min_required": AUDIT_MIN_SPEEDUP,
-    }
+    }})
     assert speedup >= AUDIT_MIN_SPEEDUP, (
         f"audit speedup {speedup:.1f}x below {AUDIT_MIN_SPEEDUP}x"
     )
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "ledger fast path: wall-clock, reference oracles vs library"
-        ),
-        "machine_note": "absolute numbers are machine-dependent; ratios matter",
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")

@@ -19,7 +19,7 @@ Three experiments, all simulated-time (deterministic in the seeds):
    injector's ground-truth window, zero false convictions, clean
    slate after heal.
 
-Results are written to ``BENCH_partitions.json`` at the repo root.
+Results are recorded under ``partitions`` in ``BENCH_micro.json``.
 
 Run with::
 
@@ -28,8 +28,6 @@ Run with::
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
@@ -48,12 +46,15 @@ from repro.serving import (
     ResilientShardedTarget,
 )
 from repro.serving.loadgen import counter_builder, run_open_loop
-from repro.serving.metrics import percentile
 from repro.sharding import ShardedGateway, ShardedNetwork
+from repro.sim.monitor import percentile
 from repro.workload.zipf import CounterContract
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_partitions.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "goodput with one dark shard behind breakers, hedged-query tail under "
+    "a 20x gray-slow replica, phi-accrual detection latency; simulated time"
+)
 
 SEED = 31
 
@@ -127,7 +128,7 @@ def _bucket_counts(committed_at, start, end, width):
     return buckets
 
 
-def test_goodput_survives_a_dark_shard():
+def test_goodput_survives_a_dark_shard(record):
     clean_row, _clean_at, _ = _run_goodput_leg(darken=False)
     dark_row, committed_at, target = _run_goodput_leg(darken=True)
 
@@ -146,7 +147,7 @@ def test_goodput_survives_a_dark_shard():
     assert dark_row["committed"] >= 0.7 * clean_row["committed"]
 
     breaker = target.breakers[1]
-    _RESULTS["goodput_dark_shard"] = {
+    record("partitions", _DESCRIPTION, {"goodput_dark_shard": {
         "offered_tps": OFFERED_TPS,
         "requests": REQUESTS,
         "shards": 4,
@@ -158,7 +159,7 @@ def test_goodput_survives_a_dark_shard():
         "clean": clean_row,
         "dark": dark_row,
         "dark_shard_breaker": dict(breaker.stats),
-    }
+    }})
 
 
 # -- 2. hedged tail cutting ------------------------------------------------
@@ -219,7 +220,7 @@ def _run_hedging_leg(hedging_enabled: bool):
     }
 
 
-def test_hedging_cuts_the_gray_slow_tail():
+def test_hedging_cuts_the_gray_slow_tail(record):
     unhedged = _run_hedging_leg(hedging_enabled=False)
     hedged = _run_hedging_leg(hedging_enabled=True)
 
@@ -232,19 +233,19 @@ def test_hedging_cuts_the_gray_slow_tail():
     )
     assert hedged["stats"]["hedge_wins"] > 0
     assert unhedged["stats"]["hedged"] == 0
-    _RESULTS["hedged_tail"] = {
+    record("partitions", _DESCRIPTION, {"hedged_tail": {
         "slow_node": "peer:1",
         "slow_factor": SLOW_FACTOR,
         "unhedged": unhedged,
         "hedged": hedged,
         "p99_improvement": round(ratio, 2),
-    }
+    }})
 
 
 # -- 3. detection latency --------------------------------------------------
 
 
-def test_detector_latency_and_zero_false_convictions():
+def test_detector_latency_and_zero_false_convictions(record):
     plan = FaultPlan(
         seed=SEED,
         partitions=(
@@ -278,7 +279,7 @@ def test_detector_latency_and_zero_false_convictions():
     assert convictions and convictions[0][0] == "peer:1"
     detection_latency = convictions[0][1] - 500.0
     assert 0.0 < detection_latency <= max_detection_ms
-    _RESULTS["detection"] = {
+    record("partitions", _DESCRIPTION, {"detection": {
         "heartbeat_interval_ms": 100.0,
         "phi_threshold": heartbeats.detector.threshold,
         "partition_window_ms": [500.0, 1_700.0],
@@ -287,26 +288,4 @@ def test_detector_latency_and_zero_false_convictions():
         "false_convictions": 0,  # enforced by assert_detection above
         "heartbeats_sent": heartbeats.heartbeats_sent,
         "heartbeats_lost": heartbeats.heartbeats_lost,
-    }
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "partition tolerance: open-loop goodput with one dark shard "
-            "behind circuit breakers, hedged-query tail cutting under a "
-            "20x gray-slow replica, and phi-accrual detection latency"
-        ),
-        "machine_note": (
-            "simulated-time numbers: deterministic in the plan seeds, "
-            "machine-independent.  Goodput buckets are committed "
-            "requests per 250 ms of simulated time inside the partition "
-            "window; detection latency is measured against the "
-            "injector's ground-truth window."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    }})

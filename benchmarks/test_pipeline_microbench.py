@@ -22,7 +22,7 @@ byte-identical final state root and identical soundness/completeness
 audit verdicts, and both replay legs must reach the live peers' tip
 hash and state root.
 
-Results are written to ``BENCH_pipeline.json`` at the repo root.
+Results are recorded under ``pipeline`` in ``BENCH_micro.json``.
 
 Run with::
 
@@ -31,10 +31,8 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from repro import build_network
 from repro.crypto import modes
@@ -52,8 +50,11 @@ from repro.views.secret import ProcessedSecret
 from repro.views.types import ViewMode
 from repro.views.verification import ViewVerifier
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_pipeline.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "invoke_many vs per-request invokes and the cross-replica validation "
+    "memo, mixed EI/ER, 8 peers; wall-clock, ratios and tx counts matter"
+)
 
 #: Acceptance floors, set under the ratios measured on a 2-core
 #: container (nine runs: 1.17-1.61x and 2.63-3.51x): ``invoke_many``
@@ -248,7 +249,7 @@ def _public(leg):
     }
 
 
-def test_batched_view_maintenance_speedup():
+def test_batched_view_maintenance_speedup(record):
     """``invoke_many`` vs per-request invokes: fewer on-chain txs, more
     committed tx per host second, byte-identical state and audits."""
     with keypair_pool(size=8):
@@ -271,7 +272,7 @@ def test_batched_view_maintenance_speedup():
     )
 
     speedup = batched["tps"] / per_request["tps"]
-    _RESULTS["batched_view_maintenance"] = {
+    record("pipeline", _DESCRIPTION, {"batched_view_maintenance": {
         "requests": REQUESTS,
         "batch_size": BATCH,
         "peers": PEERS,
@@ -282,7 +283,7 @@ def test_batched_view_maintenance_speedup():
         "min_required": BATCHING_MIN_SPEEDUP,
         "state_roots_identical": True,
         "audit_verdicts_identical": True,
-    }
+    }})
     assert speedup >= BATCHING_MIN_SPEEDUP, (
         f"batching speedup {speedup:.2f}x below {BATCHING_MIN_SPEEDUP}x"
     )
@@ -311,14 +312,14 @@ def _replay_leg(network, shared_memo):
     return {"host_wall_s": host_wall}
 
 
-def test_validation_memo_speedup():
+def test_validation_memo_speedup(record):
     """Shared per-block memo vs every replica validating from scratch."""
     with keypair_pool(size=8):
         network = _run_invoke_leg(batched=True)["network"]
     memoless = _best_of(lambda: _replay_leg(network, shared_memo=False))
     shared = _best_of(lambda: _replay_leg(network, shared_memo=True))
     speedup = memoless["host_wall_s"] / shared["host_wall_s"]
-    _RESULTS["validation_memo"] = {
+    record("pipeline", _DESCRIPTION, {"validation_memo": {
         "replicas": PEERS,
         "blocks": len(network.block_log),
         "txs": sum(len(block.transactions) for block in network.block_log),
@@ -327,26 +328,7 @@ def test_validation_memo_speedup():
         "speedup": round(speedup, 2),
         "min_required": MEMO_MIN_SPEEDUP,
         "tips_and_state_roots_identical": True,
-    }
+    }})
     assert speedup >= MEMO_MIN_SPEEDUP, (
         f"memo speedup {speedup:.2f}x below {MEMO_MIN_SPEEDUP}x"
     )
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "batched view maintenance (invoke_many vs per-request invokes) "
-            "and the cross-replica validation memo (shared vs memo-less "
-            "validate_and_commit), mixed EI/ER workload, 8 peers"
-        ),
-        "machine_note": (
-            "absolute numbers are machine-dependent; ratios and on-chain "
-            "transaction counts matter."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")

@@ -18,7 +18,7 @@ Cross-cutting legs ride along:
 - **1 vs 4 shards** through the key-routed sharded target scales the
   saturated goodput out.
 
-Results are written to ``BENCH_serving.json`` at the repo root.
+Results are recorded under ``serving`` in ``BENCH_micro.json``.
 
 Run with::
 
@@ -27,17 +27,8 @@ Run with::
 
 from __future__ import annotations
 
-import itertools
-import json
-import random
-import secrets as secrets_module
-from pathlib import Path
-
-import pytest
-
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
-from repro.ledger import transaction as transaction_module
 from repro.serving import (
     AdmissionConfig,
     NetworkTarget,
@@ -49,8 +40,11 @@ from repro.serving import (
 from repro.sharding.network import ShardedGateway, ShardedNetwork
 from repro.workload.zipf import CounterContract
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "open-loop Poisson arrivals through the serving gateway, latency from "
+    "arrival: the knee, occ under contention, shard scale-out; simulated time"
+)
 
 #: The offered-load sweep (requests/s): three legs under single-channel
 #: capacity, three past it.  Overload legs run longer so the shedding
@@ -87,25 +81,6 @@ ADMISSION = AdmissionConfig(
 
 SESSIONS = 8
 SEED = 11
-
-
-@pytest.fixture
-def rearm(monkeypatch):
-    """Identical randomness and tid sequence for every leg (see the
-    commit-backend differential suite for the pattern)."""
-
-    def arm():
-        rng = random.Random(0x1EDE9)
-        monkeypatch.setattr(
-            secrets_module, "token_bytes", lambda n=32: rng.randbytes(n)
-        )
-        monkeypatch.setattr(secrets_module, "randbits", rng.getrandbits)
-        monkeypatch.setattr(secrets_module, "randbelow", lambda n: rng.randrange(n))
-        monkeypatch.setattr(
-            transaction_module, "_tid_counter", itertools.count(7_000_000)
-        )
-
-    return arm
 
 
 def _config(**overrides):
@@ -149,7 +124,7 @@ def _sweep(config=None):
     return rows
 
 
-def test_knee_curve_reference_backend(rearm):
+def test_knee_curve_reference_backend(rearm, record):
     """The acceptance bench: >=5 load points, p99 knee, no collapse."""
     rearm()
     rows = _sweep()
@@ -196,7 +171,7 @@ def test_knee_curve_reference_backend(rearm):
         f"{deepest['offered_tps']} tps fell under {floor:.1f}"
     )
 
-    _RESULTS["knee_reference"] = {
+    record("serving", _DESCRIPTION, {"knee_reference": {
         "sweep": rows,
         "admission": {
             "max_inflight": ADMISSION.max_inflight,
@@ -220,10 +195,10 @@ def test_knee_curve_reference_backend(rearm):
         "saturated_goodput_tps": deepest["goodput_tps"],
         "saturated_goodput_floor_tps": round(floor, 1),
         "saturated_goodput_timer_cutter_tps": TIMER_SATURATED_GOODPUT_TPS,
-    }
+    }})
 
 
-def test_occ_backend_lifts_goodput_under_contention(rearm):
+def test_occ_backend_lifts_goodput_under_contention(rearm, record):
     """Hot-key contention through the gateway: the occ commit backend
     rebases the reference backend's MVCC losers into commits."""
     offered = 400.0
@@ -244,7 +219,7 @@ def test_occ_backend_lifts_goodput_under_contention(rearm):
     assert reference["aborted"] > 0
     assert occ["aborted"] == 0
     assert occ["goodput_tps"] > reference["goodput_tps"]
-    _RESULTS["occ_contention"] = {
+    record("serving", _DESCRIPTION, {"occ_contention": {
         "offered_tps": offered,
         "conflict_rate": 1.0,
         "reference": reference,
@@ -252,7 +227,7 @@ def test_occ_backend_lifts_goodput_under_contention(rearm):
         "goodput_lift": round(
             occ["goodput_tps"] / reference["goodput_tps"], 2
         ),
-    }
+    }})
 
 
 def _run_sharded_leg(offered, shard_count, requests):
@@ -272,7 +247,7 @@ def _run_sharded_leg(offered, shard_count, requests):
     return metrics.as_row()
 
 
-def test_sharding_scales_saturated_goodput(rearm):
+def test_sharding_scales_saturated_goodput(rearm, record):
     """1 vs 4 shards at deep overload: the key-routed deployment
     commits more per simulated second through the same gateway."""
     offered, requests = 3200.0, REQUESTS_OVERLOAD
@@ -284,30 +259,9 @@ def test_sharding_scales_saturated_goodput(rearm):
         f"sharding did not scale: {one['goodput_tps']} -> "
         f"{four['goodput_tps']} goodput at {offered} tps"
     )
-    _RESULTS["shard_scale_out"] = {
+    record("serving", _DESCRIPTION, {"shard_scale_out": {
         "offered_tps": offered,
         "one_shard": one,
         "four_shards": four,
         "goodput_ratio": round(four["goodput_tps"] / one["goodput_tps"], 2),
-    }
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "serving-tier open-loop bench: Poisson arrivals through the "
-            "serving gateway (micro-batches + admission control), latency "
-            "measured from arrival"
-        ),
-        "machine_note": (
-            "all latency/goodput numbers are simulated-time, so they are "
-            "machine-independent; the knee is the acceptance shape — p99 "
-            "past saturation is bounded by the shed watermark while "
-            "goodput stays at saturated-pipeline capacity."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    }})

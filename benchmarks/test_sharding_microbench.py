@@ -24,7 +24,7 @@ Legs:
   survivors keep committing, the dead shard recovers from its durable
   WAL/snapshots, and the final state shows zero invariant violations.
 
-Results are written to ``BENCH_sharding.json`` at the repo root.
+Results are recorded under ``sharding`` in ``BENCH_micro.json``.
 
 Run with::
 
@@ -33,19 +33,10 @@ Run with::
 
 from __future__ import annotations
 
-import itertools
-import json
-import random
-import secrets as secrets_module
-from pathlib import Path
-
-import pytest
-
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
-from repro.ledger import transaction as transaction_module
 from repro.sharding import (
     CrossShardWrite,
     ShardedGateway,
@@ -54,8 +45,11 @@ from repro.sharding import (
 )
 from repro.workload.zipf import ContentionWorkload, CounterContract
 
-_RESULTS: dict[str, dict] = {}
-_BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_sharding.json"
+#: Describes this file's rows in ``BENCH_micro.json``.
+_DESCRIPTION = (
+    "scale-out over N consistent-hash-placed channels, cross-shard 2PC mix, "
+    "whole-shard crash recovery on one seeded trace; simulated time"
+)
 
 #: Acceptance floor: committed tx/s at 4 shards over the 1-shard run.
 SCALING_MIN_SPEEDUP = 2.5
@@ -66,24 +60,8 @@ HOT_KEYS = 8
 SKEW = 1.2
 SHARD_COUNTS = (1, 2, 4, 8)
 CROSS_FRACTIONS = (0.0, 0.2)
-
-
-@pytest.fixture
-def rearm(monkeypatch):
-    """Identical randomness and tid sequence for every leg."""
-
-    def arm():
-        rng = random.Random(0x51A2D)
-        monkeypatch.setattr(
-            secrets_module, "token_bytes", lambda n=32: rng.randbytes(n)
-        )
-        monkeypatch.setattr(secrets_module, "randbits", rng.getrandbits)
-        monkeypatch.setattr(secrets_module, "randbelow", lambda n: rng.randrange(n))
-        monkeypatch.setattr(
-            transaction_module, "_tid_counter", itertools.count(8_000_000)
-        )
-
-    return arm
+#: This file's ``rearm`` seed and first tid (its recorded rows depend on them).
+REARM = (0x51A2D, 8_000_000)
 
 
 def _config(storage=None):
@@ -218,11 +196,11 @@ def _public(leg):
     return {k: v for k, v in leg.items() if not k.startswith("_")}
 
 
-def test_scaling_with_shard_count(rearm):
+def test_scaling_with_shard_count(rearm, record):
     """The acceptance bench: near-linear committed-tx/s scale-out."""
     legs = {}
     for shards in SHARD_COUNTS:
-        rearm()
+        rearm(*REARM)
         leg = _run_sharded(shards)
         # Every offered bump commits (occ backend, shard-local keys),
         # and the round-robin trace keeps the shards balanced.
@@ -244,7 +222,7 @@ def test_scaling_with_shard_count(rearm):
         for shards in SHARD_COUNTS
     }
     speedup_at_4 = scaling[4]["speedup_vs_1"]
-    _RESULTS["scaling"] = {
+    record("sharding", _DESCRIPTION, {"scaling": {
         "requests": REQUESTS,
         "wave": WAVE,
         "hot_keys_per_shard": HOT_KEYS,
@@ -253,7 +231,7 @@ def test_scaling_with_shard_count(rearm):
         "by_shard_count": {str(k): v for k, v in scaling.items()},
         "speedup_at_4_shards": speedup_at_4,
         "min_required": SCALING_MIN_SPEEDUP,
-    }
+    }})
     assert speedup_at_4 >= SCALING_MIN_SPEEDUP, (
         f"4-shard goodput speedup {speedup_at_4:.2f}x below "
         f"{SCALING_MIN_SPEEDUP}x"
@@ -263,7 +241,7 @@ def test_scaling_with_shard_count(rearm):
     assert tps == sorted(tps)
 
 
-def test_single_shard_byte_identity(rearm):
+def test_single_shard_byte_identity(rearm, record):
     """A 1-shard sharded deployment is the unsharded network, exactly."""
     requests = 32
     workload = _trace(1, requests=requests)
@@ -287,33 +265,33 @@ def test_single_shard_byte_identity(rearm):
             "now": env.now,
         }
 
-    rearm()
+    rearm(*REARM)
     reference = build_network(_config())
     reference.install_chaincode(CounterContract())
     ref_gateway = Gateway(reference, reference.register_user("bencher"))
     ref = replay(ref_gateway.submit_async, reference.env, reference)
 
-    rearm()
+    rearm(*REARM)
     sharded, gateway = _deployment(1)
     one = replay(
         gateway.on(0).submit_async, sharded.env, sharded.shards[0]
     )
 
     assert one == ref, "1-shard deployment diverged from the reference"
-    _RESULTS["single_shard_identity"] = {
+    record("sharding", _DESCRIPTION, {"single_shard_identity": {
         "requests": requests,
         "tips_identical": one["tip"] == ref["tip"],
         "state_roots_identical": one["state_root"] == ref["state_root"],
         "codes_identical": one["codes"] == ref["codes"],
         "sim_now_identical": one["now"] == ref["now"],
-    }
+    }})
 
 
-def test_cross_shard_mix(rearm):
+def test_cross_shard_mix(rearm, record):
     """2PC traffic is atomic and costs throughput smoothly, not a cliff."""
     legs = {}
     for fraction in CROSS_FRACTIONS:
-        rearm()
+        rearm(*REARM)
         leg = _run_sharded(4, cross_shard_fraction=fraction)
         assert leg["counter_mismatches"] == 0
         stats = leg["coordinator_stats"]
@@ -337,7 +315,7 @@ def test_cross_shard_mix(rearm):
     # bookkeeping, so the mixed leg is slower — but it must still beat
     # the 1-shard baseline by a wide margin at this fraction.
     assert mixed["goodput_tps"] < local["goodput_tps"]
-    _RESULTS["cross_shard_mix"] = {
+    record("sharding", _DESCRIPTION, {"cross_shard_mix": {
         "shards": 4,
         "fractions": {
             str(fraction): {
@@ -351,13 +329,13 @@ def test_cross_shard_mix(rearm):
         "throughput_cost": round(
             1 - mixed["goodput_tps"] / local["goodput_tps"], 4
         ),
-    }
+    }})
 
 
-def test_chaos_whole_shard_crash_mid_run(rearm):
+def test_chaos_whole_shard_crash_mid_run(rearm, record):
     """Power-cut one shard mid-run; survivors never stall, the victim
     recovers from its WAL, and no invariant breaks."""
-    rearm()
+    rearm(*REARM)
     shards = 4
     victim = 1
     workload = _trace(shards)
@@ -416,7 +394,7 @@ def test_chaos_whole_shard_crash_mid_run(rearm):
     assert sum(committed.values()) == len(trace)
     assert sharded.down == set()
 
-    _RESULTS["chaos_shard_crash"] = {
+    record("sharding", _DESCRIPTION, {"chaos_shard_crash": {
         "shards": shards,
         "victim": sharded.shards[victim].chain_name,
         "requests": len(trace),
@@ -426,26 +404,4 @@ def test_chaos_whole_shard_crash_mid_run(rearm):
         "victim_state_preserved": post_recovery == pre_crash,
         "invariant_violations": 0,
         "per_shard": sharded.per_shard_stats(),
-    }
-
-
-def test_write_bench_json():
-    """Persist the numbers gathered above (runs last in file order)."""
-    assert _RESULTS, "no benchmark results collected"
-    payload = {
-        "description": (
-            "sharded scale-out bench: consistent-hash view placement over "
-            "N independent channels, per-shard client pumps, cross-shard "
-            "2PC for the distributed fraction, whole-shard crash recovery"
-        ),
-        "machine_note": (
-            "goodput is committed tx per simulated second; every leg "
-            "replays the same seeded trace, so ratios isolate the "
-            "deployment shape.  Shard-local waves overlap in simulated "
-            "time across channels — that concurrency, not faster "
-            "hardware, is what the scaling leg measures."
-        ),
-        "results": _RESULTS,
-    }
-    _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {_BENCH_JSON}")
+    }})

@@ -4,9 +4,7 @@ Usage::
 
     python -m repro.bench fig4            # one figure
     python -m repro.bench fig10 fig11     # several
-    python -m repro.bench faults          # chaos: throughput under loss
-    python -m repro.bench serving         # open-loop latency vs load
-    python -m repro.bench all             # everything (Figs 4-13 + faults)
+    python -m repro.bench all             # everything (Figs 4-13)
     python -m repro.bench --smoke         # fast CI pass (tiny scale)
     python -m repro.bench --smoke fig10   # fast pass of one figure
     python -m repro.bench --commit occ fig4      # rebase MVCC conflicts
@@ -51,12 +49,6 @@ FIGURES = {
     "fig11": runners.figure11,
     "fig12": runners.figure12,
     "fig13": runners.figure13,
-    # Not a paper figure: the chaos benchmark (throughput under message
-    # loss with retry; every run asserts the safety invariants).
-    "faults": runners.faults,
-    # Not a paper figure: the serving tier's open-loop knee curve
-    # (latency vs offered load through the serving gateway).
-    "serving": runners.serving,
 }
 
 

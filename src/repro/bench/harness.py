@@ -118,13 +118,10 @@ def build_view_setup(
     config: NetworkConfig | None = None,
     use_txlist: bool = False,
     txlist_flush_interval_ms: float = 5_000.0,
-    views: int | None = None,
     pdc_collection: str | None = None,
 ) -> tuple[Environment, FabricNetwork, ViewManager]:
     """Build a network plus a view manager with one view per node.
 
-    ``views`` optionally caps the number of per-node views created (for
-    the storage sweep, which varies view count under a fixed workload).
     ``pdc_collection`` switches the manager to the PDC-backed variant
     (Fig 13's "revocable view over private data collection").
     """
@@ -155,8 +152,7 @@ def build_view_setup(
             use_txlist=use_txlist,
             txlist_flush_interval_ms=txlist_flush_interval_ms,
         )
-    nodes = topology.nodes if views is None else topology.nodes[:views]
-    for node in nodes:
+    for node in topology.nodes:
         manager.create_view(f"V_{node}", ParticipantPredicate(node), mode)
     return env, network, manager
 
@@ -166,7 +162,6 @@ def _client_traces(
     clients: int,
     items_per_client: int,
     seed: int,
-    secret_size: int = 0,
 ) -> list[list[TransferRequest]]:
     """One interleaved request trace per client, disjoint item spaces."""
     traces = []
@@ -176,7 +171,6 @@ def _client_traces(
             items=items_per_client,
             seed=seed + client,
             item_prefix=f"c{client}-",
-            secret_size=secret_size,
         )
         traces.append(workload.generate_interleaved())
     return traces
@@ -213,10 +207,8 @@ def run_view_workload(
     txlist_flush_interval_ms: float = 5_000.0,
     seed: int = 7,
     horizon_ms: float | None = None,
-    grant_history: bool = True,
     max_requests_per_client: int | None = None,
     pdc_collection: str | None = None,
-    secret_size: int = 0,
     track_state_roots: bool = False,
     fault_plan=None,
 ) -> RunResult:
@@ -225,8 +217,6 @@ def run_view_workload(
     ``max_requests_per_client`` truncates each client's trace — the
     measured rates stabilise after a few batches, so shorter runs keep
     benchmark wall-clock time in check without changing the shapes.
-    ``secret_size`` pads each transfer's secret part to roughly that
-    many bytes (0 = natural size), for sweeps over payload size.
     ``track_state_roots`` makes every committed block record a state root.
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) runs the whole
     workload under fault injection: the plan's message faults, crashes,
@@ -249,7 +239,7 @@ def run_view_workload(
 
         injector = FaultInjector(network, fault_plan)
         monitor = InvariantMonitor(network)
-    traces = _client_traces(topology, clients, items_per_client, seed, secret_size)
+    traces = _client_traces(topology, clients, items_per_client, seed)
     if max_requests_per_client is not None:
         traces = [trace[:max_requests_per_client] for trace in traces]
     valid = {"count": 0}
@@ -261,7 +251,7 @@ def run_view_workload(
             events = []
             for request in batch:
                 extra_views = {}
-                if grant_history and request.history:
+                if request.history:
                     history_tids = [
                         tid_of_index[h]
                         for h in request.history

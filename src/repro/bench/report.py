@@ -9,67 +9,24 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-#: Canonical latency columns, in table order, with the source-field
-#: aliases each one accepts.  Every runner that reports latency goes
-#: through :func:`latency_cells` so tables across figures stay uniform
-#: (same names, same order, same rounding) instead of each runner
-#: hand-rolling its own ``latency_ms``/``p95_ms`` pairs.
-LATENCY_FIELDS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("latency_ms", ("latency_ms", "latency_mean_ms", "mean_ms")),
-    ("p50_ms", ("p50_ms", "latency_p50_ms")),
-    ("p95_ms", ("p95_ms", "latency_p95_ms")),
-    ("p99_ms", ("p99_ms", "latency_p99_ms")),
-    ("max_ms", ("max_ms", "latency_max_ms")),
-)
-
-#: Canonical column order for open-loop serving tables (the knee curve):
-#: load first, then goodput, then the latency ladder, then shedding.
-SERVING_COLUMNS: tuple[str, ...] = (
-    "offered_tps",
-    "goodput_tps",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "max_ms",
-    "shed_pct",
-    "committed",
-    "aborted",
-    "shed",
-    "queue_peak",
+#: Canonical latency columns, in table order, and the harness
+#: ``RunResult`` field each one reads.  Every runner that reports latency
+#: goes through :func:`latency_cells` so tables across figures stay
+#: uniform (same names, same order, same rounding).
+LATENCY_FIELDS: tuple[tuple[str, str], ...] = (
+    ("latency_ms", "latency_mean_ms"),
+    ("p50_ms", "latency_p50_ms"),
+    ("p95_ms", "latency_p95_ms"),
 )
 
 
-def _lookup(source: Any, name: str) -> Any:
-    if isinstance(source, Mapping):
-        return source.get(name)
-    return getattr(source, name, None)
-
-
-def latency_cells(
-    source: Any,
-    digits: int = 0,
-    percentiles: Sequence[str] | None = None,
-) -> dict[str, Any]:
-    """Canonical latency columns from anything latency-shaped.
-
-    ``source`` may be a mapping or an object (a harness ``RunResult``, a
-    serving ``LatencySummary``, a plain dict); each canonical column is
-    filled from the first alias the source actually has, so runners
-    share one naming/rounding convention.  ``percentiles`` restricts the
-    columns emitted (default: everything present).
-    """
-    cells: dict[str, Any] = {}
-    for column, aliases in LATENCY_FIELDS:
-        if percentiles is not None and column not in percentiles:
-            continue
-        for alias in aliases:
-            value = _lookup(source, alias)
-            if value is not None:
-                cells[column] = (
-                    round(float(value), digits) if digits else round(float(value))
-                )
-                break
-    return cells
+def latency_cells(result: Any, percentiles: Sequence[str]) -> dict[str, int]:
+    """The ``percentiles`` columns of a ``RunResult``, in whole ms."""
+    return {
+        column: round(getattr(result, field))
+        for column, field in LATENCY_FIELDS
+        if column in percentiles
+    }
 
 
 def format_table(rows: Sequence[Mapping[str, Any]], columns: Sequence[str] | None = None) -> str:

@@ -604,135 +604,3 @@ def figure13(clients: int = 32) -> list[dict[str, Any]]:
         ),
     )
     return rows
-
-
-#: Message-loss sweep of the chaos benchmark (fraction of client
-#: broadcasts and block deliveries lost before retry/redelivery).
-FAULT_LOSS_SWEEP = (0.0, 0.05, 0.10)
-
-
-def faults(clients: int = 16) -> list[dict[str, Any]]:
-    """Chaos benchmark: throughput under message loss with retry.
-
-    Runs the WL1 hash-revocable workload under 0/5/10 % message loss on
-    both network channels, with the default client retry policy and
-    block redelivery.  Every run heals at the end and asserts the
-    safety invariants (exactly-once commit, replica convergence), so a
-    row in this table is also a passed chaos experiment.  The paper's
-    claim this guards is availability: view operation must degrade
-    gracefully, not stall, when the underlying Fabric network misbehaves.
-    """
-    from repro.faults import FaultPlan, MessageFaultRule, RetryPolicy
-
-    topology = wl1_topology()
-    clients = _scaled(clients, 2)
-    config = benchmark_config()
-    rows = []
-    for loss in FAULT_LOSS_SWEEP:
-        plan = FaultPlan(
-            seed=23,
-            retry=RetryPolicy(timeout_ms=8_000.0, backoff_ms=250.0),
-            messages=(
-                MessageFaultRule(channel="client_to_orderer", drop=loss),
-                MessageFaultRule(channel="orderer_to_peer", drop=loss),
-            ),
-        )
-        result = run_view_workload(
-            "HR",
-            topology,
-            clients=clients,
-            items_per_client=25,
-            config=config,
-            max_requests_per_client=_scaled(25, 4),
-            fault_plan=plan,
-        )
-        summary = result.extra["faults"]
-        rows.append(
-            {
-                "series": result.label,
-                "loss_pct": round(loss * 100),
-                "tps": round(result.tps, 1),
-                **latency_cells(result, percentiles=("latency_ms", "p95_ms")),
-                "committed": result.committed,
-                "retries": summary["retries"],
-                "redeliveries": summary["redeliveries"],
-                "dropped": sum(summary["messages_dropped"].values()),
-            }
-        )
-    print_series(
-        "Chaos — throughput under message loss (WL1, HR, with retry)",
-        rows,
-        note=(
-            "All rows healed to identical replicas with exactly-once "
-            "commits; throughput degrades smoothly as loss grows because "
-            "lost broadcasts wait out a retry timeout."
-        ),
-    )
-    return rows
-
-
-#: Offered loads (requests/s) of the serving-tier knee sweep — log-ish
-#: spacing from well under single-channel capacity to deep overload.
-SERVING_LOAD_SWEEP = (25.0, 100.0, 400.0, 1600.0, 6400.0)
-
-
-def serving() -> list[dict[str, Any]]:
-    """Serving tier: open-loop latency vs offered load (the knee curve).
-
-    A seeded Poisson stream of counter bumps flows through the
-    serving gateway into one channel, which cuts blocks by group commit
-    once the target is bound; latency is measured from arrival, so
-    queueing under admission control is part of every percentile.  The
-    expected shape: up to 400 tps everything commits with p99 within a
-    few times the 25 tps floor (a block holds one commit cycle's
-    arrivals, so nothing queues), and deep overload sheds the excess —
-    p99 stays bounded by the watermark while goodput holds at the
-    saturated pipeline's capacity.
-    """
-    from repro import build_network
-    from repro.bench.harness import PHASE_TOTALS
-    from repro.bench.report import SERVING_COLUMNS
-    from repro.serving import (
-        AdmissionConfig,
-        NetworkTarget,
-        OpenLoopConfig,
-        counter_builder,
-        run_open_loop,
-    )
-    from repro.workload.zipf import CounterContract
-
-    admission = AdmissionConfig(
-        max_inflight=128,
-        shed_high=384,
-        shed_low=336,
-        max_batch=32,
-        linger_ms=2.0,
-    )
-    config = benchmark_config(latency=SINGLE_REGION, batch_timeout_ms=15.0)
-    requests = _scaled(600, 40)
-    rows = []
-    for offered in SERVING_LOAD_SWEEP:
-        network = build_network(config)
-        network.install_chaincode(CounterContract())
-        target = NetworkTarget(network, network.register_user("serving-client"))
-        metrics, _ = run_open_loop(
-            target,
-            OpenLoopConfig(
-                offered_tps=offered, requests=requests, sessions=8, seed=11
-            ),
-            counter_builder(),
-            admission=admission,
-        )
-        network.phase_wall.merge_into(PHASE_TOTALS)
-        rows.append(metrics.as_row())
-    print_series(
-        "Serving — open-loop latency vs offered load (single channel)",
-        rows,
-        columns=SERVING_COLUMNS,
-        note=(
-            "Open-loop Poisson arrivals; latency from arrival, queueing "
-            "included.  Past the knee, admission control sheds load: p99 "
-            "stays bounded while goodput holds near capacity."
-        ),
-    )
-    return rows

@@ -23,11 +23,6 @@ from __future__ import annotations
 
 import struct
 
-try:  # optional vectorised CTR path; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
-
 BLOCK_SIZE = 16
 
 _VALID_KEY_SIZES = (16, 24, 32)
@@ -254,19 +249,29 @@ def _build_dec_tables() -> tuple[tuple[int, ...], ...]:
 _T0, _T1, _T2, _T3 = _build_enc_tables()
 _D0, _D1, _D2, _D3 = _build_dec_tables()
 
-if _np is not None:
-    # uint32 copies of the encryption tables for the vectorised CTR
-    # path: counter blocks are independent, so whole batches run each
-    # round as elementwise table gathers instead of per-block loops.
-    _T0_NP = _np.array(_T0, dtype=_np.uint32)
-    _T1_NP = _np.array(_T1, dtype=_np.uint32)
-    _T2_NP = _np.array(_T2, dtype=_np.uint32)
-    _T3_NP = _np.array(_T3, dtype=_np.uint32)
-    _SBOX_NP = _np.frombuffer(_SBOX, dtype=_np.uint8).astype(_np.uint32)
-
 #: Batch size from which the vectorised CTR path beats the scalar loop
 #: (the numpy dispatch overhead is a few hundred microseconds per call).
 _NP_MIN_BLOCKS = 32
+
+#: numpy, imported by the first batch that large (many processes never
+#: send one): ``None`` until then, ``False`` when it is not installed.
+_np = None
+
+
+def _load_numpy():
+    """Import numpy and copy the encryption tables to uint32 arrays, so
+    whole batches of counter blocks run each round as table gathers."""
+    global _np, _T0_NP, _T1_NP, _T2_NP, _T3_NP, _SBOX_NP
+    try:
+        import numpy as _np
+    except ImportError:  # pragma: no cover - depends on the environment
+        _np = False
+        return _np
+    _T0_NP, _T1_NP, _T2_NP, _T3_NP = (
+        _np.array(table, dtype=_np.uint32) for table in (_T0, _T1, _T2, _T3)
+    )
+    _SBOX_NP = _np.frombuffer(_SBOX, dtype=_np.uint8).astype(_np.uint32)
+    return _np
 
 
 def _inv_mix_word(word: int) -> int:
@@ -381,7 +386,7 @@ class AESFast:
         available, batches of at least ``_NP_MIN_BLOCKS`` run each round
         as vectorised table gathers over the whole batch.
         """
-        if _np is not None and nblocks >= _NP_MIN_BLOCKS:
+        if nblocks >= _NP_MIN_BLOCKS and (_np if _np is not None else _load_numpy()):
             return self._ctr_keystream_np(counter, nblocks)
         return self._ctr_keystream_py(counter, nblocks)
 

@@ -9,19 +9,10 @@ of every percentile; that is what makes the knee visible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
-
-def percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile over pre-sorted values (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"percentile fraction must be in (0, 1], got {fraction}")
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[rank - 1]
+from repro.sim.monitor import percentile
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,7 @@ class RunMetrics:
     queue_depth_series: tuple[tuple[float, int, int], ...]
 
     def as_row(self) -> dict[str, Any]:
-        """Flat dict for report tables and BENCH_*.json entries."""
+        """Flat dict for report tables and ``BENCH_micro.json`` rows."""
         return {
             "offered_tps": round(self.offered_tps, 1),
             "goodput_tps": round(self.goodput_tps, 1),

@@ -43,6 +43,10 @@ from repro.serving.gateway import Complete, ShardedTarget
 from repro.serving.metrics import percentile
 from repro.sim.core import Environment, Event
 
+#: Completed query latencies a :class:`HedgedQueryClient` keeps to set
+#: its adaptive hedge deadline.
+HEDGE_HISTORY = 256
+
 
 @dataclass(frozen=True)
 class BreakerConfig:
@@ -174,9 +178,10 @@ class HedgedQueryClient:
     gray-degradation factor), response transit.  Peers are tried in
     round-robin-rotated order so hedges spread across replicas.
 
-    The hedge deadline adapts: once ``history`` holds at least eight
-    completed latencies it is their ``hedge_percentile``; before that
-    it is ``hedge_floor_ms`` (default: 4x the healthy round trip).
+    The hedge deadline adapts: once at least eight latencies have
+    completed it is the ``hedge_percentile`` of the last
+    ``HEDGE_HISTORY``; before that it is ``hedge_floor_ms`` (default:
+    4x the healthy round trip).
     """
 
     def __init__(
@@ -185,7 +190,6 @@ class HedgedQueryClient:
         query_service_ms: float = 1.0,
         hedge_percentile: float = 0.95,
         hedge_floor_ms: float | None = None,
-        history: int = 256,
         deadline_budget_ms: float | None = None,
         hedging_enabled: bool = True,
     ):
@@ -205,7 +209,7 @@ class HedgedQueryClient:
         self.hedge_floor_ms = hedge_floor_ms
         self.deadline_budget_ms = deadline_budget_ms
         self.hedging_enabled = hedging_enabled
-        self._latencies: deque[float] = deque(maxlen=history)
+        self._latencies: deque[float] = deque(maxlen=HEDGE_HISTORY)
         self._next_primary = 0
         self.stats = {
             "queries": 0,

@@ -32,6 +32,21 @@ class Counter:
         return f"Counter({self.name!r}, value={self._value})"
 
 
+def percentile(sorted_values: list[float], fraction: float) -> float:
+    """Nearest-rank percentile over pre-sorted values (0 when empty).
+
+    The one percentile rule of the repo: a reported value is always a
+    sample that occurred (the hedge deadline feeds it back into
+    simulated time), and it equals the frozen end-to-end benchmark's.
+    """
+    if not sorted_values:
+        return 0.0
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"percentile fraction must be in (0, 1], got {fraction}")
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[rank - 1]
+
+
 @dataclass
 class SeriesSummary:
     """Summary statistics of a sample set."""
@@ -70,21 +85,6 @@ class TimeSeries:
     def values(self) -> list[float]:
         return list(self._values)
 
-    @staticmethod
-    def _percentile(ordered: list[float], fraction: float) -> float:
-        """Linear-interpolated percentile of a pre-sorted sample."""
-        if not ordered:
-            raise ValueError("percentile of empty series")
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = fraction * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return ordered[low]
-        weight = rank - low
-        return ordered[low] * (1 - weight) + ordered[high] * weight
-
     def summary(self) -> SeriesSummary:
         """Summarise all recorded values."""
         if not self._values:
@@ -98,9 +98,9 @@ class TimeSeries:
             mean=mean,
             minimum=ordered[0],
             maximum=ordered[-1],
-            p50=self._percentile(ordered, 0.50),
-            p95=self._percentile(ordered, 0.95),
-            p99=self._percentile(ordered, 0.99),
+            p50=percentile(ordered, 0.50),
+            p95=percentile(ordered, 0.95),
+            p99=percentile(ordered, 0.99),
             stdev=math.sqrt(variance),
         )
 

@@ -119,7 +119,6 @@ class ViewManager(ABC):
         business_chaincode: str = "supply",
         use_txlist: bool = False,
         txlist_flush_interval_ms: float = 30_000.0,
-        txlist_max_pending: int | None = None,
     ):
         self.gateway = gateway
         self.owner = gateway.user
@@ -128,9 +127,7 @@ class ViewManager(ABC):
         self.buffer = ViewBuffer()
         self.use_txlist = use_txlist
         self.txlist: TxListService | None = (
-            TxListService(
-                gateway, txlist_flush_interval_ms, max_pending=txlist_max_pending
-            )
+            TxListService(gateway, txlist_flush_interval_ms)
             if use_txlist
             else None
         )

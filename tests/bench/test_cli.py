@@ -34,13 +34,23 @@ def test_selected_figures_run(monkeypatch):
 
 
 def test_all_runs_everything(monkeypatch):
+    """``all`` is exactly the paper's figures, Figs 4-13."""
     calls = []
     for name in list(cli.FIGURES):
         monkeypatch.setitem(
             cli.FIGURES, name, lambda name=name: calls.append(name)
         )
     assert cli.main(["all"]) == 0
-    assert calls == list(cli.FIGURES)
+    assert calls == [f"fig{n}" for n in range(4, 14)]
+
+
+def test_retired_runners_are_unknown_figures(capsys):
+    """The chaos and knee sweeps live in the e2e workloads and
+    ``benchmarks/test_serving_microbench.py``, not in this CLI."""
+    for name in ("faults", "serving"):
+        assert cli.main([name]) == 2
+        assert name in capsys.readouterr().err
+    assert cli.main(["--smoke", "serving"]) == 2
 
 
 def test_smoke_defaults_and_environment(monkeypatch):

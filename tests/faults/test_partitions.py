@@ -69,7 +69,7 @@ def _config(backend: str, plan: FaultPlan | None, peer_count: int = 4) -> Networ
         batch_timeout_ms=50.0,
         peer_count=peer_count,
         # "off" (not None) pins the clean leg fault-free even under an
-        # ambient REPRO_FAULT_PLAN (the CI partitions job exports one).
+        # ambient REPRO_FAULT_PLAN (a leg of CI's ambient job exports one).
         fault_plan=plan.to_json() if plan is not None else "off",
     )
     if backend == "raft":

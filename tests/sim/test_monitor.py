@@ -1,8 +1,14 @@
 """Tests for counters and time-series measurement helpers."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Counter, TimeSeries
+from repro.sim.monitor import percentile
 
 
 def test_counter_basics():
@@ -27,16 +33,57 @@ def test_timeseries_summary():
     assert summary.mean == 25.0
     assert summary.minimum == 10.0
     assert summary.maximum == 40.0
-    assert summary.p50 == 25.0
+    assert summary.p50 == 20.0  # nearest rank: a sample that occurred
 
 
-def test_percentile_interpolation():
+@pytest.mark.parametrize(
+    "n, fraction, expected",
+    [
+        (1, 0.5, 1.0), (1, 0.99, 1.0), (1, 1.0, 1.0),
+        (2, 0.5, 1.0), (2, 0.95, 2.0), (2, 1.0, 2.0),
+        (10, 0.5, 5.0), (10, 0.95, 10.0), (10, 0.99, 10.0), (10, 1.0, 10.0),
+        (100, 0.5, 50.0), (100, 0.95, 95.0), (100, 0.99, 99.0), (100, 1.0, 100.0),
+    ],
+)
+def test_percentile_nearest_rank(n, fraction, expected):
+    ordered = [float(i) for i in range(1, n + 1)]
+    assert percentile(ordered, fraction) == expected
+
+
+def test_percentile_rejects_bad_fraction():
+    for fraction in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            percentile([1.0], fraction)
+
+
+def test_summary_percentiles_are_nearest_rank():
     series = TimeSeries()
     for value in [0.0, 10.0]:
         series.record(0.0, value)
     summary = series.summary()
-    assert summary.p50 == 5.0
-    assert summary.p95 == pytest.approx(9.5)
+    assert summary.p50 == 0.0
+    assert summary.p95 == summary.p99 == 10.0
+
+
+def _e2e_metrics():
+    """The frozen end-to-end benchmark's metrics module, loaded read-only
+    by path (it imports nothing of ``repro``)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("e2e_metrics_for_monitor_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+E2E_METRICS = _e2e_metrics()
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_percentile_equals_the_e2e_benchmarks(values, fraction):
+    assert percentile(sorted(values), fraction) == E2E_METRICS.percentile(values, fraction)
 
 
 def test_single_sample_percentiles():
