@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 
 from repro.bench.harness import run_view_workload
-from repro.crypto.rsa import keypair_pool
 from repro.fabric.config import benchmark_config
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.workload.presets import wl1_topology
@@ -113,10 +112,9 @@ def _row(result) -> dict:
 
 def test_pbft_vs_raft_and_byzantine_tax(record):
     rows = {}
-    with keypair_pool(size=8):
-        raft = _run("raft")
-        honest = _run("pbft")
-        faulted = _run("pbft", _equivocation_plan())
+    raft = _run("raft")
+    honest = _run("pbft")
+    faulted = _run("pbft", _equivocation_plan())
 
     # Honest pbft is free: the protocol ran (one quorum certificate per
     # block) yet every simulated-time number equals the raft model's.

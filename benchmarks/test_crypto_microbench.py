@@ -12,7 +12,7 @@ Layers measured:
 - the authenticated envelope ``modes.encrypt``/``decrypt`` (key-schedule
   cache plus batched CTR) against the same envelope built from the
   reference :class:`AES` one block at a time,
-- RSA keypair generation (incremental sieve) and the opt-in pool.
+- RSA keypair generation (incremental sieve).
 
 Results are recorded under ``crypto`` in ``BENCH_micro.json`` at the repo
 root so the before/after numbers are checked in alongside the code.
@@ -124,21 +124,9 @@ def test_envelope_seal_open_speedup(record):
     )
 
 
-def test_rsa_keygen_and_pool(record):
-    """Fresh keygen cost, and the pool serving recycled pairs in O(1)."""
+def test_rsa_keygen(record):
+    """Fresh keygen cost: what an identity pays on its first use."""
     t_fresh = _best_of(lambda: rsa._generate_fresh_keypair(1024), 3)
-
-    with rsa.keypair_pool(size=2) as pool:
-        for _ in range(4):
-            rsa.generate_keypair(1024)
-        t0 = time.perf_counter()
-        for _ in range(50):
-            rsa.generate_keypair(1024)
-        t_pooled = (time.perf_counter() - t0) / 50
-        assert pool.hits == 2 + 50 and pool.misses == 2
-
     record("crypto", _DESCRIPTION, {"rsa_keygen_1024": {
         "fresh_ms": round(t_fresh * 1e3, 1),
-        "pooled_us": round(t_pooled * 1e6, 1),
     }})
-    assert t_pooled < t_fresh

@@ -37,7 +37,6 @@ from contextlib import contextmanager
 from repro import build_network
 from repro.crypto import modes
 from repro.crypto.hashing import sha256
-from repro.crypto.rsa import keypair_pool
 from repro.crypto.symmetric import SymmetricKey
 from repro.fabric.config import benchmark_config
 from repro.fabric.network import Gateway
@@ -252,9 +251,8 @@ def _public(leg):
 def test_batched_view_maintenance_speedup(record):
     """``invoke_many`` vs per-request invokes: fewer on-chain txs, more
     committed tx per host second, byte-identical state and audits."""
-    with keypair_pool(size=8):
-        per_request = _best_of(lambda: _run_invoke_leg(batched=False))
-        batched = _best_of(lambda: _run_invoke_leg(batched=True))
+    per_request = _best_of(lambda: _run_invoke_leg(batched=False))
+    batched = _best_of(lambda: _run_invoke_leg(batched=True))
 
     # Nothing observable in the business or view state may change.
     assert per_request["committed"] == batched["committed"] == REQUESTS
@@ -314,8 +312,7 @@ def _replay_leg(network, shared_memo):
 
 def test_validation_memo_speedup(record):
     """Shared per-block memo vs every replica validating from scratch."""
-    with keypair_pool(size=8):
-        network = _run_invoke_leg(batched=True)["network"]
+    network = _run_invoke_leg(batched=True)["network"]
     memoless = _best_of(lambda: _replay_leg(network, shared_memo=False))
     shared = _best_of(lambda: _replay_leg(network, shared_memo=True))
     speedup = memoless["host_wall_s"] / shared["host_wall_s"]

@@ -11,8 +11,7 @@ Usage::
     REPRO_BENCH_SCALE=0.25 python -m repro.bench all   # quick pass
 
 ``--smoke`` shrinks the sweeps via ``REPRO_BENCH_SCALE`` (unless the
-variable is already set) and serves benchmark identities from a
-recycling RSA keypair pool, so a full figure runs in seconds.  Smoke
+variable is already set), so a full figure runs in seconds.  Smoke
 numbers are for wiring checks only — simulated-time *shapes* survive
 scaling, absolute values do not.
 
@@ -26,11 +25,9 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import nullcontext
 
 from repro.bench import harness, runners
 from repro.bench.report import print_series
-from repro.crypto.rsa import keypair_pool
 from repro.fabric.occ import COMMIT_BACKENDS
 
 #: Scale applied by --smoke when REPRO_BENCH_SCALE is not already set.
@@ -92,9 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     previous = {name: os.environ.get(name) for name in overrides}
     os.environ.update(overrides)
     try:
-        with keypair_pool(size=8) if smoke else nullcontext():
-            for name in selected:
-                FIGURES[name]()
+        for name in selected:
+            FIGURES[name]()
     finally:
         for name, value in previous.items():
             if value is None:

@@ -329,9 +329,8 @@ def run_baseline_workload(
 ) -> RunResult:
     """Run the same workload against the cross-chain 2PC baseline.
 
-    The baseline registers one identity per client per chain, so a
-    surrounding :func:`repro.crypto.rsa.keypair_pool` saves the most
-    wall-clock here.
+    The baseline registers one identity per client per chain; their
+    keypairs are drawn only if something signs or seals with them.
     """
     env = Environment()
     deployment = CrossChainDeployment(

@@ -20,8 +20,7 @@ Fast path and oracle
 Sealing runs on the T-table :class:`~repro.crypto.aes.AESFast` behind a
 key-schedule cache (:mod:`repro.crypto.backend`); the auditable
 :class:`~repro.crypto.aes.AES` is the oracle the differential tests
-compare it against (``docs/PERFORMANCE.md``).  :func:`keypair_pool` is
-the benchmark-only RSA keypair pool.
+compare it against (``docs/PERFORMANCE.md``).
 """
 
 from repro.crypto.hashing import (
@@ -34,12 +33,10 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.rsa import (
-    KeyPairPool,
     RSAKeyPair,
     RSAPrivateKey,
     RSAPublicKey,
     generate_keypair,
-    keypair_pool,
 )
 from repro.crypto.envelope import open_sealed, seal, seal_many
 from repro.crypto.symmetric import SymmetricKey
@@ -56,8 +53,6 @@ __all__ = [
     "RSAPublicKey",
     "RSAPrivateKey",
     "generate_keypair",
-    "keypair_pool",
-    "KeyPairPool",
     "seal",
     "open_sealed",
     "seal_many",

@@ -10,8 +10,8 @@ encryption uses OAEP padding (RFC 8017 §7.1 with SHA-256/MGF1) and
 signatures use a deterministic full-domain-hash PSS-style padding.
 
 Default modulus size is 1024 bits — small by production standards but a
-deliberate choice for a pure-Python simulation where thousands of
-keypairs are generated per benchmark run.  The size is a parameter, so
+deliberate choice for a pure-Python simulation where every identity
+that seals or signs generates one.  The size is a parameter, so
 callers wanting 2048+ bits just pass ``bits=2048``.
 """
 
@@ -19,10 +19,7 @@ from __future__ import annotations
 
 import math
 import secrets
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.crypto.hashing import sha256
 from repro.errors import DecryptionError, InvalidKeyError, SignatureError
@@ -308,7 +305,7 @@ class RSAKeyPair:
 
 
 def _generate_fresh_keypair(bits: int) -> RSAKeyPair:
-    """Generate a keypair unconditionally (never consults the pool)."""
+    """The prime search behind :func:`generate_keypair`."""
     if bits < 512:
         raise InvalidKeyError("modulus must be at least 512 bits")
     half = bits // 2
@@ -327,82 +324,10 @@ def _generate_fresh_keypair(bits: int) -> RSAKeyPair:
         return RSAKeyPair(public=public, private=private)
 
 
-class KeyPairPool:
-    """Opt-in pool that recycles a bounded set of keypairs per modulus size.
-
-    Benchmark runs register thousands of simulated users and roles, each
-    of which triggers a full prime search.  The measured quantities
-    (simulated throughput/latency, storage, on-chain tx counts) do not
-    depend on key *values*, only on the protocol operations performed —
-    so the harness can opt into serving identities from a small pool of
-    pregenerated keypairs, cycled round-robin once ``size`` distinct
-    pairs exist per bit length.
-
-    **Not a security mechanism**: pooled identities share key material,
-    so any test asserting that one user cannot decrypt another user's
-    envelope must run without the pool (the pool is strictly opt-in and
-    scoped via :func:`keypair_pool`).
-    """
-
-    def __init__(self, size: int = 32):
-        if size < 1:
-            raise ValueError("pool size must be at least 1")
-        self.size = size
-        self._pools: dict[int, list[RSAKeyPair]] = {}
-        self._cursors: dict[int, int] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, bits: int) -> RSAKeyPair:
-        """A keypair of the requested size — fresh until the pool fills."""
-        with self._lock:
-            pool = self._pools.setdefault(bits, [])
-            if len(pool) < self.size:
-                self.misses += 1
-                pair = _generate_fresh_keypair(bits)
-                pool.append(pair)
-                return pair
-            self.hits += 1
-            cursor = self._cursors.get(bits, 0)
-            self._cursors[bits] = (cursor + 1) % len(pool)
-            return pool[cursor]
-
-
-_pool: KeyPairPool | None = None
-
-
-def active_keypair_pool() -> KeyPairPool | None:
-    """The installed pool, if any."""
-    return _pool
-
-
-@contextmanager
-def keypair_pool(size: int = 32) -> Iterator[KeyPairPool]:
-    """Scoped pool activation for benchmark harnesses.
-
-    Nested uses stack: the previous pool (or none) is restored on exit.
-    """
-    global _pool
-    previous = _pool
-    pool = KeyPairPool(size)
-    _pool = pool
-    try:
-        yield pool
-    finally:
-        _pool = previous
-
-
 def generate_keypair(bits: int = DEFAULT_BITS) -> RSAKeyPair:
     """Generate an RSA keypair with a ``bits``-bit modulus.
 
     The two primes are drawn independently at ``bits // 2`` each and the
-    public exponent is the conventional 65537.  If a :class:`KeyPairPool`
-    is active (see :func:`keypair_pool`), the pair is served from the
-    pool instead — an explicit, benchmark-only trade of key uniqueness
-    for setup speed.
+    public exponent is the conventional 65537.
     """
-    pool = _pool
-    if pool is not None:
-        return pool.get(bits)
     return _generate_fresh_keypair(bits)

@@ -6,26 +6,52 @@ certificate authority: it registers identities and lets anyone resolve
 a user id to a public key — which is exactly what the view methods need
 to disseminate view keys (``enc(K_V, PubK_u)``).
 
-Key generation for large simulated populations is expensive in pure
-Python, so the MSP supports a ``key_bits`` knob; tests and benchmarks
-use smaller moduli than a production deployment would.
+Registering an identity and generating its key are separate events, as
+in Fabric: a user's keypair is drawn the first time something seals to
+it or it signs or opens an envelope.  Most simulated identities never
+do — no peer under MAC signatures, few of a 2PC deployment's per-chain
+clients — and pure-Python key generation is the expensive part of
+set-up.  The MSP's ``key_bits`` knob sets the modulus; tests and
+benchmarks use smaller moduli than a production deployment would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
+from repro.crypto.rsa import DEFAULT_BITS, RSAKeyPair, RSAPublicKey, generate_keypair
 from repro.errors import AccessControlError
 
 
-@dataclass(frozen=True)
 class User:
-    """A registered identity (client, view owner, view reader, or peer)."""
+    """A registered identity (client, view owner, view reader, or peer).
 
-    user_id: str
-    keypair: RSAKeyPair = field(repr=False)
-    organization: str = "org1"
+    ``keypair`` is drawn on first use — the first ``keypair``,
+    ``public_key``, ``sign`` or ``decrypt`` — unless one is passed in.
+    Equality and hashing are by object and ``repr`` omits the key, so
+    none of the three draws one.
+    """
+
+    __slots__ = ("user_id", "organization", "key_bits", "_keypair")
+
+    def __init__(
+        self,
+        user_id: str,
+        keypair: RSAKeyPair | None = None,
+        organization: str = "org1",
+        key_bits: int = DEFAULT_BITS,
+    ):
+        self.user_id = user_id
+        self.organization = organization
+        self.key_bits = key_bits
+        self._keypair = keypair
+
+    def __repr__(self) -> str:
+        return f"User(user_id={self.user_id!r}, organization={self.organization!r})"
+
+    @property
+    def keypair(self) -> RSAKeyPair:
+        if self._keypair is None:
+            self._keypair = generate_keypair(self.key_bits)
+        return self._keypair
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -56,14 +82,10 @@ class MembershipServiceProvider:
         return user_id in self._users
 
     def register(self, user_id: str, organization: str = "org1") -> User:
-        """Create and register a new identity with a fresh keypair."""
+        """Register a new identity; its keypair is drawn on first use."""
         if user_id in self._users:
             raise AccessControlError(f"user id {user_id!r} already registered")
-        user = User(
-            user_id=user_id,
-            keypair=generate_keypair(self.key_bits),
-            organization=organization,
-        )
+        user = User(user_id, organization=organization, key_bits=self.key_bits)
         self._users[user_id] = user
         return user
 
@@ -85,7 +107,7 @@ class MembershipServiceProvider:
         return self.get(user_id).public_key
 
     def reissue(self, user_id: str) -> User:
-        """Replace an identity's keypair with a fresh one.
+        """Replace an identity with one whose next use draws a new keypair.
 
         Used for *role* identities (paper §4.6): when the member set of
         a role changes, a new role keypair is created and distributed to
@@ -93,9 +115,7 @@ class MembershipServiceProvider:
         """
         previous = self.get(user_id)
         replacement = User(
-            user_id=user_id,
-            keypair=generate_keypair(self.key_bits),
-            organization=previous.organization,
+            user_id, organization=previous.organization, key_bits=self.key_bits
         )
         self._users[user_id] = replacement
         return replacement

@@ -199,7 +199,13 @@ class FabricNetwork:
             self._peer_cpus.append(Resource(env, capacity=1))
             self._endorse_cpus.append(Resource(env, capacity=4))
 
-        self._peer_keys = {p.peer_id: p.identity.public_key for p in self.peers}
+        # Reading a public key draws the peer's keypair, which only a
+        # signed channel ever uses.
+        self._peer_keys = (
+            {p.peer_id: p.identity.public_key for p in self.peers}
+            if self.config.real_signatures
+            else {}
+        )
         self._peer_secrets = {p.peer_id: p.mac_secret for p in self.peers}
 
         #: Durability runtime (:class:`repro.storage.StorageRuntime`),

@@ -4,7 +4,6 @@ import os
 
 from repro import build_network
 from repro.bench import __main__ as cli
-from repro.crypto import rsa
 from repro.fabric.config import NetworkConfig
 
 
@@ -54,22 +53,19 @@ def test_retired_runners_are_unknown_figures(capsys):
 
 
 def test_smoke_defaults_and_environment(monkeypatch):
-    """--smoke runs the default figure under scale 0.05 + a keypair pool."""
+    """--smoke runs the default figure under scale 0.05."""
     seen = {}
 
     def fake_figure():
         seen["scale"] = os.environ.get("REPRO_BENCH_SCALE")
-        seen["pool"] = rsa.active_keypair_pool()
 
     monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
     for name in cli.SMOKE_DEFAULT_FIGURES:
         monkeypatch.setitem(cli.FIGURES, name, fake_figure)
     assert cli.main(["--smoke"]) == 0
     assert seen["scale"] == cli.SMOKE_SCALE
-    assert seen["pool"] is not None
-    # Both the env override and the pool are scoped to the run.
+    # The env override is scoped to the run.
     assert "REPRO_BENCH_SCALE" not in os.environ
-    assert rsa.active_keypair_pool() is None
 
 
 def test_smoke_respects_existing_scale(monkeypatch):

@@ -176,37 +176,3 @@ def test_private_op_matches_plain_pow():
     for _ in range(5):
         value = secrets.randbelow(priv.n)
         assert priv._private_op(value) == pow(value, priv.d, priv.n)
-
-
-# -- keypair pool semantics -------------------------------------------------
-
-
-def test_keypair_pool_fills_then_recycles():
-    with rsa.keypair_pool(size=2) as pool:
-        first = [rsa.generate_keypair(512) for _ in range(2)]
-        assert pool.misses == 2 and pool.hits == 0
-        recycled = [rsa.generate_keypair(512) for _ in range(4)]
-        assert pool.misses == 2 and pool.hits == 4
-    assert {id(p) for p in recycled} <= {id(p) for p in first}
-    assert rsa.active_keypair_pool() is None
-
-
-def test_keypair_pool_separates_bit_lengths():
-    with rsa.keypair_pool(size=1) as pool:
-        a = rsa.generate_keypair(512)
-        b = rsa.generate_keypair(768)
-        assert pool.misses == 2
-        assert rsa.generate_keypair(512) is a
-        assert rsa.generate_keypair(768) is b
-
-
-def test_keypair_pool_nesting_restores_outer_pool():
-    with rsa.keypair_pool(size=1) as outer:
-        rsa.generate_keypair(512)
-        with rsa.keypair_pool(size=1) as inner:
-            assert rsa.active_keypair_pool() is inner
-            rsa.generate_keypair(512)
-            assert inner.misses == 1  # inner pool starts empty
-        assert rsa.active_keypair_pool() is outer
-        assert rsa.generate_keypair(512) is not None
-        assert outer.hits == 1

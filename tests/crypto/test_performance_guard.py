@@ -6,12 +6,25 @@ of magnitude above the measured numbers so they never flake on a slow
 CI machine, but still catch an accidental reintroduction of quadratic
 behaviour (e.g. per-byte XOR loops or per-call key re-expansion) in the
 envelope path.
+
+The keygen guards count instead of timing: an identity's RSA keypair is
+drawn when something seals to it or signs with it, never at
+registration, so set-up that only registers identities generates none.
 """
 
 import secrets
 import time
 
-from repro.crypto import modes
+import pytest
+
+from repro import build_network
+from repro.baseline import CrossChainDeployment
+from repro.crypto import modes, rsa
+from repro.crypto.envelope import seal
+from repro.errors import DecryptionError
+from repro.fabric.config import NetworkConfig, benchmark_config
+from repro.fabric.identity import MembershipServiceProvider, User
+from repro.sim import Environment
 
 
 def _seal_open_seconds(key: bytes, size: int) -> float:
@@ -47,3 +60,83 @@ def test_envelope_scales_roughly_linearly():
     assert large < small * 24 + 0.05, (
         f"16KiB: {small * 1e3:.2f}ms, 128KiB: {large * 1e3:.2f}ms"
     )
+
+
+# -- keys on first use --------------------------------------------------------
+
+
+@pytest.fixture
+def keygens(monkeypatch):
+    """Count every RSA prime search from here to the end of the test."""
+    calls = []
+    fresh = rsa._generate_fresh_keypair
+
+    def counting(bits):
+        calls.append(bits)
+        return fresh(bits)
+
+    monkeypatch.setattr(rsa, "_generate_fresh_keypair", counting)
+    return calls
+
+
+def test_mac_network_with_users_generates_no_keypair(keygens):
+    network = build_network(benchmark_config(peer_count=4))
+    for i in range(8):
+        network.register_user(f"client-{i}")
+    assert len(network.msp) == 12
+    assert keygens == []
+
+
+def test_crosschain_clients_generate_no_keypair(keygens):
+    deployment = CrossChainDeployment(
+        Environment(), ["a", "b", "c"], config=benchmark_config()
+    )
+    for i in range(5):
+        deployment.register_user(f"client-{i}")
+    assert keygens == []
+
+
+def test_signed_network_generates_one_keypair_per_peer(keygens):
+    network = build_network(NetworkConfig(peer_count=3, key_bits=512))
+    assert keygens == [512] * 3
+    network.register_user("alice")
+    assert len(keygens) == 3
+
+
+@pytest.mark.parametrize("first_use", ["public_key", "sign", "decrypt"])
+def test_first_use_generates_exactly_one_keypair(keygens, first_use):
+    msp = MembershipServiceProvider(key_bits=1024)
+    alice = msp.register("alice")
+    assert keygens == []
+    if first_use == "public_key":
+        alice.public_key
+    elif first_use == "sign":
+        alice.sign(b"endorsement")
+    else:
+        with pytest.raises(DecryptionError):
+            alice.decrypt(b"?")
+    assert keygens == [1024]
+    pair = alice.keypair
+    assert alice.keypair is pair and alice.public_key is pair.public
+    assert msp.public_key_of("alice") is pair.public
+    assert alice.decrypt(seal(pair.public, b"x")) == b"x"
+    assert len(keygens) == 1
+
+
+def test_reissue_draws_a_new_keypair_on_next_use(keygens):
+    msp = MembershipServiceProvider(key_bits=512)
+    before = msp.register("role:doctor").public_key
+    reissued = msp.reissue("role:doctor")
+    assert len(keygens) == 1
+    assert reissued.public_key != before
+    assert len(keygens) == 2
+
+
+def test_equality_and_repr_generate_no_keypair(keygens):
+    msp = MembershipServiceProvider(key_bits=512)
+    alice, bob = msp.register("alice"), msp.register("bob", organization="org2")
+    assert alice == msp.get("alice") and alice != bob
+    assert len({alice, bob, msp.get("alice")}) == 2
+    assert "alice" in repr(alice) and "org2" in repr(bob)
+    assert User("carol") != User("carol")
+    assert keygens == []
