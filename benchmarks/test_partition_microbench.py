@@ -1,23 +1,12 @@
-"""Partition & gray-failure microbenchmark: degrade, don't collapse.
+"""Partition microbenchmark: degrade, don't collapse.
 
-Three experiments, all simulated-time (deterministic in the seeds):
-
-1. **Goodput under a dark shard** — an open-loop counter workload over
-   four shards while one shard is partitioned for ~30% of the run,
-   served through per-shard circuit breakers.  Goodput must stay
-   above zero in *every* time bucket of the partition window: traffic
-   to the three live shards keeps committing while the dark shard's
-   requests fail fast or are shed at the gateway.
-
-2. **Hedged tail cutting** — view queries against a replica set whose
-   rotating primary is 20x gray-slow one third of the time.  The
-   latency-percentile hedge must cut p99 by at least 2x versus
-   unhedged dispatch of the identical query stream.
-
-3. **Detection latency** — a phi-accrual heartbeat monitor over an
-   injected partition: bounded detection latency against the
-   injector's ground-truth window, zero false convictions, clean
-   slate after heal.
+**Goodput under a dark shard** — an open-loop counter workload over
+four shards while one shard is partitioned for ~30% of the run.
+Goodput must stay above zero in *every* time bucket of the partition
+window: traffic to the three live shards keeps committing while the
+dark shard's requests fail fast, aborted at dispatch by the
+:class:`~repro.serving.ShardedTarget`'s routing refusal.  The run is in
+simulated time, deterministic in the seed.
 
 Results are recorded under ``partitions`` in ``BENCH_micro.json``.
 
@@ -28,32 +17,16 @@ Run with::
 
 from __future__ import annotations
 
-
-from repro import build_network
-from repro.fabric.config import SINGLE_REGION, NetworkConfig
-from repro.faults import (
-    DegradationSpec,
-    FaultPlan,
-    HeartbeatMonitor,
-    InvariantMonitor,
-    PartitionSpec,
-)
-from repro.serving import (
-    AdmissionConfig,
-    BreakerConfig,
-    HedgedQueryClient,
-    OpenLoopConfig,
-    ResilientShardedTarget,
-)
+from repro.fabric.config import NetworkConfig
+from repro.serving import AdmissionConfig, OpenLoopConfig, ShardedTarget
 from repro.serving.loadgen import counter_builder, run_open_loop
 from repro.sharding import ShardedGateway, ShardedNetwork
-from repro.sim.monitor import percentile
 from repro.workload.zipf import CounterContract
 
 #: Describes this file's rows in ``BENCH_micro.json``.
 _DESCRIPTION = (
-    "goodput with one dark shard behind breakers, hedged-query tail under "
-    "a 20x gray-slow replica, phi-accrual detection latency; simulated time"
+    "goodput with one dark shard whose requests abort at dispatch; "
+    "simulated time"
 )
 
 SEED = 31
@@ -61,8 +34,6 @@ SEED = 31
 ADMISSION = AdmissionConfig(
     max_inflight=64, shed_high=512, shed_low=256, max_batch=8, linger_ms=2.0
 )
-
-# -- 1. goodput with a dark shard ------------------------------------------
 
 OFFERED_TPS = 300.0
 REQUESTS = 600
@@ -84,13 +55,7 @@ def _run_goodput_leg(darken: bool):
     for network in sharded.shards:
         network.install_chaincode(CounterContract())
     gateway = ShardedGateway(sharded, "bencher")
-    target = ResilientShardedTarget(
-        gateway,
-        BreakerConfig(
-            failure_threshold=3, reset_timeout_ms=250.0, jitter_ms=0.0
-        ),
-        seed=SEED,
-    )
+    target = ShardedTarget(gateway)
     env = sharded.env
 
     if darken:
@@ -114,7 +79,7 @@ def _run_goodput_leg(darken: bool):
     committed_at = sorted(
         r.completed_ms for r in requests if r.outcome == "committed"
     )
-    return metrics.as_row(), committed_at, target
+    return metrics.as_row(), committed_at
 
 
 def _bucket_counts(committed_at, start, end, width):
@@ -129,8 +94,8 @@ def _bucket_counts(committed_at, start, end, width):
 
 
 def test_goodput_survives_a_dark_shard(record):
-    clean_row, _clean_at, _ = _run_goodput_leg(darken=False)
-    dark_row, committed_at, target = _run_goodput_leg(darken=True)
+    clean_row, _clean_at = _run_goodput_leg(darken=False)
+    dark_row, committed_at = _run_goodput_leg(darken=True)
 
     # Commits landed in every bucket of the partition window: the
     # serving tier degraded (one shard's keys failing fast) instead of
@@ -146,7 +111,6 @@ def test_goodput_survives_a_dark_shard(record):
     # losses must stay in that ballpark, not cascade.
     assert dark_row["committed"] >= 0.7 * clean_row["committed"]
 
-    breaker = target.breakers[1]
     record("partitions", _DESCRIPTION, {"goodput_dark_shard": {
         "offered_tps": OFFERED_TPS,
         "requests": REQUESTS,
@@ -158,134 +122,4 @@ def test_goodput_survives_a_dark_shard(record):
         "min_commits_in_window_bucket": min(window_buckets),
         "clean": clean_row,
         "dark": dark_row,
-        "dark_shard_breaker": dict(breaker.stats),
-    }})
-
-
-# -- 2. hedged tail cutting ------------------------------------------------
-
-QUERY_COUNT = 150
-SLOW_FACTOR = 20.0
-
-
-def _run_hedging_leg(hedging_enabled: bool):
-    plan = FaultPlan(
-        seed=SEED,
-        degradations=(
-            DegradationSpec(
-                kind="slow_node",
-                at_ms=1.0,
-                for_ms=600_000.0,
-                node="peer:1",
-                factor=SLOW_FACTOR,
-            ),
-        ),
-    )
-    network = build_network(
-        NetworkConfig(
-            latency=SINGLE_REGION,
-            real_signatures=False,
-            batch_timeout_ms=20.0,
-            peer_count=3,
-            fault_plan=plan.to_json(),
-        )
-    )
-    user = network.register_user("bencher")
-    notice = network.invoke_sync(
-        user, "supply", "create_item", {"item": "probe", "owner": "W1"}
-    )
-    assert notice.code.value == "valid"
-    # A third of the primaries are 20x slow, so the slow path *is* the
-    # observed p95 — hedge at the median, which tracks the healthy RTT.
-    # hedge_floor_ms keeps the pre-history bootstrap queries from
-    # waiting out the default 4x-RTT floor before hedging.
-    client = HedgedQueryClient(
-        network,
-        hedge_percentile=0.5,
-        hedge_floor_ms=4.0,
-        hedging_enabled=hedging_enabled,
-    )
-    latencies = [
-        client.query("supply", "get_item", {"item": "probe"}).latency_ms
-        for _ in range(QUERY_COUNT)
-    ]
-    ordered = sorted(latencies)
-    return {
-        "queries": QUERY_COUNT,
-        "p50_ms": round(percentile(ordered, 0.50), 2),
-        "p95_ms": round(percentile(ordered, 0.95), 2),
-        "p99_ms": round(percentile(ordered, 0.99), 2),
-        "max_ms": round(ordered[-1], 2),
-        "stats": dict(client.stats),
-    }
-
-
-def test_hedging_cuts_the_gray_slow_tail(record):
-    unhedged = _run_hedging_leg(hedging_enabled=False)
-    hedged = _run_hedging_leg(hedging_enabled=True)
-
-    # One replica in three is 20x slow, so the unhedged p99 sits on the
-    # slow path; the hedge must cut it at least in half.
-    ratio = unhedged["p99_ms"] / hedged["p99_ms"]
-    assert ratio >= 2.0, (
-        f"hedging only improved p99 by {ratio:.2f}x "
-        f"({unhedged['p99_ms']} -> {hedged['p99_ms']} ms)"
-    )
-    assert hedged["stats"]["hedge_wins"] > 0
-    assert unhedged["stats"]["hedged"] == 0
-    record("partitions", _DESCRIPTION, {"hedged_tail": {
-        "slow_node": "peer:1",
-        "slow_factor": SLOW_FACTOR,
-        "unhedged": unhedged,
-        "hedged": hedged,
-        "p99_improvement": round(ratio, 2),
-    }})
-
-
-# -- 3. detection latency --------------------------------------------------
-
-
-def test_detector_latency_and_zero_false_convictions(record):
-    plan = FaultPlan(
-        seed=SEED,
-        partitions=(
-            PartitionSpec(at_ms=500.0, for_ms=1_200.0, groups=(("peer:1",),)),
-        ),
-    )
-    network = build_network(
-        NetworkConfig(
-            latency=SINGLE_REGION,
-            real_signatures=False,
-            batch_timeout_ms=50.0,
-            peer_count=3,
-            fault_plan=plan.to_json(),
-        )
-    )
-    monitor = InvariantMonitor(network)
-    heartbeats = HeartbeatMonitor(network, interval_ms=100.0)
-    env = network.env
-    env.run(until=2_500.0)
-    network.faults.heal()
-    env.run(until=3_000.0)
-    heartbeats.stop()
-
-    max_detection_ms = 500.0
-    monitor.assert_detection(heartbeats, max_detection_ms=max_detection_ms)
-    convictions = [
-        (node, at)
-        for node, at, suspected in heartbeats.detector.transitions
-        if suspected
-    ]
-    assert convictions and convictions[0][0] == "peer:1"
-    detection_latency = convictions[0][1] - 500.0
-    assert 0.0 < detection_latency <= max_detection_ms
-    record("partitions", _DESCRIPTION, {"detection": {
-        "heartbeat_interval_ms": 100.0,
-        "phi_threshold": heartbeats.detector.threshold,
-        "partition_window_ms": [500.0, 1_700.0],
-        "detection_latency_ms": round(detection_latency, 1),
-        "max_detection_ms": max_detection_ms,
-        "false_convictions": 0,  # enforced by assert_detection above
-        "heartbeats_sent": heartbeats.heartbeats_sent,
-        "heartbeats_lost": heartbeats.heartbeats_lost,
     }})

@@ -119,12 +119,6 @@ class OwnerUnavailableError(AccessControlError):
     owner-mediated operations cannot be served right now."""
 
 
-class CircuitOpenError(SimulationError):
-    """A circuit breaker rejected the request without dispatching it:
-    the target has failed repeatedly and its probe window has not yet
-    arrived (see :class:`repro.serving.resilience.CircuitBreaker`)."""
-
-
 class StorageError(LedgerViewError):
     """Base class for durability-layer failures (WAL, snapshots)."""
 

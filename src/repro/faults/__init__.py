@@ -26,7 +26,6 @@ any run via the ``REPRO_FAULT_PLAN`` environment variable or
 ``NetworkConfig.fault_plan``.
 """
 
-from repro.faults.health import HeartbeatMonitor, PhiAccrualDetector
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.plan import (
@@ -57,12 +56,10 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
-    "HeartbeatMonitor",
     "InvariantMonitor",
     "MessageFaultModel",
     "MessageFaultRule",
     "PartitionSpec",
-    "PhiAccrualDetector",
     "RetryPolicy",
     "ShardCrashSpec",
     "ShardFaultPlan",

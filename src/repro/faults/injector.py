@@ -61,14 +61,6 @@ class FaultInjector:
         #: Live partition/degradation state, activated and released by
         #: the scheduled processes below.
         self.topology = TopologyFaultModel(seed=plan.seed ^ 0x70B0)
-        #: Ground truth for the failure detector: absolute mutable
-        #: [start, end-or-None] windows per node name during which the
-        #: node could not send (partition membership or mute side).
-        self.unreachable_windows: dict[str, list[list[float | None]]] = {}
-        #: Same shape for gray degradations (slow/lossy), keyed by the
-        #: affected node: a conviction inside one of these is a
-        #: correctly-detected gray failure, not a false positive.
-        self.degraded_windows: dict[str, list[list[float | None]]] = {}
         #: Fires once at heal(): in-flight delay/redeliver waits race
         #: against it so a heal is a clean-network boundary rather than
         #: leaving messages parked on timers beyond the heal.
@@ -250,12 +242,6 @@ class FaultInjector:
                 [env.timeout(self.plan.redeliver_after_ms), self._heal_event]
             )
 
-    def one_way(self, src: str, dst: str, base_ms: float) -> float | None:
-        """Fate of a fire-and-forget message, decided as it leaves."""
-        if self._lost(src, dst):
-            return None
-        return base_ms * self.topology.link_factor(src, dst)
-
     def service_factor(self, node: str) -> float:
         """Service-time multiplier for a gray-slow node (1.0 = healthy)."""
         return self.topology.node_factor(node)
@@ -368,22 +354,13 @@ class FaultInjector:
             return
         self.topology.activate_partition(spec)
         self.stats["partitions"] += 1
-        windows: list[list[float | None]] = []
-        for group in spec.groups:
-            for node in group:
-                window: list[float | None] = [env.now, None]
-                self.unreachable_windows.setdefault(node, []).append(window)
-                windows.append(window)
         if spec.for_ms is None:
             return  # held until heal()
         yield env.timeout(spec.for_ms)
         if self._healed:
-            return  # heal() already released it and closed the windows
+            return  # heal() already released it
         self.topology.release_partition(spec)
         self.stats["partition_heals"] += 1
-        for window in windows:
-            if window[1] is None:
-                window[1] = env.now
 
     def _degradation_process(self, spec: DegradationSpec):
         env = self.env
@@ -392,16 +369,12 @@ class FaultInjector:
             return
         self.topology.activate_degradation(spec)
         self.stats["degradations"] += 1
-        window: list[float | None] = [env.now, None]
-        self.degraded_windows.setdefault(spec.subject, []).append(window)
         if spec.for_ms is None:
             return
         yield env.timeout(spec.for_ms)
         if self._healed:
             return
         self.topology.release_degradation(spec)
-        if window[1] is None:
-            window[1] = env.now
 
     # -- storage crash points ---------------------------------------------------
 
@@ -456,12 +429,6 @@ class FaultInjector:
         ):
             window[1] = min(window[1], now)
         self.topology.clear()
-        for windows in list(self.unreachable_windows.values()) + list(
-            self.degraded_windows.values()
-        ):
-            for window in windows:
-                if window[1] is None:
-                    window[1] = now
         # Wake every in-flight delay/redeliver wait parked on a timer
         # beyond the heal: post-heal decisions are NO_FAULT, so the
         # woken messages complete over a clean network immediately.

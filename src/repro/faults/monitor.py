@@ -171,80 +171,6 @@ class InvariantMonitor:
                     f"{len(live)}, or digests diverge"
                 )
 
-    def assert_detection(self, heartbeats, max_detection_ms: float) -> None:
-        """Detector verdicts vs the injector's ground-truth windows.
-
-        Three claims, checked against the fault windows the injector
-        recorded when it activated each partition/degradation:
-
-        1. *Bounded detection latency* — every monitored node that
-           stopped being able to send for at least ``max_detection_ms``
-           was suspected within ``max_detection_ms`` of the window
-           opening.
-        2. *No false convictions* — every suspicion transition falls
-           inside some ground-truth unreachable/degraded window for
-           that node (with ``max_detection_ms`` of slack past the end,
-           covering a conviction that was already in flight when the
-           window closed).
-        3. *Clean slate after heal* — once the injector healed (and the
-           caller let heartbeats resume for a settle period), nobody is
-           left suspected.
-
-        ``heartbeats`` is the :class:`~repro.faults.health.HeartbeatMonitor`
-        that drove the detector.
-        """
-        faults = self.network.faults
-        if faults is None:
-            raise InvariantViolationError(
-                "assert_detection needs a fault injector attached"
-            )
-        detector = heartbeats.detector
-        monitored = set(heartbeats.nodes)
-        transitions = detector.transitions
-        truth: dict[str, list[list[float | None]]] = {}
-        for source in (faults.unreachable_windows, faults.degraded_windows):
-            for node, windows in source.items():
-                if node in monitored:
-                    truth.setdefault(node, []).extend(windows)
-        for node, windows in faults.unreachable_windows.items():
-            if node not in monitored:
-                continue
-            for start, end in windows:
-                span = (end if end is not None else float("inf")) - start
-                if span < max_detection_ms:
-                    continue  # too brief to demand a conviction
-                hit = any(
-                    t_node == node
-                    and suspected
-                    and start <= at <= start + max_detection_ms
-                    for t_node, at, suspected in transitions
-                )
-                if not hit:
-                    raise InvariantViolationError(
-                        f"node {node} became unreachable at {start:.0f}ms "
-                        f"but was not suspected within {max_detection_ms}ms"
-                    )
-        for node, at, suspected in transitions:
-            if not suspected:
-                continue
-            windows = truth.get(node, [])
-            legitimate = any(
-                start <= at <= (end if end is not None else at) + max_detection_ms
-                for start, end in windows
-            )
-            if not legitimate:
-                raise InvariantViolationError(
-                    f"false conviction: {node} suspected at {at:.0f}ms "
-                    "outside any injected fault window"
-                )
-        if faults._healed:
-            lingering = detector.suspects()
-            if lingering:
-                raise InvariantViolationError(
-                    "nodes still convicted after heal: "
-                    f"{sorted(lingering)}"
-                )
-
     def check(self) -> None:
         """The full post-heal safety check."""
         self.assert_exactly_once()

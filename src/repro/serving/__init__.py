@@ -16,10 +16,11 @@ overloaded deployment lives on.  This package adds the missing ingress:
   configurable operation mixes, measuring latency from *arrival*, and
   is the one place that drives a gateway (:func:`drive`);
 - :mod:`repro.serving.metrics` reduces a run to latency percentiles,
-  goodput, shed rate, and queue-depth series;
-- :mod:`repro.serving.resilience` degrades gracefully under partition
-  and gray failure: per-shard circuit breakers, latency-percentile
-  hedged view queries, and end-to-end deadline budgets.
+  goodput, shed rate, and queue-depth series.
+
+Under partition the tier fails fast: a :class:`ShardedTarget` aborts a
+request routed at a dark shard at dispatch, and the one place that
+sheds is admission control.
 """
 
 from repro.serving.bridge import SimBridge
@@ -41,26 +42,14 @@ from repro.serving.loadgen import (
     view_mix_builder,
 )
 from repro.serving.metrics import LatencySummary, RunMetrics, ServingMetrics
-from repro.serving.resilience import (
-    BreakerConfig,
-    CircuitBreaker,
-    HedgedQueryClient,
-    QueryOutcome,
-    ResilientShardedTarget,
-)
 
 __all__ = [
     "AdmissionConfig",
     "AsyncGateway",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "HedgedQueryClient",
     "LatencySummary",
     "NetworkTarget",
     "OpenLoopConfig",
     "PoissonLoadGenerator",
-    "QueryOutcome",
-    "ResilientShardedTarget",
     "RunMetrics",
     "ServingMetrics",
     "ServingMix",

@@ -25,11 +25,10 @@ from repro.errors import FaultInjectionError
 CHANNELS = ("client_to_orderer", "orderer_to_peer")
 
 #: Degradation kinds the topology model understands.  ``slow_node``
-#: multiplies a node's service times (and its heartbeat cadence);
-#: ``slow_link`` multiplies one directed link's transit latency;
-#: ``link_loss`` drops each message on one directed link with a seeded
-#: probability — one-way loss, the gray failure a symmetric drop rule
-#: cannot express.
+#: multiplies a node's service times; ``slow_link`` multiplies one
+#: directed link's transit latency; ``link_loss`` drops each message on
+#: one directed link with a seeded probability — one-way loss, the gray
+#: failure a symmetric drop rule cannot express.
 DEGRADATION_KINDS = ("slow_node", "slow_link", "link_loss")
 
 
@@ -169,8 +168,8 @@ class PartitionSpec:
     cannot cross group boundaries.  With ``symmetric=False`` the listed
     groups are *mute*: they still receive traffic but nothing they send
     gets out — the one-way failure a dying NIC or a misconfigured
-    firewall produces, and the direction a heartbeat detector actually
-    observes.  ``for_ms=None`` holds the partition until ``heal()``.
+    firewall produces.  ``for_ms=None`` holds the partition until
+    ``heal()``.
 
     Node names that match nothing in a deployment simply never block a
     message, so one ambient plan can run against networks of different
@@ -211,9 +210,9 @@ class DegradationSpec:
     """A declarative gray failure: slow node, slow link, or lossy link.
 
     ``slow_node`` needs ``node`` and a ``factor`` >= 1 (service times
-    and heartbeat intervals are multiplied by it); ``slow_link`` needs
-    directed ``src``/``dst`` and a ``factor``; ``link_loss`` needs
-    ``src``/``dst`` and a per-message ``drop`` probability in (0, 1].
+    are multiplied by it); ``slow_link`` needs directed ``src``/``dst``
+    and a ``factor``; ``link_loss`` needs ``src``/``dst`` and a
+    per-message ``drop`` probability in (0, 1].
     ``for_ms=None`` holds the degradation until ``heal()``.
     """
 
@@ -254,11 +253,6 @@ class DegradationSpec:
                 raise FaultInjectionError(
                     f"link_loss drop probability must be in (0, 1], got {self.drop}"
                 )
-
-    @property
-    def subject(self) -> str:
-        """The node whose health this degradation bears on (for ground truth)."""
-        return self.node if self.node is not None else str(self.src)
 
 
 class TopologyFaultModel:

@@ -36,8 +36,8 @@ def percentile(sorted_values: list[float], fraction: float) -> float:
     """Nearest-rank percentile over pre-sorted values (0 when empty).
 
     The one percentile rule of the repo: a reported value is always a
-    sample that occurred (the hedge deadline feeds it back into
-    simulated time), and it equals the frozen end-to-end benchmark's.
+    sample that occurred, and it equals the frozen end-to-end
+    benchmark's.
     """
     if not sorted_values:
         return 0.0

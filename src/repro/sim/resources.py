@@ -192,11 +192,11 @@ class Link:
     """The reliable message hop between named nodes.
 
     Every message the Fabric model sends between sites — a broadcast to
-    the orderer, a block to a peer, a heartbeat, a query leg — takes
-    one link object.  This one never loses, delays, duplicates or
-    reorders anything.  :class:`repro.faults.FaultInjector` answers the
-    same methods and installs itself in this object's place; senders
-    cannot tell which of the two they are talking to.
+    the orderer, a block to a peer — takes one link object.  This one
+    never loses, delays, duplicates or reorders anything.
+    :class:`repro.faults.FaultInjector` answers the same methods and
+    installs itself in this object's place; senders cannot tell which of
+    the two they are talking to.
     """
 
     #: Messages arrive in the order sent.  A receiver behind a link
@@ -224,11 +224,6 @@ class Link:
         """
         yield self.env.timeout(base_ms)
         return 1
-
-    def one_way(self, src: str, dst: str, base_ms: float) -> float | None:
-        """Fate of a fire-and-forget message, decided as it leaves: its
-        transit time, or ``None`` when it will never arrive."""
-        return base_ms
 
     def service_factor(self, node: str) -> float:
         """Multiplier on ``node``'s service times (1.0 = healthy)."""

@@ -13,7 +13,9 @@ backends:
   (PreVote), an isolated pbft primary is replaced by a view change, and
   in both cases client traffic keeps committing through the majority;
 - asymmetric (mute) partitions deliver the gray failure they promise:
-  the node keeps receiving blocks while nothing it sends gets out.
+  the node keeps receiving blocks while nothing it sends gets out;
+- a slow node and a lossy link act on their peer inside their window
+  and nowhere else.
 
 Also home to the fault-plan regression tests this PR's satellites
 demand: ``RetryPolicy.deadline_ms`` budgets and ``heal()`` flushing
@@ -32,6 +34,7 @@ from repro import build_network
 from repro.errors import FaultInjectionError
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.faults import (
+    DegradationSpec,
     FaultPlan,
     InvariantMonitor,
     MessageFaultRule,
@@ -298,8 +301,8 @@ def test_isolated_pbft_primary_triggers_view_change():
 
 
 def test_asymmetric_partition_mutes_sends_but_not_receives():
-    """A mute peer keeps committing delivered blocks — the gray failure
-    only an egress-observing detector can see."""
+    """A mute peer keeps committing delivered blocks: the partition cuts
+    what it sends, not what it receives."""
     plan = FaultPlan(
         seed=21,
         retry=RetryPolicy(max_attempts=6, timeout_ms=2_000.0, backoff_ms=100.0),
@@ -332,6 +335,81 @@ def test_asymmetric_partition_mutes_sends_but_not_receives():
     assert network.peers[1].chain.height == network.reference_peer.chain.height
     faults.heal()
     network.verify_convergence()
+
+
+#: One gray failure of peer:1 over the first 1.5 s of the run: a slow
+#: node stretches its commit service time, a lossy link loses every
+#: block the orderer delivers to it.
+DEGRADATIONS = {
+    "slow_node": DegradationSpec(
+        kind="slow_node", at_ms=0.0, for_ms=1_500.0, node="peer:1", factor=4.0
+    ),
+    "link_loss": DegradationSpec(
+        kind="link_loss",
+        at_ms=0.0,
+        for_ms=1_500.0,
+        src="orderer",
+        dst="peer:1",
+        drop=1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEGRADATIONS))
+def test_degradation_acts_on_its_peer_only_inside_the_window(kind):
+    """Inside the window the slow peer spends ``factor`` times the
+    reference peer's service time on a block, or the lossy link leaves
+    it behind until redelivery; after the window it commits in step."""
+    spec = DEGRADATIONS[kind]
+    plan = FaultPlan(seed=17, degradations=(spec,), redeliver_after_ms=100.0)
+    network = build_network(_config("raft", plan, peer_count=2))
+    env = network.env
+    faults = network.faults
+    committed_at: dict[tuple[int, int], float] = {}
+    for index, peer in enumerate(network.peers):
+        commit = peer.validate_and_commit
+
+        def recording(block, *args, _index=index, _commit=commit, **kwargs):
+            result = _commit(block, *args, **kwargs)
+            committed_at[_index, block.number] = env.now
+            return result
+
+        peer.validate_and_commit = recording
+    user = network.register_user("alice")
+
+    def create(item):
+        notice = network.invoke_sync(
+            user, "supply", "create_item", {"item": item, "owner": "W1"}
+        )
+        assert notice.code.value == "valid"
+        return network.block_log[notice.block_number]
+
+    def lag(block):
+        return committed_at[1, block.number] - committed_at[0, block.number]
+
+    inside = create("in")
+    window_end = spec.at_ms + spec.for_ms
+    assert env.now < window_end
+    if kind == "link_loss":
+        assert network.peers[1].chain.height < network.reference_peer.chain.height
+    env.run(until=window_end + 500.0)
+    network.verify_convergence()  # caught up with no heal()
+    redeliveries = faults.stats["redeliveries"]
+    outside = create("out")
+    env.run(until=env.now + 500.0)
+    network.verify_convergence()
+
+    if kind == "slow_node":
+        service = network.config.commit_block_overhead_ms + sum(
+            network._validate_service_ms(tx) for tx in inside.transactions
+        )
+        assert lag(inside) == pytest.approx((spec.factor - 1.0) * service)
+        assert redeliveries == 0
+    else:
+        assert redeliveries > 0
+        assert committed_at[1, inside.number] >= window_end
+    assert lag(outside) == 0.0
+    assert faults.stats["redeliveries"] == redeliveries
 
 
 # --------------------------------------------------------------------------

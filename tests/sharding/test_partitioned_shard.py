@@ -4,19 +4,18 @@ A network partition is not a crash: the shard keeps its memory and its
 ledger, it is simply unreachable from the router.  These tests pin the
 routing refusals, the presumed-abort fast path for cross-shard
 transactions touching the dark shard, coordinator failover off a dark
-ring placement, and the per-shard circuit breakers that shed traffic at
-the gateway instead of burning retry budget against the partition.
+ring placement, and the serving target's fail-fast abort of a request
+routed at the dark shard.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import CircuitOpenError, FaultInjectionError, TwoPhaseCommitError
+from repro.errors import FaultInjectionError, TwoPhaseCommitError
 from repro.fabric.config import NetworkConfig
 from repro.fabric.peer import ValidationCode
-from repro.serving import BreakerConfig, ResilientShardedTarget
-from repro.serving.gateway import ServingRequest
+from repro.serving.gateway import ServingRequest, ShardedTarget
 from repro.sharding import (
     CrossShardWrite,
     ShardedGateway,
@@ -170,90 +169,53 @@ class TestCrossShardPresumedAbort:
             )
 
 
-class TestResilientShardedTarget:
-    def _request(self, index, key):
-        return ServingRequest(
-            index=index,
-            session=0,
-            kind="invoke",
-            payload={
-                "key": key,
-                "chaincode": "counter",
-                "fn": "bump",
-                "args": {"key": key, "amount": 1},
-            },
-        )
+def _request(index, key):
+    return ServingRequest(
+        index=index,
+        session=0,
+        kind="invoke",
+        payload={
+            "key": key,
+            "chaincode": "counter",
+            "fn": "bump",
+            "args": {"key": key, "amount": 1},
+        },
+    )
 
-    def _dispatch(self, sharded, target, requests):
-        """Dispatch and run until every request completed; the
-        ``(outcome, detail)`` pairs in request order."""
-        slots = {}
 
-        def complete(request, outcome, detail):
-            slots[request.index] = (outcome, detail)
+def _dispatch(sharded, target, requests):
+    """Dispatch and run until every request completed; the
+    ``(outcome, detail)`` pairs in request order."""
+    slots = {}
 
-        target.dispatch(requests, complete)
-        while len(slots) < len(requests):
-            sharded.env.step()
-        return [slots[request.index] for request in requests]
+    def complete(request, outcome, detail):
+        slots[request.index] = (outcome, detail)
 
-    def test_breaker_sheds_dark_shard_traffic_then_probes_closed(self):
+    target.dispatch(requests, complete)
+    while len(slots) < len(requests):
+        sharded.env.step()
+    return [slots[request.index] for request in requests]
+
+
+class TestShardedTarget:
+    def test_dark_shard_fails_fast_at_dispatch_and_commits_once_healed(self):
         sharded, gateway = _deployment()
-        target = ResilientShardedTarget(
-            gateway,
-            BreakerConfig(
-                failure_threshold=2, reset_timeout_ms=200.0, jitter_ms=0.0
-            ),
-        )
+        target = ShardedTarget(gateway)
         dark_key = _key_on(sharded, 1, tag="dk")
         live_key = _key_on(sharded, 0, tag="lk")
         sharded.partition_shard(1)
 
-        # Two routing failures trip the shard's breaker; the request to
-        # the live shard riding in the same batches is untouched.
-        slots = self._dispatch(
-            sharded,
-            target,
-            [self._request(0, dark_key), self._request(1, live_key)],
+        # The dark shard's request aborts with the routing error; the
+        # live shard's request riding in the same batch commits.
+        slots = _dispatch(
+            sharded, target, [_request(0, dark_key), _request(1, live_key)]
         )
         assert slots[0][0] == "aborted"
         assert isinstance(slots[0][1], FaultInjectionError)
         assert slots[1][0] == "committed"
-        slots = self._dispatch(sharded, target, [self._request(2, dark_key)])
-        assert slots[0][0] == "aborted"
-        breaker = target.breaker_for(dark_key)
-        assert breaker.state == "open"
 
-        # While open, dark-shard requests are shed at the gateway
-        # without touching the network.
-        slots = self._dispatch(sharded, target, [self._request(3, dark_key)])
-        assert slots[0][0] == "shed"
-        assert isinstance(slots[0][1], CircuitOpenError)
-        assert breaker.stats["rejected"] == 1
-
-        # Heal, wait out the backoff window: the next request is the
-        # probe, it commits, and the breaker closes for good.
+        # Healed, the same key commits at once: no window to wait out.
         sharded.heal_shard_partition(1)
-        sharded.run(until=sharded.env.now + 250.0)
-        slots = self._dispatch(sharded, target, [self._request(4, dark_key)])
+        slots = _dispatch(sharded, target, [_request(2, dark_key)])
         assert slots[0][0] == "committed"
-        assert breaker.state == "closed"
-        assert breaker.stats["opens"] == 1
-        assert breaker.stats["probes"] == 1
-        assert breaker.stats["closes"] == 1
         assert sharded.shards[1].query("counter", "get", {"key": dark_key}) == 1
-
-    def test_live_shard_breakers_stay_closed_throughout(self):
-        sharded, gateway = _deployment()
-        target = ResilientShardedTarget(
-            gateway, BreakerConfig(failure_threshold=1, jitter_ms=0.0)
-        )
-        sharded.partition_shard(2)
-        keys = [_key_on(sharded, 0, "a"), _key_on(sharded, 1, "b")]
-        slots = self._dispatch(
-            sharded,
-            target,
-            [self._request(i, key) for i, key in enumerate(keys)],
-        )
-        assert [s[0] for s in slots] == ["committed", "committed"]
-        assert [b.state for b in target.breakers] == ["closed", "closed", "closed"]
