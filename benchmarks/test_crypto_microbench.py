@@ -9,9 +9,14 @@ in how fast the Python runs.  Whole-workload host numbers belong to
 Layers measured:
 
 - raw AES block encryption (reference byte-slice rounds vs. T-tables),
+- the CTR keystream for one query's sealed body (470 blocks): the numpy
+  byte-state kernel vs. the scalar T-table loop,
 - the authenticated envelope ``modes.encrypt``/``decrypt`` (key-schedule
   cache plus batched CTR) against the same envelope built from the
   reference :class:`AES` one block at a time,
+- a 32-entry revocable-view query, cold (every entry encrypted under a
+  fresh ``K_V``) vs. warm (served from the entries already encrypted
+  under it), with the exact encryption counts,
 - RSA keypair generation (incremental sieve).
 
 Results are recorded under ``crypto`` in ``BENCH_micro.json`` at the repo
@@ -27,10 +32,19 @@ from __future__ import annotations
 import secrets
 import time
 
+from repro import build_network
+from repro.crypto import aes
 from repro.crypto import backend as crypto_backend
 from repro.crypto import modes, rsa
 from repro.crypto.aes import AES, AESFast
 from repro.crypto.hashing import hmac_sha256, sha256
+from repro.crypto.symmetric import SymmetricKey
+from repro.fabric.config import benchmark_config
+from repro.fabric.network import Gateway
+from repro.views.encryption_based import EncryptionBasedManager
+from repro.views.manager import ViewInvocation
+from repro.views.predicates import Everything
+from repro.views.types import ViewMode
 
 #: Describes this file's rows in ``BENCH_micro.json``.
 _DESCRIPTION = "crypto fast path vs its reference oracle; wall-clock, ratios matter"
@@ -38,6 +52,7 @@ _DESCRIPTION = "crypto fast path vs its reference oracle; wall-clock, ratios mat
 #: Floors from the acceptance criteria, asserted with no extra margin so
 #: slow CI machines do not flake (measured headroom is large; see JSON).
 ENVELOPE_MIN_SPEEDUP = 5.0
+CTR_VECTOR_MIN_SPEEDUP = 5.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -71,6 +86,27 @@ def test_aes_block_transform(record):
         "speedup": round(t_ref / t_fast, 1),
     }})
     assert t_fast < t_ref
+
+
+def test_ctr_keystream_vector_kernel(record):
+    """470 CTR blocks (one query's ~7.5 KB sealed body): numpy vs scalar."""
+    cipher = AESFast(secrets.token_bytes(32))
+    counter = secrets.randbits(128)
+    n = 470
+    assert aes._load_numpy(), "numpy is required for the vector kernel"
+    assert cipher._ctr_keystream_np(counter, n) == cipher._ctr_keystream_py(counter, n)
+    t_scalar = _best_of(lambda: cipher._ctr_keystream_py(counter, n), 5)
+    t_vector = _best_of(lambda: cipher._ctr_keystream_np(counter, n), 20)
+    speedup = t_scalar / t_vector
+    record("crypto", _DESCRIPTION, {"ctr_keystream_470": {
+        "scalar_us_per_block": round(t_scalar / n * 1e6, 2),
+        "vector_us_per_block": round(t_vector / n * 1e6, 2),
+        "speedup": round(speedup, 1),
+        "min_required": CTR_VECTOR_MIN_SPEEDUP,
+    }})
+    assert speedup >= CTR_VECTOR_MIN_SPEEDUP, (
+        f"vector CTR speedup {speedup:.1f}x below {CTR_VECTOR_MIN_SPEEDUP}x"
+    )
 
 
 def _oracle_seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
@@ -122,6 +158,58 @@ def test_envelope_seal_open_speedup(record):
     assert speedup >= ENVELOPE_MIN_SPEEDUP, (
         f"envelope speedup {speedup:.1f}x below {ENVELOPE_MIN_SPEEDUP}x"
     )
+
+
+def test_view_query_cold_vs_warm(record, monkeypatch):
+    """A 32-entry ER query: every entry encrypted under a fresh ``K_V``
+    (cold) vs. served from the entries already encrypted under it."""
+    network = build_network(benchmark_config())
+    manager = EncryptionBasedManager(Gateway(network, network.register_user("owner")))
+    view = manager.create_view("all", Everything(), ViewMode.REVOCABLE)
+    manager.invoke_many(
+        [
+            ViewInvocation(
+                "create_item",
+                {"item": f"i{i}", "owner": "W1"},
+                {"item": f"i{i}"},
+                b"manifest-%d" % i,
+            )
+            for i in range(32)
+        ]
+    )
+    network.register_user("bob")
+    manager.grant_access("all", "bob")
+    encrypted = []
+    real = SymmetricKey.encrypt
+
+    def counting(self, plaintext):
+        encrypted.append(self.material)
+        return real(self, plaintext)
+
+    monkeypatch.setattr(SymmetricKey, "encrypt", counting)
+
+    def query() -> int:
+        before = len(encrypted)
+        manager.query_view("all", "bob")
+        return encrypted[before:].count(view.key.material)
+
+    def cold() -> None:
+        view.key = SymmetricKey.generate()  # what a revocation does
+        assert query() == 32
+
+    query()  # the first seal imports numpy; keep it out of both legs
+    t_cold = _best_of(cold, 5)
+    t_warm = _best_of(lambda: query(), 5)
+    warm_encryptions = query()
+    record("crypto", _DESCRIPTION, {"view_query_32": {
+        "cold_ms": round(t_cold * 1e3, 3),
+        "warm_ms": round(t_warm * 1e3, 3),
+        "speedup": round(t_cold / t_warm, 1),
+        "cold_entry_encryptions": 32,
+        "warm_entry_encryptions": warm_encryptions,
+    }})
+    assert warm_encryptions == 0
+    assert t_warm < t_cold
 
 
 def test_rsa_keygen(record):

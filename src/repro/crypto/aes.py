@@ -6,12 +6,14 @@ same key schedule and test vectors:
 - :class:`AES` — the auditable **reference** implementation: byte-wise
   state, S-box and GF(2^8) tables built programmatically from their
   mathematical definitions.  It favours clarity over speed.
-- :class:`AESFast` — the **fast path**: the classic 32-bit T-table
-  formulation (four 1 KiB lookup tables fusing SubBytes + ShiftRows +
-  MixColumns), with the state held as four int words.  The T-tables are
-  derived *from the reference tables* at import time, so the reference
-  derivation stays the single source of truth; equivalence is pinned by
-  the FIPS-197 Appendix C vectors and by differential property tests
+- :class:`AESFast` — the **fast path**, encryption only (CTR decrypts
+  by encrypting counters): the classic 32-bit T-table formulation (four
+  1 KiB lookup tables fusing SubBytes + ShiftRows + MixColumns), run
+  over four int words per block, or over an ``(n, 16)`` numpy byte
+  state for large CTR batches.  The T-tables are derived *from the
+  reference tables* at import time, so the reference derivation stays
+  the single source of truth; equivalence is pinned by the FIPS-197
+  Appendix C vectors and by differential property tests
   (``tests/crypto/test_backend.py``, ``tests/properties``).
 
 The library runs :class:`AESFast` (behind the key-schedule cache in
@@ -234,20 +236,7 @@ def _build_enc_tables() -> tuple[tuple[int, ...], ...]:
     return tuple(t0), tuple(t1), tuple(t2), tuple(t3)
 
 
-def _build_dec_tables() -> tuple[tuple[int, ...], ...]:
-    d0, d1, d2, d3 = [], [], [], []
-    for x in range(256):
-        s = _INV_SBOX[x]
-        e, n, t, v = _MUL14[s], _MUL9[s], _MUL13[s], _MUL11[s]
-        d0.append((e << 24) | (n << 16) | (t << 8) | v)
-        d1.append((v << 24) | (e << 16) | (n << 8) | t)
-        d2.append((t << 24) | (v << 16) | (e << 8) | n)
-        d3.append((n << 24) | (t << 16) | (v << 8) | e)
-    return tuple(d0), tuple(d1), tuple(d2), tuple(d3)
-
-
 _T0, _T1, _T2, _T3 = _build_enc_tables()
-_D0, _D1, _D2, _D3 = _build_dec_tables()
 
 #: Batch size from which the vectorised CTR path beats the scalar loop
 #: (the numpy dispatch overhead is a few hundred microseconds per call).
@@ -258,43 +247,41 @@ _NP_MIN_BLOCKS = 32
 _np = None
 
 
+def _words_np(words):
+    """32-bit words as uint32 whose native bytes are the words' big-endian
+    bytes: XOR is bytewise, so a ``view(uint8)`` of any XOR of such
+    arrays is the AES state in byte order on either host endianness."""
+    return _np.array(words, dtype=">u4").view(_np.uint32)
+
+
 def _load_numpy():
-    """Import numpy and copy the encryption tables to uint32 arrays, so
-    whole batches of counter blocks run each round as table gathers."""
-    global _np, _T0_NP, _T1_NP, _T2_NP, _T3_NP, _SBOX_NP
+    """Import numpy and copy the encryption tables to arrays, so whole
+    batches of counter blocks run each round as table gathers."""
+    global _np, _T_NP, _SBOX_NP, _SHIFT_ROWS_NP
     try:
         import numpy as _np
     except ImportError:  # pragma: no cover - depends on the environment
         _np = False
         return _np
-    _T0_NP, _T1_NP, _T2_NP, _T3_NP = (
-        _np.array(table, dtype=_np.uint32) for table in (_T0, _T1, _T2, _T3)
+    _T_NP = tuple(_words_np(table) for table in (_T0, _T1, _T2, _T3))
+    _SBOX_NP = _np.frombuffer(_SBOX, dtype=_np.uint8)
+    # ShiftRows as byte positions: output byte ``4*col + row`` of a
+    # round reads input byte ``4*((col + row) % 4) + row``.
+    _SHIFT_ROWS_NP = _np.array(
+        [4 * ((col + row) % 4) + row for col in range(4) for row in range(4)]
     )
-    _SBOX_NP = _np.frombuffer(_SBOX, dtype=_np.uint8).astype(_np.uint32)
     return _np
 
 
-def _inv_mix_word(word: int) -> int:
-    """InvMixColumns applied to one 32-bit column word (for key setup)."""
-    b0, b1, b2, b3 = word >> 24, (word >> 16) & 0xFF, (word >> 8) & 0xFF, word & 0xFF
-    return (
-        ((_MUL14[b0] ^ _MUL11[b1] ^ _MUL13[b2] ^ _MUL9[b3]) << 24)
-        | ((_MUL9[b0] ^ _MUL14[b1] ^ _MUL11[b2] ^ _MUL13[b3]) << 16)
-        | ((_MUL13[b0] ^ _MUL9[b1] ^ _MUL14[b2] ^ _MUL11[b3]) << 8)
-        | (_MUL11[b0] ^ _MUL13[b1] ^ _MUL9[b2] ^ _MUL14[b3])
-    )
-
-
 class AESFast:
-    """T-table AES with the same interface (and outputs) as :class:`AES`.
+    """T-table AES, encryption only, with :class:`AES`'s outputs.
 
-    Encryption uses the standard four-table round; decryption uses the
-    equivalent inverse cipher (FIPS-197 §5.3.5): inverse T-tables plus
-    round keys passed through InvMixColumns, so both directions run as
-    straight-line 32-bit word operations.
+    CTR — the only mode the library runs — decrypts by encrypting
+    counters, so there is no inverse cipher and no inverse key schedule
+    here; :meth:`AES.decrypt_block` is the reference for that direction.
     """
 
-    __slots__ = ("_rounds", "_erk", "_drk")
+    __slots__ = ("_rounds", "_erk")
 
     def __init__(self, key: bytes):
         key = bytes(key)
@@ -303,26 +290,10 @@ class AESFast:
                 f"AES key must be 16, 24 or 32 bytes, got {len(key)}"
             )
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        words = _expand_key(key)
-        erk = [
-            (w[0] << 24) | (w[1] << 16) | (w[2] << 8) | w[3] for w in words
+        self._erk = [
+            (w[0] << 24) | (w[1] << 16) | (w[2] << 8) | w[3]
+            for w in _expand_key(key)
         ]
-        self._erk = erk
-        # Equivalent-inverse-cipher key schedule: reversed round order,
-        # InvMixColumns applied to all but the first and last round keys.
-        rounds = self._rounds
-        drk: list[int] = []
-        for rnd in range(rounds, -1, -1):
-            group = erk[4 * rnd : 4 * rnd + 4]
-            if 0 < rnd < rounds:
-                group = [_inv_mix_word(w) for w in group]
-            drk.extend(group)
-        self._drk = drk
-
-    @property
-    def rounds(self) -> int:
-        """Number of cipher rounds (10/12/14)."""
-        return self._rounds
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
@@ -331,11 +302,6 @@ class AESFast:
         rk = self._erk
         b0, b1, b2, b3 = struct.unpack(">4I", block)
         s0, s1, s2, s3 = b0 ^ rk[0], b1 ^ rk[1], b2 ^ rk[2], b3 ^ rk[3]
-        return self._finish_encrypt(s0, s1, s2, s3)
-
-    def _finish_encrypt(self, s0: int, s1: int, s2: int, s3: int) -> bytes:
-        """Run rounds 1..Nr on an already-whitened state, return 16 bytes."""
-        rk = self._erk
         t0, t1, t2, t3 = _T0, _T1, _T2, _T3
         i = 4
         for _ in range(self._rounds - 1):
@@ -352,31 +318,6 @@ class AESFast:
         r3 = ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 255] << 16) | (sb[(s1 >> 8) & 255] << 8) | sb[s2 & 255]) ^ rk[i + 3]
         return struct.pack(">4I", r0, r1, r2, r3)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError("AES operates on exactly 16-byte blocks")
-        rk = self._drk
-        t0, t1, t2, t3 = _D0, _D1, _D2, _D3
-        b0, b1, b2, b3 = struct.unpack(">4I", block)
-        s0, s1, s2, s3 = b0 ^ rk[0], b1 ^ rk[1], b2 ^ rk[2], b3 ^ rk[3]
-        i = 4
-        for _ in range(self._rounds - 1):
-            # InvShiftRows rotates row r right by r: column j draws its
-            # row-1 byte from column j-1 (≡ j+3), row-2 from j-2, etc.
-            u0 = t0[s0 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s1 & 255] ^ rk[i]
-            u1 = t0[s1 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s2 & 255] ^ rk[i + 1]
-            u2 = t0[s2 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s3 & 255] ^ rk[i + 2]
-            u3 = t0[s3 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s0 & 255] ^ rk[i + 3]
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            i += 4
-        sb = _INV_SBOX
-        r0 = ((sb[s0 >> 24] << 24) | (sb[(s3 >> 16) & 255] << 16) | (sb[(s2 >> 8) & 255] << 8) | sb[s1 & 255]) ^ rk[i]
-        r1 = ((sb[s1 >> 24] << 24) | (sb[(s0 >> 16) & 255] << 16) | (sb[(s3 >> 8) & 255] << 8) | sb[s2 & 255]) ^ rk[i + 1]
-        r2 = ((sb[s2 >> 24] << 24) | (sb[(s1 >> 16) & 255] << 16) | (sb[(s0 >> 8) & 255] << 8) | sb[s3 & 255]) ^ rk[i + 2]
-        r3 = ((sb[s3 >> 24] << 24) | (sb[(s2 >> 16) & 255] << 16) | (sb[(s1 >> 8) & 255] << 8) | sb[s0 & 255]) ^ rk[i + 3]
-        return struct.pack(">4I", r0, r1, r2, r3)
-
     def ctr_keystream(self, counter: int, nblocks: int) -> bytes:
         """Generate ``nblocks`` CTR keystream blocks starting at ``counter``.
 
@@ -391,42 +332,36 @@ class AESFast:
         return self._ctr_keystream_py(counter, nblocks)
 
     def _ctr_keystream_np(self, counter: int, nblocks: int) -> bytes:
-        """Vectorised CTR keystream: all counter blocks per round at once."""
+        """Vectorised CTR keystream over an ``(nblocks, 16)`` byte state.
+
+        Each full round is one fancy-index of the ShiftRows positions,
+        four T-table gathers (one per state row) and the round-key XOR;
+        the last round swaps the T-tables for the S-box.
+        """
         counter &= (1 << 128) - 1
-        # 128-bit counters as two uint64 lanes with explicit carry.
+        # 128-bit big-endian counters as two uint64 lanes with explicit carry.
         index = _np.arange(nblocks, dtype=_np.uint64)
         low = _np.uint64(counter & 0xFFFFFFFFFFFFFFFF) + index
-        carry = (low < index).astype(_np.uint64)
-        high = _np.uint64(counter >> 64) + carry
-        s0 = (high >> 32).astype(_np.uint32)
-        s1 = high.astype(_np.uint32)
-        s2 = (low >> 32).astype(_np.uint32)
-        s3 = low.astype(_np.uint32)
-        rk = self._erk
-        s0 ^= _np.uint32(rk[0])
-        s1 ^= _np.uint32(rk[1])
-        s2 ^= _np.uint32(rk[2])
-        s3 ^= _np.uint32(rk[3])
-        t0, t1, t2, t3 = _T0_NP, _T1_NP, _T2_NP, _T3_NP
-        i = 4
-        for _ in range(self._rounds - 1):
-            u0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ _np.uint32(rk[i])
-            u1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ _np.uint32(rk[i + 1])
-            u2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ _np.uint32(rk[i + 2])
-            u3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ _np.uint32(rk[i + 3])
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            i += 4
-        sb = _SBOX_NP
-        r0 = ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 255] << 16) | (sb[(s2 >> 8) & 255] << 8) | sb[s3 & 255]) ^ _np.uint32(rk[i])
-        r1 = ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 255] << 16) | (sb[(s3 >> 8) & 255] << 8) | sb[s0 & 255]) ^ _np.uint32(rk[i + 1])
-        r2 = ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 255] << 16) | (sb[(s0 >> 8) & 255] << 8) | sb[s1 & 255]) ^ _np.uint32(rk[i + 2])
-        r3 = ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 255] << 16) | (sb[(s1 >> 8) & 255] << 8) | sb[s2 & 255]) ^ _np.uint32(rk[i + 3])
-        out = _np.empty((nblocks, 4), dtype=">u4")
-        out[:, 0] = r0
-        out[:, 1] = r1
-        out[:, 2] = r2
-        out[:, 3] = r3
-        return out.tobytes()
+        blocks = _np.empty((nblocks, 2), dtype=">u8")
+        blocks[:, 0] = _np.uint64(counter >> 64) + (low < index)
+        blocks[:, 1] = low
+        rk = _words_np(self._erk).reshape(-1, 4)
+        rk_bytes = rk.view(_np.uint8)
+        state = blocks.view(_np.uint8) ^ rk_bytes[0]
+        t0, t1, t2, t3 = _T_NP
+        shift = _SHIFT_ROWS_NP
+        # A gather's result takes the strides of its (strided) index, so
+        # the XOR lands in a C-ordered buffer that views as (n, 16) bytes.
+        words = _np.empty((nblocks, 4), dtype=_np.uint32)
+        for rnd in range(1, self._rounds):
+            s = state[:, shift].reshape(nblocks, 4, 4)  # [block, column, row]
+            _np.bitwise_xor(t0[s[:, :, 0]], t1[s[:, :, 1]], out=words)
+            words ^= t2[s[:, :, 2]]
+            words ^= t3[s[:, :, 3]]
+            words ^= rk[rnd]
+            state = words.view(_np.uint8)
+        state = _SBOX_NP[state[:, shift]] ^ rk_bytes[self._rounds]
+        return state.tobytes()
 
     def _ctr_keystream_py(self, counter: int, nblocks: int) -> bytes:
         rk = self._erk

@@ -1,9 +1,9 @@
 """The AES key-schedule cache in front of :class:`~repro.crypto.aes.AESFast`.
 
-The paper's protocols reuse a few master keys across thousands of
-operations: ER/HR re-seal every served record under the same view key
-``K_V``, and the envelope derives its subkeys from the same master key
-on every call.  :func:`aes_for_key` therefore keeps expanded key
+The paper's protocols reuse a few master keys across many operations:
+every reader decrypts view entries under the same view key ``K_V``, and
+the envelope derives its subkeys from the same master key on every
+call.  :func:`aes_for_key` therefore keeps expanded key
 schedules in an LRU, so :mod:`repro.crypto.modes` asks *here* for a
 cipher instead of constructing one per message.
 

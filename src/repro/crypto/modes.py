@@ -15,15 +15,16 @@ the master key, keeping encryption and authentication keys independent.
 
 Hot-path notes
 --------------
-ER/HR re-seal thousands of records under the same view key ``K_V``, so
+Readers decrypt many view entries under the same view key ``K_V``, so
 two caches sit in front of the per-call work: subkey derivation is
 LRU-cached per master key (:func:`_derive_subkeys`), and the expanded
 AES key schedule is reused via :func:`repro.crypto.backend.aes_for_key`.
-Keystream generation is batched — all counter blocks are produced in
-one call — and the plaintext/keystream XOR runs as a single big-int
-operation instead of a per-byte loop.  :func:`ctr_xor_reference` is the
-block-at-a-time loop over :class:`~repro.crypto.aes.AES` that the
-differential tests and the crypto microbench compare against.
+Keystream generation is batched — all counter blocks in one call, large
+batches by one numpy kernel — and the plaintext/keystream XOR runs as a
+single big-int operation instead of a per-byte loop.
+:func:`ctr_xor_reference` is the block-at-a-time loop over
+:class:`~repro.crypto.aes.AES` that the differential tests and the
+crypto microbench compare against.
 """
 
 from __future__ import annotations

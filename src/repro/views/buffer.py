@@ -3,8 +3,9 @@
 Holds, per view: the current view key ``K_V`` and its rotation count,
 the ordered transaction-id list ``V_ids``, the per-transaction data the
 manager needs to serve queries (transaction keys for encryption-based
-views, secret plaintexts for hash-based views), and the current access
-list used for revocable grant/revoke.
+views, secret plaintexts for hash-based views), the current access
+list used for revocable grant/revoke, and the entries already served
+under the current ``K_V``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class ViewRecord:
     data: dict[str, Any] = field(default_factory=dict, repr=False)
     #: Currently authorized principals: user or role id → public key.
     authorized: dict[str, Any] = field(default_factory=dict, repr=False)
+    #: ``(K_V, {tid: (buffered data, hex of enc(entry, K_V))})`` — what
+    #: queries have served under ``key``; see :meth:`served_entries`.
+    _served: tuple[Any, dict[str, tuple[Any, str]]] = field(
+        init=False, default_factory=lambda: (None, {}), repr=False, compare=False
+    )
 
     @property
     def is_revocable(self) -> bool:
@@ -41,6 +47,18 @@ class ViewRecord:
 
     def contains(self, tid: str) -> bool:
         return tid in self.data
+
+    def served_entries(self) -> dict[str, tuple[Any, str]]:
+        """The encrypted entries served under the current ``K_V``.
+
+        The cache is bound to the key object: a rotated (or reassigned)
+        ``key`` starts an empty one, so no entry outlives its key.
+        """
+        key, entries = self._served
+        if key is not self.key:
+            entries = {}
+            self._served = (self.key, entries)
+        return entries
 
 
 class ViewBuffer:

@@ -667,8 +667,11 @@ class ViewManager(ABC):
         """Serve a (revocable or irrevocable) view query (``QueryView``).
 
         The response is the requested entries encrypted under the
-        current ``K_V``, sealed with the requester's public key for
-        transport.  A requester without current access is refused — and
+        current ``K_V``, sealed freshly with the requester's public key
+        for transport.  Each entry is encrypted once per ``K_V``: later
+        queries reuse that ciphertext while the buffered data behind it
+        is unchanged, and a key rotation (revocation) is what refreshes
+        them all.  A requester without current access is refused — and
         even a misbehaving owner that skipped this check would only leak
         ciphertext the revoked user can no longer decrypt, because
         revocation rotated ``K_V``.
@@ -701,13 +704,15 @@ class ViewManager(ABC):
         # ``byzantine_corrupt_view`` window it serves tampered secret
         # payloads.  Both are the attacks the Prop 4.1 completeness and
         # soundness audits exist to catch — the served envelope stays
-        # perfectly well-formed.
+        # perfectly well-formed.  Tampered entries bypass the cache.
         faults = self.gateway.network.faults
         stale_cutoff = faults.stale_view_cutoff() if faults is not None else None
         corrupting = faults is not None and faults.corrupts_views()
+        served = record.served_entries()
         entries: dict[str, str] = {}
         for tid in requested:
-            if tid not in record.data:
+            data = record.data.get(tid)
+            if data is None:
                 continue
             if (
                 stale_cutoff is not None
@@ -715,11 +720,19 @@ class ViewManager(ABC):
                 > stale_cutoff
             ):
                 continue
-            processed = self._processed_from_buffer(record, tid)
             if corrupting:
-                processed = _tampered(processed)
-            entry = self.view_entry(record, tid, processed)
-            entries[tid] = entry.hex()
+                processed = _tampered(self._processed_from_buffer(record, tid))
+                entries[tid] = self.view_entry(record, tid, processed).hex()
+                continue
+            hit = served.get(tid)
+            if hit is None or hit[0] != data:
+                # Keyed by a copy of the buffered data, so an owner that
+                # rewrites its buffer in place serves what it now holds.
+                entry = self.view_entry(
+                    record, tid, self._processed_from_buffer(record, tid)
+                )
+                hit = served[tid] = (dict(data), entry.hex())
+            entries[tid] = hit[1]
         body = json.dumps(
             {
                 "view": view_name,

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro import build_network
+from repro.crypto.symmetric import SymmetricKey
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
 
@@ -56,6 +57,21 @@ def owner_gateway(network):
 def reader_gateway(network):
     """Gateway for a registered reader identity."""
     return Gateway(network, network.register_user("reader"))
+
+
+@pytest.fixture
+def encryptions(monkeypatch):
+    """Key material of every ``SymmetricKey.encrypt`` call from here on
+    (count a view key's entries with ``.count(record.key.material)``)."""
+    calls = []
+    real = SymmetricKey.encrypt
+
+    def counting(self, plaintext):
+        calls.append(self.material)
+        return real(self, plaintext)
+
+    monkeypatch.setattr(SymmetricKey, "encrypt", counting)
+    return calls
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ envelope path.
 The keygen guards count instead of timing: an identity's RSA keypair is
 drawn when something seals to it or signs with it, never at
 registration, so set-up that only registers identities generates none.
+The view-query guard counts too: a revocable view encrypts each entry
+once per view key, not once per query.
 """
 
 import secrets
@@ -24,7 +26,12 @@ from repro.crypto.envelope import seal
 from repro.errors import DecryptionError
 from repro.fabric.config import NetworkConfig, benchmark_config
 from repro.fabric.identity import MembershipServiceProvider, User
+from repro.fabric.network import Gateway
 from repro.sim import Environment
+from repro.views.encryption_based import EncryptionBasedManager
+from repro.views.manager import ViewInvocation
+from repro.views.predicates import Everything
+from repro.views.types import ViewMode
 
 
 def _seal_open_seconds(key: bytes, size: int) -> float:
@@ -140,3 +147,40 @@ def test_equality_and_repr_generate_no_keypair(keygens):
     assert "alice" in repr(alice) and "org2" in repr(bob)
     assert User("carol") != User("carol")
     assert keygens == []
+
+
+# -- view queries: one encryption per entry per view key ----------------------
+
+
+def test_view_query_encrypts_each_entry_once_per_view_key(encryptions):
+    """A 32-tid ER query: 32 entry encryptions cold, 0 warm, 32 after a
+    revocation rotates ``K_V``."""
+    network = build_network(benchmark_config())
+    manager = EncryptionBasedManager(Gateway(network, network.register_user("owner")))
+    record = manager.create_view("all", Everything(), ViewMode.REVOCABLE)
+    manager.invoke_many(
+        [
+            ViewInvocation(
+                "create_item",
+                {"item": f"i{i}", "owner": "W1"},
+                {"item": f"i{i}"},
+                b"manifest-%d" % i,
+            )
+            for i in range(32)
+        ]
+    )
+    for reader in ("bob", "carol"):
+        network.register_user(reader)
+        manager.grant_access("all", reader)
+
+    def entry_encryptions() -> int:
+        before = len(encryptions)
+        manager.query_view("all", "bob")
+        return encryptions[before:].count(record.key.material)
+
+    assert len(record.tids) == 32
+    assert entry_encryptions() == 32  # cold
+    assert entry_encryptions() == 0  # warm
+    manager.revoke_access("all", "carol")
+    assert entry_encryptions() == 32  # the new K_V encrypts every entry again
+    assert entry_encryptions() == 0
