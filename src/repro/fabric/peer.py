@@ -171,24 +171,20 @@ class Peer:
         peer_keys: dict[str, object],
         peer_secrets: dict[str, bytes],
         policy: int,
-        rwset: tuple[dict, dict] | None = None,
+        rwset: tuple[dict, dict],
     ) -> bool:
-        """Check the endorsement policy: ``policy`` valid peer signatures.
-
-        ``rwset`` is an already-parsed ``(read_set, write_set)`` pair;
-        the memoised validation path parses once per block and passes
-        it in so the payload is not re-derived per peer.
-        """
-        endorsements = tx.nonsecret.get("endorsements", [])
-        read_set, write_set = rwset if rwset is not None else parse_rwset(tx)
+        """Check the endorsement policy: ``policy`` distinct peers signed
+        the parsed ``rwset``; a peer listed twice counts once."""
         proposal_like = Proposal(
             chaincode=tx.nonsecret.get("cc", ""),
             fn=tx.nonsecret.get("fn", ""),
             tid=tx.tid,
         )
-        payload = proposal_like.signing_payload(read_set, write_set)
-        valid = 0
-        for peer_id, signature_hex in endorsements:
+        payload = proposal_like.signing_payload(*rwset)
+        endorsers: set[str] = set()
+        for peer_id, signature_hex in tx.nonsecret.get("endorsements", []):
+            if peer_id in endorsers:
+                continue
             signature = bytes.fromhex(signature_hex)
             if self.real_signatures:
                 public_key = peer_keys.get(peer_id)
@@ -198,14 +194,14 @@ class Peer:
                     public_key.verify(payload, signature)  # type: ignore[attr-defined]
                 except Exception:
                     continue
-                valid += 1
+                endorsers.add(peer_id)
             else:
                 secret = peer_secrets.get(peer_id)
                 if secret is None:
                     continue
                 if simulated_signature(secret, payload) == signature:
-                    valid += 1
-        return valid >= policy
+                    endorsers.add(peer_id)
+        return len(endorsers) >= policy
 
     def validate_and_commit(
         self,
@@ -220,29 +216,22 @@ class Peer:
         Follows Fabric semantics: invalid transactions stay in the block
         (and in storage) but their write sets are not applied.
 
-        ``memo`` is the block's shared :class:`~repro.fabric.validation
-        .BlockValidationMemo` when sibling replicas are validating the
-        same delivery: pure per-transaction checks and same-tip MVCC
-        verdicts are then computed once and reused.  A lone validation
-        (catch-up replay, genesis replay) passes ``None`` and runs the
-        serial loop.  Verdicts, writes, and versions are equal either
-        way (see ``_validate_memoised``); the differential suite pins
-        this by replaying every block through the serial loop.
+        ``memo`` is the block's :class:`~repro.fabric.validation
+        .BlockValidationMemo`, shared by the replicas validating one
+        delivery; a lone validation (catch-up, genesis replay) passes
+        ``None`` and gets a fresh one, so every commit runs the one fold
+        (``_validate_memoised``).  Its reference is the isolation oracle,
+        :meth:`repro.faults.InvariantMonitor.assert_isolation`.  The
+        chain accepts the block before any write, so a rejected block
+        (wrong number, broken link, a tid already committed) raises with
+        chain, state and codes untouched.
         """
-        if memo is not None:
-            codes, rebased = self._validate_memoised(
-                block, peer_keys, peer_secrets, policy, memo
-            )
-            # Structure check and size are pure in the (shared) block
-            # object — the memo computes them once for all replicas.
-            self.chain.append(
-                block, prevalidated=True, size_bytes=memo.admit(block)
-            )
-        else:
-            codes, rebased = self._validate_serial(
-                block, peer_keys, peer_secrets, policy
-            )
-            self.chain.append(block)
+        memo = memo or BlockValidationMemo()
+        tip = self.chain.tip_hash  # what shared verdicts are keyed on
+        self.chain.append(block, prevalidated=True, size_bytes=memo.admit(block))
+        codes, rebased = self._validate_memoised(
+            block, peer_keys, peer_secrets, policy, memo, tip
+        )
         self.validation_codes.update(codes)
         if self.store is not None:
             # Apply-then-log: the block is in memory before the WAL
@@ -254,52 +243,16 @@ class Peer:
             # sets are logged alongside the codes: recovery applies the
             # writes that actually committed, not the endorsement-time
             # ones embedded in the block.
-            self.store.log_block(
-                block,
-                codes,
-                rebased=rebased,
-                txs=None if memo is None else memo.wal_txs,
-            )
+            self.store.log_block(block, codes, rebased=rebased, txs=memo.wal_txs)
             if self.store.snapshot_due(self.chain.height):
                 self.store.write_snapshot_for(self)
         return CommitResult(block_number=block.number, codes=codes, rebased=rebased)
 
-    def _validate_serial(
-        self,
-        block: Block,
-        peer_keys: dict[str, object],
-        peer_secrets: dict[str, bytes],
-        policy: int,
-    ) -> tuple[dict[str, ValidationCode], dict[str, dict]]:
-        """The reference validation loop, transaction by transaction."""
-        codes: dict[str, ValidationCode] = {}
-        rebased: dict[str, dict] = {}
-        # Fabric validates transactions in block order, with each valid
-        # transaction's writes visible to the MVCC checks of the ones
-        # after it — two conflicting reads in one block invalidate the
-        # second transaction.
-        for position, tx in enumerate(block.transactions):
-            if not self._verify_endorsements(tx, peer_keys, peer_secrets, policy):
-                codes[tx.tid] = ValidationCode.ENDORSEMENT_POLICY_FAILURE
-                continue
-            read_set, write_set = parse_rwset(tx)
-            conflict = False
-            for key, version in read_set.items():
-                if self.statedb.version_of(key) != version:
-                    conflict = True
-                    break
-            if conflict:
-                new_writes = self._try_rebase(tx, write_set)
-                if new_writes is None:
-                    codes[tx.tid] = ValidationCode.MVCC_CONFLICT
-                    continue
-                rebased[tx.tid] = new_writes
-                write_set = new_writes
-            codes[tx.tid] = ValidationCode.VALID
-            version = Version(block=block.number, position=position)
-            for key, value in write_set.items():
-                self.statedb.put(key, value, version)
-        return codes, rebased
+    def _write(self, block_number: int, position: int, write_set: dict) -> None:
+        """Apply one valid transaction's writes — the only state write."""
+        version = Version(block=block_number, position=position)
+        for key, value in write_set.items():
+            self.statedb.put(key, value, version)
 
     def _try_rebase(self, tx: Transaction, original_writes: dict) -> dict | None:
         """Re-execute a conflicted transaction against current state.
@@ -322,12 +275,7 @@ class Peer:
         except ChaincodeError:
             return None
         for _attempt in range(backend.max_rebase_attempts):
-            ctx = TxContext(
-                chaincode=record.chaincode,
-                statedb=self.statedb,
-                tid=tx.tid,
-                creator=record.creator,
-            )
+            ctx = TxContext(record.chaincode, self.statedb, tx.tid, record.creator)
             try:
                 response = chaincode.invoke(ctx, record.fn, record.args)
             except ChaincodeError:
@@ -356,46 +304,33 @@ class Peer:
         peer_secrets: dict[str, bytes],
         policy: int,
         memo: BlockValidationMemo,
+        tip: bytes,
     ) -> tuple[dict[str, ValidationCode], dict[str, dict]]:
-        """Validation sharing work through ``memo``; equal to the loop above.
+        """The MVCC fold: validate ``block`` in order, applying valid writes.
 
-        Serial equivalence, stage by stage:
-
-        1. Endorsement verification and rwset parsing depend only on
-           the transaction bytes and key material, so reusing another
-           peer's results via the shared ``memo`` returns exactly what
-           the serial loop's per-transaction calls return.
-        2. The pass walks the block in order: MVCC verdicts are
-           evaluated against the evolving state exactly as the serial
-           loop would, and valid writes are applied with the same
-           ``Version(block, position)``.
-
-        Additionally, verdicts are shared across replicas: state is a
-        deterministic fold of the chain, so a peer whose tip hash
-        equals the one the first validator computed against must reach
-        the same codes — it reuses them and only applies the writes.
-        A peer whose tip differs computes everything itself.
+        Endorsement checks and rwset parsing depend only on transaction
+        bytes and key material, so ``memo`` holds them once per block.
+        Each MVCC verdict is taken against the state the valid
+        transactions before it left, as Fabric does.  State is a
+        deterministic fold of the chain, so a replica whose pre-block
+        ``tip`` equals the first validator's reuses its verdicts and only
+        applies the writes; any other replica computes its own.
         """
         txs = block.transactions
-        shared = memo.verdicts_for(self.chain.tip_hash)
+        shared = memo.verdicts_for(tip)
         if shared is not None:
-            # Rebased write sets ride with the verdicts (and share their
-            # tip guard): a replica reusing the codes must apply the
-            # writes that actually committed, not the endorsement-time
-            # ones.
+            # Rebased write sets ride with the verdicts: what committed,
+            # not the endorsement-time writes.
             for position, tx in enumerate(txs):
-                if shared[tx.tid] is not ValidationCode.VALID:
-                    continue
-                write_set = memo.rebased.get(tx.tid, memo.rwsets[tx.tid][1])
-                version = Version(block=block.number, position=position)
-                for key, value in write_set.items():
-                    self.statedb.put(key, value, version)
+                if shared[tx.tid] is ValidationCode.VALID:
+                    writes = memo.rebased.get(tx.tid, memo.rwsets[tx.tid][1])
+                    self._write(block.number, position, writes)
             return dict(shared), dict(memo.rebased)
         for tx in txs:
             if tx.tid not in memo.endorsement_ok:
                 rwset = parse_rwset(tx)
                 memo.endorsement_ok[tx.tid] = self._verify_endorsements(
-                    tx, peer_keys, peer_secrets, policy, rwset=rwset
+                    tx, peer_keys, peer_secrets, policy, rwset
                 )
                 memo.rwsets[tx.tid] = rwset
 
@@ -411,9 +346,7 @@ class Peer:
                 for key, version in read_set.items()
             )
             if not clean:
-                # A conflicted transaction re-executes here, in block
-                # order, against the evolving state — exactly where the
-                # serial loop would rebase it.
+                # occ re-executes a conflicted transaction right here.
                 new_writes = self._try_rebase(tx, write_set)
                 if new_writes is None:
                     codes[tx.tid] = ValidationCode.MVCC_CONFLICT
@@ -421,10 +354,8 @@ class Peer:
                 rebased[tx.tid] = new_writes
                 write_set = new_writes
             codes[tx.tid] = ValidationCode.VALID
-            version = Version(block=block.number, position=position)
-            for key, value in write_set.items():
-                self.statedb.put(key, value, version)
-        memo.store_verdicts(self.chain.tip_hash, codes, rebased)
+            self._write(block.number, position, write_set)
+        memo.store_verdicts(tip, codes, rebased)
         return codes, rebased
 
     # -- crash recovery ------------------------------------------------------
@@ -463,16 +394,13 @@ class Peer:
         """
         self.chain.append(block, prevalidated=True, size_bytes=size_bytes)
         if apply_state:
+            rebased = rebased or {}
             for position, tx in enumerate(block.transactions):
-                if codes.get(tx.tid) is not ValidationCode.VALID:
-                    continue
-                if rebased is not None and tx.tid in rebased:
-                    write_set = rebased[tx.tid]
-                else:
-                    _read_set, write_set = parse_rwset(tx)
-                version = Version(block=block.number, position=position)
-                for key, value in write_set.items():
-                    self.statedb.put(key, value, version)
+                if codes.get(tx.tid) is ValidationCode.VALID:
+                    writes = rebased.get(tx.tid)
+                    if writes is None:
+                        writes = parse_rwset(tx)[1]
+                    self._write(block.number, position, writes)
         self.validation_codes.update(codes)
 
     def recover_from_chain(

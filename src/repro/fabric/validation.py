@@ -2,13 +2,14 @@
 
 :class:`BlockValidationMemo` lets the peers validating one block
 (:meth:`repro.fabric.peer.Peer.validate_and_commit`) compute its pure
-checks and same-tip MVCC verdicts once.
+checks and same-tip MVCC verdicts once.  A lone validation (catch-up,
+genesis replay) takes a fresh memo, so there is one MVCC fold.
 
-It is pure memoisation: validation codes, applied writes, state roots
-and every simulated-time metric equal the transaction-by-transaction
-loop (``Peer._validate_serial``), which
-``tests/fabric/test_validation_differential.py`` replays every block
-through as the oracle.
+It is pure memoisation: a replica that reuses a memo reaches the codes,
+writes and state root a fresh one gives
+(``tests/fabric/test_validation_differential.py``).  That the fold is a
+correct execution is :meth:`repro.faults.InvariantMonitor
+.assert_isolation`'s check.
 """
 
 from __future__ import annotations

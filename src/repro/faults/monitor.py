@@ -11,11 +11,25 @@ across a restart (every peer's durable store must reproduce its live
 replica byte-for-byte).  The per-block check runs inside the
 block-event stream, so a violation aborts the run at the block that
 introduced it rather than surfacing as a diff at the end.
+
+Isolation is checked too: MVCC validation in block order makes the
+valid transactions serializable in chain order (Meir et al.,
+PAPERS.md), and ``assert_isolation`` re-derives that fold on its own —
+the reference the peers' one validation loop is held to.
 """
 
 from __future__ import annotations
 
-from repro.errors import InvariantViolationError, LedgerError, StorageError
+from repro.errors import (
+    ChaincodeError,
+    InvariantViolationError,
+    LedgerError,
+    StorageError,
+)
+from repro.fabric.chaincode import TxContext
+from repro.fabric.endorser import parse_rwset
+from repro.fabric.peer import ValidationCode
+from repro.ledger.statedb import StateDatabase, Version
 
 
 class InvariantMonitor:
@@ -171,12 +185,67 @@ class InvariantMonitor:
                     f"{len(live)}, or digests diverge"
                 )
 
+    def assert_isolation(self) -> None:
+        """The committed chain is a serial execution in chain order.
+
+        Folds the reference peer's chain into a fresh state database and
+        holds each recorded code to it.  VALID: every read is current,
+        or the transaction was rebased — its ``network.resim`` record,
+        re-executed on the fold, writes the same key set, and those
+        writes are applied.  MVCC_CONFLICT: some read is stale.  Other
+        codes write nothing.  The fold's entries, values and versions,
+        must equal every peer's.  Mutates nothing.
+        """
+        reference = self.network.reference_peer
+        fold = StateDatabase()
+        for block in reference.chain:
+            for position, tx in enumerate(block.transactions):
+                code = reference.validation_codes.get(tx.tid)
+                read_set, write_set = parse_rwset(tx)
+                stale = any(fold.version_of(k) != v for k, v in read_set.items())
+                if code is ValidationCode.VALID and stale:
+                    write_set = self._reexecuted(tx, write_set, fold)
+                if write_set is None or (
+                    code is ValidationCode.MVCC_CONFLICT and not stale
+                ):
+                    raise InvariantViolationError(
+                        f"isolation violation: {tx.tid!r} in block "
+                        f"{block.number} is {code.name}, which the "
+                        "chain-order fold contradicts"
+                    )
+                if code is ValidationCode.VALID:
+                    version = Version(block.number, position)
+                    for key, value in write_set.items():
+                        fold.put(key, value, version)
+        entries = fold.entries()
+        for peer in self.network.peers:
+            if peer.statedb.entries() != entries:
+                raise InvariantViolationError(
+                    f"isolation violation: {peer.peer_id}'s world state is "
+                    "not the chain-order fold of its codes"
+                )
+
+    def _reexecuted(self, tx, write_set, fold) -> dict | None:
+        """A rebased transaction's writes re-derived on ``fold``; None
+        when no chain-order re-execution explains its stale read."""
+        record = self.network.resim.get(tx.tid)
+        if record is None:
+            return None
+        ctx = TxContext(record.chaincode, fold, tx.tid, record.creator)
+        try:
+            chaincode = self.network.registry.get(record.chaincode)
+            chaincode.invoke(ctx, record.fn, record.args)
+        except ChaincodeError:
+            return None
+        return ctx.write_set if set(ctx.write_set) == set(write_set) else None
+
     def check(self) -> None:
         """The full post-heal safety check."""
         self.assert_exactly_once()
         self.assert_ordering_integrity()
         self.assert_convergence()
         self.assert_durability()
+        self.assert_isolation()
 
     @staticmethod
     def assert_audits_match(baseline: dict, observed: dict) -> None:

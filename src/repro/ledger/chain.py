@@ -81,12 +81,14 @@ class Blockchain:
             raise BlockValidationError(
                 f"chain {self.name!r}: block {block.number} does not link to tip"
             )
+        index: dict[str, tuple[int, int]] = {}
         for position, tx in enumerate(block.transactions):
-            if tx.tid in self._tx_index:
+            if tx.tid in self._tx_index or tx.tid in index:
                 raise BlockValidationError(
                     f"duplicate transaction id {tx.tid!r} in block {block.number}"
                 )
-            self._tx_index[tx.tid] = (block.number, position)
+            index[tx.tid] = (block.number, position)
+        self._tx_index.update(index)
         self._blocks.append(block)
         self._total_bytes += block.size_bytes if size_bytes is None else size_bytes
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ChaincodeError
+from repro.errors import BlockValidationError, ChaincodeError
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry
 from repro.fabric.endorser import Proposal, assemble_transaction
 from repro.fabric.identity import MembershipServiceProvider
 from repro.fabric.peer import Peer, ValidationCode
+from repro.fabric.validation import BlockValidationMemo
 from repro.ledger.block import Block
 
 
@@ -174,3 +175,74 @@ def test_state_root_changes_after_commit(msp):
     tx = assemble_transaction(proposal, [peer.endorse(proposal)])
     _commit(peer, [tx])
     assert peer.current_state_root() != root_before
+
+
+def _set_tx(peer, key, value):
+    proposal = Proposal(chaincode="kv", fn="set", args={"key": key, "value": value})
+    return assemble_transaction(proposal, [peer.endorse(proposal)])
+
+
+def _ledger_view(peer):
+    return (
+        peer.chain.height,
+        peer.chain.tip_hash,
+        peer.statedb.entries(),
+        peer.current_state_root(),
+        dict(peer.validation_codes),
+    )
+
+
+@pytest.mark.parametrize("defect", ["unlinked", "misnumbered", "duplicate_tid"])
+@pytest.mark.parametrize("shared_memo", [False, True])
+def test_rejected_block_leaves_no_trace(msp, defect, shared_memo):
+    """A block the chain refuses raises before any write: height, state
+    entries, state root and validation codes stay what they were, and
+    the refused block's other transactions stay unknown to the chain."""
+    peer = _peer(msp)
+    committed = _set_tx(peer, "k", 1)
+    _commit(peer, [committed])
+    before = _ledger_view(peer)
+    fresh = _set_tx(peer, "k", 2)
+    txs = [fresh, committed] if defect == "duplicate_tid" else [fresh]
+    block = Block.build(
+        number=peer.chain.height + (defect == "misnumbered"),
+        previous_hash=b"\x13" * 32 if defect == "unlinked" else peer.chain.tip_hash,
+        transactions=txs,
+        state_root=b"\x00" * 32,
+        timestamp=0.0,
+    )
+    with pytest.raises(BlockValidationError):
+        peer.validate_and_commit(
+            block,
+            {},
+            {peer.peer_id: peer.mac_secret},
+            policy=1,
+            memo=BlockValidationMemo() if shared_memo else None,
+        )
+    assert _ledger_view(peer) == before
+    assert peer.statedb.get("kv~k") == 1
+    assert not peer.chain.has_transaction(fresh.tid)
+
+
+@pytest.mark.parametrize("real_signatures", [False, True])
+def test_one_peer_endorsing_twice_does_not_meet_policy_two(msp, real_signatures):
+    """The policy counts distinct endorsing peers: a response listed
+    twice is one endorsement, two peers' responses are two."""
+    peer = _peer(msp, real_signatures=real_signatures)
+    other = _peer(msp, "peer-b", real_signatures)
+    keys = {p.peer_id: p.identity.public_key for p in (peer, other)}
+    secrets = {p.peer_id: p.mac_secret for p in (peer, other)}
+    doubled = Proposal(chaincode="kv", fn="set", args={"key": "k", "value": 1})
+    response = peer.endorse(doubled)
+    pair = Proposal(chaincode="kv", fn="set", args={"key": "j", "value": 2})
+    txs = [
+        assemble_transaction(doubled, [response, response]),
+        assemble_transaction(pair, [peer.endorse(pair), other.endorse(pair)]),
+    ]
+    block = Block.build(0, peer.chain.tip_hash, txs, b"\x00" * 32, 0.0)
+    result = peer.validate_and_commit(block, keys, secrets, policy=2)
+    assert result.codes == {
+        txs[0].tid: ValidationCode.ENDORSEMENT_POLICY_FAILURE,
+        txs[1].tid: ValidationCode.VALID,
+    }
+    assert peer.statedb.snapshot() == {"kv~j": 2}

@@ -1,6 +1,6 @@
-"""Unit tests for the :class:`PhaseWallClock` accounting.  End-to-end
-equivalence of the memoised validator with the serial loop lives in
-``test_validation_differential.py``.
+"""Unit tests for the :class:`PhaseWallClock` accounting.  Shared
+validation verdicts are checked against a lone replay and the isolation
+oracle in ``test_validation_differential.py``.
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
-"""Differential suite: memoised block validation equals the serial loop.
+"""Differential suite: shared validation verdicts equal a lone replay.
 
-The live network validates every block through the shared
-:class:`~repro.fabric.validation.BlockValidationMemo`.  After each
-seeded scenario the ordered block log is replayed into a fresh shadow
-peer with ``validate_and_commit(..., memo=None)`` — the transaction-by-
-transaction ``Peer._validate_serial`` oracle — and per-block validation
-codes, rebased write sets, chain tip hash and state root must equal the
-live peers'.  The workloads force MVCC conflicts (same-item transfers
-landing in one block, commutative bumps the occ backend rebases) so the
-memo's conflict handling is exercised on real blocks, not just the
-happy path.
+The live network validates every block through one shared
+:class:`~repro.fabric.validation.BlockValidationMemo`: the first peer
+computes the verdicts, the rest reuse them when their tip matches.
+After each seeded scenario the isolation oracle
+(:meth:`repro.faults.InvariantMonitor.assert_isolation`) must pass on
+the live run, and the ordered block log is replayed serially into a
+fresh shadow peer with ``validate_and_commit(..., memo=None)`` — the
+lone path catch-up and genesis replay take, a fresh memo per block with
+nothing shared — whose per-block validation codes, rebased write sets,
+chain tip hash and state root must equal the live peers'.  The
+workloads force MVCC conflicts (same-item transfers landing in one
+block, commutative bumps the occ backend rebases) so conflict handling
+is exercised on real blocks, not just the happy path.
 
 ``invoke_many`` intentionally changes *which* maintenance transactions
 exist (one coalesced merge per batch instead of one per request), so
@@ -29,6 +32,7 @@ import pytest
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
+from repro.faults import InvariantMonitor
 from repro.ledger import transaction as transaction_module
 from repro.views.encryption_based import EncryptionBasedManager
 from repro.views.hash_based import HashBasedManager
@@ -79,14 +83,11 @@ def _network(**overrides):
 
 
 def _assert_serial_replay_matches(network, live_results):
-    """Replay the ordered block log through the serial oracle.
-
-    A fresh shadow peer commits every block with ``memo=None`` — the
-    transaction-by-transaction loop — and must land exactly where the
-    live peers (the first filling each block's memo, the rest reusing
-    it) landed.
-    """
+    """The oracle passes, and a lone serial replay lands where the live
+    peers (the first filling each block's memo, the rest reusing its
+    verdicts) landed."""
     network.verify_convergence()
+    InvariantMonitor(network).assert_isolation()
     live = network.reference_peer
     shadow = live.empty_replica()
     replayed = [
