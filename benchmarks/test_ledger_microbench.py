@@ -31,6 +31,7 @@ import time
 from types import SimpleNamespace
 
 from repro.crypto.hashing import salted_hash
+from repro.fabric.peer import ValidationCode
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.merkle_state import IncrementalStateDigest, state_root
@@ -210,10 +211,11 @@ def _audit_chain_blocks(blocks: int, txs_per_block: int):
     return out
 
 
-def _verifier_over(chain: Blockchain, incremental: bool) -> ViewVerifier:
-    gateway = SimpleNamespace(
-        network=SimpleNamespace(reference_peer=SimpleNamespace(chain=chain))
-    )
+def _verifier_over(
+    chain: Blockchain, validation_codes: dict, incremental: bool
+) -> ViewVerifier:
+    peer = SimpleNamespace(chain=chain, validation_codes=validation_codes)
+    gateway = SimpleNamespace(network=SimpleNamespace(reference_peer=peer))
     return ViewVerifier(gateway, incremental=incremental)
 
 
@@ -230,8 +232,9 @@ def test_audit_cursor_speedup(record):
     chain = Blockchain("audit-bench")
     predicate = AttributeEquals("owner", "alice")
 
-    reference = _verifier_over(chain, incremental=False)
-    incremental = _verifier_over(chain, incremental=True)
+    codes = {tx.tid: ValidationCode.VALID for txs in batches for tx in txs}
+    reference = _verifier_over(chain, codes, incremental=False)
+    incremental = _verifier_over(chain, codes, incremental=True)
     served: set[str] = set()
     secrets: dict[str, bytes] = {}
 

@@ -256,6 +256,8 @@ class FabricNetwork:
         #: service).  Listener errors propagate — a broken listener is a
         #: programming error, not something to swallow.
         self._block_listeners: list = []
+        #: View managers over this channel; each registers itself.
+        self.view_managers: list = []
         #: The attached :class:`repro.faults.FaultInjector`, or ``None``.
         #: Only the client retry loop reads it; message faults reach
         #: the pipeline through :attr:`link`.

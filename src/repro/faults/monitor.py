@@ -4,8 +4,7 @@ The :class:`InvariantMonitor` watches a network for the properties that
 must hold *regardless of timing*: every transaction id appears in the
 ordered log exactly once (no retry may double-commit), the Raft group
 never commits a block digest twice, replicas converge to one tip hash
-and one world state once faults heal, audit verdicts match the
-fault-free run of the same seed, and — when the network runs with a
+and one world state once faults heal, and — when the network runs with a
 durable storage backend — no committed block or state write is lost
 across a restart (every peer's durable store must reproduce its live
 replica byte-for-byte).  The per-block check runs inside the
@@ -16,12 +15,21 @@ Isolation is checked too: MVCC validation in block order makes the
 valid transactions serializable in chain order (Meir et al.,
 PAPERS.md), and ``assert_isolation`` re-derives that fold on its own —
 the reference the peers' one validation loop is held to.
+
+So are the views (Prop 4.1 and revocation): every view manager
+registers itself with its network, and ``assert_views`` holds each of
+its views to :func:`~repro.views.verification.view_fold` — VALID
+``invoke`` transactions only; a rejected one joins no view.  A
+cross-shard view write puts a tid in a shard's view whose chain holds
+it only inside a 2PC record; that would read as foreign, and no
+monitor is built over a shard network.
 """
 
 from __future__ import annotations
 
 from repro.errors import (
     ChaincodeError,
+    DecryptionError,
     InvariantViolationError,
     LedgerError,
     StorageError,
@@ -30,6 +38,7 @@ from repro.fabric.chaincode import TxContext
 from repro.fabric.endorser import parse_rwset
 from repro.fabric.peer import ValidationCode
 from repro.ledger.statedb import StateDatabase, Version
+from repro.views.verification import conceals, view_fold
 
 
 class InvariantMonitor:
@@ -239,6 +248,143 @@ class InvariantMonitor:
             return None
         return ctx.write_set if set(ctx.write_set) == set(write_set) else None
 
+    def assert_views(self) -> None:
+        """Prop 4.1 and revocation hold for every view of every manager
+        registered with the network, judged from owner state and the
+        reference peer's chain alone (never from served responses).
+
+        Per view: the owner's ``V_ids`` contain the expected-set fold
+        (completeness); every other buffered tid is a VALID on-chain
+        transaction, i.e. a historical-access grant (soundness case 1);
+        the TxListContract's list plus the owner's unflushed batch is
+        the buffer; every buffered secret or key matches its on-chain
+        concealment (case 2).  Then revocation: in chain order, a
+        ``view-access`` transaction raises ``key_version`` exactly when
+        it drops a principal; the newest one grants ``record.authorized``
+        (off-chain grants excepted) at ``record.key_version``; and once
+        a key has rotated, the newest grant disseminates the current
+        ``K_V``, no earlier grant does, and every cached served entry
+        opens under it.
+        """
+        peer = self.network.reference_peer
+        for manager in self.network.view_managers:
+            # tid -> the buffered data already matched against the chain.
+            matched: dict = {}
+            for record in manager.buffer.all_views():
+                where = f"view {record.name!r} of {manager.owner.user_id!r}"
+                expected = {
+                    tid
+                    for _block, _valid, tids in view_fold(peer, record.predicate)
+                    for tid in tids
+                }
+                buffered = set(record.tids)
+                omitted = sorted(expected - buffered)
+                foreign = sorted(
+                    tid
+                    for tid in buffered - expected
+                    if peer.validation_codes.get(tid) is not ValidationCode.VALID
+                )
+                if omitted or foreign:
+                    raise InvariantViolationError(
+                        f"view violation: {where} omits {omitted[:5]}; it "
+                        f"buffers {foreign[:5]}, which are not VALID on chain"
+                    )
+                if manager.txlist is not None:
+                    tids, extra = manager.txlist.unflushed()
+                    listed = set(manager.txlist.get_list(record.name))
+                    listed.update(tid for tid in tids if tid in expected)
+                    listed.update(tid for view, tid in extra if view == record.name)
+                    if listed != buffered:
+                        raise InvariantViolationError(
+                            f"view violation: {where}'s TxListContract list "
+                            "and unflushed batch differ from its buffer"
+                        )
+                for tid in buffered:
+                    if matched.get(tid) == record.data[tid]:
+                        continue
+                    processed = manager._processed_from_buffer(record, tid)
+                    key = processed.tx_key
+                    if not conceals(
+                        peer.chain.get_transaction(tid),
+                        manager.concealment,
+                        processed.plaintext if key is None else None,
+                        key,
+                    ):
+                        raise InvariantViolationError(
+                            f"view violation: {where} buffers data for "
+                            f"{tid!r} that does not match the chain"
+                        )
+                    matched[tid] = record.data[tid]
+                self._assert_revocation(manager, record, where)
+
+    def _assert_revocation(self, manager, record, where: str) -> None:
+        chain = self.network.reference_peer.chain
+        access = [
+            chain.get_transaction(tid).nonsecret["public"]
+            for tid in sorted(
+                manager.access_tx_ids.get(record.name, []), key=chain.locate
+            )
+        ]
+        for prev, cur in zip(access, access[1:]):
+            raised = cur["key_version"] - prev["key_version"]
+            if raised < 0 or (raised > 0) != bool(
+                set(prev["grants"]) - set(cur["grants"])
+            ):
+                raise InvariantViolationError(
+                    f"revocation violation: {where} moves key_version from "
+                    f"{prev['key_version']} to {cur['key_version']} while "
+                    f"granting {sorted(cur['grants'])}"
+                )
+        newest = access[-1] if access else {"grants": {}, "key_version": 0}
+        granted, authorized = set(newest["grants"]), set(record.authorized)
+        if (
+            newest["key_version"] != record.key_version
+            or not granted <= authorized
+            or not authorized - granted <= record.offchain
+        ):
+            raise InvariantViolationError(
+                f"revocation violation: {where} authorizes "
+                f"{sorted(authorized)} at key_version {record.key_version}, "
+                f"its newest access transaction {sorted(granted)} at "
+                f"{newest['key_version']}"
+            )
+        if record.key_version == 0:
+            return
+        keys = {public["key_version"]: public for public in access}
+        current = record.key.to_bytes()
+        for version, public in keys.items():
+            disseminated = self._disseminated_key(public["grants"])
+            is_current = version == record.key_version
+            if disseminated is not None and (disseminated == current) != is_current:
+                raise InvariantViolationError(
+                    f"revocation violation: {where}'s K_V (key_version "
+                    f"{record.key_version}) should "
+                    f"{'be' if is_current else 'differ from'} the key "
+                    f"disseminated at key_version {version}"
+                )
+        for _data, entry in record.served_entries().values():
+            try:
+                record.key.decrypt(bytes.fromhex(entry))
+            except DecryptionError as exc:
+                raise InvariantViolationError(
+                    f"revocation violation: {where} caches a served entry "
+                    "that the current K_V does not open"
+                ) from exc
+
+    def _disseminated_key(self, grants: dict[str, str]) -> bytes | None:
+        """The view key one of ``grants`` seals, opened with its
+        principal's private key; None when no principal's key opens it
+        (a role key reissued since, say)."""
+        msp = self.network.msp
+        for principal, sealed in sorted(grants.items()):
+            if principal not in msp:
+                continue
+            try:
+                return msp.get(principal).decrypt(bytes.fromhex(sealed))
+            except DecryptionError:
+                continue
+        return None
+
     def check(self) -> None:
         """The full post-heal safety check."""
         self.assert_exactly_once()
@@ -246,16 +392,4 @@ class InvariantMonitor:
         self.assert_convergence()
         self.assert_durability()
         self.assert_isolation()
-
-    @staticmethod
-    def assert_audits_match(baseline: dict, observed: dict) -> None:
-        """Audit verdicts must equal the fault-free run's, key by key."""
-        if baseline != observed:
-            drifted = sorted(
-                key
-                for key in set(baseline) | set(observed)
-                if baseline.get(key) != observed.get(key)
-            )
-            raise InvariantViolationError(
-                f"audit verdicts drifted from the fault-free run: {drifted}"
-            )
+        self.assert_views()

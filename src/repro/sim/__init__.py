@@ -27,7 +27,7 @@ Example
 from repro.sim.core import Environment, Event, Interrupt, Process, Timeout
 from repro.sim.faults import FaultDecision, MessageFaultModel, MessageFaultRule
 from repro.sim.monitor import Counter, TimeSeries
-from repro.sim.resources import Container, Link, Resource, Store
+from repro.sim.resources import Link, Resource, Store
 
 __all__ = [
     "Environment",
@@ -37,7 +37,6 @@ __all__ = [
     "Interrupt",
     "Resource",
     "Store",
-    "Container",
     "Link",
     "Counter",
     "TimeSeries",

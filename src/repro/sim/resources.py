@@ -4,8 +4,6 @@
   on peers/orderers, 2PC coordinator locks, ...).
 - :class:`Store` — an unbounded (or bounded) FIFO item buffer (models
   message queues between network components).
-- :class:`Container` — a continuous-level reservoir (not used by the
-  Fabric model directly but part of the standard kernel surface).
 - :class:`Link` — the reliable message hop between named nodes; the
   seam a fault injector substitutes itself at.
 """
@@ -123,69 +121,6 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-
-class Container:
-    """A continuous-level reservoir supporting blocking put/get of amounts."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        initial: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise SimulationError("container capacity must be positive")
-        if not 0 <= initial <= capacity:
-            raise SimulationError("initial level must lie within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = initial
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current fill level."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Event firing once ``amount`` has been added."""
-        if amount <= 0:
-            raise SimulationError("put amount must be positive")
-        event = Event(self.env)
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Event firing once ``amount`` has been withdrawn."""
-        if amount <= 0:
-            raise SimulationError("get amount must be positive")
-        event = Event(self.env)
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        """Fulfil queued puts/gets in FIFO order while possible."""
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._putters.popleft()
-                    event.succeed()
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self._level >= amount:
-                    self._level -= amount
-                    self._getters.popleft()
-                    event.succeed()
-                    progressed = True
 
 
 class Link:

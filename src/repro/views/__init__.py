@@ -30,7 +30,6 @@ from repro.views.predicates import (
     Predicate,
     predicate_from_descriptor,
 )
-from repro.views.auditor import AuditReport, ViewAuditor
 from repro.views.rbac import RBACAuthority, Role
 from repro.views.state_proofs import StateProofService, ViewEntryProof
 from repro.views.types import Concealment, ViewMode
@@ -57,8 +56,6 @@ __all__ = [
     "Role",
     "ViewVerifier",
     "UnmaintainedView",
-    "ViewAuditor",
-    "AuditReport",
     "StateProofService",
     "ViewEntryProof",
 ]

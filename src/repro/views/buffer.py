@@ -35,6 +35,9 @@ class ViewRecord:
     data: dict[str, Any] = field(default_factory=dict, repr=False)
     #: Currently authorized principals: user or role id → public key.
     authorized: dict[str, Any] = field(default_factory=dict, repr=False)
+    #: Principals granted over a secure channel: authorized, but named
+    #: in no ``view-access`` transaction until the next one is published.
+    offchain: set[str] = field(init=False, default_factory=set, repr=False)
     #: ``(K_V, {tid: (buffered data, hex of enc(entry, K_V))})`` — what
     #: queries have served under ``key``; see :meth:`served_entries`.
     _served: tuple[Any, dict[str, tuple[Any, str]]] = field(

@@ -31,6 +31,7 @@ from repro.errors import (
 )
 from repro.fabric.endorser import Proposal
 from repro.fabric.network import CommitNotice, Gateway
+from repro.fabric.peer import ValidationCode
 from repro.ledger.transaction import fresh_tid
 from repro.ledger.transaction import Transaction
 from repro.views.buffer import ViewBuffer, ViewRecord
@@ -122,6 +123,9 @@ class ViewManager(ABC):
     ):
         self.gateway = gateway
         self.owner = gateway.user
+        # Registered with its network, whose InvariantMonitor holds
+        # every view of every registered manager to the view oracle.
+        gateway.network.view_managers.append(self)
         self.msp = gateway.network.msp
         self.business_chaincode = business_chaincode
         self.buffer = ViewBuffer()
@@ -306,12 +310,19 @@ class ViewManager(ABC):
 
         A client-side MVCC retry (config.mvcc_retry_attempts)
         re-endorses under a fresh transaction id, so everything follows
-        ``notice.tid`` — the id that actually committed.
+        ``notice.tid`` — the id that actually committed.  A request the
+        peers rejected joins no view: its outcome is returned, but
+        nothing of it is buffered, merged, listed or retained.
         """
+        committed = [
+            (notice, entry)
+            for notice, entry in zip(notices, staged)
+            if notice.code is ValidationCode.VALID
+        ]
         # Retain all processed secrets before applying extra views, so a
         # request can grant historical access to an earlier transaction
         # of the same batch.
-        for notice, (_inv, processed, _matching, _proposal) in zip(notices, staged):
+        for notice, (_inv, processed, _matching, _proposal) in committed:
             self._retained[notice.tid] = processed
             self._after_commit(notice.tid, processed)
 
@@ -319,6 +330,9 @@ class ViewManager(ABC):
         outcomes = []
         for notice, (inv, processed, matching, proposal) in zip(notices, staged):
             tid = notice.tid
+            if notice.code is not ValidationCode.VALID:
+                outcomes.append(InvokeOutcome(tid, notice, [], processed))
+                continue
             for record in matching:
                 self.insert_into_view(record, tid, processed)
             historical, assignments = self._apply_extra_views(inv.extra_views)
@@ -528,6 +542,7 @@ class ViewManager(ABC):
                 f"{principal_id!r} has no access to view {view_name!r}"
             )
         del record.authorized[principal_id]
+        record.offchain.discard(principal_id)
         record.key = SymmetricKey.generate()
         record.key_version += 1
         return self._publish_access_async(record, dict(record.authorized))
@@ -584,6 +599,7 @@ class ViewManager(ABC):
         record = self.buffer.get(view_name)
         public_key = self.msp.public_key_of(principal_id)
         record.authorized[principal_id] = public_key
+        record.offchain.add(principal_id)
         payload = json.dumps(
             {
                 "view": view_name,
@@ -616,6 +632,7 @@ class ViewManager(ABC):
             "tids": list(record.tids),
             "data": {tid: encode_value(v) for tid, v in record.data.items()},
             "authorized": sorted(record.authorized),
+            "offchain": sorted(record.offchain),
             "access_tx_ids": list(self.access_tx_ids.get(view_name, [])),
         }
         recipient_key = self.msp.public_key_of(recipient_id)
@@ -648,6 +665,7 @@ class ViewManager(ABC):
                 if principal in self.msp
             },
         )
+        record.offchain.update(bundle["offchain"])
         self.buffer.add(record)
         self.access_tx_ids[record.name] = list(bundle["access_tx_ids"])
         # Retain per-transaction data so future extra-view grants work.

@@ -416,6 +416,11 @@ class TxListService:
             ]
         )
 
+    def unflushed(self) -> tuple[list[str], list[list[str]]]:
+        """Business tids and ``[view, tid]`` grants recorded since the
+        last flush."""
+        return [tid for tid, _nonsecret in self._pending], self._pending_extra
+
     def get_list(self, view: str) -> list[str]:
         """Query the on-chain list for a view."""
         return self.gateway.query(CHAINCODE_NAME, "get_list", {"view": view})

@@ -18,12 +18,12 @@ completeness test of §4.7 from the other direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.fabric.network import FabricNetwork
 from repro.ledger.transaction import Transaction
 from repro.views.datalog import DatalogViewQuery
-from repro.views.predicates import Predicate
+from repro.views.predicates import Everything, Predicate
+from repro.views.verification import view_fold
 
 
 @dataclass(frozen=True)
@@ -59,33 +59,31 @@ class UnmaintainedView:
         self.name = name
         self.definition = definition
 
-    def _candidate_transactions(
-        self, network: FabricNetwork, upto_time: float | None
-    ) -> Iterable[Transaction]:
-        for block in network.reference_peer.chain:
-            if upto_time is not None and block.header.timestamp > upto_time:
-                break
-            for tx in block.transactions:
-                if tx.kind == "invoke":
-                    yield tx
-
     def evaluate(
         self, network: FabricNetwork, upto_time: float | None = None
     ) -> UnmaintainedResult:
-        """Run the view query against the ledger as of ``upto_time``."""
-        candidates = list(self._candidate_transactions(network, upto_time))
-        if isinstance(self.definition, DatalogViewQuery):
-            tids = self.definition.evaluate(candidates)
-            ordered = tuple(tx.tid for tx in candidates if tx.tid in tids)
-        else:
-            ordered = tuple(
-                tx.tid
-                for tx in candidates
-                if self.definition.matches(tx.nonsecret.get("public", {}))
-            )
+        """Run the view query against the ledger as of ``upto_time``.
+
+        The candidates are the VALID ``invoke`` transactions of
+        :func:`~repro.views.verification.view_fold`; a rejected
+        transaction is in no view, maintained or not.
+        """
+        datalog = isinstance(self.definition, DatalogViewQuery)
+        candidates: list[Transaction] = []
+        ordered: list[str] = []
+        for _block, valid, tids in view_fold(
+            network.reference_peer,
+            Everything() if datalog else self.definition,
+            upto_time=upto_time,
+        ):
+            candidates.extend(valid)
+            ordered.extend(tids)
+        if datalog:
+            chosen = self.definition.evaluate(candidates)
+            ordered = [tx.tid for tx in candidates if tx.tid in chosen]
         return UnmaintainedResult(
             view=self.name,
-            tids=ordered,
+            tids=tuple(ordered),
             evaluated_at=network.env.now if upto_time is None else upto_time,
             transactions_scanned=len(candidates),
         )

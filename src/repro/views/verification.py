@@ -16,6 +16,16 @@ access to the view and the ledger can detect all three:
   which is much cheaper (one list fetch instead of one ledger access
   per transaction — the asymmetry measured in Fig 12).
 
+What *should* be in a view is one fold, :func:`view_fold`: the VALID
+``invoke`` transactions of the reference peer's chain, in chain order,
+whose ``nonsecret["public"]`` satisfies the predicate.  A transaction
+the peers rejected (an MVCC conflict, say) joins no view — the owner
+does not buffer it and no reader expects it.  The verifier's scans,
+:class:`~repro.views.unmaintained.UnmaintainedView` and the view oracle
+:meth:`repro.faults.InvariantMonitor.assert_views` all call it; the
+oracle finds its owners because every view manager registers itself
+with its network.
+
 The verifier also keeps a simulated-time cost model (ledger accesses
 dominate; local crypto is cheap) that the Fig 12 benchmark reads.
 
@@ -48,10 +58,50 @@ from repro.errors import (
     VerificationError,
 )
 from repro.fabric.network import Gateway
+from repro.fabric.peer import ValidationCode
 from repro.views.manager import QueryResult
 from repro.views.predicates import Predicate
 from repro.views.txlist_contract import CHAINCODE_NAME as TXLIST_CHAINCODE
 from repro.views.types import Concealment
+
+
+def view_fold(peer, predicate: Predicate, start: int = 0, upto_time=None):
+    """The expected set of a view, folded from ``peer``'s chain.
+
+    Yields, per block from ``start`` in chain order and up to the first
+    block stamped later than ``upto_time``: the block, its VALID
+    ``invoke`` transactions, and the ids of those whose
+    ``nonsecret["public"]`` satisfies ``predicate``.
+    """
+    codes = peer.validation_codes
+    for block in peer.chain.blocks_from(start):
+        if upto_time is not None and block.header.timestamp > upto_time:
+            return
+        valid = [
+            tx
+            for tx in block.transactions
+            if tx.kind == "invoke" and codes.get(tx.tid) is ValidationCode.VALID
+        ]
+        yield block, valid, [
+            tx.tid
+            for tx in valid
+            if predicate.matches(tx.nonsecret.get("public", {}))
+        ]
+
+
+def conceals(tx, concealment: Concealment, secret: bytes | None, tx_key) -> bool:
+    """Whether ``tx``'s on-chain concealment matches: ``secret`` against
+    the salted hash, or ``tx_key`` decrypting the ciphertext (to
+    ``secret``, unless that is None)."""
+    if concealment is Concealment.HASH:
+        return verify_salted_hash(secret, tx.salt, tx.concealed)
+    if tx_key is None:
+        return False
+    try:
+        plaintext = tx_key.decrypt(tx.concealed)
+    except DecryptionError:
+        return False
+    return secret is None or plaintext == secret
 
 
 @dataclass
@@ -147,8 +197,12 @@ class ViewVerifier:
         self._soundness_cache: dict[tuple, bool] = {}
 
     @property
+    def _peer(self):
+        return self.gateway.network.reference_peer
+
+    @property
     def _chain(self):
-        return self.gateway.network.reference_peer.chain
+        return self._peer.chain
 
     @staticmethod
     def _definition_key(view_name: str, predicate: Predicate) -> tuple[str, str]:
@@ -217,13 +271,14 @@ class ViewVerifier:
                 continue
             public = tx.nonsecret.get("public", {})
             local += 1
-            if not predicate.matches(public):
+            valid = self._peer.validation_codes.get(tid) is ValidationCode.VALID
+            if not (valid and predicate.matches(public)):
                 violations.append(tid)  # case 1: does not belong in the view
                 if cache_key is not None:
                     self._soundness_cache[cache_key] = False
                 continue
             local += 1
-            sound = self._concealment_ok(tx, tid, secret, result, concealment)
+            sound = conceals(tx, concealment, secret, result.tx_keys.get(tid))
             if not sound:
                 violations.append(tid)  # case 2: corrupted data or key
             if cache_key is not None:
@@ -237,24 +292,6 @@ class ViewVerifier:
             ledger_accesses=accesses,
             cost_ms=accesses * self.ledger_access_ms + local * self.local_check_ms,
         )
-
-    def _concealment_ok(
-        self,
-        tx,
-        tid: str,
-        secret: bytes,
-        result: QueryResult,
-        concealment: Concealment,
-    ) -> bool:
-        if concealment is Concealment.HASH:
-            return verify_salted_hash(secret, tx.salt, tx.concealed)
-        tx_key = result.tx_keys.get(tid)
-        if tx_key is None:
-            return False
-        try:
-            return tx_key.decrypt(tx.concealed) == secret
-        except DecryptionError:
-            return False
 
     # -- completeness -------------------------------------------------------------
 
@@ -297,16 +334,13 @@ class ViewVerifier:
                 self._soundness_cache.clear()
             accesses = 0
             local = 0
-            for block in self._chain.blocks_from(cursor.next_block):
+            for block, valid, tids in view_fold(
+                self._peer, predicate, start=cursor.next_block
+            ):
                 accesses += 1
-                for tx in block.transactions:
-                    if tx.kind != "invoke":
-                        continue
-                    local += 1
-                    public = tx.nonsecret.get("public", {})
-                    if predicate.matches(public):
-                        cursor.timestamps.append(block.header.timestamp)
-                        cursor.tids.append(tx.tid)
+                local += len(valid)
+                cursor.timestamps.extend([block.header.timestamp] * len(tids))
+                cursor.tids.extend(tids)
                 cursor.next_block = block.number + 1
                 cursor.anchor_hash = block.hash()
             if upto_time is None:
@@ -321,17 +355,12 @@ class ViewVerifier:
             expected = set()
             accesses = 0
             local = 0
-            for block in self._chain:
-                if upto_time is not None and block.header.timestamp > upto_time:
-                    break
+            for _block, valid, tids in view_fold(
+                self._peer, predicate, upto_time=upto_time
+            ):
                 accesses += 1
-                for tx in block.transactions:
-                    if tx.kind != "invoke":
-                        continue
-                    local += 1
-                    public = tx.nonsecret.get("public", {})
-                    if predicate.matches(public):
-                        expected.add(tx.tid)
+                local += len(valid)
+                expected.update(tids)
         missing = sorted(expected - served_tids)
         return VerificationReport(
             check="completeness",

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import salted_hash
 from repro.errors import MerkleProofError
+from repro.fabric.peer import ValidationCode
 from repro.ledger.block import Block
 from repro.ledger.chain import Blockchain
 from repro.ledger.merkle_state import (
@@ -163,18 +164,22 @@ def test_scan_and_keys_identical_to_a_full_sort(batches, prefixes):
 # --- audit verdict equivalence ------------------------------------------------
 
 owners = st.sampled_from(["alice", "bob", "carol"])
+# Rejected invoke transactions are on chain too, and join no view.
+codes = st.sampled_from([ValidationCode.VALID] * 3 + [ValidationCode.MVCC_CONFLICT])
 tx_batches = st.lists(
-    st.lists(owners, min_size=1, max_size=5), min_size=1, max_size=8
+    st.lists(st.tuples(owners, codes), min_size=1, max_size=5),
+    min_size=1,
+    max_size=8,
 )
 
 
-def _build_chain(batch_owners) -> tuple[Blockchain, list[Transaction]]:
+def _build_chain(batch_owners) -> tuple[Blockchain, dict[str, ValidationCode]]:
     chain = Blockchain("prop-audit")
-    txs: list[Transaction] = []
+    validation_codes: dict[str, ValidationCode] = {}
     tid = 0
     for number, owners_in_block in enumerate(batch_owners):
         block_txs = []
-        for owner in owners_in_block:
+        for owner, code in owners_in_block:
             tid += 1
             salt = f"s{tid}".encode()
             block_txs.append(
@@ -186,6 +191,7 @@ def _build_chain(batch_owners) -> tuple[Blockchain, list[Transaction]]:
                     salt=salt,
                 )
             )
+            validation_codes[block_txs[-1].tid] = code
         chain.append(
             Block.build(
                 number=number,
@@ -195,13 +201,18 @@ def _build_chain(batch_owners) -> tuple[Blockchain, list[Transaction]]:
                 timestamp=float(number),
             )
         )
-        txs.extend(block_txs)
-    return chain, txs
+    return chain, validation_codes
 
 
-def _gateway(chain: Blockchain) -> SimpleNamespace:
-    return SimpleNamespace(
-        network=SimpleNamespace(reference_peer=SimpleNamespace(chain=chain))
+def _gateway(chain: Blockchain, validation_codes) -> SimpleNamespace:
+    peer = SimpleNamespace(chain=chain, validation_codes=validation_codes)
+    return SimpleNamespace(network=SimpleNamespace(reference_peer=peer))
+
+
+def _in_view(tx, validation_codes) -> bool:
+    return (
+        tx.nonsecret["public"]["owner"] == "alice"
+        and validation_codes[tx.tid] is ValidationCode.VALID
     )
 
 
@@ -217,25 +228,28 @@ def test_audit_verdicts_identical(batch_owners, omit, corrupt, horizon, data):
     """Incremental verifier == fresh reference verifier, on every report
     field that is a verdict (ok/checked/violations/missing), across
     repeated audits of a growing chain — including dishonest servings
-    (omissions, corrupted secrets) and ``upto_time`` horizons.
+    (omissions, corrupted secrets, rejected transactions served) and
+    ``upto_time`` horizons, over chains that carry rejected invoke
+    transactions.
     """
     chain = Blockchain("prop-audit")
-    incremental = ViewVerifier(_gateway(chain), incremental=True)
+    full_chain, validation_codes = _build_chain(batch_owners)
+    incremental = ViewVerifier(_gateway(chain, validation_codes), incremental=True)
     predicate = AttributeEquals("owner", "alice")
 
-    full_chain, _ = _build_chain(batch_owners)
     cut = data.draw(
         st.integers(min_value=1, max_value=len(batch_owners)), label="cut"
     )
+    rejected_served = data.draw(st.booleans(), label="rejected_served")
     for stage_end in (cut, len(batch_owners)):
         while chain.height < stage_end:
             chain.append(full_chain.block(chain.height))
-        matching = [
-            tx
+        served = {
+            tx.tid: f"sec{int(tx.tid.split('-')[1])}".encode()
             for tx in chain.transactions()
-            if tx.nonsecret["public"]["owner"] == "alice"
-        ]
-        served = {tx.tid: f"sec{int(tx.tid.split('-')[1])}".encode() for tx in matching}
+            if _in_view(tx, validation_codes)
+            or (rejected_served and tx.nonsecret["public"]["owner"] == "alice")
+        }
         if served and omit:
             dropped = sorted(served)[omit % len(served)]
             del served[dropped]
@@ -244,7 +258,8 @@ def test_audit_verdicts_identical(batch_owners, omit, corrupt, horizon, data):
         result = QueryResult(
             view="w", key_version=0, secrets=served, tx_keys={}
         )
-        reference = ViewVerifier(_gateway(chain))  # fresh: rescans everything
+        # fresh: rescans everything
+        reference = ViewVerifier(_gateway(chain, validation_codes))
         ref_c = reference.verify_completeness(
             "w", predicate, set(served), upto_time=horizon
         )
@@ -263,6 +278,9 @@ def test_audit_verdicts_identical(batch_owners, omit, corrupt, horizon, data):
             inc_s.checked,
             inc_s.violations,
         )
+        assert {
+            tid for tid in served if validation_codes[tid] is not ValidationCode.VALID
+        } <= set(ref_s.violations)
 
 
 @given(batch_owners=tx_batches)
@@ -270,14 +288,12 @@ def test_audit_verdicts_identical(batch_owners, omit, corrupt, horizon, data):
 def test_repeat_audit_costs_only_new_work(batch_owners):
     """Re-auditing an unchanged chain costs an incremental verifier
     zero ledger accesses; the verdict still matches the reference."""
-    chain, _ = _build_chain(batch_owners)
+    chain, validation_codes = _build_chain(batch_owners)
     predicate = AttributeEquals("owner", "alice")
     served = {
-        tx.tid
-        for tx in chain.transactions()
-        if tx.nonsecret["public"]["owner"] == "alice"
+        tx.tid for tx in chain.transactions() if _in_view(tx, validation_codes)
     }
-    verifier = ViewVerifier(_gateway(chain), incremental=True)
+    verifier = ViewVerifier(_gateway(chain, validation_codes), incremental=True)
     first = verifier.verify_completeness("w", predicate, served)
     again = verifier.verify_completeness("w", predicate, served)
     assert first.ok and again.ok

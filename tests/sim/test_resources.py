@@ -1,9 +1,9 @@
-"""Tests for Resource, Store, and Container."""
+"""Tests for Resource and Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_capacity_limits_concurrency():
@@ -153,46 +153,3 @@ def test_store_items_snapshot():
     store.put(2)
     assert store.items == [1, 2]
     assert len(store) == 2
-
-
-def test_container_levels():
-    env = Environment()
-    container = Container(env, capacity=10, initial=5)
-    container.get(3)
-    assert container.level == 2
-    container.put(8)
-    assert container.level == 10
-
-
-def test_container_get_blocks_until_level():
-    env = Environment()
-    container = Container(env, capacity=10)
-    log = []
-
-    def taker(env):
-        yield container.get(4)
-        log.append(env.now)
-
-    def filler(env):
-        yield env.timeout(3)
-        yield container.put(2)
-        yield env.timeout(3)
-        yield container.put(2)
-
-    env.process(taker(env))
-    env.process(filler(env))
-    env.run()
-    assert log == [6]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Container(env, capacity=0)
-    with pytest.raises(SimulationError):
-        Container(env, capacity=5, initial=6)
-    container = Container(env, capacity=5)
-    with pytest.raises(SimulationError):
-        container.put(0)
-    with pytest.raises(SimulationError):
-        container.get(-1)

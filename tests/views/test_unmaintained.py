@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fabric.network import Gateway
+from repro.fabric.peer import ValidationCode
 from repro.views.datalog import DatalogViewQuery
 from repro.views.hash_based import HashBasedManager
 from repro.views.predicates import AttributeEquals
@@ -91,3 +92,45 @@ def test_datalog_definition(populated):
     view = UnmaintainedView("w1-datalog", query)
     result = view.evaluate(network)
     assert set(result.tids) == {outcomes[0].tid, outcomes[2].tid}
+
+
+def _delivery_to_w1() -> DatalogViewQuery:
+    return DatalogViewQuery(
+        'v(T) :- delivery(T, F, "W1").',
+        query="v",
+        extract_facts=lambda tx: [
+            ("delivery", (tx.tid, None, tx.nonsecret["public"].get("to")))
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "definition",
+    [AttributeEquals("to", "W1"), _delivery_to_w1()],
+    ids=["predicate", "datalog"],
+)
+def test_rejected_transactions_are_in_no_view(populated, definition):
+    """A chain carrying an MVCC-conflicted invoke: the unmaintained view
+    neither scans nor returns it, and agrees with the maintained one."""
+    network, manager, outcomes = populated
+    env = network.env
+    racing = [
+        manager.invoke_with_secret_async(
+            "create_item",
+            {"item": "dup", "owner": "W1"},
+            {"item": "dup", "from": None, "to": "W1", "access": ["W1"]},
+            b"s",
+        )
+        for _ in range(2)
+    ]
+    raced = env.run(until=env.all_of(racing))
+    rejected = [o.tid for o in raced if o.notice.code is not ValidationCode.VALID]
+    committed = [o.tid for o in raced if o.notice.code is ValidationCode.VALID]
+    assert len(rejected) == len(committed) == 1
+    assert network.reference_peer.chain.has_transaction(rejected[0])
+    view = UnmaintainedView("to-w1", definition)
+    result = view.evaluate(network)
+    assert set(result.tids) == {outcomes[0].tid, outcomes[2].tid, committed[0]}
+    assert result.transactions_scanned == 5
+    maintained = set(manager.buffer.get("w1").data)
+    assert view.diff_against_maintained(network, maintained) == (set(), set())
