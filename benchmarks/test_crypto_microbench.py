@@ -8,12 +8,17 @@ in how fast the Python runs.  Whole-workload host numbers belong to
 
 Layers measured:
 
-- raw AES block encryption (reference byte-slice rounds vs. T-tables),
-- the CTR keystream for one query's sealed body (470 blocks): the numpy
-  byte-state kernel vs. the scalar T-table loop,
+- raw AES block encryption (reference byte-slice rounds vs. the lane
+  kernel at one block),
+- the CTR keystream of one seal (7 blocks) and of one query's sealed
+  body (470 blocks): the lane-parallel kernel vs. the reference
+  :class:`AES` one block at a time,
 - the authenticated envelope ``modes.encrypt``/``decrypt`` (key-schedule
   cache plus batched CTR) against the same envelope built from the
   reference :class:`AES` one block at a time,
+- one 72-byte seal under a fresh key, as every transaction's secret part
+  is sealed under its own ``K_i`` (subkeys, key schedule, CTR and MAC
+  all cold),
 - a 32-entry revocable-view query, cold (every entry encrypted under a
   fresh ``K_V``) vs. warm (served from the entries already encrypted
   under it), with the exact encryption counts,
@@ -33,7 +38,6 @@ import secrets
 import time
 
 from repro import build_network
-from repro.crypto import aes
 from repro.crypto import backend as crypto_backend
 from repro.crypto import modes, rsa
 from repro.crypto.aes import AES, AESFast
@@ -52,7 +56,9 @@ _DESCRIPTION = "crypto fast path vs its reference oracle; wall-clock, ratios mat
 #: Floors from the acceptance criteria, asserted with no extra margin so
 #: slow CI machines do not flake (measured headroom is large; see JSON).
 ENVELOPE_MIN_SPEEDUP = 5.0
-CTR_VECTOR_MIN_SPEEDUP = 5.0
+#: A per-block loop over the same rounds clears 4-6x; the lane kernel
+#: clears about 20x at 7 blocks and over 50x at 470.
+CTR_MIN_SPEEDUP = 10.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -71,7 +77,8 @@ def _fresh_caches() -> None:
 
 
 def test_aes_block_transform(record):
-    """Raw single-block encryption: T-tables vs. byte-slice reference."""
+    """Raw single-block encryption: the lane kernel at one block vs. the
+    byte-slice reference."""
     key = secrets.token_bytes(16)
     block = secrets.token_bytes(16)
     reference, fast = AES(key), AESFast(key)
@@ -88,25 +95,37 @@ def test_aes_block_transform(record):
     assert t_fast < t_ref
 
 
-def test_ctr_keystream_vector_kernel(record):
-    """470 CTR blocks (one query's ~7.5 KB sealed body): numpy vs scalar."""
-    cipher = AESFast(secrets.token_bytes(32))
+def test_ctr_keystream(record):
+    """CTR keystream of one seal (7 blocks) and one query's ~7.5 KB sealed
+    body (470 blocks): the lane kernel vs. the reference block loop."""
+    key = secrets.token_bytes(16)
+    reference, fast = AES(key), AESFast(key)
     counter = secrets.randbits(128)
-    n = 470
-    assert aes._load_numpy(), "numpy is required for the vector kernel"
-    assert cipher._ctr_keystream_np(counter, n) == cipher._ctr_keystream_py(counter, n)
-    t_scalar = _best_of(lambda: cipher._ctr_keystream_py(counter, n), 5)
-    t_vector = _best_of(lambda: cipher._ctr_keystream_np(counter, n), 20)
-    speedup = t_scalar / t_vector
-    record("crypto", _DESCRIPTION, {"ctr_keystream_470": {
-        "scalar_us_per_block": round(t_scalar / n * 1e6, 2),
-        "vector_us_per_block": round(t_vector / n * 1e6, 2),
-        "speedup": round(speedup, 1),
-        "min_required": CTR_VECTOR_MIN_SPEEDUP,
+
+    def reference_keystream(n: int) -> bytes:
+        return b"".join(
+            reference.encrypt_block(((counter + i) % (1 << 128)).to_bytes(16, "big"))
+            for i in range(n)
+        )
+
+    rows = {}
+    for n, repeats in ((7, 200), (470, 3)):
+        assert fast.ctr_keystream(counter, n) == reference_keystream(n)
+        t_ref = _best_of(lambda: [reference_keystream(n) for _ in range(repeats)], 3)
+        t_fast = _best_of(lambda: [fast.ctr_keystream(counter, n) for _ in range(repeats)], 5)
+        rows[n] = {
+            "reference_us_per_block": round(t_ref / repeats / n * 1e6, 2),
+            "fast_us_per_block": round(t_fast / repeats / n * 1e6, 2),
+            "speedup": round(t_ref / t_fast, 1),
+        }
+    record("crypto", _DESCRIPTION, {"ctr_keystream": {
+        **{f"{field}_{n}": value for n, row in rows.items() for field, value in row.items()},
+        "min_required": CTR_MIN_SPEEDUP,
     }})
-    assert speedup >= CTR_VECTOR_MIN_SPEEDUP, (
-        f"vector CTR speedup {speedup:.1f}x below {CTR_VECTOR_MIN_SPEEDUP}x"
-    )
+    for n, row in rows.items():
+        assert row["speedup"] >= CTR_MIN_SPEEDUP, (
+            f"CTR speedup at {n} blocks {row['speedup']}x below {CTR_MIN_SPEEDUP}x"
+        )
 
 
 def _oracle_seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
@@ -160,6 +179,25 @@ def test_envelope_seal_open_speedup(record):
     )
 
 
+def test_seal_72_fresh_key(record):
+    """One 72-byte seal under a key never seen before: what each secret
+    part costs (the mean write-path seal is about this long)."""
+    plaintext = secrets.token_bytes(72)
+    n = 200
+
+    def seal_fresh() -> float:
+        keys = [SymmetricKey.generate() for _ in range(n)]
+        t0 = time.perf_counter()
+        for key in keys:
+            key.encrypt(plaintext)
+        return time.perf_counter() - t0
+
+    t_fresh = min(seal_fresh() for _ in range(5))
+    record("crypto", _DESCRIPTION, {"seal_72_fresh_key": {
+        "fresh_key_us": round(t_fresh / n * 1e6, 1),
+    }})
+
+
 def test_view_query_cold_vs_warm(record, monkeypatch):
     """A 32-entry ER query: every entry encrypted under a fresh ``K_V``
     (cold) vs. served from the entries already encrypted under it."""
@@ -197,7 +235,7 @@ def test_view_query_cold_vs_warm(record, monkeypatch):
         view.key = SymmetricKey.generate()  # what a revocation does
         assert query() == 32
 
-    query()  # the first seal imports numpy; keep it out of both legs
+    query()  # the first query draws the reader's keypair; keep it out of both legs
     t_cold = _best_of(cold, 5)
     t_warm = _best_of(lambda: query(), 5)
     warm_encryptions = query()

@@ -17,8 +17,8 @@ Public surface
 
 Fast path and oracle
 --------------------
-Sealing runs on the T-table :class:`~repro.crypto.aes.AESFast` behind a
-key-schedule cache (:mod:`repro.crypto.backend`); the auditable
+Sealing runs on the lane-parallel :class:`~repro.crypto.aes.AESFast`
+behind a key-schedule cache (:mod:`repro.crypto.backend`); the auditable
 :class:`~repro.crypto.aes.AES` is the oracle the differential tests
 compare it against (``docs/PERFORMANCE.md``).
 """

@@ -1,20 +1,21 @@
 """AES block cipher (FIPS-197) implemented from scratch in pure Python.
 
-Supports AES-128, AES-192 and AES-256.  Two implementations share the
-same key schedule and test vectors:
+Supports AES-128, AES-192 and AES-256.  Two implementations give the
+same outputs:
 
 - :class:`AES` — the auditable **reference** implementation: byte-wise
   state, S-box and GF(2^8) tables built programmatically from their
-  mathematical definitions.  It favours clarity over speed.
+  mathematical definitions, and the byte-list key schedule
+  :func:`_expand_key`.  It favours clarity over speed.
 - :class:`AESFast` — the **fast path**, encryption only (CTR decrypts
-  by encrypting counters): the classic 32-bit T-table formulation (four
-  1 KiB lookup tables fusing SubBytes + ShiftRows + MixColumns), run
-  over four int words per block, or over an ``(n, 16)`` numpy byte
-  state for large CTR batches.  The T-tables are derived *from the
-  reference tables* at import time, so the reference derivation stays
-  the single source of truth; equivalence is pinned by the FIPS-197
-  Appendix C vectors and by differential property tests
-  (``tests/crypto/test_backend.py``, ``tests/properties``).
+  by encrypting counters).  Its key schedule runs on 32-bit words and
+  keeps each round key as one 128-bit int; its one kernel holds all the
+  counter blocks of a message as one big int and runs every round over
+  all of them at once (SubBytes as a ``bytes.translate`` through the
+  reference S-box, ShiftRows and MixColumns as masked shifts), with no
+  lookup table but the S-box.  Equivalence is pinned by the
+  FIPS-197 Appendix C vectors and by differential tests against
+  :class:`AES` (``tests/crypto/test_backend.py``, ``tests/properties``).
 
 The library runs :class:`AESFast` (behind the key-schedule cache in
 :mod:`repro.crypto.backend`); :class:`AES` is the oracle.  Modes of
@@ -24,6 +25,7 @@ operation are in :mod:`repro.crypto.modes`.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 BLOCK_SIZE = 16
 
@@ -217,71 +219,77 @@ class AES:
         return out
 
 
-# --- T-table fast path --------------------------------------------------
-# One 32-bit table entry fuses SubBytes with the MixColumns contribution
-# of one state row; ShiftRows becomes index arithmetic.  Derived from the
-# reference tables (_SBOX, _MULx) so the from-scratch derivation above
-# remains the single source of truth.
+# --- Lane-parallel fast path --------------------------------------------
+# The n blocks of a message are one big-endian int of 128*n bits (block 0
+# in the top bits), and each round runs over all of them at once:
+# SubBytes is one ``bytes.translate`` through the reference S-box,
+# ShiftRows seven masked shifts, MixColumns byte rotations inside each
+# 32-bit column plus a masked xtime, AddRoundKey one XOR with the round
+# key copied into every lane.  The masks are per-block byte patterns
+# repeated n times.
+
+#: Longest run of blocks one kernel call holds; longer messages run in
+#: chunks this long (past a few hundred blocks a big-int step costs more
+#: per block than the per-call overhead it saves).
+_CHUNK_BLOCKS = 256
+
+_MASK128 = (1 << 128) - 1
 
 
-def _build_enc_tables() -> tuple[tuple[int, ...], ...]:
-    t0, t1, t2, t3 = [], [], [], []
-    for x in range(256):
-        s = _SBOX[x]
-        s2, s3 = _MUL2[s], _MUL3[s]
-        t0.append((s2 << 24) | (s << 16) | (s << 8) | s3)
-        t1.append((s3 << 24) | (s2 << 16) | (s << 8) | s)
-        t2.append((s << 24) | (s3 << 16) | (s2 << 8) | s)
-        t3.append((s << 24) | (s << 16) | (s3 << 8) | s2)
-    return tuple(t0), tuple(t1), tuple(t2), tuple(t3)
+def _shift_rows_masks() -> dict[int, bytes]:
+    """ShiftRows as masked shifts: byte shift -> the one-block mask of the
+    source bytes that move by it.  Output byte ``4*col + row`` reads input
+    byte ``4*((col + row) % 4) + row``; a positive shift means the source
+    lies further down the block, so it moves up (a left shift)."""
+    masks: dict[int, bytearray] = {}
+    for col in range(4):
+        for row in range(4):
+            src = 4 * ((col + row) % 4) + row
+            masks.setdefault(src - 4 * col - row, bytearray(16))[src] = 0xFF
+    return {shift: bytes(mask) for shift, mask in masks.items()}
 
 
-_T0, _T1, _T2, _T3 = _build_enc_tables()
-
-#: Batch size from which the vectorised CTR path beats the scalar loop
-#: (the numpy dispatch overhead is a few hundred microseconds per call).
-_NP_MIN_BLOCKS = 32
-
-#: numpy, imported by the first batch that large (many processes never
-#: send one): ``None`` until then, ``False`` when it is not installed.
-_np = None
+_SHIFT_ROWS = _shift_rows_masks()
 
 
-def _words_np(words):
-    """32-bit words as uint32 whose native bytes are the words' big-endian
-    bytes: XOR is bytewise, so a ``view(uint8)`` of any XOR of such
-    arrays is the AES state in byte order on either host endianness."""
-    return _np.array(words, dtype=">u4").view(_np.uint32)
+@lru_cache(maxsize=32)
+def _lanes(n: int) -> tuple[int, ...]:
+    """The constants of an ``n``-block state, each a per-block pattern
+    repeated ``n`` times: the lane replicator (``v * rep`` copies a
+    128-bit ``v`` into every block), the counter offsets ``0 .. n-1``,
+    the ShiftRows masks and the MixColumns masks.  Bounded, so memory
+    does not grow with the number of message lengths seen."""
 
+    def lanes(pattern: bytes) -> int:
+        return int.from_bytes(pattern * (16 // len(pattern) * n), "big")
 
-def _load_numpy():
-    """Import numpy and copy the encryption tables to arrays, so whole
-    batches of counter blocks run each round as table gathers."""
-    global _np, _T_NP, _SBOX_NP, _SHIFT_ROWS_NP
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - depends on the environment
-        _np = False
-        return _np
-    _T_NP = tuple(_words_np(table) for table in (_T0, _T1, _T2, _T3))
-    _SBOX_NP = _np.frombuffer(_SBOX, dtype=_np.uint8)
-    # ShiftRows as byte positions: output byte ``4*col + row`` of a
-    # round reads input byte ``4*((col + row) % 4) + row``.
-    _SHIFT_ROWS_NP = _np.array(
-        [4 * ((col + row) % 4) + row for col in range(4) for row in range(4)]
+    return (
+        lanes(bytes(15) + b"\1"),
+        int.from_bytes(b"".join(i.to_bytes(16, "big") for i in range(n)), "big"),
+        *(lanes(_SHIFT_ROWS[shift]) for shift in (0, 4, -4, 8, -8, 12, -12)),
+        lanes(b"\0\xff\xff\xff"),  # rot8 within a column: bytes moving up
+        lanes(b"\xff\0\0\0"),  # ... and the one wrapping round
+        lanes(b"\0\0\xff\xff"),  # rot16
+        lanes(b"\xff\xff\0\0"),
+        lanes(b"\x7f"),  # xtime: the bits that stay in their byte
+        lanes(b"\x01"),  # ... and where each carried-out top bit lands
     )
-    return _np
+
+
+def _sub_word(word: int) -> int:
+    """SubWord (FIPS-197 §5.2): the S-box on each byte of a 32-bit word."""
+    return int.from_bytes(word.to_bytes(4, "big").translate(_SBOX), "big")
 
 
 class AESFast:
-    """T-table AES, encryption only, with :class:`AES`'s outputs.
+    """Lane-parallel AES, encryption only, with :class:`AES`'s outputs.
 
     CTR — the only mode the library runs — decrypts by encrypting
     counters, so there is no inverse cipher and no inverse key schedule
     here; :meth:`AES.decrypt_block` is the reference for that direction.
     """
 
-    __slots__ = ("_rounds", "_erk")
+    __slots__ = ("_rk",)
 
     def __init__(self, key: bytes):
         key = bytes(key)
@@ -289,135 +297,77 @@ class AESFast:
             raise ValueError(
                 f"AES key must be 16, 24 or 32 bytes, got {len(key)}"
             )
-        self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._erk = [
-            (w[0] << 24) | (w[1] << 16) | (w[2] << 8) | w[3]
-            for w in _expand_key(key)
+        # The key schedule (FIPS-197 §5.2) on 32-bit words; round key r
+        # is words 4r .. 4r+3 as one 128-bit int.
+        nk = len(key) // 4
+        words = list(struct.unpack(f">{nk}I", key))
+        for i in range(nk, 4 * (nk + 7)):  # rounds + 1 = nk + 7 round keys
+            word = words[i - 1]
+            if i % nk == 0:
+                word = ((word << 8) | (word >> 24)) & 0xFFFFFFFF  # RotWord
+                word = _sub_word(word) ^ (_RCON[i // nk - 1] << 24)
+            elif nk > 6 and i % nk == 4:
+                word = _sub_word(word)
+            words.append(words[i - nk] ^ word)
+        self._rk = [
+            (words[i] << 96) | (words[i + 1] << 64) | (words[i + 2] << 32) | words[i + 3]
+            for i in range(0, len(words), 4)
         ]
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError("AES operates on exactly 16-byte blocks")
-        rk = self._erk
-        b0, b1, b2, b3 = struct.unpack(">4I", block)
-        s0, s1, s2, s3 = b0 ^ rk[0], b1 ^ rk[1], b2 ^ rk[2], b3 ^ rk[3]
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        i = 4
-        for _ in range(self._rounds - 1):
-            u0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ t3[s3 & 255] ^ rk[i]
-            u1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t2[(s3 >> 8) & 255] ^ t3[s0 & 255] ^ rk[i + 1]
-            u2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 255] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ rk[i + 2]
-            u3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ rk[i + 3]
-            s0, s1, s2, s3 = u0, u1, u2, u3
-            i += 4
-        sb = _SBOX
-        r0 = ((sb[s0 >> 24] << 24) | (sb[(s1 >> 16) & 255] << 16) | (sb[(s2 >> 8) & 255] << 8) | sb[s3 & 255]) ^ rk[i]
-        r1 = ((sb[s1 >> 24] << 24) | (sb[(s2 >> 16) & 255] << 16) | (sb[(s3 >> 8) & 255] << 8) | sb[s0 & 255]) ^ rk[i + 1]
-        r2 = ((sb[s2 >> 24] << 24) | (sb[(s3 >> 16) & 255] << 16) | (sb[(s0 >> 8) & 255] << 8) | sb[s1 & 255]) ^ rk[i + 2]
-        r3 = ((sb[s3 >> 24] << 24) | (sb[(s0 >> 16) & 255] << 16) | (sb[(s1 >> 8) & 255] << 8) | sb[s2 & 255]) ^ rk[i + 3]
-        return struct.pack(">4I", r0, r1, r2, r3)
+        return self._encrypt_lanes(int.from_bytes(block, "big"), 1).to_bytes(16, "big")
 
     def ctr_keystream(self, counter: int, nblocks: int) -> bytes:
         """Generate ``nblocks`` CTR keystream blocks starting at ``counter``.
 
-        Equivalent to encrypting the counter blocks one by one (big-endian,
-        incrementing mod 2^128, NIST SP 800-38A) but with the per-block
-        byte/struct plumbing hoisted out of the loop.  When numpy is
-        available, batches of at least ``_NP_MIN_BLOCKS`` run each round
-        as vectorised table gathers over the whole batch.
+        Equal to encrypting the counter blocks one by one (big-endian,
+        incrementing mod 2^128, NIST SP 800-38A); each chunk of up to
+        ``_CHUNK_BLOCKS`` blocks goes through the rounds as one int.
         """
-        if nblocks >= _NP_MIN_BLOCKS and (_np if _np is not None else _load_numpy()):
-            return self._ctr_keystream_np(counter, nblocks)
-        return self._ctr_keystream_py(counter, nblocks)
+        counter &= _MASK128
+        chunks = []
+        for start in range(0, nblocks, _CHUNK_BLOCKS):
+            n = min(_CHUNK_BLOCKS, nblocks - start)
+            first = counter + start
+            if first + n <= 1 << 128:
+                rep, offsets = _lanes(n)[:2]
+                state = first * rep + offsets
+            else:  # the counter wraps to 0 inside this chunk
+                state = int.from_bytes(
+                    b"".join(((first + i) & _MASK128).to_bytes(16, "big") for i in range(n)),
+                    "big",
+                )
+            chunks.append(self._encrypt_lanes(state, n).to_bytes(16 * n, "big"))
+        return b"".join(chunks)
 
-    def _ctr_keystream_np(self, counter: int, nblocks: int) -> bytes:
-        """Vectorised CTR keystream over an ``(nblocks, 16)`` byte state.
-
-        Each full round is one fancy-index of the ShiftRows positions,
-        four T-table gathers (one per state row) and the round-key XOR;
-        the last round swaps the T-tables for the S-box.
-        """
-        counter &= (1 << 128) - 1
-        # 128-bit big-endian counters as two uint64 lanes with explicit carry.
-        index = _np.arange(nblocks, dtype=_np.uint64)
-        low = _np.uint64(counter & 0xFFFFFFFFFFFFFFFF) + index
-        blocks = _np.empty((nblocks, 2), dtype=">u8")
-        blocks[:, 0] = _np.uint64(counter >> 64) + (low < index)
-        blocks[:, 1] = low
-        rk = _words_np(self._erk).reshape(-1, 4)
-        rk_bytes = rk.view(_np.uint8)
-        state = blocks.view(_np.uint8) ^ rk_bytes[0]
-        t0, t1, t2, t3 = _T_NP
-        shift = _SHIFT_ROWS_NP
-        # A gather's result takes the strides of its (strided) index, so
-        # the XOR lands in a C-ordered buffer that views as (n, 16) bytes.
-        words = _np.empty((nblocks, 4), dtype=_np.uint32)
-        for rnd in range(1, self._rounds):
-            s = state[:, shift].reshape(nblocks, 4, 4)  # [block, column, row]
-            _np.bitwise_xor(t0[s[:, :, 0]], t1[s[:, :, 1]], out=words)
-            words ^= t2[s[:, :, 2]]
-            words ^= t3[s[:, :, 3]]
-            words ^= rk[rnd]
-            state = words.view(_np.uint8)
-        state = _SBOX_NP[state[:, shift]] ^ rk_bytes[self._rounds]
-        return state.tobytes()
-
-    def _ctr_keystream_py(self, counter: int, nblocks: int) -> bytes:
-        rk = self._erk
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sb = _SBOX
-        rounds_minus_2 = self._rounds - 2
-        last = 4 * self._rounds
-        counter &= (1 << 128) - 1
-        c0 = (counter >> 96) & 0xFFFFFFFF
-        c1 = (counter >> 64) & 0xFFFFFFFF
-        c2 = (counter >> 32) & 0xFFFFFFFF
-        c3 = counter & 0xFFFFFFFF
-        blocks = []
-        append = blocks.append
-        k3 = rk[3]
-        refresh = True  # recompute the hoisted round-1 terms
-        for _ in range(nblocks):
-            if refresh:
-                # Words 0-2 of the counter block are fixed until a carry
-                # out of the low word, so the whitened state words
-                # s0..s2 — and with them most of round 1 — are constant
-                # across the batch.  Hoist the constant T-table terms;
-                # only the contributions of s3 vary per block.
-                s0 = c0 ^ rk[0]
-                s1 = c1 ^ rk[1]
-                s2 = c2 ^ rk[2]
-                a0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 255] ^ t2[(s2 >> 8) & 255] ^ rk[4]
-                a1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 255] ^ t3[s0 & 255] ^ rk[5]
-                a2 = t0[s2 >> 24] ^ t2[(s0 >> 8) & 255] ^ t3[s1 & 255] ^ rk[6]
-                a3 = t1[(s0 >> 16) & 255] ^ t2[(s1 >> 8) & 255] ^ t3[s2 & 255] ^ rk[7]
-                refresh = False
-            s3 = c3 ^ k3
-            u0 = a0 ^ t3[s3 & 255]
-            u1 = a1 ^ t2[(s3 >> 8) & 255]
-            u2 = a2 ^ t1[(s3 >> 16) & 255]
-            u3 = a3 ^ t0[s3 >> 24]
-            i = 8
-            for _ in range(rounds_minus_2):
-                v0 = t0[u0 >> 24] ^ t1[(u1 >> 16) & 255] ^ t2[(u2 >> 8) & 255] ^ t3[u3 & 255] ^ rk[i]
-                v1 = t0[u1 >> 24] ^ t1[(u2 >> 16) & 255] ^ t2[(u3 >> 8) & 255] ^ t3[u0 & 255] ^ rk[i + 1]
-                v2 = t0[u2 >> 24] ^ t1[(u3 >> 16) & 255] ^ t2[(u0 >> 8) & 255] ^ t3[u1 & 255] ^ rk[i + 2]
-                v3 = t0[u3 >> 24] ^ t1[(u0 >> 16) & 255] ^ t2[(u1 >> 8) & 255] ^ t3[u2 & 255] ^ rk[i + 3]
-                u0, u1, u2, u3 = v0, v1, v2, v3
-                i += 4
-            r0 = ((sb[u0 >> 24] << 24) | (sb[(u1 >> 16) & 255] << 16) | (sb[(u2 >> 8) & 255] << 8) | sb[u3 & 255]) ^ rk[last]
-            r1 = ((sb[u1 >> 24] << 24) | (sb[(u2 >> 16) & 255] << 16) | (sb[(u3 >> 8) & 255] << 8) | sb[u0 & 255]) ^ rk[last + 1]
-            r2 = ((sb[u2 >> 24] << 24) | (sb[(u3 >> 16) & 255] << 16) | (sb[(u0 >> 8) & 255] << 8) | sb[u1 & 255]) ^ rk[last + 2]
-            r3 = ((sb[u3 >> 24] << 24) | (sb[(u0 >> 16) & 255] << 16) | (sb[(u1 >> 8) & 255] << 8) | sb[u2 & 255]) ^ rk[last + 3]
-            append(struct.pack(">4I", r0, r1, r2, r3))
-            c3 += 1
-            if c3 == 0x100000000:  # carry into the higher counter words
-                c3 = 0
-                c2 = (c2 + 1) & 0xFFFFFFFF
-                if c2 == 0:
-                    c1 = (c1 + 1) & 0xFFFFFFFF
-                    if c1 == 0:
-                        c0 = (c0 + 1) & 0xFFFFFFFF
-                refresh = True
-        return b"".join(blocks)
+    def _encrypt_lanes(self, x: int, n: int) -> int:
+        """Encrypt the ``n`` blocks held in ``x``."""
+        rep, _, keep, l4, r4, l8, r8, l12, r12, lo3, hi1, lo2, hi2, low7, low1 = _lanes(n)
+        size = 16 * n
+        sbox = _SBOX
+        rk = self._rk
+        last = len(rk) - 1
+        x ^= rk[0] * rep
+        for r in range(1, last + 1):
+            # SubBytes, then ShiftRows
+            x = int.from_bytes(x.to_bytes(size, "big").translate(sbox), "big")
+            x = (
+                (x & keep)
+                | ((x & l4) << 32) | ((x & r4) >> 32)
+                | ((x & l8) << 64) | ((x & r8) >> 64)
+                | ((x & l12) << 96) | ((x & r12) >> 96)
+            )
+            if r < last:
+                # MixColumns on each column (a0, a1, a2, a3), indices mod 4:
+                # b_i = xtime(a_i ^ a_i+1) ^ a_i+1 ^ (a_i+2 ^ a_i+3).
+                rot = ((x & lo3) << 8) | ((x & hi1) >> 24)
+                t = x ^ rot
+                x = (
+                    ((t & low7) << 1) ^ (((t >> 7) & low1) * 0x1B)
+                    ^ rot ^ ((t & lo2) << 16) ^ ((t & hi2) >> 16)
+                )
+            x ^= rk[r] * rep
+        return x

@@ -10,7 +10,9 @@ cipher instead of constructing one per message.
 :class:`~repro.crypto.aes.AES` — the byte-at-a-time, derivation-first
 implementation — is not reachable from here: it is the oracle that
 ``tests/crypto/test_backend.py`` and ``tests/properties`` compare the
-T-table fast path against, block by block and stream by stream.
+lane-parallel fast path against, block by block and stream by stream.
+A cached :class:`~repro.crypto.aes.AESFast` is its round keys alone:
+``rounds + 1`` 128-bit ints.
 """
 
 from __future__ import annotations

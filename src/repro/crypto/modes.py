@@ -19,9 +19,10 @@ Readers decrypt many view entries under the same view key ``K_V``, so
 two caches sit in front of the per-call work: subkey derivation is
 LRU-cached per master key (:func:`_derive_subkeys`), and the expanded
 AES key schedule is reused via :func:`repro.crypto.backend.aes_for_key`.
-Keystream generation is batched — all counter blocks in one call, large
-batches by one numpy kernel — and the plaintext/keystream XOR runs as a
-single big-int operation instead of a per-byte loop.
+Keystream generation is batched — all counter blocks of a message go
+through :class:`~repro.crypto.aes.AESFast`'s lane-parallel kernel in one
+call — and the plaintext/keystream XOR runs as a single big-int
+operation instead of a per-byte loop.
 :func:`ctr_xor_reference` is the block-at-a-time loop over
 :class:`~repro.crypto.aes.AES` that the differential tests and the
 crypto microbench compare against.
@@ -101,10 +102,13 @@ def encrypt(key: bytes, plaintext: bytes, nonce: bytes | None = None) -> bytes:
     """Authenticated-encrypt ``plaintext`` under ``key``.
 
     A fresh random nonce is drawn unless one is supplied (supplying a
-    nonce is only intended for deterministic tests).
+    nonce is only intended for deterministic tests); any 16-byte buffer
+    will do, and the envelope is always ``bytes``.
     """
     if nonce is None:
         nonce = secrets.token_bytes(NONCE_SIZE)
+    else:  # any buffer; through memoryview, so an int is refused, not zeros
+        nonce = bytes(memoryview(nonce))
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
     enc_key, mac_key = _derive_subkeys(bytes(key))

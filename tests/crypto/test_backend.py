@@ -12,7 +12,7 @@ import secrets
 
 import pytest
 
-from repro.crypto import aes, backend, modes, rsa
+from repro.crypto import backend, modes, rsa
 from repro.crypto.aes import AES, AESFast
 from repro.crypto.hashing import hmac_sha256, sha256
 from repro.errors import DecryptionError
@@ -75,8 +75,8 @@ def _reference_keystream(key: bytes, counter: int, nblocks: int) -> bytes:
     [
         0,
         1,
-        (1 << 32) - 2,  # carry out of the scalar loop's low word
-        (1 << 64) - 2,  # carry into the high 64-bit lane
+        (1 << 32) - 2,  # carry out of the low 32-bit word
+        (1 << 64) - 2,  # carry into the high 64 bits
         (1 << 96) - 2,
         (1 << 128) - 2,  # full 128-bit wraparound
     ],
@@ -88,27 +88,24 @@ def test_ctr_keystream_matches_reference(counter, nblocks):
     assert AESFast(key).ctr_keystream(counter, nblocks) == expected
 
 
-def load_vector_kernel() -> None:
-    """Import numpy for the vector CTR kernel, or skip without it."""
-    if not (aes._np if aes._np is not None else aes._load_numpy()):
-        pytest.skip("numpy is not installed; the scalar path serves every size")
-
-
 def test_ctr_keystream_scalar_and_vector_paths_agree():
-    """The numpy kernel against the scalar loop, byte for byte: every key
-    size, batches at and just above the dispatch threshold and one
-    query's sealed body (470 blocks), counters about to carry out of 32,
-    64 and 128 bits and a random one; the dispatcher returns the same."""
-    load_vector_kernel()
+    """The lane kernel against the reference :class:`AES` block loop, byte
+    for byte: every key size; empty, one-block, one-seal (5, 7), chunk-
+    boundary (255-257) and one-query (470) batches; counters about to
+    carry out of 32, 64 and 128 bits and a random one.  A batch of ``n``
+    blocks is the first ``n`` blocks of the 470-block reference stream."""
     counters = [(1 << 32) - 2, (1 << 64) - 3, (1 << 128) - 2]
     for key_size in (16, 24, 32):
-        cipher = AESFast(secrets.token_bytes(key_size))
-        for nblocks in (aes._NP_MIN_BLOCKS, aes._NP_MIN_BLOCKS + 1, 470):
-            for counter in counters + [secrets.randbits(128)]:
-                vector = cipher._ctr_keystream_np(counter, nblocks)
-                scalar = cipher._ctr_keystream_py(counter, nblocks)
-                assert vector == scalar, (key_size, nblocks, hex(counter))
-                assert cipher.ctr_keystream(counter, nblocks) == vector
+        key = secrets.token_bytes(key_size)
+        cipher = AESFast(key)
+        for counter in counters + [secrets.randbits(128)]:
+            expected = _reference_keystream(key, counter, 470)
+            for nblocks in (0, 1, 5, 7, 255, 256, 257, 470):
+                assert cipher.ctr_keystream(counter, nblocks) == expected[: 16 * nblocks], (
+                    key_size,
+                    nblocks,
+                    hex(counter),
+                )
 
 
 # -- sealed messages against the AES-built envelope ---------------------------
@@ -134,13 +131,18 @@ def test_sealed_messages_interoperate_with_the_aes_built_envelope():
     assert modes.decrypt(key, oracle_sealed) == payload
 
 
-def test_ctr_nonce_wraparound_matches_the_reference_loop():
+@pytest.mark.parametrize("nonce_type", [bytes, bytearray, memoryview])
+def test_ctr_nonce_wraparound_matches_the_reference_loop(nonce_type):
+    """Any 16-byte buffer is a nonce, and the envelope is always bytes."""
     key = secrets.token_bytes(16)
     nonce = ((1 << 128) - 2).to_bytes(16, "big")
     payload = secrets.token_bytes(100)
-    assert modes.encrypt(key, payload, nonce=nonce) == aes_built_envelope(
-        key, payload, nonce
-    )
+    sealed = modes.encrypt(key, payload, nonce=nonce_type(nonce))
+    assert type(sealed) is bytes
+    assert sealed == aes_built_envelope(key, payload, nonce)
+    assert modes.decrypt(key, nonce_type(sealed)) == payload
+    with pytest.raises(TypeError):
+        modes.encrypt(key, payload, nonce=16)  # not 16 zero bytes
 
 
 # -- caching contracts ------------------------------------------------------

@@ -11,11 +11,17 @@ The keygen guards count instead of timing: an identity's RSA keypair is
 drawn when something seals to it or signs with it, never at
 registration, so set-up that only registers identities generates none.
 The view-query guard counts too: a revocable view encrypts each entry
-once per view key, not once per query.
+once per view key, not once per query.  And the import guard: sealing
+never imports numpy (AES runs on Python ints alone).
 """
 
+import os
 import secrets
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -56,17 +62,55 @@ def test_large_envelope_wall_clock_bound():
 def test_envelope_scales_roughly_linearly():
     """8x the payload must cost far less than 64x the time (no O(n^2)).
 
-    Both sizes stay above the numpy dispatch threshold so the same code
-    path is measured; the 24x allowance absorbs timer noise and cache
-    effects while still rejecting quadratic scaling.
+    Both sizes span many full kernel chunks, so the same code path is
+    measured; the 24x allowance absorbs timer noise and cache effects
+    while still rejecting quadratic scaling.
     """
     key = secrets.token_bytes(32)
-    _seal_open_seconds(key, 16 * 1024)  # warm caches + numpy
+    _seal_open_seconds(key, 16 * 1024)  # warm caches
     small = min(_seal_open_seconds(key, 16 * 1024) for _ in range(3))
     large = min(_seal_open_seconds(key, 128 * 1024) for _ in range(3))
     assert large < small * 24 + 0.05, (
         f"16KiB: {small * 1e3:.2f}ms, 128KiB: {large * 1e3:.2f}ms"
     )
+
+
+def test_sealing_and_an_ei_request_never_import_numpy():
+    """A fresh interpreter seals and opens a 70 KB envelope (well past one
+    kernel chunk) and runs one EI request, and still has no numpy."""
+    script = textwrap.dedent(
+        """
+        import secrets, sys
+        from repro import EncryptionBasedManager, Gateway, ViewMode, build_network
+        from repro.crypto import modes
+        from repro.views.predicates import Everything
+
+        key = secrets.token_bytes(32)
+        payload = secrets.token_bytes(70_000)
+        assert modes.decrypt(key, modes.encrypt(key, payload)) == payload
+        network = build_network()
+        manager = EncryptionBasedManager(Gateway(network, network.register_user("owner")))
+        manager.create_view("all", Everything(), ViewMode.IRREVOCABLE)
+        outcome = manager.invoke_with_secret(
+            fn="create_item",
+            args={"item": "i0", "owner": "W1"},
+            public={"item": "i0"},
+            secret=b"manifest",
+        )
+        assert outcome.views == ["all"], outcome.views
+        print("numpy" in sys.modules)
+        """
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # -- keys on first use --------------------------------------------------------

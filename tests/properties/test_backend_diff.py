@@ -4,17 +4,19 @@ The fast path exists only for speed — any input where it diverges from
 the reference AES is a bug.  Hypothesis drives random keys of all three
 AES sizes and random payloads (including empty and non-block-aligned)
 through both implementations and demands byte-identical output; the
-numpy CTR kernel is held to the scalar loop the same way.  The fast
-path encrypts only, so decryption is compared at the envelope level.
+lane kernel is held to the reference block loop across its chunk
+boundary and the 2^128 counter wrap, and the word-level key schedule to
+the byte-list one.  The fast path encrypts only, so decryption is
+compared at the envelope level.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import modes
-from repro.crypto.aes import _NP_MIN_BLOCKS, AES, AESFast
+from repro.crypto.aes import _CHUNK_BLOCKS, AES, AESFast, _expand_key
 from tests.crypto.test_backend import (
+    _reference_keystream,
     aes_built_envelope,
-    load_vector_kernel,
     open_aes_built_envelope,
 )
 
@@ -36,27 +38,36 @@ def test_encrypt_block_identical(key, block):
 @settings(max_examples=30, deadline=None)
 def test_ctr_keystream_identical(key, counter, nblocks):
     """Batched keystream == reference block-at-a-time, incl. wraparound."""
-    reference = AES(key)
-    expected = b"".join(
-        reference.encrypt_block(((counter + i) % (1 << 128)).to_bytes(16, "big"))
-        for i in range(nblocks)
+    assert AESFast(key).ctr_keystream(counter, nblocks) == _reference_keystream(
+        key, counter, nblocks
     )
-    assert AESFast(key).ctr_keystream(counter, nblocks) == expected
 
 
 @given(
     key=aes_keys,
-    counter=counters,
-    nblocks=st.integers(min_value=1, max_value=2 * _NP_MIN_BLOCKS + 1),
+    counter=st.one_of(counters, st.integers((1 << 128) - 2 * _CHUNK_BLOCKS, (1 << 128) - 1)),
+    nblocks=st.integers(min_value=0, max_value=_CHUNK_BLOCKS + 2),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=15, deadline=None)
 def test_ctr_keystream_vector_kernel_identical_to_scalar(key, counter, nblocks):
-    """The numpy kernel == the scalar loop, at any size and counter."""
-    load_vector_kernel()
-    cipher = AESFast(key)
-    assert cipher._ctr_keystream_np(counter, nblocks) == cipher._ctr_keystream_py(
-        counter, nblocks
+    """The lane kernel == the reference block loop up to two blocks past a
+    chunk, counters near the 2^128 wrap included."""
+    assert AESFast(key).ctr_keystream(counter, nblocks) == _reference_keystream(
+        key, counter, nblocks
     )
+
+
+@given(key=aes_keys)
+@settings(max_examples=60, deadline=None)
+def test_word_key_schedule_matches_expand_key(key):
+    """Round key r of the word-level schedule == words 4r..4r+3 of the
+    reference byte-list schedule."""
+    words = _expand_key(key)
+    expected = [
+        int.from_bytes(bytes(b for word in words[i : i + 4] for b in word), "big")
+        for i in range(0, len(words), 4)
+    ]
+    assert AESFast(key)._rk == expected
 
 
 @given(
