@@ -19,6 +19,10 @@ scaling, absolute values do not.
 (see :mod:`repro.fabric.occ`) by exporting ``REPRO_COMMIT_BACKEND`` for
 the run; it changes simulated results under contention: occ rebases
 MVCC-conflicted transactions instead of aborting them.
+
+A bad ``REPRO_BENCH_SCALE`` (not a positive, finite number) or selector
+value prints its :class:`repro.errors.ConfigError` and exits 2, like a
+bad ``--commit``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import sys
 
 from repro.bench import harness, runners
 from repro.bench.report import print_series
+from repro.errors import ConfigError
 from repro.fabric.occ import COMMIT_BACKENDS
 
 #: Scale applied by --smoke when REPRO_BENCH_SCALE is not already set.
@@ -89,8 +94,12 @@ def main(argv: list[str] | None = None) -> int:
     previous = {name: os.environ.get(name) for name in overrides}
     os.environ.update(overrides)
     try:
+        runners._scale()  # a bad scale fails before any figure prints
         for name in selected:
             FIGURES[name]()
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     finally:
         for name, value in previous.items():
             if value is None:

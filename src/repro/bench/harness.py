@@ -6,6 +6,9 @@ for all of them to commit, then moves to the next batch.  Throughput is
 committed requests per second of *simulated* time; latency is the
 per-request submit→commit time the network records.
 
+``_fleet`` is that loop, the only one: every run below hands it one
+request trace per client plus how to submit and settle a request, and
+``_result`` turns what it returns into a :class:`RunResult`.
 ``run_view_workload`` drives the four LedgerView methods (with or
 without the TxListContract); ``run_baseline_workload`` drives the
 cross-chain 2PC baseline; ``run_view_scaling`` produces the Fig 10/11
@@ -16,7 +19,6 @@ membership) is varied synthetically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any
 
 from repro import build_network
@@ -42,6 +44,9 @@ METHODS: dict[str, tuple[type, ViewMode]] = {
     "HI": (HashBasedManager, ViewMode.IRREVOCABLE),
 }
 
+#: The secret part of every synthetic ``create_item`` request.
+PAYLOAD = b'{"type":"phone","amount":10,"price_cents":19900}'
+
 
 @dataclass
 class RunResult:
@@ -59,31 +64,7 @@ class RunResult:
     onchain_txs: int
     storage_bytes: int
     timed_out: bool = False
-    #: Host wall-clock spent driving the run's client traffic (seconds)
-    #: and the resulting committed-requests-per-host-second rate;
-    #: ``tps`` above is simulated-time throughput.
-    host_wall_s: float = 0.0
-    host_tps: float = 0.0
     extra: dict[str, Any] = field(default_factory=dict)
-
-    def as_row(self) -> dict[str, Any]:
-        """Flat dict for the report printer."""
-        from repro.bench.report import latency_cells
-
-        row = {
-            "label": self.label,
-            "clients": self.clients,
-            "committed": self.committed,
-            "tps": round(self.tps, 1),
-            **latency_cells(self, percentiles=("latency_ms", "p95_ms")),
-            "onchain_txs": self.onchain_txs,
-            "storage_kib": round(self.storage_bytes / 1024, 1),
-        }
-        if self.host_tps:
-            row["host_tps"] = round(self.host_tps, 1)
-        if self.timed_out:
-            row["timed_out"] = True
-        return row
 
 
 #: Wall-clock seconds per pipeline phase, accumulated across every run
@@ -92,9 +73,24 @@ class RunResult:
 PHASE_TOTALS: dict[str, float] = {}
 
 
-def _record_phases(network: FabricNetwork, result: RunResult) -> None:
-    """Attach a network's per-phase wall-clock to ``result`` and the totals."""
-    result.extra["phase_wall_s"] = network.phase_wall.summary()
+def _record_phases(networks: list[FabricNetwork], result: RunResult) -> None:
+    """Attach the networks' combined per-phase wall-clock to ``result``
+    and the totals.
+
+    Commit outcomes, MVCC retries, storage and PBFT counters describe one
+    channel, so only a one-network run reports them.
+    """
+    phases: dict[str, float] = {}
+    for network in networks:
+        network.phase_wall.merge_into(phases)
+    result.extra["phase_wall_s"] = {
+        phase: round(total, 4) for phase, total in sorted(phases.items())
+    }
+    for phase, total in phases.items():
+        PHASE_TOTALS[phase] = PHASE_TOTALS.get(phase, 0.0) + total
+    if len(networks) > 1:
+        return
+    (network,) = networks
     outcomes = network.phase_wall.commit_outcomes()
     if outcomes["totals"]["committed"] or outcomes["totals"]["aborted"]:
         result.extra["commit_outcomes"] = outcomes
@@ -109,21 +105,23 @@ def _record_phases(network: FabricNetwork, result: RunResult) -> None:
             "block_certs": len(network.block_certs),
             **network.pbft.stats,
         }
-    network.phase_wall.merge_into(PHASE_TOTALS)
 
 
 def build_view_setup(
     method: str,
-    topology: SupplyChainTopology,
+    topology: SupplyChainTopology | list[tuple[str, Any]],
     config: NetworkConfig | None = None,
     use_txlist: bool = False,
     txlist_flush_interval_ms: float = 5_000.0,
     pdc_collection: str | None = None,
 ) -> tuple[Environment, FabricNetwork, ViewManager]:
-    """Build a network plus a view manager with one view per node.
+    """Build a network plus a view manager and its views.
 
-    ``pdc_collection`` switches the manager to the PDC-backed variant
-    (Fig 13's "revocable view over private data collection").
+    ``topology`` is a supply-chain topology (one participant view
+    ``V_<node>`` per node) or the views themselves as
+    ``(name, predicate)`` pairs.  ``pdc_collection`` switches the
+    manager to the PDC-backed variant (Fig 13's "revocable view over
+    private data collection").
     """
     if method not in METHODS:
         raise LedgerViewError(
@@ -152,8 +150,10 @@ def build_view_setup(
             use_txlist=use_txlist,
             txlist_flush_interval_ms=txlist_flush_interval_ms,
         )
-    for node in topology.nodes:
-        manager.create_view(f"V_{node}", ParticipantPredicate(node), mode)
+    if isinstance(topology, SupplyChainTopology):
+        topology = [(f"V_{node}", ParticipantPredicate(node)) for node in topology.nodes]
+    for name, predicate in topology:
+        manager.create_view(name, predicate, mode)
     return env, network, manager
 
 
@@ -176,6 +176,21 @@ def _client_traces(
     return traces
 
 
+def _create_item(index: int, item: str, owner: str, public: dict) -> TransferRequest:
+    """A ``create_item`` request with no history; ``public`` follows
+    ``item`` in the request's public part."""
+    return TransferRequest(
+        index=index,
+        fn="create_item",
+        item=item,
+        sender=None,
+        receiver=owner,
+        args={"item": item, "owner": owner},
+        public={"item": item, **public},
+        secret=PAYLOAD,
+    )
+
+
 def _batches(trace: list[TransferRequest], batch_size: int):
     """Cut the trace into concurrent batches of at most ``batch_size``.
 
@@ -194,6 +209,94 @@ def _batches(trace: list[TransferRequest], batch_size: int):
         items_in_batch.add(request.item)
     if batch:
         yield batch
+
+
+def _fleet(env, traces, batch_size, submit, settle, horizon_ms=None):
+    """Run one closed-loop client per trace; the §6.3 client model.
+
+    Client ``c`` walks ``traces[c]`` through :func:`_batches`: it calls
+    ``submit(c, request)`` for each request of a batch (an event whose
+    value is the outcome), waits for all of them, then calls
+    ``settle(c, request, outcome)``, which says whether the request
+    committed.  The run ends when every client is done or, given
+    ``horizon_ms``, when that much simulated time has passed.
+
+    Returns ``(committed, duration_ms, timed_out)``.
+    """
+    committed = 0
+
+    def client(index: int, trace: list[TransferRequest]):
+        nonlocal committed
+        for batch in _batches(trace, batch_size):
+            outcomes = yield env.all_of([submit(index, request) for request in batch])
+            for request, outcome in zip(batch, outcomes):
+                committed += settle(index, request, outcome)
+
+    started = env.now
+    done = env.all_of([env.process(client(i, trace)) for i, trace in enumerate(traces)])
+    if horizon_ms is None:
+        env.run(until=done)
+    else:
+        env.run(until=env.any_of([done, env.timeout(horizon_ms)]))
+    return committed, max(env.now - started, 1e-9), not done.processed
+
+
+def _result(label, traces, run, latencies, onchain_txs, storage_bytes, **extra) -> RunResult:
+    """A :class:`RunResult` from ``_fleet``'s ``run`` over ``traces`` and
+    the run's latency series; ``extra`` becomes ``RunResult.extra``."""
+    committed, duration_ms, timed_out = run
+    summary = latencies.summary() if len(latencies) else None
+    return RunResult(
+        label=label,
+        clients=len(traces),
+        attempted=sum(len(trace) for trace in traces),
+        committed=committed,
+        duration_ms=duration_ms,
+        tps=committed / (duration_ms / 1000.0),
+        latency_mean_ms=summary.mean if summary else 0.0,
+        latency_p50_ms=summary.p50 if summary else 0.0,
+        latency_p95_ms=summary.p95 if summary else 0.0,
+        onchain_txs=onchain_txs,
+        storage_bytes=storage_bytes,
+        timed_out=timed_out,
+        extra=extra,
+    )
+
+
+def _view_run(label, env, network, manager, traces, batch_size, horizon_ms=None) -> RunResult:
+    """Drive ``traces`` through ``manager`` on ``network``.
+
+    A request whose item has earlier hops also grants the receiver's
+    view ``V_<receiver>`` the tids this client got for them.
+    """
+    setup_onchain = network.metrics.onchain_txs.value
+    tids: list[dict[int, str]] = [{} for _ in traces]
+
+    def submit(client: int, request: TransferRequest):
+        history = [tids[client][h] for h in request.history if h in tids[client]]
+        return manager.invoke_with_secret_async(
+            request.fn,
+            request.args,
+            request.public,
+            request.secret,
+            extra_views={f"V_{request.receiver}": history} if history else {},
+        )
+
+    def settle(client: int, request: TransferRequest, outcome) -> bool:
+        if outcome is None:
+            return False
+        tids[client][request.index] = outcome.tid
+        return outcome.notice.code is ValidationCode.VALID
+
+    run = _fleet(env, traces, batch_size, submit, settle, horizon_ms)
+    return _result(
+        label,
+        traces,
+        run,
+        network.metrics.latencies_ms,
+        network.metrics.onchain_txs.value - setup_onchain,
+        network.total_storage_bytes(),
+    )
 
 
 def run_view_workload(
@@ -242,78 +345,14 @@ def run_view_workload(
     traces = _client_traces(topology, clients, items_per_client, seed)
     if max_requests_per_client is not None:
         traces = [trace[:max_requests_per_client] for trace in traces]
-    valid = {"count": 0}
-    setup_onchain = network.metrics.onchain_txs.value
-
-    def client_process(trace: list[TransferRequest]):
-        tid_of_index: dict[int, str] = {}
-        for batch in _batches(trace, batch_size):
-            events = []
-            for request in batch:
-                extra_views = {}
-                if request.history:
-                    history_tids = [
-                        tid_of_index[h]
-                        for h in request.history
-                        if h in tid_of_index
-                    ]
-                    if history_tids:
-                        extra_views[f"V_{request.receiver}"] = history_tids
-                events.append(
-                    manager.invoke_with_secret_async(
-                        request.fn,
-                        request.args,
-                        request.public,
-                        request.secret,
-                        extra_views=extra_views,
-                    )
-                )
-            outcomes = yield env.all_of(events)
-            for request, outcome in zip(batch, outcomes):
-                if outcome is None:
-                    continue
-                tid_of_index[request.index] = outcome.tid
-                if outcome.notice.code is ValidationCode.VALID:
-                    valid["count"] += 1
-
-    started = env.now
-    host_started = perf_counter()
-    client_events = [env.process(client_process(trace)) for trace in traces]
-    done = env.all_of(client_events)
-    timed_out = False
-    if horizon_ms is not None:
-        env.run(until=env.any_of([done, env.timeout(horizon_ms)]))
-        timed_out = not done.processed
-    else:
-        env.run(until=done)
-    host_wall = max(perf_counter() - host_started, 1e-9)
-
-    attempted = sum(len(trace) for trace in traces)
-    duration = max(env.now - started, 1e-9)
-    latencies = network.metrics.latencies_ms
-    summary = latencies.summary() if len(latencies) else None
-    result = RunResult(
-        label=f"{method}{'+TLC' if use_txlist else ''}",
-        clients=clients,
-        attempted=attempted,
-        committed=valid["count"],
-        duration_ms=duration,
-        tps=valid["count"] / (duration / 1000.0),
-        latency_mean_ms=summary.mean if summary else 0.0,
-        latency_p50_ms=summary.p50 if summary else 0.0,
-        latency_p95_ms=summary.p95 if summary else 0.0,
-        onchain_txs=network.metrics.onchain_txs.value - setup_onchain,
-        storage_bytes=network.total_storage_bytes(),
-        timed_out=timed_out,
-        host_wall_s=host_wall,
-        host_tps=valid["count"] / host_wall,
-        extra={"invalid_txs": network.metrics.invalid_txs.value},
-    )
+    label = f"{method}{'+TLC' if use_txlist else ''}"
+    result = _view_run(label, env, network, manager, traces, batch_size, horizon_ms)
+    result.extra["invalid_txs"] = network.metrics.invalid_txs.value
     if injector is not None:
         injector.heal()
         monitor.check()
         result.extra["faults"] = injector.summary()
-    _record_phases(network, result)
+    _record_phases([network], result)
     return result
 
 
@@ -342,68 +381,26 @@ def run_baseline_workload(
     identities = [
         deployment.register_user(f"client-{i}") for i in range(clients)
     ]
-    committed = {"count": 0}
-
-    def client_process(client_index: int, trace: list[TransferRequest]):
-        ids = identities[client_index]
-        for batch in _batches(trace, batch_size):
-            events = [
-                deployment.submit_request(ids, request) for request in batch
-            ]
-            results = yield env.all_of(events)
-            committed["count"] += sum(
-                1 for r in results if r is not None and r.committed
-            )
-
-    started = env.now
-    client_events = [
-        env.process(client_process(i, trace)) for i, trace in enumerate(traces)
-    ]
-    done = env.all_of(client_events)
-    timed_out = False
-    if horizon_ms is not None:
-        env.run(until=env.any_of([done, env.timeout(horizon_ms)]))
-        timed_out = not done.processed
-    else:
-        env.run(until=done)
-
-    attempted = sum(len(trace) for trace in traces)
-    duration = max(env.now - started, 1e-9)
-    latencies = deployment.metrics.latencies_ms
-    summary = latencies.summary() if len(latencies) else None
-    onchain = deployment.main.metrics.onchain_txs.value + sum(
-        chain.metrics.onchain_txs.value
-        for chain in deployment.view_chains.values()
+    run = _fleet(
+        env,
+        traces,
+        batch_size,
+        lambda client, request: deployment.submit_request(identities[client], request),
+        lambda client, request, outcome: outcome is not None and outcome.committed,
+        horizon_ms,
     )
-    result = RunResult(
-        label="baseline-2PC",
-        clients=clients,
-        attempted=attempted,
-        committed=committed["count"],
-        duration_ms=duration,
-        tps=committed["count"] / (duration / 1000.0),
-        latency_mean_ms=summary.mean if summary else 0.0,
-        latency_p50_ms=summary.p50 if summary else 0.0,
-        latency_p95_ms=summary.p95 if summary else 0.0,
-        onchain_txs=onchain,
-        storage_bytes=deployment.total_storage_bytes(),
-        timed_out=timed_out,
-        extra={
-            "crosschain_txs": deployment.metrics.crosschain_txs.value,
-            "aborted": deployment.metrics.aborted.value,
-        },
+    chains = [deployment.main, *deployment.view_chains.values()]
+    result = _result(
+        "baseline-2PC",
+        traces,
+        run,
+        deployment.metrics.latencies_ms,
+        sum(chain.metrics.onchain_txs.value for chain in chains),
+        deployment.total_storage_bytes(),
+        crosschain_txs=deployment.metrics.crosschain_txs.value,
+        aborted=deployment.metrics.aborted.value,
     )
-    # The baseline runs one network per view chain plus the main chain;
-    # report their combined per-phase wall-clock.
-    phases: dict[str, float] = {}
-    deployment.main.phase_wall.merge_into(phases)
-    for chain in deployment.view_chains.values():
-        chain.phase_wall.merge_into(phases)
-    result.extra["phase_wall_s"] = {
-        phase: round(total, 4) for phase, total in sorted(phases.items())
-    }
-    for phase, total in phases.items():
-        PHASE_TOTALS[phase] = PHASE_TOTALS.get(phase, 0.0) + total
+    _record_phases(chains, result)
     return result
 
 
@@ -427,73 +424,31 @@ def run_view_scaling(
     """
     if inclusion not in ("all", "single"):
         raise LedgerViewError("inclusion must be 'all' or 'single'")
-    manager_cls, mode = METHODS[method]
-    env = Environment()
-    network = build_network(config or benchmark_config(), env=env)
-    network.track_state_roots = track_state_roots
-    owner = network.register_user("view-owner")
-    manager = manager_cls(
-        Gateway(network, owner),
+    views = [
+        (f"V{v:03d}", Everything() if inclusion == "all" else AttributeEquals("vslot", v))
+        for v in range(n_views)
+    ]
+    env, network, manager = build_view_setup(
+        method,
+        views,
+        config=config,
         use_txlist=use_txlist,
         txlist_flush_interval_ms=txlist_flush_interval_ms,
     )
-    for v in range(n_views):
-        predicate = (
-            Everything() if inclusion == "all" else AttributeEquals("vslot", v)
-        )
-        manager.create_view(f"V{v:03d}", predicate, mode)
-    valid = {"count": 0}
-    setup_onchain = network.metrics.onchain_txs.value
-
-    def client_process(client_index: int):
-        counter = 0
-        for start in range(0, requests_per_client, batch_size):
-            events = []
-            for _ in range(min(batch_size, requests_per_client - start)):
-                item = f"it-{client_index}-{counter}"
-                counter += 1
-                public = {
-                    "item": item,
-                    "from": None,
-                    "to": "origin",
-                    "vslot": (client_index + counter) % max(n_views, 1),
-                }
-                events.append(
-                    manager.invoke_with_secret_async(
-                        "create_item",
-                        {"item": item, "owner": "origin"},
-                        public,
-                        b'{"type":"phone","amount":10,"price_cents":19900}',
-                    )
-                )
-            outcomes = yield env.all_of(events)
-            valid["count"] += sum(
-                1
-                for o in outcomes
-                if o is not None and o.notice.code is ValidationCode.VALID
+    network.track_state_roots = track_state_roots
+    traces = [
+        [
+            _create_item(
+                n,
+                f"it-{client}-{n}",
+                "origin",
+                {"from": None, "to": "origin", "vslot": (client + n + 1) % max(n_views, 1)},
             )
-
-    started = env.now
-    done = env.all_of(
-        [env.process(client_process(i)) for i in range(clients)]
-    )
-    env.run(until=done)
-    duration = max(env.now - started, 1e-9)
-    latencies = network.metrics.latencies_ms
-    summary = latencies.summary() if len(latencies) else None
-    result = RunResult(
-        label=f"{method}/{inclusion}/{n_views}v",
-        clients=clients,
-        attempted=clients * requests_per_client,
-        committed=valid["count"],
-        duration_ms=duration,
-        tps=valid["count"] / (duration / 1000.0),
-        latency_mean_ms=summary.mean if summary else 0.0,
-        latency_p50_ms=summary.p50 if summary else 0.0,
-        latency_p95_ms=summary.p95 if summary else 0.0,
-        onchain_txs=network.metrics.onchain_txs.value - setup_onchain,
-        storage_bytes=network.total_storage_bytes(),
-        extra={"views": n_views, "inclusion": inclusion},
-    )
-    _record_phases(network, result)
+            for n in range(requests_per_client)
+        ]
+        for client in range(clients)
+    ]
+    result = _view_run(f"{method}/{inclusion}/{n_views}v", env, network, manager, traces, batch_size)
+    result.extra.update(views=n_views, inclusion=inclusion)
+    _record_phases([network], result)
     return result

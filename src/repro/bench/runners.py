@@ -3,33 +3,56 @@
 Each ``figure*`` function runs the experiment on the simulated network,
 prints the same series the paper plots, and returns the rows so the
 benchmark suite can assert the qualitative shape (who wins, by roughly
-what factor, where the knees are).  Results of the shared Fig 4/5 sweep
-are cached per process so both figures reuse one run.
+what factor, where the knees are).  Every closed-loop series comes from
+:mod:`repro.bench.harness`'s one client fleet; Figs 6 and 9 also submit
+baseline requests one at a time, and Fig 12 times verification.  The
+shared Fig 4/5 sweep runs once per process for each scale and
+``REPRO_*`` selector setting, and both figures read that run.
+``benchmarks/figures_expected_smoke.json`` pins every row at the
+``--smoke`` scale (``python3 benchmarks/check_e2e_drift.py figures``).
 
 Scale control: set ``REPRO_BENCH_SCALE`` (e.g. ``0.25``) to shrink the
 client counts and per-client request budgets proportionally for quick
-smoke runs; ``1.0`` (default) reproduces the full sweeps.
+smoke runs; ``1.0`` (default) reproduces the full sweeps.  Anything but
+a positive, finite number raises :class:`repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 from typing import Any
 
+from repro.baseline.multichain import CrossChainDeployment
 from repro.bench.harness import (
     RunResult,
+    _create_item,
+    _fleet,
+    _result,
     run_baseline_workload,
     run_view_scaling,
     run_view_workload,
 )
 from repro.bench.report import latency_cells, print_series
+from repro.errors import ConfigError
 from repro.fabric.config import MULTI_REGION, SINGLE_REGION, benchmark_config
+from repro.sim import Environment
 from repro.workload.presets import wl1_topology, wl2_topology
 
 
 def _scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+    """``REPRO_BENCH_SCALE`` (default 1.0): a positive, finite number."""
+    raw = os.environ.get("REPRO_BENCH_SCALE", "1.0")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(
+            f"REPRO_BENCH_SCALE must be a positive, finite number, not {raw!r}"
+        )
+    return scale
 
 
 def _scaled(value: int, minimum: int = 1) -> int:
@@ -54,35 +77,65 @@ def _sweep_clients() -> list[int]:
     return [_scaled(c) for c in CLIENT_SWEEP]
 
 
-@lru_cache(maxsize=None)
 def _fig4_5_sweep() -> list[RunResult]:
-    """The shared Fig 4 (throughput) / Fig 5 (latency) sweep over WL1."""
+    """The shared Fig 4 (throughput) / Fig 5 (latency) sweep over WL1,
+    run once per scale and ``REPRO_*`` selector setting."""
+    selectors = sorted(
+        (name, value) for name, value in os.environ.items() if name.startswith("REPRO_")
+    )
+    return _fig4_5_runs(_scale(), tuple(selectors))
+
+
+@lru_cache(maxsize=4)
+def _fig4_5_runs(scale: float, selectors: tuple) -> list[RunResult]:
+    """The arguments only key the cache; the runs read the environment."""
     topology = wl1_topology()
     config = benchmark_config()
     results: list[RunResult] = []
     for clients in _sweep_clients():
-        for method, use_txlist in (("ER", False), ("HR", False), ("HI", False), ("HI", True)):
-            results.append(
-                run_view_workload(
-                    method,
-                    topology,
-                    clients=clients,
-                    items_per_client=25,
-                    config=config,
-                    use_txlist=use_txlist,
-                    max_requests_per_client=_scaled(REQUESTS_PER_CLIENT, 4),
-                )
-            )
-        results.append(
-            run_baseline_workload(
-                topology,
-                clients=clients,
-                items_per_client=_scaled(25, 3),
-                config=config,
-                horizon_ms=BASELINE_HORIZON_MS,
-            )
+        results += _with_baseline(
+            topology,
+            clients,
+            config,
+            (("ER", False), ("HR", False), ("HI", False), ("HI", True)),
+            BASELINE_HORIZON_MS,
+            items_per_client=25,
+            max_requests_per_client=_scaled(REQUESTS_PER_CLIENT, 4),
         )
     return results
+
+
+def _with_baseline(
+    topology, clients, config, methods, horizon_ms, **view_kwargs
+) -> list[RunResult]:
+    """One view run per ``(method, use_txlist)`` of ``methods``, then the
+    2PC baseline (full item flows, stopped at ``horizon_ms``)."""
+    runs = [
+        run_view_workload(
+            method, topology, clients=clients, config=config, use_txlist=use_txlist, **view_kwargs
+        )
+        for method, use_txlist in methods
+    ]
+    runs.append(
+        run_baseline_workload(
+            topology,
+            clients=clients,
+            items_per_client=_scaled(25, 3),
+            config=config,
+            horizon_ms=horizon_ms,
+        )
+    )
+    return runs
+
+
+def _tps_row(series: str, result: RunResult, **columns) -> dict[str, Any]:
+    """A throughput/latency row: ``series``, ``columns``, tps, mean latency."""
+    return {
+        "series": series,
+        **columns,
+        "tps": round(result.tps, 1),
+        **latency_cells(result, percentiles=("latency_ms",)),
+    }
 
 
 def figure4() -> list[dict[str, Any]]:
@@ -137,10 +190,6 @@ def figure6(request_counts: tuple[int, ...] = (20, 40, 60, 80, 100)) -> list[dic
     paper's setting.  Expected: revocable and TLC ≈ r; irrevocable = 2r;
     baseline = 2·|V|·r.
     """
-    from repro.baseline.multichain import CrossChainDeployment
-    from repro.sim import Environment
-    from repro.workload.generator import TransferRequest
-
     config = benchmark_config(latency=SINGLE_REGION)
     views = 10
     rows: list[dict[str, Any]] = []
@@ -151,28 +200,12 @@ def figure6(request_counts: tuple[int, ...] = (20, 40, 60, 80, 100)) -> list[dic
                 {
                     "series": f"{method}{'+TLC' if use_txlist else ''}",
                     "requests": scaled_requests,
-                    "onchain_txs": _count_onchain(
+                    "onchain_txs": _one_client_all_views(
                         method, use_txlist, views, scaled_requests, config
-                    ),
+                    ).onchain_txs,
                 }
             )
-        # Baseline: 10 view chains, every request touches all of them.
-        env = Environment()
-        names = [f"v{i}" for i in range(views)]
-        deployment = CrossChainDeployment(env, names, config=config)
-        identities = deployment.register_user("client")
-        for i in range(scaled_requests):
-            request = TransferRequest(
-                index=i,
-                fn="create_item",
-                item=f"fig6-{requests}-{i}",
-                sender=None,
-                receiver=names[0],
-                args={"item": f"fig6-{requests}-{i}", "owner": names[0]},
-                public={"item": f"fig6-{requests}-{i}", "to": names[0], "access": names},
-                secret=b"payload",
-            )
-            deployment.submit_request_sync(identities, request)
+        deployment = _baseline_creates(f"fig6-{requests}", views, scaled_requests, config)
         rows.append(
             {
                 "series": "baseline-2PC",
@@ -188,8 +221,21 @@ def figure6(request_counts: tuple[int, ...] = (20, 40, 60, 80, 100)) -> list[dic
     return rows
 
 
-def _count_onchain(method, use_txlist, views, requests, config) -> int:
-    result = run_view_scaling(
+def _baseline_creates(prefix: str, views: int, requests: int, config) -> CrossChainDeployment:
+    """The baseline with ``views`` view chains after ``requests``
+    ``create_item`` requests, one at a time, each touching every chain."""
+    names = [f"v{i}" for i in range(views)]
+    deployment = CrossChainDeployment(Environment(), names, config=config)
+    identities = deployment.register_user("client")
+    for i in range(requests):
+        request = _create_item(i, f"{prefix}-{i}", names[0], {"to": names[0], "access": names})
+        deployment.submit_request_sync(identities, request)
+    return deployment
+
+
+def _one_client_all_views(method, use_txlist, views, requests, config) -> RunResult:
+    """Figs 6 and 9: one client's ``requests``, each in all ``views``."""
+    return run_view_scaling(
         views,
         "all",
         method=method,
@@ -199,7 +245,6 @@ def _count_onchain(method, use_txlist, views, requests, config) -> int:
         use_txlist=use_txlist,
         txlist_flush_interval_ms=2_000.0,
     )
-    return result.onchain_txs
 
 
 def figure7(clients: int = 32) -> list[dict[str, Any]]:
@@ -208,39 +253,16 @@ def figure7(clients: int = 32) -> list[dict[str, Any]]:
     clients = _scaled(clients, 2)
     rows = []
     for region_name, latency in (("single", SINGLE_REGION), ("multi", MULTI_REGION)):
-        config = benchmark_config(latency=latency)
-        for method in ("HR", "HI"):
-            result = run_view_workload(
-                method,
-                topology,
-                clients=clients,
-                items_per_client=25,
-                config=config,
-                max_requests_per_client=_scaled(REQUESTS_PER_CLIENT, 4),
-            )
-            rows.append(
-                {
-                    "series": method,
-                    "region": region_name,
-                    "tps": round(result.tps, 1),
-                    **latency_cells(result, percentiles=("latency_ms",)),
-                }
-            )
-        baseline = run_baseline_workload(
+        runs = _with_baseline(
             topology,
-            clients=clients,
-            items_per_client=_scaled(25, 3),
-            config=config,
-            horizon_ms=BASELINE_HORIZON_MS,
+            clients,
+            benchmark_config(latency=latency),
+            (("HR", False), ("HI", False)),
+            BASELINE_HORIZON_MS,
+            items_per_client=25,
+            max_requests_per_client=_scaled(REQUESTS_PER_CLIENT, 4),
         )
-        rows.append(
-            {
-                "series": baseline.label,
-                "region": region_name,
-                "tps": round(baseline.tps, 1),
-                **latency_cells(baseline, percentiles=("latency_ms",)),
-            }
-        )
+        rows += [_tps_row(r.label, r, region=region_name) for r in runs]
     print_series(
         "Fig 7 — spatial distribution (single vs multi region), WL1",
         rows,
@@ -258,42 +280,20 @@ def figure8(clients: int = 32) -> list[dict[str, Any]]:
     config = benchmark_config()
     rows = []
     for name, topology in (("WL1", wl1_topology()), ("WL2", wl2_topology())):
-        for method, use_txlist in (("HR", False), ("HI", True)):
-            result = run_view_workload(
-                method,
-                topology,
-                clients=clients,
-                items_per_client=_scaled(25, 3),
-                config=config,
-                use_txlist=use_txlist,
-            )
-            rows.append(
-                {
-                    "series": result.label,
-                    "workload": name,
-                    "tps": round(result.tps, 1),
-                    **latency_cells(result, percentiles=("latency_ms",)),
-                    "timed_out": result.timed_out,
-                }
-            )
         # Full item flows (no truncation): WL2's longer paths mean more
         # views per request, which is exactly what drowns the baseline.
-        baseline = run_baseline_workload(
+        runs = _with_baseline(
             topology,
-            clients=clients,
+            clients,
+            config,
+            (("HR", False), ("HI", True)),
+            FIG8_BASELINE_HORIZON_MS,
             items_per_client=_scaled(25, 3),
-            config=config,
-            horizon_ms=FIG8_BASELINE_HORIZON_MS,
         )
-        rows.append(
-            {
-                "series": baseline.label,
-                "workload": name,
-                "tps": round(baseline.tps, 1),
-                **latency_cells(baseline, percentiles=("latency_ms",)),
-                "timed_out": baseline.timed_out,
-            }
-        )
+        rows += [
+            {**_tps_row(r.label, r, workload=name), "timed_out": r.timed_out}
+            for r in runs
+        ]
     print_series(
         "Fig 8 — WL1 (7 nodes / 7 views) vs WL2 (14 nodes / 14 views)",
         rows,
@@ -307,25 +307,12 @@ def figure8(clients: int = 32) -> list[dict[str, Any]]:
 
 def figure9(view_counts: tuple[int, ...] = (1, 5, 10, 15, 20)) -> list[dict[str, Any]]:
     """Fig 9: storage overhead vs number of views after 40 requests."""
-    from repro.baseline.multichain import CrossChainDeployment
-    from repro.sim import Environment
-    from repro.workload.generator import TransferRequest
-
     requests = _scaled(40, 4)
     config = benchmark_config(latency=SINGLE_REGION)
     rows = []
     for views in view_counts:
         for method, use_txlist in (("HR", False), ("HI", False), ("HI", True)):
-            result = run_view_scaling(
-                views,
-                "all",
-                method=method,
-                clients=1,
-                requests_per_client=requests,
-                config=config,
-                use_txlist=use_txlist,
-                txlist_flush_interval_ms=2_000.0,
-            )
+            result = _one_client_all_views(method, use_txlist, views, requests, config)
             rows.append(
                 {
                     "series": f"{method}{'+TLC' if use_txlist else ''}",
@@ -333,22 +320,7 @@ def figure9(view_counts: tuple[int, ...] = (1, 5, 10, 15, 20)) -> list[dict[str,
                     "storage_kib": round(result.storage_bytes / 1024, 1),
                 }
             )
-        env = Environment()
-        names = [f"v{i}" for i in range(views)]
-        deployment = CrossChainDeployment(env, names, config=config)
-        identities = deployment.register_user("client")
-        for i in range(requests):
-            request = TransferRequest(
-                index=i,
-                fn="create_item",
-                item=f"fig9-{views}-{i}",
-                sender=None,
-                receiver=names[0],
-                args={"item": f"fig9-{views}-{i}", "owner": names[0]},
-                public={"item": f"fig9-{views}-{i}", "to": names[0], "access": names},
-                secret=b'{"type":"phone","amount":10,"price_cents":19900}',
-            )
-            deployment.submit_request_sync(identities, request)
+        deployment = _baseline_creates(f"fig9-{views}", views, requests, config)
         rows.append(
             {
                 "series": "baseline-2PC",
@@ -372,41 +344,32 @@ VIEW_SCALING_SWEEP = (1, 10, 25, 50, 100)
 
 def figure10(view_counts: tuple[int, ...] = VIEW_SCALING_SWEEP) -> list[dict[str, Any]]:
     """Fig 10: every transaction is in ALL views; sweep view count."""
-    rows = []
-    for views in view_counts:
-        result = run_view_scaling(
-            views,
-            "all",
-            method="HR",
-            clients=_scaled(64, 2),
-            requests_per_client=_scaled(25, 2),
-            config=benchmark_config(),
-        )
-        rows.append(
-            {
-                "views": views,
-                "tps": round(result.tps, 1),
-                **latency_cells(result, percentiles=("latency_ms",)),
-            }
-        )
-    print_series(
+    return _view_scaling_figure(
+        "all",
+        view_counts,
         "Fig 10 — each tx in ALL views",
-        rows,
-        note=(
-            "Paper: views 1→100 raises latency ~2.5 s → ~17 s and drops "
-            "throughput ~800 → ~80 TPS (bigger payloads, fewer txs/block)."
-        ),
+        "Paper: views 1→100 raises latency ~2.5 s → ~17 s and drops "
+        "throughput ~800 → ~80 TPS (bigger payloads, fewer txs/block).",
     )
-    return rows
 
 
 def figure11(view_counts: tuple[int, ...] = VIEW_SCALING_SWEEP) -> list[dict[str, Any]]:
     """Fig 11: every transaction is in exactly ONE view; sweep view count."""
+    return _view_scaling_figure(
+        "single",
+        view_counts,
+        "Fig 11 — each tx in a SINGLE view",
+        "Paper: latency stays ~2.5 s and throughput 600-900 TPS across "
+        "1→100 views.",
+    )
+
+
+def _view_scaling_figure(inclusion, view_counts, title, note) -> list[dict[str, Any]]:
     rows = []
     for views in view_counts:
         result = run_view_scaling(
             views,
-            "single",
+            inclusion,
             method="HR",
             clients=_scaled(64, 2),
             requests_per_client=_scaled(25, 2),
@@ -419,16 +382,8 @@ def figure11(view_counts: tuple[int, ...] = VIEW_SCALING_SWEEP) -> list[dict[str
                 **latency_cells(result, percentiles=("latency_ms",)),
             }
         )
-    print_series(
-        "Fig 11 — each tx in a SINGLE view",
-        rows,
-        note=(
-            "Paper: latency stays ~2.5 s and throughput 600-900 TPS across "
-            "1→100 views."
-        ),
-    )
+    print_series(title, rows, note=note)
     return rows
-
 
 def figure12(tx_counts: tuple[int, ...] = (100, 500, 1000, 2000)) -> list[dict[str, Any]]:
     """Fig 12: soundness/completeness verification time vs #transactions."""
@@ -502,11 +457,8 @@ def figure13(clients: int = 32) -> list[dict[str, Any]]:
     of hash-on-chain storage), (3) our revocable hash-based view.
     """
     from repro import build_network
-    from repro.fabric.network import Gateway
     from repro.fabric.peer import ValidationCode
     from repro.fabric.private_data import PrivateDataManager
-    from repro.sim import Environment
-    from repro.workload.presets import wl1_topology as _wl1
 
     clients = _scaled(clients, 2)
     requests_per_client = _scaled(50, 4)
@@ -519,51 +471,35 @@ def figure13(clients: int = 32) -> list[dict[str, Any]]:
     pdc = PrivateDataManager(network)
     pdc.create_collection("shipments", {"org1", "org2"})
     users = [network.register_user(f"c{i}", organization="org1") for i in range(clients)]
-    committed = {"count": 0}
-
-    def pdc_client(user, index):
-        counter = 0
-        for start in range(0, requests_per_client, 25):
-            events = []
-            for _ in range(min(25, requests_per_client - start)):
-                item = f"pdc-{index}-{counter}"
-                counter += 1
-                events.append(
-                    pdc.submit_private(
-                        user,
-                        "shipments",
-                        "create_item",
-                        {"item": item, "owner": "M"},
-                        {"item": item, "to": "M"},
-                        b'{"type":"phone","amount":10,"price_cents":19900}',
-                    )
-                )
-            notices = yield env.all_of(events)
-            committed["count"] += sum(
-                1 for n in notices if n.code is ValidationCode.VALID
-            )
-
-    started = env.now
-    done = env.all_of(
-        [env.process(pdc_client(user, i)) for i, user in enumerate(users)]
+    traces = [
+        [_create_item(n, f"pdc-{i}-{n}", "M", {"to": "M"}) for n in range(requests_per_client)]
+        for i in range(clients)
+    ]
+    run = _fleet(
+        env,
+        traces,
+        25,
+        lambda client, request: pdc.submit_private(
+            users[client], "shipments", request.fn, request.args, request.public, request.secret
+        ),
+        lambda client, request, notice: notice.code is ValidationCode.VALID,
     )
-    env.run(until=done)
-    duration = max(env.now - started, 1e-9)
-    summary = network.metrics.latencies_ms.summary()
-    rows.append(
-        {
-            "series": "private-data-collection",
-            "tps": round(committed["count"] / (duration / 1000.0), 1),
-            "latency_ms": round(summary.mean),
-        }
+    raw = _result(
+        "private-data-collection",
+        traces,
+        run,
+        network.metrics.latencies_ms,
+        network.metrics.onchain_txs.value,
+        network.total_storage_bytes(),
     )
+    rows.append(_tps_row(raw.label, raw))
 
     # (2) a revocable view genuinely layered over a PDC: the plaintext
     # is disseminated into collection side stores AND the view layer's
     # soundness/completeness machinery (TLC) runs on top.
     over_pdc = run_view_workload(
         "HR",
-        _wl1(),
+        wl1_topology(),
         clients=clients,
         items_per_client=25,
         config=config,
@@ -571,30 +507,18 @@ def figure13(clients: int = 32) -> list[dict[str, Any]]:
         max_requests_per_client=requests_per_client,
         pdc_collection="shipments",
     )
-    rows.append(
-        {
-            "series": "revocable-view-over-PDC",
-            "tps": round(over_pdc.tps, 1),
-            **latency_cells(over_pdc, percentiles=("latency_ms",)),
-        }
-    )
+    rows.append(_tps_row("revocable-view-over-PDC", over_pdc))
 
     # (3) our revocable hash-based view.
     hr = run_view_workload(
         "HR",
-        _wl1(),
+        wl1_topology(),
         clients=clients,
         items_per_client=25,
         config=config,
         max_requests_per_client=requests_per_client,
     )
-    rows.append(
-        {
-            "series": "hash-revocable-view",
-            "tps": round(hr.tps, 1),
-            **latency_cells(hr, percentiles=("latency_ms",)),
-        }
-    )
+    rows.append(_tps_row("hash-revocable-view", hr))
     print_series(
         "Fig 13 — private data collections vs revocable views",
         rows,

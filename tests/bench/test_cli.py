@@ -2,8 +2,12 @@
 
 import os
 
+import pytest
+
 from repro import build_network
 from repro.bench import __main__ as cli
+from repro.bench import runners
+from repro.errors import ConfigError
 from repro.fabric.config import NetworkConfig
 
 
@@ -77,6 +81,22 @@ def test_smoke_respects_existing_scale(monkeypatch):
     assert cli.main(["--smoke", "fig4"]) == 0
     assert seen["scale"] == "0.5"
     assert os.environ["REPRO_BENCH_SCALE"] == "0.5"
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
+def test_bad_scale_is_a_config_error_and_exits_two(monkeypatch, capsys, value):
+    """Only a positive, finite scale runs; anything else names the
+    variable before a figure starts, also under --smoke."""
+    monkeypatch.setenv("REPRO_BENCH_SCALE", value)
+    with pytest.raises(ConfigError, match="REPRO_BENCH_SCALE"):
+        runners._scale()
+    calls = []
+    monkeypatch.setitem(cli.FIGURES, "fig4", lambda: calls.append("fig4"))
+    for argv in (["fig4"], ["--smoke"]):
+        assert cli.main(argv) == 2
+        assert "REPRO_BENCH_SCALE" in capsys.readouterr().err
+    assert calls == []
+    assert os.environ["REPRO_BENCH_SCALE"] == value
 
 
 def test_smoke_end_to_end_runs_real_figure():
