@@ -1,6 +1,6 @@
 """Drift guards: simulated numbers that must not move by accident.
 
-Two sources, each a pure function of the code and pinned exactly in a
+Three sources, each a pure function of the code and pinned exactly in a
 committed file, so equality is the bound:
 
 ``e2e`` (the default, ~2 min)
@@ -10,12 +10,16 @@ committed file, so equality is the bound:
 ``figures`` (~3 s, needs ``repro`` importable: ``PYTHONPATH=src``)
     the rows every ``repro.bench.runners.figure*`` returns at the
     ``--smoke`` scale, against ``benchmarks/figures_expected_smoke.json``.
+``pins`` (~1 s, ``PYTHONPATH=src``)
+    the ten trajectory pins (the ``SCENARIOS`` of both ``test_trajectory_pin.py``
+    under ``tests/``), against ``benchmarks/pins_expected.json``.
 
-Usage: ``python3 benchmarks/check_e2e_drift.py [e2e|figures] [--regen]``.
+Usage: ``python3 benchmarks/check_e2e_drift.py [e2e|figures|pins] [--regen]``.
 Each difference prints as one ``path: expected X, got Y`` line, e.g.
 ``fig4[12].tps: expected 2.6, got 2.7``.  A change that means to move a
-number re-records the source's file with ``--regen``; that file's diff
-is then the change's claim.
+number re-records the source's file with ``--regen``, which prints the
+same lines against the old file before rewriting it; that diff is then
+the change's claim.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from unittest import mock
 BENCHMARKS = Path(__file__).resolve().parent
 EXPECTED = BENCHMARKS / "e2e_expected_seed1.json"
 FIGURES_EXPECTED = BENCHMARKS / "figures_expected_smoke.json"
+PINS_EXPECTED = BENCHMARKS / "pins_expected.json"
 EXACT = (
     "sim_goodput_tps",
     "sim_p50_ms",
@@ -75,7 +80,22 @@ def figure_rows() -> dict[str, list]:
     return json.loads(json.dumps(rows))
 
 
-SOURCES = {"e2e": (EXPECTED, e2e_rows), "figures": (FIGURES_EXPECTED, figure_rows)}
+def pin_rows() -> dict[str, dict]:
+    """Every trajectory pin's observables, run in this process."""
+    sys.path.insert(0, str(BENCHMARKS.parent))  # for the ``tests`` package
+    from tests.faults.test_trajectory_pin import SCENARIOS as chaos
+    from tests.serving.test_trajectory_pin import SCENARIOS as serving
+
+    cut = {p: {n: run(p) for n, run in serving.items()} for p in ("timer", "group")}
+    rows = {"chaos": {name: run() for name, run in chaos.items()}, "serving": cut}
+    return json.loads(json.dumps(rows))
+
+
+SOURCES = {
+    "e2e": (EXPECTED, e2e_rows),
+    "figures": (FIGURES_EXPECTED, figure_rows),
+    "pins": (PINS_EXPECTED, pin_rows),
+}
 
 
 class _Missing:
@@ -122,6 +142,26 @@ def field_diff(expected, got, path: str = "") -> list[str]:
     return [f"{path}: expected {expected!r}, got {got!r}"]
 
 
+def pin_diff(observed: dict, *keys: str) -> list[str]:
+    """:func:`field_diff` of one pin against its entry ``keys`` of the pins file."""
+    expected = json.loads(PINS_EXPECTED.read_text())
+    for key in keys:
+        expected = expected[key]
+    return field_diff(expected, json.loads(json.dumps(observed)), ".".join(keys))
+
+
+def dumps(tree, indent: str = "") -> str:
+    """JSON as ``indent=2`` writes it, but a list of scalars on one line."""
+    inner = indent + "  "
+    if isinstance(tree, dict) and tree:
+        items = (f"{inner}{json.dumps(k)}: {dumps(v, inner)}" for k, v in tree.items())
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(tree, list) and any(isinstance(v, (dict, list)) for v in tree):
+        items = (inner + dumps(v, inner) for v in tree)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return json.dumps(tree)
+
+
 def leaf_count(tree) -> int:
     if isinstance(tree, dict):
         return sum(leaf_count(value) for value in tree.values())
@@ -137,13 +177,13 @@ def main(argv: list[str]) -> int:
         return 2
     path, rows = SOURCES[names[0]]
     measured = rows()
-    if "--regen" in argv:
-        path.write_text(json.dumps(measured, indent=2) + "\n")
-        return 0
     lines = field_diff(json.loads(path.read_text()), measured)
     for line in lines:
         print(line)
     print(f"{len(lines)} of {leaf_count(measured)} values drifted")
+    if "--regen" in argv:
+        path.write_text(dumps(measured) + "\n")
+        return 0
     return 1 if lines else 0
 
 

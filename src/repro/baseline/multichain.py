@@ -98,8 +98,9 @@ class CrossChainDeployment:
         self.main.install_chaincode(NotaryContract())
         self.main.install_chaincode(CoordinatorContract())
 
-        # View chains are lighter deployments: a single peer each.
-        view_config = replace(self.config, peer_count=1)
+        # View chains are lighter deployments: a single peer each, which
+        # is also the only endorser their policy can ask for.
+        view_config = replace(self.config, peer_count=1, endorsement_policy=1)
         self.view_chains: dict[str, FabricNetwork] = {}
         for name in view_names:
             chain = FabricNetwork(env, view_config, chain_name=f"view-{name}")

@@ -188,6 +188,15 @@ class NetworkConfig:
     #: restart must re-apply.
     snapshot_interval_blocks: int = 25
 
+    def __post_init__(self) -> None:
+        if self.peer_count < 1:
+            raise ConfigError(f"peer_count must be >= 1, got {self.peer_count}")
+        if not 1 <= self.endorsement_policy <= self.peer_count:
+            raise ConfigError(
+                f"endorsement_policy must be in 1..peer_count ({self.peer_count}), "
+                f"got {self.endorsement_policy}"
+            )
+
     def payload_delay_ms(self, size_bytes: int, per_kib: float) -> float:
         """Size-proportional component of a service time."""
         return per_kib * (size_bytes / 1024.0)
@@ -224,10 +233,14 @@ class RetryPolicy:
             raise FaultInjectionError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.timeout_ms <= 0:
+        if not self.timeout_ms > 0:
             raise FaultInjectionError("timeout_ms must be positive")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise FaultInjectionError("deadline_ms must be positive when set")
+        for name in ("backoff_ms", "backoff_factor", "max_backoff_ms", "jitter_ms"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise FaultInjectionError(f"{name} must be >= 0, got {value}")
 
     def backoff_for(self, attempt: int, rng) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""

@@ -1,5 +1,7 @@
 """Integration tests for the cross-chain 2PC deployment."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baseline.multichain import CrossChainDeployment
@@ -124,6 +126,15 @@ def test_timeout_leads_to_abort(fast_config, ):
     deployment.verify_atomicity(result, ["D1"])
     status = deployment.main.query("coordinator", "status", {"xid": result.xid})
     assert status["state"] == "aborted"
+
+
+def test_two_endorser_main_chain_still_commits(fast_config):
+    # The one-peer view chains must not inherit the main chain's policy.
+    config = replace(fast_config, endorsement_policy=2)
+    nodes = wl1_topology().nodes
+    chains = CrossChainDeployment(Environment(), nodes, config=config, max_retries=0)
+    request = _request(access=["D1", "I1"])
+    assert chains.submit_request_sync(chains.register_user("c"), request).committed
 
 
 def test_storage_is_duplicated_per_view(fast_config):

@@ -1,25 +1,7 @@
 """The statistics of the paired A/B runner ``benchmarks/ab.py``, on fixed
-inputs (loaded by path: the runner is a script beside the benchmarks)."""
-
-import importlib.util
-import sys
-from pathlib import Path
+inputs (the ``ab`` fixture loads it by path)."""
 
 import pytest
-
-BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
-
-
-@pytest.fixture(scope="module")
-def ab():
-    sys.path.insert(0, str(BENCHMARKS))  # for its import of check_e2e_drift
-    try:
-        spec = importlib.util.spec_from_file_location("ab_runner", BENCHMARKS / "ab.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCHMARKS))
-    return module
 
 
 def test_quartiles_interpolate_between_sorted_values(ab):

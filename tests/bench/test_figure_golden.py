@@ -6,31 +6,19 @@ change that means to move a figure re-records the file with
 ``python3 benchmarks/check_e2e_drift.py figures --regen``.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 from repro.bench import runners
 
-DRIFT = Path(__file__).resolve().parents[2] / "benchmarks" / "check_e2e_drift.py"
 
-
-def _drift():
-    spec = importlib.util.spec_from_file_location("check_e2e_drift", DRIFT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_figure_rows_equal_the_golden():
-    drift = _drift()
+def test_figure_rows_equal_the_golden(drift):
     expected = json.loads(drift.FIGURES_EXPECTED.read_text())
     lines = drift.field_diff(expected, drift.figure_rows())
     assert not lines, "\n".join(lines)
 
 
-def test_field_diff_names_each_differing_leaf():
-    diff = _drift().field_diff
+def test_field_diff_names_each_differing_leaf(drift):
+    diff = drift.field_diff
     expected = {"fig4": [{"tps": 2.6, "clients": 1}, {"tps": 3.0}]}
     assert diff(expected, json.loads(json.dumps(expected))) == []
     assert diff(expected, {"fig4": [{"tps": 2.7, "clients": 1}]}) == [
@@ -41,6 +29,18 @@ def test_field_diff_names_each_differing_leaf():
     assert diff({"a": 1, "b": 2}, {"b": 2, "a": 1}) == [
         ": expected keys ['a', 'b'], got ['b', 'a']"
     ]
+
+
+def test_regen_prints_the_diff_then_rewrites(drift, monkeypatch, tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    golden.write_text('{"fig4": [2.6, 3]}\n')
+    monkeypatch.setitem(drift.SOURCES, "figures", (golden, lambda: {"fig4": [2.7, 3]}))
+    assert drift.main(["figures", "--regen"]) == 0
+    out = capsys.readouterr().out
+    assert out == "fig4[0]: expected 2.6, got 2.7\n1 of 2 values drifted\n"
+    assert golden.read_text() == '{\n  "fig4": [2.7, 3]\n}\n'
+    assert drift.main(["figures"]) == 0
+    assert capsys.readouterr().out == "0 of 2 values drifted\n"
 
 
 def test_fig4_5_sweep_reruns_for_another_scale_or_selector(monkeypatch):

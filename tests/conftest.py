@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -72,6 +73,36 @@ def encryptions(monkeypatch):
 
     monkeypatch.setattr(SymmetricKey, "encrypt", counting)
     return calls
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _script(relative: str):
+    """A script under ``benchmarks/`` (no package), loaded by path."""
+    path = BENCHMARKS / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def drift():
+    """``check_e2e_drift.py``: the goldens, ``field_diff``, ``pin_diff``, ``main``."""
+    return _script("check_e2e_drift.py")
+
+
+@pytest.fixture(scope="session")
+def ab(drift):
+    sys.modules.setdefault("check_e2e_drift", drift)  # ab.py imports it by name
+    return _script("ab.py")
+
+
+@pytest.fixture(scope="session")
+def e2e_metrics():
+    """The frozen e2e benchmark's ``metrics.py`` (it imports nothing of ``repro``)."""
+    return _script("e2e/metrics.py")
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -62,6 +62,16 @@ def test_benchmark_config_overrides():
     assert config.latency is SINGLE_REGION
     assert config.peer_count == 4
     assert config.real_signatures is False
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"peer_count": 0}, {"endorsement_policy": 0}, {"endorsement_policy": 3}],
+)
+def test_topology_rejects_an_unsatisfiable_endorsement_policy(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        replace(DEFAULT_CONFIG, **overrides)  # __init__, so NetworkConfig(...) too
+    assert NetworkConfig(peer_count=3, endorsement_policy=3).endorsement_policy == 3
 
 
 def test_default_calibration_sanity():

@@ -3,8 +3,9 @@
 Four seeded chaos runs, each reduced to tid-free observables (the
 clock, sorted latencies, injector counters, block cutting, consensus
 churn, per-peer heights, and the number of events the kernel
-scheduled) and compared with digests recorded at the commit *before*
-the seams were introduced.  A refactor
+scheduled) and compared field by field with ``chaos.<name>`` of
+``benchmarks/pins_expected.json``, recorded at the commit *before* the
+seams were introduced.  A refactor
 of how the network talks to its fault layer or its ordering service
 must leave every one of them untouched: same RNG draw order, same
 events, same clock.
@@ -14,26 +15,19 @@ runs at all: healing while a commit is in service, and a storage crash
 with blocks queued at the dying peer, are defects there (ROADMAP item
 3) that kill the simulation.
 
-Every backend selector is pinned in the config, so the digests hold
+Every backend selector is pinned in the config, so the values hold
 under any ambient ``REPRO_*`` variable.  Transaction ids are explicit
 and every encoded size is independent of the random key material, so
 no DRBG needs arming.
 
-``PYTHONPATH=src python tests/faults/test_trajectory_pin.py --regen``
-prints freshly computed digests (and the observables behind them); the
-``messages``, ``storage_crash`` and ``pbft`` values were generated at
-e3ace4e05f07e4c2561ad5b470384debabb24f07.  ``topology`` was regenerated
-once, when the phi-accrual heartbeat detector and the hedged query
-client were deleted: the scenario ran both, and their processes, their
-events and their draws on the shared link-loss RNG are gone, so every
-later loss decision and the trajectory after it moved.
+``topology`` was regenerated once, when the phi-accrual heartbeat
+detector and the hedged query client were deleted: the scenario ran
+both, and their processes, their events and their draws on the shared
+link-loss RNG are gone, so every later loss decision and the
+trajectory after it moved.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-import sys
 
 import pytest
 
@@ -52,13 +46,6 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.workload.zipf import COUNTER_CHAINCODE, CounterContract
-
-PINNED = {
-    "messages": "9bd59be026537ae1bfe9f5dd0414c2084c4fbf79ffb996e348ac15e914b37526",
-    "topology": "4c26685f1bdb202c61f15b0998a029ec892e0f48593276c90b2bc3e20e0ba827",
-    "storage_crash": "86469c6879d8927a522d23b954d050a8988bb5b00528b32a6cf0e15afd9ae50f",
-    "pbft": "79780156750b41cce9f7d2bc57c1135675f41b21c6a1a14312faaaf3c18018b2",
-}
 
 RETRY = RetryPolicy(
     max_attempts=10,
@@ -125,8 +112,8 @@ def _drive(network, prefix: str, count: int, every_ms: float):
 
 def _common(network, latencies, failures) -> dict:
     ordering = network.ordering
-    # The digests predate the group cutter's "idle" reason; a channel no
-    # serving target is bound to must never take that cut.
+    # The pinned values predate the group cutter's "idle" reason; a
+    # channel no serving target is bound to must never take that cut.
     reasons = dict(ordering.cut_reasons)
     assert reasons.pop("idle") == 0 and network.cut_policy == "timer"
     return {
@@ -353,25 +340,12 @@ SCENARIOS = {
 }
 
 
-def _digest(observed: dict) -> str:
-    canonical = json.dumps(observed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_chaos_trajectory_matches_the_pinned_digest(name):
+def test_chaos_trajectory_matches_the_pinned_digest(name, drift):
     observed = SCENARIOS[name]()
     # The scenario went through the fire, not around it.
     faults = observed["faults"]
     assert observed["latencies"] and faults["redeliveries"] > 0
     assert observed["heights"] == [observed["blocks_cut"]] * len(observed["heights"])
-    assert _digest(observed) == PINNED[name], json.dumps(observed, sort_keys=True)
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: test_trajectory_pin.py --regen")
-    for scenario, run in SCENARIOS.items():
-        result = run()
-        print(f'    "{scenario}": "{_digest(result)}",')
-        print(json.dumps(result, sort_keys=True), file=sys.stderr)
+    lines = drift.pin_diff(observed, "chaos", name)
+    assert not lines, "\n".join(lines)

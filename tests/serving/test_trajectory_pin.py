@@ -13,18 +13,17 @@ request's outcome and arrived/dispatched/completed stamps.
 How the session and drain coroutines are scheduled against the kernel
 must not show in any of them: same events, same order, same clock.
 
-Every backend selector is pinned in the config, so the digests hold
+Each run is compared field by field with
+``serving.<policy>.<name>`` of ``benchmarks/pins_expected.json``.
+Every backend selector is pinned in the config, so the values hold
 under any ambient ``REPRO_*`` variable; transaction ids are fixed-width
 and no encoded size depends on random key material.
 
-``PYTHONPATH=src python tests/serving/test_trajectory_pin.py --regen``
-prints freshly computed digests (and the observables behind them).
-
-History of the values below.  The "timer" digests were first generated
-at fcf10750d465e22c2109d2cde18cd42847ab235f, where the coroutines still
-ran on an asyncio event loop and a micro-batch had one terminal event.
-They held unchanged with the timer put back behind the bound target
-once the group cutter existed (checked on a build with the cutter and without per-request
+History of the pinned values.  The "timer" values were first recorded
+where the coroutines still ran on an asyncio event loop and a
+micro-batch had one terminal event.  They held unchanged with the timer
+put back behind the bound target once the group cutter existed
+(checked on a build with the cutter and without per-request
 completion), and were regenerated once, for per-request completion:
 ``knee`` moved only in ``events_scheduled`` (4197 -> 4122) and the
 queue-depth series (a sample per completed request, not per batch) —
@@ -32,14 +31,10 @@ no request stamp, batch size or the clock; ``view_mix`` (audits are
 terminal at dispatch, grants on their own notice) and ``dark_shard``
 (a request routed at the dark shard aborts at dispatch and frees its
 inflight slot at once) moved in batch sizes, stamps and the clock too.
-The "group" digests were generated with them.
+The "group" values were recorded with them.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-import sys
 
 import pytest
 
@@ -62,20 +57,6 @@ from repro.views.hash_based import HashBasedManager
 from repro.views.predicates import AttributeEquals
 from repro.views.types import ViewMode
 from repro.workload.zipf import CounterContract
-
-PINNED = {
-    "timer": {
-        "knee": "db885dd6b95b16334108f6c9a679efa21b447dd038a22d299538187619e74cfc",
-        "view_mix": "548d1e34c497cd9d2be03251b6cf0286979efc869a63d5141bf189e36c34ecc2",
-        "dark_shard": "9a398474bb518d17a2468d7503f2d74f8c2d3586c38ab31e38561e096ac33dd7",
-    },
-    "group": {
-        "knee": "93f2df32db20f565f01c3825d840e0abf651383daaec597112a23ac642db0049",
-        "view_mix": "1be291a18dd49e6496671ff56c93db581572011535234478d6964e94687a7ebc",
-        "dark_shard": "c13eb69814704bd198ed22bc3c5f8d5b2528da6f7a7189b2199c04da4a4eba68",
-    },
-}
-
 
 def _config() -> NetworkConfig:
     return NetworkConfig(
@@ -199,11 +180,6 @@ SCENARIOS = {
 }
 
 
-def _digest(observed: dict) -> str:
-    canonical = json.dumps(observed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _outcomes(observed: dict) -> dict[str, int]:
     counts: dict[str, int] = {}
     for _index, outcome, *_stamps in observed["requests"]:
@@ -211,7 +187,7 @@ def _outcomes(observed: dict) -> dict[str, int]:
     return counts
 
 
-def _check_pinned(name: str, cut_policy: str) -> None:
+def _check_pinned(drift, name: str, cut_policy: str) -> None:
     observed = SCENARIOS[name](cut_policy)
     outcomes = _outcomes(observed)
     # The scenario went through what it names, not around it.
@@ -225,37 +201,16 @@ def _check_pinned(name: str, cut_policy: str) -> None:
         if dispatched is not None
     )
     assert sum(observed["batch_sizes"]) == dispatched
-    assert _digest(observed) == PINNED[cut_policy][name], json.dumps(
-        _summary(observed)
-    )
+    lines = drift.pin_diff(observed, "serving", cut_policy, name)
+    assert not lines, "\n".join(lines)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_serving_trajectory_matches_the_pinned_digest(name):
+def test_serving_trajectory_matches_the_pinned_digest(name, drift):
     """The paper's timer cutter, put back behind the bound target."""
-    _check_pinned(name, "timer")
+    _check_pinned(drift, name, "timer")
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_serving_trajectory_under_group_commit_matches_the_pinned_digest(name):
-    _check_pinned(name, "group")
-
-
-def _summary(observed: dict) -> dict:
-    """The observables without the per-request rows (failure message)."""
-    return {
-        "now": observed["now"],
-        "events_scheduled": observed["events_scheduled"],
-        "batches": len(observed["batch_sizes"]),
-        "outcomes": _outcomes(observed),
-    }
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: test_trajectory_pin.py --regen")
-    for policy in PINNED:
-        for scenario, run in SCENARIOS.items():
-            result = run(policy)
-            print(f'{policy}: "{scenario}": "{_digest(result)}",')
-            print(json.dumps(_summary(result), sort_keys=True), file=sys.stderr)
+def test_serving_trajectory_under_group_commit_matches_the_pinned_digest(name, drift):
+    _check_pinned(drift, name, "group")

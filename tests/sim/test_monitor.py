@@ -1,8 +1,5 @@
 """Tests for counters and time-series measurement helpers."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,25 +62,12 @@ def test_summary_percentiles_are_nearest_rank():
     assert summary.p95 == summary.p99 == 10.0
 
 
-def _e2e_metrics():
-    """The frozen end-to-end benchmark's metrics module, loaded read-only
-    by path (it imports nothing of ``repro``)."""
-    path = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "metrics.py"
-    spec = importlib.util.spec_from_file_location("e2e_metrics_for_monitor_test", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-E2E_METRICS = _e2e_metrics()
-
-
 @given(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200),
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
-def test_percentile_equals_the_e2e_benchmarks(values, fraction):
-    assert percentile(sorted(values), fraction) == E2E_METRICS.percentile(values, fraction)
+def test_percentile_equals_the_e2e_benchmarks(e2e_metrics, values, fraction):
+    assert percentile(sorted(values), fraction) == e2e_metrics.percentile(values, fraction)
 
 
 def test_single_sample_percentiles():
