@@ -72,6 +72,7 @@ def rearm(monkeypatch):
     # Imported here: this file is also the conftest of ``e2e/tests``,
     # which run without ``src`` on the path.
     from repro.ledger import transaction
+    from repro.sharding import crossshard
 
     def arm(seed=0x1EDE9, first_tid=7_000_000):
         rng = random.Random(seed)
@@ -79,6 +80,8 @@ def rearm(monkeypatch):
         monkeypatch.setattr(secrets, "randbits", rng.getrandbits)
         monkeypatch.setattr(secrets, "randbelow", lambda n: rng.randrange(n))
         monkeypatch.setattr(transaction, "_tid_counter", itertools.count(first_tid))
+        # The ring places a 2PC transaction's coordinator by its xid.
+        monkeypatch.setattr(crossshard, "_xid_counter", itertools.count(1))
 
     return arm
 

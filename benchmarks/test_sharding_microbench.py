@@ -18,8 +18,9 @@ Legs:
   byte-identically (tip hash, state root, validation codes) to the
   plain unsharded network under the same seed;
 - **cross-shard mix** — a fraction of requests spans two shards through
-  the hardened 2PC layer; throughput degrades smoothly and every
-  distributed transaction stays atomic;
+  the hardened 2PC layer; throughput degrades smoothly, and
+  ``InvariantMonitor.check()`` on every shard holds every distributed
+  transaction all-or-nothing;
 - **chaos** — one whole shard (orderer + peers) is power-cut mid-run;
   survivors keep committing, the dead shard recovers from its durable
   WAL/snapshots, and the final state shows zero invariant violations.
@@ -37,6 +38,7 @@ from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
+from repro.faults import InvariantMonitor
 from repro.sharding import (
     CrossShardWrite,
     ShardedGateway,
@@ -294,6 +296,10 @@ def test_cross_shard_mix(rearm, record):
         rearm(*REARM)
         leg = _run_sharded(4, cross_shard_fraction=fraction)
         assert leg["counter_mismatches"] == 0
+        # No half-commits: each shard's atomicity oracle checks the
+        # transactions it coordinated against their participants.
+        for shard in leg["_sharded"].shards:
+            InvariantMonitor(shard).check()
         stats = leg["coordinator_stats"]
         cross = leg["extra"]["cross_shard"]
         if fraction > 0:

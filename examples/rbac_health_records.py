@@ -81,7 +81,7 @@ def main() -> None:
 
     # Ben retires: membership change rotates the role key AND the view
     # key of every revocable view the role can access.
-    authority.remove_member("nurse", "nurse-ben", managers=[manager])
+    authority.remove_member("nurse", "nurse-ben")
     print("ben retired: role key and ward-3 view key rotated")
 
     ben = ViewReader(staff["nurse-ben"], Gateway(network, staff["nurse-ben"]))

@@ -9,17 +9,18 @@ what makes the baseline lose to LedgerView on throughput, latency, and
 storage across the paper's experiments.
 
 The 2PC chaincodes (:class:`CoordinatorContract` on the main chain,
-:class:`ShardContract` on every view chain) are the ones
-:mod:`repro.sharding.crossshard` hardened, so the baseline and the
-sharded deployment run byte-for-byte identical 2PC logic.
+:class:`ShardContract` on every view chain) and the loop that drives
+them are :mod:`repro.sharding.crossshard`'s: the baseline and the
+sharded deployment run one coordinator, and the baseline supplies only
+its data (the main chain coordinates, votes are relayed, attempts time
+out and retry).
 """
 
-from repro.baseline.multichain import CrossChainDeployment, CrossChainResult
+from repro.baseline.multichain import CrossChainDeployment
 from repro.sharding.crossshard import CoordinatorContract, ShardContract
 
 __all__ = [
     "CrossChainDeployment",
-    "CrossChainResult",
     "CoordinatorContract",
     "ShardContract",
 ]

@@ -258,6 +258,9 @@ class FabricNetwork:
         self._block_listeners: list = []
         #: View managers over this channel; each registers itself.
         self.view_managers: list = []
+        #: 2PC participant chains by the name a ``begin`` record on this
+        #: chain gives them; the deployment coordinating here fills it.
+        self.participants: dict = {}
         #: The attached :class:`repro.faults.FaultInjector`, or ``None``.
         #: Only the client retry loop reads it; message faults reach
         #: the pipeline through :attr:`link`.

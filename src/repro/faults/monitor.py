@@ -21,8 +21,10 @@ registers itself with its network, and ``assert_views`` holds each of
 its views to :func:`~repro.views.verification.view_fold` — VALID
 ``invoke`` transactions only; a rejected one joins no view.  A
 cross-shard view write puts a tid in a shard's view whose chain holds
-it only inside a 2PC record; that would read as foreign, and no
-monitor is built over a shard network.
+it only inside a 2PC record; that would read as foreign, so no
+``ShardedViewOwner`` run is checked.  And so is two-phase commit:
+``assert_atomicity`` holds every 2PC transaction decided on the chain
+all-or-nothing, the baseline's and a shard network's alike.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from repro.errors import (
     InvariantViolationError,
     LedgerError,
     StorageError,
+    TwoPhaseCommitError,
 )
 from repro.fabric.chaincode import TxContext
 from repro.fabric.endorser import parse_rwset
 from repro.fabric.peer import ValidationCode
 from repro.ledger.statedb import StateDatabase, Version
+from repro.sharding.crossshard import assert_atomic
 from repro.views.verification import conceals, view_fold
 
 
@@ -385,6 +389,14 @@ class InvariantMonitor:
                 continue
         return None
 
+    def assert_atomicity(self) -> None:
+        """Every 2PC transaction decided on this chain is all-or-nothing
+        on its registered participants (``assert_atomic``)."""
+        try:
+            assert_atomic(self.network)
+        except TwoPhaseCommitError as exc:
+            raise InvariantViolationError(f"atomicity violation: {exc}") from exc
+
     def check(self) -> None:
         """The full post-heal safety check."""
         self.assert_exactly_once()
@@ -393,3 +405,4 @@ class InvariantMonitor:
         self.assert_durability()
         self.assert_isolation()
         self.assert_views()
+        self.assert_atomicity()

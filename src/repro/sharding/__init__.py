@@ -7,9 +7,9 @@ Fabric channels — each with its own orderer, peers, and durable stores
 — and keeping single-view traffic entirely shard-local.  Cross-view
 requests and RBAC relation updates whose writes span shards go through
 a hardened two-phase-commit layer: the coordinator/shard contract pair
-the paper's multi-chain baseline introduced, lifted out of
-``repro.baseline`` and made crash-safe (idempotent decide and commit,
-lock release on re-prepare, WAL-backed coordinator state).
+the paper's multi-chain baseline introduced, made crash-safe
+(idempotent decide and commit, lock release on re-prepare, WAL-backed
+coordinator state), and the one coordinator loop the baseline runs too.
 
 Public surface:
 
@@ -18,8 +18,9 @@ Public surface:
 - :class:`CoordinatorContract` / :class:`ShardContract` — the shared
   cross-shard 2PC chaincodes (``repro.baseline`` runs the same ones,
   so the baseline and the scale-out path run identical logic).
-- :class:`TwoPhaseCoordinator` — the crash-safe client-side driver
-  with a write-ahead decision log.
+- :class:`TwoPhaseCoordinator` — the one crash-safe 2PC driver (the
+  baseline's too) with a write-ahead decision log; every
+  ``InvariantMonitor.check()`` holds its decisions all-or-nothing.
 - :class:`ShardedNetwork` — N channels + router + cross-shard layer.
 - :class:`ShardedViewOwner` — shard-aware view manager placement
   (each view's manager, TLC service, and notary transactions live on

@@ -1,31 +1,36 @@
-"""Cross-shard two-phase commit: shared contracts and a crash-safe driver.
+"""Two-phase commit across chains: the contracts and the one driver.
 
-The :class:`CoordinatorContract`/:class:`ShardContract` pair started
-life inside ``repro.baseline`` as the paper's multi-chain strawman
-(AHL-style: one blockchain per view, the main chain as coordinator).
-This module is their first-class home: the baseline re-exports them
-from here, and the sharded scale-out architecture
-(:class:`repro.sharding.ShardedNetwork`) uses the identical logic for
-the minority of traffic whose writes span shards.
+The :class:`CoordinatorContract`/:class:`ShardContract` pair is the
+paper's multi-chain baseline (AHL-style: one blockchain per view, the
+main chain as coordinator), and :class:`TwoPhaseCoordinator` is the only
+loop that drives it.  The baseline
+(:class:`repro.baseline.CrossChainDeployment`) and the sharded
+scale-out path (:class:`repro.sharding.ShardedNetwork`, for the
+minority of traffic whose writes span shards) both run it; what differs
+is data their deployment carries, not a second loop (see
+:class:`TwoPhaseCoordinator`).
 
-Hardening over the original baseline copies:
+Hardening the protocol relies on:
 
 - ``decide`` is **idempotent-or-reject**: a recovering coordinator may
   replay its decision any number of times, but a *conflicting* second
-  decision is an error (PR 4's fix, kept).
+  decision is an error.
 - ``prepare`` under a new lock key **releases the old lock** a partial
-  earlier attempt took (PR 4's fix, kept).
-- ``commit`` is now **idempotent**: re-committing an xid whose record
+  earlier attempt took.
+- ``commit`` is **idempotent**: re-committing an xid whose record
   already materialised is a no-op replay, not an "unprepared" error —
   a recovering coordinator cannot know which commit fan-outs landed
   before the crash, so phase 2 must be safely re-drivable.
 - :class:`TwoPhaseCoordinator` write-ahead-logs its state (begin,
-  decision, done) through the PR 5 storage layer **before** acting on
-  it, so a coordinator crash at any point leaves a journal from which
+  decision, done) through the storage layer **before** acting on it,
+  so a coordinator crash at any point leaves a journal from which
   :meth:`TwoPhaseCoordinator.recover` re-drives every in-flight
   transaction to the outcome already decided — or aborts it if no
   decision was durable.  2PC's classic blocking window (participant
   locks held while the coordinator is down) ends at recovery.
+
+:func:`assert_atomic` is the one all-or-nothing check; every
+``InvariantMonitor.check()`` runs it over the chain it watches.
 """
 
 from __future__ import annotations
@@ -65,14 +70,6 @@ class CoordinatorContract(Chaincode):
         baseline degrades on the larger WL2 workload, Fig 8).
         """
         ctx.put_state(f"vote~{xid}~{view}", bool(prepared))
-
-    def fn_votes(self, ctx: TxContext, xid: str) -> dict[str, bool]:
-        """All recorded votes for a cross-chain transaction (query)."""
-        prefix = f"vote~{xid}~"
-        return {
-            key[len(prefix):]: value
-            for key, value in ctx.scan_prefix(prefix)
-        }
 
     def fn_decide(self, ctx: TxContext, xid: str, outcome: str) -> None:
         """Record the global commit/abort decision.
@@ -179,72 +176,85 @@ class ShardContract(Chaincode):
 
 # -- the crash-safe coordinator driver ----------------------------------------
 
+_xid_counter = itertools.count(1)
+
+
+def fresh_xid() -> str:
+    """Mint a process-unique 2PC transaction id."""
+    return f"xid-{next(_xid_counter):08d}"
+
 
 @dataclass(frozen=True)
 class CrossShardWrite:
-    """One shard's slice of a cross-shard transaction."""
+    """One participant's slice of a 2PC transaction."""
 
-    #: Index of the participant shard in the sharded network.
-    shard: int
+    #: The participant: a shard index, or a baseline view chain's name.
+    shard: int | str
     #: The per-item lock taken during prepare.
     lock_key: str
-    #: What ``commit`` materialises on the shard (JSON-serialisable).
+    #: What ``commit`` materialises on the participant (JSON-serialisable).
     payload: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class CrossShardResult:
-    """Outcome of one cross-shard transaction."""
+    """Outcome of one 2PC transaction."""
 
     xid: str
     committed: bool
-    shards: list[int]
-    coordinator_shard: int
+    shards: list
+    coordinator_shard: int | str
     latency_ms: float = 0.0
     #: True when :meth:`TwoPhaseCoordinator.recover` re-drove this
     #: transaction from the journal instead of a live request.
     replayed: bool = False
-    #: Shards that voted no during prepare (empty on commit).
-    refused: list[int] = field(default_factory=list)
+    #: Participants that voted no, or were dark (empty on commit).
+    refused: list = field(default_factory=list)
+    #: Prepare rounds run (0 when a dark participant presumed an abort).
+    attempts: int = 0
+    #: Prepare, commit and abort transactions sent to participants.
+    participant_txs: int = 0
 
 
 class CoordinatorLog:
     """Write-ahead journal of the coordinator's 2PC state.
 
-    Backed by the PR 5 storage layer's owner-journal format (CRC-framed
+    Backed by the storage layer's owner-journal format (CRC-framed
     records, torn tail truncated on replay, compaction after confirmed
     completion).  Entry kinds:
 
     - ``begin`` — the full write list, logged before any on-chain
       action;
     - ``decision`` — the commit/abort outcome, logged **before** the
-      decide transaction or any phase-2 fan-out (the durability point:
+      phase-2 fan-out or the decide transaction (the durability point:
       once logged, recovery must re-drive this outcome);
     - ``done`` — phase 2 confirmed everywhere; the xid is compacted
       out of the journal.
 
     With no store attached (durability off) the log is inert and
-    :meth:`pending` is empty — the coordinator then offers exactly the
-    in-memory guarantees the baseline always had.
+    :meth:`pending` is empty.
     """
 
     def __init__(self, store=None):
         self.store = store
 
+    @classmethod
+    def on(cls, network, owner_id: str = "crossshard-coordinator") -> "CoordinatorLog":
+        """The journal in ``network``'s durability runtime, if any."""
+        storage = network.storage
+        return cls(None if storage is None else storage.owner_store(owner_id))
+
     def _log(self, payload: dict[str, Any]) -> None:
         if self.store is not None:
             self.store.log(payload)
 
-    def log_begin(self, xid: str, writes: list[CrossShardWrite], coordinator: int) -> None:
+    def log_begin(self, xid: str, writes: list[CrossShardWrite], coordinator) -> None:
         self._log(
             {
                 "op": "begin",
                 "xid": xid,
                 "coordinator": coordinator,
-                "writes": [
-                    {"shard": w.shard, "lock_key": w.lock_key, "payload": w.payload}
-                    for w in writes
-                ],
+                "writes": [vars(w) for w in writes],
             }
         )
 
@@ -264,7 +274,7 @@ class CoordinatorLog:
         """In-flight transactions: begun but not marked done.
 
         Returns xid → ``{"writes": [CrossShardWrite...], "coordinator":
-        int, "outcome": str | None}`` in journal order.
+        key, "outcome": str | None}`` in journal order.
         """
         open_xacts: dict[str, dict[str, Any]] = {}
         for entry in self.entries():
@@ -272,14 +282,7 @@ class CoordinatorLog:
             if entry["op"] == "begin":
                 open_xacts[xid] = {
                     "coordinator": entry["coordinator"],
-                    "writes": [
-                        CrossShardWrite(
-                            shard=w["shard"],
-                            lock_key=w["lock_key"],
-                            payload=w["payload"],
-                        )
-                        for w in entry["writes"]
-                    ],
+                    "writes": [CrossShardWrite(**w) for w in entry["writes"]],
                     "outcome": None,
                 }
             elif entry["op"] == "decision" and xid in open_xacts:
@@ -293,131 +296,85 @@ class CoordinatorLog:
         if self.store is None:
             return
         live = self.pending()
-        keep: list[dict[str, Any]] = []
-        for entry in self.entries():
-            if entry["xid"] in live:
-                keep.append(entry)
-        self.store.rewrite(keep)
+        self.store.rewrite([e for e in self.entries() if e["xid"] in live])
 
 
 class TwoPhaseCoordinator:
-    """Drives cross-shard transactions against a :class:`ShardedNetwork`.
+    """The one 2PC driver, for one client over one deployment.
 
-    One coordinator instance serves one logical client (its per-shard
-    identities come from a :class:`~repro.sharding.network.ShardedGateway`).
-    The coordinator *chain* for each transaction is chosen by the
-    network's consistent-hash ring over the xid, so coordinator load
-    spreads across shards instead of funnelling through one.
+    ``deployment`` is a :class:`~repro.sharding.ShardedNetwork` or a
+    :class:`~repro.baseline.CrossChainDeployment`.  Both provide ``env``,
+    ``chain(key)``, ``participant_name(key)`` (what a ``begin`` record
+    calls a participant), ``coordinator_shard_for(xid)``,
+    ``shard_reachable(key)``, ``count_cross_shard(event)``,
+    ``coordinator_log()`` and the protocol's data: ``relays_votes``
+    (AHL), ``prepare_timeout_ms`` (a slower attempt fails even on
+    all-yes votes), ``max_retries`` and ``retry_backoff_ms``.  The
+    ``user_id`` of ``client`` (a ``ShardedGateway`` or a ``User``) is
+    registered on every chain and creates every transaction.
     """
 
-    _xid_counter = itertools.count(1)
-
-    def __init__(self, sharded, gateway, log: CoordinatorLog | None = None):
-        self.sharded = sharded
-        self.gateway = gateway
-        self.env = sharded.env
-        self.log = log if log is not None else sharded.coordinator_log()
-        self.stats = {
-            "begun": 0,
-            "committed": 0,
-            "aborted": 0,
-            "replayed": 0,
-            "prepares": 0,
-            "refusals": 0,
-            #: Transactions aborted upfront because a participant shard
-            #: was dark (partitioned/down) — no prepare was ever sent.
-            "presumed_aborts": 0,
-        }
-
-    # -- helpers -------------------------------------------------------------
-
-    def fresh_xid(self) -> str:
-        return f"xs-{next(self._xid_counter):08d}"
-
-    def _shard_proposal(self, shard: int, fn: str, args: dict) -> Proposal:
-        return Proposal(
-            chaincode=SHARD_CHAINCODE,
-            fn=fn,
-            args=args,
-            creator=self.gateway.user_on(shard).user_id,
-            contract_write=True,
-            kind="cross-shard",
+    def __init__(self, deployment, client, log: CoordinatorLog | None = None):
+        self.deployment = deployment
+        self.client = client
+        self.env = deployment.env
+        self.log = log if log is not None else deployment.coordinator_log()
+        self.stats = dict.fromkeys(
+            ["begun", "committed", "aborted", "replayed", "prepares", "refusals"], 0
         )
+        #: Transactions aborted upfront because a participant shard was
+        #: dark (partitioned/down) — no prepare was ever sent.
+        self.stats["presumed_aborts"] = 0
 
-    def _coordinator_proposal(self, shard: int, fn: str, args: dict) -> Proposal:
-        return Proposal(
-            chaincode=COORDINATOR_CHAINCODE,
-            fn=fn,
-            args=args,
-            creator=self.gateway.user_on(shard).user_id,
-            contract_write=True,
-            kind="cross-shard",
+    def _submit(self, key, chaincode: str, fn: str, args: dict):
+        proposal = Proposal(
+            chaincode, fn, args, creator=self.client.user_id, contract_write=True
         )
+        return self.deployment.chain(key).submit(proposal)
+
+    def _fan_out(self, writes: list[CrossShardWrite], fn: str, xid: str):
+        """``fn`` on every participant of ``writes``, in parallel."""
+        events = []
+        for w in writes:
+            args = {"xid": xid}
+            if fn == "prepare":
+                args.update(lock_key=w.lock_key, payload=w.payload)
+            events.append(self._submit(w.shard, SHARD_CHAINCODE, fn, args))
+        return self.env.all_of(events)
 
     # -- the protocol --------------------------------------------------------
 
     def execute(self, writes: list[CrossShardWrite], xid: str | None = None):
-        """Run one cross-shard transaction; returns the process event.
+        """Run one 2PC transaction as a process; returns its event,
+        whose value is a :class:`CrossShardResult`."""
+        return self.env.process(self.drive(writes, xid))
 
-        The event's value is a :class:`CrossShardResult`.  Single-shard
-        write lists are rejected — shard-local traffic must go through
-        the router's direct path, never through 2PC.
-        """
-        shards = sorted({w.shard for w in writes})
-        if len(shards) < 2:
-            raise TwoPhaseCommitError(
-                f"cross-shard transaction needs >= 2 shards, got {shards}; "
-                "route single-shard writes directly"
-            )
-        if len(shards) != len(writes):
+    def execute_sync(self, writes: list[CrossShardWrite], xid: str | None = None):
+        return self.env.run(until=self.execute(writes, xid))
+
+    def drive(self, writes: list[CrossShardWrite], xid: str | None = None):
+        """The one loop, as a generator: :meth:`execute` runs it as a
+        process, the baseline inlines it (``yield from``) into the
+        request process that committed the business transaction."""
+        keys = [w.shard for w in writes]
+        if len(set(keys)) != len(keys):
             # The shard contract parks one pending payload per xid, so a
-            # transaction gets exactly one write per shard — callers
-            # merge multi-item payloads before calling.
-            raise TwoPhaseCommitError(
-                f"duplicate shard in write list for one transaction "
-                f"(shards {[w.shard for w in writes]})"
-            )
-        return self.env.process(self._execute_process(writes, xid))
-
-    def execute_sync(
-        self, writes: list[CrossShardWrite], xid: str | None = None
-    ) -> CrossShardResult:
-        event = self.execute(writes, xid)
-        return self.env.run(until=event)
-
-    def _execute_process(self, writes: list[CrossShardWrite], xid: str | None):
-        env = self.env
+            # transaction gets exactly one write per participant —
+            # callers merge multi-item payloads before calling.
+            raise TwoPhaseCommitError(f"duplicate shard in one write list: {keys}")
+        env, deployment = self.env, self.deployment
         started = env.now
-        xid = xid or self.fresh_xid()
-        shards = sorted({w.shard for w in writes})
-        coordinator = self.sharded.coordinator_shard_for(xid)
-        if not self.sharded.shard_reachable(coordinator):
-            # The ring placed the coordinator records on a dark shard;
-            # any shard's chain can host them, so fail over to the
-            # first reachable one rather than blocking the protocol.
-            candidates = [
-                s
-                for s in range(self.sharded.shard_count)
-                if self.sharded.shard_reachable(s)
-            ]
-            if not candidates:
-                raise TwoPhaseCommitError(
-                    f"{xid}: no reachable shard can coordinate "
-                    "(every shard is dark or down)"
-                )
-            coordinator = candidates[0]
+        xid = xid or fresh_xid()
+        coordinator = deployment.coordinator_shard_for(xid)
         self.stats["begun"] += 1
-        self.sharded.count_cross_shard("begun")
+        deployment.count_cross_shard("begun")
 
         # Durability point 0: the intent.  Logged before the begin
         # transaction so recovery knows this xid existed at all.
         self.log.log_begin(xid, writes, coordinator)
-        yield self.sharded.shards[coordinator].submit(
-            self._coordinator_proposal(
-                coordinator,
-                "begin",
-                {"xid": xid, "views": [f"shard-{s}" for s in shards]},
-            )
+        names = [deployment.participant_name(key) for key in keys]
+        yield self._submit(
+            coordinator, COORDINATOR_CHAINCODE, "begin", {"xid": xid, "views": names}
         )
 
         # Presumed abort for dark participants: a prepare sent at a
@@ -427,105 +384,77 @@ class TwoPhaseCoordinator:
         # phase 1 even starts keeps the protocol safe (nothing was
         # prepared anywhere, so there is nothing to roll back on the
         # dark shard) and fast.
-        dark = sorted(
-            {
-                w.shard
-                for w in writes
-                if not self.sharded.shard_reachable(w.shard)
-            }
-        )
+        dark = sorted(key for key in keys if not deployment.shard_reachable(key))
         if dark:
             self.stats["refusals"] += len(dark)
             self.stats["presumed_aborts"] += 1
-            self.log.log_decision(xid, "aborted")
-            live_writes = [w for w in writes if w.shard not in dark]
-            result = yield env.process(
-                self._finish_process(
-                    xid, writes, coordinator, "aborted", fanout_writes=live_writes
-                )
-            )
-            result.latency_ms = env.now - started
-            result.refused = dark
-            return result
-
-        # Phase 1: prepare on every involved shard, in parallel.
-        prepare_events = [
-            self.sharded.shards[w.shard].submit(
-                self._shard_proposal(
-                    w.shard,
-                    "prepare",
-                    {"xid": xid, "lock_key": w.lock_key, "payload": w.payload},
-                )
-            )
-            for w in writes
-        ]
-        notices = yield env.all_of(prepare_events)
-        self.stats["prepares"] += len(writes)
-        refused = [
-            w.shard
-            for w, notice in zip(writes, notices)
-            if not (
-                notice.code is ValidationCode.VALID
-                and isinstance(notice.response, dict)
-                and notice.response.get("prepared")
-            )
-        ]
-        self.stats["refusals"] += len(refused)
-        outcome = "aborted" if refused else "committed"
+        live = [w for w in writes if w.shard not in dark]
+        refused, outcome, attempts, txs = dark, "aborted", 0, 0
+        while not dark and attempts <= deployment.max_retries:
+            attempts += 1
+            # Phase 1: prepare on every participant, in parallel.
+            sent = env.now
+            notices = yield self._fan_out(writes, "prepare", xid)
+            in_time = env.now - sent <= deployment.prepare_timeout_ms
+            self.stats["prepares"] += len(writes)
+            txs += len(writes)
+            votes = [
+                n.code is ValidationCode.VALID
+                and isinstance(n.response, dict)
+                and bool(n.response.get("prepared"))
+                for n in notices
+            ]
+            if deployment.relays_votes and writes:
+                # AHL processes every participant's vote as a
+                # transaction of the coordinating committee — |V| extra
+                # coordinator-chain transactions per attempt, which is
+                # why the baseline degrades on the larger WL2 (Fig 8).
+                relays = [
+                    self._submit(
+                        coordinator,
+                        COORDINATOR_CHAINCODE,
+                        "record_vote",
+                        {"xid": xid, "view": name, "prepared": vote},
+                    )
+                    for name, vote in zip(names, votes)
+                ]
+                yield env.all_of(relays)
+            refused = [w.shard for w, vote in zip(writes, votes) if not vote]
+            self.stats["refusals"] += len(refused)
+            if not refused and in_time:
+                outcome = "committed"
+                break
+            if attempts <= deployment.max_retries:
+                # Release whatever this attempt locked, then back off.
+                yield self._fan_out(writes, "abort", xid)
+                txs += len(writes)
+                yield env.timeout(deployment.retry_backoff_ms * attempts)
 
         # Durability point 1: the decision.  Must hit the journal
-        # before the decide transaction or any phase-2 fan-out — a
-        # crash after this line replays to the same outcome.
+        # before the phase-2 fan-out — a crash after this line replays
+        # to the same outcome.
         self.log.log_decision(xid, outcome)
-        result = yield env.process(
-            self._finish_process(xid, writes, coordinator, outcome)
+        yield from self._finish(xid, live, coordinator, outcome)
+        return CrossShardResult(
+            xid, outcome == "committed", sorted(keys), coordinator,
+            latency_ms=env.now - started, refused=sorted(refused),
+            attempts=attempts, participant_txs=txs + len(live),
         )
-        result.latency_ms = env.now - started
-        result.refused = sorted(set(refused))
-        return result
 
-    def _finish_process(
-        self,
-        xid: str,
-        writes: list[CrossShardWrite],
-        coordinator: int,
-        outcome: str,
-        replayed: bool = False,
-        fanout_writes: list[CrossShardWrite] | None = None,
-    ):
-        """Phase 2: record the decision, then fan out commit/abort.
-
-        Every step is idempotent on chain, so this whole process is
-        safely re-drivable by recovery.  ``fanout_writes`` restricts
-        the fan-out to a subset (the presumed-abort path skips dark
-        shards, which hold nothing to roll back) while the result still
-        names the transaction's full intended shard set.
-        """
-        env = self.env
-        decide = self._coordinator_proposal(
-            coordinator, "decide", {"xid": xid, "outcome": outcome}
-        )
-        yield self.sharded.shards[coordinator].submit(decide)
+    def _finish(self, xid, writes, coordinator, outcome: str, decide: bool = True):
+        """Phase 2: fan out commit or abort, then record the decision on
+        the coordinator chain — last, so a decision on chain means every
+        participant already acted on it (what the atomicity oracle
+        reads).  Every step is idempotent on chain, so recovery can
+        re-drive it; it skips ``decide`` when ``begin`` never landed."""
         fn = "commit" if outcome == "committed" else "abort"
-        targets = writes if fanout_writes is None else fanout_writes
-        fanout = [
-            self.sharded.shards[w.shard].submit(
-                self._shard_proposal(w.shard, fn, {"xid": xid})
-            )
-            for w in targets
-        ]
-        if fanout:
-            yield env.all_of(fanout)
+        yield self._fan_out(writes, fn, xid)
+        if decide:
+            args = {"xid": xid, "outcome": outcome}
+            yield self._submit(coordinator, COORDINATOR_CHAINCODE, "decide", args)
         self.log.log_done(xid)
         self.stats[outcome] += 1
-        self.sharded.count_cross_shard(outcome)
-        return CrossShardResult(
-            xid=xid,
-            committed=outcome == "committed",
-            shards=sorted({w.shard for w in writes}),
-            coordinator_shard=coordinator,
-            replayed=replayed,
-        )
+        self.deployment.count_cross_shard(outcome)
 
     # -- crash recovery ------------------------------------------------------
 
@@ -535,8 +464,8 @@ class TwoPhaseCoordinator:
         Runs after a (simulated) coordinator restart over the same
         durable store.  For each pending xid:
 
-        - a logged ``decision`` is re-driven verbatim — decide and the
-          phase-2 fan-out are idempotent on every chain, so fan-outs
+        - a logged ``decision`` is re-driven verbatim — the phase-2
+          fan-out and decide are idempotent on every chain, so fan-outs
           that landed before the crash are harmless no-op replays;
         - no logged decision means the crash hit inside phase 1:
           presumed-abort.  Locks any prepare did take are released, and
@@ -547,72 +476,70 @@ class TwoPhaseCoordinator:
         """
         results: list[CrossShardResult] = []
         for xid, state in self.log.pending().items():
-            outcome = state["outcome"]
-            writes = state["writes"]
-            coordinator = state["coordinator"]
+            writes, coordinator = state["writes"], state["coordinator"]
+            outcome, begun = state["outcome"], True
             if outcome is None:
                 outcome = "aborted"
                 self.log.log_decision(xid, outcome)
-                status = self.sharded.shards[coordinator].query(
-                    COORDINATOR_CHAINCODE,
-                    "status",
-                    {"xid": xid},
-                    creator=self.gateway.user_on(coordinator).user_id,
+                status = self.deployment.chain(coordinator).query(
+                    COORDINATOR_CHAINCODE, "status", {"xid": xid}
                 )
-                if status is None:
-                    # The begin transaction never committed: nothing is
-                    # on any chain except possibly shard locks.
-                    event = self.env.process(
-                        self._abort_unbegun_process(xid, writes)
-                    )
-                    self.env.run(until=event)
-                    self.stats["replayed"] += 1
-                    results.append(
-                        CrossShardResult(
-                            xid=xid,
-                            committed=False,
-                            shards=sorted({w.shard for w in writes}),
-                            coordinator_shard=coordinator,
-                            replayed=True,
-                        )
-                    )
-                    continue
-            event = self.env.process(
-                self._finish_process(xid, writes, coordinator, outcome, replayed=True)
-            )
-            result = self.env.run(until=event)
+                begun = status is not None
+            finish = self._finish(xid, writes, coordinator, outcome, decide=begun)
+            self.env.run(until=self.env.process(finish))
             self.stats["replayed"] += 1
-            results.append(result)
+            shards = sorted(w.shard for w in writes)
+            results.append(
+                CrossShardResult(
+                    xid, outcome == "committed", shards, coordinator, replayed=True
+                )
+            )
         return results
 
-    def _abort_unbegun_process(self, xid: str, writes: list[CrossShardWrite]):
-        fanout = [
-            self.sharded.shards[w.shard].submit(
-                self._shard_proposal(w.shard, "abort", {"xid": xid})
-            )
-            for w in writes
-        ]
-        yield self.env.all_of(fanout)
-        self.log.log_done(xid)
-
-    # -- consistency checks (used by tests and the bench) ---------------------
-
     def verify_atomicity(self, result: CrossShardResult) -> None:
-        """All-or-nothing: the record exists on all shards or none."""
-        present = [
-            shard
-            for shard in result.shards
-            if self.sharded.shards[shard].query(
-                SHARD_CHAINCODE, "get_record", {"xid": result.xid}
-            )
-            is not None
-        ]
-        if result.committed and len(present) != len(result.shards):
-            missing = sorted(set(result.shards) - set(present))
-            raise TwoPhaseCommitError(
-                f"{result.xid}: committed but missing on shards {missing}"
-            )
-        if not result.committed and present:
-            raise TwoPhaseCommitError(
-                f"{result.xid}: aborted but present on shards {present}"
-            )
+        """All-or-nothing for one transaction (:func:`assert_atomic`)."""
+        assert_atomic(self.deployment.chain(result.coordinator_shard), result.xid)
+
+
+# -- the atomicity oracle -----------------------------------------------------
+
+
+def assert_atomic(network, xid: str | None = None) -> None:
+    """All-or-nothing for the 2PC transactions decided on ``network``
+    (every one, or only ``xid``), read from reference-peer state: each
+    participant its ``begin`` record names (``network.participants``)
+    holds ``record~<xid>`` exactly when the decision is ``committed``,
+    and neither ``pending~<xid>`` nor a lock the transaction owns.
+    Undecided transactions are skipped: their fan-out may be in flight.
+    Raises :class:`~repro.errors.TwoPhaseCommitError` on the first one
+    that is not all-or-nothing.
+    """
+    state = network.reference_peer.statedb
+    prefix = f"{COORDINATOR_CHAINCODE}~xact~"
+    records = (
+        state.scan_prefix(prefix)
+        if xid is None
+        else [(prefix + xid, state.get(prefix + xid))]
+    )
+    locks: dict[str, dict[str, str]] = {}  # participant -> {owner xid: lock}
+    for key, record in records:
+        if record is None or record["state"] not in ("committed", "aborted"):
+            continue
+        txid, committed = key[len(prefix):], record["state"] == "committed"
+        for name in record["views"]:
+            if name not in network.participants:
+                raise TwoPhaseCommitError(f"{txid}: {name!r} is no participant")
+            held = network.participants[name].reference_peer.statedb
+            if name not in locks:
+                lock_keys = held.scan_prefix(f"{SHARD_CHAINCODE}~lock~")
+                locks[name] = {owner: lock for lock, owner in lock_keys if owner}
+            has_record = held.get(f"{SHARD_CHAINCODE}~record~{txid}") is not None
+            for broken, what in (
+                (has_record != committed, "missing" if committed else "present"),
+                (held.get(f"{SHARD_CHAINCODE}~pending~{txid}") is not None, "pending"),
+                (txid in locks[name], f"locking {locks[name].get(txid)!r}"),
+            ):
+                if broken:
+                    raise TwoPhaseCommitError(
+                        f"{txid}: {record['state']} but {what} on {name!r}"
+                    )

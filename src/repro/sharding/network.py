@@ -30,9 +30,15 @@ back — this is crash-recovery, not membership change).
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
-from repro.errors import FaultInjectionError, StorageError, WorkloadError
+from repro.errors import (
+    FaultInjectionError,
+    StorageError,
+    TwoPhaseCommitError,
+    WorkloadError,
+)
 from repro.fabric.config import NetworkConfig
 from repro.fabric.endorser import Proposal
 from repro.fabric.network import CommitNotice, FabricNetwork, Gateway
@@ -63,6 +69,13 @@ def shard_names(count: int) -> list[str]:
 class ShardedNetwork:
     """N independent Fabric channels behind one consistent-hash router."""
 
+    #: Its 2PC relays no votes, has no prepare timeout and does not
+    #: retry: a refused transaction aborts, and its caller may resubmit.
+    relays_votes = False
+    prepare_timeout_ms = math.inf
+    max_retries = 0
+    retry_backoff_ms = 0.0
+
     def __init__(
         self,
         env: Environment | None = None,
@@ -90,9 +103,11 @@ class ShardedNetwork:
         # transactions.  Installation is a pure registry insert — no
         # identities, no randomness — so the N=1 deployment stays
         # byte-identical to the unsharded reference.
+        participants = {self.participant_name(i): n for i, n in enumerate(self.shards)}
         for network in self.shards:
             network.install_chaincode(CoordinatorContract())
             network.install_chaincode(ShardContract())
+            network.participants.update(participants)
         #: Shard indices currently crashed (whole-shard outage).
         self.down: set[int] = set()
         #: Shard indices currently network-partitioned from the router.
@@ -125,11 +140,28 @@ class ShardedNetwork:
             )
         return self.shards[index]
 
+    def chain(self, shard: int) -> FabricNetwork:
+        return self.shards[shard]
+
+    def participant_name(self, shard: int) -> str:
+        return f"shard-{shard}"
+
     def coordinator_shard_for(self, xid: str) -> int:
         """Which shard's chain hosts a cross-shard transaction's
         coordinator records — ring-placed by xid, so coordinator load
-        spreads across shards instead of funnelling through one."""
-        return self.ring.index_for(xid)
+        spreads across shards instead of funnelling through one.  Any
+        shard's chain can host them, so a dark placement fails over to
+        the first reachable shard rather than blocking the protocol."""
+        placed = self.ring.index_for(xid)
+        if self.shard_reachable(placed):
+            return placed
+        for index in range(self.shard_count):
+            if self.shard_reachable(index):
+                return index
+        raise TwoPhaseCommitError(
+            f"{xid}: no reachable shard can coordinate "
+            "(every shard is dark or down)"
+        )
 
     # -- submission ----------------------------------------------------------
 
@@ -147,19 +179,12 @@ class ShardedNetwork:
 
     # -- cross-shard layer ---------------------------------------------------
 
-    def coordinator_log(self, owner_id: str = "crossshard-coordinator") -> CoordinatorLog:
-        """The 2PC driver's write-ahead decision journal.
-
-        Lives in shard 0's durability runtime (the coordinator is a
-        client-side process; any durable filesystem will do — what
-        matters is that it is not the coordinator's own memory).  With
-        durability off the log is inert and the driver degrades to the
-        baseline's in-memory guarantees.
-        """
-        storage = self.shards[0].storage
-        if storage is None:
-            return CoordinatorLog(None)
-        return CoordinatorLog(storage.owner_store(owner_id))
+    def coordinator_log(self) -> CoordinatorLog:
+        """The 2PC driver's write-ahead decision journal, in shard 0's
+        durability runtime (the coordinator is a client-side process;
+        any durable filesystem will do — what matters is that it is not
+        the coordinator's own memory)."""
+        return CoordinatorLog.on(self.shards[0])
 
     def count_cross_shard(self, event: str) -> None:
         self._cross_shard[event] = self._cross_shard.get(event, 0) + 1

@@ -151,18 +151,13 @@ class RBACAuthority:
         # the current role key".
         self._distribute_key(role, set(role.members))
 
-    def remove_member(
-        self,
-        role_name: str,
-        user_id: str,
-        managers: list[ViewManager] | None = None,
-    ) -> None:
+    def remove_member(self, role_name: str, user_id: str) -> None:
         """Remove a member: update ``A_r``, rotate the role key, and
         refresh grants on every view the role can access.
 
-        ``managers`` are the view managers owning those views; for each
-        revocable view the view key is rotated too (the departed member
-        knew the old one).
+        Every view manager registered with the network is visited, so
+        no caller can forget one; for each revocable view the view key
+        is rotated too (the departed member knew the old one).
         """
         role = self.role(role_name)
         if user_id not in role.members:
@@ -175,7 +170,7 @@ class RBACAuthority:
         role.members.discard(user_id)
         self.msp.reissue(role_principal(role_name))
         self._distribute_key(role, set(role.members))
-        for manager in managers or []:
+        for manager in self.gateway.network.view_managers:
             self._refresh_grants(manager, role_name)
 
     def _refresh_grants(self, manager: ViewManager, role_name: str) -> None:

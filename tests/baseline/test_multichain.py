@@ -46,25 +46,29 @@ def _request(index=0, item="i1", sender=None, receiver="D1", access=None, fn="cr
     )
 
 
+def _record_on(deployment, view, xid):
+    return deployment.view_chains[view].query("twopc", "get_record", {"xid": xid})
+
+
 def test_commit_duplicates_record_on_all_view_chains(deployment, identities):
     request = _request(access=["D1", "I1", "T1"])
     result = deployment.submit_request_sync(identities, request)
     assert result.committed
     assert result.attempts == 1
-    assert result.view_chain_txs == 6  # 2 per involved view chain
+    assert result.participant_txs == 6  # 2 per involved view chain
     deployment.verify_atomicity(result, ["D1", "I1", "T1"])
     for view in ("D1", "I1", "T1"):
-        record = deployment.record_on_view_chain(view, result.xid)
+        record = _record_on(deployment, view, result.xid)
         assert record["public"]["item"] == "i1"
     # Views not in the access list hold nothing.
-    assert deployment.record_on_view_chain("T3", result.xid) is None
+    assert _record_on(deployment, "T3", result.xid) is None
 
 
 def test_request_touches_only_registered_views(deployment, identities):
     request = _request(access=["D1", "not-a-view"])
     result = deployment.submit_request_sync(identities, request)
     assert result.committed
-    assert result.view_chain_txs == 2
+    assert result.participant_txs == 2
 
 
 def test_crosschain_tx_count_is_2v_per_request(deployment, identities):

@@ -1,4 +1,13 @@
-"""Unit tests for the 2PC coordinator and shard chaincodes."""
+"""Unit tests for the 2PC coordinator and shard chaincodes.
+
+Two of them pin fixed bugs: ``decide`` once overwrote any prior
+decision, so a recovering coordinator replaying its log could flip
+``aborted`` → ``committed`` after shards had released locks on the
+strength of the first one (now an identical re-decide is a no-op and a
+conflicting one raises); and a re-``prepare`` of the same xid under a
+new lock key left the first lock held forever, because commit and abort
+release only the lock the *current* pending record names.
+"""
 
 import pytest
 
@@ -82,20 +91,28 @@ class TestCoordinator:
         assert status["state"] == "aborted"
 
     def test_conflicting_redecide_rejected(self, statedb):
-        """A decision can never flip — the 2PC finality guarantee."""
+        """A decision can never flip — the 2PC finality guarantee —
+        whichever outcome came first."""
         contract = CoordinatorContract()
-        ctx = _ctx(statedb, "coordinator")
-        contract.invoke(ctx, "begin", {"xid": "x1", "views": []})
-        _apply(ctx, statedb)
-        ctx2 = _ctx(statedb, "coordinator")
-        contract.invoke(ctx2, "decide", {"xid": "x1", "outcome": "committed"})
-        _apply(ctx2, statedb, 1)
-        with pytest.raises(ChaincodeError, match="already decided"):
-            contract.invoke(
-                _ctx(statedb, "coordinator"),
-                "decide",
-                {"xid": "x1", "outcome": "aborted"},
+        for position, (xid, first, other) in enumerate(
+            [("x1", "committed", "aborted"), ("x2", "aborted", "committed")]
+        ):
+            ctx = _ctx(statedb, "coordinator")
+            contract.invoke(ctx, "begin", {"xid": xid, "views": []})
+            _apply(ctx, statedb, 2 * position)
+            ctx2 = _ctx(statedb, "coordinator")
+            contract.invoke(ctx2, "decide", {"xid": xid, "outcome": first})
+            _apply(ctx2, statedb, 2 * position + 1)
+            with pytest.raises(ChaincodeError, match="already decided"):
+                contract.invoke(
+                    _ctx(statedb, "coordinator"),
+                    "decide",
+                    {"xid": xid, "outcome": other},
+                )
+            status = contract.invoke(
+                _ctx(statedb, "coordinator"), "status", {"xid": xid}
             )
+            assert status["state"] == first
 
 
 class TestShard:

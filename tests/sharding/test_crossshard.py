@@ -67,7 +67,7 @@ class TestHappyPath:
     def test_coordinator_placement_spreads_by_xid(self):
         sharded, _gw, co = _deployment(shards=4)
         placements = {
-            co.sharded.coordinator_shard_for(f"xs-{i:08d}") for i in range(64)
+            sharded.coordinator_shard_for(f"xid-{i:08d}") for i in range(64)
         }
         assert len(placements) > 1
 
@@ -96,10 +96,11 @@ class TestConflicts:
     def test_prepared_lock_refuses_second_transaction(self):
         sharded, gw, co = _deployment()
         # Park a prepare (lock held, never decided) directly.
-        hold = sharded.shards[1].submit(
-            co._shard_proposal(
-                1, "prepare", {"xid": "squatter", "lock_key": "hot", "payload": {}}
-            )
+        hold = co._submit(
+            1,
+            SHARD_CHAINCODE,
+            "prepare",
+            {"xid": "squatter", "lock_key": "hot", "payload": {}},
         )
         sharded.run(until=hold)
         result = co.execute_sync(_writes((0, 1), lock="hot"))
@@ -109,24 +110,17 @@ class TestConflicts:
         assert _record_on(sharded, 0, result.xid) is None
         assert co.stats["refusals"] == 1
         # Releasing the squatter unblocks the key for the next attempt.
-        release = sharded.shards[1].submit(
-            co._shard_proposal(1, "abort", {"xid": "squatter"})
-        )
+        release = co._submit(1, SHARD_CHAINCODE, "abort", {"xid": "squatter"})
         sharded.run(until=release)
         retry = co.execute_sync(_writes((0, 1), lock="hot"))
         assert retry.committed
 
 
 class TestValidation:
-    def test_single_shard_write_list_rejected(self):
-        _sharded, _gw, co = _deployment()
-        with pytest.raises(TwoPhaseCommitError, match=">= 2 shards"):
-            co.execute([CrossShardWrite(shard=0, lock_key="k")])
-
     def test_duplicate_shard_rejected(self):
         _sharded, _gw, co = _deployment()
         with pytest.raises(TwoPhaseCommitError, match="duplicate shard"):
-            co.execute(
+            co.execute_sync(
                 [
                     CrossShardWrite(shard=0, lock_key="a"),
                     CrossShardWrite(shard=0, lock_key="b"),
@@ -144,26 +138,24 @@ class TestCoordinatorCrashRecovery:
         coordinator = sharded.coordinator_shard_for(xid)
         co.log.log_begin(xid, writes, coordinator)
         if begin_tx:
-            event = sharded.shards[coordinator].submit(
-                co._coordinator_proposal(
-                    coordinator,
-                    "begin",
-                    {"xid": xid, "views": [f"shard-{w.shard}" for w in writes]},
-                )
+            event = co._submit(
+                coordinator,
+                COORDINATOR_CHAINCODE,
+                "begin",
+                {"xid": xid, "views": [f"shard-{w.shard}" for w in writes]},
             )
             sharded.run(until=event)
         if prepares:
             for write in writes:
-                event = sharded.shards[write.shard].submit(
-                    co._shard_proposal(
-                        write.shard,
-                        "prepare",
-                        {
-                            "xid": xid,
-                            "lock_key": write.lock_key,
-                            "payload": write.payload,
-                        },
-                    )
+                event = co._submit(
+                    write.shard,
+                    SHARD_CHAINCODE,
+                    "prepare",
+                    {
+                        "xid": xid,
+                        "lock_key": write.lock_key,
+                        "payload": write.payload,
+                    },
                 )
                 sharded.run(until=event)
         if decision is not None:
@@ -203,28 +195,20 @@ class TestCoordinatorCrashRecovery:
     def test_crash_mid_fanout_replays_idempotently(self):
         sharded, gw, co = _deployment()
         writes = _writes((0, 1), payload={"v": 3})
-        coordinator = self._crash_setup(
+        self._crash_setup(
             co, sharded, "xs-crash-c", writes,
             begin_tx=True, prepares=True, decision="committed",
         )
-        # The decide tx and ONE commit landed before the crash.
-        for proposal in (
-            co._coordinator_proposal(
-                coordinator, "decide", {"xid": "xs-crash-c", "outcome": "committed"}
-            ),
-            co._shard_proposal(0, "commit", {"xid": "xs-crash-c"}),
-        ):
-            shard_net = (
-                sharded.shards[coordinator]
-                if proposal.chaincode == COORDINATOR_CHAINCODE
-                else sharded.shards[0]
-            )
-            sharded.run(until=shard_net.submit(proposal))
+        # ONE commit of the fan-out landed before the crash.
+        sharded.run(
+            until=co._submit(0, SHARD_CHAINCODE, "commit", {"xid": "xs-crash-c"})
+        )
         recovered = TwoPhaseCoordinator(sharded, gw, log=sharded.coordinator_log())
         results = recovered.recover()
         assert results[0].committed
         for shard in (0, 1):
             assert _record_on(sharded, shard, "xs-crash-c") == {"v": 3}
+        recovered.verify_atomicity(results[0])
 
     def test_crash_before_begin_tx_leaves_no_trace(self):
         sharded, gw, co = _deployment()

@@ -138,9 +138,9 @@ class TestCrossShardPresumedAbort:
         # An xid whose coordinator records the ring would place on the
         # dark shard.
         xid = next(
-            f"xs-{i:08d}"
+            f"xid-{i:08d}"
             for i in range(10_000)
-            if sharded.coordinator_shard_for(f"xs-{i:08d}") == dark
+            if sharded.coordinator_shard_for(f"xid-{i:08d}") == dark
         )
         sharded.partition_shard(dark)
         result = coordinator.execute_sync(

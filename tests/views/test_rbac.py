@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AccessControlError, AccessDeniedError, ChaincodeError
 from repro.fabric.network import Gateway
+from repro.faults.monitor import InvariantMonitor
 from repro.views.encryption_based import EncryptionBasedManager
 from repro.views.hash_based import HashBasedManager
 from repro.views.manager import ViewReader
@@ -84,6 +85,11 @@ def test_non_member_cannot_load_role_key(world):
 
 
 def test_member_removal_rotates_role_key(world):
+    """Regression: ``remove_member`` finds the view managers through the
+    network.  When it rotated view keys only on managers its caller
+    passed, a bare call left ``key_version`` at 0, the leaver's stale
+    role key opening the current grant, and the remaining member denied
+    ("holds no current grant")."""
     network, authority, manager, users, outcome = world
     authority.create_role("nurse")
     authority.add_member("nurse", "nurse1")
@@ -93,7 +99,8 @@ def test_member_removal_rotates_role_key(world):
     leaver = _reader(network, users["nurse1"], authority, "nurse")
     stale_role_key = leaver.role_keys[role_principal("nurse")]
 
-    authority.remove_member("nurse", "nurse1", managers=[manager])
+    authority.remove_member("nurse", "nurse1")
+    assert manager.buffer.get("records").key_version == 1
 
     # Remaining member still reads (new role key + re-granted view key).
     stayer = _reader(network, users["nurse2"], authority, "nurse")
@@ -105,6 +112,7 @@ def test_member_removal_rotates_role_key(world):
     leaver.role_keys[role_principal("nurse")] = stale_role_key
     with pytest.raises(AccessDeniedError):
         leaver.obtain_view_key("records", manager.access_tx_ids["records"])
+    InvariantMonitor(network).check()
 
 
 def test_remove_member_rotates_view_key_for_revocable_views(world):
@@ -114,7 +122,7 @@ def test_remove_member_rotates_view_key_for_revocable_views(world):
     authority.add_member("nurse", "nurse2")
     authority.grant_view_to_role(manager, "records", "nurse")
     version_before = manager.buffer.get("records").key_version
-    authority.remove_member("nurse", "nurse1", managers=[manager])
+    authority.remove_member("nurse", "nurse1")
     assert manager.buffer.get("records").key_version == version_before + 1
 
 
