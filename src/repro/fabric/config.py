@@ -154,14 +154,6 @@ class NetworkConfig:
     #: occ most conflicts rebase at the peer instead.
     mvcc_retry_attempts: int = 0
 
-    # -- sharding ------------------------------------------------------------
-    #: Number of independent channels a
-    #: :class:`repro.sharding.ShardedNetwork` built from this config
-    #: runs.  1 (default) is the unsharded deployment — a single shard
-    #: named ``"main"``, byte-identical to a plain
-    #: :class:`~repro.fabric.network.FabricNetwork`.
-    shard_count: int = 1
-
     # -- faults --------------------------------------------------------------
     #: Fault-injection plan for this network: inline JSON or a path to
     #: a JSON file (see :class:`repro.faults.FaultPlan`); an injector

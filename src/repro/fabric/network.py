@@ -894,10 +894,6 @@ class FabricNetwork:
         """
         self._block_listeners.append(listener)
 
-    def remove_block_listener(self, listener) -> None:
-        """Unsubscribe a previously registered block listener."""
-        self._block_listeners.remove(listener)
-
     # -- integrity --------------------------------------------------------------
 
     def verify_convergence(self) -> None:

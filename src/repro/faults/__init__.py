@@ -35,11 +35,6 @@ from repro.faults.plan import (
     RetryPolicy,
 )
 from repro.faults.recovery import catch_up, recover_peer
-from repro.faults.shard import (
-    ShardCrashSpec,
-    ShardFaultPlan,
-    schedule_shard_faults,
-)
 from repro.sim.faults import (
     DegradationSpec,
     FaultDecision,
@@ -61,10 +56,7 @@ __all__ = [
     "MessageFaultRule",
     "PartitionSpec",
     "RetryPolicy",
-    "ShardCrashSpec",
-    "ShardFaultPlan",
     "TopologyFaultModel",
     "catch_up",
     "recover_peer",
-    "schedule_shard_faults",
 ]

@@ -19,12 +19,11 @@ the reference the peers' one validation loop is held to.
 So are the views (Prop 4.1 and revocation): every view manager
 registers itself with its network, and ``assert_views`` holds each of
 its views to :func:`~repro.views.verification.view_fold` — VALID
-``invoke`` transactions only; a rejected one joins no view.  A
-cross-shard view write puts a tid in a shard's view whose chain holds
-it only inside a 2PC record; that would read as foreign, so no
-``ShardedViewOwner`` run is checked.  And so is two-phase commit:
-``assert_atomicity`` holds every 2PC transaction decided on the chain
-all-or-nothing, the baseline's and a shard network's alike.
+``invoke`` transactions only; a rejected one joins no view.  Every
+view manager runs on one chain (a view on a sharded deployment lives
+on its home shard), so every view is checked.  And so is two-phase
+commit: ``assert_atomicity`` holds every 2PC transaction decided on
+the chain all-or-nothing, the baseline's and a shard network's alike.
 """
 
 from __future__ import annotations

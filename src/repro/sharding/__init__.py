@@ -4,17 +4,19 @@ Every per-channel optimisation so far still funnels all traffic through
 one orderer and one commit path.  This package removes that ceiling by
 consistent-hash-mapping views (and their keys) onto N independent
 Fabric channels — each with its own orderer, peers, and durable stores
-— and keeping single-view traffic entirely shard-local.  Cross-view
-requests and RBAC relation updates whose writes span shards go through
-a hardened two-phase-commit layer: the coordinator/shard contract pair
-the paper's multi-chain baseline introduced, made crash-safe
-(idempotent decide and commit, lock release on re-prepare, WAL-backed
-coordinator state), and the one coordinator loop the baseline runs too.
+— and keeping single-view traffic entirely shard-local.  Writes that
+span shards go through a hardened two-phase-commit layer: the
+coordinator/shard contract pair the paper's multi-chain baseline
+introduced, made crash-safe (idempotent decide and commit, lock release
+on re-prepare, WAL-backed coordinator state), and the one coordinator
+loop the baseline runs too.  A view lives on one shard: its
+:class:`~repro.views.manager.ViewManager` is built on
+``ShardedGateway.on(i)``, so ``InvariantMonitor(sharded.shards[i])``
+holds it to the view oracle like any single-channel manager.
 
 Public surface:
 
-- :class:`ConsistentHashRing` — deterministic view → shard placement
-  with bounded key movement on resharding.
+- :class:`ConsistentHashRing` — deterministic view → shard placement.
 - :class:`CoordinatorContract` / :class:`ShardContract` — the shared
   cross-shard 2PC chaincodes (``repro.baseline`` runs the same ones,
   so the baseline and the scale-out path run identical logic).
@@ -22,9 +24,7 @@ Public surface:
   baseline's too) with a write-ahead decision log; every
   ``InvariantMonitor.check()`` holds its decisions all-or-nothing.
 - :class:`ShardedNetwork` — N channels + router + cross-shard layer.
-- :class:`ShardedViewOwner` — shard-aware view manager placement
-  (each view's manager, TLC service, and notary transactions live on
-  the view's home shard).
+- :class:`ShardedGateway` — one client identity on every shard.
 """
 
 from repro.sharding.crossshard import (
@@ -39,7 +39,6 @@ from repro.sharding.crossshard import (
 )
 from repro.sharding.network import ShardedGateway, ShardedNetwork
 from repro.sharding.ring import ConsistentHashRing
-from repro.sharding.views import ShardedViewOwner
 
 __all__ = [
     "COORDINATOR_CHAINCODE",
@@ -52,6 +51,5 @@ __all__ = [
     "ShardContract",
     "ShardedGateway",
     "ShardedNetwork",
-    "ShardedViewOwner",
     "TwoPhaseCoordinator",
 ]

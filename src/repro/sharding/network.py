@@ -40,9 +40,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.fabric.config import NetworkConfig
-from repro.fabric.endorser import Proposal
 from repro.fabric.network import CommitNotice, FabricNetwork, Gateway
-from repro.fabric.identity import User
 from repro.sim import Environment, Event
 from repro.sharding.crossshard import (
     CoordinatorContract,
@@ -80,15 +78,14 @@ class ShardedNetwork:
         self,
         env: Environment | None = None,
         config: NetworkConfig | None = None,
-        shard_count: int | None = None,
+        shard_count: int = 1,
         install_standard_contracts: bool = True,
     ):
         from repro import build_network
 
         self.env = env or Environment()
         self.config = config or NetworkConfig()
-        count = shard_count if shard_count is not None else self.config.shard_count
-        names = shard_names(count)
+        names = shard_names(shard_count)
         self.ring = ConsistentHashRing(names)
         self.shards: list[FabricNetwork] = [
             build_network(
@@ -162,17 +159,6 @@ class ShardedNetwork:
             f"{xid}: no reachable shard can coordinate "
             "(every shard is dark or down)"
         )
-
-    # -- submission ----------------------------------------------------------
-
-    def submit_on(self, shard: int, proposal: Proposal) -> Event:
-        """Submit directly to one shard (router-internal / 2PC use)."""
-        if not self.shard_reachable(shard):
-            state = "down" if shard in self.down else "partitioned"
-            raise FaultInjectionError(
-                f"shard {self.shards[shard].chain_name!r} is {state}"
-            )
-        return self.shards[shard].submit(proposal)
 
     def run(self, until: Any = None):
         return self.env.run(until=until)
@@ -289,13 +275,6 @@ class ShardedNetwork:
             if self.shard_reachable(index)
         )
 
-    def queue_depths(self) -> list[int]:
-        """Per-shard orderer queue depths (unreachable shards report 0)."""
-        return [
-            network.queue_depth() if self.shard_reachable(index) else 0
-            for index, network in enumerate(self.shards)
-        ]
-
     def per_shard_stats(self) -> list[dict[str, Any]]:
         """Per-shard balance counters for the bench harness ``extra``."""
         stats = []
@@ -329,20 +308,6 @@ class ShardedNetwork:
             "cross_shard": self.cross_shard_stats(),
         }
 
-    def merge_phase_wall(self, totals: dict[str, float]) -> None:
-        """Accumulate every shard's host-side phase times into ``totals``."""
-        for network in self.shards:
-            network.phase_wall.merge_into(totals)
-
-    def commit_outcome_totals(self) -> dict[str, int]:
-        """Commit/abort/rebase counts summed across all shards."""
-        totals = {"committed": 0, "aborted": 0, "rebased": 0}
-        for network in self.shards:
-            outcomes = network.phase_wall.commit_outcomes()["totals"]
-            for key in totals:
-                totals[key] += outcomes[key]
-        return totals
-
 
 class ShardedGateway:
     """One logical client identity registered on every shard.
@@ -363,20 +328,13 @@ class ShardedGateway:
     ):
         self.sharded = sharded
         self.user_id = user_id
-        self.users: list[User] = [
-            network.register_user(user_id, organization)
-            for network in sharded.shards
-        ]
         self.gateways: list[Gateway] = [
-            Gateway(network, user)
-            for network, user in zip(sharded.shards, self.users)
+            Gateway(network, network.register_user(user_id, organization))
+            for network in sharded.shards
         ]
 
     def on(self, shard: int) -> Gateway:
         return self.gateways[shard]
-
-    def user_on(self, shard: int) -> User:
-        return self.users[shard]
 
     def shard_of(self, key: str) -> int:
         return self.sharded.shard_index(key)

@@ -8,9 +8,9 @@ the sharding layer depends on, and the test suite pins:
 
 - **Deterministic**: placement is a pure function of (shard names,
   vnodes, key) — no RNG, no insertion order sensitivity.
-- **Bounded movement**: adding or removing one shard moves only the
-  keys whose arc lands on (or leaves) that shard's points — on average
-  ``1/N`` of the key space, never a full reshuffle.
+- **Bounded movement**: adding one shard moves only the keys whose
+  arc lands on that shard's points — on average ``1/N`` of the key
+  space, never a full reshuffle.
 - **Balanced**: with the default 64 vnodes per shard, key counts per
   shard stay within a small factor of each other.
 """
@@ -49,17 +49,6 @@ class ConsistentHashRing:
         for shard in shards:
             self.add_shard(shard)
 
-    @property
-    def shards(self) -> list[str]:
-        """Shard names, in insertion order."""
-        return list(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, shard: str) -> bool:
-        return shard in self._shards
-
     # -- membership ----------------------------------------------------------
 
     def add_shard(self, shard: str) -> None:
@@ -80,18 +69,6 @@ class ConsistentHashRing:
                 continue
             self._points.insert(index, point)
             self._owners.insert(index, shard)
-
-    def remove_shard(self, shard: str) -> None:
-        if shard not in self._shards:
-            raise WorkloadError(f"shard {shard!r} is not on the ring")
-        self._shards.remove(shard)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != shard
-        ]
-        self._points = [point for point, _owner in keep]
-        self._owners = [owner for _point, owner in keep]
 
     # -- placement -----------------------------------------------------------
 

@@ -167,9 +167,9 @@ def test_network_queue_depth_is_live(network):
 def test_sharded_queue_depth_sums_live_shards():
     sharded = ShardedNetwork(shard_count=2)
     assert sharded.queue_depth() == 0
-    assert sharded.queue_depths() == [0, 0]
+    assert [n.queue_depth() for n in sharded.shards] == [0, 0]
     # Mark a shard down directly (a real crash needs durable stores);
-    # the accessors must report zero for it rather than touching it.
+    # the sum must skip it rather than touching it.
     sharded.down.add(1)
     assert sharded.queue_depth() == 0
-    assert sharded.queue_depths() == [0, 0]
+    assert [n.queue_depth() for n in sharded.shards] == [0, 0]

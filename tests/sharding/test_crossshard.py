@@ -60,9 +60,16 @@ class TestHappyPath:
             COORDINATOR_CHAINCODE,
             "status",
             {"xid": result.xid},
-            creator=gw.user_on(result.coordinator_shard).user_id,
+            creator=gw.user_id,
         )
         assert status["state"] == "committed"
+
+    def test_one_shard_deployment_coordinates_on_its_only_chain(self):
+        sharded, _gw, co = _deployment(shards=1)
+        result = co.execute_sync(_writes((0,), payload={"v": 1}))
+        assert result.committed and result.coordinator_shard == 0
+        assert _record_on(sharded, 0, result.xid) == {"v": 1}
+        assert sharded.cross_shard_stats() == {"begun": 1, "committed": 1, "aborted": 0}
 
     def test_coordinator_placement_spreads_by_xid(self):
         sharded, _gw, co = _deployment(shards=4)

@@ -1,4 +1,5 @@
-"""ShardedNetwork: identity at N=1, locality, whole-shard crash/recovery."""
+"""ShardedNetwork: identity at N=1, locality, per-shard views,
+whole-shard crash/recovery."""
 
 import pytest
 
@@ -7,7 +8,8 @@ from repro.errors import FaultInjectionError, StorageError, WorkloadError
 from repro.fabric.config import NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
-from repro.sharding import ShardedGateway, ShardedNetwork, ShardedViewOwner
+from repro.faults import InvariantMonitor
+from repro.sharding import ShardedGateway, ShardedNetwork
 from repro.sharding.network import shard_names
 from repro.sim import Environment
 from repro.views.encryption_based import EncryptionBasedManager
@@ -74,14 +76,10 @@ class TestSingleShardByteIdentity:
         # Leg 2: the same workload through a 1-shard ShardedNetwork.
         rearm()
         sharded = ShardedNetwork(config=config, shard_count=1)
-        sharded_owner = ShardedViewOwner(sharded, "owner")
+        manager = EncryptionBasedManager(ShardedGateway(sharded, "owner").on(0))
         sharded.shards[0].register_user("bob")
-        sharded_owner.create_view(
-            "w1", AttributeEquals("to", "W1"), ViewMode.REVOCABLE
-        )
-        codes, tids = self._workload_on(
-            sharded_owner.managers[0], sharded_owner.grant_access
-        )
+        manager.create_view("w1", AttributeEquals("to", "W1"), ViewMode.REVOCABLE)
+        codes, tids = self._workload_on(manager, manager.grant_access)
 
         assert codes == ref_codes
         assert tids == ref_tids
@@ -90,13 +88,52 @@ class TestSingleShardByteIdentity:
         assert fp["tip_hash"] == ref_peer.chain.tip_hash.hex()
         assert fp["state_root"] == ref_peer.current_state_root().hex()
         assert sharded.env.now == env.now
+        InvariantMonitor(sharded.shards[0]).check()
 
     def test_view_owner_routes_everything_to_the_only_shard(self, rearm):
         rearm()
-        sharded = ShardedNetwork(config=NetworkConfig(**FAST), shard_count=1)
-        owner = ShardedViewOwner(sharded, "owner")
-        assert owner.home_shard("anything") == 0
+        sharded = ShardedNetwork(config=NetworkConfig(**FAST))
+        assert sharded.shard_count == 1
+        owner = ShardedGateway(sharded, "owner")
+        assert owner.shard_of("view:anything") == 0
         assert sharded.shard_index("any-key") == 0
+
+
+class TestViewsPerShard:
+    """A view lives on its home shard, under a manager built on that
+    shard's gateway, so every shard's ``check()`` reads its views."""
+
+    def test_every_shard_view_passes_the_view_oracle(self):
+        sharded = ShardedNetwork(config=NetworkConfig(**FAST), shard_count=2)
+        monitors = [InvariantMonitor(network) for network in sharded.shards]
+        owner = ShardedGateway(sharded, "owner")
+        ShardedGateway(sharded, "bob")
+        managers = [EncryptionBasedManager(owner.on(i)) for i in range(2)]
+        # One view per shard, each on the shard the ring places it.
+        names = {}
+        for i in range(200):
+            names.setdefault(sharded.shard_index(f"view:w{i}"), f"w{i}")
+            if len(names) == 2:
+                break
+        for shard, manager in enumerate(managers):
+            view = names[shard]
+            manager.create_view(view, AttributeEquals("to", view), ViewMode.REVOCABLE)
+            for j in range(3):
+                item = f"{view}-item-{j}"
+                outcome = manager.invoke_with_secret(
+                    "create_item",
+                    {"item": item, "owner": view},
+                    {"item": item, "from": None, "to": view, "access": [view]},
+                    SECRET,
+                )
+                assert outcome.notice.code is ValidationCode.VALID
+                assert outcome.views == [view]
+            manager.grant_access(view, "bob")
+            manager.revoke_access(view, "bob")
+            assert manager.buffer.get(view).key_version == 1
+        assert [len(n.view_managers) for n in sharded.shards] == [1, 1]
+        for monitor in monitors:
+            monitor.check()
 
 
 class TestRoutingLocality:
@@ -146,9 +183,12 @@ class TestWholeShardCrash:
         before = sharded.fingerprint()
         sharded.crash_shard(1)
         assert 1 in sharded.down
-        # The crashed shard refuses traffic...
+        # The crashed shard refuses routed traffic...
+        key = next(
+            f"probe-{i}" for i in range(100) if sharded.shard_index(f"probe-{i}") == 1
+        )
         with pytest.raises(FaultInjectionError, match="down"):
-            sharded.submit_on(1, object())
+            gateway.invoke(key, "counter", "bump", {"key": key, "amount": 1})
         # ...and its memory really is gone.
         assert len(sharded.shards[1].block_log) == 0
         assert sharded.shards[1].query("counter", "get", {"key": "k1"}) == 0
@@ -235,8 +275,6 @@ class TestObservability:
         assert extra["shard_count"] == 2
         assert extra["per_shard"] == stats
         assert set(extra["cross_shard"]) >= {"begun", "committed", "aborted"}
-        totals = sharded.commit_outcome_totals()
-        assert totals["committed"] == sum(s["committed"] for s in stats)
 
     def test_orderer_queue_peak_tracks_burst_depth(self):
         sharded, gateway = _durable_deployment(shards=1)

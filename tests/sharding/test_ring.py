@@ -65,26 +65,6 @@ class TestBoundedMovement:
         # Expected 1/5 of the key space; allow generous slack.
         assert 0.05 <= len(moved) / len(KEYS) <= 0.40
 
-    def test_removing_a_shard_moves_only_its_keys(self):
-        ring = ConsistentHashRing([f"s{i}" for i in range(5)])
-        before = {k: ring.shard_for(k) for k in KEYS}
-        ring.remove_shard("s2")
-        after = {k: ring.shard_for(k) for k in KEYS}
-        for key in KEYS:
-            if before[key] != "s2":
-                assert after[key] == before[key], (
-                    f"{key} moved although its shard stayed"
-                )
-            else:
-                assert after[key] != "s2"
-
-    def test_add_then_remove_roundtrips(self):
-        ring = ConsistentHashRing(["s0", "s1", "s2"])
-        before = {k: ring.shard_for(k) for k in KEYS}
-        ring.add_shard("s3")
-        ring.remove_shard("s3")
-        assert {k: ring.shard_for(k) for k in KEYS} == before
-
 
 class TestValidation:
     def test_duplicate_shard_rejected(self):
@@ -94,13 +74,8 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="already"):
             ring.add_shard("s0")
 
-    def test_remove_unknown_rejected(self):
-        with pytest.raises(WorkloadError, match="not on the ring"):
-            ConsistentHashRing(["s0"]).remove_shard("s9")
-
     def test_empty_ring_cannot_place(self):
-        ring = ConsistentHashRing(["s0"])
-        ring.remove_shard("s0")
+        ring = ConsistentHashRing([])
         with pytest.raises(WorkloadError, match="empty ring"):
             ring.shard_for("k")
 
