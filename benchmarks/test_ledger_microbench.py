@@ -1,8 +1,8 @@
 """Ledger fast-path microbenchmarks: the library vs. its reference oracles.
 
 Like the crypto microbenchmarks, this module measures real wall-clock:
-the fast paths and their oracles differ only in how the same roots,
-scan results, and audit verdicts are computed (the property tests in
+the fast paths and their oracles differ only in how the same roots
+and scan results are computed (the property tests in
 ``tests/properties`` prove it exhaustively; here we assert it on the
 concrete benchmark workloads).  Whole-workload host numbers belong to
 ``benchmarks/e2e``; the legs here are primitives.
@@ -13,9 +13,7 @@ Layers measured:
   (:class:`~repro.ledger.merkle_state.StateDigest`) vs. the persistent
   :class:`~repro.ledger.merkle_state.IncrementalStateDigest`,
 - ``StateDatabase.scan_prefix`` — full sort per scan vs. the
-  maintained sorted-key index,
-- repeated view audits — fresh completeness scans vs. the incremental
-  verifier's per-definition cursors and soundness cache.
+  maintained sorted-key index.
 
 Results are recorded under ``ledger`` in ``BENCH_micro.json`` at the repo
 root so the before/after numbers are checked in alongside the code.
@@ -28,19 +26,9 @@ Run with::
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
 
-from repro.crypto.hashing import salted_hash
-from repro.fabric.peer import ValidationCode
-from repro.ledger.block import Block
-from repro.ledger.chain import Blockchain
 from repro.ledger.merkle_state import IncrementalStateDigest, state_root
 from repro.ledger.statedb import StateDatabase, Version
-from repro.ledger.transaction import Transaction
-from repro.views.manager import QueryResult
-from repro.views.predicates import AttributeEquals
-from repro.views.types import Concealment
-from repro.views.verification import ViewVerifier
 
 #: Describes this file's rows in ``BENCH_micro.json``.
 _DESCRIPTION = "ledger fast paths vs their reference oracles; wall-clock, ratios matter"
@@ -50,7 +38,6 @@ _DESCRIPTION = "ledger fast paths vs their reference oracles; wall-clock, ratios
 #: asserting only the floor keeps slow CI machines from flaking.
 STATE_ROOT_MIN_SPEEDUP = 5.0
 SCAN_MIN_SPEEDUP = 2.0
-AUDIT_MIN_SPEEDUP = 2.0
 
 
 def _commit_workload(blocks: int, writes_per_block: int, prepopulate: int):
@@ -186,116 +173,3 @@ def test_scan_prefix_indexed_speedup(record):
         f"scan_prefix speedup {speedup:.1f}x below {SCAN_MIN_SPEEDUP}x"
     )
 
-
-def _audit_chain_blocks(blocks: int, txs_per_block: int):
-    """Pre-built invoke transactions, one owner in three round-robin."""
-    owners = ["alice", "bob", "carol"]
-    out = []
-    tid = 0
-    for b in range(blocks):
-        txs = []
-        for _ in range(txs_per_block):
-            tid += 1
-            secret = f"secret-{tid}".encode()
-            salt = f"salt-{tid}".encode()
-            txs.append(
-                Transaction(
-                    tid=f"audit-tx-{tid:06d}",
-                    kind="invoke",
-                    nonsecret={"public": {"owner": owners[tid % 3]}},
-                    concealed=salted_hash(secret, salt),
-                    salt=salt,
-                )
-            )
-        out.append(txs)
-    return out
-
-
-def _verifier_over(
-    chain: Blockchain, validation_codes: dict, incremental: bool
-) -> ViewVerifier:
-    peer = SimpleNamespace(chain=chain, validation_codes=validation_codes)
-    gateway = SimpleNamespace(network=SimpleNamespace(reference_peer=peer))
-    return ViewVerifier(gateway, incremental=incremental)
-
-
-def test_audit_cursor_speedup(record):
-    """Periodic re-audits of a growing chain: cursors vs. full rescans.
-
-    A view owner is audited after every 15 new blocks.  The reference
-    verifier rescans the whole chain each time (quadratic in total);
-    the incremental verifier's completeness cursor and soundness cache
-    only pay for the new tail.  Verdicts must agree at every audit.
-    """
-    blocks, per_block, audit_every = 300, 15, 20
-    batches = _audit_chain_blocks(blocks, per_block)
-    chain = Blockchain("audit-bench")
-    predicate = AttributeEquals("owner", "alice")
-
-    codes = {tx.tid: ValidationCode.VALID for txs in batches for tx in txs}
-    reference = _verifier_over(chain, codes, incremental=False)
-    incremental = _verifier_over(chain, codes, incremental=True)
-    served: set[str] = set()
-    secrets: dict[str, bytes] = {}
-
-    t_ref = t_inc = 0.0
-    audits = 0
-    for b, txs in enumerate(batches):
-        chain.append(
-            Block.build(
-                number=b,
-                previous_hash=chain.tip_hash,
-                transactions=txs,
-                state_root=b"\x00" * 32,
-                timestamp=float(b),
-            )
-        )
-        for tx in txs:
-            if predicate.matches(tx.nonsecret["public"]):
-                served.add(tx.tid)
-                secrets[tx.tid] = f"secret-{int(tx.tid.split('-')[-1])}".encode()
-        if (b + 1) % audit_every:
-            continue
-        audits += 1
-        result = QueryResult(
-            view="V_alice", key_version=0, secrets=dict(secrets), tx_keys={}
-        )
-        t0 = time.perf_counter()
-        ref_c = reference.verify_completeness("V_alice", predicate, served)
-        ref_s = reference.verify_soundness(
-            "V_alice", predicate, result, Concealment.HASH
-        )
-        t_ref += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        inc_c = incremental.verify_completeness("V_alice", predicate, served)
-        inc_s = incremental.verify_soundness(
-            "V_alice", predicate, result, Concealment.HASH
-        )
-        t_inc += time.perf_counter() - t0
-        # Identical verdicts; only the amortised cost differs.
-        assert (ref_c.ok, ref_c.checked, ref_c.missing) == (
-            inc_c.ok,
-            inc_c.checked,
-            inc_c.missing,
-        )
-        assert (ref_s.ok, ref_s.checked, ref_s.violations) == (
-            inc_s.ok,
-            inc_s.checked,
-            inc_s.violations,
-        )
-        assert inc_c.ledger_accesses <= ref_c.ledger_accesses
-        assert inc_s.ledger_accesses <= ref_s.ledger_accesses
-
-    speedup = t_ref / t_inc
-    record("ledger", _DESCRIPTION, {"audit_cursors": {
-        "chain_blocks": blocks,
-        "txs_per_block": per_block,
-        "audits": audits,
-        "reference_s": round(t_ref, 3),
-        "incremental_s": round(t_inc, 3),
-        "speedup": round(speedup, 1),
-        "min_required": AUDIT_MIN_SPEEDUP,
-    }})
-    assert speedup >= AUDIT_MIN_SPEEDUP, (
-        f"audit speedup {speedup:.1f}x below {AUDIT_MIN_SPEEDUP}x"
-    )

@@ -133,16 +133,6 @@ class Blockchain:
         for block in self._blocks:
             yield from block.transactions
 
-    def blocks_from(self, start: int) -> Iterator[Block]:
-        """Blocks from height ``start`` to the tip, in order.
-
-        The resumption primitive behind incremental audit cursors: a
-        verifier that already scanned blocks ``[0, start)`` picks up
-        exactly where it stopped instead of rescanning the chain.
-        """
-        for number in range(max(start, 0), len(self._blocks)):
-            yield self._blocks[number]
-
     @property
     def transaction_count(self) -> int:
         return len(self._tx_index)

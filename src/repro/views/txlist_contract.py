@@ -126,28 +126,15 @@ class TxListService:
     """Owner-side batching of TLC updates (the paper's 30 s intervals).
 
     ``record`` buffers one transaction; ``maybe_flush`` writes a flush
-    transaction when the batch is due.  Time comes from the simulation
-    environment through the gateway's network.
-
-    A flush is due when updates are pending and either the interval
-    elapsed **or** the buffer reached ``max_pending`` entries.  The
-    count threshold bounds owner memory between slow flushes and keeps
-    completeness coverage (which only extends to the latest flush) from
-    lagging arbitrarily far behind a burst of traffic; ``None`` (the
-    default) preserves the paper's purely interval-based behaviour.
+    transaction when the batch is due: work is pending and
+    ``flush_interval_ms`` has elapsed since the last flush, the paper's
+    rule.  Time comes from the simulation environment through the
+    gateway's network.
     """
 
-    def __init__(
-        self,
-        gateway,
-        flush_interval_ms: float = 30_000.0,
-        max_pending: int | None = None,
-    ):
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+    def __init__(self, gateway, flush_interval_ms: float = 30_000.0):
         self.gateway = gateway
         self.flush_interval_ms = flush_interval_ms
-        self.max_pending = max_pending
         self._pending: list[list[Any]] = []
         self._pending_view_data: dict[str, dict[str, Any]] = {}
         self._pending_extra: list[list[str]] = []
@@ -240,17 +227,14 @@ class TxListService:
         """Whether a flush should happen now.
 
         True when work is pending in *any* buffer — business updates,
-        extra assignments, or view data — and either the interval
-        elapsed or the buffers reached ``max_pending``.  Testing only
-        ``self._pending`` (as this method once did) starved extra-only
-        grants and view-data-only batches: they sat unflushed until an
-        unrelated business transaction arrived, silently lagging
-        completeness coverage.
+        extra assignments, or view data — and the interval elapsed.
+        Testing only ``self._pending`` (as this method once did) starved
+        extra-only grants and view-data-only batches: they sat unflushed
+        until an unrelated business transaction arrived, silently
+        lagging completeness coverage.
         """
         if not self.pending_count:
             return False
-        if self.max_pending is not None and self.pending_count >= self.max_pending:
-            return True
         return self._now() - self._last_flush_at >= self.flush_interval_ms
 
     def build_flush_proposal(self):
@@ -305,8 +289,8 @@ class TxListService:
         return pending
 
     def maybe_flush(self) -> int:
-        """Flush if due (interval elapsed or buffer at ``max_pending``);
-        returns the number of updates written."""
+        """Flush if due (see :meth:`due`); returns the number of updates
+        written."""
         if self.due():
             return self.flush()
         return 0

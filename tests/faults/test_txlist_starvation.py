@@ -56,18 +56,6 @@ def test_view_data_only_batch_flushes(service):
     assert data == {"t9": b"entry".hex()}
 
 
-def test_max_pending_counts_all_buffers(gateway):
-    service = TxListService(gateway, flush_interval_ms=1e12, max_pending=3)
-    _register(service)
-    service.record("t1", {"to": "W1"})
-    service.record_extra([("w1", "t-old-1"), ("w1", "t-old-2")])
-    # 1 business + 2 extra = 3 >= max_pending, interval nowhere near.
-    assert service.pending_count == 3
-    assert service.due()
-    assert service.flush() == 3
-    assert sorted(service.get_list("w1")) == ["t-old-1", "t-old-2", "t1"]
-
-
 def test_flush_reports_all_drained_work(service):
     _register(service)
     service.record(

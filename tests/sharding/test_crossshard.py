@@ -1,5 +1,7 @@
 """Cross-shard 2PC driver: atomicity, locks, and crash recovery."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import TwoPhaseCommitError
@@ -63,6 +65,21 @@ class TestHappyPath:
             creator=gw.user_id,
         )
         assert status["state"] == "committed"
+
+    def test_coordinator_chain_carries_begin_and_decide_only(self):
+        """The sharded 2PC relays no votes: a committed transaction puts
+        one ``begin`` and one ``decide`` on its coordinator chain and no
+        ``record_vote``."""
+        sharded, _gw, co = _deployment()
+        result = co.execute_sync(_writes((0, 2)))
+        assert result.committed
+        chain = sharded.shards[result.coordinator_shard].reference_peer.chain
+        fns = Counter(
+            tx.nonsecret["fn"]
+            for tx in chain.transactions()
+            if tx.nonsecret.get("cc") == COORDINATOR_CHAINCODE
+        )
+        assert fns == {"begin": 1, "decide": 1}
 
     def test_one_shard_deployment_coordinates_on_its_only_chain(self):
         sharded, _gw, co = _deployment(shards=1)

@@ -4,11 +4,17 @@ whole-shard crash/recovery."""
 import pytest
 
 from repro import build_network
-from repro.errors import FaultInjectionError, StorageError, WorkloadError
+from repro.errors import (
+    FaultInjectionError,
+    LedgerError,
+    StorageError,
+    WorkloadError,
+)
 from repro.fabric.config import NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
-from repro.faults import InvariantMonitor
+from repro.faults import InvariantMonitor, recovery
+from repro.ledger.statedb import Version
 from repro.sharding import ShardedGateway, ShardedNetwork
 from repro.sharding.network import shard_names
 from repro.sim import Environment
@@ -30,6 +36,11 @@ def _durable_deployment(shards=3):
     for network in sharded.shards:
         network.install_chaincode(CounterContract())
     return sharded, ShardedGateway(sharded, "client")
+
+
+def _diverge(network):
+    """Give one non-reference peer a key no other peer of ``network`` holds."""
+    network.peers[-1].statedb.put("stray", 1, Version(block=0, position=0))
 
 
 class TestShardNames:
@@ -243,6 +254,35 @@ class TestWholeShardCrash:
         notice = on_shard.invoke("counter", "bump", {"key": "post", "amount": 1})
         assert notice.code is ValidationCode.VALID
         assert sharded.queue_depth() == 0
+
+    def test_recover_refuses_peers_that_come_back_diverged(self, monkeypatch):
+        sharded, gateway = _durable_deployment(shards=2)
+        gateway.on(1).invoke("counter", "bump", {"key": "x", "amount": 1})
+        sharded.crash_shard(1)
+        restore = recovery.recover_peer
+
+        def restore_then_diverge(network, peer):
+            refetched = restore(network, peer)
+            if peer is network.peers[-1]:
+                _diverge(network)
+            return refetched
+
+        monkeypatch.setattr(recovery, "recover_peer", restore_then_diverge)
+        with pytest.raises(LedgerError, match="state diverged"):
+            sharded.recover_shard(1)
+        assert sharded.down == {1}
+
+    def test_verify_convergence_checks_every_live_shard_and_skips_a_crashed_one(
+        self,
+    ):
+        for live in (0, 2):
+            sharded, _gateway = _durable_deployment(shards=3)
+            sharded.crash_shard(1)
+            _diverge(sharded.shards[1])
+            sharded.verify_convergence()
+            _diverge(sharded.shards[live])
+            with pytest.raises(LedgerError, match="state diverged"):
+                sharded.verify_convergence()
 
     def test_routed_invoke_raises_while_home_shard_down(self):
         sharded, gateway = _durable_deployment(shards=3)

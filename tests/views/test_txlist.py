@@ -75,6 +75,10 @@ def test_interval_gating(service, network):
     network.env.run(until=network.env.now + 2_000.0)
     assert service.due()
     assert service.maybe_flush() == 1
+    service.record("t2", {"to": "W1"})
+    assert not service.due()  # the flush restarted the interval
+    network.env.run(until=network.env.now + 2_000.0)
+    assert service.maybe_flush() == 1
 
 
 def test_last_flush_timestamp(service, network):
@@ -110,54 +114,3 @@ def test_unflushed_records_not_visible(service):
     service.record("t1", {"to": "W1"})
     assert service.get_list("w1") == []
 
-
-# -- pending-count flush threshold (max_pending) ------------------------------
-
-
-def test_max_pending_triggers_flush_before_interval(gateway):
-    service = TxListService(gateway, flush_interval_ms=60_000.0, max_pending=3)
-    _register(service)
-    service.record("t1", {"to": "W1"})
-    service.record("t2", {"to": "W1"})
-    assert not service.due()  # under threshold, interval not elapsed
-    service.record("t3", {"to": "W1"})
-    assert service.due()  # threshold reached, interval irrelevant
-    assert service.maybe_flush() == 3
-    assert service.pending_count == 0
-    assert service.get_list("w1") == ["t1", "t2", "t3"]
-
-
-def test_max_pending_resets_after_flush(gateway):
-    service = TxListService(gateway, flush_interval_ms=60_000.0, max_pending=2)
-    _register(service)
-    service.record("t1", {"to": "W1"})
-    service.record("t2", {"to": "W1"})
-    assert service.maybe_flush() == 2
-    service.record("t3", {"to": "W1"})
-    assert not service.due()  # counter started over after the flush
-    service.record("t4", {"to": "W1"})
-    assert service.maybe_flush() == 2
-    assert service.flush_count == 2
-
-
-def test_interval_still_flushes_below_threshold(gateway, network):
-    service = TxListService(gateway, flush_interval_ms=1_000.0, max_pending=100)
-    _register(service)
-    service.record("t1", {"to": "W1"})
-    assert not service.due()
-    network.env.run(until=network.env.now + 2_000.0)
-    assert service.due()  # interval elapsed wins even far below max_pending
-    assert service.maybe_flush() == 1
-
-
-def test_default_has_no_count_threshold(service, network):
-    _register(service)
-    for i in range(500):
-        service.record(f"t{i}", {"to": "W1"})
-    assert not service.due()  # only the interval can trigger a flush
-    assert service.max_pending is None
-
-
-def test_max_pending_validation(gateway):
-    with pytest.raises(ValueError, match="max_pending"):
-        TxListService(gateway, max_pending=0)

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.fabric.network import Gateway
+from repro.fabric.peer import ValidationCode
 from repro.views.encryption_based import EncryptionBasedManager
 from repro.views.hash_based import HashBasedManager
 from repro.views.manager import QueryResult, ViewReader
 from repro.views.predicates import AttributeEquals, Everything
 from repro.views.types import Concealment, ViewMode
-from repro.views.verification import ViewVerifier
+from repro.views.verification import LEDGER_ACCESS_MS, LOCAL_CHECK_MS, ViewVerifier
 
 PREDICATE = AttributeEquals("to", "W1")
 
@@ -53,6 +54,10 @@ def test_ledger_scan_cost_grows_with_chain_length(verifier_world):
 
 
 def test_cost_model_parameters_scale_reports(network):
+    """Every report costs ``accesses * LEDGER_ACCESS_MS + local *
+    LOCAL_CHECK_MS``: a sound served transaction is one fetch and two
+    local checks (predicate, concealment); a ledger scan is one access
+    per block and one check per VALID invoke transaction."""
     owner = network.register_user("owner")
     bob = network.register_user("bob")
     manager = HashBasedManager(Gateway(network, owner))
@@ -63,11 +68,22 @@ def test_cost_model_parameters_scale_reports(network):
     manager.grant_access("w1", "bob")
     reader = ViewReader(bob, Gateway(network, bob))
     result = reader.read_view(manager, "w1")
-    cheap = ViewVerifier(Gateway(network, bob), ledger_access_ms=1.0)
-    costly = ViewVerifier(Gateway(network, bob), ledger_access_ms=100.0)
-    cheap_cost = cheap.verify_soundness("w1", PREDICATE, result, Concealment.HASH).cost_ms
-    costly_cost = costly.verify_soundness("w1", PREDICATE, result, Concealment.HASH).cost_ms
-    assert costly_cost > 50 * cheap_cost
+    verifier = ViewVerifier(Gateway(network, bob))
+    soundness = verifier.verify_soundness("w1", PREDICATE, result, Concealment.HASH)
+    assert soundness.ok and soundness.ledger_accesses == 1
+    assert soundness.cost_ms == pytest.approx(LEDGER_ACCESS_MS + 2 * LOCAL_CHECK_MS)
+
+    peer = network.reference_peer
+    blocks = peer.chain.height
+    local = sum(
+        tx.kind == "invoke" and peer.validation_codes[tx.tid] is ValidationCode.VALID
+        for tx in peer.chain.transactions()
+    )
+    completeness = verifier.verify_completeness("w1", PREDICATE, set(result.secrets))
+    assert completeness.ok and completeness.ledger_accesses == blocks
+    assert completeness.cost_ms == pytest.approx(
+        blocks * LEDGER_ACCESS_MS + local * LOCAL_CHECK_MS
+    )
 
 
 def test_encryption_soundness_without_keys_flags_violation(network):
