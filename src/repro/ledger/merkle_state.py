@@ -30,6 +30,7 @@ the ledger microbench rebuild next to it.
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_left, insort
 from typing import Any
 
@@ -112,8 +113,11 @@ class IncrementalStateDigest:
         #: holds each one's latest value (or no longer holds the key),
         #: and values are immutable once written (the
         #: :class:`StateDatabase` contract), so encoding at flush time
-        #: gives the bytes the last ``put`` saw.
-        self._statedb = statedb
+        #: gives the bytes the last ``put`` saw.  Held weakly: the
+        #: database holds this digest as a listener, and a strong
+        #: reference back would make every dropped world state (a
+        #: crashed peer's) a cycle only the collector could free.
+        self._statedb = weakref.proxy(statedb)
         self._pending: set[str] = set()
         if subscribe:
             statedb.subscribe(self)

@@ -15,7 +15,7 @@ import types
 from typing import Any, Coroutine
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, _collector
 
 
 @types.coroutine
@@ -46,24 +46,13 @@ class SimBridge:
         """Start each coroutine, in argument order, then step the kernel
         until all have returned; results in input order.  A coroutine's
         exception aborts the run from the step that resumed it; the
-        other coroutines are closed."""
+        other coroutines are closed.  Like ``Environment.run``, it steps
+        with the cyclic collector paused."""
         results: dict[Coroutine, Any] = {}
-
-        def resume(coroutine: Coroutine, ok: bool = True, value: Any = None) -> None:
-            try:
-                target = coroutine.send(value) if ok else coroutine.throw(value)
-            except StopIteration as stop:
-                results[coroutine] = stop.value
-                return
-            if not isinstance(target, Event):
-                raise SimulationError(
-                    f"serving coroutine awaited {target!r}, not a simulation Event"
-                )
-            target.callbacks.append(lambda ev: resume(coroutine, ev.ok, ev.value))
-
+        collecting = _collector(False)
         try:
             for coroutine in coroutines:
-                resume(coroutine)
+                self._resume(results, coroutine)
             while len(results) < len(coroutines):
                 if not self.env.pending_events:
                     raise SimulationError(
@@ -73,8 +62,27 @@ class SimBridge:
                 self.env.step()
             return [results[coroutine] for coroutine in coroutines]
         finally:
+            _collector(collecting)
             for coroutine in coroutines:
                 coroutine.close()
+
+    def _resume(
+        self, results: dict[Coroutine, Any], coroutine: Coroutine, ok=True, value=None
+    ) -> None:
+        # A method, not a closure of ``run``: a nested function that
+        # names itself is a cycle, and would keep ``results`` alive.
+        try:
+            target = coroutine.send(value) if ok else coroutine.throw(value)
+        except StopIteration as stop:
+            results[coroutine] = stop.value
+            return
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"serving coroutine awaited {target!r}, not a simulation Event"
+            )
+        target.callbacks.append(
+            lambda ev: self._resume(results, coroutine, ev.ok, ev.value)
+        )
 
     def close(self) -> None:
         """Nothing to release: the bridge owns no loop and no tasks."""

@@ -124,10 +124,10 @@ class ShardedNetwork:
         """The shard owning ``key`` (view name, state key, user id)."""
         return self.ring.index_for(key)
 
-    def network_for(self, key: str) -> FabricNetwork:
-        """Route a key to its home channel (raises while that shard is
-        down or partitioned — shard-local traffic has nowhere else to
-        go)."""
+    def route(self, key: str) -> int:
+        """The index of ``key``'s home shard, for traffic that must reach
+        it now (raises while that shard is down or partitioned —
+        shard-local traffic has nowhere else to go)."""
         index = self.shard_index(key)
         if not self.shard_reachable(index):
             state = "down" if index in self.down else "partitioned"
@@ -135,7 +135,7 @@ class ShardedNetwork:
                 f"shard {self.shards[index].chain_name!r} (home of "
                 f"{key!r}) is {state}"
             )
-        return self.shards[index]
+        return index
 
     def chain(self, shard: int) -> FabricNetwork:
         return self.shards[shard]
@@ -350,9 +350,8 @@ class ShardedGateway:
         **proposal_fields: Any,
     ) -> CommitNotice:
         """Synchronous invoke on ``key``'s home shard."""
-        shard = self.shard_of(key)
-        self.sharded.network_for(key)  # down-check
-        return self.gateways[shard].invoke(chaincode, fn, args, **proposal_fields)
+        gateway = self.gateways[self.sharded.route(key)]
+        return gateway.invoke(chaincode, fn, args, **proposal_fields)
 
     def submit_async(
         self,
@@ -363,11 +362,8 @@ class ShardedGateway:
         **proposal_fields: Any,
     ) -> Event:
         """Asynchronous invoke on ``key``'s home shard."""
-        shard = self.shard_of(key)
-        self.sharded.network_for(key)  # down-check
-        return self.gateways[shard].submit_async(
-            chaincode, fn, args, **proposal_fields
-        )
+        gateway = self.gateways[self.sharded.route(key)]
+        return gateway.submit_async(chaincode, fn, args, **proposal_fields)
 
     def query(
         self, key: str, chaincode: str, fn: str, args: dict[str, Any] | None = None

@@ -7,10 +7,16 @@ that resumes a generator each time an event it yielded fires.
 
 Determinism: ties in time are broken by insertion sequence, so a given
 seed and process structure always produces the same trajectory.
+
+Collection: the stepping loops run with CPython's cyclic collector
+paused.  The ledger only grows, so each pass would rescan the committed
+chain and find nothing; reference counting frees what a run drops, as
+long as the run makes no cycles (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections.abc import Callable, Generator
 from typing import Any
@@ -22,6 +28,15 @@ URGENT = 0
 NORMAL = 1
 
 _PENDING = object()
+
+
+def _collector(enabled: bool) -> bool:
+    """Switch automatic cyclic collection on or off; returns the previous
+    setting, which the caller hands back in a ``finally`` to restore it
+    (a nested run then leaves it paused)."""
+    previous = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    return previous
 
 
 class Event:
@@ -160,9 +175,11 @@ class Process(Event):
             # An exception the generator did not handle (an unhandled
             # interrupt included) fails the process event: whoever waits
             # on it sees the error, and ``step`` raises it if nobody does.
+            # The stored traceback keeps the generator's frames but not
+            # this one, whose ``self`` would close a cycle through it.
             if not self.triggered:
                 self._ok = False
-                self._value = exc
+                self._value = exc.with_traceback(exc.__traceback__.tb_next)
                 self.env._schedule(self, NORMAL)
             return
         if not isinstance(target, Event):
@@ -307,28 +324,32 @@ class Environment:
             simulated time; an :class:`Event` — run until it fires and
             return its value.
         """
-        if isinstance(until, Event):
-            target = until
-            while not target.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ran out of events before target event fired"
-                    )
+        collecting = _collector(False)
+        try:
+            if isinstance(until, Event):
+                target = until
+                while not target.processed:
+                    if not self._queue:
+                        raise SimulationError(
+                            "simulation ran out of events before target event fired"
+                        )
+                    self.step()
+                if not target.ok:
+                    raise target._value
+                return target._value
+            if until is not None:
+                horizon = float(until)
+                if horizon < self._now:
+                    raise SimulationError("cannot run to a time in the past")
+                while self._queue and self._queue[0][0] <= horizon:
+                    self.step()
+                self._now = horizon
+                return None
+            while self._queue:
                 self.step()
-            if not target.ok:
-                raise target._value
-            return target._value
-        if until is not None:
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError("cannot run to a time in the past")
-            while self._queue and self._queue[0][0] <= horizon:
-                self.step()
-            self._now = horizon
             return None
-        while self._queue:
-            self.step()
-        return None
+        finally:
+            _collector(collecting)
 
     @property
     def pending_events(self) -> int:

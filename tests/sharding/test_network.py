@@ -164,6 +164,27 @@ class TestRoutingLocality:
             touched = any(homes[key] == shard for key in keys)
             assert (after[shard] > before[shard]) == touched
 
+    def test_route_refuses_a_dark_home_and_commits_on_a_live_one(self):
+        sharded, gateway = _durable_deployment(shards=3)
+        key = next(
+            f"probe-{i}" for i in range(100) if sharded.shard_index(f"probe-{i}") == 1
+        )
+        sharded.crash_shard(1)
+        with pytest.raises(FaultInjectionError, match="down"):
+            gateway.submit_async(key, "counter", "bump", {"key": key, "amount": 1})
+        sharded.recover_shard(1)
+        sharded.partition_shard(1)
+        with pytest.raises(FaultInjectionError, match="partitioned"):
+            sharded.route(key)
+        sharded.heal_shard_partition(1)
+        assert sharded.route(key) == 1
+        before = [n.reference_peer.chain.height for n in sharded.shards]
+        done = gateway.submit_async(key, "counter", "bump", {"key": key, "amount": 2})
+        assert sharded.run(until=done).code is ValidationCode.VALID
+        after = [n.reference_peer.chain.height for n in sharded.shards]
+        assert [a > b for a, b in zip(after, before)] == [False, True, False]
+        assert sharded.shards[1].query("counter", "get", {"key": key}) == 2
+
     def test_routed_query_reads_the_home_shard(self):
         sharded, gateway = _durable_deployment(shards=4)
         gateway.invoke("k-route", "counter", "bump", {"key": "k-route", "amount": 5})
@@ -182,6 +203,15 @@ class TestWholeShardCrash:
         )
         with pytest.raises(StorageError, match="durability"):
             sharded.crash_shard(0)
+
+    def test_recover_requires_durability_and_leaves_the_shard_down(self):
+        sharded = ShardedNetwork(
+            config=NetworkConfig(storage_backend="none", **FAST), shard_count=2
+        )
+        sharded.down.add(1)
+        with pytest.raises(StorageError, match="no durable store"):
+            sharded.recover_shard(1)
+        assert sharded.down == {1}
 
     def test_crash_recover_roundtrip_preserves_state(self):
         sharded, gateway = _durable_deployment(shards=3)
