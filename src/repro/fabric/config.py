@@ -198,18 +198,13 @@ class NetworkConfig:
 class RetryPolicy:
     """Client gateway retry: timeout + capped exponential backoff.
 
-    A submission that produces no commit notice within ``timeout_ms``
-    is resubmitted (same transaction id, so a duplicate that was merely
-    slow is deduplicated at the orderer) after an exponential backoff —
-    ``backoff_ms · backoff_factor^(attempt-1)``, capped at
-    ``max_backoff_ms``, plus uniform jitter from the plan's seeded RNG.
-
-    ``deadline_ms`` is the *total* budget across all attempts: each
-    attempt's timeout is clipped to the remaining budget and no retry
-    is started whose backoff would carry it past the deadline, so the
-    client-visible worst case is the deadline rather than
-    ``max_attempts × (timeout + backoff)``.  ``None`` (the default)
-    keeps the historical per-attempt-only behaviour.
+    An attempt that produces no commit notice within ``timeout_ms`` of
+    its start is resubmitted (same transaction id, so a duplicate that
+    was merely slow is deduplicated at the orderer) after an
+    exponential backoff — ``backoff_ms · backoff_factor^(attempt-1)``,
+    capped at ``max_backoff_ms``, plus uniform jitter from the plan's
+    seeded RNG.  A notice that lands during a backoff completes the
+    request; after ``max_attempts`` it fails.
     """
 
     max_attempts: int = 8
@@ -218,7 +213,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_backoff_ms: float = 5_000.0
     jitter_ms: float = 50.0
-    deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -227,8 +221,6 @@ class RetryPolicy:
             )
         if not self.timeout_ms > 0:
             raise FaultInjectionError("timeout_ms must be positive")
-        if self.deadline_ms is not None and not self.deadline_ms > 0:
-            raise FaultInjectionError("deadline_ms must be positive when set")
         for name in ("backoff_ms", "backoff_factor", "max_backoff_ms", "jitter_ms"):
             value = getattr(self, name)
             if not value >= 0:  # NaN fails too

@@ -13,7 +13,6 @@ for real; only *durations* are simulated.
 
 from __future__ import annotations
 
-import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -246,7 +245,6 @@ class FabricNetwork:
         #: whenever nobody waits — always, under "timer".
         self._commit_progress: Event | None = None
         self._commit_events: dict[str, Event] = {}
-        self._responses: dict[str, Any] = {}
         #: Post-commit canonical state roots per block (all peers agree);
         #: populated only when track_state_roots is enabled.
         self.state_roots: dict[int, bytes] = {}
@@ -378,55 +376,93 @@ class FabricNetwork:
     def submit(self, proposal: Proposal) -> Event:
         """Run the full endorse → order → commit flow for ``proposal``.
 
-        Returns the process completion event; its value is a
-        :class:`CommitNotice`.  Endorsement or chaincode failures fail
-        the event with the underlying exception.  With a fault injector
-        and retry policy attached, submissions that produce no commit
-        notice in time are resubmitted with seeded backoff.  With
-        ``config.mvcc_retry_attempts`` set, an ``MVCC_CONFLICT`` notice
-        additionally triggers a re-endorse under a fresh transaction id
-        after a bounded, seeded backoff.
+        Returns the request's process; its value is the one
+        :class:`CommitNotice` the request gets.  Endorsement or
+        chaincode failures fail the event with the underlying exception.
+        With a fault injector's retry policy attached, an attempt that
+        produces no commit notice in time is resubmitted with seeded
+        backoff; with ``config.mvcc_retry_attempts`` set, an
+        ``MVCC_CONFLICT`` notice is re-endorsed under a fresh
+        transaction id after a bounded, seeded backoff.
         """
-        if self._mvcc_retry is not None:
-            return self.env.process(self._submit_with_mvcc_retry(proposal))
-        return self._submit_once(proposal)
+        return self.env.process(self._request(proposal))
 
-    def _submit_once(self, proposal: Proposal) -> Event:
-        """One submission attempt (fault-layer timeout retry included)."""
-        if self.faults is not None and self.faults.retry is not None:
-            return self.env.process(self._submit_with_retry(proposal))
-        return self.env.process(self._submit_process(proposal))
+    def _request(self, proposal: Proposal):
+        """One request, from proposal to its one notice, as one process.
 
-    def _submit_with_mvcc_retry(self, proposal: Proposal):
-        """Re-endorse MVCC-conflicted submissions with seeded backoff.
-
-        Unlike the fault layer's timeout retry (same tid — the original
-        may still be in flight), an MVCC retry re-endorses a *fresh*
+        The outer loop is the MVCC retry.  It re-endorses a *fresh*
         transaction: the conflicted one is already on chain, aborted,
         so reusing its tid would trip the orderer's dedup and the
-        exactly-once invariant.  The backoff spreads retries out so a
-        hot key's losers do not all re-collide in the very next block
-        (livelock under skew); the jitter draws from a per-network
-        seeded RNG, keeping runs reproducible.
+        exactly-once invariant.  Its backoff spreads a hot key's losers
+        over later blocks (livelock under skew), with jitter from a
+        per-network seeded RNG.
+
+        The inner loop is the fault layer's timeout retry.  It reuses
+        the tid, so a slow-but-alive earlier broadcast is deduplicated
+        at the orderer rather than committed twice.  The tid's commit
+        event outlives its attempts and is raced against each attempt's
+        timeout and each backoff: the notice is taken whenever it
+        lands, and no attempt is left waiting.  Chaincode and
+        endorsement errors propagate at once; retrying a logic error
+        cannot help.
         """
-        policy = self._mvcc_retry
-        for attempt in range(1, policy.max_attempts + 1):
-            notice = yield self._submit_once(proposal)
+        env = self.env
+        faults = self.faults
+        retry = faults.retry if faults is not None else None
+        mvcc = self._mvcc_retry
+        mvcc_attempts = 1 if mvcc is None else mvcc.max_attempts
+        started = env.now
+        for mvcc_attempt in range(1, mvcc_attempts + 1):
+            tid = proposal.tid
+            commit_event = env.event()
+            if retry is None:
+                response = yield from self._attempt(proposal, commit_event)
+                notice = yield commit_event
+            else:
+                for attempt in range(1, retry.max_attempts + 1):
+                    expiry = env.timeout(retry.timeout_ms)
+                    response = yield from self._attempt(proposal, commit_event)
+                    yield env.any_of([commit_event, expiry])
+                    if commit_event.triggered:
+                        break
+                    rescued = self._committed_notice(tid)
+                    if rescued is not None:
+                        self._commit_events.pop(tid, None)
+                        faults.stats["rescued_notices"] += 1
+                        commit_event.succeed(rescued)
+                        break
+                    faults.stats["retries"] += 1
+                    backoff = retry.backoff_for(attempt, faults.rng)
+                    yield env.any_of([commit_event, env.timeout(backoff)])
+                    if commit_event.triggered:
+                        break
+                else:
+                    self._commit_events.pop(tid, None)
+                    raise FaultInjectionError(
+                        f"transaction {tid!r} produced no commit notice after "
+                        f"{retry.max_attempts} attempts"
+                    )
+                notice = commit_event.value
             if (
                 notice.code is not ValidationCode.MVCC_CONFLICT
-                or attempt == policy.max_attempts
+                or mvcc_attempt == mvcc_attempts
             ):
-                return notice
+                break
             self.mvcc_retries += 1
-            yield self.env.timeout(policy.backoff_for(attempt, self._mvcc_rng))
+            yield env.timeout(mvcc.backoff_for(mvcc_attempt, self._mvcc_rng))
             proposal = replace(proposal, tid=fresh_tid())
+        notice.response = response
+        self.metrics.committed_requests.increment()
+        self.metrics.latencies_ms.record(env.now, env.now - started)
+        return notice
 
     def _committed_notice(self, tid: str) -> CommitNotice | None:
         """Synthesise the notice for a tid the reference peer committed.
 
-        The rescue path for a notification lost to fault timing: an
-        earlier attempt's commit event can be consumed (or overwritten
-        by a resubmission) while the transaction itself lands on chain.
+        The rescue path for a notification lost to fault timing: heal's
+        catch-up commits blocks without notifying, an orderer that lost
+        its memory forgot who was waiting, and a notice still on its
+        hop to the client can lose the race with an attempt's timeout.
         The ledger is the source of truth, so the notice is rebuilt
         from the reference peer's validation code and block index.
         """
@@ -437,75 +473,17 @@ class FabricNetwork:
         block_number, _position = peer.chain.locate(tid)
         return CommitNotice(tid=tid, code=code, block_number=block_number)
 
-    def _submit_with_retry(self, proposal: Proposal):
-        """Submission with timeout + capped, seeded exponential backoff.
+    def _attempt(self, proposal: Proposal, commit_event: Event):
+        """Endorse ``proposal`` and broadcast it; returns the chaincode
+        response.  The body of every attempt, with or without faults.
 
-        Chaincode and endorsement errors propagate immediately —
-        retrying a logic error cannot help.  Only a missing commit
-        notice (lost or delayed messages, crashed nodes) triggers a
-        resubmission, which reuses the proposal's transaction id so a
-        slow-but-alive original is deduplicated at the orderer rather
-        than committed twice.
-
-        When the policy carries a ``deadline_ms`` the whole loop lives
-        inside that budget: each attempt's timeout is clipped to the
-        time remaining and no backoff is slept that would carry the
-        next attempt past the deadline — a request never retries past
-        its SLO.
+        ``commit_event`` is the request's, registered for the tid just
+        before the broadcast (again on a retry: an orderer that lost
+        its memory forgot it).  When an earlier broadcast of the tid
+        committed while this attempt was endorsing, nothing is sent.
         """
         env = self.env
-        faults = self.faults
-        policy = faults.retry
-        tid = proposal.tid
-        started = env.now
-        deadline = (
-            math.inf if policy.deadline_ms is None else started + policy.deadline_ms
-        )
-        for attempt in range(1, policy.max_attempts + 1):
-            remaining = deadline - env.now
-            if remaining <= 0:
-                break
-            inner = env.process(self._submit_process(proposal, started=started))
-            yield env.any_of(
-                [inner, env.timeout(min(policy.timeout_ms, remaining))]
-            )
-            if inner.triggered:
-                return inner.value
-            notice = self._committed_notice(tid)
-            if notice is not None:
-                # Committed, but the notice went to an abandoned
-                # attempt: rebuild it from the ledger.
-                self._commit_events.pop(tid, None)
-                faults.stats["rescued_notices"] += 1
-                return self._hand_over(notice, started)
-            faults.stats["retries"] += 1
-            backoff = policy.backoff_for(attempt, faults.rng)
-            if env.now + backoff >= deadline:
-                break
-            yield env.timeout(backoff)
-        else:
-            raise FaultInjectionError(
-                f"transaction {tid!r} produced no commit notice after "
-                f"{policy.max_attempts} attempts"
-            )
-        raise FaultInjectionError(
-            f"transaction {tid!r} produced no commit notice within its "
-            f"{policy.deadline_ms}ms deadline budget"
-        )
-
-    def _hand_over(self, notice: CommitNotice, started: float) -> CommitNotice:
-        """Complete a notice for its submitter and record the request."""
-        notice.response = self._responses.pop(notice.tid, None)
-        self.metrics.committed_requests.increment()
-        self.metrics.latencies_ms.record(self.env.now, self.env.now - started)
-        return notice
-
-    def _submit_process(self, proposal: Proposal, started: float | None = None):
-        env = self.env
         latency = self.config.latency
-        # Retried submissions pass the first attempt's start time so the
-        # recorded latency is the client-perceived end-to-end one.
-        started = env.now if started is None else started
 
         # --- endorsement phase ---
         yield env.timeout(latency.client_to_peer)
@@ -535,7 +513,7 @@ class FabricNetwork:
             raise failure
 
         tx = assemble_transaction(proposal, responses)
-        self._responses[tx.tid] = responses[0].response
+        response = responses[0].response
         if self.commit_backend.rebase_conflicts:
             # Committed transactions carry rwsets, not chaincode args —
             # record the proposal context so validation can re-execute
@@ -545,14 +523,15 @@ class FabricNetwork:
                 fn=proposal.fn,
                 args=proposal.args,
                 creator=proposal.creator,
-                response=responses[0].response,
+                response=response,
             )
+        if commit_event.triggered:
+            return response
 
         # --- ordering phase ---
-        commit_event = env.event()
         self._commit_events[tx.tid] = commit_event
-        # A lost broadcast (0 copies) never reaches the orderer: this
-        # attempt then waits for a notice that arrives another way (a
+        # A lost broadcast (0 copies) never reaches the orderer: the
+        # request then waits for a notice that arrives another way (a
         # retry, or a duplicate).  An extra copy is dropped at the pump.
         copies = yield from self.link.send(
             "client",
@@ -563,8 +542,7 @@ class FabricNetwork:
         )
         for _ in range(copies):
             yield self._order_inbox.put(tx)
-
-        return self._hand_over((yield commit_event), started)
+        return response
 
     def submit_sync(self, proposal: Proposal) -> CommitNotice:
         """Submit and drive the simulation until the commit completes.
@@ -674,7 +652,6 @@ class FabricNetwork:
         self._cutter.clear()
         self._inflight_tids.clear()
         self._commit_events.clear()
-        self._responses.clear()
         self.restore_orderer_memory([])
 
     def restore_orderer_memory(self, blocks: list) -> None:
@@ -808,8 +785,9 @@ class FabricNetwork:
         """Validate and commit one block on one peer (CPU + service time).
 
         Returns the commit result, or ``None`` when the peer's chain
-        already moved past this block while waiting for the CPU — a
-        redelivered copy or a catch-up replay committed it first.
+        already moved past this block while waiting for the CPU or in
+        service — a redelivered copy or a catch-up replay (heal's
+        included) committed it first.
         """
         env = self.env
         cpu = self._peer_cpus[index]
@@ -825,6 +803,8 @@ class FabricNetwork:
                 + sum(self._validate_service_ms(tx) for tx in block.transactions)
             ) * self.link.service_factor(f"peer:{index}")
             yield env.timeout(service)
+            if peer.chain.height != block.number:
+                return None
             with self.phase_wall.track("commit"):
                 try:
                     result = peer.validate_and_commit(

@@ -311,8 +311,15 @@ class Environment:
                 callback(event)
         elif not event._ok:
             # A failed event nobody waited on: surface the error rather
-            # than letting it pass silently.
-            raise event._value
+            # than letting it pass silently.  The raising frame lets go
+            # of the event and the exception, or the traceback would
+            # close a cycle through them.
+            exc = event._value
+            del event
+            try:
+                raise exc
+            finally:
+                del exc
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, a time is reached, or an event fires.
@@ -349,6 +356,10 @@ class Environment:
                 self.step()
             return None
         finally:
+            # This frame raises a failed target, and the traceback keeps
+            # the frame: drop the names, or frame, target and exception
+            # would hold one another.
+            until = target = None
             _collector(collecting)
 
     @property

@@ -17,9 +17,9 @@ backends:
 - a slow node and a lossy link act on their peer inside their window
   and nowhere else.
 
-Also home to the fault-plan regression tests this PR's satellites
-demand: ``RetryPolicy.deadline_ms`` budgets and ``heal()`` flushing
-in-flight delayed messages parked on timers beyond the heal.
+Also home to two fault-plan regressions: retry exhaustion, and
+``heal()`` flushing in-flight delayed messages parked on timers beyond
+the heal.
 """
 
 from __future__ import annotations
@@ -413,38 +413,13 @@ def test_degradation_acts_on_its_peer_only_inside_the_window(kind):
 
 
 # --------------------------------------------------------------------------
-# Satellite regressions: deadline budgets and heal() flushing.
+# Regressions: retry exhaustion and heal() flushing.
 # --------------------------------------------------------------------------
 
 
-def test_retry_deadline_budget_bounds_a_doomed_submission():
-    """With every client→orderer message dropped, ``deadline_ms`` must
-    fail the submission at the budget — not after max_attempts worth of
-    timeouts and backoffs (8 x 1s + backoffs ≈ 11s here)."""
-    plan = FaultPlan(
-        seed=3,
-        retry=RetryPolicy(
-            max_attempts=8,
-            timeout_ms=1_000.0,
-            backoff_ms=400.0,
-            jitter_ms=0.0,
-            deadline_ms=2_500.0,
-        ),
-        messages=(MessageFaultRule(channel="client_to_orderer", drop=1.0),),
-    )
-    network = build_network(_config("raft", plan, peer_count=2))
-    user = network.register_user("u")
-    with pytest.raises(FaultInjectionError, match="deadline budget"):
-        network.invoke_sync(
-            user, "supply", "create_item", {"item": "doomed", "owner": "M"}
-        )
-    assert network.env.now <= 2_500.0 + 1.0
-
-
 def test_without_deadline_the_same_plan_burns_all_attempts():
-    """Contrast leg: no deadline_ms → the historical behaviour, all
-    eight attempts spent, failure well past where the budget would
-    have cut it off."""
+    """A submission whose every broadcast is lost spends all eight
+    attempts, timeouts and backoffs, then fails loudly."""
     plan = FaultPlan(
         seed=3,
         retry=RetryPolicy(
@@ -459,11 +434,6 @@ def test_without_deadline_the_same_plan_burns_all_attempts():
             user, "supply", "create_item", {"item": "doomed", "owner": "M"}
         )
     assert network.env.now > 8_000.0
-
-
-def test_deadline_must_be_positive():
-    with pytest.raises(FaultInjectionError, match="deadline_ms"):
-        RetryPolicy(deadline_ms=0.0)
 
 
 def test_heal_flushes_messages_delayed_past_the_heal():

@@ -140,12 +140,12 @@ def test_retry_policy_rejects_negative_or_nan_timing():
     retry = {"timeout_ms": 50, "max_backoff_ms": -3, "jitter_ms": 0}
     with pytest.raises(FaultInjectionError, match="max_backoff_ms"):
         FaultPlan.from_dict({"seed": 1, "retry": retry})
-    timing = ("timeout_ms", "deadline_ms", "backoff_ms", "backoff_factor")
+    timing = ("timeout_ms", "backoff_ms", "backoff_factor")
     for field in timing + ("max_backoff_ms", "jitter_ms"):
         for bad in (-1.0, float("nan")):
             with pytest.raises(FaultInjectionError, match=field):
                 RetryPolicy(**{field: bad})
-    assert RetryPolicy(deadline_ms=None, backoff_factor=0.0).deadline_ms is None
+    assert RetryPolicy(backoff_factor=0.0).backoff_factor == 0.0
 
 
 def test_message_model_is_deterministic_and_ordered():

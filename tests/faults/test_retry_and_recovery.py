@@ -8,6 +8,7 @@ import pytest
 from repro import build_network
 from repro.errors import FaultInjectionError, OwnerUnavailableError
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
+from repro.fabric.endorser import Proposal
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
 from repro.faults import (
@@ -22,6 +23,7 @@ from repro.faults import (
 from repro.views.hash_based import HashBasedManager
 from repro.views.predicates import AttributeEquals
 from repro.views.types import ViewMode
+from repro.workload.zipf import COUNTER_CHAINCODE, CounterContract
 
 RETRY = RetryPolicy(timeout_ms=1_000.0, backoff_ms=50.0, jitter_ms=10.0)
 
@@ -312,3 +314,126 @@ def test_retry_exhaustion_fails_the_submission():
         network.invoke_sync(
             user, "supply", "create_item", {"item": "lost", "owner": "M"}
         )
+
+
+def test_a_notice_during_the_backoff_completes_the_request_once():
+    """The first broadcast is held past the attempt timeout and commits
+    while the retry backs off.  That notice completes the request: it
+    used to go to the abandoned attempt, which counted and timed the
+    request, while the retry re-endorsed after the commit and counted
+    it a second time from the ledger, without the chaincode response."""
+    plan = FaultPlan(
+        seed=1,
+        retry=RetryPolicy(timeout_ms=100.0, backoff_ms=500.0, jitter_ms=0.0),
+        messages=(
+            MessageFaultRule(
+                channel="client_to_orderer",
+                delay=1.0,
+                delay_range_ms=(150.0, 150.0),
+                until_ms=50.0,
+            ),
+        ),
+    )
+    network = _network(plan, commit_backend="reference")
+    env = network.env
+    endorsed_at, committed_at, completed_at = [], [], []
+    for peer in network.peers:
+        endorse = peer.endorse
+        peer.endorse = lambda proposal, endorse=endorse: (
+            endorsed_at.append(env.now) or endorse(proposal)
+        )
+    network.on_block(lambda block, result: committed_at.append(env.now))
+    user = network.register_user("u")
+    event = network.submit(
+        Proposal(
+            chaincode="supply",
+            fn="create_item",
+            args={"item": "i1", "owner": "M"},
+            creator=user.user_id,
+        )
+    )
+    event.callbacks.append(lambda fired: completed_at.append(env.now))
+    notice = env.run(until=event)
+
+    (commit,) = committed_at
+    assert completed_at == [commit + network.config.latency.client_to_peer]
+    assert notice.code is ValidationCode.VALID
+    assert notice.response == {"holder": "M", "hops": 0, "handlers": ["M"]}
+    assert network.metrics.committed_requests.value == 1
+    assert len(network.metrics.latencies_ms) == 1
+    assert endorsed_at and max(endorsed_at) < commit
+    stats = network.faults.stats
+    assert (stats["retries"], stats["rescued_notices"]) == (1, 0)
+    env.run(until=env.now + 1_000.0)
+    assert network.metrics.committed_requests.value == 1
+    assert max(endorsed_at) < commit
+
+
+def test_heal_during_a_commits_service_time():
+    """heal() catches every peer up from the block log; a commit of the
+    same block that was in its service time when heal ran used to wake
+    up and die with ``expected block 1, got 0``."""
+    network = _network(FaultPlan(seed=1, retry=RETRY), commit_backend="reference")
+    network.install_chaincode(CounterContract())
+    env = network.env
+    injector = network.faults
+    in_service = []
+    factor = injector.service_factor
+    injector.service_factor = lambda node: in_service.append(env.now) or factor(node)
+    user = network.register_user("u")
+    event = Gateway(network, user).submit_async(
+        COUNTER_CHAINCODE, "bump", {"key": "k", "amount": 1}
+    )
+    while not in_service:
+        env.step()
+    env.run(until=in_service[0] + 1.0)
+    injector.heal()
+    notice = env.run(until=event)
+    env.run(until=env.now + 500.0)
+    assert notice.code is ValidationCode.VALID
+    assert [peer.chain.height for peer in network.peers] == [1, 1]
+    network.verify_convergence()
+
+
+def test_a_retry_whose_endorsement_outlasts_the_commit_broadcasts_nothing():
+    """Blocks are held on a delay rule, so the first attempt times out
+    and the retry re-endorses; heal() then commits the block from the
+    log while that endorsement is under way.  The retry takes the
+    rescued notice and sends nothing, and leaves no commit event
+    registered for a later heal to fire a second time."""
+    plan = FaultPlan(
+        seed=1,
+        retry=RetryPolicy(timeout_ms=200.0, backoff_ms=20.0, jitter_ms=0.0),
+        messages=(
+            MessageFaultRule(
+                channel="orderer_to_peer", delay=1.0, delay_range_ms=(1e4, 1e4)
+            ),
+        ),
+    )
+    network = _network(plan, commit_backend="reference")
+    env = network.env
+    endorsed = []
+    peer = network.reference_peer
+    endorse = peer.endorse
+    peer.endorse = lambda proposal: endorsed.append(env.now) or endorse(proposal)
+    user = network.register_user("u")
+    event = network.submit(
+        Proposal(
+            chaincode="supply",
+            fn="create_item",
+            args={"item": "i1", "owner": "M"},
+            creator=user.user_id,
+        )
+    )
+    while len(endorsed) < 2:
+        env.step()
+    network.faults.heal()
+    notice = env.run(until=event)
+    env.run(until=env.now + 500.0)
+    assert notice.code is ValidationCode.VALID
+    assert notice.response == {"holder": "M", "hops": 0, "handlers": ["M"]}
+    stats = network.faults.stats
+    assert (stats["retries"], stats["deduped_txs"]) == (1, 0)
+    assert network.metrics.committed_requests.value == 1
+    network.faults.heal()
+    network.verify_convergence()

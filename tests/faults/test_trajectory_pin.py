@@ -11,9 +11,8 @@ must leave every one of them untouched: same RNG draw order, same
 events, same clock.
 
 The heal instants and loads are the ones at which the recorded commit
-runs at all: healing while a commit is in service, and a storage crash
-with blocks queued at the dying peer, are defects there (ROADMAP item
-3) that kill the simulation.
+runs at all: a storage crash with blocks queued at the dying peer is a
+defect there (ROADMAP item 2(b)) that kills the simulation.
 
 Every backend selector is pinned in the config, so the values hold
 under any ambient ``REPRO_*`` variable.  Transaction ids are explicit
@@ -25,6 +24,15 @@ detector and the hedged query client were deleted: the scenario ran
 both, and their processes, their events and their draws on the shared
 link-loss RNG are gone, so every later loss decision and the
 trajectory after it moved.
+
+All four were regenerated once when a request became one process.
+``events_scheduled`` fell on each, because a retried request no longer
+starts a process per attempt; ``topology`` and ``pbft`` moved by that
+field alone.  ``messages`` and ``storage_crash`` moved further: a
+notice that lands during a backoff now completes its request, so no
+retry re-endorses or re-broadcasts after the commit, and an attempt
+whose broadcast is held on a delay rule keeps its request until the
+broadcast is sent.  Later message-fate draws shift with them.
 """
 
 from __future__ import annotations

@@ -5,12 +5,15 @@ leave no cycles behind for it to find."""
 from __future__ import annotations
 
 import gc
+import inspect
 import traceback
 
 import pytest
 
 from repro import Gateway, HashBasedManager, ViewMode, build_network
 from repro.errors import SimulationError
+from repro.fabric.config import NetworkConfig
+from repro.faults import FaultPlan, MessageFaultRule, RetryPolicy
 from repro.serving.bridge import SimBridge
 from repro.sim import Environment
 from repro.views.predicates import AttributeEquals
@@ -156,10 +159,66 @@ def test_failed_processes_leave_no_cycles(paused):
     assert "failing" in names and "waiter" in names
 
 
-def test_a_fault_free_closed_loop_leaves_nothing_to_collect(paused):
-    """What makes pausing safe: a run's garbage is all freed by
-    reference counting, so the collector would have found nothing."""
-    network = build_network()
+def _failing(env, index):
+    yield env.timeout(1)
+    raise ValueError(f"failure {index}")
+
+
+def _unwatched_failure(index):
+    env = Environment()
+    env.process(_failing(env, index))
+    env.run()
+
+
+def _watched(env, index):
+    process = env.process(_failing(env, index))
+    process.callbacks.append(lambda event: None)
+    return process
+
+
+def _failed_target(index):
+    env = Environment()
+    env.run(until=_watched(env, index))
+
+
+@pytest.mark.parametrize(
+    "abort, raiser",
+    [(_unwatched_failure, "step"), (_failed_target, "run")],
+    ids=["unwatched-event", "failed-target"],
+)
+def test_aborted_runs_leave_no_cycles(paused, abort, raiser):
+    """``step`` raising a failed event nobody waited on, and ``run``
+    raising its failed ``until`` target, each used to keep the event in
+    a raising frame that the exception's traceback holds."""
+    seen = []
+    for index in range(10):
+        try:
+            abort(index)
+        except ValueError as exc:
+            names = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+            seen.append((type(exc), str(exc), names))
+    assert gc.collect() == 0
+    assert len(seen) == 10
+    kind, message, names = seen[7]
+    assert (kind, message) == (ValueError, "failure 7")
+    assert names[-2:] == [raiser, "_failing"] and "run" in names
+
+
+def _alive_network_generators() -> list[str]:
+    """The suspended generators of network methods, the block pipeline's
+    two standing loops left out."""
+    return sorted(
+        obj.gi_code.co_qualname
+        for obj in gc.get_objects()
+        if inspect.isgenerator(obj)
+        and obj.gi_frame is not None
+        and obj.gi_code.co_qualname.startswith("FabricNetwork.")
+        and obj.gi_code.co_name not in ("_pump", "_cut_loop")
+    )
+
+
+def _closed_loop(network) -> None:
+    """Eight clients, four view-maintained requests each, to completion."""
     manager = HashBasedManager(Gateway(network, network.register_user("alice")))
     manager.create_view("w1", AttributeEquals("to", "W1"), ViewMode.REVOCABLE)
     env = network.env
@@ -177,8 +236,31 @@ def test_a_fault_free_closed_loop_leaves_nothing_to_collect(paused):
 
     env.run(until=env.all_of([env.process(client(index)) for index in range(8)]))
     assert network.reference_peer.chain.height > 2
+
+
+def test_a_fault_free_closed_loop_leaves_nothing_to_collect(paused):
+    """What makes pausing safe: a run's garbage is all freed by
+    reference counting, so the collector would have found nothing."""
+    network = build_network()
+    _closed_loop(network)
     assert gc.collect() == 0
     # A crash drops the peer's world state: the state database and the
     # digest listening to it go with reference counting alone.
     network.peers[-1].reset_world_state()
+    assert gc.collect() == 0
+
+
+def test_a_lossy_closed_loop_leaves_no_parked_submission(paused):
+    """Lost broadcasts make requests retry.  A timed-out attempt used to
+    stay parked on a commit event the retry replaced: a suspended
+    generator per lost broadcast, and a cycle."""
+    plan = FaultPlan(
+        seed=3,
+        retry=RetryPolicy(timeout_ms=400.0, backoff_ms=40.0, jitter_ms=15.0),
+        messages=(MessageFaultRule(channel="client_to_orderer", drop=0.3),),
+    )
+    network = build_network(NetworkConfig(fault_plan=plan.to_json()))
+    _closed_loop(network)
+    assert network.faults.stats["retries"] > 0
+    assert _alive_network_generators() == []
     assert gc.collect() == 0
