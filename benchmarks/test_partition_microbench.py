@@ -1,7 +1,8 @@
 """Partition microbenchmark: degrade, don't collapse.
 
 **Goodput under a dark shard** — an open-loop counter workload over
-four shards while one shard is partitioned for ~30% of the run.
+four shards while one shard is partitioned for ~30% of the run (a
+``partition_chain`` plan event on that shard's injector).
 Goodput must stay above zero in *every* time bucket of the partition
 window: traffic to the three live shards keeps committing while the
 dark shard's requests fail fast, aborted at dispatch by the
@@ -18,6 +19,7 @@ Run with::
 from __future__ import annotations
 
 from repro.fabric.config import NetworkConfig
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.serving import AdmissionConfig, OpenLoopConfig, ShardedTarget
 from repro.serving.loadgen import counter_builder, run_open_loop
 from repro.sharding import ShardedGateway, ShardedNetwork
@@ -56,17 +58,9 @@ def _run_goodput_leg(darken: bool):
         network.install_chaincode(CounterContract())
     gateway = ShardedGateway(sharded, "bencher")
     target = ShardedTarget(gateway)
-    env = sharded.env
-
     if darken:
-
-        def dark_window():
-            yield env.timeout(DARK_AT_MS)
-            sharded.partition_shard(1)
-            yield env.timeout(DARK_FOR_MS)
-            sharded.heal_shard_partition(1)
-
-        env.process(dark_window())
+        dark = FaultEvent("partition_chain", at_ms=DARK_AT_MS, for_ms=DARK_FOR_MS)
+        FaultInjector(sharded.shards[1], FaultPlan(retry=None, events=(dark,)))
 
     metrics, requests = run_open_loop(
         target,

@@ -21,9 +21,10 @@ Legs:
   the hardened 2PC layer; throughput degrades smoothly, and
   ``InvariantMonitor.check()`` on every shard holds every distributed
   transaction all-or-nothing;
-- **chaos** — one whole shard (orderer + peers) is power-cut mid-run;
-  survivors keep committing, the dead shard recovers from its durable
-  WAL/snapshots, and the final state shows zero invariant violations.
+- **chaos** — one whole shard (orderer + peers) is power-cut mid-run
+  by a ``crash_chain`` plan event; survivors keep committing, the dead
+  shard recovers from its durable WAL/snapshots at ``heal()``, and the
+  final state shows zero invariant violations.
 
 Results are recorded under ``sharding`` in ``BENCH_micro.json``.
 
@@ -38,7 +39,7 @@ from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
-from repro.faults import InvariantMonitor
+from repro.faults import FaultEvent, FaultInjector, FaultPlan, InvariantMonitor
 from repro.sharding import (
     CrossShardWrite,
     ShardedGateway,
@@ -371,9 +372,13 @@ def test_chaos_whole_shard_crash_mid_run(rearm, record):
         committed[shard] += pump(shard, buckets[shard][:half])
 
     # Mid-run: the victim's rack loses power — orderer and peers gone.
-    pre_crash = sharded.fingerprint()[sharded.shards[victim].chain_name]
-    sharded.crash_shard(victim)
-    assert sharded.shards[victim].query("counter", "get", {"key": buckets[victim][0].key}) == 0
+    chain = sharded.shards[victim]
+    pre_crash = sharded.fingerprint()[chain.chain_name]
+    crash = FaultEvent("crash_chain", at_ms=0.0)
+    injector = FaultInjector(chain, FaultPlan(retry=None, events=(crash,)))
+    env.run(until=env.now)
+    assert not sharded.shard_reachable(victim)
+    assert chain.query("counter", "get", {"key": buckets[victim][0].key}) == 0
 
     # Phase B: survivors finish their partitions while the victim is dark.
     survivor_committed_during_outage = 0
@@ -385,9 +390,9 @@ def test_chaos_whole_shard_crash_mid_run(rearm, record):
     assert survivor_committed_during_outage > 0
 
     # Recovery: durable block log + per-peer snapshot/WAL/catch-up.
-    reports = sharded.recover_shard(victim)
-    modes = [getattr(report, "mode", None) for report in reports]
-    post_recovery = sharded.fingerprint()[sharded.shards[victim].chain_name]
+    injector.heal()
+    modes = [peer.last_recovery.mode for peer in chain.peers]
+    post_recovery = sharded.fingerprint()[chain.chain_name]
     assert post_recovery == pre_crash, "recovery lost committed state"
 
     # Phase C: the recovered shard finishes its partition.
@@ -398,11 +403,11 @@ def test_chaos_whole_shard_crash_mid_run(rearm, record):
         sharded, trace, ContentionWorkload.expected_totals(trace)
     ) == 0
     assert sum(committed.values()) == len(trace)
-    assert sharded.down == set()
+    assert all(sharded.shard_reachable(shard) for shard in range(shards))
 
     record("sharding", _DESCRIPTION, {"chaos_shard_crash": {
         "shards": shards,
-        "victim": sharded.shards[victim].chain_name,
+        "victim": chain.chain_name,
         "requests": len(trace),
         "committed_total": sum(committed.values()),
         "survivor_committed_during_outage": survivor_committed_during_outage,

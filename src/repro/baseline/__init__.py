@@ -11,9 +11,9 @@ storage across the paper's experiments.
 The 2PC chaincodes (:class:`CoordinatorContract` on the main chain,
 :class:`ShardContract` on every view chain) and the loop that drives
 them are :mod:`repro.sharding.crossshard`'s: the baseline and the
-sharded deployment run one coordinator, and the baseline supplies only
-its data (the main chain coordinates, votes are relayed, attempts time
-out and retry).
+sharded deployment are one deployment class run by one coordinator, and
+the baseline supplies only its data (the main chain coordinates, votes
+are relayed, attempts time out and retry).
 """
 
 from repro.baseline.multichain import CrossChainDeployment

@@ -17,11 +17,14 @@ transactions plus coordinator records — the ``2·|V|·n`` growth of
 Fig 6.  Aborted attempts are retried with backoff; under overload,
 timeouts and retries amplify the load, which is the congestion-collapse
 behaviour the paper reports past 48 clients.
+
+It is a :class:`~repro.sharding.network.MultiChainDeployment`, as the
+sharded path is: its chains, coordinating chain and policy are its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.fabric.config import NetworkConfig
 from repro.fabric.endorser import Proposal
@@ -29,47 +32,24 @@ from repro.fabric.identity import User
 from repro.fabric.network import FabricNetwork
 from repro.sharding.crossshard import (
     CoordinatorContract,
-    CoordinatorLog,
     CrossShardResult,
     CrossShardWrite,
     ShardContract,
     TwoPhaseCoordinator,
-    assert_atomic,
     fresh_xid,
 )
-from repro.sim import Counter, Environment, TimeSeries
+from repro.sharding.network import MultiChainDeployment
+from repro.sim import Environment
 from repro.views.notary import NotaryContract
 from repro.workload.contract import SupplyChainContract
 
 
-@dataclass
-class BaselineMetrics:
-    """What the baseline accumulates during a run."""
-
-    committed: Counter
-    aborted: Counter
-    crosschain_txs: Counter
-    latencies_ms: TimeSeries
-
-    @classmethod
-    def fresh(cls) -> "BaselineMetrics":
-        return cls(
-            committed=Counter("committed"),
-            aborted=Counter("aborted"),
-            crosschain_txs=Counter("crosschain"),
-            latencies_ms=TimeSeries("latency_ms"),
-        )
-
-
-class CrossChainDeployment:
+class CrossChainDeployment(MultiChainDeployment):
     """Main chain plus one view blockchain per view.
 
-    To its 2PC coordinator it is a deployment whose main chain
-    coordinates, whose view chains are always reachable, which relays
-    votes (AHL) and whose timeout and retry policy is the constructor's.
+    The main chain coordinates, votes are relayed (AHL), and the
+    timeout and retry policy is the constructor's.
     """
-
-    relays_votes = True
 
     def __init__(
         self,
@@ -80,42 +60,26 @@ class CrossChainDeployment:
         max_retries: int = 2,
         retry_backoff_ms: float = 2_000.0,
     ):
-        self.env = env
-        self.config = config or NetworkConfig()
-        self.prepare_timeout_ms = prepare_timeout_ms
-        self.max_retries = max_retries
-        self.retry_backoff_ms = retry_backoff_ms
-        self.metrics = BaselineMetrics.fresh()
-
-        self.main = FabricNetwork(env, self.config, chain_name="main")
+        config = config or NetworkConfig()
+        self.main = FabricNetwork(env, config, chain_name="main")
         self.main.install_chaincode(SupplyChainContract())
         self.main.install_chaincode(NotaryContract())
         self.main.install_chaincode(CoordinatorContract())
 
         # View chains are lighter deployments: a single peer each, which
         # is also the only endorser their policy can ask for.
-        view_config = replace(self.config, peer_count=1, endorsement_policy=1)
+        view_config = replace(config, peer_count=1, endorsement_policy=1)
         self.view_chains: dict[str, FabricNetwork] = {}
         for name in view_names:
             chain = FabricNetwork(env, view_config, chain_name=f"view-{name}")
             chain.install_chaincode(ShardContract())
             self.view_chains[name] = chain
-        self.main.participants.update(self.view_chains)
-
-    # -- identities -------------------------------------------------------------
-
-    def register_user(self, user_id: str) -> dict[str, User]:
-        """Register one client on the main chain and every view chain.
-
-        Each network has its own MSP (they are separate blockchains), so
-        the client holds one identity per chain.
-        """
-        identities = {"main": self.main.register_user(user_id)}
-        for name, chain in self.view_chains.items():
-            identities[name] = chain.register_user(user_id)
-        return identities
-
-    # -- request path ---------------------------------------------------------------
+        super().__init__(
+            env, config, {"main": self.main, **self.view_chains},
+            {name: name for name in self.view_chains}, lambda xid: "main", ["main"],
+            relays_votes=True, prepare_timeout_ms=prepare_timeout_ms,
+            max_retries=max_retries, retry_backoff_ms=retry_backoff_ms,
+        )
 
     def submit_request(self, identities: dict[str, User], request) -> "object":
         """Run one cross-chain request as a simulation process.
@@ -159,39 +123,3 @@ class CrossChainDeployment:
         self.metrics.crosschain_txs.increment(result.participant_txs)
         self.metrics.latencies_ms.record(env.now, result.latency_ms)
         return result
-
-    # -- what the coordinator reads ---------------------------------------------
-
-    def chain(self, key: str) -> FabricNetwork:
-        return self.main if key == "main" else self.view_chains[key]
-
-    def participant_name(self, view: str) -> str:
-        return view
-
-    def coordinator_shard_for(self, xid: str) -> str:
-        return "main"
-
-    def shard_reachable(self, key: str) -> bool:
-        return True
-
-    def count_cross_shard(self, event: str) -> None:
-        """The coordinator's tally: ``metrics`` keeps the outcomes."""
-        if event != "begun":
-            getattr(self.metrics, event).increment()
-
-    def coordinator_log(self) -> CoordinatorLog:
-        return CoordinatorLog.on(self.main)
-
-    # -- consistency checks -------------------------------------------------------
-
-    def verify_atomicity(self, result: CrossShardResult, views: list[str]) -> None:
-        """All-or-nothing for one request (its ``begin`` record names
-        ``views``); raises :class:`~repro.errors.TwoPhaseCommitError`."""
-        assert_atomic(self.main, result.xid)
-
-    def total_storage_bytes(self) -> int:
-        """Combined footprint of the main chain and every view chain."""
-        total = self.main.total_storage_bytes()
-        for chain in self.view_chains.values():
-            total += chain.total_storage_bytes()
-        return total

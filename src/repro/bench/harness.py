@@ -389,7 +389,7 @@ def run_baseline_workload(
         lambda client, request, outcome: outcome is not None and outcome.committed,
         horizon_ms,
     )
-    chains = [deployment.main, *deployment.view_chains.values()]
+    chains = list(deployment.chains.values())
     result = _result(
         "baseline-2PC",
         traces,

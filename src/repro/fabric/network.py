@@ -299,7 +299,6 @@ class FabricNetwork:
             backoff = MVCC_RETRY_BACKOFF_MS
             self._mvcc_retry = RetryPolicy(
                 max_attempts=self.config.mvcc_retry_attempts + 1,
-                timeout_ms=self.config.batch_timeout_ms + 1.0,
                 backoff_ms=backoff,
                 backoff_factor=2.0,
                 max_backoff_ms=backoff * 8,
@@ -643,25 +642,6 @@ class FabricNetwork:
         the channel sees traffic — blocks cut earlier (a view's set-up
         grants, say) were cut on the timer."""
         self.cut_policy = "group"
-
-    def lose_orderer_memory(self) -> None:
-        """Power-cut the ordering service: the pending batch, the ordered
-        block log, the chain-continuation counters and every client
-        waiting on a commit notice are gone, and with them whatever was
-        accepted but not yet committed."""
-        self._cutter.clear()
-        self._inflight_tids.clear()
-        self._commit_events.clear()
-        self.restore_orderer_memory([])
-
-    def restore_orderer_memory(self, blocks: list) -> None:
-        """Restart the ordering service from a recovered block log: the
-        next block continues ``blocks``, and exactly their transactions
-        count as accepted — so :meth:`queue_depth` reads 0 once the
-        reference peer has caught up with the log."""
-        self.block_log[:] = blocks
-        self.ordering.resume_after(blocks)
-        self._accepted_txs = sum(len(block.transactions) for block in blocks)
 
     # -- ordering service processes ---------------------------------------------
 

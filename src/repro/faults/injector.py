@@ -49,6 +49,8 @@ class FaultInjector:
         self.retry = plan.retry
         self.attached_at = self.env.now
         self._down_peers: set[str] = set()
+        #: The ``crash_chain``/``partition_chain`` kind darkening the chain.
+        self._chain_outage: str | None = None
         #: Closed-open absolute [start, end) owner-outage windows,
         #: appended when their events fire (mutable so heal() can close
         #: an in-progress window early).
@@ -112,6 +114,11 @@ class FaultInjector:
         for event in plan.events:
             if event.kind == "crash_peer":
                 self._check_crashable_peer("crash_peer", event.target)
+            elif event.kind == "crash_chain" and network.storage is None:
+                raise FaultInjectionError(
+                    "crash_chain needs a storage backend: a chain that "
+                    "loses its memory recovers from its durable stores"
+                )
             elif event.kind in ("crash_orderer", "crash_leader"):
                 cluster = network.consensus
                 if not cluster.nodes:
@@ -247,12 +254,12 @@ class FaultInjector:
         return self.topology.node_factor(node)
 
     def up(self, node: str) -> bool:
-        """Whether ``node`` (a ``"peer:<index>"``) is running."""
+        """Whether ``node`` (``"peer:<index>"``, or ``"chain"``: the whole
+        chain, to a deployment's router) is running."""
         kind, _, index = node.partition(":")
-        return (
-            kind != "peer"
-            or self.network.peers[int(index)].peer_id not in self._down_peers
-        )
+        if kind == "peer":
+            return self.network.peers[int(index)].peer_id not in self._down_peers
+        return kind != "chain" or self._chain_outage is None
 
     def _orderer_connectivity(self, a: int, b: int) -> bool:
         """Pair hook for consensus clusters (node ids → topology names)."""
@@ -324,6 +331,16 @@ class FaultInjector:
                 yield env.timeout(event.for_ms)
                 if not self._healed:
                     self.network.pbft.clear_byzantine(event.target)
+            return
+        if event.kind in ("crash_chain", "partition_chain"):
+            if event.kind == "crash_chain":
+                self._crash_chain()
+            self._chain_outage = event.kind
+            if event.for_ms is None:
+                return
+            yield env.timeout(event.for_ms)
+            if not self._healed:
+                self._end_chain_outage()
             return
         if event.kind == "crash_peer":
             peer = self.network.peers[event.target]
@@ -402,6 +419,39 @@ class FaultInjector:
         if not self._healed and peer.peer_id in self._down_peers:
             self.recover_peer(index)
 
+    # -- whole-chain outage ------------------------------------------------------
+
+    def _crash_chain(self) -> None:
+        """Every peer and the ordering service lose their memory, and
+        with it whatever was accepted but not yet committed."""
+        network = self.network
+        for peer in network.peers:
+            peer.reset_world_state()
+        network._cutter.clear()
+        network._inflight_tids.clear()
+        network._commit_events.clear()
+        self._restart_orderer([])
+
+    def _restart_orderer(self, blocks: list) -> None:
+        """Continue the chain after ``blocks``; exactly their transactions
+        count as accepted, so ``queue_depth()`` reads 0 once caught up."""
+        network = self.network
+        network.block_log[:] = blocks
+        network.ordering.resume_after(blocks)
+        network._accepted_txs = sum(len(block.transactions) for block in blocks)
+
+    def _end_chain_outage(self) -> None:
+        """Make the chain reachable.  A crashed one first restarts from its
+        durable stores: the orderer's block log from its WAL, then every
+        peer; peers that come back diverged raise, leaving it down."""
+        if self._chain_outage == "crash_chain":
+            network = self.network
+            self._restart_orderer(network.storage.restore_block_log())
+            for index in range(len(network.peers)):
+                self.recover_peer(index)
+            network.verify_convergence()
+        self._chain_outage = None
+
     # -- recovery --------------------------------------------------------------
 
     def recover_peer(self, index: int) -> None:
@@ -439,6 +489,7 @@ class FaultInjector:
             # below cannot trip them.
             for peer in self.network.peers:
                 self.network.storage.node_store(peer.peer_id).guard.disarm()
+        self._end_chain_outage()
         for index, peer in enumerate(self.network.peers):
             if peer.peer_id in self._down_peers:
                 self.recover_peer(index)

@@ -18,6 +18,12 @@ Event kinds:
 ``crash_orderer`` / ``crash_leader``
     Crash one Raft ordering node (``target``) or whoever leads at fire
     time; requires ``NetworkConfig.use_raft``.
+``crash_chain`` / ``partition_chain``
+    The whole chain is dark to a multi-chain deployment's router until
+    ``for_ms`` or ``heal()``.  A partitioned chain keeps its memory and
+    in-flight work; a crashed one loses both (every peer and the
+    orderer) and comes back from its durable stores, so it needs a
+    storage backend.
 ``owner_outage``
     The view owner is unreachable for ``for_ms``: owner-mediated
     invocations queue until it returns, synchronous view queries raise
@@ -69,6 +75,8 @@ EVENT_KINDS = (
     "crash_peer",
     "crash_orderer",
     "crash_leader",
+    "crash_chain",
+    "partition_chain",
     "owner_outage",
     "byzantine_equivocate",
     "byzantine_corrupt_block",

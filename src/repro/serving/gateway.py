@@ -217,8 +217,9 @@ class ShardedTarget(_ChannelTarget):
     def dispatch(self, batch: list[ServingRequest], complete: Complete) -> None:
         """Submit a micro-batch; every request stands alone.
 
-        A request routed to a down or partitioned shard is aborted at
-        dispatch with the routing error, and a submission that later
+        A request routed to a dark shard (a ``crash_chain`` or
+        ``partition_chain`` plan event holds it) is aborted at dispatch
+        with the routing error, and a submission that later
         dies to fault injection (e.g. a retry deadline on a dark shard)
         aborts on its own event — other sessions' requests in the same
         batch proceed normally.

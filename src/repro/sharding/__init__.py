@@ -23,7 +23,9 @@ Public surface:
 - :class:`TwoPhaseCoordinator` — the one crash-safe 2PC driver (the
   baseline's too) with a write-ahead decision log; every
   ``InvariantMonitor.check()`` holds its decisions all-or-nothing.
-- :class:`ShardedNetwork` — N channels + router + cross-shard layer.
+- :class:`ShardedNetwork` — N channels + router, a
+  :class:`~repro.sharding.network.MultiChainDeployment` as the
+  baseline is; a shard goes dark only through a fault plan.
 - :class:`ShardedGateway` — one client identity on every shard.
 """
 

@@ -3,12 +3,12 @@
 The :class:`CoordinatorContract`/:class:`ShardContract` pair is the
 paper's multi-chain baseline (AHL-style: one blockchain per view, the
 main chain as coordinator), and :class:`TwoPhaseCoordinator` is the only
-loop that drives it.  The baseline
+loop that drives it, over one deployment class
+(:class:`repro.sharding.network.MultiChainDeployment`).  The baseline
 (:class:`repro.baseline.CrossChainDeployment`) and the sharded
 scale-out path (:class:`repro.sharding.ShardedNetwork`, for the
-minority of traffic whose writes span shards) both run it; what differs
-is data their deployment carries, not a second loop (see
-:class:`TwoPhaseCoordinator`).
+minority of traffic whose writes span shards) are that class built with
+different data, not a second loop or a second surface.
 
 Hardening the protocol relies on:
 
@@ -302,14 +302,15 @@ class CoordinatorLog:
 class TwoPhaseCoordinator:
     """The one 2PC driver, for one client over one deployment.
 
-    ``deployment`` is a :class:`~repro.sharding.ShardedNetwork` or a
-    :class:`~repro.baseline.CrossChainDeployment`.  Both provide ``env``,
-    ``chain(key)``, ``participant_name(key)`` (what a ``begin`` record
-    calls a participant), ``coordinator_shard_for(xid)``,
-    ``shard_reachable(key)``, ``count_cross_shard(event)``,
-    ``coordinator_log()`` and the protocol's data: ``relays_votes``
-    (AHL), ``prepare_timeout_ms`` (a slower attempt fails even on
-    all-yes votes), ``max_retries`` and ``retry_backoff_ms``.  The
+    ``deployment`` is a
+    :class:`~repro.sharding.network.MultiChainDeployment` (sharded or
+    the baseline): ``env``, ``chain(key)``, ``participant_name(key)``
+    (what a ``begin`` record calls a participant),
+    ``coordinator_shard_for(xid)``, ``shard_reachable(key)``,
+    ``count_cross_shard(event)``, ``coordinator_log()`` and the
+    protocol's data: ``relays_votes`` (AHL), ``prepare_timeout_ms`` (a
+    slower attempt fails even on all-yes votes), ``max_retries`` and
+    ``retry_backoff_ms``.  The
     ``user_id`` of ``client`` (a ``ShardedGateway`` or a ``User``) is
     registered on every chain and creates every transaction.
     """
@@ -495,10 +496,6 @@ class TwoPhaseCoordinator:
                 )
             )
         return results
-
-    def verify_atomicity(self, result: CrossShardResult) -> None:
-        """All-or-nothing for one transaction (:func:`assert_atomic`)."""
-        assert_atomic(self.deployment.chain(result.coordinator_shard), result.xid)
 
 
 # -- the atomicity oracle -----------------------------------------------------

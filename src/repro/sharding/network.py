@@ -1,51 +1,38 @@
-"""The sharded deployment: N independent channels plus a router.
+"""Multi-chain deployments: chains in one environment that 2PC spans.
 
-A :class:`ShardedNetwork` runs ``shard_count`` complete
-:class:`~repro.fabric.network.FabricNetwork` instances — each with its
-own orderer, peers, durable stores, and the full backend configuration
-inherited from one :class:`~repro.fabric.config.NetworkConfig` — inside
-a single simulation environment.  A :class:`ConsistentHashRing` over
-the shard names decides where every view (and every state key) lives,
-so single-view traffic (EI/ER/HI/HR requests, view queries, audits)
-touches exactly one orderer and one commit path; only requests whose
-writes genuinely span shards go through the cross-shard 2PC layer
-(:mod:`repro.sharding.crossshard`).
+:class:`MultiChainDeployment` is the one surface
+:class:`~repro.sharding.crossshard.TwoPhaseCoordinator` drives.  Its two
+deployments only build their chains and pass data: :class:`ShardedNetwork`
+(``shard_count`` complete channels; a :class:`ConsistentHashRing` places
+every key and every transaction's coordinator records, so single-view
+traffic touches one orderer and one commit path) and
+:class:`repro.baseline.CrossChainDeployment` (the paper's AHL baseline:
+a coordinating main chain plus one chain per view).  At
+``shard_count=1`` the shard is named ``"main"`` and built as the
+unsharded reference is, byte for byte.
 
-With ``shard_count=1`` the single shard is named ``"main"`` and built
-through the same :func:`repro.build_network` path as the unsharded
-reference — peer ids, MSP registration order, and every transaction
-byte are identical, which the differential suite pins (a sharded
-deployment at N=1 *is* the reference deployment, plus two extra —
-unused — contracts in the registry).
-
-Whole-shard failure is modelled at this layer, not per peer:
-:meth:`ShardedNetwork.crash_shard` loses the shard's entire in-memory
-state (orderer and all peers at once — a rack power cut), and
-:meth:`ShardedNetwork.recover_shard` rebuilds it purely from the PR 5
-durable stores: ordered block log from the orderer's WAL, each peer
-from its snapshot + WAL suffix + catch-up.  Surviving shards never
-stop; the ring does not re-place keys on failure (the shard comes
-back — this is crash-recovery, not membership change).
+A chain is reachable while ``chain.link.up("chain")``: a whole-chain
+outage is a ``crash_chain`` or ``partition_chain`` event of a fault plan
+on that chain's own injector (:mod:`repro.faults.plan`).  The ring does
+not re-place keys while a shard is dark; the shard comes back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import (
-    FaultInjectionError,
-    StorageError,
-    TwoPhaseCommitError,
-    WorkloadError,
-)
+from repro.errors import FaultInjectionError, TwoPhaseCommitError, WorkloadError
 from repro.fabric.config import NetworkConfig
+from repro.fabric.identity import User
 from repro.fabric.network import CommitNotice, FabricNetwork, Gateway
-from repro.sim import Environment, Event
+from repro.sim import Counter, Environment, Event, TimeSeries
 from repro.sharding.crossshard import (
     CoordinatorContract,
     CoordinatorLog,
+    CrossShardResult,
     ShardContract,
+    assert_atomic,
 )
 from repro.sharding.ring import ConsistentHashRing
 
@@ -64,57 +51,202 @@ def shard_names(count: int) -> list[str]:
     return [f"shard-{i}" for i in range(count)]
 
 
-class ShardedNetwork:
-    """N independent Fabric channels behind one consistent-hash router."""
+class DeploymentMetrics:
+    """The coordinator's outcome tally, plus the baseline's participant
+    transactions and latencies per request."""
 
-    #: Its 2PC relays no votes, has no prepare timeout and does not
-    #: retry: a refused transaction aborts, and its caller may resubmit.
-    relays_votes = False
-    prepare_timeout_ms = math.inf
-    max_retries = 0
-    retry_backoff_ms = 0.0
+    def __init__(self) -> None:
+        self.begun = Counter("begun")
+        self.committed = Counter("committed")
+        self.aborted = Counter("aborted")
+        self.crosschain_txs = Counter("crosschain")
+        self.latencies_ms = TimeSeries("latency_ms")
+
+
+class MultiChainDeployment:
+    """Chains in one environment, as the 2PC coordinator reads them.
+
+    ``chains`` maps each key the coordinator uses (a shard index, a
+    baseline view name, ``"main"``) to its network, in construction
+    order; ``names`` maps each participant's key to the name a
+    ``begin`` record gives it.  A transaction's coordinator records go
+    on ``place(xid)`` or, while that chain is dark, on the first
+    reachable chain of ``coordinators`` — the chains that can
+    coordinate, each told every participant.  The four policy values
+    are the protocol's data (see
+    :class:`~repro.sharding.crossshard.TwoPhaseCoordinator`).
+    """
+
+    def __init__(
+        self, env: Environment, config: NetworkConfig,
+        chains: dict[Any, FabricNetwork], names: dict[Any, str],
+        place: Callable[[str], Any], coordinators: list, *,
+        relays_votes: bool, prepare_timeout_ms: float, max_retries: int,
+        retry_backoff_ms: float,
+    ):
+        self.env = env
+        self.config = config
+        self.chains = chains
+        self.names = names
+        self._place = place
+        self._coordinators = coordinators
+        self.relays_votes = relays_votes
+        self.prepare_timeout_ms = prepare_timeout_ms
+        self.max_retries = max_retries
+        self.retry_backoff_ms = retry_backoff_ms
+        self.metrics = DeploymentMetrics()
+        participants = {name: chains[key] for key, name in names.items()}
+        for key in coordinators:
+            chains[key].participants.update(participants)
+
+    def register_user(self, user_id: str, organization: str = "org1") -> dict[Any, User]:
+        """One identity per chain (each chain has its own MSP)."""
+        return {
+            key: chain.register_user(user_id, organization)
+            for key, chain in self.chains.items()
+        }
+
+    def run(self, until: Any = None):
+        return self.env.run(until=until)
+
+    # -- what the coordinator reads --------------------------------------------
+
+    def chain(self, key) -> FabricNetwork:
+        return self.chains[key]
+
+    def participant_name(self, key) -> str:
+        return self.names[key]
+
+    def shard_reachable(self, key) -> bool:
+        """Can the router reach this chain right now?"""
+        return self.chains[key].link.up("chain")
+
+    def coordinator_shard_for(self, xid: str):
+        """Which chain hosts a 2PC transaction's coordinator records."""
+        for key in (self._place(xid), *self._coordinators):
+            if self.shard_reachable(key):
+                return key
+        raise TwoPhaseCommitError(
+            f"{xid}: no reachable shard can coordinate "
+            "(every shard is dark or down)"
+        )
+
+    def count_cross_shard(self, event: str) -> None:
+        getattr(self.metrics, event).increment()
+
+    def verify_atomicity(self, result: CrossShardResult, views=None) -> None:
+        """All-or-nothing for one transaction, on the chain that decided
+        it (``views``, what its ``begin`` names, is read from there);
+        raises :class:`~repro.errors.TwoPhaseCommitError`."""
+        assert_atomic(self.chains[result.coordinator_shard], result.xid)
+
+    def coordinator_log(self) -> CoordinatorLog:
+        """The 2PC driver's write-ahead journal, in the first coordinating
+        chain's durability runtime (not the client-side driver's memory)."""
+        return CoordinatorLog.on(self.chains[self._coordinators[0]])
+
+    # -- integrity / observability ---------------------------------------------
+
+    def verify_convergence(self) -> None:
+        """All peers of every reachable chain hold identical chains/state."""
+        for key, network in self.chains.items():
+            if self.shard_reachable(key):
+                network.verify_convergence()
+
+    def queue_depth(self) -> int:
+        """Transactions queued at reachable chains' orderers: the
+        back-pressure admission control watches."""
+        return sum(
+            network.queue_depth()
+            for key, network in self.chains.items()
+            if self.shard_reachable(key)
+        )
+
+    def total_storage_bytes(self) -> int:
+        """Combined footprint of every chain."""
+        return sum(network.total_storage_bytes() for network in self.chains.values())
+
+    def fingerprint(self) -> dict[str, dict[str, Any]]:
+        """Per-chain (tip hash, height, state root): the byte-identity
+        anchor of the single-shard differential test."""
+        return {
+            network.chain_name: {
+                "height": peer.chain.height,
+                "tip_hash": peer.chain.tip_hash.hex(),
+                "state_root": peer.current_state_root().hex(),
+            }
+            for network in self.chains.values()
+            for peer in [network.reference_peer]
+        }
+
+    def per_shard_stats(self) -> list[dict[str, Any]]:
+        """Per-chain balance counters for the bench harness ``extra``."""
+        return [
+            {
+                "shard": network.chain_name,
+                # committed, aborted, rebased
+                **network.phase_wall.commit_outcomes()["totals"],
+                "blocks": len(network.block_log),
+                "height": network.reference_peer.chain.height,
+                "orderer_queue_peak": network.orderer_queue_peak,
+                "mvcc_retries": network.mvcc_retries,
+                "reachable": self.shard_reachable(key),
+            }
+            for key, network in self.chains.items()
+        ]
+
+    def cross_shard_stats(self) -> dict[str, int]:
+        return {
+            event: getattr(self.metrics, event).value
+            for event in ("begun", "committed", "aborted")
+        }
+
+    def harness_extra(self) -> dict[str, Any]:
+        """The ``extra`` block benchmark results carry: per-chain
+        balance plus cross-shard transaction counts."""
+        return {
+            "shard_count": len(self.chains),
+            "per_shard": self.per_shard_stats(),
+            "cross_shard": self.cross_shard_stats(),
+        }
+
+
+class ShardedNetwork(MultiChainDeployment):
+    """N independent Fabric channels behind one consistent-hash router.
+
+    Its 2PC relays no votes, has no prepare timeout and does not retry:
+    a refused transaction aborts, and its caller may resubmit.
+    """
 
     def __init__(
         self,
         env: Environment | None = None,
         config: NetworkConfig | None = None,
         shard_count: int = 1,
-        install_standard_contracts: bool = True,
     ):
         from repro import build_network
 
-        self.env = env or Environment()
-        self.config = config or NetworkConfig()
+        env = env or Environment()
+        config = config or NetworkConfig()
         names = shard_names(shard_count)
         self.ring = ConsistentHashRing(names)
         self.shards: list[FabricNetwork] = [
-            build_network(
-                self.config,
-                self.env,
-                chain_name=name,
-                install_standard_contracts=install_standard_contracts,
-            )
-            for name in names
+            build_network(config, env, chain_name=name) for name in names
         ]
         # Every shard can participate in (and coordinate) cross-shard
         # transactions.  Installation is a pure registry insert — no
         # identities, no randomness — so the N=1 deployment stays
         # byte-identical to the unsharded reference.
-        participants = {self.participant_name(i): n for i, n in enumerate(self.shards)}
         for network in self.shards:
             network.install_chaincode(CoordinatorContract())
             network.install_chaincode(ShardContract())
-            network.participants.update(participants)
-        #: Shard indices currently crashed (whole-shard outage).
-        self.down: set[int] = set()
-        #: Shard indices currently network-partitioned from the router.
-        #: Unlike a crash, a partitioned shard keeps its memory and its
-        #: in-flight work — it is dark, not dead — so healing needs no
-        #: recovery, only re-admission to routing.
-        self.partitioned: set[int] = set()
-        self._cross_shard = {"begun": 0, "committed": 0, "aborted": 0}
-
-    # -- placement (the router) ----------------------------------------------
+        keys = list(range(shard_count))
+        super().__init__(
+            env, config, dict(enumerate(self.shards)),
+            {key: f"shard-{key}" for key in keys}, self.ring.index_for, keys,
+            relays_votes=False, prepare_timeout_ms=math.inf, max_retries=0,
+            retry_backoff_ms=0.0,
+        )
 
     @property
     def shard_count(self) -> int:
@@ -126,187 +258,15 @@ class ShardedNetwork:
 
     def route(self, key: str) -> int:
         """The index of ``key``'s home shard, for traffic that must reach
-        it now (raises while that shard is down or partitioned —
-        shard-local traffic has nowhere else to go)."""
+        it now (raises while that shard is dark — shard-local traffic
+        has nowhere else to go)."""
         index = self.shard_index(key)
         if not self.shard_reachable(index):
-            state = "down" if index in self.down else "partitioned"
             raise FaultInjectionError(
                 f"shard {self.shards[index].chain_name!r} (home of "
-                f"{key!r}) is {state}"
+                f"{key!r}) is unreachable"
             )
         return index
-
-    def chain(self, shard: int) -> FabricNetwork:
-        return self.shards[shard]
-
-    def participant_name(self, shard: int) -> str:
-        return f"shard-{shard}"
-
-    def coordinator_shard_for(self, xid: str) -> int:
-        """Which shard's chain hosts a cross-shard transaction's
-        coordinator records — ring-placed by xid, so coordinator load
-        spreads across shards instead of funnelling through one.  Any
-        shard's chain can host them, so a dark placement fails over to
-        the first reachable shard rather than blocking the protocol."""
-        placed = self.ring.index_for(xid)
-        if self.shard_reachable(placed):
-            return placed
-        for index in range(self.shard_count):
-            if self.shard_reachable(index):
-                return index
-        raise TwoPhaseCommitError(
-            f"{xid}: no reachable shard can coordinate "
-            "(every shard is dark or down)"
-        )
-
-    def run(self, until: Any = None):
-        return self.env.run(until=until)
-
-    # -- cross-shard layer ---------------------------------------------------
-
-    def coordinator_log(self) -> CoordinatorLog:
-        """The 2PC driver's write-ahead decision journal, in shard 0's
-        durability runtime (the coordinator is a client-side process;
-        any durable filesystem will do — what matters is that it is not
-        the coordinator's own memory)."""
-        return CoordinatorLog.on(self.shards[0])
-
-    def count_cross_shard(self, event: str) -> None:
-        self._cross_shard[event] = self._cross_shard.get(event, 0) + 1
-
-    # -- whole-shard failure -------------------------------------------------
-
-    def shard_reachable(self, index: int) -> bool:
-        """Can the router reach this shard right now?"""
-        return index not in self.down and index not in self.partitioned
-
-    def partition_shard(self, index: int) -> None:
-        """Cut the router's network path to one shard (a *dark* shard).
-
-        The shard itself stays healthy — peers keep their state, the
-        orderer keeps its queue — but no new traffic can reach it, so
-        routed submissions and 2PC prepares against it fail fast.
-        Needs no durable storage: nothing is lost, only unreachable.
-        """
-        self.partitioned.add(index)
-
-    def heal_shard_partition(self, index: int) -> None:
-        """Restore the router's path; the shard resumes where it was."""
-        self.partitioned.discard(index)
-
-    def crash_shard(self, index: int) -> None:
-        """Power-cut one shard: orderer and every peer lose all memory.
-
-        Requires durability (a crash without a durable store is just
-        data loss).  In-flight transactions on the shard are lost with
-        it — callers see no commit notice, exactly as with a real
-        outage.  The shard refuses traffic until
-        :meth:`recover_shard`.
-        """
-        network = self.shards[index]
-        if network.storage is None:
-            raise StorageError(
-                f"cannot crash shard {network.chain_name!r}: durability "
-                "is off, nothing would survive"
-            )
-        self.down.add(index)
-        for peer in network.peers:
-            peer.reset_world_state()
-        # The orderer's memory dies too; recovery rebuilds it from the
-        # orderer WAL.
-        network.lose_orderer_memory()
-
-    def recover_shard(self, index: int) -> list[Any]:
-        """Restart a crashed shard from its durable stores.
-
-        Ordered block log first (the orderer WAL's intact prefix, torn
-        tail truncated), continuation counters reset from it, then
-        every peer via snapshot + WAL suffix + catch-up from the
-        restored log.  Returns the per-peer
-        :class:`~repro.storage.RecoveryReport` list; convergence across
-        the shard's peers is asserted before traffic resumes.
-        """
-        from repro.faults.recovery import recover_peer
-
-        network = self.shards[index]
-        if network.storage is None:
-            raise StorageError(
-                f"cannot recover shard {network.chain_name!r}: no durable store"
-            )
-        network.restore_orderer_memory(network.storage.restore_block_log())
-        reports = []
-        for peer in network.peers:
-            recover_peer(network, peer)
-            reports.append(peer.last_recovery)
-        network.verify_convergence()
-        self.down.discard(index)
-        return reports
-
-    # -- integrity / observability -------------------------------------------
-
-    def verify_convergence(self) -> None:
-        """All peers of every live shard hold identical chains/state."""
-        for index, network in enumerate(self.shards):
-            if index not in self.down:
-                network.verify_convergence()
-
-    def fingerprint(self) -> dict[str, dict[str, Any]]:
-        """Per-shard (tip hash, height, state root) — the byte-identity
-        anchor the single-shard differential test compares against the
-        unsharded reference."""
-        result: dict[str, dict[str, Any]] = {}
-        for network in self.shards:
-            peer = network.reference_peer
-            result[network.chain_name] = {
-                "height": peer.chain.height,
-                "tip_hash": peer.chain.tip_hash.hex(),
-                "state_root": peer.current_state_root().hex(),
-            }
-        return result
-
-    def queue_depth(self) -> int:
-        """Transactions queued at live shards' orderers, summed — the
-        deployment-wide back-pressure signal admission control watches
-        (crashed or dark shards hold no admittable queue)."""
-        return sum(
-            network.queue_depth()
-            for index, network in enumerate(self.shards)
-            if self.shard_reachable(index)
-        )
-
-    def per_shard_stats(self) -> list[dict[str, Any]]:
-        """Per-shard balance counters for the bench harness ``extra``."""
-        stats = []
-        for index, network in enumerate(self.shards):
-            outcomes = network.phase_wall.commit_outcomes()["totals"]
-            stats.append(
-                {
-                    "shard": network.chain_name,
-                    "committed": outcomes["committed"],
-                    "aborted": outcomes["aborted"],
-                    "rebased": outcomes["rebased"],
-                    "blocks": len(network.block_log),
-                    "height": network.reference_peer.chain.height,
-                    "orderer_queue_peak": network.orderer_queue_peak,
-                    "mvcc_retries": network.mvcc_retries,
-                    "down": index in self.down,
-                    "partitioned": index in self.partitioned,
-                }
-            )
-        return stats
-
-    def cross_shard_stats(self) -> dict[str, int]:
-        return dict(self._cross_shard)
-
-    def harness_extra(self) -> dict[str, Any]:
-        """The ``extra`` block benchmark results carry: per-shard
-        balance plus cross-shard transaction counts."""
-        return {
-            "shard_count": self.shard_count,
-            "per_shard": self.per_shard_stats(),
-            "cross_shard": self.cross_shard_stats(),
-        }
 
 
 class ShardedGateway:
@@ -328,9 +288,9 @@ class ShardedGateway:
     ):
         self.sharded = sharded
         self.user_id = user_id
+        users = sharded.register_user(user_id, organization)
         self.gateways: list[Gateway] = [
-            Gateway(network, network.register_user(user_id, organization))
-            for network in sharded.shards
+            Gateway(sharded.chains[key], user) for key, user in users.items()
         ]
 
     def on(self, shard: int) -> Gateway:

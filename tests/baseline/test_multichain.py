@@ -6,6 +6,7 @@ import pytest
 
 from repro.baseline.multichain import CrossChainDeployment
 from repro.errors import TwoPhaseCommitError
+from repro.faults import InvariantMonitor
 from repro.sim import Environment
 from repro.workload.generator import SupplyChainWorkload, TransferRequest
 from repro.workload.presets import wl1_topology
@@ -167,3 +168,64 @@ def test_end_to_end_wl1_trace(deployment, identities):
         views = [v for v in request.access_list if v in deployment.view_chains]
         deployment.verify_atomicity(result, views)
     assert deployment.metrics.committed.value == len(trace)
+
+
+# -- a view chain goes dark mid-request, under a plan ------------------------------
+
+
+def _durable(fast_config) -> CrossChainDeployment:
+    return CrossChainDeployment(
+        Environment(),
+        ["D1", "I1"],
+        # "off": the one plan is the outage each test attaches.
+        config=replace(fast_config, storage_backend="memory", fault_plan="off"),
+        prepare_timeout_ms=60_000.0,
+    )
+
+
+def _step_until(env, condition) -> None:
+    while not condition():
+        env.step()
+
+
+def test_view_chain_crash_before_begin_takes_the_presumed_abort(fast_config, outage):
+    deployment = _durable(fast_config)
+    env, main = deployment.env, deployment.main
+    request = deployment.submit_request(
+        deployment.register_user("client"), _request(access=["D1", "I1"])
+    )
+    # The business transaction is on the main chain; ``begin`` is not.
+    _step_until(env, lambda: main.reference_peer.chain.height == 1)
+    injector = outage(deployment.view_chains["I1"], "crash_chain")
+    result = env.run(until=request)
+    assert not result.committed
+    assert (result.refused, result.attempts, result.participant_txs) == (["I1"], 0, 1)
+    assert main.query("coordinator", "status", {"xid": result.xid})["state"] == "aborted"
+    injector.heal()
+    assert deployment.shard_reachable("I1")
+    InvariantMonitor(main).check()
+
+
+def test_view_chain_crash_during_vote_relays_recovers_and_commits(
+    fast_config, outage
+):
+    deployment = _durable(fast_config)
+    env, main = deployment.env, deployment.main
+    view = deployment.view_chains["I1"]
+    request = deployment.submit_request(
+        deployment.register_user("client"), _request(access=["D1", "I1"])
+    )
+    # Both prepares committed and the votes are queued at the main
+    # chain's orderer: the relays are in flight.
+    _step_until(env, lambda: view.reference_peer.chain.height == 1)
+    _step_until(env, lambda: main.queue_depth() > 0)
+    # Back from its WAL 20 ms later, long before phase 2.
+    injector = outage(view, "crash_chain", for_ms=20.0)
+    assert not deployment.shard_reachable("I1")
+    assert view.reference_peer.chain.height == 0
+    result = env.run(until=request)
+    assert result.committed and result.attempts == 1
+    assert view.reference_peer.last_recovery is not None
+    assert _record_on(deployment, "I1", result.xid)["public"]["item"] == "i1"
+    injector.heal()
+    InvariantMonitor(main).check()

@@ -15,6 +15,7 @@ from repro import build_network
 from repro.crypto.symmetric import SymmetricKey
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
 
 
 @pytest.fixture
@@ -58,6 +59,24 @@ def owner_gateway(network):
 def reader_gateway(network):
     """Gateway for a registered reader identity."""
     return Gateway(network, network.register_user("reader"))
+
+
+@pytest.fixture
+def outage():
+    """``outage(network, kind, at_ms=0.0, for_ms=None)``: attach a plan
+    whose one event is a whole-chain outage (``crash_chain`` or
+    ``partition_chain``) to ``network`` and return its injector, whose
+    ``heal()`` ends the outage.  At ``at_ms=0`` the event has fired
+    when this returns.  The plan has no client retry."""
+
+    def attach(network, kind, at_ms=0.0, for_ms=None):
+        plan = FaultPlan(retry=None, events=(FaultEvent(kind, at_ms, for_ms),))
+        injector = FaultInjector(network, plan)
+        if at_ms == 0.0:
+            network.env.run(until=network.env.now)
+        return injector
+
+    return attach
 
 
 @pytest.fixture

@@ -160,7 +160,7 @@ def test_ordering_does_not_wait_for_a_dark_reference_peer():
 # -- (iii) a shard's power cut leaves both gauges at zero ---------------------------
 
 
-def test_crash_and_recover_shard_leave_no_outstanding_work():
+def test_a_chain_crash_and_its_recovery_leave_no_outstanding_work(outage):
     sharded = ShardedNetwork(
         config=_serving_config(storage_backend="memory"), shard_count=2
     )
@@ -188,9 +188,9 @@ def test_crash_and_recover_shard_leave_no_outstanding_work():
     burst(1)
     victim = sharded.shards[1]
     assert victim.blocks_outstanding() == 0 and victim.queue_depth() == 0
-    sharded.crash_shard(1)
+    injector = outage(victim, "crash_chain")
     assert victim.blocks_outstanding() == 0 and victim.queue_depth() == 0
-    sharded.recover_shard(1)
+    injector.heal()
     assert victim.blocks_outstanding() == 0 and victim.queue_depth() == 0
     assert victim.reference_peer.chain.height == len(victim.block_log) > 0
     burst(2)

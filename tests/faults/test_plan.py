@@ -39,6 +39,8 @@ def _full_plan() -> FaultPlan:
             FaultEvent(kind="crash_peer", at_ms=200.0, for_ms=500.0, target=1),
             FaultEvent(kind="crash_leader", at_ms=300.0),
             FaultEvent(kind="owner_outage", at_ms=400.0, for_ms=1_000.0),
+            FaultEvent(kind="crash_chain", at_ms=500.0, for_ms=300.0),
+            FaultEvent(kind="partition_chain", at_ms=600.0),
         ),
         crash_points=(
             CrashPointSpec(

@@ -164,12 +164,26 @@ def test_network_queue_depth_is_live(network):
     assert network.orderer_queue_peak >= max(samples)
 
 
-def test_sharded_queue_depth_sums_live_shards():
+def test_sharded_queue_depth_sums_live_shards(outage):
     sharded = ShardedNetwork(shard_count=2)
     assert sharded.queue_depth() == 0
     assert [n.queue_depth() for n in sharded.shards] == [0, 0]
-    # Mark a shard down directly (a real crash needs durable stores);
-    # the sum must skip it rather than touching it.
-    sharded.down.add(1)
+    # A dark shard keeps the queue it had (a partition keeps its
+    # memory), but holds nothing admittable: the sum skips it.
+    dark = sharded.shards[1]
+    user = dark.register_user("client")
+    dark.submit(
+        Proposal(
+            chaincode="supply",
+            fn="create_item",
+            args={"item": "qd", "owner": "W1"},
+            public={"item": "qd", "to": "W1"},
+            creator=user.user_id,
+        )
+    )
+    sharded.run(until=sharded.env.now + 5.0)
+    assert [n.queue_depth() for n in sharded.shards] == [0, 1]
+    assert sharded.queue_depth() == 1
+    outage(dark, "partition_chain")
     assert sharded.queue_depth() == 0
-    assert [n.queue_depth() for n in sharded.shards] == [0, 0]
+    assert [n.queue_depth() for n in sharded.shards] == [0, 1]

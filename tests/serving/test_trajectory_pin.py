@@ -31,7 +31,16 @@ no request stamp, batch size or the clock; ``view_mix`` (audits are
 terminal at dispatch, grants on their own notice) and ``dark_shard``
 (a request routed at the dark shard aborts at dispatch and frees its
 inflight slot at once) moved in batch sizes, stamps and the clock too.
-The "group" values were recorded with them.
+The "group" values were recorded with them.  The dark window became a
+``partition_chain`` plan event on shard 1's own injector, and
+``dark_shard`` moved in ``events_scheduled`` alone (timer 5180 -> 5216,
+group 5265 -> 5267): +2 under both cutters for the plan's event process
+(its start and end events beside the two timeouts that replaced two
+bare timer callbacks), and +34 more under the timer cutter because an
+injector's link is not FIFO, so a block that lands while its
+predecessor is still in commit service first replays that predecessor
+from the block log (a CPU request that finds it committed).  No stamp,
+batch size, queue sample or the clock moved.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import pytest
 from repro import build_network
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.network import Gateway
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.serving import (
     AdmissionConfig,
     NetworkTarget,
@@ -156,9 +166,8 @@ def _dark_shard(cut_policy: str) -> dict:
         network.install_chaincode(CounterContract())
     target = ShardedTarget(ShardedGateway(sharded, "client"))
     _cut_by(cut_policy, *sharded.shards)
-    env = sharded.env
-    env.timeout(60.0).callbacks.append(lambda _: sharded.partition_shard(1))
-    env.timeout(220.0).callbacks.append(lambda _: sharded.heal_shard_partition(1))
+    dark = FaultEvent("partition_chain", at_ms=60.0, for_ms=160.0)
+    FaultInjector(sharded.shards[1], FaultPlan(retry=None, events=(dark,)))
     observed = _observe(
         target,
         OpenLoopConfig(offered_tps=900.0, requests=360, sessions=8, seed=5),

@@ -47,7 +47,7 @@ class TestHappyPath:
         sharded, _gw, co = _deployment()
         result = co.execute_sync(_writes((0, 2), payload={"v": 7}))
         assert result.committed
-        co.verify_atomicity(result)
+        sharded.verify_atomicity(result)
         for shard in (0, 2):
             assert _record_on(sharded, shard, result.xid) == {"v": 7}
         # Untouched shard holds nothing.
@@ -130,7 +130,7 @@ class TestConflicts:
         result = co.execute_sync(_writes((0, 1), lock="hot"))
         assert not result.committed
         assert result.refused == [1]
-        co.verify_atomicity(result)
+        sharded.verify_atomicity(result)
         assert _record_on(sharded, 0, result.xid) is None
         assert co.stats["refusals"] == 1
         # Releasing the squatter unblocks the key for the next attempt.
@@ -214,7 +214,7 @@ class TestCoordinatorCrashRecovery:
         assert results[0].committed and results[0].replayed
         for shard in (0, 2):
             assert _record_on(sharded, shard, "xs-crash-b") == {"v": 9}
-        recovered.verify_atomicity(results[0])
+        sharded.verify_atomicity(results[0])
 
     def test_crash_mid_fanout_replays_idempotently(self):
         sharded, gw, co = _deployment()
@@ -232,7 +232,7 @@ class TestCoordinatorCrashRecovery:
         assert results[0].committed
         for shard in (0, 1):
             assert _record_on(sharded, shard, "xs-crash-c") == {"v": 3}
-        recovered.verify_atomicity(results[0])
+        sharded.verify_atomicity(results[0])
 
     def test_crash_before_begin_tx_leaves_no_trace(self):
         sharded, gw, co = _deployment()

@@ -1,15 +1,10 @@
 """ShardedNetwork: identity at N=1, locality, per-shard views,
-whole-shard crash/recovery."""
+whole-shard crash/recovery as a ``crash_chain`` plan event."""
 
 import pytest
 
 from repro import build_network
-from repro.errors import (
-    FaultInjectionError,
-    LedgerError,
-    StorageError,
-    WorkloadError,
-)
+from repro.errors import FaultInjectionError, LedgerError, WorkloadError
 from repro.fabric.config import NetworkConfig
 from repro.fabric.network import Gateway
 from repro.fabric.peer import ValidationCode
@@ -164,19 +159,16 @@ class TestRoutingLocality:
             touched = any(homes[key] == shard for key in keys)
             assert (after[shard] > before[shard]) == touched
 
-    def test_route_refuses_a_dark_home_and_commits_on_a_live_one(self):
+    def test_route_refuses_a_dark_home_and_commits_on_a_live_one(self, outage):
         sharded, gateway = _durable_deployment(shards=3)
         key = next(
             f"probe-{i}" for i in range(100) if sharded.shard_index(f"probe-{i}") == 1
         )
-        sharded.crash_shard(1)
-        with pytest.raises(FaultInjectionError, match="down"):
-            gateway.submit_async(key, "counter", "bump", {"key": key, "amount": 1})
-        sharded.recover_shard(1)
-        sharded.partition_shard(1)
-        with pytest.raises(FaultInjectionError, match="partitioned"):
-            sharded.route(key)
-        sharded.heal_shard_partition(1)
+        for kind in ("crash_chain", "partition_chain"):
+            injector = outage(sharded.shards[1], kind)
+            with pytest.raises(FaultInjectionError, match="shard-1.*unreachable"):
+                gateway.submit_async(key, "counter", "bump", {"key": key, "amount": 1})
+            injector.heal()
         assert sharded.route(key) == 1
         before = [n.reference_peer.chain.height for n in sharded.shards]
         done = gateway.submit_async(key, "counter", "bump", {"key": key, "amount": 2})
@@ -196,24 +188,16 @@ class TestRoutingLocality:
 
 
 class TestWholeShardCrash:
-    def test_crash_requires_durability(self):
+    def test_crash_requires_durability(self, outage):
         # Pinned off: an ambient REPRO_STORAGE_BACKEND must not arm it.
         sharded = ShardedNetwork(
             config=NetworkConfig(storage_backend="none", **FAST), shard_count=2
         )
-        with pytest.raises(StorageError, match="durability"):
-            sharded.crash_shard(0)
+        with pytest.raises(FaultInjectionError, match="crash_chain needs a storage"):
+            outage(sharded.shards[0], "crash_chain")
+        assert sharded.shard_reachable(0)
 
-    def test_recover_requires_durability_and_leaves_the_shard_down(self):
-        sharded = ShardedNetwork(
-            config=NetworkConfig(storage_backend="none", **FAST), shard_count=2
-        )
-        sharded.down.add(1)
-        with pytest.raises(StorageError, match="no durable store"):
-            sharded.recover_shard(1)
-        assert sharded.down == {1}
-
-    def test_crash_recover_roundtrip_preserves_state(self):
+    def test_crash_recover_roundtrip_preserves_state(self, outage):
         sharded, gateway = _durable_deployment(shards=3)
         for shard in range(3):
             for _ in range(3):
@@ -222,13 +206,13 @@ class TestWholeShardCrash:
                 )
                 assert notice.code is ValidationCode.VALID
         before = sharded.fingerprint()
-        sharded.crash_shard(1)
-        assert 1 in sharded.down
+        injector = outage(sharded.shards[1], "crash_chain")
+        assert not sharded.shard_reachable(1)
         # The crashed shard refuses routed traffic...
         key = next(
             f"probe-{i}" for i in range(100) if sharded.shard_index(f"probe-{i}") == 1
         )
-        with pytest.raises(FaultInjectionError, match="down"):
+        with pytest.raises(FaultInjectionError, match="unreachable"):
             gateway.invoke(key, "counter", "bump", {"key": key, "amount": 1})
         # ...and its memory really is gone.
         assert len(sharded.shards[1].block_log) == 0
@@ -241,10 +225,9 @@ class TestWholeShardCrash:
             )
             assert notice.code is ValidationCode.VALID
 
-        reports = sharded.recover_shard(1)
-        assert sharded.down == set()
-        assert len(reports) == len(sharded.shards[1].peers)
-        assert all(report is not None for report in reports)
+        injector.heal()
+        assert sharded.shard_reachable(1)
+        assert all(peer.last_recovery is not None for peer in sharded.shards[1].peers)
         # Shard 1 is byte-identical to its pre-crash self (it took no
         # traffic while down); survivors advanced.
         after = sharded.fingerprint()
@@ -254,16 +237,19 @@ class TestWholeShardCrash:
         assert sharded.shards[1].query("counter", "get", {"key": "k1"}) == 3
         sharded.verify_convergence()
 
-    def test_recovered_shard_accepts_traffic_again(self):
+    def test_recovered_shard_accepts_traffic_again(self, outage):
         sharded, gateway = _durable_deployment(shards=2)
         gateway.on(1).invoke("counter", "bump", {"key": "x", "amount": 2})
-        sharded.crash_shard(1)
-        sharded.recover_shard(1)
+        # Recovered at the event's for_ms, not by heal().
+        outage(sharded.shards[1], "crash_chain", for_ms=50.0)
+        assert sharded.shards[1].query("counter", "get", {"key": "x"}) == 0
+        sharded.run(until=sharded.env.now + 50.0)
+        assert sharded.shard_reachable(1)
         notice = gateway.on(1).invoke("counter", "bump", {"key": "x", "amount": 3})
         assert notice.code is ValidationCode.VALID
         assert sharded.shards[1].query("counter", "get", {"key": "x"}) == 5
 
-    def test_queue_gauge_forgets_transactions_lost_to_the_crash(self):
+    def test_queue_gauge_forgets_transactions_lost_to_the_crash(self, outage):
         """Submissions in flight when the shard dies never commit; the
         back-pressure gauge (accepted - committed) must not carry them
         as load into the gateway's shed watermark ever after."""
@@ -276,8 +262,7 @@ class TestWholeShardCrash:
         # Past endorsement and into the orderer, not yet committed.
         sharded.run(until=sharded.env.now + 8.0)
         assert sharded.shards[0].queue_depth() > 0
-        sharded.crash_shard(0)
-        sharded.recover_shard(0)
+        outage(sharded.shards[0], "crash_chain").heal()
         sharded.run(until=sharded.env.now + 2_000.0)  # drain
         assert sharded.shards[0].queue_depth() == 0
         assert sharded.queue_depth() == 0
@@ -285,10 +270,10 @@ class TestWholeShardCrash:
         assert notice.code is ValidationCode.VALID
         assert sharded.queue_depth() == 0
 
-    def test_recover_refuses_peers_that_come_back_diverged(self, monkeypatch):
+    def test_recover_refuses_peers_that_come_back_diverged(self, monkeypatch, outage):
         sharded, gateway = _durable_deployment(shards=2)
         gateway.on(1).invoke("counter", "bump", {"key": "x", "amount": 1})
-        sharded.crash_shard(1)
+        injector = outage(sharded.shards[1], "crash_chain")
         restore = recovery.recover_peer
 
         def restore_then_diverge(network, peer):
@@ -299,28 +284,28 @@ class TestWholeShardCrash:
 
         monkeypatch.setattr(recovery, "recover_peer", restore_then_diverge)
         with pytest.raises(LedgerError, match="state diverged"):
-            sharded.recover_shard(1)
-        assert sharded.down == {1}
+            injector.heal()
+        assert not sharded.shard_reachable(1)
 
     def test_verify_convergence_checks_every_live_shard_and_skips_a_crashed_one(
-        self,
+        self, outage
     ):
         for live in (0, 2):
             sharded, _gateway = _durable_deployment(shards=3)
-            sharded.crash_shard(1)
+            outage(sharded.shards[1], "crash_chain")
             _diverge(sharded.shards[1])
             sharded.verify_convergence()
             _diverge(sharded.shards[live])
             with pytest.raises(LedgerError, match="state diverged"):
                 sharded.verify_convergence()
 
-    def test_routed_invoke_raises_while_home_shard_down(self):
+    def test_routed_invoke_raises_while_home_shard_down(self, outage):
         sharded, gateway = _durable_deployment(shards=3)
         key = next(
             f"probe-{i}" for i in range(100) if sharded.shard_index(f"probe-{i}") == 1
         )
-        sharded.crash_shard(1)
-        with pytest.raises(FaultInjectionError, match="down"):
+        outage(sharded.shards[1], "crash_chain")
+        with pytest.raises(FaultInjectionError, match="unreachable"):
             gateway.invoke(key, "counter", "bump", {"key": key, "amount": 1})
 
 
@@ -338,7 +323,7 @@ class TestObservability:
             assert entry["blocks"] >= 1
             assert entry["height"] >= 1
             assert entry["orderer_queue_peak"] >= 1
-            assert entry["down"] is False
+            assert entry["reachable"] is True
             assert "aborted" in entry and "rebased" in entry
             assert "mvcc_retries" in entry
         extra = sharded.harness_extra()

@@ -1,7 +1,9 @@
 """One dark shard, everything else keeps serving.
 
 A network partition is not a crash: the shard keeps its memory and its
-ledger, it is simply unreachable from the router.  These tests pin the
+ledger, it is simply unreachable from the router.  Each dark window is
+a ``partition_chain`` plan event on the shard's own injector, ended by
+its ``heal()``.  These tests pin the
 routing refusals, the presumed-abort fast path for cross-shard
 transactions touching the dark shard, coordinator failover off a dark
 ring placement, and the serving target's fail-fast abort of a request
@@ -57,41 +59,42 @@ def _record_on(sharded, shard, xid):
 
 
 class TestRouting:
-    def test_partitioned_shard_refuses_traffic_with_state_intact(self):
+    def test_partitioned_shard_refuses_traffic_with_state_intact(self, outage):
         sharded, gateway = _deployment()
         key = _key_on(sharded, 1)
         notice = gateway.invoke(key, "counter", "bump", {"key": key, "amount": 4})
         assert notice.code is ValidationCode.VALID
 
-        sharded.partition_shard(1)
+        injector = outage(sharded.shards[1], "partition_chain")
         assert not sharded.shard_reachable(1)
-        assert sharded.per_shard_stats()[1]["partitioned"] is True
-        with pytest.raises(FaultInjectionError, match="partitioned"):
+        assert sharded.per_shard_stats()[1]["reachable"] is False
+        with pytest.raises(FaultInjectionError, match="unreachable"):
             gateway.invoke(key, "counter", "bump", {"key": key, "amount": 1})
 
         # Heal: no recovery dance — the shard never lost anything.
-        sharded.heal_shard_partition(1)
+        injector.heal()
+        assert sharded.shards[1].reference_peer.last_recovery is None
         assert sharded.shard_reachable(1)
         assert sharded.shards[1].query("counter", "get", {"key": key}) == 4
         post = gateway.invoke(key, "counter", "bump", {"key": key, "amount": 1})
         assert post.code is ValidationCode.VALID
         assert sharded.shards[1].query("counter", "get", {"key": key}) == 5
 
-    def test_live_shards_keep_committing_around_the_dark_one(self):
+    def test_live_shards_keep_committing_around_the_dark_one(self, outage):
         sharded, gateway = _deployment()
-        sharded.partition_shard(1)
+        outage(sharded.shards[1], "partition_chain")
         for shard in (0, 2):
             key = _key_on(sharded, shard, tag="live")
             notice = gateway.invoke(key, "counter", "bump", {"key": key, "amount": 1})
             assert notice.code is ValidationCode.VALID
-        assert 1 in sharded.partitioned  # still dark the whole time
+        assert not sharded.shard_reachable(1)  # still dark the whole time
 
 
 class TestCrossShardPresumedAbort:
-    def test_transaction_touching_dark_shard_aborts_before_phase_one(self):
+    def test_transaction_touching_dark_shard_aborts_before_phase_one(self, outage):
         sharded, gateway = _deployment()
         coordinator = TwoPhaseCoordinator(sharded, gateway)
-        sharded.partition_shard(1)
+        injector = outage(sharded.shards[1], "partition_chain")
 
         writes = [
             CrossShardWrite(shard=0, lock_key="pa", payload={"v": 1}),
@@ -105,22 +108,22 @@ class TestCrossShardPresumedAbort:
         # No prepare ever flew: the dark shard holds no lock to strand,
         # and the live shard applied nothing.
         assert coordinator.stats["prepares"] == 0
-        coordinator.verify_atomicity(result)
+        sharded.verify_atomicity(result)
         assert _record_on(sharded, 0, result.xid) is None
-        sharded.heal_shard_partition(1)
+        injector.heal()
         assert _record_on(sharded, 1, result.xid) is None
 
         # The lock key is free on the live shard: a post-heal retry of
         # the same writes commits cleanly.
         retry = coordinator.execute_sync(writes)
         assert retry.committed
-        coordinator.verify_atomicity(retry)
+        sharded.verify_atomicity(retry)
         sharded.verify_convergence()
 
-    def test_cross_shard_between_live_shards_unaffected(self):
+    def test_cross_shard_between_live_shards_unaffected(self, outage):
         sharded, gateway = _deployment()
         coordinator = TwoPhaseCoordinator(sharded, gateway)
-        sharded.partition_shard(1)
+        outage(sharded.shards[1], "partition_chain")
         result = coordinator.execute_sync(
             [
                 CrossShardWrite(shard=0, lock_key="ok", payload={"v": 2}),
@@ -128,10 +131,10 @@ class TestCrossShardPresumedAbort:
             ]
         )
         assert result.committed
-        coordinator.verify_atomicity(result)
+        sharded.verify_atomicity(result)
         assert coordinator.stats["presumed_aborts"] == 0
 
-    def test_coordinator_fails_over_off_a_dark_ring_placement(self):
+    def test_coordinator_fails_over_off_a_dark_ring_placement(self, outage):
         sharded, gateway = _deployment()
         coordinator = TwoPhaseCoordinator(sharded, gateway)
         dark = 1
@@ -142,7 +145,7 @@ class TestCrossShardPresumedAbort:
             for i in range(10_000)
             if sharded.coordinator_shard_for(f"xid-{i:08d}") == dark
         )
-        sharded.partition_shard(dark)
+        outage(sharded.shards[dark], "partition_chain")
         result = coordinator.execute_sync(
             [
                 CrossShardWrite(shard=0, lock_key="fo", payload={"v": 3}),
@@ -153,13 +156,13 @@ class TestCrossShardPresumedAbort:
         assert result.committed
         assert result.coordinator_shard != dark
         assert sharded.shard_reachable(result.coordinator_shard)
-        coordinator.verify_atomicity(result)
+        sharded.verify_atomicity(result)
 
-    def test_every_shard_dark_cannot_coordinate(self):
+    def test_every_shard_dark_cannot_coordinate(self, outage):
         sharded, gateway = _deployment()
         coordinator = TwoPhaseCoordinator(sharded, gateway)
-        for shard in range(sharded.shard_count):
-            sharded.partition_shard(shard)
+        for network in sharded.shards:
+            outage(network, "partition_chain")
         with pytest.raises(TwoPhaseCommitError, match="no reachable shard"):
             coordinator.execute_sync(
                 [
@@ -198,12 +201,12 @@ def _dispatch(sharded, target, requests):
 
 
 class TestShardedTarget:
-    def test_dark_shard_fails_fast_at_dispatch_and_commits_once_healed(self):
+    def test_dark_shard_fails_fast_at_dispatch_and_commits_once_healed(self, outage):
         sharded, gateway = _deployment()
         target = ShardedTarget(gateway)
         dark_key = _key_on(sharded, 1, tag="dk")
         live_key = _key_on(sharded, 0, tag="lk")
-        sharded.partition_shard(1)
+        injector = outage(sharded.shards[1], "partition_chain")
 
         # The dark shard's request aborts with the routing error; the
         # live shard's request riding in the same batch commits.
@@ -215,7 +218,7 @@ class TestShardedTarget:
         assert slots[1][0] == "committed"
 
         # Healed, the same key commits at once: no window to wait out.
-        sharded.heal_shard_partition(1)
+        injector.heal()
         slots = _dispatch(sharded, target, [_request(2, dark_key)])
         assert slots[0][0] == "committed"
         assert sharded.shards[1].query("counter", "get", {"key": dark_key}) == 1
