@@ -39,8 +39,8 @@ def seal_many(
 ) -> list[bytes]:
     """Seal one payload for several recipients, encrypting it only once.
 
-    The paper repeatedly disseminates the same material (a view key, an
-    exported view bundle) to a *set* of users.  Sealing per-recipient
+    The paper repeatedly disseminates the same material (a view key) to
+    a *set* of users.  Sealing per-recipient
     would symmetric-encrypt the payload N times; here large payloads are
     encrypted once under a single session key and only the session key
     is RSA-sealed per recipient.  Small payloads that fit a direct RSA

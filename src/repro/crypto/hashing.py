@@ -87,16 +87,3 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     inner_hash = hashlib.sha256(key.translate(_IPAD_TABLE))
     inner_hash.update(message)
     return sha256(key.translate(_OPAD_TABLE) + inner_hash.digest())
-
-
-def hash_chain(items: list[bytes]) -> bytes:
-    """Fold a list of byte strings into a single running digest.
-
-    ``d_0 = H(items[0]); d_i = H(d_{i-1} || items[i])``.  Used for
-    compact fingerprints of ordered collections (e.g. TxList snapshots).
-    An empty list hashes to ``H(b"")`` so the function is total.
-    """
-    digest = sha256(b"")
-    for item in items:
-        digest = sha256(digest + bytes(item))
-    return digest

@@ -287,8 +287,3 @@ class IncrementalMerkleTree:
                 siblings.append((level[position - 1], True))
             position //= 2
         return MerkleProof(leaf_index=index, siblings=tuple(siblings))
-
-
-def root_of(leaves: list[bytes]) -> bytes:
-    """One-shot root computation without keeping the tree around."""
-    return MerkleTree(leaves).root()

@@ -49,10 +49,6 @@ class TransactionNotFoundError(LedgerError):
     """A transaction id is not present on the ledger."""
 
 
-class StateConflictError(LedgerError):
-    """An MVCC read-write conflict invalidated a transaction."""
-
-
 class EndorsementError(LedgerError):
     """A transaction lacks the endorsements required by policy."""
 

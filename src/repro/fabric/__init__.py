@@ -24,7 +24,6 @@ from repro.fabric.config import (
     LatencyModel,
     NetworkConfig,
 )
-from repro.fabric.channels import Channel, ChannelService
 from repro.fabric.identity import MembershipServiceProvider, User
 from repro.fabric.network import FabricNetwork, Gateway
 from repro.fabric.private_data import PrivateDataManager
@@ -40,7 +39,5 @@ __all__ = [
     "MembershipServiceProvider",
     "FabricNetwork",
     "Gateway",
-    "Channel",
-    "ChannelService",
     "PrivateDataManager",
 ]

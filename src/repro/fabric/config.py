@@ -31,10 +31,6 @@ class LatencyModel:
     orderer_to_orderer: float
     peer_to_peer: float
 
-    def endorsement_round_trip(self) -> float:
-        """Client → peer → client."""
-        return 2 * self.client_to_peer
-
 
 #: Everything in one region: sub-millisecond LAN-ish delays.
 SINGLE_REGION = LatencyModel(

@@ -119,7 +119,3 @@ class MembershipServiceProvider:
         )
         self._users[user_id] = replacement
         return replacement
-
-    def user_ids(self) -> list[str]:
-        """All registered ids, sorted for determinism."""
-        return sorted(self._users)

@@ -403,7 +403,9 @@ class FabricNetwork:
         timeout and each backoff: the notice is taken whenever it
         lands, and no attempt is left waiting.  Chaincode and
         endorsement errors propagate at once; retrying a logic error
-        cannot help.
+        cannot help.  The one exception is a retry whose endorsement
+        fails after the tid committed: the request completes with the
+        committed notice.
         """
         env = self.env
         faults = self.faults
@@ -420,15 +422,18 @@ class FabricNetwork:
             else:
                 for attempt in range(1, retry.max_attempts + 1):
                     expiry = env.timeout(retry.timeout_ms)
-                    response = yield from self._attempt(proposal, commit_event)
+                    try:
+                        response = yield from self._attempt(proposal, commit_event)
+                    except ChaincodeError:
+                        # A re-endorsement that runs after an earlier
+                        # broadcast of the tid committed sees that
+                        # commit's writes; the request already has its
+                        # notice and the earlier attempt's response.
+                        if self._settled(tid, commit_event):
+                            break
+                        raise
                     yield env.any_of([commit_event, expiry])
-                    if commit_event.triggered:
-                        break
-                    rescued = self._committed_notice(tid)
-                    if rescued is not None:
-                        self._commit_events.pop(tid, None)
-                        faults.stats["rescued_notices"] += 1
-                        commit_event.succeed(rescued)
+                    if self._settled(tid, commit_event):
                         break
                     faults.stats["retries"] += 1
                     backoff = retry.backoff_for(attempt, faults.rng)
@@ -454,6 +459,20 @@ class FabricNetwork:
         self.metrics.committed_requests.increment()
         self.metrics.latencies_ms.record(env.now, env.now - started)
         return notice
+
+    def _settled(self, tid: str, commit_event: Event) -> bool:
+        """Whether the tid has its notice: the commit event fired, or
+        the reference peer committed it and the rescued notice now
+        fires the event."""
+        if commit_event.triggered:
+            return True
+        rescued = self._committed_notice(tid)
+        if rescued is None:
+            return False
+        self._commit_events.pop(tid, None)
+        self.faults.stats["rescued_notices"] += 1
+        commit_event.succeed(rescued)
+        return True
 
     def _committed_notice(self, tid: str) -> CommitNotice | None:
         """Synthesise the notice for a tid the reference peer committed.

@@ -54,10 +54,6 @@ class BlockCutter:
         return len(self._pending)
 
     @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
-
-    @property
     def has_pending(self) -> bool:
         return bool(self._pending)
 

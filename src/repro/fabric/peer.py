@@ -460,8 +460,3 @@ class Peer:
     def current_state_root(self) -> bytes:
         """Merkle root of this peer's world state."""
         return self.state_digest().root()
-
-    def endorsement_failed(self, tid: str) -> bool:
-        """Whether this peer marked ``tid`` invalid at commit."""
-        code = self.validation_codes.get(tid)
-        return code is not None and code is not ValidationCode.VALID

@@ -21,7 +21,7 @@ from repro.crypto.hashing import random_salt, salted_hash, verify_salted_hash
 from repro.errors import AccessDeniedError, TransactionNotFoundError
 from repro.fabric.endorser import Proposal
 from repro.fabric.identity import User
-from repro.fabric.network import CommitNotice, FabricNetwork
+from repro.fabric.network import FabricNetwork
 
 
 @dataclass
@@ -96,21 +96,6 @@ class PrivateDataManager:
             store[proposal.tid] = bytes(payload)
         return event
 
-    def submit_private_sync(
-        self,
-        user: User,
-        collection_name: str,
-        fn: str,
-        args: dict,
-        public: dict,
-        payload: bytes,
-    ) -> CommitNotice:
-        """Synchronous form of :meth:`submit_private`."""
-        event = self.submit_private(
-            user, collection_name, fn, args, public, payload
-        )
-        return self.network.env.run(until=event)
-
     # -- reads -------------------------------------------------------------------
 
     def read_private(
@@ -149,12 +134,3 @@ class PrivateDataManager:
         raise TransactionNotFoundError(
             f"no member peer holds private data for {tid!r}"
         )
-
-    def purge(self, collection_name: str, tid: str) -> None:
-        """Drop a payload from every side store (Fabric's purge).
-
-        The on-chain hash remains — private data is deniable storage,
-        not revocable access (the paper's §2 critique)."""
-        collection = self.collection(collection_name)
-        for store in collection.side_stores.values():
-            store.pop(tid, None)

@@ -130,13 +130,6 @@ class Block:
                 f"block {self.number}: transaction Merkle root mismatch"
             )
 
-    def find_transaction(self, tid: str) -> Transaction | None:
-        """Return the transaction with id ``tid`` or None."""
-        for tx in self.transactions:
-            if tx.tid == tid:
-                return tx
-        return None
-
 
 def _tx_root(transactions) -> bytes:
     """Merkle root over the transactions' canonical encodings, built

@@ -116,9 +116,6 @@ class Blockchain:
         block_number, position = location
         return self._blocks[block_number].transactions[position]
 
-    def has_transaction(self, tid: str) -> bool:
-        return tid in self._tx_index
-
     def locate(self, tid: str) -> tuple[int, int]:
         """(block number, position) of a committed transaction."""
         location = self._tx_index.get(tid)
@@ -132,10 +129,6 @@ class Blockchain:
         """All committed transactions in commit order."""
         for block in self._blocks:
             yield from block.transactions
-
-    @property
-    def transaction_count(self) -> int:
-        return len(self._tx_index)
 
     def verify_integrity(self) -> None:
         """Re-check every hash link and Merkle root on the chain.

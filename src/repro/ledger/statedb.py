@@ -34,10 +34,6 @@ class Version:
     block: int
     position: int
 
-    @classmethod
-    def genesis(cls) -> "Version":
-        return cls(block=0, position=0)
-
 
 @dataclass(frozen=True)
 class StateEntry:

@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import sha256, sha256_hex
+from repro.crypto.hashing import sha256
 from repro.crypto.merkle import leaf_hash
 
 _tid_counter = itertools.count(1)
@@ -70,8 +70,8 @@ class Transaction:
     (a plain ``dict``, nested values included) must not be mutated in
     place once the transaction is constructed — :attr:`size_bytes` and
     :attr:`leaf_digest` are computed from the first encoding and never
-    again.  Derive a changed transaction with :meth:`with_nonsecret` or
-    :func:`dataclasses.replace`; both build a new object that encodes
+    again.  Derive a changed transaction with
+    :func:`dataclasses.replace`, which builds a new object that encodes
     itself afresh.  (``nonsecret`` stays a ``dict`` on purpose: the
     canonical encoder would stringify a read-only mapping proxy and
     change every byte.)
@@ -123,10 +123,6 @@ class Transaction:
         """SHA-256 over the canonical encoding."""
         return sha256(self.serialize())
 
-    def digest_hex(self) -> str:
-        """Hex form of :meth:`digest` (handy in assertions and logs)."""
-        return sha256_hex(self.serialize())
-
     @property
     def size_bytes(self) -> int:
         """Serialized size — the unit of storage accounting and of the
@@ -146,16 +142,3 @@ class Transaction:
         except AttributeError:
             self.serialize()
             return self._encoded
-
-    def with_nonsecret(self, **updates: Any) -> "Transaction":
-        """Copy with some non-secret attributes replaced (txs are frozen)."""
-        merged = dict(self.nonsecret)
-        merged.update(updates)
-        return Transaction(
-            tid=self.tid,
-            kind=self.kind,
-            nonsecret=merged,
-            concealed=self.concealed,
-            salt=self.salt,
-            creator=self.creator,
-        )

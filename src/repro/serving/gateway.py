@@ -376,10 +376,6 @@ class AsyncGateway:
     def shedding(self) -> bool:
         return self._shedding
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     def submit(self, request: ServingRequest) -> bool:
         """Accept (or shed) one request; returns True when admitted.
 

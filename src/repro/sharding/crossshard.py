@@ -350,9 +350,6 @@ class TwoPhaseCoordinator:
         whose value is a :class:`CrossShardResult`."""
         return self.env.process(self.drive(writes, xid))
 
-    def execute_sync(self, writes: list[CrossShardWrite], xid: str | None = None):
-        return self.env.run(until=self.execute(writes, xid))
-
     def drive(self, writes: list[CrossShardWrite], xid: str | None = None):
         """The one loop, as a generator: :meth:`execute` runs it as a
         process, the baseline inlines it (``yield from``) into the

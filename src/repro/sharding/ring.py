@@ -84,10 +84,3 @@ class ConsistentHashRing:
     def index_for(self, key: str) -> int:
         """The insertion-order index of ``key``'s shard."""
         return self._shards.index(self.shard_for(key))
-
-    def distribution(self, keys: list[str]) -> dict[str, int]:
-        """Key counts per shard (every shard present, even at zero)."""
-        counts = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts

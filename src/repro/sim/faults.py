@@ -153,10 +153,6 @@ class MessageFaultModel:
             return NO_FAULT
         return NO_FAULT
 
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.dropped.values())
-
 
 @dataclass(frozen=True)
 class PartitionSpec:

@@ -78,10 +78,6 @@ class TimeSeries:
         return len(self._values)
 
     @property
-    def times(self) -> list[float]:
-        return list(self._times)
-
-    @property
     def values(self) -> list[float]:
         return list(self._values)
 

@@ -38,16 +38,6 @@ class Resource:
         self._in_use = 0
         self._waiting: deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of servers currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a server."""
-        return len(self._waiting)
-
     def request(self) -> Event:
         """Return an event that fires when a server is granted."""
         event = Event(self.env)

@@ -28,7 +28,6 @@ from repro.storage.snapshot import (
     KEEP_SNAPSHOTS,
     Snapshot,
     load_latest,
-    read_manifest,
     snapshot_name,
     write_snapshot,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "encode_payload",
     "encode_record",
     "load_latest",
-    "read_manifest",
     "snapshot_name",
     "verify_restart",
     "write_snapshot",

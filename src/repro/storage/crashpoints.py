@@ -51,10 +51,6 @@ class CrashPointGuard:
         """Cancel all pending crash points (heal)."""
         self._armed.clear()
 
-    @property
-    def armed(self) -> bool:
-        return bool(self._armed)
-
     def intercept(self, data: bytes | None = None) -> SimulatedCrashError | None:
         """Count one durable op; return the crash to raise, if armed here.
 

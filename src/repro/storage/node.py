@@ -31,13 +31,11 @@ falls back to the legacy genesis re-validation.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import StorageError
-from repro.ledger.block import Block
-from repro.ledger.snapshot import header_from_dict, header_to_dict
+from repro.ledger.block import Block, BlockHeader
 from repro.ledger.statedb import Version
 from repro.ledger.transaction import Transaction
 from repro.storage import snapshot as snapshot_io
@@ -45,6 +43,30 @@ from repro.storage.crashpoints import CrashPointGuard
 from repro.storage.fs import DiskFilesystem, Filesystem, MemoryFilesystem
 from repro.storage.owner import OwnerStore
 from repro.storage.wal import WriteAheadLog
+
+
+def header_to_dict(header: BlockHeader) -> dict[str, Any]:
+    """The JSON form of a block header inside a WAL block record."""
+    return {
+        "number": header.number,
+        "previous_hash": header.previous_hash.hex(),
+        "tx_root": header.tx_root.hex(),
+        "state_root": header.state_root.hex(),
+        "timestamp": header.timestamp,
+        "tx_count": header.tx_count,
+    }
+
+
+def header_from_dict(body: dict[str, Any]) -> BlockHeader:
+    """Inverse of :func:`header_to_dict`."""
+    return BlockHeader(
+        number=body["number"],
+        previous_hash=bytes.fromhex(body["previous_hash"]),
+        tx_root=bytes.fromhex(body["tx_root"]),
+        state_root=bytes.fromhex(body["state_root"]),
+        timestamp=body["timestamp"],
+        tx_count=body["tx_count"],
+    )
 
 
 @dataclass
@@ -91,24 +113,12 @@ class NodeStore:
         #: Crash-point counter shared by every durable op of this node.
         self.guard = CrashPointGuard()
         self.wal = WriteAheadLog(fs, f"{self.root}/wal.log", guard=self.guard)
-        self._suspended = False
         self.records_logged = 0
         self.snapshots_written = 0
         self.torn_tails_truncated = 0
         self.recoveries = 0
 
     # -- commit path ---------------------------------------------------------
-
-    @contextmanager
-    def suspended(self):
-        """Disable logging within the block (recovery re-commits must
-        not duplicate records already in the log)."""
-        previous = self._suspended
-        self._suspended = True
-        try:
-            yield
-        finally:
-            self._suspended = previous
 
     def log_block(
         self,
@@ -129,8 +139,6 @@ class NodeStore:
         The field is omitted when empty, so reference-backend WALs stay
         byte-identical to the pre-occ format.
         """
-        if self._suspended:
-            return
         if txs is None:
             txs = [tx.serialize().decode("utf-8") for tx in block.transactions]
         elif len(txs) != len(block.transactions):
@@ -165,8 +173,6 @@ class NodeStore:
         confuses consensus metadata with ledger contents).  Used by the
         pbft backend to WAL its per-view log and commit certificates.
         """
-        if self._suspended:
-            return
         kind = payload.get("kind")
         if not kind or kind == "block":
             raise StorageError(
@@ -187,8 +193,7 @@ class NodeStore:
 
     def snapshot_due(self, height: int) -> bool:
         return (
-            not self._suspended
-            and self.snapshot_interval > 0
+            self.snapshot_interval > 0
             and height > 0
             and height % self.snapshot_interval == 0
         )

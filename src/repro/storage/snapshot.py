@@ -152,19 +152,6 @@ def _load_verified(fs: Filesystem, root: str, name: str) -> Snapshot | None:
         return None
 
 
-def read_manifest(fs: Filesystem, root: str) -> dict[str, Any] | None:
-    """The manifest pointer, or None (missing/corrupt).  Diagnostics
-    and tests only — recovery trusts the verified scan below."""
-    path = f"{root}/{MANIFEST_NAME}"
-    if not fs.exists(path):
-        return None
-    try:
-        manifest = json.loads(fs.read(path))
-        return manifest if isinstance(manifest, dict) else None
-    except json.JSONDecodeError:
-        return None
-
-
 def load_latest(fs: Filesystem, root: str) -> Snapshot | None:
     """The newest snapshot that verifies, or None.
 

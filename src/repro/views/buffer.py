@@ -44,10 +44,6 @@ class ViewRecord:
         init=False, default_factory=lambda: (None, {}), repr=False, compare=False
     )
 
-    @property
-    def is_revocable(self) -> bool:
-        return self.mode is ViewMode.REVOCABLE
-
     def contains(self, tid: str) -> bool:
         return tid in self.data
 

@@ -609,71 +609,6 @@ class ViewManager(ABC):
         ).encode()
         return seal(public_key, payload)
 
-    # -- owner replication -------------------------------------------------------
-
-    def export_view(self, view_name: str, recipient_id: str) -> bytes:
-        """Hand a view over to another owner (sealed bundle).
-
-        The paper notes that "a view can have many view owners" — any
-        user with access to all the information of the view can serve
-        it.  The bundle carries the definition, mode, current key and
-        version, the transaction list, and the per-transaction data, all
-        sealed to the recipient's public key.
-        """
-        from repro.fabric.endorser import encode_value
-
-        record = self.buffer.get(view_name)
-        bundle = {
-            "name": record.name,
-            "predicate": record.predicate.descriptor(),
-            "mode": record.mode.value,
-            "key": record.key.to_bytes().hex(),
-            "key_version": record.key_version,
-            "tids": list(record.tids),
-            "data": {tid: encode_value(v) for tid, v in record.data.items()},
-            "authorized": sorted(record.authorized),
-            "offchain": sorted(record.offchain),
-            "access_tx_ids": list(self.access_tx_ids.get(view_name, [])),
-        }
-        recipient_key = self.msp.public_key_of(recipient_id)
-        return seal(recipient_key, json.dumps(bundle).encode())
-
-    def import_view(self, owner_user, sealed_bundle: bytes) -> ViewRecord:
-        """Adopt a view exported by another owner.
-
-        ``owner_user`` is this manager's identity (holding the private
-        key the bundle was sealed to).  After import, this manager can
-        serve queries, insert transactions, and grant/revoke access for
-        the view exactly like the original owner.
-        """
-        from repro.fabric.endorser import decode_value
-        from repro.views.buffer import ViewRecord as _ViewRecord
-        from repro.views.predicates import predicate_from_descriptor
-
-        bundle = json.loads(open_sealed(owner_user.keypair.private, sealed_bundle))
-        record = _ViewRecord(
-            name=bundle["name"],
-            predicate=predicate_from_descriptor(bundle["predicate"]),
-            mode=ViewMode(bundle["mode"]),
-            key=SymmetricKey.from_bytes(bytes.fromhex(bundle["key"])),
-            key_version=bundle["key_version"],
-            tids=list(bundle["tids"]),
-            data={tid: decode_value(v) for tid, v in bundle["data"].items()},
-            authorized={
-                principal: self.msp.public_key_of(principal)
-                for principal in bundle["authorized"]
-                if principal in self.msp
-            },
-        )
-        record.offchain.update(bundle["offchain"])
-        self.buffer.add(record)
-        self.access_tx_ids[record.name] = list(bundle["access_tx_ids"])
-        # Retain per-transaction data so future extra-view grants work.
-        for tid in record.tids:
-            if tid not in self._retained:
-                self._retained[tid] = self._processed_from_buffer(record, tid)
-        return record
-
     # -- queries -------------------------------------------------------------------
 
     def query_view(

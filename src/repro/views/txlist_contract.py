@@ -125,8 +125,8 @@ class TxListContract(Chaincode):
 class TxListService:
     """Owner-side batching of TLC updates (the paper's 30 s intervals).
 
-    ``record`` buffers one transaction; ``maybe_flush`` writes a flush
-    transaction when the batch is due: work is pending and
+    ``record`` buffers one transaction; a flush transaction is written
+    when the batch is :meth:`due`: work is pending and
     ``flush_interval_ms`` has elapsed since the last flush, the paper's
     rule.  Time comes from the simulation environment through the
     gateway's network.
@@ -201,37 +201,11 @@ class TxListService:
                 }
             )
 
-    def record_extra(
-        self,
-        extra_assignments: list[tuple[str, str]],
-        view_data: dict[str, dict[str, Any]] | None = None,
-    ) -> None:
-        """Buffer explicit ``(view, tid)`` grants with no new business
-        transaction — a historical-access grant issued on its own.  The
-        assignments (and any irrevocable entries accompanying them) ride
-        in the next flush like any other pending work."""
-        for view, granted_tid in extra_assignments:
-            self._pending_extra.append([view, granted_tid])
-        for view, entries in (view_data or {}).items():
-            self._pending_view_data.setdefault(view, {}).update(entries)
-        if self.store is not None:
-            self.store.log(
-                {
-                    "kind": "record_extra",
-                    "extra": [list(pair) for pair in extra_assignments],
-                    "view_data": view_data or {},
-                }
-            )
-
     def due(self) -> bool:
         """Whether a flush should happen now.
 
-        True when work is pending in *any* buffer — business updates,
-        extra assignments, or view data — and the interval elapsed.
-        Testing only ``self._pending`` (as this method once did) starved
-        extra-only grants and view-data-only batches: they sat unflushed
-        until an unrelated business transaction arrived, silently
-        lagging completeness coverage.
+        True when work is pending (see :attr:`pending_count`) and the
+        interval elapsed.
         """
         if not self.pending_count:
             return False
@@ -288,13 +262,6 @@ class TxListService:
         self.note_flush_committed(proposal)
         return pending
 
-    def maybe_flush(self) -> int:
-        """Flush if due (see :meth:`due`); returns the number of updates
-        written."""
-        if self.due():
-            return self.flush()
-        return 0
-
     # -- owner-side durability ------------------------------------------------
 
     def attach_store(self, store, replay: bool = True) -> None:
@@ -346,12 +313,6 @@ class TxListService:
                 self._pending_extra.extend(
                     [list(pair) for pair in entry["extra"]]
                 )
-            elif kind == "record_extra":
-                self._pending_extra.extend(
-                    [list(pair) for pair in entry["extra"]]
-                )
-                for view, data in entry["view_data"].items():
-                    self._pending_view_data.setdefault(view, {}).update(data)
             elif kind == "flush_intent":
                 args = {
                     key: value for key, value in entry.items() if key != "kind"
@@ -408,6 +369,3 @@ class TxListService:
     def get_list(self, view: str) -> list[str]:
         """Query the on-chain list for a view."""
         return self.gateway.query(CHAINCODE_NAME, "get_list", {"view": view})
-
-    def last_flush(self) -> float | None:
-        return self.gateway.query(CHAINCODE_NAME, "last_flush")

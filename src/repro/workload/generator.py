@@ -213,12 +213,3 @@ class SupplyChainWorkload:
             details["padding"] = "x" * (self.secret_size - len(body))
             body = json.dumps(details).encode()
         return body
-
-    # -- trace statistics -----------------------------------------------------
-
-    @staticmethod
-    def average_views_per_request(requests: list[TransferRequest]) -> float:
-        """Mean size of the access list — the paper's ``|V|``."""
-        if not requests:
-            return 0.0
-        return sum(len(r.access_list) for r in requests) / len(requests)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.fabric.chaincode import Chaincode, TxContext
@@ -52,21 +52,9 @@ class ZipfSampler:
             self._cumulative.append(running)
         self._cumulative[-1] = 1.0  # guard against float drift
 
-    def probabilities(self) -> list[float]:
-        """P(rank) for rank 1..n (descending by construction)."""
-        previous = 0.0
-        out = []
-        for cumulative in self._cumulative:
-            out.append(cumulative - previous)
-            previous = cumulative
-        return out
-
     def sample(self) -> int:
         """One rank in ``1..n`` (1 is the hottest)."""
         return bisect_right(self._cumulative, self._rng.random()) + 1
-
-    def sample_many(self, count: int) -> list[int]:
-        return [self.sample() for _ in range(count)]
 
 
 class CounterContract(Chaincode):
@@ -239,15 +227,3 @@ class ContentionWorkload:
                 continue
             totals[request.key] = totals.get(request.key, 0) + request.amount
         return totals
-
-    @staticmethod
-    def hot_fraction(trace: list[BumpRequest]) -> float:
-        if not trace:
-            return 0.0
-        return sum(1 for request in trace if request.hot) / len(trace)
-
-    @staticmethod
-    def cross_fraction(trace: list[BumpRequest]) -> float:
-        if not trace:
-            return 0.0
-        return sum(1 for request in trace if request.cross_shard) / len(trace)

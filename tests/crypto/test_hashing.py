@@ -6,7 +6,6 @@ import hmac as stdlib_hmac
 import pytest
 
 from repro.crypto.hashing import (
-    hash_chain,
     hmac_sha256,
     random_salt,
     salted_hash,
@@ -81,8 +80,3 @@ def test_hmac_matches_stdlib(key, message):
     expected = stdlib_hmac.new(key, message, hashlib.sha256).digest()
     assert hmac_sha256(key, message) == expected
 
-
-def test_hash_chain_order_sensitivity():
-    assert hash_chain([b"a", b"b"]) != hash_chain([b"b", b"a"])
-    assert hash_chain([]) == sha256(b"")
-    assert hash_chain([b"a"]) == sha256(sha256(b"") + b"a")

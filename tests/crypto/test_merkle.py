@@ -7,7 +7,6 @@ from repro.crypto.merkle import (
     MerkleTree,
     leaf_hash,
     node_hash,
-    root_of,
 )
 from repro.errors import MerkleProofError
 
@@ -16,7 +15,7 @@ LEAVES = [f"value-{i}".encode() for i in range(9)]
 
 def test_empty_tree_root_is_sentinel():
     assert MerkleTree().root() == EMPTY_ROOT
-    assert root_of([]) == EMPTY_ROOT
+    assert MerkleTree([]).root() == EMPTY_ROOT
 
 
 def test_single_leaf_root():
@@ -69,7 +68,7 @@ def test_append_changes_root():
 
 
 def test_leaf_order_matters():
-    assert root_of([b"a", b"b"]) != root_of([b"b", b"a"])
+    assert MerkleTree([b"a", b"b"]).root() != MerkleTree([b"b", b"a"]).root()
 
 
 def test_domain_separation_prevents_level_confusion():

@@ -13,7 +13,6 @@ from repro.fabric.config import (
     DEFAULT_CONFIG,
     MULTI_REGION,
     SINGLE_REGION,
-    LatencyModel,
     NetworkConfig,
     benchmark_config,
     resolve_backends,
@@ -26,17 +25,6 @@ def test_presets_are_ordered_sensibly():
     assert MULTI_REGION.orderer_to_peer > SINGLE_REGION.orderer_to_peer
     # The paper's orderers are co-located: orderer-to-orderer stays small.
     assert MULTI_REGION.orderer_to_orderer <= SINGLE_REGION.client_to_peer * 2
-
-
-def test_endorsement_round_trip():
-    model = LatencyModel(
-        client_to_peer=10,
-        client_to_orderer=1,
-        orderer_to_peer=1,
-        orderer_to_orderer=1,
-        peer_to_peer=1,
-    )
-    assert model.endorsement_round_trip() == 20
 
 
 def test_payload_delay_scales_per_kib():

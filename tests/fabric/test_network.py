@@ -19,7 +19,7 @@ def test_invoke_commits_on_all_peers(network):
     network.verify_convergence()
     for peer in network.peers:
         assert peer.statedb.get("supply~item~i1")["holder"] == "M1"
-        assert peer.chain.has_transaction(notice.tid)
+        peer.chain.locate(notice.tid)
 
 
 def test_invoke_returns_chaincode_response(network):

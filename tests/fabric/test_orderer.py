@@ -54,12 +54,18 @@ def test_oversized_single_tx_still_cuts():
 
 
 def test_pending_bytes_accounting():
-    cutter = BlockCutter(_config())
+    """A cut takes its transactions' bytes off the running total: one
+    transaction under the byte limit never trips it, before or after
+    a cut."""
     tx = _tx(0, b"\x01" * 10)
+    cutter = BlockCutter(_config(block_max_bytes=tx.size_bytes + 1))
     cutter.add(tx)
-    assert cutter.pending_bytes == tx.size_bytes
+    assert cutter.should_cut() is None
     cutter.cut("timeout")
-    assert cutter.pending_bytes == 0
+    cutter.add(_tx(1, b"\x01" * 10))
+    assert cutter.should_cut() is None
+    cutter.add(_tx(2, b"\x01" * 10))
+    assert cutter.should_cut() == "bytes"
 
 
 def test_ordering_service_links_blocks():

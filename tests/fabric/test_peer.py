@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.errors import BlockValidationError, ChaincodeError
+from repro.errors import (
+    BlockValidationError,
+    ChaincodeError,
+    TransactionNotFoundError,
+)
 from repro.fabric.chaincode import Chaincode, ChaincodeRegistry
 from repro.fabric.endorser import Proposal, assemble_transaction
 from repro.fabric.identity import MembershipServiceProvider
@@ -101,8 +105,7 @@ def test_mvcc_conflict_invalidates_second_tx(msp):
     assert result.valid_count == 1
     assert result.invalid_count == 1
     assert peer.statedb.get("kv~n") == 1  # second write not applied
-    assert peer.endorsement_failed(tx2.tid)
-    assert not peer.endorsement_failed(tx1.tid)
+    assert peer.validation_codes == result.codes
 
 
 def test_sequential_blocks_no_conflict(msp):
@@ -221,7 +224,8 @@ def test_rejected_block_leaves_no_trace(msp, defect, shared_memo):
         )
     assert _ledger_view(peer) == before
     assert peer.statedb.get("kv~k") == 1
-    assert not peer.chain.has_transaction(fresh.tid)
+    with pytest.raises(TransactionNotFoundError):
+        peer.chain.locate(fresh.tid)
 
 
 @pytest.mark.parametrize("real_signatures", [False, True])

@@ -9,6 +9,10 @@ from repro.fabric.private_data import PrivateDataManager
 PAYLOAD = b'{"type":"phone","amount":10}'
 
 
+def _submit(pdc, *args):
+    return pdc.network.env.run(until=pdc.submit_private(*args))
+
+
 @pytest.fixture
 def pdc(network):
     manager = PrivateDataManager(network)
@@ -27,8 +31,8 @@ def outsider(network):
 
 
 def test_submit_hides_payload_on_chain(network, pdc, member):
-    notice = pdc.submit_private_sync(
-        member, "shipments", "create_item",
+    notice = _submit(
+        pdc, member, "shipments", "create_item",
         {"item": "i1", "owner": "M1"}, {"item": "i1", "to": "M1"}, PAYLOAD,
     )
     assert notice.code is ValidationCode.VALID
@@ -39,16 +43,16 @@ def test_submit_hides_payload_on_chain(network, pdc, member):
 
 
 def test_member_reads_and_validates(network, pdc, member):
-    notice = pdc.submit_private_sync(
-        member, "shipments", "create_item",
+    notice = _submit(
+        pdc, member, "shipments", "create_item",
         {"item": "i1", "owner": "M1"}, {"item": "i1"}, PAYLOAD,
     )
     assert pdc.read_private(member, "shipments", notice.tid) == PAYLOAD
 
 
 def test_outsider_denied(network, pdc, member, outsider):
-    notice = pdc.submit_private_sync(
-        member, "shipments", "create_item",
+    notice = _submit(
+        pdc, member, "shipments", "create_item",
         {"item": "i1", "owner": "M1"}, {"item": "i1"}, PAYLOAD,
     )
     with pytest.raises(AccessDeniedError):
@@ -57,14 +61,14 @@ def test_outsider_denied(network, pdc, member, outsider):
 
 def test_unknown_collection_rejected(pdc, member):
     with pytest.raises(AccessDeniedError):
-        pdc.submit_private_sync(
-            member, "ghost", "create_item", {"item": "i", "owner": "M"}, {}, PAYLOAD
+        _submit(
+            pdc, member, "ghost", "create_item", {"item": "i", "owner": "M"}, {}, PAYLOAD
         )
 
 
 def test_side_store_tampering_detected(network, pdc, member):
-    notice = pdc.submit_private_sync(
-        member, "shipments", "create_item",
+    notice = _submit(
+        pdc, member, "shipments", "create_item",
         {"item": "i1", "owner": "M1"}, {"item": "i1"}, PAYLOAD,
     )
     collection = pdc.collection("shipments")
@@ -72,19 +76,6 @@ def test_side_store_tampering_detected(network, pdc, member):
         store[notice.tid] = b"tampered"
     with pytest.raises(TransactionNotFoundError, match="does not match"):
         pdc.read_private(member, "shipments", notice.tid)
-
-
-def test_purge_removes_data_but_not_hash(network, pdc, member):
-    """PDC purge is deniable storage, not revocable access (§2): the
-    hash stays on the immutable chain."""
-    notice = pdc.submit_private_sync(
-        member, "shipments", "create_item",
-        {"item": "i1", "owner": "M1"}, {"item": "i1"}, PAYLOAD,
-    )
-    pdc.purge("shipments", notice.tid)
-    with pytest.raises(TransactionNotFoundError):
-        pdc.read_private(member, "shipments", notice.tid)
-    assert len(network.get_transaction(notice.tid).concealed) == 32
 
 
 def test_only_member_org_peers_hold_side_stores(network):

@@ -37,6 +37,11 @@ from tests.faults.test_isolation_oracle import _mutant
 FAN_OUT = "yield self._fan_out(writes, fn, xid)"
 
 
+def _run(coordinator, writes, xid=None):
+    """Drive one 2PC transaction to its result."""
+    return coordinator.env.run(until=coordinator.execute(writes, xid))
+
+
 def _request(item: str, access: list[str]) -> TransferRequest:
     return TransferRequest(
         index=0,
@@ -110,7 +115,7 @@ def _writes(shards) -> list[CrossShardWrite]:
 
 def _sharded_commit() -> list:
     sharded, _gateway, coordinator = _sharded()
-    assert coordinator.execute_sync(_writes((0, 2))).committed
+    assert _run(coordinator, _writes((0, 2))).committed
     return sharded.shards
 
 

@@ -179,7 +179,7 @@ def test_max_drops_caps_losses():
     fates = [model.decide("client_to_orderer", float(i)).drop for i in range(10)]
     assert fates.count(True) == 2
     assert fates[:2] == [True, True]
-    assert model.total_dropped == 2
+    assert sum(model.dropped.values()) == 2
 
 
 def test_first_matching_rule_wins():

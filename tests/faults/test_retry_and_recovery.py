@@ -369,6 +369,44 @@ def test_a_notice_during_the_backoff_completes_the_request_once():
     assert max(endorsed_at) < commit
 
 
+def test_a_retry_endorsing_after_the_commit_completes_the_request():
+    """The first broadcast is held past the attempt timeout and commits
+    while the retry is on its way to the endorser, whose re-execution
+    of ``create_item`` then raises: the item exists.  The tid is VALID
+    on chain, so the request completes with that notice and the first
+    attempt's chaincode response; it used to fail with the
+    re-endorsement's ``ChaincodeError``.  The backoffs sweep the retry's
+    endorsement across the commit in 0.25 ms steps."""
+    for step in range(160):
+        backoff_ms = 60.0 + step * 0.25
+        plan = FaultPlan(
+            seed=1,
+            retry=RetryPolicy(
+                timeout_ms=100.0, backoff_ms=backoff_ms, jitter_ms=0.0
+            ),
+            messages=(
+                MessageFaultRule(
+                    channel="client_to_orderer",
+                    delay=1.0,
+                    delay_range_ms=(150.0, 150.0),
+                    until_ms=50.0,
+                ),
+            ),
+        )
+        network = _network(plan, commit_backend="reference")
+        user = network.register_user("u")
+        notice = network.invoke_sync(
+            user, "supply", "create_item", {"item": "i1", "owner": "M"}
+        )
+        assert notice.code is ValidationCode.VALID, backoff_ms
+        assert notice.response == {
+            "holder": "M",
+            "hops": 0,
+            "handlers": ["M"],
+        }, backoff_ms
+        assert network.metrics.committed_requests.value == 1, backoff_ms
+
+
 def test_heal_during_a_commits_service_time():
     """heal() catches every peer up from the block log; a commit of the
     same block that was in its service time when heal ran used to wake

@@ -12,8 +12,6 @@ snippet replaced, which must occur exactly once).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro import build_network
@@ -54,10 +52,17 @@ def _conflicting_creates(manager) -> list:
 
 @pytest.fixture
 def network(fast_config):
-    """A network the ambient storage, commit and orderer selectors still
-    reach; "off" keeps an ambient REPRO_FAULT_PLAN out, because healing
-    it mid-commit would race the catch-up, not test the owner."""
-    return build_network(replace(fast_config, fault_plan="off"))
+    """A network every ambient selector reaches, a fault plan included."""
+    return build_network(fast_config)
+
+
+def _check(monitor):
+    """``monitor.check()`` once any ambient fault plan has healed: its
+    convergence check needs every peer caught up, and a partitioned
+    peer is not until the injector heals it."""
+    if monitor.network.faults is not None:
+        monitor.network.faults.heal()
+    monitor.check()
 
 
 def _lifecycle(network, manager_cls=HashBasedManager):
@@ -98,7 +103,7 @@ def _lifecycle(network, manager_cls=HashBasedManager):
 def test_unmutated_lifecycle_passes(network, manager_cls):
     monitor = InvariantMonitor(network)
     manager = _lifecycle(network, manager_cls)
-    monitor.check()
+    _check(monitor)
     record = manager.buffer.get("w1")
     assert record.key_version == 1 and record.served_entries()
     assert manager.txlist.unflushed()[0]
@@ -127,7 +132,7 @@ def test_rejected_transaction_joins_no_view(network):
     assert set(served.secrets) == {committed.tid}
     verifier = ViewVerifier(manager.gateway)
     verifier.verify_completeness("w1", PREDICATE, set(record.tids)).assert_ok()
-    monitor.check()
+    _check(monitor)
 
 
 def test_oracle_holds_after_every_request(network):
@@ -167,7 +172,7 @@ def _assert_caught(monkeypatch, network, owner, function, old: str, new: str):
     monitor = InvariantMonitor(network)
     _lifecycle(network)
     with pytest.raises(InvariantViolationError, match="violation"):
-        monitor.check()
+        _check(monitor)
     monitor.assert_exactly_once()
     monitor.assert_isolation()
     with pytest.raises(InvariantViolationError, match="(view|revocation) violation"):

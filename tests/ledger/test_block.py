@@ -63,12 +63,6 @@ def test_empty_block_is_valid():
     assert block.header.tx_count == 0
 
 
-def test_find_transaction():
-    block = Block.build(0, GENESIS_PREVIOUS_HASH, _txs(3), b"\x00" * 32, 0.0)
-    assert block.find_transaction("tx-1").nonsecret == {"i": 1}
-    assert block.find_transaction("missing") is None
-
-
 def test_size_includes_header_and_txs():
     block = Block.build(0, GENESIS_PREVIOUS_HASH, _txs(2), b"\x00" * 32, 0.0)
     tx_bytes = sum(tx.size_bytes for tx in block.transactions)

@@ -13,7 +13,7 @@ from repro.ledger.transaction import Transaction
 
 
 def _grow(chain: Blockchain, blocks: int, txs_per_block: int = 2) -> None:
-    counter = chain.transaction_count
+    counter = len(list(chain.transactions()))
     for _ in range(blocks):
         txs = []
         for _ in range(txs_per_block):
@@ -34,19 +34,18 @@ def test_empty_chain():
     chain = Blockchain()
     assert chain.height == 0
     assert chain.tip_hash == GENESIS_PREVIOUS_HASH
-    assert chain.transaction_count == 0
+    assert list(chain.transactions()) == []
 
 
 def test_append_and_lookup():
     chain = Blockchain()
     _grow(chain, 3)
     assert chain.height == 3
-    assert chain.transaction_count == 6
+    assert len(list(chain.transactions())) == 6
     tx = chain.get_transaction("tx-main-4")
     assert tx.tid == "tx-main-4"
     assert chain.locate("tx-main-4") == (2, 0)
-    assert chain.has_transaction("tx-main-0")
-    assert not chain.has_transaction("nope")
+    assert chain.locate("tx-main-0") == (0, 0)
 
 
 def test_unknown_transaction_raises():

@@ -174,7 +174,9 @@ def _commit_plain_invokes(
     network.env.run(until=network.env.all_of(events))
     network.env.run()  # let the second peer finish its last block
     assert all(event.value.code.value == "valid" for event in events)
-    assert [peer.chain.transaction_count for peer in network.peers] == [requests] * 2
+    assert [len(list(peer.chain.transactions())) for peer in network.peers] == [
+        requests
+    ] * 2
     assert len(network.block_log) == requests // 40
     return network
 

@@ -34,7 +34,6 @@ def test_overwrite_updates_version():
 
 def test_versions_are_ordered():
     assert Version(1, 0) < Version(1, 1) < Version(2, 0)
-    assert Version.genesis() == Version(0, 0)
 
 
 def test_delete():

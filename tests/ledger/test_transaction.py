@@ -43,23 +43,10 @@ def test_digest_changes_with_any_field():
     assert base.digest() != Transaction(tid="t", nonsecret={"x": 1}, concealed=b"d").digest()
 
 
-def test_digest_hex_matches_digest():
-    tx = Transaction(tid="t")
-    assert tx.digest_hex() == tx.digest().hex()
-
-
 def test_size_bytes_grows_with_payload():
     small = Transaction(tid="t", concealed=b"")
     big = Transaction(tid="t", concealed=b"\x00" * 1000)
     assert big.size_bytes > small.size_bytes + 1000  # hex doubles bytes
-
-
-def test_with_nonsecret_is_nondestructive():
-    tx = Transaction(tid="t", nonsecret={"a": 1})
-    updated = tx.with_nonsecret(b=2)
-    assert tx.nonsecret == {"a": 1}
-    assert updated.nonsecret == {"a": 1, "b": 2}
-    assert updated.tid == tx.tid
 
 
 def test_transactions_default_empty_parts():
@@ -76,7 +63,6 @@ def test_derived_copies_start_without_the_originals_encoding():
     tx = Transaction(tid="t", nonsecret={"a": 1}, concealed=b"c")
     tx.size_bytes, tx.leaf_digest  # the original has encoded itself
     for copy in (
-        tx.with_nonsecret(b=2),
         replace(tx, nonsecret={"a": 1, "b": 2}),
         Transaction.deserialize(tx.serialize()),
     ):
@@ -86,7 +72,7 @@ def test_derived_copies_start_without_the_originals_encoding():
         assert vars(copy) is not vars(tx)
         assert copy.size_bytes == len(copy.serialize())
         assert copy.leaf_digest == leaf_hash(copy.serialize())
-    assert tx.with_nonsecret(b=2).size_bytes != tx.size_bytes
+    assert replace(tx, nonsecret={"a": 1, "b": 2}).size_bytes != tx.size_bytes
 
 
 def test_digest_is_the_hash_of_the_raw_bytes_not_the_merkle_leaf():

@@ -77,7 +77,6 @@ def test_retained_size_and_leaf_equal_a_fresh_encode(tx, first):
 def test_derived_transactions_never_carry_a_stale_size_or_digest(tx, value):
     tx.size_bytes  # the original has encoded itself
     derived = [
-        tx.with_nonsecret(extra=value),
         replace(tx, concealed=tx.concealed + b"\x01"),
         replace(tx, nonsecret={**tx.nonsecret, "extra": value}),
         Transaction.deserialize(tx.serialize()),

@@ -15,7 +15,7 @@ from repro.sim.core import Environment
 
 class StubTarget:
     """Commits every batch after a fixed service time; records the
-    gateway's inflight count at each dispatch."""
+    number of dispatched-but-unresolved requests at each dispatch."""
 
     def __init__(self, env, service_ms=10.0):
         self.env = env
@@ -23,18 +23,19 @@ class StubTarget:
         self.service_ms = service_ms
         self.batch_sizes: list[int] = []
         self.inflight_at_dispatch: list[int] = []
-        self.gateway: AsyncGateway | None = None
+        self.outstanding = 0
 
     def queue_depth(self) -> int:
         return 0
 
     def dispatch(self, batch, complete):
         self.batch_sizes.append(len(batch))
-        if self.gateway is not None:
-            self.inflight_at_dispatch.append(self.gateway.inflight)
+        self.outstanding += len(batch)
+        self.inflight_at_dispatch.append(self.outstanding)
 
         def served(_fired):
             for request in batch:
+                self.outstanding -= 1
                 complete(request, "committed", None)
 
         self.env.timeout(self.service_ms).callbacks.append(served)
@@ -63,7 +64,6 @@ def test_burst_beyond_watermark_is_shed():
             max_inflight=4, shed_high=6, shed_low=2, max_batch=4, linger_ms=0.0
         ),
     )
-    target.gateway = gateway
     requests = _requests(20)
     _drive(gateway, [(0.0, r) for r in requests])
     outcomes = [r.outcome for r in requests]
@@ -84,7 +84,6 @@ def test_hysteresis_keeps_shedding_until_low_watermark():
             max_inflight=2, shed_high=4, shed_low=1, max_batch=2, linger_ms=0.0
         ),
     )
-    target.gateway = gateway
     burst = _requests(8)
     # Arrives once the burst has drained to backlog 2 (> shed_low): the
     # gate must still be closed even though backlog < shed_high.
@@ -111,7 +110,6 @@ def test_inflight_never_exceeds_bound():
             linger_ms=0.0,
         ),
     )
-    target.gateway = gateway
     requests = _requests(20)
     _drive(gateway, [(0.0, r) for r in requests])
     assert all(r.outcome == "committed" for r in requests)

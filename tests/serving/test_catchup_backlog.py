@@ -93,7 +93,10 @@ def test_catchup_burst_is_absorbed_without_spurious_sheds():
     env.timeout(400.0).callbacks.append(
         lambda _fired: signal_at_probe.update(
             queue=gateway.queue_depth(),
-            inflight=gateway.inflight,
+            inflight=sum(
+                r.dispatched_ms is not None and r.completed_ms is None
+                for r in burst
+            ),
             depth=target.queue_depth(),
             backlog=gateway.backlog(),
         )

@@ -74,7 +74,7 @@ def test_one_bad_request_aborts_alone():
     assert counters == {"a": 1, "x": 0, "b": 1}
     # The refusal is known after endorsement, well before a block commits.
     assert bad.completed_ms < min(first.completed_ms, last.completed_ms)
-    assert gateway.inflight == 0
+    assert gateway.backlog() == 0
     metrics = gateway.metrics.finalize()
     assert (metrics.committed, metrics.aborted) == (2, 1)
 

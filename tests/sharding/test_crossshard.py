@@ -16,6 +16,11 @@ from repro.sharding import (
 )
 
 
+def _run(coordinator, writes, xid=None):
+    """Drive one 2PC transaction to its result."""
+    return coordinator.env.run(until=coordinator.execute(writes, xid))
+
+
 def _deployment(shards=3, storage="memory"):
     sharded = ShardedNetwork(
         config=NetworkConfig(
@@ -45,7 +50,7 @@ def _record_on(sharded, shard, xid):
 class TestHappyPath:
     def test_commit_materialises_on_all_shards(self):
         sharded, _gw, co = _deployment()
-        result = co.execute_sync(_writes((0, 2), payload={"v": 7}))
+        result = _run(co, _writes((0, 2), payload={"v": 7}))
         assert result.committed
         sharded.verify_atomicity(result)
         for shard in (0, 2):
@@ -57,7 +62,7 @@ class TestHappyPath:
 
     def test_coordinator_record_auditable_on_chain(self):
         sharded, gw, co = _deployment()
-        result = co.execute_sync(_writes((0, 1)))
+        result = _run(co, _writes((0, 1)))
         status = sharded.shards[result.coordinator_shard].query(
             COORDINATOR_CHAINCODE,
             "status",
@@ -71,7 +76,7 @@ class TestHappyPath:
         one ``begin`` and one ``decide`` on its coordinator chain and no
         ``record_vote``."""
         sharded, _gw, co = _deployment()
-        result = co.execute_sync(_writes((0, 2)))
+        result = _run(co, _writes((0, 2)))
         assert result.committed
         chain = sharded.shards[result.coordinator_shard].reference_peer.chain
         fns = Counter(
@@ -83,7 +88,7 @@ class TestHappyPath:
 
     def test_one_shard_deployment_coordinates_on_its_only_chain(self):
         sharded, _gw, co = _deployment(shards=1)
-        result = co.execute_sync(_writes((0,), payload={"v": 1}))
+        result = _run(co, _writes((0,), payload={"v": 1}))
         assert result.committed and result.coordinator_shard == 0
         assert _record_on(sharded, 0, result.xid) == {"v": 1}
         assert sharded.cross_shard_stats() == {"begun": 1, "committed": 1, "aborted": 0}
@@ -99,7 +104,7 @@ class TestHappyPath:
 class TestConflicts:
     def test_held_lock_aborts_everywhere(self):
         sharded, _gw, co = _deployment()
-        first = co.execute_sync(_writes((0, 1), lock="hot"))
+        first = _run(co, _writes((0, 1), lock="hot"))
         assert first.committed
         # first's locks are released at commit, so re-locking works;
         # park a fresh lock via a half-run transaction instead.
@@ -109,7 +114,7 @@ class TestConflicts:
 
         def drive():
             nonlocal contender
-            blocked = co.execute_sync(_writes((0, 1), lock="hot"))
+            blocked = _run(co, _writes((0, 1), lock="hot"))
             contender = blocked
 
         sharded.run(until=blocker)
@@ -127,7 +132,7 @@ class TestConflicts:
             {"xid": "squatter", "lock_key": "hot", "payload": {}},
         )
         sharded.run(until=hold)
-        result = co.execute_sync(_writes((0, 1), lock="hot"))
+        result = _run(co, _writes((0, 1), lock="hot"))
         assert not result.committed
         assert result.refused == [1]
         sharded.verify_atomicity(result)
@@ -136,7 +141,7 @@ class TestConflicts:
         # Releasing the squatter unblocks the key for the next attempt.
         release = co._submit(1, SHARD_CHAINCODE, "abort", {"xid": "squatter"})
         sharded.run(until=release)
-        retry = co.execute_sync(_writes((0, 1), lock="hot"))
+        retry = _run(co, _writes((0, 1), lock="hot"))
         assert retry.committed
 
 
@@ -144,12 +149,13 @@ class TestValidation:
     def test_duplicate_shard_rejected(self):
         _sharded, _gw, co = _deployment()
         with pytest.raises(TwoPhaseCommitError, match="duplicate shard"):
-            co.execute_sync(
+            _run(
+                co,
                 [
                     CrossShardWrite(shard=0, lock_key="a"),
                     CrossShardWrite(shard=0, lock_key="b"),
                     CrossShardWrite(shard=1, lock_key="a"),
-                ]
+                ],
             )
 
 
@@ -198,7 +204,7 @@ class TestCoordinatorCrashRecovery:
         assert [r.xid for r in results] == ["xs-crash-a"]
         assert not results[0].committed and results[0].replayed
         # Locks the prepares took are free again.
-        follow_up = recovered.execute_sync(_writes((0, 1), lock="hot"))
+        follow_up = _run(recovered, _writes((0, 1), lock="hot"))
         assert follow_up.committed
         assert recovered.log.pending() == {}
 
@@ -252,7 +258,7 @@ class TestCoordinatorCrashRecovery:
     def test_journal_compaction_drops_done_transactions(self):
         sharded, _gw, co = _deployment()
         for _ in range(3):
-            co.execute_sync(_writes((0, 1), lock="k", payload={}))
+            _run(co, _writes((0, 1), lock="k", payload={}))
         assert co.log.pending() == {}
         assert co.log.entries() == []
 
@@ -262,6 +268,6 @@ class TestWithoutDurability:
         # "none", not None: an ambient REPRO_STORAGE_BACKEND must not arm it.
         sharded, _gw, co = _deployment(storage="none")
         assert co.log.store is None
-        result = co.execute_sync(_writes((0, 1)))
+        result = _run(co, _writes((0, 1)))
         assert result.committed
         assert co.log.pending() == {}

@@ -28,6 +28,11 @@ from repro.sharding.crossshard import SHARD_CHAINCODE
 from repro.workload.zipf import CounterContract
 
 
+def _run(coordinator, writes, xid=None):
+    """Drive one 2PC transaction to its result."""
+    return coordinator.env.run(until=coordinator.execute(writes, xid))
+
+
 def _deployment(shards=3):
     sharded = ShardedNetwork(
         config=NetworkConfig(
@@ -100,7 +105,7 @@ class TestCrossShardPresumedAbort:
             CrossShardWrite(shard=0, lock_key="pa", payload={"v": 1}),
             CrossShardWrite(shard=1, lock_key="pa", payload={"v": 1}),
         ]
-        result = coordinator.execute_sync(writes)
+        result = _run(coordinator, writes)
 
         assert not result.committed
         assert result.refused == [1]
@@ -115,7 +120,7 @@ class TestCrossShardPresumedAbort:
 
         # The lock key is free on the live shard: a post-heal retry of
         # the same writes commits cleanly.
-        retry = coordinator.execute_sync(writes)
+        retry = _run(coordinator, writes)
         assert retry.committed
         sharded.verify_atomicity(retry)
         sharded.verify_convergence()
@@ -124,11 +129,12 @@ class TestCrossShardPresumedAbort:
         sharded, gateway = _deployment()
         coordinator = TwoPhaseCoordinator(sharded, gateway)
         outage(sharded.shards[1], "partition_chain")
-        result = coordinator.execute_sync(
+        result = _run(
+            coordinator,
             [
                 CrossShardWrite(shard=0, lock_key="ok", payload={"v": 2}),
                 CrossShardWrite(shard=2, lock_key="ok", payload={"v": 2}),
-            ]
+            ],
         )
         assert result.committed
         sharded.verify_atomicity(result)
@@ -146,7 +152,8 @@ class TestCrossShardPresumedAbort:
             if sharded.coordinator_shard_for(f"xid-{i:08d}") == dark
         )
         outage(sharded.shards[dark], "partition_chain")
-        result = coordinator.execute_sync(
+        result = _run(
+            coordinator,
             [
                 CrossShardWrite(shard=0, lock_key="fo", payload={"v": 3}),
                 CrossShardWrite(shard=2, lock_key="fo", payload={"v": 3}),
@@ -164,11 +171,12 @@ class TestCrossShardPresumedAbort:
         for network in sharded.shards:
             outage(network, "partition_chain")
         with pytest.raises(TwoPhaseCommitError, match="no reachable shard"):
-            coordinator.execute_sync(
+            _run(
+                coordinator,
                 [
                     CrossShardWrite(shard=0, lock_key="x", payload={}),
                     CrossShardWrite(shard=1, lock_key="x", payload={}),
-                ]
+                ],
             )
 
 

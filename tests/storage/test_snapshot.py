@@ -12,12 +12,15 @@ from repro.storage import (
     CrashPointGuard,
     MemoryFilesystem,
     load_latest,
-    read_manifest,
     snapshot_name,
     write_snapshot,
 )
 
 ROOT = "main/peer1"
+
+
+def _manifest(fs):
+    return json.loads(fs.read(f"{ROOT}/MANIFEST.json"))
 
 
 def _write(fs, height, guard=None):
@@ -45,8 +48,7 @@ def test_write_load_roundtrip():
     assert snap.state_root == bytes([4]) * 32
     assert snap.state == [["k0", 0, 3, 0], ["k1", 1, 3, 0], ["k2", 2, 3, 0]]
     assert snap.source == name
-    manifest = read_manifest(fs, ROOT)
-    assert manifest is not None and manifest["snapshot"] == name
+    assert _manifest(fs)["snapshot"] == name
 
 
 def test_latest_snapshot_wins():
@@ -65,7 +67,7 @@ def test_orphan_snapshot_without_manifest_is_still_found():
     guard.arm(at_op=3)  # snap write, snap fsync, *manifest write*
     with pytest.raises(SimulatedCrashError):
         _write(fs, 6, guard=guard)
-    assert read_manifest(fs, ROOT)["snapshot"] == snapshot_name(3)  # stale
+    assert _manifest(fs)["snapshot"] == snapshot_name(3)  # stale
     assert load_latest(fs, ROOT).height == 6  # orphan found anyway
 
 
@@ -111,7 +113,6 @@ def test_corrupt_manifest_is_not_fatal():
     fs = MemoryFilesystem()
     _write(fs, 3)
     fs.write(f"{ROOT}/MANIFEST.json", b"not json at all")
-    assert read_manifest(fs, ROOT) is None
     assert load_latest(fs, ROOT).height == 3
 
 

@@ -20,7 +20,6 @@ from repro.errors import (
     MerkleProofError,
     RevocationError,
     SignatureError,
-    StateConflictError,
     VerificationError,
 )
 
@@ -68,11 +67,30 @@ def test_error_hierarchy():
     for error in (DecryptionError, SignatureError, MerkleProofError):
         assert issubclass(error, CryptoError)
     # Ledger family.
-    for error in (StateConflictError, ChaincodeError):
-        assert issubclass(error, LedgerError)
+    assert issubclass(ChaincodeError, LedgerError)
     # Access-control family.
     for error in (AccessDeniedError, RevocationError, VerificationError):
         assert issubclass(error, AccessControlError)
+
+
+def test_fabric_surface_is_pinned():
+    """The simulator's exports: channels are not modelled (the paper's
+    channels-versus-views argument is prose), and nothing else is."""
+    import repro.fabric
+
+    assert sorted(repro.fabric.__all__) == [
+        "Chaincode",
+        "FabricNetwork",
+        "Gateway",
+        "LatencyModel",
+        "MULTI_REGION",
+        "MembershipServiceProvider",
+        "NetworkConfig",
+        "PrivateDataManager",
+        "SINGLE_REGION",
+        "TxContext",
+        "User",
+    ]
 
 
 def test_catching_the_root_catches_everything(network):

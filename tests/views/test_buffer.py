@@ -59,8 +59,8 @@ def test_matching_filters_by_predicate():
 def test_record_revocability_and_membership():
     revocable = _record(mode=ViewMode.REVOCABLE)
     irrevocable = _record("v2", mode=ViewMode.IRREVOCABLE)
-    assert revocable.is_revocable
-    assert not irrevocable.is_revocable
+    assert revocable.mode is ViewMode.REVOCABLE
+    assert irrevocable.mode is ViewMode.IRREVOCABLE
     assert not revocable.contains("t1")
     revocable.data["t1"] = {"key": b"x"}
     assert revocable.contains("t1")

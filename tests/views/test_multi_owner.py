@@ -1,4 +1,4 @@
-"""Tests for multi-owner views and off-chain key delivery."""
+"""Tests for off-chain key delivery."""
 
 import pytest
 
@@ -32,69 +32,6 @@ def world(request, network):
         for i in range(2)
     ]
     return network, manager_cls, primary, carol, bob, outcomes
-
-
-def test_exported_view_serves_identically(world):
-    network, manager_cls, primary, carol, bob, outcomes = world
-    primary.grant_access("w1", "bob")
-    bundle = primary.export_view("w1", "carol")
-
-    secondary = manager_cls(Gateway(network, carol))
-    record = secondary.import_view(carol, bundle)
-    assert record.tids == primary.buffer.get("w1").tids
-
-    reader = ViewReader(bob, Gateway(network, bob))
-    via_primary = reader.read_view(primary, "w1")
-    via_secondary = reader.read_view(secondary, "w1")
-    assert via_primary.secrets == via_secondary.secrets
-
-
-def test_export_is_sealed_to_recipient(world):
-    network, manager_cls, primary, carol, bob, outcomes = world
-    bundle = primary.export_view("w1", "carol")
-    mallory = network.register_user(f"mallory-{manager_cls.__name__}")
-    stranger_manager = manager_cls(Gateway(network, mallory))
-    from repro.errors import DecryptionError
-
-    with pytest.raises(DecryptionError):
-        stranger_manager.import_view(mallory, bundle)
-
-
-def test_second_owner_can_extend_the_view(world):
-    network, manager_cls, primary, carol, bob, outcomes = world
-    bundle = primary.export_view("w1", "carol")
-    secondary = manager_cls(Gateway(network, carol))
-    secondary.import_view(carol, bundle)
-    new_outcome = secondary.invoke_with_secret(
-        "create_item",
-        {"item": "from-carol", "owner": "W1"},
-        {"item": "from-carol", "from": None, "to": "W1", "access": ["W1"]},
-        SECRET,
-    )
-    assert new_outcome.views == ["w1"]
-    secondary.grant_access("w1", "bob")
-    reader = ViewReader(bob, Gateway(network, bob))
-    result = reader.read_view(secondary, "w1")
-    assert new_outcome.tid in result.secrets
-    assert len(result.secrets) == 3
-
-
-def test_second_owner_grants_history_with_retained_data(world):
-    """Imported views retain per-transaction data, so the new owner can
-    run extra-view (historical) grants too."""
-    network, manager_cls, primary, carol, bob, outcomes = world
-    bundle = primary.export_view("w1", "carol")
-    secondary = manager_cls(Gateway(network, carol))
-    secondary.create_view("w2", AttributeEquals("to", "W2"), ViewMode.REVOCABLE)
-    secondary.import_view(carol, bundle)
-    secondary.invoke_with_secret(
-        "transfer",
-        {"item": "i0", "sender": "W1", "receiver": "W2"},
-        {"item": "i0", "from": "W1", "to": "W2", "access": ["W1", "W2"]},
-        SECRET,
-        extra_views={"w2": [outcomes[0].tid]},
-    )
-    assert secondary.buffer.get("w2").contains(outcomes[0].tid)
 
 
 def test_offchain_grant_roundtrip(world):

@@ -71,22 +71,21 @@ def test_interval_gating(service, network):
     _register(service)
     service.record("t1", {"to": "W1"})
     assert not service.due()  # interval not elapsed yet
-    assert service.maybe_flush() == 0
     network.env.run(until=network.env.now + 2_000.0)
     assert service.due()
-    assert service.maybe_flush() == 1
+    assert service.flush() == 1
     service.record("t2", {"to": "W1"})
     assert not service.due()  # the flush restarted the interval
     network.env.run(until=network.env.now + 2_000.0)
-    assert service.maybe_flush() == 1
+    assert service.due()
 
 
 def test_last_flush_timestamp(service, network):
     _register(service)
-    assert service.last_flush() is None
+    assert service.gateway.query("txlist", "last_flush") is None
     service.record("t1", {"to": "W1"})
     service.flush()
-    last = service.last_flush()
+    last = service.gateway.query("txlist", "last_flush")
     assert last is not None and last <= network.env.now
 
 

@@ -127,7 +127,7 @@ def test_rejected_transactions_are_in_no_view(populated, definition):
     rejected = [o.tid for o in raced if o.notice.code is not ValidationCode.VALID]
     committed = [o.tid for o in raced if o.notice.code is ValidationCode.VALID]
     assert len(rejected) == len(committed) == 1
-    assert network.reference_peer.chain.has_transaction(rejected[0])
+    network.reference_peer.chain.locate(rejected[0])  # on chain, as INVALID
     view = UnmaintainedView("to-w1", definition)
     result = view.evaluate(network)
     assert set(result.tids) == {outcomes[0].tid, outcomes[2].tid, committed[0]}

@@ -17,36 +17,43 @@ from repro.workload.zipf import (
 # -- sampler -------------------------------------------------------------------
 
 
+def _draws(sampler, count):
+    return [sampler.sample() for _ in range(count)]
+
+
 def test_sampler_is_deterministic_per_seed():
-    a = ZipfSampler(8, 1.2, seed=3).sample_many(200)
-    b = ZipfSampler(8, 1.2, seed=3).sample_many(200)
-    c = ZipfSampler(8, 1.2, seed=4).sample_many(200)
+    a = _draws(ZipfSampler(8, 1.2, seed=3), 200)
+    b = _draws(ZipfSampler(8, 1.2, seed=3), 200)
+    c = _draws(ZipfSampler(8, 1.2, seed=4), 200)
     assert a == b
     assert a != c
 
 
 def test_sampler_ranks_stay_in_range():
-    draws = ZipfSampler(5, 1.2, seed=1).sample_many(500)
+    draws = _draws(ZipfSampler(5, 1.2, seed=1), 500)
     assert set(draws) <= set(range(1, 6))
     assert min(draws) == 1  # the hottest rank appears
 
 
+def _frequencies(n, s):
+    """Rank frequencies over 4,000 seeded draws."""
+    draws = _draws(ZipfSampler(n, s, seed=5), 4000)
+    return [draws.count(rank) / len(draws) for rank in range(1, n + 1)]
+
+
 def test_probabilities_sum_to_one_and_decrease():
-    probabilities = ZipfSampler(8, 1.2).probabilities()
-    assert sum(probabilities) == pytest.approx(1.0)
-    assert probabilities == sorted(probabilities, reverse=True)
-    assert probabilities[0] > probabilities[-1]
+    """The draws follow ``rank**-s`` normalised, to within 0.03."""
+    weights = [rank**-1.2 for rank in range(1, 9)]
+    expected = [weight / sum(weights) for weight in weights]
+    assert _frequencies(8, 1.2) == pytest.approx(expected, abs=0.03)
 
 
 def test_zero_skew_is_uniform():
-    probabilities = ZipfSampler(4, 0.0).probabilities()
-    assert probabilities == pytest.approx([0.25] * 4)
+    assert _frequencies(4, 0.0) == pytest.approx([0.25] * 4, abs=0.03)
 
 
 def test_more_skew_concentrates_the_head():
-    mild = ZipfSampler(8, 0.5).probabilities()[0]
-    steep = ZipfSampler(8, 1.2).probabilities()[0]
-    assert steep > mild
+    assert _frequencies(8, 1.2)[0] > _frequencies(8, 0.5)[0] + 0.1
 
 
 def test_sampler_rejects_bad_parameters():
@@ -116,7 +123,6 @@ def test_conflict_rate_one_touches_only_hot_keys():
     assert {request.key for request in trace} <= {
         f"hot-{i:02d}" for i in range(4)
     }
-    assert ContentionWorkload.hot_fraction(trace) == 1.0
 
 
 def test_conflict_rate_zero_yields_unique_cold_keys():
@@ -126,14 +132,13 @@ def test_conflict_rate_zero_yields_unique_cold_keys():
     assert not any(request.hot for request in trace)
     keys = [request.key for request in trace]
     assert len(set(keys)) == len(keys)  # no two requests can conflict
-    assert ContentionWorkload.hot_fraction(trace) == 0.0
 
 
 def test_conflict_rate_shapes_the_hot_fraction():
     trace = ContentionWorkload(
         requests=400, conflict_rate=0.5, seed=2
     ).generate()
-    assert 0.35 < ContentionWorkload.hot_fraction(trace) < 0.65
+    assert 0.35 < sum(request.hot for request in trace) / len(trace) < 0.65
 
 
 def test_skew_concentrates_hot_traffic():
@@ -209,7 +214,7 @@ def test_cross_shard_fraction_marks_partner_writes():
         requests=400, seed=7, shards=4, cross_shard_fraction=0.25
     )
     trace = workload.generate()
-    fraction = ContentionWorkload.cross_fraction(trace)
+    fraction = sum(request.cross_shard for request in trace) / len(trace)
     assert 0.15 < fraction < 0.35
     for request in trace:
         for partner_shard, partner_key in request.partners:
@@ -231,7 +236,7 @@ def test_cross_shard_requests_excluded_from_expected_totals():
         ),
     ]
     assert ContentionWorkload.expected_totals(trace) == {"a": 2}
-    assert ContentionWorkload.cross_fraction(trace) == 0.5
+    assert [request.cross_shard for request in trace] == [False, True]
 
 
 def test_sharded_trace_is_deterministic_per_seed():
