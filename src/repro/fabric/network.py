@@ -379,10 +379,11 @@ class FabricNetwork:
         :class:`CommitNotice` the request gets.  Endorsement or
         chaincode failures fail the event with the underlying exception.
         With a fault injector's retry policy attached, an attempt that
-        produces no commit notice in time is resubmitted with seeded
-        backoff; with ``config.mvcc_retry_attempts`` set, an
-        ``MVCC_CONFLICT`` notice is re-endorsed under a fresh
-        transaction id after a bounded, seeded backoff.
+        produces no commit notice in time re-broadcasts the one endorsed
+        transaction after a seeded backoff; with
+        ``config.mvcc_retry_attempts`` set, an ``MVCC_CONFLICT`` notice
+        is re-endorsed under a fresh transaction id after a bounded,
+        seeded backoff.
         """
         return self.env.process(self._request(proposal))
 
@@ -396,16 +397,18 @@ class FabricNetwork:
         over later blocks (livelock under skew), with jitter from a
         per-network seeded RNG.
 
-        The inner loop is the fault layer's timeout retry.  It reuses
-        the tid, so a slow-but-alive earlier broadcast is deduplicated
-        at the orderer rather than committed twice.  The tid's commit
-        event outlives its attempts and is raced against each attempt's
-        timeout and each backoff: the notice is taken whenever it
-        lands, and no attempt is left waiting.  Chaincode and
-        endorsement errors propagate at once; retrying a logic error
-        cannot help.  The one exception is a retry whose endorsement
-        fails after the tid committed: the request completes with the
-        committed notice.
+        Each tid is endorsed once, before anything is broadcast, so
+        chaincode and endorsement errors propagate at once: retrying a
+        logic error cannot help.  The inner loop is the fault layer's
+        timeout retry.  It re-broadcasts the endorsed transaction, as a
+        Fabric client re-sends its one signed envelope: every copy of
+        the tid carries the read set of that endorsement, and a
+        slow-but-alive earlier copy is deduplicated at the orderer.
+        The tid's commit event outlives its attempts and is raced
+        against each attempt's timeout and each backoff: the notice is
+        taken whenever it lands, and no attempt is left waiting.
+        Attempt 1's timeout runs from before the endorsement, a retry's
+        from its re-broadcast.
         """
         env = self.env
         faults = self.faults
@@ -414,36 +417,30 @@ class FabricNetwork:
         mvcc_attempts = 1 if mvcc is None else mvcc.max_attempts
         started = env.now
         for mvcc_attempt in range(1, mvcc_attempts + 1):
-            tid = proposal.tid
             commit_event = env.event()
+            if retry is not None:
+                expiry = env.timeout(retry.timeout_ms)
+            tx, response = yield from self._endorse(proposal)
             if retry is None:
-                response = yield from self._attempt(proposal, commit_event)
+                yield from self._broadcast(tx, commit_event)
                 notice = yield commit_event
             else:
                 for attempt in range(1, retry.max_attempts + 1):
-                    expiry = env.timeout(retry.timeout_ms)
-                    try:
-                        response = yield from self._attempt(proposal, commit_event)
-                    except ChaincodeError:
-                        # A re-endorsement that runs after an earlier
-                        # broadcast of the tid committed sees that
-                        # commit's writes; the request already has its
-                        # notice and the earlier attempt's response.
-                        if self._settled(tid, commit_event):
-                            break
-                        raise
+                    if attempt > 1:
+                        expiry = env.timeout(retry.timeout_ms)
+                    yield from self._broadcast(tx, commit_event)
                     yield env.any_of([commit_event, expiry])
-                    if self._settled(tid, commit_event):
+                    if self._settled(tx.tid, commit_event):
                         break
                     faults.stats["retries"] += 1
                     backoff = retry.backoff_for(attempt, faults.rng)
                     yield env.any_of([commit_event, env.timeout(backoff)])
-                    if commit_event.triggered:
+                    if self._settled(tx.tid, commit_event):
                         break
                 else:
-                    self._commit_events.pop(tid, None)
+                    self._commit_events.pop(tx.tid, None)
                     raise FaultInjectionError(
-                        f"transaction {tid!r} produced no commit notice after "
+                        f"transaction {tx.tid!r} produced no commit notice after "
                         f"{retry.max_attempts} attempts"
                     )
                 notice = commit_event.value
@@ -462,20 +459,16 @@ class FabricNetwork:
 
     def _settled(self, tid: str, commit_event: Event) -> bool:
         """Whether the tid has its notice: the commit event fired, or
-        the reference peer committed it and the rescued notice now
-        fires the event."""
-        if commit_event.triggered:
-            return True
-        rescued = self._committed_notice(tid)
-        if rescued is None:
-            return False
-        self._commit_events.pop(tid, None)
-        self.faults.stats["rescued_notices"] += 1
-        commit_event.succeed(rescued)
-        return True
+        it is rescued from the ledger now."""
+        return commit_event.triggered or self.rescue(tid, commit_event)
 
-    def _committed_notice(self, tid: str) -> CommitNotice | None:
-        """Synthesise the notice for a tid the reference peer committed.
+    def awaited_tids(self) -> list[str]:
+        """Tids whose submitter waits for a commit notice."""
+        return list(self._commit_events)
+
+    def rescue(self, tid: str, commit_event: Event | None = None) -> bool:
+        """Fire the notice of a tid the reference peer committed but whose
+        client was not notified; whether it did.
 
         The rescue path for a notification lost to fault timing: heal's
         catch-up commits blocks without notifying, an orderer that lost
@@ -483,27 +476,27 @@ class FabricNetwork:
         hop to the client can lose the race with an attempt's timeout.
         The ledger is the source of truth, so the notice is rebuilt
         from the reference peer's validation code and block index.
+        ``commit_event`` defaults to the one registered for the tid.
         """
+        if commit_event is None:
+            commit_event = self._commit_events.get(tid)
         peer = self.reference_peer
         code = peer.validation_codes.get(tid)
-        if code is None:
-            return None
+        if commit_event is None or code is None:
+            return False
         block_number, _position = peer.chain.locate(tid)
-        return CommitNotice(tid=tid, code=code, block_number=block_number)
+        self._commit_events.pop(tid, None)
+        self.faults.stats["rescued_notices"] += 1
+        commit_event.succeed(
+            CommitNotice(tid=tid, code=code, block_number=block_number)
+        )
+        return True
 
-    def _attempt(self, proposal: Proposal, commit_event: Event):
-        """Endorse ``proposal`` and broadcast it; returns the chaincode
-        response.  The body of every attempt, with or without faults.
-
-        ``commit_event`` is the request's, registered for the tid just
-        before the broadcast (again on a retry: an orderer that lost
-        its memory forgot it).  When an earlier broadcast of the tid
-        committed while this attempt was endorsing, nothing is sent.
-        """
+    def _endorse(self, proposal: Proposal):
+        """Endorse ``proposal``; returns the assembled transaction and the
+        chaincode response.  Runs once per tid, with or without faults."""
         env = self.env
         latency = self.config.latency
-
-        # --- endorsement phase ---
         yield env.timeout(latency.client_to_peer)
         endorsing = self.peers[: self.config.endorsement_policy]
         payload_size = len(proposal.concealed) + 256  # args + headers estimate
@@ -543,10 +536,12 @@ class FabricNetwork:
                 creator=proposal.creator,
                 response=response,
             )
-        if commit_event.triggered:
-            return response
+        return tx, response
 
-        # --- ordering phase ---
+    def _broadcast(self, tx: Transaction, commit_event: Event):
+        """Send ``tx`` to the orderer, registering the request's
+        ``commit_event`` for its tid first (again on a retry: an orderer
+        that lost its memory forgot it)."""
         self._commit_events[tx.tid] = commit_event
         # A lost broadcast (0 copies) never reaches the orderer: the
         # request then waits for a notice that arrives another way (a
@@ -554,13 +549,12 @@ class FabricNetwork:
         copies = yield from self.link.send(
             "client",
             "orderer",
-            latency.client_to_orderer,
+            self.config.latency.client_to_orderer,
             "client_to_orderer",
-            proposal.kind,
+            tx.kind,
         )
         for _ in range(copies):
             yield self._order_inbox.put(tx)
-        return response
 
     def submit_sync(self, proposal: Proposal) -> CommitNotice:
         """Submit and drive the simulation until the commit completes.

@@ -274,7 +274,7 @@ class Peer:
             chaincode = self.registry.get(record.chaincode)
         except ChaincodeError:
             return None
-        for _attempt in range(backend.max_rebase_attempts):
+        for _ in range(backend.max_rebase_attempts):
             ctx = TxContext(record.chaincode, self.statedb, tx.tid, record.creator)
             try:
                 response = chaincode.invoke(ctx, record.fn, record.args)

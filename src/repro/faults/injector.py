@@ -504,12 +504,8 @@ class FaultInjector:
         # block just landed that way would hang until its retry timeout
         # rescues it from the ledger — rescue it now instead, so heal()
         # is a clean boundary for clients too.
-        network = self.network
-        for tid in list(network._commit_events):
-            notice = network._committed_notice(tid)
-            if notice is not None:
-                network._commit_events.pop(tid).succeed(notice)
-                self.stats["rescued_notices"] += 1
+        for tid in self.network.awaited_tids():
+            self.network.rescue(tid)
 
     def summary(self) -> dict:
         """Counters for reports: injected faults and their handling."""

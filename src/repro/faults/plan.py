@@ -129,7 +129,7 @@ class CrashPointSpec:
 
     Op indices are 1-based and count every crash-guarded durability
     operation the peer's store issues (WAL appends and fsyncs, snapshot
-    and manifest writes and their fsyncs, snapshot prunes) — a pure
+    writes and their fsyncs, snapshot prunes) — a pure
     function of the committed workload, so sweeps can enumerate them.
     ``partial_fraction`` makes a crash that lands on a WAL append tear
     the record, writing only that prefix fraction.  With

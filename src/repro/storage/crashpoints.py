@@ -1,7 +1,7 @@
 """Crash-point injection: deterministic process death mid-durability-op.
 
 Every durable operation a :class:`~repro.storage.node.NodeStore` issues
-— a WAL record append, a snapshot/manifest write, an fsync, a snapshot
+— a WAL record append, a snapshot write, an fsync, a snapshot
 prune — passes through one :class:`CrashPointGuard`, which counts it.
 Arming the guard at op *N* (via :class:`repro.faults.CrashPointSpec`)
 makes the *N*-th operation raise
@@ -16,7 +16,7 @@ Two refinements model real failure shapes:
 - ``partial_fraction`` on an append op writes only a prefix of the
   record before dying — a torn write at the WAL tail, which recovery
   must detect (per-record CRC) and truncate.
-- Atomic whole-file writes (snapshots, manifests) crash *before* the
+- Atomic whole-file writes (snapshots) crash *before* the
   rename, so a fired write op leaves no partial file — exactly the
   guarantee temp-file + ``os.replace`` gives on disk.
 

@@ -1,6 +1,6 @@
 """Injectable filesystems for the durability layer.
 
-Every durable structure (WAL, snapshots, manifests) talks to a
+Every durable structure (WAL, snapshots) talks to a
 :class:`Filesystem` instead of the OS directly, for two reasons:
 
 - **Hermetic tests.**  :class:`MemoryFilesystem` gives crash-point and

@@ -1,4 +1,4 @@
-"""Checkpointed snapshots: periodic state checkpoints with a manifest.
+"""Checkpointed snapshots: periodic, self-verifying state checkpoints.
 
 A snapshot bounds recovery work: instead of re-applying every state
 write from genesis, a restarting node loads the newest verified
@@ -18,15 +18,14 @@ it:
     block, version position]`` rows.
 
 Each snapshot file is self-verifying — it embeds a SHA-256 checksum of
-its canonical content — and is written atomically, then ``MANIFEST``
-(a pointer to the newest snapshot) is written atomically after it.
-Crash ordering is therefore always safe: a crash between the two
-leaves a complete orphan snapshot and a stale manifest, and
-:func:`load_latest` scans snapshots newest-first with per-file
-verification, so the orphan is still found and used.  A snapshot that
-fails its checksum is skipped in favour of the next older one; with no
-usable snapshot at all, recovery degrades to full WAL replay (and,
-with no WAL either, to the legacy genesis replay).
+its canonical content — and is written atomically and fsynced before
+older generations are pruned.  There is no pointer file:
+:func:`load_latest` scans the snapshots newest-first with per-file
+verification, so a crash at any op leaves a loadable newest snapshot
+or the previous one.  A snapshot that fails its checksum is skipped in
+favour of the next older one; with no usable snapshot at all, recovery
+degrades to full WAL replay (and, with no WAL either, to the legacy
+genesis replay).
 """
 
 from __future__ import annotations
@@ -45,10 +44,9 @@ from repro.storage.crashpoints import (
 from repro.storage.fs import Filesystem
 
 FORMAT_VERSION = 1
-MANIFEST_NAME = "MANIFEST.json"
 
 #: Checkpoints retained per node; older ones are pruned after a new
-#: manifest lands (two generations, so one corrupt file still leaves a
+#: one is durable (two generations, so one corrupt file still leaves a
 #: verified fallback).
 KEEP_SNAPSHOTS = 2
 
@@ -86,11 +84,10 @@ def write_snapshot(
     state: list[list[Any]],
     guard: CrashPointGuard | None = None,
 ) -> str:
-    """Write one checkpoint + manifest; returns the snapshot file name.
+    """Write one checkpoint; returns the snapshot file name.
 
-    Four crash-guarded ops (snapshot write, fsync, manifest write,
-    fsync) plus one per pruned older snapshot — each a distinct crash
-    point the sweep exercises.
+    Two crash-guarded ops (snapshot write, fsync) plus one per pruned
+    older snapshot — each a distinct crash point the sweep exercises.
     """
     content = {
         "format": FORMAT_VERSION,
@@ -107,11 +104,6 @@ def write_snapshot(
     name = snapshot_name(height)
     guarded_write(fs, guard, f"{root}/{name}", blob)
     guarded_fsync(fs, guard, f"{root}/{name}")
-    manifest = _canonical(
-        {"format": FORMAT_VERSION, "snapshot": name, "checksum": checksum}
-    )
-    guarded_write(fs, guard, f"{root}/{MANIFEST_NAME}", manifest)
-    guarded_fsync(fs, guard, f"{root}/{MANIFEST_NAME}")
     for stale in _snapshot_names(fs, root)[:-KEEP_SNAPSHOTS]:
         guarded_remove(fs, guard, f"{root}/{stale}")
     return name
@@ -155,11 +147,9 @@ def _load_verified(fs: Filesystem, root: str, name: str) -> Snapshot | None:
 def load_latest(fs: Filesystem, root: str) -> Snapshot | None:
     """The newest snapshot that verifies, or None.
 
-    The manifest is a committed pointer, not the authority: the
-    newest-first scan with per-file checksums also finds an orphan
-    snapshot whose manifest write was interrupted (file names embed
-    the height, so lexicographic order is checkpoint order), and skips
-    a corrupt newest file in favour of the retained older generation.
+    The scan goes newest-first (file names embed the height, so
+    lexicographic order is checkpoint order) and skips a corrupt newest
+    file in favour of the retained older generation.
     """
     for name in reversed(_snapshot_names(fs, root)):
         snapshot = _load_verified(fs, root, name)

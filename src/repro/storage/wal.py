@@ -18,7 +18,7 @@ deterministic.  The framing makes two failure modes detectable:
   corrupt record is untrusted (lengths no longer frame reliably), and
   catch-up re-fetches the difference.
 
-The WAL is never rewritten on snapshot: a snapshot's manifest records
+The WAL is never rewritten on snapshot: a snapshot's ``meta`` records
 the WAL byte offset it covers, and recovery applies *state* only from
 records past that offset (the cheap structural chain rebuild still
 reads the whole log, like Fabric's block store).

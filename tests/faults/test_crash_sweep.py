@@ -3,7 +3,7 @@
 One fault-free baseline leg runs a short mixed workload (all four view
 methods: encryption/hash x irrevocable/revocable) with durability on
 and counts the durable operations peer 1 performs — WAL appends and
-fsyncs, snapshot writes, manifest writes, prunes.  Then one leg per
+fsyncs, snapshot writes and fsyncs, prunes.  Then one leg per
 operation re-runs the identical seeded workload with a crash point
 armed at exactly that op (appends torn mid-record via
 ``partial_fraction``), heals, and asserts the recovered network is
@@ -13,8 +13,9 @@ same served secrets and audit verdicts.
 
 Because the sweep hits every op index, it covers every crash window
 the storage layer has: mid-WAL-record, between append and fsync,
-mid-snapshot, before/after the manifest, and during stale-snapshot
-pruning.  No window may lose a committed block or corrupt recovery.
+mid-snapshot, between a snapshot's fsync and its prune, and during
+stale-snapshot pruning.  No window may lose a committed block or
+corrupt recovery.
 """
 
 from __future__ import annotations
@@ -46,11 +47,15 @@ METHODS = {
 
 def _predicate(code: str) -> AttributeEquals:
     """Each method gets its own recipient so its view covers exactly
-    its own item — completeness is then auditable per view."""
+    its own items — completeness is then auditable per view."""
     return AttributeEquals("to", f"W-{code}")
 
+#: Items each view receives: enough blocks that peer 1 issues at least
+#: 30 durable ops, so the sweep covers several checkpoint cycles.
+ITEMS_PER_VIEW = 2
+
 #: Snapshot every other block so the sweep exercises many full
-#: checkpoint cycles (write + fsync + manifest + prune) in few blocks.
+#: checkpoint cycles (write + fsync + prune) in few blocks.
 SNAPSHOT_INTERVAL = 2
 
 
@@ -76,7 +81,7 @@ def _plan(at_op: int | None) -> FaultPlan:
     points = ()
     if at_op is not None:
         # partial_fraction tears WAL appends mid-record; non-append ops
-        # (fsyncs, atomic snapshot/manifest writes, prunes) crash
+        # (fsyncs, atomic snapshot writes, prunes) crash
         # cleanly at their boundary.
         points = (
             CrashPointSpec(target=1, at_op=at_op, partial_fraction=0.5),
@@ -111,10 +116,11 @@ def _leg(plan: FaultPlan):
     outcomes = [
         managers[code].invoke_with_secret(
             "create_item",
-            {"item": f"item-{code}", "owner": f"W-{code}"},
-            {"item": f"item-{code}", "from": None, "to": f"W-{code}"},
-            f"secret-{code}".encode(),
+            {"item": f"item-{code}{n}", "owner": f"W-{code}"},
+            {"item": f"item-{code}{n}", "from": None, "to": f"W-{code}"},
+            f"secret-{code}{n}".encode(),
         )
+        for n in range(ITEMS_PER_VIEW)
         for code in sorted(managers)
     ]
     network.faults.heal()
@@ -169,7 +175,7 @@ def test_crash_at_every_durable_op_recovers_byte_identically(rearm):
     network, baseline = _leg(_plan(None))
     total_ops = network.storage.node_store("main-peer1").guard.op_count
     assert total_ops >= 30, "workload too small to sweep all crash windows"
-    assert baseline["codes"] == ["valid"] * len(METHODS)
+    assert baseline["codes"] == ["valid"] * len(METHODS) * ITEMS_PER_VIEW
     assert all(view["soundness"][0] for view in baseline["views"].values())
     assert all(view["completeness"][0] for view in baseline["views"].values())
 

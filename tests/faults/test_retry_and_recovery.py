@@ -1,6 +1,7 @@
 """Fault-injection integration: retries, redelivery, crash recovery,
 and owner outages on a live simulated network."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -371,12 +372,11 @@ def test_a_notice_during_the_backoff_completes_the_request_once():
 
 def test_a_retry_endorsing_after_the_commit_completes_the_request():
     """The first broadcast is held past the attempt timeout and commits
-    while the retry is on its way to the endorser, whose re-execution
-    of ``create_item`` then raises: the item exists.  The tid is VALID
-    on chain, so the request completes with that notice and the first
-    attempt's chaincode response; it used to fail with the
-    re-endorsement's ``ChaincodeError``.  The backoffs sweep the retry's
-    endorsement across the commit in 0.25 ms steps."""
+    around the retry.  ``create_item`` is not idempotent: a retry that
+    ran it again after the commit would raise, the item exists.  The
+    tid is VALID on chain, so the request completes with that notice
+    and the one endorsement's chaincode response.  The backoffs sweep
+    the retry across the commit in 0.25 ms steps."""
     for step in range(160):
         backoff_ms = 60.0 + step * 0.25
         plan = FaultPlan(
@@ -433,45 +433,41 @@ def test_heal_during_a_commits_service_time():
     network.verify_convergence()
 
 
-def test_a_retry_whose_endorsement_outlasts_the_commit_broadcasts_nothing():
-    """Blocks are held on a delay rule, so the first attempt times out
-    and the retry re-endorses; heal() then commits the block from the
-    log while that endorsement is under way.  The retry takes the
-    rescued notice and sends nothing, and leaves no commit event
-    registered for a later heal to fire a second time."""
+def test_a_timeout_retry_rebroadcasts_the_endorsed_transaction():
+    """Two broadcasts of a tid are lost and the third is duplicated.
+    Every retry re-sends the transaction its one endorsement produced:
+    each endorser runs the chaincode once for the tid, and every copy
+    that reaches the orderer is byte-identical."""
     plan = FaultPlan(
         seed=1,
         retry=RetryPolicy(timeout_ms=200.0, backoff_ms=20.0, jitter_ms=0.0),
         messages=(
             MessageFaultRule(
-                channel="orderer_to_peer", delay=1.0, delay_range_ms=(1e4, 1e4)
+                channel="client_to_orderer", drop=1.0, max_drops=2, duplicate=1.0
             ),
         ),
     )
     network = _network(plan, commit_backend="reference")
-    env = network.env
-    endorsed = []
-    peer = network.reference_peer
-    endorse = peer.endorse
-    peer.endorse = lambda proposal: endorsed.append(env.now) or endorse(proposal)
-    user = network.register_user("u")
-    event = network.submit(
-        Proposal(
-            chaincode="supply",
-            fn="create_item",
-            args={"item": "i1", "owner": "M"},
-            creator=user.user_id,
+    endorsed = Counter()
+    for peer in network.peers:
+        endorse = peer.endorse
+        peer.endorse = lambda proposal, endorse=endorse: (
+            endorsed.update([proposal.tid]) or endorse(proposal)
         )
+    inbox = network._order_inbox
+    put = inbox.put
+    ordered = []
+    inbox.put = lambda tx: ordered.append(tx) or put(tx)
+    user = network.register_user("u")
+    notice = network.invoke_sync(
+        user, "supply", "create_item", {"item": "i1", "owner": "M"}
     )
-    while len(endorsed) < 2:
-        env.step()
-    network.faults.heal()
-    notice = env.run(until=event)
-    env.run(until=env.now + 500.0)
     assert notice.code is ValidationCode.VALID
     assert notice.response == {"holder": "M", "hops": 0, "handlers": ["M"]}
     stats = network.faults.stats
-    assert (stats["retries"], stats["deduped_txs"]) == (1, 0)
-    assert network.metrics.committed_requests.value == 1
+    assert (stats["retries"], stats["deduped_txs"]) == (2, 1)
+    assert endorsed == {notice.tid: network.config.endorsement_policy}
+    assert [tx.tid for tx in ordered] == [notice.tid] * 2
+    assert len({tx.digest() for tx in ordered}) == 1
     network.faults.heal()
     network.verify_convergence()

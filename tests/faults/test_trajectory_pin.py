@@ -33,6 +33,18 @@ notice that lands during a backoff now completes its request, so no
 retry re-endorses or re-broadcasts after the commit, and an attempt
 whose broadcast is held on a delay rule keeps its request until the
 broadcast is sent.  Later message-fate draws shift with them.
+
+All four were regenerated again when a tid became one envelope: a
+timeout retry re-broadcasts the transaction its one endorsement built
+instead of endorsing again.  A retry no longer queues at the endorsers,
+so ``events_scheduled`` fell and latencies moved on each, and a re-sent
+copy keeps its first read set, so on the shared keys it now loses MVCC
+validation where a re-endorsement used to read past the conflict
+(``invalid`` rose on ``messages``, ``topology`` and ``pbft``).
+``storage_crash`` moved in the same regeneration for a second reason:
+a snapshot no longer writes and fsyncs a manifest, so each crash
+point's op index names a different durable op (peer 1's ``at_op=9`` is
+now a WAL append, and tears it).
 """
 
 from __future__ import annotations

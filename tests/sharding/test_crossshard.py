@@ -103,24 +103,30 @@ class TestHappyPath:
 
 class TestConflicts:
     def test_held_lock_aborts_everywhere(self):
+        """Two transactions race for lock ``hot`` on shard 1.  The
+        contender starts once the blocker's ``begin`` is on chain, so its
+        prepare reaches shard 1 while the blocker holds the lock there.
+        Shard 1 refuses it, and it aborts on every participant, also on
+        shard 2 where its own prepare took the lock."""
         sharded, _gw, co = _deployment()
-        first = _run(co, _writes((0, 1), lock="hot"))
-        assert first.committed
-        # first's locks are released at commit, so re-locking works;
-        # park a fresh lock via a half-run transaction instead.
-        blocker = co.execute(_writes((1, 2), lock="hot"))
-        # While blocker is mid-flight its prepare holds shard 1's lock.
-        contender = None
-
-        def drive():
-            nonlocal contender
-            blocked = _run(co, _writes((0, 1), lock="hot"))
-            contender = blocked
-
-        sharded.run(until=blocker)
-        drive()
-        # blocker finished (released), so the contender commits cleanly.
-        assert contender.committed
+        env = co.env
+        blocker = co.execute(_writes((0, 1), lock="hot"), xid="xs-blocker")
+        coordinator = sharded.shards[sharded.coordinator_shard_for("xs-blocker")]
+        begun = f"{COORDINATOR_CHAINCODE}~xact~xs-blocker"
+        while coordinator.reference_peer.statedb.get(begun) is None:
+            env.step()
+        contender = co.execute(_writes((1, 2), lock="hot"))
+        sharded.run(until=env.all_of([blocker, contender]))
+        assert blocker.value.committed
+        assert not contender.value.committed
+        assert contender.value.refused == [1]
+        for result in (blocker.value, contender.value):
+            sharded.verify_atomicity(result)
+            records = [_record_on(sharded, s, result.xid) for s in result.shards]
+            if result.committed:
+                assert records == [{"s": s} for s in result.shards]
+            else:
+                assert records == [None, None]
 
     def test_prepared_lock_refuses_second_transaction(self):
         sharded, gw, co = _deployment()

@@ -1,4 +1,4 @@
-"""Snapshot files: checksums, manifest ordering, orphans, pruning."""
+"""Snapshot files: checksums, newest-first loading, crash windows, pruning."""
 
 from __future__ import annotations
 
@@ -17,10 +17,6 @@ from repro.storage import (
 )
 
 ROOT = "main/peer1"
-
-
-def _manifest(fs):
-    return json.loads(fs.read(f"{ROOT}/MANIFEST.json"))
 
 
 def _write(fs, height, guard=None):
@@ -48,7 +44,6 @@ def test_write_load_roundtrip():
     assert snap.state_root == bytes([4]) * 32
     assert snap.state == [["k0", 0, 3, 0], ["k1", 1, 3, 0], ["k2", 2, 3, 0]]
     assert snap.source == name
-    assert _manifest(fs)["snapshot"] == name
 
 
 def test_latest_snapshot_wins():
@@ -58,17 +53,22 @@ def test_latest_snapshot_wins():
     assert load_latest(fs, ROOT).height == 6
 
 
-def test_orphan_snapshot_without_manifest_is_still_found():
-    """A crash between the snapshot write and the manifest write leaves
-    a complete orphan; the verified newest-first scan must use it."""
+def test_crash_before_the_prune_loads_the_new_snapshot():
+    """A crash after the snapshot's fsync and before the prune leaves
+    one generation too many; the verified newest-first scan uses the
+    new snapshot, and the next write prunes the surplus."""
     fs = MemoryFilesystem()
     _write(fs, 3)
+    _write(fs, 6)
     guard = CrashPointGuard()
-    guard.arm(at_op=3)  # snap write, snap fsync, *manifest write*
+    guard.arm(at_op=3)  # snap write, snap fsync, *prune of snap 3*
     with pytest.raises(SimulatedCrashError):
-        _write(fs, 6, guard=guard)
-    assert _manifest(fs)["snapshot"] == snapshot_name(3)  # stale
-    assert load_latest(fs, ROOT).height == 6  # orphan found anyway
+        _write(fs, 9, guard=guard)
+    assert fs.exists(f"{ROOT}/{snapshot_name(3)}")  # not pruned
+    assert load_latest(fs, ROOT).height == 9
+    _write(fs, 12)
+    names = [n for n in fs.listdir(ROOT) if n.startswith("snap-")]
+    assert names == [snapshot_name(9), snapshot_name(12)]
 
 
 def test_crash_before_snapshot_write_leaves_no_partial_file():
@@ -110,6 +110,9 @@ def test_old_generations_are_pruned():
 
 
 def test_corrupt_manifest_is_not_fatal():
+    """Only ``snap-*.json`` files are scanned; anything else in the
+    directory, such as a stray ``MANIFEST.json``, is ignored, however
+    malformed."""
     fs = MemoryFilesystem()
     _write(fs, 3)
     fs.write(f"{ROOT}/MANIFEST.json", b"not json at all")
