@@ -1,11 +1,11 @@
 """Deterministic fault injection and recovery (the chaos layer).
 
 Turns every latent timing bug into a reproducible failing seed: a
-:class:`FaultPlan` schedules crashes, outages, and message faults; the
-:class:`FaultInjector` threads them through a live network; peers
-recover by replaying their chains; the client gateway retries with
-seeded backoff; and the :class:`InvariantMonitor` asserts that safety
-survives all of it.
+:class:`FaultPlan` schedules crashes, outages, partitions, gray
+failures and message faults; the :class:`FaultInjector` threads them
+through a live network; peers recover by replaying their chains; the
+client gateway retries with seeded backoff; and the
+:class:`InvariantMonitor` asserts that safety survives all of it.
 
 Typical use::
 
@@ -36,17 +36,14 @@ from repro.faults.plan import (
 )
 from repro.faults.recovery import catch_up, recover_peer
 from repro.sim.faults import (
-    DegradationSpec,
     FaultDecision,
     MessageFaultModel,
     MessageFaultRule,
-    PartitionSpec,
     TopologyFaultModel,
 )
 
 __all__ = [
     "CrashPointSpec",
-    "DegradationSpec",
     "FaultDecision",
     "FaultEvent",
     "FaultInjector",
@@ -54,7 +51,6 @@ __all__ = [
     "InvariantMonitor",
     "MessageFaultModel",
     "MessageFaultRule",
-    "PartitionSpec",
     "RetryPolicy",
     "TopologyFaultModel",
     "catch_up",

@@ -3,11 +3,12 @@
 Construction installs the injector as ``network.link`` — the hop every
 message between sites takes, in place of the reliable
 :class:`repro.sim.Link` — and as ``network.faults``, and schedules one
-simulation process per timed event.  Message faults interpose at the
-link and storage faults at the ``Filesystem`` crash guard; the pipeline
-itself contains no fault code.  All randomness — message fates, retry
-jitter — comes from RNGs seeded by the plan, so a chaos run is as
-deterministic as a fault-free one.
+simulation process per timed event, all running one start/undo
+lifecycle.  Message faults interpose at the link and storage faults at
+the ``Filesystem`` crash guard; the pipeline itself contains no fault
+code.  All randomness — message fates, retry jitter — comes from RNGs
+seeded by the plan, so a chaos run is as deterministic as a fault-free
+one.
 
 ``heal()`` ends the experiment: it cancels future scheduled faults,
 recovers every crashed node, closes owner-outage windows, and replays
@@ -23,10 +24,8 @@ from repro.faults import recovery
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.sim.faults import (
     NO_FAULT,
-    DegradationSpec,
     FaultDecision,
     MessageFaultModel,
-    PartitionSpec,
     TopologyFaultModel,
 )
 
@@ -37,6 +36,13 @@ class FaultInjector:
     #: Re-sent and delayed messages overtake each other (see
     #: :attr:`repro.sim.Link.fifo`).
     fifo = False
+
+    #: The window kinds, each with the counter its events bump.
+    _WINDOW_STATS = {
+        "owner_outage": "owner_outages",
+        "byzantine_stale_view": "stale_view_windows",
+        "byzantine_corrupt_view": "view_corruptions",
+    }
 
     def __init__(self, network, plan: FaultPlan):
         self.network = network
@@ -51,17 +57,15 @@ class FaultInjector:
         self._down_peers: set[str] = set()
         #: The ``crash_chain``/``partition_chain`` kind darkening the chain.
         self._chain_outage: str | None = None
-        #: Closed-open absolute [start, end) owner-outage windows,
-        #: appended when their events fire (mutable so heal() can close
-        #: an in-progress window early).
-        self._owner_windows: list[list[float]] = []
-        #: Absolute [start, end) windows during which the view owner
-        #: serves auditors stale (cutoff = window start) or tampered
-        #: view data.  Same mutable-window shape as owner outages.
-        self._stale_view_windows: list[list[float]] = []
-        self._corrupt_view_windows: list[list[float]] = []
+        #: Closed-open absolute [start, end) windows per window kind —
+        #: the owner is unreachable, or serves auditors stale (cutoff =
+        #: window start) or tampered view data — appended when their
+        #: events fire (mutable so heal() can close one early).
+        self._windows: dict[str, list[list[float]]] = {
+            kind: [] for kind in self._WINDOW_STATS
+        }
         #: Live partition/degradation state, activated and released by
-        #: the scheduled processes below.
+        #: the topology events' processes.
         self.topology = TopologyFaultModel(seed=plan.seed ^ 0x70B0)
         #: Fires once at heal(): in-flight delay/redeliver waits race
         #: against it so a heal is a clean-network boundary rather than
@@ -89,15 +93,11 @@ class FaultInjector:
         network.faults = network.link = self
         for event in plan.events:
             self.env.process(self._event_process(event))
-        for spec in plan.partitions:
-            self.env.process(self._partition_process(spec))
-        for spec in plan.degradations:
-            self.env.process(self._degradation_process(spec))
-        if plan.partitions or plan.degradations:
+        if any(event.kind == "partition" for event in plan.events):
             # Consensus replicas route messages through the topology
             # model under the names "orderer:<id>".  The hook stays
             # None (zero overhead, bit-identical paths) for plans
-            # without topology faults.
+            # without partitions.
             network.consensus.connectivity = self._orderer_connectivity
         #: recover_after_ms per armed crash point, keyed by peer index;
         #: consulted when the point fires (op order, not sim time).
@@ -265,17 +265,20 @@ class FaultInjector:
         """Pair hook for consensus clusters (node ids → topology names)."""
         return self.reachable(f"orderer:{a}", f"orderer:{b}")
 
-    def owner_available(self) -> bool:
+    def _open(self, kind: str) -> list[list[float]]:
+        """The ``kind`` windows open right now."""
         now = self.env.now
-        return not any(start <= now < end for start, end in self._owner_windows)
+        return [
+            window for window in self._windows[kind] if window[0] <= now < window[1]
+        ]
+
+    def owner_available(self) -> bool:
+        return not self._open("owner_outage")
 
     def owner_unavailable_for(self) -> float:
         """Milliseconds until the owner is back (0 when available)."""
         now = self.env.now
-        remaining = [
-            end - now for start, end in self._owner_windows if start <= now < end
-        ]
-        return max(remaining, default=0.0)
+        return max((end - now for _, end in self._open("owner_outage")), default=0.0)
 
     def stale_view_cutoff(self) -> float | None:
         """Staleness horizon the Byzantine owner serves right now.
@@ -285,113 +288,72 @@ class FaultInjector:
         cutoff are silently omitted.  ``None`` when the owner is
         currently honest.
         """
-        now = self.env.now
-        active = [
-            start
-            for start, end in self._stale_view_windows
-            if start <= now < end
-        ]
-        return min(active, default=None)
+        open_now = self._open("byzantine_stale_view")
+        return min((start for start, _ in open_now), default=None)
 
     def corrupts_views(self) -> bool:
         """Whether the owner currently serves tampered view payloads."""
-        now = self.env.now
-        return any(
-            start <= now < end for start, end in self._corrupt_view_windows
-        )
+        return bool(self._open("byzantine_corrupt_view"))
 
     # -- timed events ---------------------------------------------------------
 
     def _event_process(self, event: FaultEvent):
+        """The one timed-fault lifecycle: start at ``at_ms``, undo after
+        ``for_ms`` unless :meth:`heal` ran first."""
         env = self.env
         yield env.timeout(max(event.at_ms, 0.0))
         if self._healed:
             return
-        if event.kind == "owner_outage":
-            self.stats["owner_outages"] += 1
-            self._owner_windows.append([env.now, env.now + event.for_ms])
-            return
-        if event.kind == "byzantine_stale_view":
-            self.stats["stale_view_windows"] += 1
-            self._stale_view_windows.append([env.now, env.now + event.for_ms])
-            return
-        if event.kind == "byzantine_corrupt_view":
-            self.stats["view_corruptions"] += 1
-            self._corrupt_view_windows.append([env.now, env.now + event.for_ms])
-            return
-        if event.kind in ("byzantine_equivocate", "byzantine_corrupt_block"):
-            mode = (
-                "equivocate"
-                if event.kind == "byzantine_equivocate"
-                else "corrupt"
-            )
-            self.network.pbft.set_byzantine(event.target, mode)
+        undo = self._start(event)
+        if undo is None or event.for_ms is None:
+            return  # a window that records its own end, or held until heal()
+        yield env.timeout(event.for_ms)
+        if not self._healed:
+            undo()
+
+    def _start(self, event: FaultEvent):
+        """Inject ``event`` now; return what ends it, or ``None`` for the
+        window kinds, whose recorded [start, end) already ends them."""
+        kind = event.kind
+        if kind in self._windows:
+            self.stats[self._WINDOW_STATS[kind]] += 1
+            now = self.env.now
+            self._windows[kind].append([now, now + event.for_ms])
+            return None
+        if kind in ("byzantine_equivocate", "byzantine_corrupt_block"):
+            pbft = self.network.pbft
+            mode = "equivocate" if kind == "byzantine_equivocate" else "corrupt"
+            pbft.set_byzantine(event.target, mode)
             self.stats["byzantine_replicas"] += 1
-            if event.for_ms is not None:
-                yield env.timeout(event.for_ms)
-                if not self._healed:
-                    self.network.pbft.clear_byzantine(event.target)
-            return
-        if event.kind in ("crash_chain", "partition_chain"):
-            if event.kind == "crash_chain":
+            return lambda: pbft.clear_byzantine(event.target)
+        if kind in ("crash_chain", "partition_chain"):
+            if kind == "crash_chain":
                 self._crash_chain()
-            self._chain_outage = event.kind
-            if event.for_ms is None:
-                return
-            yield env.timeout(event.for_ms)
-            if not self._healed:
-                self._end_chain_outage()
-            return
-        if event.kind == "crash_peer":
-            peer = self.network.peers[event.target]
-            self._down_peers.add(peer.peer_id)
+            self._chain_outage = kind
+            return self._end_chain_outage
+        if kind == "crash_peer":
+            self._down_peers.add(self.network.peers[event.target].peer_id)
             self.stats["peer_crashes"] += 1
-            if event.for_ms is None:
-                return
-            yield env.timeout(event.for_ms)
-            if not self._healed:
-                self.recover_peer(event.target)
-            return
-        cluster = self.network.consensus
-        if event.kind == "crash_leader":
-            node_id = cluster.leader_id or 0  # between leaders: node 0
-        else:
-            node_id = event.target
-        cluster.crash(node_id)
-        self.stats["orderer_crashes"] += 1
-        if event.for_ms is not None:
-            yield env.timeout(event.for_ms)
-            if not self._healed:
-                cluster.recover(node_id)
-
-    def _partition_process(self, spec: PartitionSpec):
-        env = self.env
-        yield env.timeout(max(spec.at_ms, 0.0))
-        if self._healed:
-            return
-        self.topology.activate_partition(spec)
-        self.stats["partitions"] += 1
-        if spec.for_ms is None:
-            return  # held until heal()
-        yield env.timeout(spec.for_ms)
-        if self._healed:
-            return  # heal() already released it
-        self.topology.release_partition(spec)
-        self.stats["partition_heals"] += 1
-
-    def _degradation_process(self, spec: DegradationSpec):
-        env = self.env
-        yield env.timeout(max(spec.at_ms, 0.0))
-        if self._healed:
-            return
-        self.topology.activate_degradation(spec)
+            return lambda: self.recover_peer(event.target)
+        if kind in ("crash_orderer", "crash_leader"):
+            cluster = self.network.consensus
+            if kind == "crash_leader":
+                node_id = cluster.leader_id or 0  # between leaders: node 0
+            else:
+                node_id = event.target
+            cluster.crash(node_id)
+            self.stats["orderer_crashes"] += 1
+            return lambda: cluster.recover(node_id)
+        self.topology.activate(event)
+        if kind == "partition":
+            self.stats["partitions"] += 1
+            return lambda: self._release_partition(event)
         self.stats["degradations"] += 1
-        if spec.for_ms is None:
-            return
-        yield env.timeout(spec.for_ms)
-        if self._healed:
-            return
-        self.topology.release_degradation(spec)
+        return lambda: self.topology.release(event)
+
+    def _release_partition(self, event: FaultEvent) -> None:
+        self.topology.release(event)
+        self.stats["partition_heals"] += 1
 
     # -- storage crash points ---------------------------------------------------
 
@@ -472,12 +434,9 @@ class FaultInjector:
         """
         self._healed = True
         now = self.env.now
-        for window in (
-            self._owner_windows
-            + self._stale_view_windows
-            + self._corrupt_view_windows
-        ):
-            window[1] = min(window[1], now)
+        for windows in self._windows.values():
+            for window in windows:
+                window[1] = min(window[1], now)
         self.topology.clear()
         # Wake every in-flight delay/redeliver wait parked on a timer
         # beyond the heal: post-heal decisions are NO_FAULT, so the

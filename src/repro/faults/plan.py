@@ -1,8 +1,9 @@
 """Fault plans: declarative, seeded schedules of what goes wrong when.
 
 A :class:`FaultPlan` is the single input to the fault-injection layer:
-message-fault rules for the latency model, timed crash/outage events,
-and the client gateway's retry policy.  Plans serialise to/from JSON so
+message-fault rules for the latency model, timed fault events (crashes,
+outages, partitions, gray failures, Byzantine behaviour), and the
+client gateway's retry policy.  Plans serialise to/from JSON so
 a failing chaos run can be reproduced from one string — the
 ``REPRO_FAULT_PLAN`` environment variable (or
 ``NetworkConfig.fault_plan``) accepts either inline JSON or a path to a
@@ -29,6 +30,28 @@ Event kinds:
     invocations queue until it returns, synchronous view queries raise
     :class:`~repro.errors.OwnerUnavailableError`, and no TLC flush is
     issued meanwhile.
+
+Topology event kinds act on named nodes (``"peer:<i>"``,
+``"orderer:<id>"``, ``"orderer"``, ``"client"``); a name that matches
+nothing in a deployment never blocks or slows a message, so one plan
+can run against networks of different sizes:
+
+``partition``
+    ``groups`` lists disjoint sets of node names; every node not listed
+    belongs to an implicit *rest* group, and no message crosses a group
+    boundary.  With ``symmetric=False`` the listed groups are *mute*:
+    they still receive traffic but nothing they send gets out — the
+    one-way failure a dying NIC or a misconfigured firewall produces.
+``slow_node``
+    ``node``'s service times are multiplied by ``factor`` (>= 1).
+``slow_link``
+    The directed link ``src``→``dst`` is ``factor`` (>= 1) times slower.
+``link_loss``
+    Each message on the directed link ``src``→``dst`` is lost with
+    probability ``drop`` (in (0, 1]) — one-way loss, the gray failure
+    a symmetric drop rule cannot express.
+
+Every timed event without ``for_ms`` holds until ``heal()``.
 
 Byzantine event kinds (require the pbft orderer backend; crashes only
 take nodes *down*, these make them *lie*):
@@ -69,7 +92,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import FaultInjectionError
 from repro.fabric.config import RetryPolicy
-from repro.sim.faults import DegradationSpec, MessageFaultRule, PartitionSpec
+from repro.sim.faults import MessageFaultRule
 
 EVENT_KINDS = (
     "crash_peer",
@@ -82,17 +105,32 @@ EVENT_KINDS = (
     "byzantine_corrupt_block",
     "byzantine_stale_view",
     "byzantine_corrupt_view",
+    "partition",
+    "slow_node",
+    "slow_link",
+    "link_loss",
 )
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timed fault: what, when, for how long, to whom."""
+    """One timed fault: what, when, for how long, to whom.
+
+    ``groups``/``symmetric`` shape a ``partition``; ``node``, ``src``,
+    ``dst``, ``factor`` and ``drop`` shape the gray failures.
+    """
 
     kind: str
     at_ms: float
     for_ms: float | None = None
     target: int | None = None
+    groups: tuple[tuple[str, ...], ...] = ()
+    symmetric: bool = True
+    node: str | None = None
+    src: str | None = None
+    dst: str | None = None
+    factor: float = 1.0
+    drop: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -121,6 +159,37 @@ class FaultEvent:
             and self.for_ms is None
         ):
             raise FaultInjectionError(f"{self.kind} needs for_ms")
+        if self.kind == "partition":
+            if not self.groups or any(not group for group in self.groups):
+                raise FaultInjectionError("partition groups must be non-empty")
+            seen: set[str] = set()
+            for group in self.groups:
+                for node in group:
+                    if node in seen:
+                        raise FaultInjectionError(
+                            f"node {node!r} appears in more than one "
+                            "partition group"
+                        )
+                    seen.add(node)
+        if self.kind == "slow_node" and not self.node:
+            raise FaultInjectionError("slow_node event needs a node name")
+        if self.kind in ("slow_link", "link_loss") and not (self.src and self.dst):
+            raise FaultInjectionError(f"{self.kind} event needs src and dst")
+        if self.kind in ("slow_node", "slow_link") and self.factor < 1.0:
+            raise FaultInjectionError(
+                f"{self.kind} factor must be >= 1, got {self.factor}"
+            )
+        if self.kind == "link_loss" and not 0.0 < self.drop <= 1.0:
+            raise FaultInjectionError(
+                f"link_loss drop probability must be in (0, 1], got {self.drop}"
+            )
+
+    def group_of(self, node: str) -> int:
+        """Index of the partition group holding ``node``; -1 for the rest."""
+        for index, group in enumerate(self.groups):
+            if node in group:
+                return index
+        return -1
 
 
 @dataclass(frozen=True)
@@ -171,13 +240,6 @@ class FaultPlan:
     events: tuple[FaultEvent, ...] = ()
     #: Durable-operation crash points (require a storage backend).
     crash_points: tuple[CrashPointSpec, ...] = ()
-    #: Timed network partitions over named node groups (symmetric
-    #: splits or asymmetric mute groups); node names that match nothing
-    #: in a deployment are inert, so one plan can run anywhere.
-    partitions: tuple[PartitionSpec, ...] = ()
-    #: Gray failures: ``slow_node`` / ``slow_link`` factors and one-way
-    #: ``link_loss`` probabilities.
-    degradations: tuple[DegradationSpec, ...] = ()
     #: How long a peer's deliver service waits before re-fetching a
     #: block whose push was lost (Fabric peers pull blocks and retry;
     #: without redelivery a single dropped block would wedge a replica
@@ -194,8 +256,6 @@ class FaultPlan:
             "messages",
             "events",
             "crash_points",
-            "partitions",
-            "degradations",
             "redeliver_after_ms",
         }
         unknown = set(raw) - known
@@ -216,23 +276,20 @@ class FaultPlan:
             )
             for rule in raw.get("messages", [])
         )
-        events = tuple(FaultEvent(**event) for event in raw.get("events", []))
-        crash_points = tuple(
-            CrashPointSpec(**point) for point in raw.get("crash_points", [])
-        )
-        partitions = tuple(
-            PartitionSpec(
+        # JSON has no tuples: ``groups`` arrives as a list of lists.
+        events = tuple(
+            FaultEvent(
                 **{
-                    **spec,
+                    **event,
                     "groups": tuple(
-                        tuple(group) for group in spec.get("groups", ())
+                        tuple(group) for group in event.get("groups", ())
                     ),
                 }
             )
-            for spec in raw.get("partitions", [])
+            for event in raw.get("events", [])
         )
-        degradations = tuple(
-            DegradationSpec(**spec) for spec in raw.get("degradations", [])
+        crash_points = tuple(
+            CrashPointSpec(**point) for point in raw.get("crash_points", [])
         )
         return cls(
             seed=raw.get("seed", 1),
@@ -240,8 +297,6 @@ class FaultPlan:
             messages=messages,
             events=events,
             crash_points=crash_points,
-            partitions=partitions,
-            degradations=degradations,
             redeliver_after_ms=raw.get("redeliver_after_ms", 250.0),
         )
 
@@ -258,14 +313,6 @@ class FaultPlan:
             ],
             "events": [vars(event).copy() for event in self.events],
             "crash_points": [vars(point).copy() for point in self.crash_points],
-            "partitions": [
-                {
-                    **vars(spec),
-                    "groups": [list(group) for group in spec.groups],
-                }
-                for spec in self.partitions
-            ],
-            "degradations": [vars(spec).copy() for spec in self.degradations],
             "redeliver_after_ms": self.redeliver_after_ms,
         }
 

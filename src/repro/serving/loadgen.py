@@ -177,7 +177,6 @@ def view_mix_builder(
     principals: list[str],
     item_prefix: str = "srv",
     owner: str = "M",
-    secret_body: dict[str, Any] | None = None,
 ) -> PayloadBuilder:
     """Supply-chain-shaped view traffic with RBAC and audit ops.
 
@@ -189,8 +188,9 @@ def view_mix_builder(
     """
     if not principals:
         raise WorkloadError("view mix needs at least one principal")
-    body = secret_body or {"type": "phone", "amount": 10, "price_cents": 19900}
-    secret = json.dumps(body).encode()
+    secret = json.dumps(
+        {"type": "phone", "amount": 10, "price_cents": 19900}
+    ).encode()
 
     def build(index: int, kind: str, rng: random.Random) -> dict[str, Any]:
         if kind == "invoke":

@@ -9,27 +9,28 @@ now"; :mod:`repro.faults` decides where to ask.
 
 Rules match on a channel name (and optionally a transaction kind and a
 time window), and the first matching rule decides the message's fate.
+
+:class:`TopologyFaultModel` holds the plan's topology events
+(``partition``, ``slow_node``, ``slow_link``, ``link_loss``) while their
+windows are open and answers the per-message questions they raise:
+reachability, latency factors and seeded one-way loss.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import FaultInjectionError
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultEvent
 
 #: Channels the Fabric network consults the fault model on.  Drops and
 #: delays apply to both; duplication only makes sense client→orderer
 #: (a duplicated block delivery cannot re-append to a hash chain).
 CHANNELS = ("client_to_orderer", "orderer_to_peer")
-
-#: Degradation kinds the topology model understands.  ``slow_node``
-#: multiplies a node's service times; ``slow_link`` multiplies one
-#: directed link's transit latency; ``link_loss`` drops each message on
-#: one directed link with a seeded probability — one-way loss, the gray
-#: failure a symmetric drop rule cannot express.
-DEGRADATION_KINDS = ("slow_node", "slow_link", "link_loss")
 
 
 @dataclass(frozen=True)
@@ -154,159 +155,50 @@ class MessageFaultModel:
         return NO_FAULT
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A declarative network partition: named node groups split apart.
-
-    ``groups`` lists one or more disjoint sets of node names (e.g.
-    ``(("orderer:2", "peer:3"),)``); every node not listed belongs to an
-    implicit *rest* group.  While the partition is active, messages
-    cannot cross group boundaries.  With ``symmetric=False`` the listed
-    groups are *mute*: they still receive traffic but nothing they send
-    gets out — the one-way failure a dying NIC or a misconfigured
-    firewall produces.  ``for_ms=None`` holds the partition until
-    ``heal()``.
-
-    Node names that match nothing in a deployment simply never block a
-    message, so one ambient plan can run against networks of different
-    sizes.
-    """
-
-    at_ms: float
-    groups: tuple[tuple[str, ...], ...]
-    for_ms: float | None = None
-    symmetric: bool = True
-
-    def __post_init__(self) -> None:
-        if self.at_ms < 0:
-            raise FaultInjectionError(f"partition at_ms must be >= 0, got {self.at_ms}")
-        if self.for_ms is not None and self.for_ms <= 0:
-            raise FaultInjectionError(f"partition for_ms must be > 0, got {self.for_ms}")
-        if not self.groups or any(not group for group in self.groups):
-            raise FaultInjectionError("partition groups must be non-empty")
-        seen: set[str] = set()
-        for group in self.groups:
-            for node in group:
-                if node in seen:
-                    raise FaultInjectionError(
-                        f"node {node!r} appears in more than one partition group"
-                    )
-                seen.add(node)
-
-    def group_of(self, node: str) -> int:
-        """Index of the listed group holding ``node``; -1 for the rest."""
-        for index, group in enumerate(self.groups):
-            if node in group:
-                return index
-        return -1
-
-
-@dataclass(frozen=True)
-class DegradationSpec:
-    """A declarative gray failure: slow node, slow link, or lossy link.
-
-    ``slow_node`` needs ``node`` and a ``factor`` >= 1 (service times
-    are multiplied by it); ``slow_link`` needs directed ``src``/``dst``
-    and a ``factor``; ``link_loss`` needs ``src``/``dst`` and a
-    per-message ``drop`` probability in (0, 1].
-    ``for_ms=None`` holds the degradation until ``heal()``.
-    """
-
-    kind: str
-    at_ms: float
-    for_ms: float | None = None
-    node: str | None = None
-    src: str | None = None
-    dst: str | None = None
-    factor: float = 1.0
-    drop: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in DEGRADATION_KINDS:
-            raise FaultInjectionError(
-                f"unknown degradation kind {self.kind!r}; "
-                f"expected one of {DEGRADATION_KINDS}"
-            )
-        if self.at_ms < 0:
-            raise FaultInjectionError(f"degradation at_ms must be >= 0, got {self.at_ms}")
-        if self.for_ms is not None and self.for_ms <= 0:
-            raise FaultInjectionError(f"degradation for_ms must be > 0, got {self.for_ms}")
-        if self.kind == "slow_node":
-            if not self.node:
-                raise FaultInjectionError("slow_node degradation needs a node name")
-            if self.factor < 1.0:
-                raise FaultInjectionError(
-                    f"slow_node factor must be >= 1, got {self.factor}"
-                )
-        else:
-            if not self.src or not self.dst:
-                raise FaultInjectionError(f"{self.kind} degradation needs src and dst")
-            if self.kind == "slow_link" and self.factor < 1.0:
-                raise FaultInjectionError(
-                    f"slow_link factor must be >= 1, got {self.factor}"
-                )
-            if self.kind == "link_loss" and not 0.0 < self.drop <= 1.0:
-                raise FaultInjectionError(
-                    f"link_loss drop probability must be in (0, 1], got {self.drop}"
-                )
-
-
 class TopologyFaultModel:
     """Live reachability/degradation state between named nodes.
 
-    The injector activates and releases specs at their scheduled times;
-    the network asks this model three questions per message: *can src
-    reach dst right now* (partitions), *how much slower is this link or
-    node* (degradation factors multiply), and *did this particular
-    message get lost* (seeded one-way loss).  Like the message model,
-    loss draws consume RNG in arrival order, so runs replay exactly.
+    The injector activates a topology event (``partition``,
+    ``slow_node``, ``slow_link`` or ``link_loss``, a
+    :class:`~repro.faults.plan.FaultEvent`) when it fires and releases
+    it when its window ends; the network asks this model three
+    questions per message: *can src reach dst right now* (partitions),
+    *how much slower is this link or node* (degradation factors
+    multiply), and *did this particular message get lost* (seeded
+    one-way loss).  Like the message model, loss draws consume RNG in
+    arrival order, so runs replay exactly.
     """
 
     def __init__(self, seed: int = 1):
         self._rng = random.Random(seed ^ 0x709010)
-        self._partitions: list[PartitionSpec] = []
-        self._degradations: list[DegradationSpec] = []
+        self._active: list[FaultEvent] = []
         self.blocked = 0
         self.link_drops = 0
 
-    # -- activation (driven by the injector's event processes) -----------
+    def activate(self, event: FaultEvent) -> None:
+        self._active.append(event)
 
-    def activate_partition(self, spec: PartitionSpec) -> None:
-        self._partitions.append(spec)
-
-    def release_partition(self, spec: PartitionSpec) -> None:
-        if spec in self._partitions:
-            self._partitions.remove(spec)
-
-    def activate_degradation(self, spec: DegradationSpec) -> None:
-        self._degradations.append(spec)
-
-    def release_degradation(self, spec: DegradationSpec) -> None:
-        if spec in self._degradations:
-            self._degradations.remove(spec)
+    def release(self, event: FaultEvent) -> None:
+        if event in self._active:
+            self._active.remove(event)
 
     def clear(self) -> None:
         """Release everything at once (a heal)."""
-        self._partitions.clear()
-        self._degradations.clear()
-
-    @property
-    def active(self) -> bool:
-        return bool(self._partitions or self._degradations)
-
-    # -- queries ----------------------------------------------------------
+        self._active.clear()
 
     def reachable(self, src: str, dst: str) -> bool:
         """Whether a message from ``src`` can currently reach ``dst``."""
-        for partition in self._partitions:
-            src_group = partition.group_of(src)
-            dst_group = partition.group_of(dst)
+        for event in self._active:
+            if event.kind != "partition":
+                continue
+            src_group = event.group_of(src)
+            dst_group = event.group_of(dst)
             if src_group == dst_group:
                 continue
             # Symmetric: nothing crosses a group boundary.  Asymmetric:
             # listed groups are mute — they hear the rest of the network
             # but nothing they send gets out.
-            if partition.symmetric or src_group >= 0:
+            if event.symmetric or src_group >= 0:
                 self.blocked += 1
                 return False
         return True
@@ -314,28 +206,28 @@ class TopologyFaultModel:
     def node_factor(self, node: str) -> float:
         """Service-time multiplier for ``node`` (active slowdowns multiply)."""
         factor = 1.0
-        for spec in self._degradations:
-            if spec.kind == "slow_node" and spec.node == node:
-                factor *= spec.factor
+        for event in self._active:
+            if event.kind == "slow_node" and event.node == node:
+                factor *= event.factor
         return factor
 
     def link_factor(self, src: str, dst: str) -> float:
         """Latency multiplier for the directed link ``src``→``dst``."""
         factor = 1.0
-        for spec in self._degradations:
-            if spec.kind == "slow_link" and spec.src == src and spec.dst == dst:
-                factor *= spec.factor
+        for event in self._active:
+            if event.kind == "slow_link" and event.src == src and event.dst == dst:
+                factor *= event.factor
         return factor
 
     def link_lost(self, src: str, dst: str) -> bool:
         """Seeded loss draw for one message on ``src``→``dst``.
 
-        Only consumes RNG when a loss rule is active on the link, so
+        Only consumes RNG when a loss event is active on the link, so
         plans without link loss leave the stream untouched.
         """
-        for spec in self._degradations:
-            if spec.kind == "link_loss" and spec.src == src and spec.dst == dst:
-                if self._rng.random() < spec.drop:
+        for event in self._active:
+            if event.kind == "link_loss" and event.src == src and event.dst == dst:
+                if self._rng.random() < event.drop:
                     self.link_drops += 1
                     return True
         return False

@@ -803,21 +803,18 @@ class ViewReader:
         view_name: str,
         tids: list[str] | None = None,
         validate: bool = True,
-        as_principal: str | None = None,
     ) -> QueryResult:
         """Query a view through its owner and decrypt + validate the result.
 
-        The query runs under the reader's own identity by default; when
+        The query runs under the reader's own identity first; when
         access was granted to a *role* the reader holds (§4.6), the
         query is retried under each held role principal, and the
         response envelope is opened with that role's private key.
         """
-        candidates: list[tuple[str, Any]] = []
-        if as_principal is None or as_principal == self.user.user_id:
-            candidates.append((self.user.user_id, self.user.keypair.private))
-        for role_id, role_key in self.role_keys.items():
-            if as_principal is None or as_principal == role_id:
-                candidates.append((role_id, role_key))
+        candidates: list[tuple[str, Any]] = [
+            (self.user.user_id, self.user.keypair.private),
+            *self.role_keys.items(),
+        ]
         last_denial: AccessDeniedError | None = None
         for principal, opener in candidates:
             try:

@@ -8,7 +8,7 @@ import pytest
 from repro import build_network
 from repro.bench import harness
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
-from repro.faults import FaultInjector, FaultPlan, InvariantMonitor
+from repro.faults import FaultEvent, FaultInjector, FaultPlan, InvariantMonitor
 from repro.serving import (
     AdmissionConfig,
     NetworkTarget,
@@ -18,7 +18,6 @@ from repro.serving import (
     run_open_loop,
 )
 from repro.sharding import ShardedGateway, ShardedNetwork
-from repro.sim.faults import PartitionSpec
 from repro.workload import wl1_topology
 from repro.workload.zipf import CounterContract
 
@@ -124,7 +123,9 @@ def test_ordering_does_not_wait_for_a_dark_reference_peer():
     plan = FaultPlan(
         seed=5,
         retry=None,
-        partitions=(PartitionSpec(at_ms=300.0, for_ms=200.0, groups=(("peer:0",),)),),
+        events=(
+            FaultEvent("partition", at_ms=300.0, for_ms=200.0, groups=(("peer:0",),)),
+        ),
         redeliver_after_ms=20.0,
     )
     FaultInjector(network, plan)

@@ -34,11 +34,10 @@ from repro import build_network
 from repro.errors import FaultInjectionError
 from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.faults import (
-    DegradationSpec,
+    FaultEvent,
     FaultPlan,
     InvariantMonitor,
     MessageFaultRule,
-    PartitionSpec,
     RetryPolicy,
 )
 from repro.ledger import transaction as transaction_module
@@ -97,9 +96,12 @@ PARTITION_PLAN = FaultPlan(
     retry=RetryPolicy(
         max_attempts=8, timeout_ms=3_000.0, backoff_ms=100.0, jitter_ms=0.0
     ),
-    partitions=(
-        PartitionSpec(
-            at_ms=600.0, for_ms=1_500.0, groups=(("orderer:2", "peer:3"),)
+    events=(
+        FaultEvent(
+            "partition",
+            at_ms=600.0,
+            for_ms=1_500.0,
+            groups=(("orderer:2", "peer:3"),),
         ),
     ),
     redeliver_after_ms=150.0,
@@ -219,7 +221,7 @@ def test_isolated_raft_leader_is_deposed_without_term_storm():
     env = network.env
     faults = network.faults
     raft = network.raft
-    # Plans without declarative topology faults leave the consensus
+    # Plans without a partition event leave the consensus
     # connectivity hook unwired; this test drives the partition by hand
     # (the victim depends on who won the first election), so wire it.
     raft.connectivity = faults._orderer_connectivity
@@ -231,8 +233,11 @@ def test_isolated_raft_leader_is_deposed_without_term_storm():
     old_commit = old_leader.commit_index
     old_term = old_leader.current_term
 
-    spec = PartitionSpec(at_ms=0.0, groups=((f"orderer:{old_leader.node_id}",),))
-    faults.topology.activate_partition(spec)
+    faults.topology.activate(
+        FaultEvent(
+            "partition", at_ms=0.0, groups=((f"orderer:{old_leader.node_id}",),)
+        )
+    )
 
     notice = network.invoke_sync(
         user, "supply", "create_item", {"item": "b", "owner": "W1"}
@@ -268,8 +273,10 @@ def test_isolated_pbft_primary_triggers_view_change():
         retry=RetryPolicy(
             max_attempts=10, timeout_ms=6_000.0, backoff_ms=200.0, jitter_ms=0.0
         ),
-        partitions=(
-            PartitionSpec(at_ms=300.0, for_ms=2_500.0, groups=(("orderer:0",),)),
+        events=(
+            FaultEvent(
+                "partition", at_ms=300.0, for_ms=2_500.0, groups=(("orderer:0",),)
+            ),
         ),
     )
     network = build_network(_config("pbft", plan))
@@ -306,8 +313,9 @@ def test_asymmetric_partition_mutes_sends_but_not_receives():
     plan = FaultPlan(
         seed=21,
         retry=RetryPolicy(max_attempts=6, timeout_ms=2_000.0, backoff_ms=100.0),
-        partitions=(
-            PartitionSpec(
+        events=(
+            FaultEvent(
+                "partition",
                 at_ms=100.0,
                 for_ms=2_000.0,
                 groups=(("peer:1",),),
@@ -341,10 +349,10 @@ def test_asymmetric_partition_mutes_sends_but_not_receives():
 #: node stretches its commit service time, a lossy link loses every
 #: block the orderer delivers to it.
 DEGRADATIONS = {
-    "slow_node": DegradationSpec(
+    "slow_node": FaultEvent(
         kind="slow_node", at_ms=0.0, for_ms=1_500.0, node="peer:1", factor=4.0
     ),
-    "link_loss": DegradationSpec(
+    "link_loss": FaultEvent(
         kind="link_loss",
         at_ms=0.0,
         for_ms=1_500.0,
@@ -361,7 +369,7 @@ def test_degradation_acts_on_its_peer_only_inside_the_window(kind):
     reference peer's service time on a block, or the lossy link leaves
     it behind until redelivery; after the window it commits in step."""
     spec = DEGRADATIONS[kind]
-    plan = FaultPlan(seed=17, degradations=(spec,), redeliver_after_ms=100.0)
+    plan = FaultPlan(seed=17, events=(spec,), redeliver_after_ms=100.0)
     network = build_network(_config("raft", plan, peer_count=2))
     env = network.env
     faults = network.faults
@@ -510,19 +518,20 @@ def test_heal_flushes_block_deliveries_delayed_past_the_heal():
     network.verify_convergence()
 
 
+
 def test_partition_plan_json_round_trip():
     plan = FaultPlan(
         seed=42,
-        partitions=(
-            PartitionSpec(
+        events=(
+            FaultEvent(
+                "partition",
                 at_ms=100.0,
                 for_ms=500.0,
                 groups=(("orderer:1",), ("peer:2", "peer:3")),
                 symmetric=False,
             ),
         ),
-        degradations=(),
     )
     restored = FaultPlan.from_source(plan.to_json())
-    assert restored.partitions == plan.partitions
+    assert restored.events == plan.events
     assert restored.to_json() == plan.to_json()

@@ -41,6 +41,16 @@ def _full_plan() -> FaultPlan:
             FaultEvent(kind="owner_outage", at_ms=400.0, for_ms=1_000.0),
             FaultEvent(kind="crash_chain", at_ms=500.0, for_ms=300.0),
             FaultEvent(kind="partition_chain", at_ms=600.0),
+            FaultEvent(
+                kind="partition",
+                at_ms=100.0,
+                for_ms=500.0,
+                groups=(("orderer:1",), ("peer:2", "peer:3")),
+                symmetric=False,
+            ),
+            FaultEvent(
+                kind="link_loss", at_ms=150.0, src="orderer", dst="peer:1", drop=0.5
+            ),
         ),
         crash_points=(
             CrashPointSpec(
@@ -68,6 +78,9 @@ def test_from_source_accepts_inline_json_and_file(tmp_path):
 def test_unknown_plan_keys_rejected():
     with pytest.raises(FaultInjectionError, match="unknown fault-plan keys"):
         FaultPlan.from_json('{"seed": 1, "chaos_level": 11}')
+    for key in ("partitions", "degradations"):
+        with pytest.raises(FaultInjectionError, match=key):
+            FaultPlan.from_dict({"seed": 1, key: []})
 
 
 def test_plan_without_retry():
@@ -94,6 +107,27 @@ def test_event_validation():
         FaultEvent(kind="crash_leader", at_ms=-1.0)
     with pytest.raises(FaultInjectionError, match="for_ms"):
         FaultEvent(kind="crash_leader", at_ms=0.0, for_ms=0.0)
+    for groups in ((), (("peer:1",), ())):
+        with pytest.raises(FaultInjectionError, match="groups must be non-empty"):
+            FaultEvent(kind="partition", at_ms=0.0, groups=groups)
+    with pytest.raises(FaultInjectionError, match="more than one partition group"):
+        FaultEvent(
+            kind="partition", at_ms=0.0, groups=(("peer:1", "peer:2"), ("peer:2",))
+        )
+    with pytest.raises(FaultInjectionError, match="needs a node name"):
+        FaultEvent(kind="slow_node", at_ms=0.0, factor=2.0)
+    for kind in ("slow_link", "link_loss"):
+        with pytest.raises(FaultInjectionError, match="needs src and dst"):
+            FaultEvent(kind=kind, at_ms=0.0, src="client", drop=0.5)
+        with pytest.raises(FaultInjectionError, match="needs src and dst"):
+            FaultEvent(kind=kind, at_ms=0.0, dst="orderer", drop=0.5)
+    with pytest.raises(FaultInjectionError, match="factor must be >= 1"):
+        FaultEvent(kind="slow_node", at_ms=0.0, node="peer:1", factor=0.5)
+    with pytest.raises(FaultInjectionError, match="factor must be >= 1"):
+        FaultEvent(kind="slow_link", at_ms=0.0, src="a", dst="b", factor=0.5)
+    for drop in (0.0, 1.5):
+        with pytest.raises(FaultInjectionError, match=r"drop probability .* \(0, 1\]"):
+            FaultEvent(kind="link_loss", at_ms=0.0, src="a", dst="b", drop=drop)
 
 
 def test_crash_point_validation():

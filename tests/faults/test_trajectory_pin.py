@@ -56,13 +56,11 @@ from repro.fabric.config import SINGLE_REGION, NetworkConfig
 from repro.fabric.endorser import Proposal
 from repro.faults import (
     CrashPointSpec,
-    DegradationSpec,
     FaultEvent,
     FaultInjector,
     FaultPlan,
     InvariantMonitor,
     MessageFaultRule,
-    PartitionSpec,
     RetryPolicy,
 )
 from repro.workload.zipf import COUNTER_CHAINCODE, CounterContract
@@ -191,18 +189,28 @@ def _topology() -> dict:
     plan = FaultPlan(
         seed=33,
         retry=RETRY,
-        events=(FaultEvent(kind="crash_peer", at_ms=500.0, for_ms=400.0, target=2),),
-        partitions=(
-            PartitionSpec(at_ms=300.0, for_ms=700.0, groups=(("orderer:2", "peer:3"),)),
-            PartitionSpec(
-                at_ms=1_200.0, for_ms=400.0, groups=(("peer:1",),), symmetric=False
+        # The recorded trajectory started the crash's process first,
+        # then the partitions', then the slowdowns' and losses': listed
+        # in that order, the kernel schedules the same events in turn.
+        events=(
+            FaultEvent(kind="crash_peer", at_ms=500.0, for_ms=400.0, target=2),
+            FaultEvent(
+                kind="partition",
+                at_ms=300.0,
+                for_ms=700.0,
+                groups=(("orderer:2", "peer:3"),),
             ),
-        ),
-        degradations=(
-            DegradationSpec(
+            FaultEvent(
+                kind="partition",
+                at_ms=1_200.0,
+                for_ms=400.0,
+                groups=(("peer:1",),),
+                symmetric=False,
+            ),
+            FaultEvent(
                 kind="slow_node", at_ms=150.0, for_ms=1_200.0, node="peer:1", factor=8.0
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="slow_link",
                 at_ms=100.0,
                 for_ms=1_500.0,
@@ -210,7 +218,7 @@ def _topology() -> dict:
                 dst="peer:2",
                 factor=6.0,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="slow_link",
                 at_ms=100.0,
                 for_ms=1_500.0,
@@ -218,7 +226,7 @@ def _topology() -> dict:
                 dst="peer:1",
                 factor=4.0,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="slow_link",
                 at_ms=100.0,
                 for_ms=1_500.0,
@@ -226,7 +234,7 @@ def _topology() -> dict:
                 dst="orderer",
                 factor=3.0,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="link_loss",
                 at_ms=200.0,
                 for_ms=1_400.0,
@@ -234,7 +242,7 @@ def _topology() -> dict:
                 dst="orderer",
                 drop=0.3,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="link_loss",
                 at_ms=200.0,
                 for_ms=1_400.0,
@@ -242,7 +250,7 @@ def _topology() -> dict:
                 dst="peer:1",
                 drop=0.35,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="link_loss",
                 at_ms=200.0,
                 for_ms=1_400.0,
@@ -250,7 +258,7 @@ def _topology() -> dict:
                 dst="client",
                 drop=0.4,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="link_loss",
                 at_ms=200.0,
                 for_ms=1_400.0,
@@ -258,7 +266,7 @@ def _topology() -> dict:
                 dst="peer:2",
                 drop=0.25,
             ),
-            DegradationSpec(
+            FaultEvent(
                 kind="link_loss",
                 at_ms=200.0,
                 for_ms=1_400.0,
