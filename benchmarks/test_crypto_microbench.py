@@ -10,8 +10,8 @@ Layers measured:
 
 - raw AES block encryption (reference byte-slice rounds vs. the lane
   kernel at one block),
-- the CTR keystream of one seal (7 blocks) and of one query's sealed
-  body (470 blocks): the lane-parallel kernel vs. the reference
+- the CTR keystream of one seal (7 blocks) and of a ~7.5 KB message
+  (470 blocks): the lane-parallel kernel vs. the reference
   :class:`AES` one block at a time,
 - the authenticated envelope ``modes.encrypt``/``decrypt`` (key-schedule
   cache plus batched CTR) against the same envelope built from the
@@ -21,7 +21,7 @@ Layers measured:
   all cold),
 - a 32-entry revocable-view query, cold (every entry encrypted under a
   fresh ``K_V``) vs. warm (served from the entries already encrypted
-  under it), with the exact encryption counts,
+  under it; no cipher runs at all), with the exact encryption counts,
 - RSA keypair generation (incremental sieve).
 
 Results are recorded under ``crypto`` in ``BENCH_micro.json`` at the repo
@@ -96,8 +96,8 @@ def test_aes_block_transform(record):
 
 
 def test_ctr_keystream(record):
-    """CTR keystream of one seal (7 blocks) and one query's ~7.5 KB sealed
-    body (470 blocks): the lane kernel vs. the reference block loop."""
+    """CTR keystream of one seal (7 blocks) and of a ~7.5 KB message
+    (470 blocks): the lane kernel vs. the reference block loop."""
     key = secrets.token_bytes(16)
     reference, fast = AES(key), AESFast(key)
     counter = secrets.randbits(128)
@@ -235,7 +235,7 @@ def test_view_query_cold_vs_warm(record, monkeypatch):
         view.key = SymmetricKey.generate()  # what a revocation does
         assert query() == 32
 
-    query()  # the first query draws the reader's keypair; keep it out of both legs
+    query()  # warm-up only: the grant, not a query, drew the reader's keypair
     t_cold = _best_of(cold, 5)
     t_warm = _best_of(lambda: query(), 5)
     warm_encryptions = query()

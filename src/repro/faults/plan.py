@@ -43,9 +43,9 @@ can run against networks of different sizes:
     they still receive traffic but nothing they send gets out — the
     one-way failure a dying NIC or a misconfigured firewall produces.
 ``slow_node``
-    ``node``'s service times are multiplied by ``factor`` (>= 1).
+    ``node``'s service times are multiplied by ``factor`` (> 1).
 ``slow_link``
-    The directed link ``src``→``dst`` is ``factor`` (>= 1) times slower.
+    The directed link ``src``→``dst`` is ``factor`` (> 1) times slower.
 ``link_loss``
     Each message on the directed link ``src``→``dst`` is lost with
     probability ``drop`` (in (0, 1]) — one-way loss, the gray failure
@@ -88,37 +88,38 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import FaultInjectionError
 from repro.fabric.config import RetryPolicy
 from repro.sim.faults import MessageFaultRule
 
-EVENT_KINDS = (
-    "crash_peer",
-    "crash_orderer",
-    "crash_leader",
-    "crash_chain",
-    "partition_chain",
-    "owner_outage",
-    "byzantine_equivocate",
-    "byzantine_corrupt_block",
-    "byzantine_stale_view",
-    "byzantine_corrupt_view",
-    "partition",
-    "slow_node",
-    "slow_link",
-    "link_loss",
-)
+#: Every event kind → the shaping fields it reads; any other shaping
+#: field must stay at its default.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "crash_peer": (),
+    "crash_orderer": (),
+    "crash_leader": (),
+    "crash_chain": (),
+    "partition_chain": (),
+    "owner_outage": (),
+    "byzantine_equivocate": (),
+    "byzantine_corrupt_block": (),
+    "byzantine_stale_view": (),
+    "byzantine_corrupt_view": (),
+    "partition": ("groups", "symmetric"),
+    "slow_node": ("node", "factor"),
+    "slow_link": ("src", "dst", "factor"),
+    "link_loss": ("src", "dst", "drop"),
+}
+EVENT_KINDS = tuple(EVENT_FIELDS)
+_SHAPING = {name for names in EVENT_FIELDS.values() for name in names}
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timed fault: what, when, for how long, to whom.
-
-    ``groups``/``symmetric`` shape a ``partition``; ``node``, ``src``,
-    ``dst``, ``factor`` and ``drop`` shape the gray failures.
-    """
+    """One timed fault: what, when, for how long, to whom, and the
+    shaping fields its kind reads (:data:`EVENT_FIELDS`)."""
 
     kind: str
     at_ms: float
@@ -175,14 +176,23 @@ class FaultEvent:
             raise FaultInjectionError("slow_node event needs a node name")
         if self.kind in ("slow_link", "link_loss") and not (self.src and self.dst):
             raise FaultInjectionError(f"{self.kind} event needs src and dst")
-        if self.kind in ("slow_node", "slow_link") and self.factor < 1.0:
+        if self.kind in ("slow_node", "slow_link") and self.factor <= 1.0:
             raise FaultInjectionError(
-                f"{self.kind} factor must be >= 1, got {self.factor}"
+                f"{self.kind} factor must be > 1, got {self.factor}"
             )
         if self.kind == "link_loss" and not 0.0 < self.drop <= 1.0:
             raise FaultInjectionError(
                 f"link_loss drop probability must be in (0, 1], got {self.drop}"
             )
+        for spec in fields(self):
+            if (
+                spec.name in _SHAPING
+                and spec.name not in EVENT_FIELDS[self.kind]
+                and getattr(self, spec.name) != spec.default
+            ):
+                raise FaultInjectionError(
+                    f"{self.kind} event does not read {spec.name}"
+                )
 
     def group_of(self, node: str) -> int:
         """Index of the partition group holding ``node``; -1 for the rest."""
@@ -250,15 +260,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FaultPlan":
-        known = {
-            "seed",
-            "retry",
-            "messages",
-            "events",
-            "crash_points",
-            "redeliver_after_ms",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {spec.name for spec in fields(cls)}
         if unknown:
             raise FaultInjectionError(
                 f"unknown fault-plan keys {sorted(unknown)!r}"

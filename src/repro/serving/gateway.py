@@ -279,7 +279,7 @@ class ViewManagerTarget(_ChannelTarget):
                 raise WorkloadError(f"unknown serving request kind {kind!r}")
             try:
                 if kind == "audit":
-                    sealed = manager.query_view(
+                    reply = manager.query_view(
                         payload["view"],
                         payload["principal"],
                         tids=payload.get("tids"),
@@ -290,7 +290,7 @@ class ViewManagerTarget(_ChannelTarget):
                 complete(request, "aborted", exc)
                 continue
             if kind == "audit":
-                complete(request, "committed", len(sealed))
+                complete(request, "committed", len(reply))
             else:
                 _complete_when_fired(event, request, complete)
         if not invokes:

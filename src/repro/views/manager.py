@@ -68,6 +68,14 @@ def _tampered(processed: ProcessedSecret) -> ProcessedSecret:
     return processed
 
 
+def _sealed_grants(recipients: dict[str, Any], key: SymmetricKey) -> dict[str, str]:
+    """``key`` sealed for every recipient in one :func:`seal_many` pass,
+    in sorted order; callers seal before they touch the owner's buffer."""
+    principals = sorted(recipients)
+    envelopes = seal_many([recipients[p] for p in principals], key.to_bytes())
+    return {p: envelope.hex() for p, envelope in zip(principals, envelopes)}
+
+
 @dataclass
 class InvokeOutcome:
     """Result of one client request handled by a view manager."""
@@ -504,10 +512,13 @@ class ViewManager(ABC):
         the ``V_access`` transaction's :class:`CommitNotice`."""
         record = self.buffer.get(view_name)
         public_key = self.msp.public_key_of(principal_id)
-        record.authorized[principal_id] = public_key
         # V_access carries the full current list of sealed grants (§4.2),
         # so the newest access transaction alone answers "who may read".
-        return self._publish_access_async(record, dict(record.authorized))
+        grants = _sealed_grants(
+            {**record.authorized, principal_id: public_key}, record.key
+        )
+        record.authorized[principal_id] = public_key
+        return self._publish_access_async(record, grants)
 
     def revoke_access(self, view_name: str, principal_id: str) -> str:
         """Revoke a principal's access (revocable views only).
@@ -541,32 +552,22 @@ class ViewManager(ABC):
             raise AccessDeniedError(
                 f"{principal_id!r} has no access to view {view_name!r}"
             )
+        key = SymmetricKey.generate()
+        grants = _sealed_grants(
+            {p: k for p, k in record.authorized.items() if p != principal_id}, key
+        )
         del record.authorized[principal_id]
         record.offchain.discard(principal_id)
-        record.key = SymmetricKey.generate()
+        record.key = key
         record.key_version += 1
-        return self._publish_access_async(record, dict(record.authorized))
+        return self._publish_access_async(record, grants)
 
-    def _publish_access_async(
-        self, record: ViewRecord, recipients: dict[str, Any]
-    ):
-        """Submit one ``V_access`` transaction with sealed view keys.
+    def _publish_access_async(self, record: ViewRecord, grants: dict[str, str]):
+        """Submit one ``V_access`` transaction carrying sealed view keys.
 
-        The key is sealed for all recipients in one :func:`seal_many`
-        pass (sorted for a deterministic grant order in the payload);
-        each envelope is byte-compatible with a per-recipient ``seal``.
         The access-transaction id is recorded when the commit notice
         arrives, so concurrent grants stay in commit order.
         """
-        principals = sorted(recipients)
-        envelopes = seal_many(
-            [recipients[principal] for principal in principals],
-            record.key.to_bytes(),
-        )
-        grants = {
-            principal: envelope.hex()
-            for principal, envelope in zip(principals, envelopes)
-        }
         event = self.gateway.submit_async(
             notary.CHAINCODE_NAME,
             "record",
@@ -598,8 +599,6 @@ class ViewManager(ABC):
         """
         record = self.buffer.get(view_name)
         public_key = self.msp.public_key_of(principal_id)
-        record.authorized[principal_id] = public_key
-        record.offchain.add(principal_id)
         payload = json.dumps(
             {
                 "view": view_name,
@@ -607,7 +606,10 @@ class ViewManager(ABC):
                 "key": record.key.to_bytes().hex(),
             }
         ).encode()
-        return seal(public_key, payload)
+        sealed = seal(public_key, payload)
+        record.authorized[principal_id] = public_key
+        record.offchain.add(principal_id)
+        return sealed
 
     # -- queries -------------------------------------------------------------------
 
@@ -619,15 +621,16 @@ class ViewManager(ABC):
     ) -> bytes:
         """Serve a (revocable or irrevocable) view query (``QueryView``).
 
-        The response is the requested entries encrypted under the
-        current ``K_V``, sealed freshly with the requester's public key
-        for transport.  Each entry is encrypted once per ``K_V``: later
-        queries reuse that ciphertext while the buffered data behind it
-        is unchanged, and a key rotation (revocation) is what refreshes
-        them all.  A requester without current access is refused — and
-        even a misbehaving owner that skipped this check would only leak
-        ciphertext the revoked user can no longer decrypt, because
-        revocation rotated ``K_V``.
+        The response is the JSON body ``{"view", "key_version",
+        "entries"}``, each entry encrypted under the current ``K_V``.
+        Nothing is sealed per query: the tids and the key version are
+        public on chain, and only current grantees hold ``K_V``.  Each
+        entry is encrypted once per ``K_V``: later queries reuse that
+        ciphertext while the buffered data behind it is unchanged, and
+        a key rotation (revocation) is what refreshes them all.  A
+        requester without current access is refused — and even a
+        misbehaving owner that skipped this check would only leak
+        ciphertext a revoked user's stale key cannot decrypt.
 
         Raises
         ------
@@ -686,15 +689,13 @@ class ViewManager(ABC):
                 )
                 hit = served[tid] = (dict(data), entry.hex())
             entries[tid] = hit[1]
-        body = json.dumps(
+        return json.dumps(
             {
                 "view": view_name,
                 "key_version": record.key_version,
                 "entries": entries,
             }
         ).encode()
-        requester_key = self.msp.public_key_of(requester_id)
-        return seal(requester_key, body)
 
     # -- method-specific hooks -------------------------------------------------------
 
@@ -728,7 +729,6 @@ class ViewReader:
     def __init__(self, user, gateway: Gateway):
         self.user = user
         self.gateway = gateway
-        self.msp = gateway.network.msp
         #: Private keys of roles this reader holds (role id → private key).
         self.role_keys: dict[str, Any] = {}
         #: View keys received over a secure channel instead of the
@@ -808,21 +808,17 @@ class ViewReader:
 
         The query runs under the reader's own identity first; when
         access was granted to a *role* the reader holds (§4.6), the
-        query is retried under each held role principal, and the
-        response envelope is opened with that role's private key.
+        query is retried under each held role principal.  The entries
+        open with the ``K_V`` of the reader's or a held role's grant.
         """
-        candidates: list[tuple[str, Any]] = [
-            (self.user.user_id, self.user.keypair.private),
-            *self.role_keys.items(),
-        ]
         last_denial: AccessDeniedError | None = None
-        for principal, opener in candidates:
+        for principal in (self.user.user_id, *self.role_keys):
             try:
-                sealed = manager.query_view(view_name, principal, tids)
+                reply = manager.query_view(view_name, principal, tids)
             except AccessDeniedError as exc:
                 last_denial = exc
                 continue
-            body = json.loads(open_sealed(opener, sealed))
+            body = json.loads(reply)
             view_key, key_version = self.obtain_view_key(
                 view_name, manager.access_tx_ids.get(view_name, [])
             )

@@ -11,8 +11,9 @@ The keygen guards count instead of timing: an identity's RSA keypair is
 drawn when something seals to it or signs with it, never at
 registration, so set-up that only registers identities generates none.
 The view-query guard counts too: a revocable view encrypts each entry
-once per view key, not once per query.  And the import guard: sealing
-never imports numpy (AES runs on Python ints alone).
+once per view key, not once per query, and a query seals nothing.  And
+the import guard: sealing never imports numpy (AES runs on Python ints
+alone).
 """
 
 import os
@@ -196,9 +197,10 @@ def test_equality_and_repr_generate_no_keypair(keygens):
 # -- view queries: one encryption per entry per view key ----------------------
 
 
-def test_view_query_encrypts_each_entry_once_per_view_key(encryptions):
+def test_view_query_encrypts_each_entry_once_per_view_key(encryptions, monkeypatch):
     """A 32-tid ER query: 32 entry encryptions cold, 0 warm, 32 after a
-    revocation rotates ``K_V``."""
+    revocation rotates ``K_V`` — and no other cipher call: the reply is
+    the entries themselves, sealed to nobody."""
     network = build_network(benchmark_config())
     manager = EncryptionBasedManager(Gateway(network, network.register_user("owner")))
     record = manager.create_view("all", Everything(), ViewMode.REVOCABLE)
@@ -216,15 +218,33 @@ def test_view_query_encrypts_each_entry_once_per_view_key(encryptions):
     for reader in ("bob", "carol"):
         network.register_user(reader)
         manager.grant_access("all", reader)
+    rsa_calls = []
+
+    def counted(real):
+        def counting(self, *args):
+            rsa_calls.append(real.__name__)
+            return real(self, *args)
+
+        return counting
+
+    for cls, attrs in (
+        (rsa.RSAPublicKey, ("encrypt", "verify")),
+        (rsa.RSAPrivateKey, ("decrypt", "sign")),
+    ):
+        for attr in attrs:
+            monkeypatch.setattr(cls, attr, counted(getattr(cls, attr)))
 
     def entry_encryptions() -> int:
-        before = len(encryptions)
+        before, rsa_before = len(encryptions), len(rsa_calls)
         manager.query_view("all", "bob")
-        return encryptions[before:].count(record.key.material)
+        served = encryptions[before:]
+        assert served == [record.key.material] * len(served)  # K_V only
+        assert len(rsa_calls) == rsa_before
+        return len(served)
 
     assert len(record.tids) == 32
     assert entry_encryptions() == 32  # cold
-    assert entry_encryptions() == 0  # warm
+    assert entry_encryptions() == 0  # warm: no cipher call at all
     manager.revoke_access("all", "carol")
     assert entry_encryptions() == 32  # the new K_V encrypts every entry again
     assert entry_encryptions() == 0

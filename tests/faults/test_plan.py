@@ -121,13 +121,29 @@ def test_event_validation():
             FaultEvent(kind=kind, at_ms=0.0, src="client", drop=0.5)
         with pytest.raises(FaultInjectionError, match="needs src and dst"):
             FaultEvent(kind=kind, at_ms=0.0, dst="orderer", drop=0.5)
-    with pytest.raises(FaultInjectionError, match="factor must be >= 1"):
-        FaultEvent(kind="slow_node", at_ms=0.0, node="peer:1", factor=0.5)
-    with pytest.raises(FaultInjectionError, match="factor must be >= 1"):
-        FaultEvent(kind="slow_link", at_ms=0.0, src="a", dst="b", factor=0.5)
+    # A slowdown of 1 (the default) or less does nothing.
+    for factor in (0.5, 1.0):
+        with pytest.raises(FaultInjectionError, match="factor must be > 1"):
+            FaultEvent(kind="slow_node", at_ms=0.0, node="peer:1", factor=factor)
+        with pytest.raises(FaultInjectionError, match="factor must be > 1"):
+            FaultEvent(kind="slow_link", at_ms=0.0, src="a", dst="b", factor=factor)
     for drop in (0.0, 1.5):
         with pytest.raises(FaultInjectionError, match=r"drop probability .* \(0, 1\]"):
             FaultEvent(kind="link_loss", at_ms=0.0, src="a", dst="b", drop=drop)
+    # A shaping field the kind does not read is a mistyped plan.
+    for kind, extra, foreign in [
+        ("crash_peer", {"target": 1}, {"drop": 0.9, "groups": (("x",),)}),
+        ("crash_leader", {}, {"node": "peer:1"}),
+        ("owner_outage", {"for_ms": 5.0}, {"symmetric": False}),
+        ("partition", {"groups": (("peer:1",),)}, {"factor": 2.0}),
+        ("slow_node", {"node": "peer:1", "factor": 2.0}, {"src": "a"}),
+        ("slow_link", {"src": "a", "dst": "b", "factor": 2.0}, {"drop": 0.5}),
+        ("link_loss", {"src": "a", "dst": "b", "drop": 0.5}, {"factor": 2.0}),
+        ("link_loss", {"src": "a", "dst": "b", "drop": 0.5}, {"node": "b"}),
+    ]:
+        FaultEvent(kind, at_ms=0.0, **extra)
+        with pytest.raises(FaultInjectionError, match=f"{kind} event does not read"):
+            FaultEvent(kind, at_ms=0.0, **extra, **foreign)
 
 
 def test_crash_point_validation():

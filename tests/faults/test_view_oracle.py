@@ -196,8 +196,8 @@ def test_revoke_skipping_key_rotation_is_caught(monkeypatch, network):
         network,
         ViewManager,
         ViewManager.revoke_access_async,
-        "record.key = SymmetricKey.generate()",
-        "pass",
+        "key = SymmetricKey.generate()",
+        "key = record.key",
     )
 
 

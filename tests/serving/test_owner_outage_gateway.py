@@ -96,7 +96,7 @@ def test_outage_mid_batch_fails_only_owner_bound_requests():
 
     # The gateway is fully serviceable after the outage.
     assert late_audit.outcome == "committed"
-    assert late_audit.detail > 0  # sealed response bytes served
+    assert late_audit.detail > 0  # reply bytes served
     assert network.faults.summary()["owner_outages"] == 1
     # And the queued invocation truly landed in the view.
     assert len(manager.buffer.get("w1").tids) == 1

@@ -1,9 +1,19 @@
 """Edge-case tests for the view manager shared machinery."""
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.errors import AccessDeniedError, ViewNotFoundError
+from repro import build_network
+from repro.errors import (
+    AccessDeniedError,
+    DecryptionError,
+    InvalidKeyError,
+    ViewNotFoundError,
+)
 from repro.fabric.network import Gateway
+from repro.views import manager as manager_module
 from repro.views.encryption_based import EncryptionBasedManager
 from repro.views.hash_based import HashBasedManager
 from repro.views.manager import ViewReader
@@ -134,3 +144,76 @@ def test_one_transaction_many_views_single_buffer_entry_each(manager, network):
     assert len(outcome.views) == 4
     for i in range(4):
         assert manager.buffer.get(f"v{i}").tids == [outcome.tid]
+
+
+@pytest.mark.parametrize("offchain", [False, True])
+def test_grant_whose_seal_fails_leaves_the_buffer_unchanged(fast_config, offchain):
+    """No RSA-OAEP block fits in a 512-bit modulus, so every seal to
+    such a principal raises; the grant must not authorize it anyway."""
+    network = build_network(dataclasses.replace(fast_config, key_bits=512))
+    manager = HashBasedManager(Gateway(network, network.register_user("owner")))
+    record = manager.create_view("v", Everything(), ViewMode.REVOCABLE)
+    network.register_user("weak")
+    grant = manager.grant_access_offchain if offchain else manager.grant_access
+    with pytest.raises(InvalidKeyError):
+        grant("v", "weak")
+    assert record.authorized == {} and record.offchain == set()
+    assert manager.access_tx_ids.get("v", []) == []
+    with pytest.raises(AccessDeniedError):
+        manager.query_view("v", "weak")
+
+
+def test_revoke_whose_seal_fails_leaves_the_buffer_unchanged(
+    manager, network, monkeypatch
+):
+    record = manager.create_view("v", Everything(), ViewMode.REVOCABLE)
+    for name in ("bob", "carol"):
+        network.register_user(name)
+        manager.grant_access("v", name)
+    before = (record.key, record.key_version, dict(record.authorized))
+    access_txs = list(manager.access_tx_ids["v"])
+
+    def failing(*_args):
+        raise InvalidKeyError("seal failed")
+
+    monkeypatch.setattr(manager_module, "seal_many", failing)
+    with pytest.raises(InvalidKeyError):
+        manager.revoke_access("v", "carol")
+    assert (record.key, record.key_version, record.authorized) == before
+    assert manager.access_tx_ids["v"] == access_txs
+    assert manager.query_view("v", "carol")
+
+
+@pytest.mark.parametrize("manager_cls", [EncryptionBasedManager, HashBasedManager])
+def test_a_reply_to_an_impostor_opens_to_no_key_it_can_get(network, manager_cls):
+    """The reply is not sealed to the requester, so a caller that names
+    an authorized principal it does not hold is served.  What it gets
+    is ciphertext under ``K_V``: it can obtain no ``K_V`` of its own,
+    and a revoked reader's stale ``K_V`` opens none of the entries."""
+    manager = manager_cls(Gateway(network, network.register_user("owner")))
+    manager.create_view("v", Everything(), ViewMode.REVOCABLE)
+    users = {name: network.register_user(name) for name in ("bob", "carol", "mallory")}
+    tids = [
+        manager.invoke_with_secret(
+            "create_item", {"item": item, "owner": "x"}, {"item": item}, b"s"
+        ).tid
+        for item in ("i", "j")
+    ]
+    manager.grant_access("v", "bob")
+    manager.grant_access("v", "carol")
+    readers = {
+        name: ViewReader(user, Gateway(network, user)) for name, user in users.items()
+    }
+    stale_key, _ = readers["carol"].obtain_view_key("v", manager.access_tx_ids["v"])
+    manager.revoke_access("v", "carol")
+
+    body = json.loads(manager.query_view("v", "bob"))  # mallory, claiming bob
+    assert body["view"] == "v" and body["key_version"] == 1
+    assert sorted(body["entries"]) == sorted(tids)
+    for name in ("mallory", "carol"):
+        with pytest.raises(AccessDeniedError):
+            readers[name].obtain_view_key("v", manager.access_tx_ids["v"])
+    for entry in body["entries"].values():
+        with pytest.raises(DecryptionError):
+            stale_key.decrypt(bytes.fromhex(entry))
+    assert sorted(readers["bob"].read_view(manager, "v").secrets) == sorted(tids)

@@ -167,7 +167,6 @@ def test_revoked_key_cannot_decrypt_served_data(method, network):
     manager.create_view("w1", AttributeEquals("to", "W1"), mode)
     import json
 
-    from repro.crypto.envelope import open_sealed
     from repro.errors import DecryptionError
 
     outcome = _invoke(manager)
@@ -182,8 +181,7 @@ def test_revoked_key_cannot_decrypt_served_data(method, network):
     # K_V, so the stale key fails authentication.
     record = manager.buffer.get("w1")
     record.authorized["bob"] = network.msp.public_key_of("bob")
-    sealed = manager.query_view("w1", "bob")
-    body = json.loads(open_sealed(bob.keypair.private, sealed))
+    body = json.loads(manager.query_view("w1", "bob"))
     entry = bytes.fromhex(body["entries"][outcome.tid])
     with pytest.raises(DecryptionError):
         stale_key.decrypt(entry)
